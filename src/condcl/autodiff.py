@@ -3,8 +3,8 @@
 A Tensor wraps a float64 ndarray and remembers how it was produced; calling
 backward() on a scalar output accumulates vector-Jacobian products into the
 leaves that were created with requires_grad=True. The op set is exactly what
-the projection/loss graphs need: affine maps, concatenation, cosine
-similarity, and a stabilized log-sum-exp.
+the projection/loss graphs need: affine maps, cosine similarity, and a
+stabilized log-sum-exp.
 
 Gradients flow only through Tensors; plain ndarrays and floats are treated
 as constants.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "constant", "leaf", "matmul", "concat", "cosine", "logsumexp", "add_n"]
+__all__ = ["Tensor", "constant", "leaf", "matmul", "cosine", "logsumexp", "add_n"]
 
 
 class Tensor:
@@ -208,23 +208,6 @@ def matmul(a, b) -> Tensor:
     else:
         raise ValueError(f"unsupported matmul ranks: {ad.ndim} @ {bd.ndim}")
     return Tensor(ad @ bd, parents=(a, b), vjps=vjps)
-
-
-def concat(parts: list[Tensor]) -> Tensor:
-    datas = [p.data for p in parts]
-    if any(d.ndim != 1 for d in datas):
-        raise ValueError("concat expects 1-D tensors")
-    offsets = np.cumsum([0] + [d.shape[0] for d in datas])
-
-    def make_vjp(i: int):
-        lo, hi = offsets[i], offsets[i + 1]
-        return lambda g: g[lo:hi]
-
-    return Tensor(
-        np.concatenate(datas),
-        parents=tuple(parts),
-        vjps=tuple(make_vjp(i) for i in range(len(parts))),
-    )
 
 
 def add_n(parts: list[Tensor]) -> Tensor:

@@ -7,7 +7,7 @@ Three execution architectures are compared over a stream of
     distinct pairing costs one heavy encoder call.
   - ``tri``: one cache keyed by individual texts; each miss is a heavy call,
     and each request additionally performs one light composition.
-  - ``hyper``: like tri for sentences, but conditions are cached as
+  - ``hyper``: like tri for sentences, but conditions are cached apart, as
     generated operators (the condition embedding itself is transient).
 
 Caches are unbounded and never evict: misses equal the number of distinct
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,8 +28,8 @@ from .errors import CondclError
 from .hypernet import (
     ConditionOperator,
     HyperNetParams,
+    diagonal_operator,
     generate_condition_matrix,
-    hadamard_compose,
     operator_payload_bytes,
     project,
 )
@@ -37,8 +37,7 @@ from .hypernet import (
 __all__ = [
     "CacheStats",
     "WorkloadSpec",
-    "VectorCache",
-    "OperatorCache",
+    "TextKeyedCache",
     "cached_embed",
     "cached_operator",
     "simulate_workload",
@@ -72,14 +71,7 @@ class CacheStats:
 
     def merged_with(self, other: "CacheStats") -> "CacheStats":
         return CacheStats(
-            lookups=self.lookups + other.lookups,
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            heavy_ops=self.heavy_ops + other.heavy_ops,
-            light_ops=self.light_ops + other.light_ops,
-            gen_ops=self.gen_ops + other.gen_ops,
-            resident_bytes=self.resident_bytes + other.resident_bytes,
-            key_bytes=self.key_bytes + other.key_bytes,
+            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
         )
 
 
@@ -95,8 +87,11 @@ class WorkloadSpec:
             raise ValueError("workload requests must be nonempty")
 
 
-class _TextKeyedCache:
-    """Unbounded text-keyed cache with counters; inserts are serialized."""
+class TextKeyedCache:
+    """Unbounded text-keyed cache of embeddings or operators, with counters.
+
+    Lookups and inserts are serialized by a lock.
+    """
 
     def __init__(self):
         self._store: dict[str, object] = {}
@@ -124,15 +119,7 @@ class _TextKeyedCache:
             self.stats.key_bytes += len(key.encode("utf-8"))
 
 
-class VectorCache(_TextKeyedCache):
-    pass
-
-
-class OperatorCache(_TextKeyedCache):
-    pass
-
-
-def cached_embed(cache: VectorCache, provider, text: str) -> np.ndarray:
+def cached_embed(cache: TextKeyedCache, provider, text: str) -> np.ndarray:
     """Embedding lookup through an unbounded cache; misses cost a heavy op."""
     hit, value = cache.lookup(text)
     if hit:
@@ -144,7 +131,7 @@ def cached_embed(cache: VectorCache, provider, text: str) -> np.ndarray:
 
 
 def cached_operator(
-    cache: OperatorCache, params: HyperNetParams, provider, condition_text: str
+    cache: TextKeyedCache, params: HyperNetParams, provider, condition_text: str
 ) -> ConditionOperator:
     """Condition-operator lookup keyed by condition text.
 
@@ -170,9 +157,10 @@ def simulate_workload(spec: WorkloadSpec, nh: int, nk: int | None = None) -> Cac
 
     Mirrors the unbounded caches above: bi does one joint-keyed lookup per
     request; tri and hyper do two lookups (sentence key, condition key) and
-    one light composition per request. Hyper stores operators, not
-    embeddings, for conditions (dense nh^2 floats, or 2*nh*nk when a rank
-    is given).
+    one light composition per request. Tri keeps every text in one cache.
+    Hyper keeps conditions in a cache of their own, as operators rather
+    than embeddings (dense nh^2 floats, or 2*nh*nk when a rank is given), so
+    a text used both as a sentence and as a condition misses in each.
     """
     if nh <= 0:
         raise ValueError("nh must be positive")
@@ -193,22 +181,21 @@ def simulate_workload(spec: WorkloadSpec, nh: int, nk: int | None = None) -> Cac
         return stats
 
     texts: set[str] = set()
-    conditions: set[str] = set()
+    conditions = set() if spec.architecture == "hyper" else texts
     cond_bytes = (2 * nh * nk if nk else nh * nh) * FLOAT_BYTES
     for s, c in spec.requests:
-        for key, is_condition in ((s, False), (c, True)):
+        for key, keys in ((s, texts), (c, conditions)):
             stats.lookups += 1
-            if key in texts:
+            if key in keys:
                 stats.hits += 1
                 continue
             stats.misses += 1
             stats.heavy_ops += 1
             stats.key_bytes += len(key.encode("utf-8"))
-            texts.add(key)
-            if spec.architecture == "hyper" and is_condition:
+            keys.add(key)
+            if keys is not texts:
                 stats.gen_ops += 1
                 stats.resident_bytes += cond_bytes
-                conditions.add(key)
             else:
                 stats.resident_bytes += nh * FLOAT_BYTES
         stats.light_ops += 1
@@ -228,18 +215,18 @@ def run_architecture(
     receives each conditioned embedding, keeping the work observable.
     """
     if architecture == "bi":
-        cache = VectorCache()
+        cache = TextKeyedCache()
         for s, c in requests:
             vec = cached_embed(cache, provider, s + JOINT_KEY_SEP + c)
             if sink:
                 sink(vec)
         return cache.stats
     if architecture == "tri":
-        cache = VectorCache()
+        cache = TextKeyedCache()
         for s, c in requests:
             hs = cached_embed(cache, provider, s)
             hc = cached_embed(cache, provider, c)
-            out = hadamard_compose(hc, hs)
+            out = project(diagonal_operator(hc), hs)
             cache.stats.light_ops += 1
             if sink:
                 sink(out)
@@ -247,8 +234,8 @@ def run_architecture(
     if architecture == "hyper":
         if params is None:
             raise ValueError("hyper architecture needs generator params")
-        vec_cache = VectorCache()
-        op_cache = OperatorCache()
+        vec_cache = TextKeyedCache()
+        op_cache = TextKeyedCache()
         for s, c in requests:
             hs = cached_embed(vec_cache, provider, s)
             op = cached_operator(op_cache, params, provider, c)

@@ -205,11 +205,10 @@ def cmd_bench_cache(args) -> int:
     if not requests:
         raise ConfigError("empty workload")
     nh = args.nh
-    nk = args.nk if args.nk is not None else max(1, nh // 12)
     seed = args.seed if args.seed is not None else 0
     provider = HashingProvider(dim=nh, seed=seed, rounds=args.heavy_rounds)
     params_full = hypernet.init_params("full", nh, seed=seed)
-    params_lowrank = hypernet.init_params("lowrank", nh, nk, seed=seed)
+    params_lowrank = hypernet.init_params("lowrank", nh, args.nk, seed=seed)
     spec = cache_mod.WorkloadSpec(architecture="tri", requests=requests)
     rows = cache_mod.bench_report(
         spec, [params_full, params_lowrank], provider, repetitions=args.repetitions
@@ -467,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, split=False):
         p.add_argument("--config", help="JSON config path")
         p.add_argument("--seed", type=int)
-        p.add_argument("--mode", choices=["full", "lowrank", "hadamard", "concat"])
+        p.add_argument("--mode", choices=hypernet.MODES)
         p.add_argument("--nh", type=int)
         p.add_argument("--nk", type=int)
         p.add_argument("--out")

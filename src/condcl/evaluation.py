@@ -16,11 +16,10 @@ import numpy as np
 
 from .errors import CondclError, DimensionMismatchError
 from .hypernet import (
+    ConditionOperator,
     HyperNetParams,
-    concat_compose,
     diagonal_operator,
     generate_condition_matrix,
-    hadamard_compose,
     operator_frobenius_normalized,
     project,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "ClusterReport",
     "impurity",
     "frobenius_variance_report",
-    "compose_embedding",
     "csts_predictions",
     "evaluate_csts",
     "evaluate_kgc",
@@ -130,27 +128,16 @@ def rank_entities(
     anchor_text, relation_text = query
     if gold not in candidates:
         raise CondclError(f"gold entity {gold!r} not among candidates")
-    h_r = provider.embed(relation_text)
-    if params.mode in ("full", "lowrank"):
-        op = generate_condition_matrix(params, h_r)
-
-        def compose(h_e):
-            return project(op, h_e)
-
-    else:
-
-        def compose(h_e):
-            return compose_embedding(params, h_r, h_e)
-
+    op = generate_condition_matrix(params, provider.embed(relation_text))
     anchor = provider.embed(anchor_text)
     scores: dict[str, float] = {}
     if direction == "tail":
-        base = compose(anchor)
+        base = project(op, anchor)
         for cand in candidates:
             scores[cand] = cosine_similarity(base, provider.embed(cand))
     else:
         for cand in candidates:
-            scores[cand] = cosine_similarity(compose(provider.embed(cand)), anchor)
+            scores[cand] = cosine_similarity(project(op, provider.embed(cand)), anchor)
     gold_rank, count = _rank_from_scores(scores, gold, filter_set)
     return RankingResult(query=query, gold_rank=gold_rank, candidate_count=count)
 
@@ -277,32 +264,18 @@ def frobenius_variance_report(
 # -- task-level evaluation helpers ---------------------------------------------
 
 
-def compose_embedding(params: HyperNetParams, h_c, h_s) -> np.ndarray:
-    """Inference-time conditioned embedding under the params' mode."""
-    if params.mode in ("full", "lowrank"):
-        return project(generate_condition_matrix(params, h_c), h_s)
-    if params.mode == "hadamard":
-        return hadamard_compose(h_c, h_s)
-    return concat_compose(params, h_c, h_s, training=False)
-
-
 def csts_predictions(
     params: HyperNetParams, provider, quads: Sequence[CstsQuadruplet]
 ) -> tuple[list[float], list[float]]:
     """Native-range predicted similarities and gold labels, per instance."""
-    ops: dict[str, object] = {}
+    ops: dict[str, ConditionOperator] = {}
     preds: list[float] = []
     golds: list[float] = []
     for q in quads:
-        if params.mode in ("full", "lowrank"):
-            if q.c not in ops:
-                ops[q.c] = generate_condition_matrix(params, provider.embed(q.c))
-            a = project(ops[q.c], provider.embed(q.s1))
-            b = project(ops[q.c], provider.embed(q.s2))
-        else:
-            h_c = provider.embed(q.c)
-            a = compose_embedding(params, h_c, provider.embed(q.s1))
-            b = compose_embedding(params, h_c, provider.embed(q.s2))
+        if q.c not in ops:
+            ops[q.c] = generate_condition_matrix(params, provider.embed(q.c))
+        a = project(ops[q.c], provider.embed(q.s1))
+        b = project(ops[q.c], provider.embed(q.s2))
         preds.append(similarity_to_label(cosine_similarity(a, b)))
         golds.append(q.y)
     return preds, golds

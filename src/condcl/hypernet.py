@@ -1,12 +1,15 @@
 """Condition operators and the networks that produce them.
 
-A condition embedding is turned into a linear operator that projects
-sentence embeddings into a condition-specific subspace. The generator is a
-single affine layer, either emitting a dense nh x nh matrix ("full") or a
-factored pair of nh x nk matrices whose product W1 @ W2.T is never
-materialized ("lowrank"). Two composition baselines live here as well:
-elementwise product ("hadamard") and a dropout + linear merge of the
-concatenated pair ("concat").
+A condition embedding h_c becomes a linear operator that projects sentence
+embeddings into a condition-specific subspace. Every composition mode is
+such an operator: "full" generates a dense nh x nh matrix, "lowrank" a
+factored W1 @ W2.T pair of rank nk that is never multiplied out, "hadamard"
+is diag(h_c), and "concat" is a linear merge Wcat @ [h_c; h_s]. There is one
+path from a condition to a conditioned embedding: generate the operator once
+per condition (``make_operator``), then project each sentence through it
+(``apply_operator``). Both work on ndarrays and autodiff Tensors alike, so
+training and inference share the formulas; ``generate_condition_matrix``
+and ``project`` are their validated ndarray entry points.
 
 Checkpoint format: 8-byte magic ``HYPERCL1``, an 8-byte little-endian
 unsigned header length, a UTF-8 JSON header {mode, nh, nk, dropout_p,
@@ -17,8 +20,9 @@ the given byte offsets, in manifest order.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +34,13 @@ __all__ = [
     "MODES",
     "HyperNetParams",
     "ConditionOperator",
+    "default_nk",
     "diagonal_operator",
     "init_params",
+    "make_operator",
+    "apply_operator",
     "generate_condition_matrix",
     "project",
-    "hadamard_compose",
-    "concat_compose",
     "param_count",
     "operator_frobenius_normalized",
     "operator_payload_bytes",
@@ -51,6 +56,22 @@ CHECKPOINT_MAGIC = b"HYPERCL1"
 INIT_WEIGHT_STD = 0.02
 DEFAULT_RANK_DIVISOR = 12
 DEFAULT_DROPOUT_P = 0.1
+
+
+def _tensor_shapes(mode: str, nh: int, nk: int | None) -> dict[str, tuple[int, ...]]:
+    """Learnable tensor shapes of a mode, in canonical (checkpoint manifest) order."""
+    if mode == "full":
+        return {"U": (nh * nh, nh), "U_bias": (nh * nh,)}
+    if mode == "lowrank":
+        return {
+            "U1": (nh * nk, nh),
+            "U1_bias": (nh * nk,),
+            "U2": (nh * nk, nh),
+            "U2_bias": (nh * nk,),
+        }
+    if mode == "concat":
+        return {"Wcat": (nh, 2 * nh)}
+    return {}
 
 
 @dataclass
@@ -75,25 +96,23 @@ class HyperNetParams:
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Learnable tensors in canonical (checkpoint manifest) order."""
-        if self.mode == "full":
-            return {"U": self.U, "U_bias": self.U_bias}
-        if self.mode == "lowrank":
-            return {
-                "U1": self.U1,
-                "U1_bias": self.U1_bias,
-                "U2": self.U2,
-                "U2_bias": self.U2_bias,
-            }
-        if self.mode == "concat":
-            return {"Wcat": self.Wcat}
-        return {}
+        return {name: getattr(self, name) for name in _tensor_shapes(self.mode, self.nh, self.nk)}
 
 
 @dataclass
 class ConditionOperator:
-    """A conditioning transform in dense, factored, or diagonal form.
+    """The linear map one condition applies to sentence embeddings.
 
-    factored represents W1 @ W2.T; diagonal represents diag(d).
+    One of four forms; only that form's fields are set:
+
+      - ``dense``: W (nh x nh), the output is W @ h_s;
+      - ``factored``: W1, W2 (nh x nk each), the output is W1 @ (W2.T @ h_s);
+      - ``diagonal``: d (nh,), the output is d * h_s;
+      - ``concat``: Wcat (nh x 2nh) and the condition embedding h_c, the
+        output is Wcat @ [h_c; h_s] (times a dropout mask when training).
+
+    Fields hold ndarrays at inference and autodiff Tensors inside the loss
+    closures; ``apply_operator`` serves both.
     """
 
     form: str
@@ -101,14 +120,8 @@ class ConditionOperator:
     W1: np.ndarray | None = None
     W2: np.ndarray | None = None
     d: np.ndarray | None = None
-
-    @property
-    def nh(self) -> int:
-        if self.form == "dense":
-            return self.W.shape[0]
-        if self.form == "factored":
-            return self.W1.shape[0]
-        return self.d.shape[0]
+    Wcat: np.ndarray | None = None
+    h_c: np.ndarray | None = None
 
 
 def diagonal_operator(h_c) -> ConditionOperator:
@@ -116,7 +129,8 @@ def diagonal_operator(h_c) -> ConditionOperator:
     return ConditionOperator(form="diagonal", d=as_vector(h_c, "h_c"))
 
 
-def _default_nk(nh: int) -> int:
+def default_nk(nh: int) -> int:
+    """Rank used for lowrank operators when none is given."""
     return max(1, nh // DEFAULT_RANK_DIVISOR)
 
 
@@ -146,7 +160,7 @@ def init_params(
         bias = np.zeros(nh * nh) if zero_bias else np.eye(nh).reshape(nh * nh)
         return HyperNetParams(mode=mode, nh=nh, U=U, U_bias=bias)
     if mode == "lowrank":
-        nk = _default_nk(nh) if nk is None else int(nk)
+        nk = default_nk(nh) if nk is None else int(nk)
         if nk > nh or nk < 1:
             raise ValueError(f"lowrank requires 1 <= nk <= nh, got nk={nk}, nh={nh}")
         bias_std = INIT_WEIGHT_STD / np.sqrt(nk)
@@ -165,24 +179,46 @@ def init_params(
     return HyperNetParams(mode="hadamard", nh=nh)
 
 
-# The formula helpers below are written against the operator protocol shared
-# by ndarrays and autodiff Tensors (left operand carries the parameters), so
-# the inference path and the differentiable path cannot drift apart.
+# make_operator and apply_operator keep the parameters on the left of each
+# product, which is what lets autodiff Tensors stand in for ndarrays.
 
 
-def full_operator_matrix(U, U_bias, h_c, nh: int):
-    return (U @ h_c + U_bias).reshape((nh, nh))
+def make_operator(mode: str, tensors, h_c, nh: int, nk: int | None = None) -> ConditionOperator:
+    """The operator of condition embedding h_c under ``mode``.
+
+    ``tensors`` maps the mode's learnable tensor names to ndarrays or
+    Tensors; names it does not need are ignored. No input is validated.
+    """
+    if mode == "full":
+        W = (tensors["U"] @ h_c + tensors["U_bias"]).reshape((nh, nh))
+        return ConditionOperator(form="dense", W=W)
+    if mode == "lowrank":
+        return ConditionOperator(
+            form="factored",
+            W1=(tensors["U1"] @ h_c + tensors["U1_bias"]).reshape((nh, nk)),
+            W2=(tensors["U2"] @ h_c + tensors["U2_bias"]).reshape((nh, nk)),
+        )
+    if mode == "hadamard":
+        return ConditionOperator(form="diagonal", d=h_c)
+    if mode == "concat":
+        return ConditionOperator(form="concat", Wcat=tensors["Wcat"], h_c=h_c)
+    raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
 
 
-def lowrank_operator_factors(U1, U1_bias, U2, U2_bias, h_c, nh: int, nk: int):
-    W1 = (U1 @ h_c + U1_bias).reshape((nh, nk))
-    W2 = (U2 @ h_c + U2_bias).reshape((nh, nk))
-    return W1, W2
-
-
-def factored_apply(W1, W2, h_s):
-    # Evaluate right-to-left: the dense nh x nh product is never formed.
-    return W1 @ (W2.T @ h_s)
+def apply_operator(op: ConditionOperator, h_s, mask=None):
+    """Project h_s through op; ``mask`` scales the concat input (dropout)."""
+    if op.form == "dense":
+        return op.W @ h_s
+    if op.form == "factored":
+        return op.W1 @ (op.W2.T @ h_s)
+    if op.form == "diagonal":
+        return op.d * h_s
+    if op.form == "concat":
+        x = np.concatenate([op.h_c, h_s])
+        if mask is not None:
+            x = x * mask
+        return op.Wcat @ x
+    raise ValueError(f"unknown operator form {op.form!r}")
 
 
 def generate_condition_matrix(params: HyperNetParams, h_c) -> ConditionOperator:
@@ -192,42 +228,26 @@ def generate_condition_matrix(params: HyperNetParams, h_c) -> ConditionOperator:
         raise DimensionMismatchError(
             f"h_c has dim {h_c.shape[0]}, generator expects {params.nh}"
         )
-    if params.mode == "full":
-        W = full_operator_matrix(params.U, params.U_bias, h_c, params.nh)
-        return ConditionOperator(form="dense", W=W)
-    if params.mode == "lowrank":
-        W1, W2 = lowrank_operator_factors(
-            params.U1, params.U1_bias, params.U2, params.U2_bias, h_c, params.nh, params.nk
-        )
-        return ConditionOperator(form="factored", W1=W1, W2=W2)
-    raise ValueError(f"mode {params.mode!r} does not generate condition operators")
+    return make_operator(params.mode, params.tensors(), h_c, params.nh, params.nk)
 
 
 def project(op: ConditionOperator, h_s) -> np.ndarray:
     """Apply a condition operator to a sentence embedding."""
     h_s = as_vector(h_s, "h_s")
+    n = h_s.shape[0]
     if op.form == "dense":
-        if op.W.shape[1] != h_s.shape[0]:
-            raise DimensionMismatchError("dense operator/vector dim mismatch")
-        return op.W @ h_s
-    if op.form == "factored":
-        if op.W1.shape[0] != h_s.shape[0] or op.W2.shape[0] != h_s.shape[0]:
-            raise DimensionMismatchError("factored operator/vector dim mismatch")
-        return factored_apply(op.W1, op.W2, h_s)
-    if op.form == "diagonal":
-        if op.d.shape[0] != h_s.shape[0]:
-            raise DimensionMismatchError("diagonal operator/vector dim mismatch")
-        return op.d * h_s
-    raise ValueError(f"unknown operator form {op.form!r}")
-
-
-def hadamard_compose(h_c, h_s) -> np.ndarray:
-    """Elementwise composition of condition and sentence embeddings."""
-    h_c = as_vector(h_c, "h_c")
-    h_s = as_vector(h_s, "h_s")
-    if h_c.shape != h_s.shape:
-        raise DimensionMismatchError("hadamard_compose: dim mismatch")
-    return h_c * h_s
+        fits = op.W.shape[1] == n
+    elif op.form == "factored":
+        fits = op.W1.shape[0] == n and op.W2.shape[0] == n
+    elif op.form == "diagonal":
+        fits = op.d.shape[0] == n
+    elif op.form == "concat":
+        fits = op.h_c.shape[0] == n and op.Wcat.shape[1] == 2 * n
+    else:
+        raise ValueError(f"unknown operator form {op.form!r}")
+    if not fits:
+        raise DimensionMismatchError(f"{op.form} operator/vector dim mismatch")
+    return apply_operator(op, h_s)
 
 
 def dropout_mask(rng: np.random.Generator, size: int, p: float) -> np.ndarray:
@@ -236,28 +256,6 @@ def dropout_mask(rng: np.random.Generator, size: int, p: float) -> np.ndarray:
         return np.ones(size)
     keep = rng.random(size) >= p
     return keep.astype(np.float64) / (1.0 - p)
-
-
-def concat_compose(
-    params: HyperNetParams,
-    h_c,
-    h_s,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Concatenate condition and sentence, apply dropout, halve via Wcat."""
-    if params.mode != "concat":
-        raise ValueError("concat_compose requires concat-mode params")
-    h_c = as_vector(h_c, "h_c")
-    h_s = as_vector(h_s, "h_s")
-    if h_c.shape[0] != params.nh or h_s.shape[0] != params.nh:
-        raise DimensionMismatchError("concat_compose: dim mismatch")
-    x = np.concatenate([h_c, h_s])
-    if training and params.dropout_p > 0.0:
-        if rng is None:
-            raise ValueError("training-mode dropout needs an rng")
-        x = x * dropout_mask(rng, x.shape[0], params.dropout_p)
-    return params.Wcat @ x
 
 
 def param_count(params: HyperNetParams) -> int:
@@ -271,14 +269,16 @@ def densify(op: ConditionOperator) -> np.ndarray:
         return np.array(op.W)
     if op.form == "factored":
         return op.W1 @ op.W2.T
-    return np.diag(op.d)
+    if op.form == "diagonal":
+        return np.diag(op.d)
+    raise ValueError(f"a {op.form} operator is not a square matrix over h_s")
 
 
 def operator_frobenius_normalized(op: ConditionOperator) -> float:
     """Frobenius norm normalized by sqrt(#stored scalars) per form.
 
     The factored norm uses ||W1 W2^T||_F^2 = trace((W1^T W1)(W2^T W2)), so
-    the dense product is never formed.
+    the dense product is never formed. The concat form has no norm here.
     """
     if op.form == "dense":
         nh = op.W.shape[0]
@@ -288,17 +288,16 @@ def operator_frobenius_normalized(op: ConditionOperator) -> float:
         gram = (op.W1.T @ op.W1) @ (op.W2.T @ op.W2)
         sq = max(float(np.trace(gram)), 0.0)
         return float(np.sqrt(sq)) / float(np.sqrt(2 * nh * nk))
-    nh = op.d.shape[0]
-    return float(np.linalg.norm(op.d)) / float(np.sqrt(nh))
+    if op.form == "diagonal":
+        nh = op.d.shape[0]
+        return float(np.linalg.norm(op.d)) / float(np.sqrt(nh))
+    raise ValueError(f"a {op.form} operator is not a square matrix over h_s")
 
 
 def operator_payload_bytes(op: ConditionOperator, element_bytes: int = 8) -> int:
     """Stored payload size for cache accounting (keys excluded)."""
-    if op.form == "dense":
-        return op.W.size * element_bytes
-    if op.form == "factored":
-        return (op.W1.size + op.W2.size) * element_bytes
-    return op.d.size * element_bytes
+    arrays = (op.W, op.W1, op.W2, op.d, op.Wcat, op.h_c)
+    return sum(a.size for a in arrays if a is not None) * element_bytes
 
 
 def save_checkpoint(
@@ -335,8 +334,17 @@ def save_checkpoint(
             fh.write(data)
 
 
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def load_checkpoint(path: str | Path) -> tuple[HyperNetParams, dict[str, np.ndarray]]:
-    """Read a checkpoint; returns (params, extra tensors)."""
+    """Read a checkpoint; returns (params, extra tensors).
+
+    Any deviation from the format, including a missing or mistyped header
+    field, tensor shapes that disagree with the header and non-finite
+    payload values, raises FormatError.
+    """
     path = Path(path)
     blob = path.read_bytes()
     if blob[:8] != CHECKPOINT_MAGIC:
@@ -344,60 +352,60 @@ def load_checkpoint(path: str | Path) -> tuple[HyperNetParams, dict[str, np.ndar
     if len(blob) < 16:
         raise FormatError(f"{path}: truncated checkpoint header")
     (header_len,) = struct.unpack("<Q", blob[8:16])
+    if 16 + header_len > len(blob):
+        raise FormatError(f"{path}: truncated checkpoint header")
     try:
         header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: unreadable checkpoint header: {exc}") from exc
-    mode = header["mode"]
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: checkpoint header is not a JSON object")
+    mode, nh, nk = header.get("mode"), header.get("nh"), header.get("nk")
+    dropout_p = header.get("dropout_p") or 0.0
     if mode not in MODES:
         raise FormatError(f"{path}: unknown mode {mode!r}")
+    if not _is_count(nh) or nh == 0:
+        raise FormatError(f"{path}: header nh must be a positive integer, got {nh!r}")
+    if nk is not None and not _is_count(nk):
+        raise FormatError(f"{path}: header nk must be an integer or null, got {nk!r}")
+    if mode == "lowrank" and (nk is None or not 1 <= nk <= nh):
+        raise FormatError(f"{path}: lowrank header needs 1 <= nk <= nh, got nk={nk!r}")
+    if not isinstance(dropout_p, (int, float)) or not 0.0 <= dropout_p < 1.0:
+        raise FormatError(f"{path}: header dropout_p must lie in [0, 1), got {dropout_p!r}")
+    entries = header.get("tensors")
+    if not isinstance(entries, list):
+        raise FormatError(f"{path}: header tensors must be a list")
     payload = blob[16 + header_len :]
     tensors: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + 4 * count
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise FormatError(f"{path}: malformed tensor entry {entry!r}")
+        name, shape, start = entry.get("name"), entry.get("shape"), entry.get("offset")
+        well_formed = (
+            isinstance(name, str)
+            and isinstance(shape, list)
+            and all(_is_count(n) for n in shape)
+            and _is_count(start)
+        )
+        if not well_formed or name in tensors:
+            raise FormatError(f"{path}: malformed or duplicate tensor entry {entry!r}")
+        end = start + 4 * math.prod(shape)
         if end > len(payload):
-            raise FormatError(f"{path}: payload truncated for tensor {entry['name']!r}")
+            raise FormatError(f"{path}: payload truncated for tensor {name!r}")
         raw = np.frombuffer(payload[start:end], dtype="<f4")
-        tensors[entry["name"]] = raw.astype(np.float64).reshape(shape)
-    params = HyperNetParams(
-        mode=mode,
-        nh=int(header["nh"]),
-        nk=None if header.get("nk") is None else int(header["nk"]),
-        dropout_p=float(header.get("dropout_p") or 0.0),
-    )
-    expected = {
-        "full": ("U", "U_bias"),
-        "lowrank": ("U1", "U1_bias", "U2", "U2_bias"),
-        "concat": ("Wcat",),
-        "hadamard": (),
-    }[mode]
-    for name in expected:
+        if not np.all(np.isfinite(raw)):
+            raise FormatError(f"{path}: tensor {name!r} holds non-finite values")
+        tensors[name] = raw.astype(np.float64).reshape(shape)
+    params = HyperNetParams(mode=mode, nh=nh, nk=nk, dropout_p=float(dropout_p))
+    for name, shape in _tensor_shapes(mode, nh, nk).items():
         if name not in tensors:
             raise FormatError(f"{path}: checkpoint missing tensor {name!r} for mode {mode!r}")
+        if tensors[name].shape != shape:
+            raise FormatError(
+                f"{path}: tensor {name!r} has shape {tensors[name].shape}, header implies {shape}"
+            )
         setattr(params, name, tensors.pop(name))
-    _validate_shapes(params, path)
     return params, tensors
-
-
-def _validate_shapes(params: HyperNetParams, path) -> None:
-    nh, nk = params.nh, params.nk
-    try:
-        if params.mode == "full":
-            assert params.U.shape == (nh * nh, nh)
-            assert params.U_bias.shape == (nh * nh,)
-        elif params.mode == "lowrank":
-            assert nk is not None and 1 <= nk <= nh
-            for w in (params.U1, params.U2):
-                assert w.shape == (nh * nk, nh)
-            for b in (params.U1_bias, params.U2_bias):
-                assert b.shape == (nh * nk,)
-        elif params.mode == "concat":
-            assert params.Wcat.shape == (nh, 2 * nh)
-    except AssertionError:
-        raise FormatError(f"{path}: tensor shapes inconsistent with header") from None
 
 
 def params_dim_check(params: HyperNetParams, provider_dim: int) -> None:

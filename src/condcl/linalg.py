@@ -1,10 +1,13 @@
-"""Dense vector/matrix arithmetic, similarities, and norms.
+"""Vector checks, cosine similarity, variance and the finite-number test.
 
-All values are float64 internally. Vectors are 1-D arrays, matrices are
-row-major 2-D arrays; there are no sparse paths.
+All values are float64 internally. Vectors are 1-D arrays; there are no
+sparse paths.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 import numpy as np
 
@@ -12,11 +15,8 @@ from .errors import DimensionMismatchError
 
 __all__ = [
     "as_vector",
-    "as_matrix",
-    "dot",
     "cosine_similarity",
-    "matvec",
-    "frobenius_norm_normalized",
+    "is_finite_real",
     "variance",
 ]
 
@@ -29,25 +29,6 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     return v
-
-
-def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D float64 array (row-major)."""
-    m = np.ascontiguousarray(x, dtype=np.float64)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"{name} must be a nonempty 2-D array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return m
-
-
-def dot(a, b) -> float:
-    """Inner product of two equal-length vectors."""
-    a = as_vector(a, "a")
-    b = as_vector(b, "b")
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"dot: dims differ ({a.shape[0]} vs {b.shape[0]})")
-    return float(a @ b)
 
 
 def cosine_similarity(a, b) -> float:
@@ -69,27 +50,9 @@ def cosine_similarity(a, b) -> float:
     return float(a @ b) / (na * nb)
 
 
-def matvec(m, v) -> np.ndarray:
-    """Matrix-vector product; result has dim = rows(m)."""
-    m = as_matrix(m, "m")
-    v = as_vector(v, "v")
-    if m.shape[1] != v.shape[0]:
-        raise DimensionMismatchError(
-            f"matvec: matrix is {m.shape[0]}x{m.shape[1]} but vector has dim {v.shape[0]}"
-        )
-    return m @ v
-
-
-def frobenius_norm_normalized(m, valid_elements: int) -> float:
-    """Frobenius norm divided by sqrt(valid_elements).
-
-    valid_elements is the number of stored scalars the matrix actually
-    carries, which differs between dense, factored, and diagonal forms.
-    """
-    m = as_matrix(m, "m")
-    if valid_elements <= 0:
-        raise ValueError("valid_elements must be positive")
-    return float(np.linalg.norm(m)) / float(np.sqrt(valid_elements))
+def is_finite_real(x) -> bool:
+    """True for a finite real number (bools excluded), as config values must be."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def variance(xs) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import CondclError, DimensionMismatchError
-from .linalg import as_vector
+from .linalg import as_vector, is_finite_real
 
 __all__ = [
     "CstsQuadruplet",
@@ -84,6 +84,9 @@ class LossConfig:
     prebatch_size: int = 2
 
     def validate(self) -> None:
+        for name in ("tau_csts", "tau_kgc", "gamma"):
+            if not is_finite_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
         if self.tau_csts <= 0:
             raise ValueError("tau_csts must be positive")
         if self.tau_kgc < TAU_FLOOR:

@@ -27,14 +27,16 @@ from . import autodiff as ad
 from .encoder import EmbeddingStore
 from .errors import CondclError, ConfigError, FormatError, TrainingDivergedError
 from .hypernet import (
+    MODES,
     HyperNetParams,
+    apply_operator,
+    default_nk,
     dropout_mask,
-    factored_apply,
-    full_operator_matrix,
     init_params,
-    lowrank_operator_factors,
+    make_operator,
     save_checkpoint,
 )
+from .linalg import is_finite_real
 from .losses import (
     CstsQuadruplet,
     KgBatchItem,
@@ -90,12 +92,21 @@ class TrainConfig:
     def validate(self) -> None:
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.mode not in ("full", "lowrank", "hadamard", "concat"):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.nh <= 0:
             raise ConfigError("nh must be positive")
         if self.mode == "lowrank" and self.nk is not None and not 1 <= self.nk <= self.nh:
             raise ConfigError("lowrank requires 1 <= nk <= nh")
+        for name in ("lr", "eps", "weight_decay", "dropout_p"):
+            if not is_finite_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number")
+        if not (
+            isinstance(self.betas, (tuple, list))
+            and len(self.betas) == 2
+            and all(is_finite_real(b) for b in self.betas)
+        ):
+            raise ConfigError("betas must be two finite numbers")
         if self.lr < 0:
             raise ConfigError("lr must be >= 0")
         if self.epochs < 1 or self.batch_size < 1:
@@ -138,7 +149,7 @@ class TrainConfig:
     def nk_effective(self) -> int | None:
         if self.mode != "lowrank":
             return None
-        return self.nk if self.nk is not None else max(1, self.nh // 12)
+        return self.nk if self.nk is not None else default_nk(self.nh)
 
 
 @dataclass
@@ -215,21 +226,6 @@ def _grads_from_leaves(leaves: dict[str, ad.Tensor], arrays: dict[str, np.ndarra
     }
 
 
-def _operator_tensors(leaves, mode, nh, nk, h_c):
-    if mode == "full":
-        return full_operator_matrix(leaves["U"], leaves["U_bias"], h_c, nh)
-    return lowrank_operator_factors(
-        leaves["U1"], leaves["U1_bias"], leaves["U2"], leaves["U2_bias"], h_c, nh, nk
-    )
-
-
-def _apply_operator(op, mode, h_s):
-    if mode == "full":
-        return op @ h_s
-    w1, w2 = op
-    return factored_apply(w1, w2, h_s)
-
-
 def _csts_closure(
     batch: Sequence[TwinPair],
     emb: dict[str, np.ndarray],
@@ -242,21 +238,10 @@ def _csts_closure(
 
     def fn(arrays, components_out=None):
         leaves = {k: ad.leaf(v) for k, v in arrays.items()}
-        ops = {}
-        if mode in ("full", "lowrank"):
-            for ct in conds:
-                ops[ct] = _operator_tensors(leaves, mode, nh, nk, emb[ct])
+        ops = {c: make_operator(mode, leaves, emb[c], nh, nk) for c in conds}
 
         def side(cond_text, sent_text, mask):
-            hc, hs = emb[cond_text], emb[sent_text]
-            if mode in ("full", "lowrank"):
-                return _apply_operator(ops[cond_text], mode, hs)
-            if mode == "hadamard":
-                return ad.constant(hc * hs)
-            x = np.concatenate([hc, hs])
-            if mask is not None:
-                x = x * mask
-            return leaves["Wcat"] @ x
+            return apply_operator(ops[cond_text], emb[sent_text], mask)
 
         mse_sum = 0.0
         cl_sum = 0.0
@@ -309,23 +294,12 @@ def _kgc_closure(
     def fn(arrays, components_out=None):
         leaves = {k: ad.leaf(v) for k, v in arrays.items()}
         tau = leaves.get("tau_kgc", ad.constant(cfg.loss.tau_kgc))
-        ops = {}
-        if mode in ("full", "lowrank"):
-            for rt in relations:
-                ops[rt] = _operator_tensors(leaves, mode, nh, nk, emb[rt])
+        ops = {r: make_operator(mode, leaves, emb[r], nh, nk) for r in relations}
 
         terms = []
         for i, item in enumerate(batch):
-            hc, hh = emb[item.triple.r], item.h_head
-            if mode in ("full", "lowrank"):
-                hhr = _apply_operator(ops[item.triple.r], mode, hh)
-            elif mode == "hadamard":
-                hhr = ad.constant(hc * hh)
-            else:
-                x = np.concatenate([hc, hh])
-                if masks is not None and masks[i] is not None:
-                    x = x * masks[i]
-                hhr = leaves["Wcat"] @ x
+            mask = masks[i] if masks is not None else None
+            hhr = apply_operator(ops[item.triple.r], item.h_head, mask)
             pos = ad.cosine(hhr, ad.constant(item.h_tail))
             negs = [ad.cosine(hhr, ad.constant(v)) for v in negatives[i]]
             terms.append(kgc_term(pos, negs, gamma, tau))
@@ -351,16 +325,10 @@ def make_loss_closure(
     evaluations (as in finite differencing) see an identical function.
     """
     cfg.validate()
+    emb = _embedding_table(cfg.task, batch, provider)
     if cfg.task == "csts":
-        emb = _embedding_table_csts(batch, provider)
         return _csts_closure(batch, emb, cfg, masks=None)
-    emb = {}
-    items = []
-    for t in batch:
-        for text in (t.h, t.r, t.t):
-            if text not in emb:
-                emb[text] = provider.embed(text)
-        items.append(KgBatchItem(triple=t, h_head=emb[t.h], h_tail=emb[t.t]))
+    items = [KgBatchItem(triple=t, h_head=emb[t.h], h_tail=emb[t.t]) for t in batch]
     return _kgc_closure(items, emb, cfg, prebatch_snapshot=list(prebatch or []), masks=None)
 
 
@@ -380,10 +348,12 @@ def initial_arrays(cfg: TrainConfig) -> tuple[HyperNetParams, dict[str, np.ndarr
     return params, arrays
 
 
-def _embedding_table_csts(pairs: Sequence[TwinPair], provider) -> dict[str, np.ndarray]:
+def _embedding_table(task: str, instances, provider) -> dict[str, np.ndarray]:
+    """Every text of the TwinPairs (csts) or KgTriples (kgc), embedded once."""
     emb: dict[str, np.ndarray] = {}
-    for tp in pairs:
-        for text in (tp.high.s1, tp.high.s2, tp.high.c, tp.low.c):
+    for x in instances:
+        texts = (x.high.s1, x.high.s2, x.high.c, x.low.c) if task == "csts" else (x.h, x.r, x.t)
+        for text in texts:
             if text not in emb:
                 emb[text] = provider.embed(text)
     return emb
@@ -394,7 +364,8 @@ def train(cfg: TrainConfig, data, provider, checkpoint_path: str | None = None) 
 
     ``data`` is a list of CstsQuadruplet (twins resolved internally, both
     twins always share a batch) or a list of KgTriple. The provider is
-    read-only throughout. Aborts with diagnostics on a non-finite loss.
+    read-only throughout. Aborts with TrainingDivergedError, naming the epoch
+    and batch, on a non-finite or undefined loss.
     """
     _, _, report = fit(cfg, data, provider, checkpoint_path)
     return report
@@ -424,16 +395,8 @@ def fit(
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     dropout_rng = np.random.default_rng([cfg.seed, 2])
 
-    if cfg.task == "csts":
-        instances: list = pair_twins(data)
-        emb = _embedding_table_csts(instances, provider)
-    else:
-        instances = list(data)
-        emb = {}
-        for t in instances:
-            for text in (t.h, t.r, t.t):
-                if text not in emb:
-                    emb[text] = provider.embed(text)
+    instances = pair_twins(data) if cfg.task == "csts" else list(data)
+    emb = _embedding_table(cfg.task, instances, provider)
 
     use_dropout = cfg.mode == "concat" and cfg.dropout_p > 0.0
     prebatch: deque = deque(maxlen=max(cfg.loss.prebatch_size, 1))
@@ -467,11 +430,15 @@ def fit(
                     masks = [dropout_mask(dropout_rng, 2 * cfg.nh, cfg.dropout_p) for _ in batch]
                 fn = _kgc_closure(items, emb, cfg, list(prebatch), masks)
             components: dict[str, float] = {}
-            loss, grads = fn(arrays, components)
+            where = f"epoch {epoch} batch {start // cfg.batch_size}"
+            try:
+                loss, grads = fn(arrays, components)
+            except ValueError as exc:
+                # A degenerate value inside the loss, such as a zero-norm projection.
+                raise TrainingDivergedError(f"loss undefined at {where}: {exc}") from exc
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch} batch {start // cfg.batch_size}: "
-                    f"loss={loss} components={components}"
+                    f"non-finite loss at {where}: loss={loss} components={components}"
                 )
             if trainable:
                 opt.step(grads)

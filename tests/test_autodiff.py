@@ -88,17 +88,6 @@ def test_transpose_and_reshape():
     )
 
 
-def test_concat():
-    x0 = rng.normal(size=3)
-    y0 = rng.normal(size=2)
-    w = rng.normal(size=5)
-    x, y = ad.leaf(x0), ad.leaf(y0)
-    out = ad.matmul(ad.concat([x, y]), ad.constant(w))
-    out.backward()
-    assert x.grad == pytest.approx(w[:3], abs=1e-12)
-    assert y.grad == pytest.approx(w[3:], abs=1e-12)
-
-
 def test_cosine_gradients():
     a0 = rng.normal(size=5)
     b0 = rng.normal(size=5)

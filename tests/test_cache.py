@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from condcl.cache import (
-    OperatorCache,
-    VectorCache,
+    TextKeyedCache,
     WorkloadSpec,
     bench_report,
     bench_rows_to_tsv,
@@ -32,7 +33,7 @@ def replay_oracle(requests_keys):
 
 class TestCachedEmbed:
     def test_miss_then_hit(self):
-        cache = VectorCache()
+        cache = TextKeyedCache()
         provider = HashingProvider(dim=8, seed=0)
         a = cached_embed(cache, provider, "x")
         b = cached_embed(cache, provider, "x")
@@ -41,7 +42,7 @@ class TestCachedEmbed:
         assert (s.lookups, s.hits, s.misses, s.heavy_ops) == (2, 1, 1, 1)
 
     def test_resident_bytes_accounting(self):
-        cache = VectorCache()
+        cache = TextKeyedCache()
         provider = HashingProvider(dim=16, seed=0)
         for i in range(5):
             cached_embed(cache, provider, f"text-{i}")
@@ -51,7 +52,7 @@ class TestCachedEmbed:
     def test_stats_match_replay_oracle(self):
         rng = np.random.default_rng(3)
         texts = [f"t{rng.integers(0, 20)}" for _ in range(200)]
-        cache = VectorCache()
+        cache = TextKeyedCache()
         provider = HashingProvider(dim=8, seed=0)
         for t in texts:
             cached_embed(cache, provider, t)
@@ -64,7 +65,7 @@ class TestCachedEmbed:
 class TestCachedOperator:
     def test_full_mode_bytes_per_condition(self):
         nh = 12
-        cache = OperatorCache()
+        cache = TextKeyedCache()
         provider = HashingProvider(dim=nh, seed=0)
         params = init_params("full", nh, seed=0)
         cached_operator(cache, params, provider, "c1")
@@ -74,8 +75,8 @@ class TestCachedOperator:
 
     def test_lowrank_bytes_ratio(self):
         nh, nk = 16, 2
-        cache_full = OperatorCache()
-        cache_low = OperatorCache()
+        cache_full = TextKeyedCache()
+        cache_low = TextKeyedCache()
         provider = HashingProvider(dim=nh, seed=0)
         cached_operator(cache_full, init_params("full", nh, seed=0), provider, "c1")
         cached_operator(cache_low, init_params("lowrank", nh, nk, seed=0), provider, "c1")
@@ -84,7 +85,7 @@ class TestCachedOperator:
         assert ratio == pytest.approx(2 * nk / nh)
 
     def test_hit_returns_identical_object(self):
-        cache = OperatorCache()
+        cache = TextKeyedCache()
         provider = HashingProvider(dim=8, seed=0)
         params = init_params("full", 8, seed=0)
         op1 = cached_operator(cache, params, provider, "c")
@@ -93,7 +94,7 @@ class TestCachedOperator:
         assert cache.stats.heavy_ops == 1
 
     def test_requires_generating_mode(self):
-        cache = OperatorCache()
+        cache = TextKeyedCache()
         provider = HashingProvider(dim=8, seed=0)
         with pytest.raises(ValueError):
             cached_operator(cache, init_params("hadamard", 8), provider, "c")
@@ -157,6 +158,13 @@ class TestSimulateWorkload:
             assert a.hit_rate == b.hit_rate
             assert (a.hits, a.misses) == (b.hits, b.misses)
 
+    def test_hyper_keeps_sentence_and_condition_keys_apart(self):
+        requests = [("x", "x"), ("y", "x"), ("x", "y")]
+        hyper = simulate_workload(WorkloadSpec("hyper", requests), nh=8)
+        tri = simulate_workload(WorkloadSpec("tri", requests), nh=8)
+        assert (hyper.gen_ops, hyper.heavy_ops, hyper.misses) == (2, 4, 4)
+        assert (tri.gen_ops, tri.heavy_ops, tri.misses) == (0, 2, 2)
+
     def test_unbounded_misses_equal_distinct_keys(self):
         rng = np.random.default_rng(6)
         requests = [(f"s{rng.integers(0, 9)}", f"c{rng.integers(0, 3)}") for _ in range(300)]
@@ -168,16 +176,25 @@ class TestSimulateWorkload:
         assert tri.misses == len(texts)
 
 
+TEXTS = ("x", "y", "z", "x y")
+
+
 class TestRunArchitecture:
-    def test_execution_matches_simulation(self):
-        requests = full_cross_requests(6, 3, replays=2)
+    @given(
+        requests=st.lists(
+            st.tuples(st.sampled_from(TEXTS), st.sampled_from(TEXTS)), min_size=1, max_size=12
+        ),
+        nk=st.sampled_from([None, 2]),
+    )
+    @example(requests=full_cross_requests(6, 3, replays=2), nk=None)
+    @settings(max_examples=40, deadline=None)
+    def test_execution_matches_simulation(self, requests, nk):
+        # Sentences and conditions share one small alphabet, so texts recur in both roles.
         provider = HashingProvider(dim=8, seed=1)
-        params = init_params("full", 8, seed=0)
+        params = init_params("lowrank" if nk else "full", 8, nk, seed=0)
         for arch in ("bi", "tri", "hyper"):
             executed = run_architecture(arch, requests, provider, params=params)
-            simulated = simulate_workload(
-                WorkloadSpec(arch, requests), nh=8, nk=None
-            )
+            simulated = simulate_workload(WorkloadSpec(arch, requests), nh=8, nk=nk)
             assert executed.lookups == simulated.lookups
             assert executed.hits == simulated.hits
             assert executed.misses == simulated.misses

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condcl.errors import DimensionMismatchError
-from condcl.linalg import (
-    cosine_similarity,
-    dot,
-    frobenius_norm_normalized,
-    matvec,
-    variance,
+from condcl.hypernet import (
+    ConditionOperator,
+    diagonal_operator,
+    operator_frobenius_normalized,
+    project,
 )
+from condcl.linalg import cosine_similarity, is_finite_real, variance
 
 
 def vectors(dim=None, min_dim=1, max_dim=12):
@@ -22,28 +22,6 @@ def vectors(dim=None, min_dim=1, max_dim=12):
             max_size=d,
         )
     )
-
-
-class TestDot:
-    def test_orthogonal(self):
-        assert dot([1, 0], [0, 1]) == 0.0
-
-    def test_hand_arithmetic(self):
-        assert dot([1, 2], [3, 4]) == 11.0
-
-    def test_self_dot_is_squared_norm(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            v = rng.normal(size=rng.integers(1, 30))
-            # independent accumulation loop oracle
-            acc = 0.0
-            for x in v:
-                acc += float(x) * float(x)
-            assert dot(v, v) == pytest.approx(acc, rel=1e-12)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            dot([1, 2], [1, 2, 3])
 
 
 class TestCosine:
@@ -74,7 +52,13 @@ class TestCosine:
         )
 
 
+def matvec(m, v):
+    return project(ConditionOperator(form="dense", W=np.asarray(m, dtype=np.float64)), v)
+
+
 class TestMatvec:
+    """Matrix-vector products, as a dense operator computes them."""
+
     def test_identity_matrix(self):
         v = np.array([1.0, -2.0, 3.0])
         assert np.array_equal(matvec(np.eye(3), v), v)
@@ -108,29 +92,39 @@ class TestMatvec:
 
 
 class TestFrobeniusNormalized:
+    """Operator norms divided by sqrt(#stored scalars) of the operator's form."""
+
     def test_identity_diagonal_convention(self):
         for n in (2, 5, 9):
-            assert frobenius_norm_normalized(np.eye(n), n) == pytest.approx(1.0)
+            op = diagonal_operator(np.ones(n))
+            assert operator_frobenius_normalized(op) == pytest.approx(1.0)
 
     def test_identity_dense_convention(self):
         for n in (2, 5, 9):
-            assert frobenius_norm_normalized(np.eye(n), n * n) == pytest.approx(1 / np.sqrt(n))
+            op = ConditionOperator(form="dense", W=np.eye(n))
+            assert operator_frobenius_normalized(op) == pytest.approx(1 / np.sqrt(n))
 
     def test_diag_vector_norm(self):
         rng = np.random.default_rng(2)
         h = rng.normal(size=6)
-        got = frobenius_norm_normalized(np.diag(h), 6)
+        got = operator_frobenius_normalized(diagonal_operator(h))
         assert got == pytest.approx(np.linalg.norm(h) / np.sqrt(6), rel=1e-12)
 
     def test_nonnegative_zero_iff_zero(self):
-        assert frobenius_norm_normalized(np.zeros((3, 3)), 9) == 0.0
+        zero = ConditionOperator(form="dense", W=np.zeros((3, 3)))
+        assert operator_frobenius_normalized(zero) == 0.0
         rng = np.random.default_rng(3)
         m = rng.normal(size=(3, 3))
-        assert frobenius_norm_normalized(m, 9) > 0.0
+        assert operator_frobenius_normalized(ConditionOperator(form="dense", W=m)) > 0.0
 
-    def test_bad_valid_elements(self):
-        with pytest.raises(ValueError):
-            frobenius_norm_normalized(np.eye(2), 0)
+
+class TestIsFiniteReal:
+    def test_finite_numbers(self):
+        assert all(is_finite_real(x) for x in (0, -3, 1e-8, 2.5, np.float32(1.0), np.int64(4)))
+
+    def test_rejects_non_finite_and_non_numbers(self):
+        for x in (float("nan"), float("inf"), -np.inf, True, "1.0", None, [1.0]):
+            assert not is_finite_real(x)
 
 
 class TestVariance:

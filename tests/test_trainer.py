@@ -56,6 +56,21 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(task="csts", mode="full", nh=8, lr=-1.0).validate()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "key", ["lr", "eps", "weight_decay", "dropout_p", "betas", "tau_csts", "tau_kgc", "gamma"]
+    )
+    def test_non_finite_values_rejected(self, key, value):
+        d = {"task": "csts", "mode": "full", "nh": 8}
+        if key == "betas":
+            d["betas"] = [0.9, value]
+        elif key in LossConfig.__dataclass_fields__:
+            d["loss"] = {key: value}
+        else:
+            d[key] = value
+        with pytest.raises(ValueError, match=key):
+            TrainConfig.from_dict(d)
+
 
 class TestAdam:
     def test_lr_zero_is_bit_identical(self):
