@@ -110,8 +110,10 @@ class TextKeyedCache:
             self.stats.misses += 1
             return False, None
 
-    def insert(self, key: str, value, payload_bytes: int) -> None:
+    def insert(self, key: str, value, payload_bytes: int, heavy_ops: int, gen_ops: int = 0):
         with self._lock:
+            self.stats.heavy_ops += heavy_ops
+            self.stats.gen_ops += gen_ops
             if key in self._store:
                 return
             self._store[key] = value
@@ -125,8 +127,7 @@ def cached_embed(cache: TextKeyedCache, provider, text: str) -> np.ndarray:
     if hit:
         return value
     vec = provider.embed(text)
-    cache.stats.heavy_ops += 1
-    cache.insert(text, vec, vec.size * FLOAT_BYTES)
+    cache.insert(text, vec, vec.size * FLOAT_BYTES, heavy_ops=1)
     return vec
 
 
@@ -144,11 +145,9 @@ def cached_operator(
     hit, value = cache.lookup(condition_text)
     if hit:
         return value
-    h_c = provider.embed(condition_text)
-    cache.stats.heavy_ops += 1
-    op = generate_condition_matrix(params, h_c)
-    cache.stats.gen_ops += 1
-    cache.insert(condition_text, op, operator_payload_bytes(op, FLOAT_BYTES))
+    op = generate_condition_matrix(params, provider.embed(condition_text))
+    payload = operator_payload_bytes(op, FLOAT_BYTES)
+    cache.insert(condition_text, op, payload, heavy_ops=1, gen_ops=1)
     return op
 
 

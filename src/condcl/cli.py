@@ -254,10 +254,10 @@ def cmd_analyze_clusters(args) -> int:
         raise ConfigError(f"{len(sentences)} points cannot support k={k}")
 
     before = np.stack([provider.embed(s) for s in sentences])
-    ops = {c: hypernet.generate_condition_matrix(params, provider.embed(c)) for c in set(labels)}
-    after = np.stack(
-        [hypernet.project(ops[c], provider.embed(s)) for s, c in zip(sentences, labels)]
-    )
+    conditions = list(dict.fromkeys(labels))
+    H = np.stack([provider.embed(c) for c in conditions])
+    ops = dict(zip(conditions, hypernet.generate_operators(params, H)))
+    after = np.stack([hypernet.project(ops[c], v) for v, c in zip(before, labels)])
     assign_before = eval_mod.kmeans(before, k, seed=args.seed or 0)
     assign_after = eval_mod.kmeans(after, k, seed=args.seed or 0)
     report = {

@@ -111,7 +111,8 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
 
     Floats are parsed at 32-bit precision then widened to float64. The
     dimension is fixed by the first record; inconsistent dims, duplicate
-    texts, and malformed lines are errors (with 1-based line numbers).
+    texts, non-finite values (NaN, inf, or beyond float32 range) and
+    malformed lines are errors (with 1-based line numbers).
     """
     path = Path(path)
     store: EmbeddingStore | None = None
@@ -130,6 +131,8 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
             vec = np.asarray(emb, dtype=np.float32).astype(np.float64)
             if vec.ndim != 1 or vec.size == 0:
                 raise FormatError(f"{path}:{lineno}: embedding must be a nonempty flat list")
+            if not np.all(np.isfinite(vec)):
+                raise FormatError(f"{path}:{lineno}: embedding holds non-finite values")
             if store is None:
                 store = EmbeddingStore(vec.shape[0])
             if vec.shape[0] != store.dim:

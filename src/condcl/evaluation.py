@@ -5,6 +5,9 @@ Covers rank correlations for the similarity task, filtered ranking metrics
 k-means clustering with a condition-weighted entropy (impurity) score, and
 the operator-norm variance comparison between generated operators and the
 diagonal (elementwise) composition.
+
+Ranking and C-STS prediction are batched: one call generates all of its
+operators at once and scores a query with one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -16,14 +19,13 @@ import numpy as np
 
 from .errors import CondclError, DimensionMismatchError
 from .hypernet import (
-    ConditionOperator,
     HyperNetParams,
     diagonal_operator,
-    generate_condition_matrix,
+    generate_operators,
     operator_frobenius_normalized,
     project,
 )
-from .linalg import cosine_similarity, variance
+from .linalg import as_vector, variance
 from .losses import CstsQuadruplet, KgTriple, similarity_to_label
 
 __all__ = [
@@ -65,17 +67,9 @@ def pearson(xs, ys) -> float:
 
 def _fractional_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the average rank of their block."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        ranks[order[i : j + 1]] = avg
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True, equal_nan=False)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2.0)[inverse.reshape(-1)]
 
 
 def spearman(xs, ys) -> float:
@@ -91,18 +85,55 @@ class RankingResult:
     candidate_count: int
 
 
-def _rank_from_scores(
-    scores: dict[str, float], gold: str, filter_set: Iterable[str]
-) -> tuple[int, int]:
-    """Filtered rank of gold under a deterministic lexicographic tie rule."""
-    removed = set(filter_set) - {gold}
-    kept = {text: s for text, s in scores.items() if text not in removed}
-    if gold not in kept:
-        raise CondclError(f"gold candidate {gold!r} missing from scored set")
-    gold_score = kept[gold]
-    greater = sum(1 for s in kept.values() if s > gold_score)
-    tied = sorted(text for text, s in kept.items() if s == gold_score)
-    return greater + tied.index(gold) + 1, len(kept)
+def _cosines(dots: np.ndarray, norms, other_norms) -> np.ndarray:
+    """Cosines from dot products and norms; zero norms and non-finite values raise."""
+    if not (np.all(norms) and np.all(other_norms)):
+        raise ValueError("cosine_similarity: zero-norm input")
+    out = dots / (norms * other_norms)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("cosine_similarity: non-finite input")
+    return out
+
+
+def _rank_queries(params, provider, candidates, queries) -> list[RankingResult]:
+    """Filtered ranks of (query, gold, filter_set, direction) tuples, in order."""
+    names = list(dict.fromkeys(candidates))
+    index = {name: i for i, name in enumerate(names)}
+    by_relation: dict[str, list[int]] = {}
+    for i, ((_, relation), gold, _, direction) in enumerate(queries):
+        if direction not in ("tail", "head"):
+            raise ValueError("direction must be 'tail' or 'head'")
+        if gold not in index:
+            raise CondclError(f"gold entity {gold!r} not among candidates")
+        by_relation.setdefault(relation, []).append(i)
+    order = np.argsort(sorted(range(len(names)), key=names.__getitem__))  # tie-break key
+    E = as_vector(np.stack([provider.embed(name) for name in names]), "candidates", ndims=(2,))
+    norms = np.linalg.norm(E, axis=1)
+    # Each candidate takes the score of the first row equal to its own, so
+    # equal embeddings tie exactly whatever the order of summation.
+    first: dict[bytes, int] = {}
+    same = np.array([first.setdefault(e.tobytes(), i) for i, e in enumerate(E)])
+    H = np.stack([provider.embed(relation) for relation in by_relation])
+    results: list = [None] * len(queries)
+    for members, op in zip(by_relation.values(), generate_operators(params, H)):
+        heads = None  # the relation's projected entity matrix and its row norms
+        for i in members:
+            query, gold, filter_set, direction = queries[i]
+            anchor = as_vector(provider.embed(query[0]), "anchor")
+            if direction == "tail":
+                base = project(op, anchor)
+                scores = _cosines(E @ base, norms, np.linalg.norm(base))
+            else:
+                if heads is None:
+                    P = project(op, E)
+                    heads = P, np.linalg.norm(P, axis=1)
+                scores = _cosines(heads[0] @ anchor, heads[1], np.linalg.norm(anchor))
+            scores, g = scores[same], index[gold]
+            kept = np.ones(len(names), dtype=bool)
+            kept[[index[name] for name in filter_set if name in index and name != gold]] = False
+            ahead = (scores > scores[g]) | ((scores == scores[g]) & (order < order[g]))
+            results[i] = RankingResult(query, int((ahead & kept).sum()) + 1, int(kept.sum()))
+    return results
 
 
 def rank_entities(
@@ -121,25 +152,10 @@ def rank_entities(
     candidate. direction="head": candidates complete (?, relation, anchor)
     and each candidate is relation-composed before scoring against the
     anchor. Known-true entities other than gold are filtered out before
-    ranking; ties break lexicographically by candidate text.
+    ranking; ties break lexicographically by candidate text. This is the
+    one-query case of ``evaluate_kgc``.
     """
-    if direction not in ("tail", "head"):
-        raise ValueError("direction must be 'tail' or 'head'")
-    anchor_text, relation_text = query
-    if gold not in candidates:
-        raise CondclError(f"gold entity {gold!r} not among candidates")
-    op = generate_condition_matrix(params, provider.embed(relation_text))
-    anchor = provider.embed(anchor_text)
-    scores: dict[str, float] = {}
-    if direction == "tail":
-        base = project(op, anchor)
-        for cand in candidates:
-            scores[cand] = cosine_similarity(base, provider.embed(cand))
-    else:
-        for cand in candidates:
-            scores[cand] = cosine_similarity(project(op, provider.embed(cand)), anchor)
-    gold_rank, count = _rank_from_scores(scores, gold, filter_set)
-    return RankingResult(query=query, gold_rank=gold_rank, candidate_count=count)
+    return _rank_queries(params, provider, candidates, [(query, gold, filter_set, direction)])[0]
 
 
 def mrr_hits(results: Sequence[RankingResult], ks: Sequence[int]) -> dict:
@@ -252,12 +268,9 @@ def frobenius_variance_report(
     """
     if not conditions:
         raise ValueError("need at least one condition")
-    hyper_norms = []
-    diag_norms = []
-    for c in conditions:
-        h_c = provider.embed(c)
-        hyper_norms.append(operator_frobenius_normalized(generate_condition_matrix(params, h_c)))
-        diag_norms.append(operator_frobenius_normalized(diagonal_operator(h_c)))
+    H = np.stack([provider.embed(c) for c in conditions])
+    hyper_norms = [operator_frobenius_normalized(op) for op in generate_operators(params, H)]
+    diag_norms = [operator_frobenius_normalized(diagonal_operator(h_c)) for h_c in H]
     return variance(hyper_norms), variance(diag_norms)
 
 
@@ -268,17 +281,19 @@ def csts_predictions(
     params: HyperNetParams, provider, quads: Sequence[CstsQuadruplet]
 ) -> tuple[list[float], list[float]]:
     """Native-range predicted similarities and gold labels, per instance."""
-    ops: dict[str, ConditionOperator] = {}
-    preds: list[float] = []
-    golds: list[float] = []
-    for q in quads:
-        if q.c not in ops:
-            ops[q.c] = generate_condition_matrix(params, provider.embed(q.c))
-        a = project(ops[q.c], provider.embed(q.s1))
-        b = project(ops[q.c], provider.embed(q.s2))
-        preds.append(similarity_to_label(cosine_similarity(a, b)))
-        golds.append(q.y)
-    return preds, golds
+    groups: dict[str, list[int]] = {}
+    for i, q in enumerate(quads):
+        groups.setdefault(q.c, []).append(i)
+    if not groups:
+        return [], []
+    H = np.stack([provider.embed(c) for c in groups])
+    phi = np.empty(len(quads))
+    for members, op in zip(groups.values(), generate_operators(params, H)):
+        a = project(op, [provider.embed(quads[i].s1) for i in members])
+        b = project(op, [provider.embed(quads[i].s2) for i in members])
+        dots = np.einsum("ij,ij->i", a, b)
+        phi[members] = _cosines(dots, np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
+    return [similarity_to_label(p) for p in phi], [q.y for q in quads]
 
 
 def evaluate_csts(
@@ -310,32 +325,13 @@ def evaluate_kgc(
     for t in known_triples:
         tails_of.setdefault((t.h, t.r), set()).add(t.t)
         heads_of.setdefault((t.t, t.r), set()).add(t.h)
-    results: list[RankingResult] = []
+    queries = []
     for t in eval_triples:
         if "tail" in directions:
-            results.append(
-                rank_entities(
-                    params,
-                    provider,
-                    query=(t.h, t.r),
-                    gold=t.t,
-                    candidates=entities,
-                    filter_set=tails_of.get((t.h, t.r), set()),
-                    direction="tail",
-                )
-            )
+            queries.append(((t.h, t.r), t.t, tails_of.get((t.h, t.r), ()), "tail"))
         if "head" in directions:
-            results.append(
-                rank_entities(
-                    params,
-                    provider,
-                    query=(t.t, t.r),
-                    gold=t.h,
-                    candidates=entities,
-                    filter_set=heads_of.get((t.t, t.r), set()),
-                    direction="head",
-                )
-            )
+            queries.append(((t.t, t.r), t.h, heads_of.get((t.t, t.r), ()), "head"))
+    results = _rank_queries(params, provider, entities, queries)
     metrics = mrr_hits(results, ks)
     metrics["queries"] = len(results)
     return metrics

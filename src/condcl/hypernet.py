@@ -8,8 +8,9 @@ is diag(h_c), and "concat" is a linear merge Wcat @ [h_c; h_s]. There is one
 path from a condition to a conditioned embedding: generate the operator once
 per condition (``make_operator``), then project each sentence through it
 (``apply_operator``). Both work on ndarrays and autodiff Tensors alike, so
-training and inference share the formulas; ``generate_condition_matrix``
-and ``project`` are their validated ndarray entry points.
+training and inference share the formulas. Inference is batched:
+``generate_operators`` makes the operators of a stack of condition embeddings
+with one product per generator tensor, and ``project`` takes a stack of rows.
 
 Checkpoint format: 8-byte magic ``HYPERCL1``, an 8-byte little-endian
 unsigned header length, a UTF-8 JSON header {mode, nh, nk, dropout_p,
@@ -23,12 +24,14 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, FormatError
-from .linalg import as_vector
+from .linalg import as_vector, is_integer
 
 __all__ = [
     "MODES",
@@ -39,6 +42,7 @@ __all__ = [
     "init_params",
     "make_operator",
     "apply_operator",
+    "generate_operators",
     "generate_condition_matrix",
     "project",
     "param_count",
@@ -56,6 +60,7 @@ CHECKPOINT_MAGIC = b"HYPERCL1"
 INIT_WEIGHT_STD = 0.02
 DEFAULT_RANK_DIVISOR = 12
 DEFAULT_DROPOUT_P = 0.1
+GENERATE_BLOCK = 32  # conditions per generating product: bounds the output memory
 
 
 def _tensor_shapes(mode: str, nh: int, nk: int | None) -> dict[str, tuple[int, ...]]:
@@ -206,35 +211,54 @@ def make_operator(mode: str, tensors, h_c, nh: int, nk: int | None = None) -> Co
 
 
 def apply_operator(op: ConditionOperator, h_s, mask=None):
-    """Project h_s through op; ``mask`` scales the concat input (dropout)."""
+    """Project h_s (a vector or a stack of rows); ``mask`` scales the concat input."""
+    rows = np.ndim(h_s) == 2
     if op.form == "dense":
-        return op.W @ h_s
+        return h_s @ op.W.T if rows else op.W @ h_s
     if op.form == "factored":
-        return op.W1 @ (op.W2.T @ h_s)
+        return (h_s @ op.W2) @ op.W1.T if rows else op.W1 @ (op.W2.T @ h_s)
     if op.form == "diagonal":
         return op.d * h_s
     if op.form == "concat":
-        x = np.concatenate([op.h_c, h_s])
+        x = np.concatenate([np.broadcast_to(op.h_c, np.shape(h_s)), h_s], axis=-1)
         if mask is not None:
             x = x * mask
-        return op.Wcat @ x
+        return x @ op.Wcat.T if rows else op.Wcat @ x
     raise ValueError(f"unknown operator form {op.form!r}")
+
+
+def _generate_block(params: HyperNetParams, H: np.ndarray) -> list[ConditionOperator]:
+    tensors, nh, nk = params.tensors(), params.nh, params.nk
+    if params.mode == "full":
+        Ws = H @ tensors["U"].T + tensors["U_bias"]
+        return [ConditionOperator(form="dense", W=W.reshape((nh, nh))) for W in Ws]
+    if params.mode == "lowrank":
+        W1s, W2s = (H @ tensors[u].T + tensors[u + "_bias"] for u in ("U1", "U2"))
+        return [
+            ConditionOperator(form="factored", W1=a.reshape((nh, nk)), W2=b.reshape((nh, nk)))
+            for a, b in zip(W1s, W2s)
+        ]
+    return [make_operator(params.mode, tensors, h_c, nh, nk) for h_c in H]
+
+
+def generate_operators(params: HyperNetParams, H) -> Iterator[ConditionOperator]:
+    """The operators of condition embeddings H (R x nh), made GENERATE_BLOCK rows at a time."""
+    H = as_vector(H, "H", ndims=(2,))
+    if H.shape[1] != params.nh:
+        raise DimensionMismatchError(f"h_c has dim {H.shape[1]}, generator expects {params.nh}")
+    blocks = range(0, H.shape[0], GENERATE_BLOCK)
+    return chain.from_iterable(_generate_block(params, H[i : i + GENERATE_BLOCK]) for i in blocks)
 
 
 def generate_condition_matrix(params: HyperNetParams, h_c) -> ConditionOperator:
     """Generate the conditioning operator for one condition embedding."""
-    h_c = as_vector(h_c, "h_c")
-    if h_c.shape[0] != params.nh:
-        raise DimensionMismatchError(
-            f"h_c has dim {h_c.shape[0]}, generator expects {params.nh}"
-        )
-    return make_operator(params.mode, params.tensors(), h_c, params.nh, params.nk)
+    return next(generate_operators(params, as_vector(h_c, "h_c")[None]))
 
 
 def project(op: ConditionOperator, h_s) -> np.ndarray:
-    """Apply a condition operator to a sentence embedding."""
-    h_s = as_vector(h_s, "h_s")
-    n = h_s.shape[0]
+    """Apply a condition operator to one embedding or to each row of a stack."""
+    h_s = as_vector(h_s, "h_s", ndims=(1, 2))
+    n = h_s.shape[-1]
     if op.form == "dense":
         fits = op.W.shape[1] == n
     elif op.form == "factored":
@@ -334,10 +358,6 @@ def save_checkpoint(
             fh.write(data)
 
 
-def _is_count(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
-
-
 def load_checkpoint(path: str | Path) -> tuple[HyperNetParams, dict[str, np.ndarray]]:
     """Read a checkpoint; returns (params, extra tensors).
 
@@ -364,9 +384,9 @@ def load_checkpoint(path: str | Path) -> tuple[HyperNetParams, dict[str, np.ndar
     dropout_p = header.get("dropout_p") or 0.0
     if mode not in MODES:
         raise FormatError(f"{path}: unknown mode {mode!r}")
-    if not _is_count(nh) or nh == 0:
+    if not is_integer(nh) or nh <= 0:
         raise FormatError(f"{path}: header nh must be a positive integer, got {nh!r}")
-    if nk is not None and not _is_count(nk):
+    if nk is not None and not (is_integer(nk) and nk >= 0):
         raise FormatError(f"{path}: header nk must be an integer or null, got {nk!r}")
     if mode == "lowrank" and (nk is None or not 1 <= nk <= nh):
         raise FormatError(f"{path}: lowrank header needs 1 <= nk <= nh, got nk={nk!r}")
@@ -384,8 +404,8 @@ def load_checkpoint(path: str | Path) -> tuple[HyperNetParams, dict[str, np.ndar
         well_formed = (
             isinstance(name, str)
             and isinstance(shape, list)
-            and all(_is_count(n) for n in shape)
-            and _is_count(start)
+            and all(is_integer(n) and n >= 0 for n in shape)
+            and is_integer(start) and start >= 0
         )
         if not well_formed or name in tensors:
             raise FormatError(f"{path}: malformed or duplicate tensor entry {entry!r}")

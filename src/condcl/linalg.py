@@ -1,7 +1,7 @@
-"""Vector checks, cosine similarity, variance and the finite-number test.
+"""Vector checks, cosine similarity, variance and the config-number tests.
 
-All values are float64 internally. Vectors are 1-D arrays; there are no
-sparse paths.
+All values are float64 internally. Vectors are 1-D arrays and a stack of
+vectors is a 2-D array of rows; there are no sparse paths.
 """
 
 from __future__ import annotations
@@ -17,15 +17,17 @@ __all__ = [
     "as_vector",
     "cosine_similarity",
     "is_finite_real",
+    "is_integer",
     "variance",
 ]
 
 
-def as_vector(x, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite 1-D float64 array."""
+def as_vector(x, name: str = "vector", ndims: tuple[int, ...] = (1,)) -> np.ndarray:
+    """Coerce to a finite float64 array; ``ndims`` allows 2 for a stack of rows."""
     v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-D array, got shape {v.shape}")
+    if v.ndim not in ndims or v.size == 0:
+        allowed = " or ".join(f"{n}-D" for n in ndims)
+        raise ValueError(f"{name} must be a nonempty {allowed} array, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     return v
@@ -53,6 +55,11 @@ def cosine_similarity(a, b) -> float:
 def is_finite_real(x) -> bool:
     """True for a finite real number (bools excluded), as config values must be."""
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def is_integer(x) -> bool:
+    """True for an integer (bools excluded), as count-valued config values must be."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def variance(xs) -> float:

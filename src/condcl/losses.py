@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import CondclError, DimensionMismatchError
-from .linalg import as_vector, is_finite_real
+from .linalg import as_vector, is_finite_real, is_integer
 
 __all__ = [
     "CstsQuadruplet",
@@ -93,6 +93,8 @@ class LossConfig:
             raise ValueError(f"tau_kgc must be >= {TAU_FLOOR}")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
+        if not is_integer(self.prebatch_size):
+            raise ValueError(f"prebatch_size must be an integer, got {self.prebatch_size!r}")
         if self.prebatch_size < 0:
             raise ValueError("prebatch_size must be >= 0")
 

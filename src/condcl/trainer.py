@@ -36,7 +36,7 @@ from .hypernet import (
     make_operator,
     save_checkpoint,
 )
-from .linalg import is_finite_real
+from .linalg import is_finite_real, is_integer
 from .losses import (
     CstsQuadruplet,
     KgBatchItem,
@@ -94,6 +94,9 @@ class TrainConfig:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
+        for name in ("nh", "epochs", "batch_size", "seed") + (() if self.nk is None else ("nk",)):
+            if not is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.nh <= 0:
             raise ConfigError("nh must be positive")
         if self.mode == "lowrank" and self.nk is not None and not 1 <= self.nk <= self.nh:

@@ -62,6 +62,38 @@ class TestCachedEmbed:
         assert len(cache) == distinct
 
 
+    def test_threaded_counts_stay_consistent(self):
+        import sys
+        import threading
+
+        sentences, operators = TextKeyedCache(), TextKeyedCache()
+        provider = HashingProvider(dim=8, seed=0)
+        params = init_params("lowrank", 8, 2, seed=0)
+
+        def worker(k):
+            for i in range(100):
+                cached_embed(sentences, provider, f"s{(i * 7 + k) % 50}")
+                cached_operator(operators, params, provider, f"c{(i + k) % 5}")
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        # A key two threads miss together is computed, and counted, twice.
+        s, o = sentences.stats, operators.stats
+        assert s.lookups == s.hits + s.misses == 400 and len(sentences) == 50
+        assert (s.heavy_ops, s.gen_ops) == (s.misses, 0)
+        assert o.lookups == o.hits + o.misses == 400 and len(operators) == 5
+        assert o.heavy_ops == o.gen_ops == o.misses
+
+
 class TestCachedOperator:
     def test_full_mode_bytes_per_condition(self):
         nh = 12

@@ -44,6 +44,23 @@ def test_train_rejects_nan_config_with_usage_exit(csts_run, capsys, key):
     assert f"{key} must be a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value", [("epochs", "3"), ("nh", 8.0), ("batch_size", True), ("nk", "2")]
+)
+def test_train_rejects_a_wrongly_typed_count_with_usage_exit(csts_run, capsys, key, value):
+    tmp_path, _, config = csts_run
+    config[key] = value
+    assert run(tmp_path, ["train"], config) == cli.EXIT_USAGE
+    assert f"error: {key} must be an integer" in capsys.readouterr().err
+
+
+def test_train_rejects_a_wrongly_typed_prebatch_size(csts_run, capsys):
+    tmp_path, _, config = csts_run
+    config["loss"] = {"prebatch_size": "2"}
+    assert run(tmp_path, ["train"], config) == cli.EXIT_USAGE
+    assert "error: prebatch_size must be an integer" in capsys.readouterr().err
+
+
 def test_zero_norm_projection_aborts_training(csts_run, capsys):
     tmp_path, quads, config = csts_run
     emb_path = tmp_path / "emb.jsonl"

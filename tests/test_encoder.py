@@ -105,6 +105,14 @@ class TestJsonlRoundTrip:
         with pytest.raises(FormatError, match=":2:"):
             load_embeddings(p)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e39"])
+    def test_non_finite_value_reports_lineno(self, tmp_path, value):
+        p = tmp_path / "emb.jsonl"
+        good = json.dumps({"text": "a", "embedding": [1.0, 2.0]})
+        p.write_text(good + "\n" + '{"text": "b", "embedding": [%s, 1.0]}\n' % value)
+        with pytest.raises(FormatError, match=r":2: embedding holds non-finite values"):
+            load_embeddings(p)
+
     def test_duplicate_text(self, tmp_path):
         p = tmp_path / "emb.jsonl"
         rec = json.dumps({"text": "a", "embedding": [1.0, 2.0]})

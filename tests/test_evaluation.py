@@ -8,6 +8,7 @@ from condcl.encoder import EmbeddingStore, HashingProvider, StoreProvider
 from condcl.errors import CondclError, DimensionMismatchError
 from condcl.evaluation import (
     RankingResult,
+    csts_predictions,
     evaluate_kgc,
     frobenius_variance_report,
     impurity,
@@ -18,8 +19,9 @@ from condcl.evaluation import (
     spearman,
     split_seen_unseen,
 )
-from condcl.hypernet import init_params
-from condcl.losses import CstsQuadruplet, KgTriple
+from condcl.hypernet import MODES, generate_condition_matrix, init_params, project
+from condcl.linalg import cosine_similarity
+from condcl.losses import CstsQuadruplet, KgTriple, similarity_to_label
 
 rng = np.random.default_rng(0)
 
@@ -357,3 +359,138 @@ class TestEvaluateKgc:
         head = evaluate_kgc(params, provider, triples, triples, entities, directions=("head",))
         assert both["mrr"] == pytest.approx((tail["mrr"] + head["mrr"]) / 2, abs=1e-12)
         assert both["queries"] == tail["queries"] + head["queries"]
+
+
+# -- batched paths against per-candidate references ------------------------------
+
+
+def reference_rank(params, provider, query, gold, candidates, filter_set, direction):
+    """Brute force: project and score each candidate alone, sort by (-score, name)."""
+    op = generate_condition_matrix(params, provider.embed(query[1]))
+    anchor = provider.embed(query[0])
+    scores = {}
+    for e in candidates:
+        if direction == "tail":
+            scores[e] = cosine_similarity(project(op, anchor), provider.embed(e))
+        else:
+            scores[e] = cosine_similarity(project(op, provider.embed(e)), anchor)
+    kept = [e for e in scores if e == gold or e not in filter_set]
+    return sorted(kept, key=lambda e: (-scores[e], e)).index(gold) + 1, len(kept)
+
+
+def mode_params(mode, nh, seed):
+    # Rank 2 at least: a rank-1 operator makes every head projection parallel,
+    # so all head scores are equal in exact arithmetic and rounding orders them.
+    return init_params(mode, nh, nk=max(2, nh // 2) if mode == "lowrank" else None, seed=seed)
+
+
+@st.composite
+def kg_cases(draw):
+    """Entities drawn from a small pool of vectors, so several names share one
+    embedding (exact ties), and known triples beyond the evaluated ones (filters).
+
+    Vector values come from a seeded generator: continuous values keep ties
+    between distinct vectors out, where the order of summation would decide them.
+    """
+    mode = draw(st.sampled_from(MODES))
+    nh = draw(st.integers(2, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    name = st.text("abc", min_size=1, max_size=3)
+    names = draw(st.lists(name, min_size=2, max_size=9, unique=True))
+    pool = draw(st.lists(st.integers(0, len(names) - 1), min_size=len(names), max_size=len(names)))
+    r = np.random.default_rng(seed)
+    vectors = r.normal(size=(len(names), nh))
+    store = EmbeddingStore(nh)
+    for name, k in zip(names, pool):
+        store.add(name, vectors[k])
+    relations = ["r0", "r1", "r2"]
+    for rel in relations:
+        store.add(rel, r.normal(size=nh))
+    triple = st.builds(
+        KgTriple, st.sampled_from(names), st.sampled_from(relations), st.sampled_from(names)
+    )
+    evaluated = draw(st.lists(triple, min_size=1, max_size=5))
+    known = evaluated + draw(st.lists(triple, max_size=8))
+    return mode_params(mode, nh, seed % 1000), StoreProvider(store), names, evaluated, known
+
+
+class TestBatchedEqualsReference:
+    @settings(max_examples=80, deadline=None)
+    @given(kg_cases())
+    def test_ranks_and_metrics_equal_brute_force(self, case):
+        params, provider, names, evaluated, known = case
+        for direction in ("tail", "head"):
+            results = []
+            for t in evaluated:
+                if direction == "tail":
+                    query, gold = (t.h, t.r), t.t
+                    known_true = {k.t for k in known if (k.h, k.r) == query}
+                else:
+                    query, gold = (t.t, t.r), t.h
+                    known_true = {k.h for k in known if (k.t, k.r) == query}
+                expected = reference_rank(
+                    params, provider, query, gold, names, known_true, direction
+                )
+                got = rank_entities(params, provider, query, gold, names, known_true, direction)
+                assert (got.gold_rank, got.candidate_count) == expected
+                results.append(RankingResult(query, *expected))
+            metrics = evaluate_kgc(
+                params, provider, evaluated, known, names, ks=(1, 3), directions=(direction,)
+            )
+            assert metrics == {**mrr_hits(results, (1, 3)), "queries": len(results)}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(MODES),
+        st.integers(2, 6),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 2)), min_size=1),
+    )
+    def test_csts_predictions_equal_per_record_reference(self, mode, nh, seed, records):
+        r = np.random.default_rng(seed)
+        store = EmbeddingStore(nh)
+        for i in range(6):
+            store.add(f"s{i}", r.normal(size=nh))
+        for i in range(3):
+            store.add(f"c{i}", r.normal(size=nh))
+        provider = StoreProvider(store)
+        params = mode_params(mode, nh, seed % 1000)
+        quads = [
+            CstsQuadruplet(f"s{a}", f"s{b}", f"c{c}", 1.0 + i % 5, i)
+            for i, (a, b, c) in enumerate(records)
+        ]
+        preds, golds = csts_predictions(params, provider, quads)
+        assert golds == [q.y for q in quads]
+        for q, pred in zip(quads, preds):
+            op = generate_condition_matrix(params, provider.embed(q.c))
+            a = project(op, provider.embed(q.s1))
+            b = project(op, provider.embed(q.s2))
+            assert abs(pred - similarity_to_label(cosine_similarity(a, b))) <= 1e-12
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_zero_norm_candidate_raises(self, mode):
+        provider, entities = tiny_graph()
+        provider.store.add("zero", np.zeros(8))
+        params = mode_params(mode, 8, 0)
+        candidates = entities + ["zero"]
+        triples = [KgTriple("e0", "r0", "e1")]
+        directions = ("tail",) if mode == "concat" else ("tail", "head")
+        for direction in directions:
+            with pytest.raises(ValueError, match="zero-norm"):
+                rank_entities(params, provider, ("e0", "r0"), "e1", candidates, (), direction)
+            with pytest.raises(ValueError, match="zero-norm"):
+                evaluate_kgc(params, provider, triples, triples, candidates, (1,), (direction,))
+
+    def test_zero_norm_sentence_raises(self):
+        provider, _ = tiny_graph()
+        provider.store.add("zero", np.zeros(8))
+        quads = [CstsQuadruplet("e0", "zero", "r0", 3.0, 0)]
+        with pytest.raises(ValueError, match="zero-norm"):
+            csts_predictions(init_params("full", 8, seed=0), provider, quads)
+
+    def test_non_finite_candidate_raises(self):
+        provider, entities = tiny_graph()
+        provider.store.add("inf", np.full(8, np.inf))
+        params = init_params("lowrank", 8, nk=2, seed=0)
+        with pytest.raises(ValueError, match="non-finite"):
+            rank_entities(params, provider, ("e0", "r0"), "e1", entities + ["inf"])

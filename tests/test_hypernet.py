@@ -13,6 +13,7 @@ import condcl
 from condcl import autodiff as ad
 from condcl.errors import DimensionMismatchError, FormatError
 from condcl.hypernet import (
+    GENERATE_BLOCK,
     MODES,
     ConditionOperator,
     HyperNetParams,
@@ -22,6 +23,7 @@ from condcl.hypernet import (
     diagonal_operator,
     dropout_mask,
     generate_condition_matrix,
+    generate_operators,
     init_params,
     load_checkpoint,
     make_operator,
@@ -218,6 +220,47 @@ class TestComposers:
         assert np.array_equal(out, compose(p, h_c, h_s))
 
 
+class TestBatched:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_generate_operators_match_one_at_a_time(self, mode):
+        nh = 6
+        p = init_params(mode, nh, 2 if mode == "lowrank" else None, seed=5)
+        H = np.random.default_rng(11).normal(size=(GENERATE_BLOCK + 3, nh))  # two blocks
+        ops = list(generate_operators(p, H))
+        assert len(ops) == len(H)
+        for h_c, op in zip(H, ops):
+            one = generate_condition_matrix(p, h_c)
+            assert op.form == one.form
+            for name in ("W", "W1", "W2", "d", "Wcat", "h_c"):
+                got, want = getattr(op, name), getattr(one, name)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_project_rows_match_vectors(self, mode):
+        nh = 6
+        p = init_params(mode, nh, 2 if mode == "lowrank" else None, seed=6)
+        r = np.random.default_rng(12)
+        op = generate_condition_matrix(p, r.normal(size=nh))
+        M = r.normal(size=(5, nh))
+        out = project(op, M)
+        assert out.shape == (5, nh)
+        for row, h_s in zip(out, M):
+            np.testing.assert_allclose(row, project(op, h_s), rtol=0, atol=1e-12)
+
+    def test_generate_operators_validates_the_stack(self):
+        p = init_params("full", 4, seed=0)
+        with pytest.raises(DimensionMismatchError):
+            generate_operators(p, np.ones((2, 5)))
+        with pytest.raises(ValueError, match="non-finite"):
+            generate_operators(p, np.full((1, 4), np.nan))
+        with pytest.raises(ValueError, match="2-D"):
+            generate_operators(p, np.ones(4))
+        with pytest.raises(ValueError, match="non-finite"):
+            project(generate_condition_matrix(p, np.ones(4)), np.full((3, 4), np.inf))
+
+
 class TestParamCount:
     def test_full_nh4(self):
         assert param_count(init_params("full", 4, seed=0)) == 80
@@ -229,9 +272,17 @@ class TestParamCount:
         assert param_count(init_params("concat", 4, seed=0)) == 32
 
     def test_ratio_approaches_nh_over_2nk(self):
+        # zero-stride arrays: exact sizes, and nothing allocated at nh=512
+        def params(mode, nh, nk, shapes):
+            arrays = {name: np.broadcast_to(0.0, shape) for name, shape in shapes.items()}
+            return HyperNetParams(mode=mode, nh=nh, nk=nk, **arrays)
+
         for nh, nk in ((256, 16), (512, 8)):
-            full = param_count(init_params("full", nh, seed=0))
-            low = param_count(init_params("lowrank", nh, nk=nk, seed=0))
+            dense = {"U": (nh * nh, nh), "U_bias": (nh * nh,)}
+            full = param_count(params("full", nh, None, dense))
+            factor = {"U1": (nh * nk, nh), "U1_bias": (nh * nk,)}
+            factor.update(U2=factor["U1"], U2_bias=factor["U1_bias"])
+            low = param_count(params("lowrank", nh, nk, factor))
             assert full / low == pytest.approx(nh / (2 * nk), rel=0.02)
 
     def test_paper_scale_rank_choices_shrink_params_5x(self):
