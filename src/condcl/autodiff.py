@@ -2,9 +2,10 @@
 
 A Tensor wraps a float64 ndarray and remembers how it was produced; calling
 backward() on a scalar output accumulates vector-Jacobian products into the
-leaves that were created with requires_grad=True. The op set is exactly what
-the projection/loss graphs need: affine maps, cosine similarity, and a
-stabilized log-sum-exp.
+leaves that were created with requires_grad=True. The ops work on whole
+matrices, so one training batch is a graph of a few dozen nodes: broadcasting
+arithmetic, matrix products, row normalisation, row-wise dot products, a
+masked log-sum-exp along the last axis, the mean, and row take / concat.
 
 Gradients flow only through Tensors; plain ndarrays and floats are treated
 as constants.
@@ -14,7 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "constant", "leaf", "matmul", "cosine", "logsumexp", "add_n"]
+__all__ = [
+    "Tensor", "constant", "leaf", "matmul", "normalize_rows", "row_dot", "logsumexp", "mean",
+    "take_rows", "concat_rows",
+]
 
 
 class Tensor:
@@ -44,38 +48,11 @@ class Tensor:
 
     # -- graph construction ------------------------------------------------
 
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
+    # Arithmetic operators (__add__, __rsub__, __matmul__, ...) are attached
+    # below the op functions they call.
 
     def __neg__(self):
-        return mul(self, constant(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    def __rmatmul__(self, other):
-        return matmul(_as_tensor(other), self)
+        return mul(self, -1.0)
 
     def reshape(self, shape) -> "Tensor":
         old_shape = self.data.shape
@@ -118,9 +95,8 @@ class Tensor:
                 if not parent.requires_grad:
                     continue
                 contrib = vjp(g)
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad = parent.grad + contrib
+                # Gradients are never updated in place, so contrib can be shared.
+                parent.grad = contrib if parent.grad is None else parent.grad + contrib
 
 
 def constant(x) -> Tensor:
@@ -131,132 +107,145 @@ def leaf(x) -> Tensor:
     return Tensor(x, requires_grad=True)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else constant(x)
+def _data(x) -> np.ndarray:
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def _scalar_aware(pair_shape_a, pair_shape_b):
-    if pair_shape_a == pair_shape_b:
-        return
-    if pair_shape_a == () or pair_shape_b == ():
-        return
-    raise ValueError(f"shape mismatch: {pair_shape_a} vs {pair_shape_b}")
+def _node(data, *operands) -> Tensor:
+    """A Tensor over ``data`` with a parent per (operand, vjp) pair whose
+    operand is a Tensor; ndarray and float operands are constants and make
+    no node."""
+    live = [(x, vjp) for x, vjp in operands if isinstance(x, Tensor)]
+    return Tensor(data, parents=[x for x, _ in live], vjps=[vjp for _, vjp in live])
 
 
 def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
-    # Only ()-with-array broadcasting is permitted, so a full sum suffices.
+    """Sum a broadcast gradient back onto an operand of ``shape``."""
     if g.shape == shape:
         return g
-    return np.asarray(np.sum(g), dtype=np.float64)
+    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return np.asarray(g.sum(axis=axes, keepdims=True) if axes else g, dtype=np.float64)
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _scalar_aware(a.data.shape, b.data.shape)
-    return Tensor(
-        a.data + b.data,
-        parents=(a, b),
-        vjps=(lambda g: _reduce_to(g, a.data.shape), lambda g: _reduce_to(g, b.data.shape)),
+    ad, bd = _data(a), _data(b)
+    return _node(
+        ad + bd,
+        (a, lambda g: _reduce_to(g, ad.shape)),
+        (b, lambda g: _reduce_to(g, bd.shape)),
     )
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _scalar_aware(a.data.shape, b.data.shape)
-    return Tensor(
-        a.data - b.data,
-        parents=(a, b),
-        vjps=(lambda g: _reduce_to(g, a.data.shape), lambda g: _reduce_to(-g, b.data.shape)),
+    ad, bd = _data(a), _data(b)
+    return _node(
+        ad - bd,
+        (a, lambda g: _reduce_to(g, ad.shape)),
+        (b, lambda g: _reduce_to(-g, bd.shape)),
     )
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _scalar_aware(a.data.shape, b.data.shape)
-    return Tensor(
-        a.data * b.data,
-        parents=(a, b),
-        vjps=(
-            lambda g: _reduce_to(g * b.data, a.data.shape),
-            lambda g: _reduce_to(g * a.data, b.data.shape),
-        ),
+    ad, bd = _data(a), _data(b)
+    return _node(
+        ad * bd,
+        (a, lambda g: _reduce_to(g * bd, ad.shape)),
+        (b, lambda g: _reduce_to(g * ad, bd.shape)),
     )
 
 
 def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _scalar_aware(a.data.shape, b.data.shape)
-    return Tensor(
-        a.data / b.data,
-        parents=(a, b),
-        vjps=(
-            lambda g: _reduce_to(g / b.data, a.data.shape),
-            lambda g: _reduce_to(-g * a.data / (b.data * b.data), b.data.shape),
-        ),
+    ad, bd = _data(a), _data(b)
+    return _node(
+        ad / bd,
+        (a, lambda g: _reduce_to(g / bd, ad.shape)),
+        (b, lambda g: _reduce_to(-g * ad / (bd * bd), bd.shape)),
     )
 
 
 def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    ad, bd = a.data, b.data
+    ad, bd = _data(a), _data(b)
     if ad.ndim == 2 and bd.ndim == 1:
-        vjps = (lambda g: np.outer(g, bd), lambda g: ad.T @ g)
+        vjp_a, vjp_b = (lambda g: np.outer(g, bd)), (lambda g: ad.T @ g)
     elif ad.ndim == 2 and bd.ndim == 2:
-        vjps = (lambda g: g @ bd.T, lambda g: ad.T @ g)
+        vjp_a, vjp_b = (lambda g: g @ bd.T), (lambda g: ad.T @ g)
     elif ad.ndim == 1 and bd.ndim == 1:
-        vjps = (lambda g: g * bd, lambda g: g * ad)
+        vjp_a, vjp_b = (lambda g: g * bd), (lambda g: g * ad)
     else:
         raise ValueError(f"unsupported matmul ranks: {ad.ndim} @ {bd.ndim}")
-    return Tensor(ad @ bd, parents=(a, b), vjps=vjps)
+    return _node(ad @ bd, (a, vjp_a), (b, vjp_b))
 
 
-def add_n(parts: list[Tensor]) -> Tensor:
-    if not parts:
-        raise ValueError("add_n of empty list")
-    shape = parts[0].data.shape
-    for p in parts:
-        if p.data.shape != shape:
-            raise ValueError("add_n expects equal shapes")
-    total = parts[0].data.copy()
-    for p in parts[1:]:
-        total += p.data
-    return Tensor(total, parents=tuple(parts), vjps=tuple(lambda g: g for _ in parts))
+def normalize_rows(x) -> Tensor:
+    """Each row of a 2-D tensor divided by its Euclidean norm."""
+    xd = _data(x)
+    norms = np.sqrt(np.einsum("ij,ij->i", xd, xd))[:, None]
+    if np.any(norms == 0.0):
+        raise ValueError("normalize_rows: zero-norm input")
+    y = xd / norms
+    return _node(y, (x, lambda g: (g - y * np.einsum("ij,ij->i", g, y)[:, None]) / norms))
 
 
-def cosine(a, b) -> Tensor:
-    """Fused cosine similarity with its analytic vector-Jacobian products."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    av, bv = a.data, b.data
-    if av.ndim != 1 or bv.ndim != 1 or av.shape != bv.shape:
-        raise ValueError("cosine expects equal-length 1-D tensors")
-    na = float(np.linalg.norm(av))
-    nb = float(np.linalg.norm(bv))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine: zero-norm input")
-    phi = float(av @ bv) / (na * nb)
-
-    def vjp_a(g):
-        return g * (bv / (na * nb) - phi * av / (na * na))
-
-    def vjp_b(g):
-        return g * (av / (na * nb) - phi * bv / (nb * nb))
-
-    return Tensor(phi, parents=(a, b), vjps=(vjp_a, vjp_b))
+def row_dot(a, b) -> Tensor:
+    """Dot product of matching rows of two equal-shape 2-D tensors: shape (B,)."""
+    ad, bd = _data(a), _data(b)
+    return _node(
+        np.einsum("ij,ij->i", ad, bd),
+        (a, lambda g: g[:, None] * bd),
+        (b, lambda g: g[:, None] * ad),
+    )
 
 
-def logsumexp(values: list[Tensor]) -> Tensor:
-    """log(sum(exp(v_i))) over scalar tensors, max-shifted for stability."""
-    if not values:
-        raise ValueError("logsumexp of empty list")
-    vals = np.array([float(v.data) for v in values], dtype=np.float64)
-    m = float(vals.max())
-    shifted = np.exp(vals - m)
-    total = float(shifted.sum())
-    out = m + float(np.log(total))
-    weights = shifted / total
+def logsumexp(x, mask=None) -> Tensor:
+    """log(sum(exp(x))) along the last axis of a 2-D tensor, max-shifted.
 
-    def make_vjp(i: int):
-        w = weights[i]
-        return lambda g: np.asarray(g * w, dtype=np.float64)
+    ``mask`` (boolean, x's shape) keeps the entries that take part; a row
+    with no kept entry raises ValueError. Masked entries get zero gradient.
+    """
+    xd = _data(x)
+    if mask is None:
+        mask = np.ones(xd.shape, dtype=bool)
+    if not np.all(mask.any(axis=1)):
+        raise ValueError("logsumexp over a row with no entries")
+    kept = np.where(mask, xd, -np.inf)
+    m = kept.max(axis=1, keepdims=True)
+    e = np.exp(kept - m)
+    total = e.sum(axis=1, keepdims=True)
+    weights = e / total
+    return _node((m + np.log(total))[:, 0], (x, lambda g: g[:, None] * weights))
 
-    return Tensor(out, parents=tuple(values), vjps=tuple(make_vjp(i) for i in range(len(values))))
+
+def mean(x) -> Tensor:
+    """Mean of all entries: a scalar."""
+    xd = _data(x)
+    return _node(xd.mean(), (x, lambda g: np.full(xd.shape, g / xd.size)))
+
+
+def take_rows(x, idx) -> Tensor:
+    """Rows ``idx`` of a 2-D tensor, in that order (repeats allowed)."""
+    xd = _data(x)
+    idx = np.asarray(idx, dtype=np.intp)
+
+    def vjp(g):
+        out = np.zeros_like(xd)
+        np.add.at(out, idx, g)
+        return out
+
+    return _node(xd[idx], (x, vjp))
+
+
+def concat_rows(parts) -> Tensor:
+    """Stack 2-D tensors (or arrays) with equal column counts on top of each other."""
+    parts = list(parts)
+    datas = [_data(p) for p in parts]
+    bounds = np.cumsum([0] + [d.shape[0] for d in datas])
+    return _node(
+        np.concatenate(datas, axis=0),
+        *((p, lambda g, lo=lo, hi=hi: g[lo:hi]) for p, lo, hi in zip(parts, bounds, bounds[1:])),
+    )
+
+
+for _name, _op in (("add", add), ("sub", sub), ("mul", mul), ("truediv", div), ("matmul", matmul)):
+    setattr(Tensor, f"__{_name}__", lambda self, other, op=_op: op(self, other))
+    setattr(Tensor, f"__r{_name}__", lambda self, other, op=_op: op(other, self))

@@ -184,8 +184,8 @@ def init_params(
     return HyperNetParams(mode="hadamard", nh=nh)
 
 
-# make_operator and apply_operator keep the parameters on the left of each
-# product, which is what lets autodiff Tensors stand in for ndarrays.
+# make_operator and apply_operator take autodiff Tensors in place of ndarrays:
+# a Tensor on either side of a product is handled by its (reflected) operators.
 
 
 def make_operator(mode: str, tensors, h_c, nh: int, nk: int | None = None) -> ConditionOperator:
@@ -274,8 +274,8 @@ def project(op: ConditionOperator, h_s) -> np.ndarray:
     return apply_operator(op, h_s)
 
 
-def dropout_mask(rng: np.random.Generator, size: int, p: float) -> np.ndarray:
-    """Inverted-dropout scaling mask: entries are 0 or 1/(1-p)."""
+def dropout_mask(rng: np.random.Generator, size, p: float) -> np.ndarray:
+    """Inverted-dropout scaling mask of shape ``size``: entries are 0 or 1/(1-p)."""
     if p == 0.0:
         return np.ones(size)
     keep = rng.random(size) >= p

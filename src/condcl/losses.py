@@ -6,21 +6,26 @@ pair plus squared-error terms against labels), and a link-prediction task
 over (head, relation, tail) triples (InfoNCE with an additive margin and a
 pool of negative tails).
 
-Every loss is evaluated through the autodiff graph, so the public float
-functions and the gradients used in training share one formula. The
-gradient checker compares those analytic gradients against central finite
-differences.
+Both are written over whole batches: the similarity loss over row-wise
+cosines phi of shape (B, 2), the link-prediction loss over the score matrix
+of the row-normalised projected heads against one candidate matrix (the
+batch's tails, its heads as self-negatives and the pre-batch tails), with a
+boolean mask built once per batch from the texts (``kgc_candidates``). Every
+loss is evaluated through the autodiff graph, and the public float functions
+are the B=1 case of the same functions, so they and the gradients used in
+training share one formula. The gradient checker compares those analytic
+gradients against central finite differences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import CondclError, DimensionMismatchError
+from .errors import CondclError
 from .linalg import as_vector, is_finite_real, is_integer
 
 __all__ = [
@@ -29,7 +34,6 @@ __all__ = [
     "LossConfig",
     "TwinPair",
     "TwinEmbeddings",
-    "KgBatchItem",
     "LABEL_LOW",
     "LABEL_HIGH",
     "rescale_label",
@@ -39,7 +43,9 @@ __all__ = [
     "loss_csts_mse",
     "loss_csts_total",
     "loss_kgc",
-    "assemble_negatives",
+    "csts_loss",
+    "kgc_loss",
+    "kgc_candidates",
     "GradCheckReport",
     "grad_check",
 ]
@@ -119,13 +125,6 @@ class TwinEmbeddings:
     y_low: float
 
 
-@dataclass
-class KgBatchItem:
-    triple: KgTriple
-    h_head: np.ndarray
-    h_tail: np.ndarray
-
-
 def rescale_label(y: float) -> float:
     """Map a native-range label onto [0, 1] for the squared-error term."""
     return (float(y) - LABEL_LOW) / (LABEL_HIGH - LABEL_LOW)
@@ -162,26 +161,78 @@ def pair_twins(quads: Sequence[CstsQuadruplet]) -> list[TwinPair]:
 # -- graph-level loss terms (shared by float API and trainer) ---------------
 
 
-def cl_pair_term(phi_hi, phi_lo, tau):
-    """-log softmax of the high twin against the low twin, at temperature tau."""
-    s_hi = phi_hi / tau
-    s_lo = phi_lo / tau
-    return ad.logsumexp([s_hi, s_lo]) - s_hi
+def row_cosines(a, b):
+    """Cosine of each row of ``a`` with the matching row of ``b``: shape (B,)."""
+    return ad.row_dot(ad.normalize_rows(a), ad.normalize_rows(b))
 
 
-def mse_term(phi, y01: float):
+def twin_infonce(phi, tau):
+    """-log softmax of the high twin (column 0) against the low twin, per row."""
+    s = phi / tau
+    return ad.logsumexp(s) - s @ np.array([1.0, 0.0])
+
+
+def csts_loss(left, right, y01: np.ndarray, tau):
+    """Mean twin loss of B instances, plus its per-instance mse and cl terms.
+
+    Rows 2i and 2i+1 of ``left`` and ``right`` are the two projected sides of
+    instance i's high and low twin; ``y01`` (B, 2) holds the rescaled labels.
+    """
+    phi = row_cosines(left, right).reshape(y01.shape)
     d = phi - y01
-    return d * d
+    mse = (d * d) @ np.ones(2)
+    cl = twin_infonce(phi, tau)
+    return ad.mean(mse + cl), mse, cl
 
 
-def kgc_term(phi_pos, phi_negs: list, gamma: float, tau):
-    s_pos = (phi_pos - gamma) / tau
-    scores = [s_pos] + [p / tau for p in phi_negs]
-    return ad.logsumexp(scores) - s_pos
+def kgc_loss(q, cands: np.ndarray, mask: np.ndarray | None, gamma: float, tau):
+    """Mean margin InfoNCE of B projected heads against one candidate matrix.
+
+    The first B rows of ``cands`` are the heads' gold tails, so entry (i, i)
+    is row i's positive and carries the -gamma margin; ``mask`` (B, C) keeps
+    each row's positive and negatives (None keeps every entry).
+    """
+    q_hat = ad.normalize_rows(q)
+    c_hat = ad.normalize_rows(cands).data
+    n = q_hat.shape[0]
+    logits = (q_hat @ c_hat.T - gamma * np.eye(n, c_hat.shape[0])) / tau
+    pos = (ad.row_dot(q_hat, c_hat[:n]) - gamma) / tau
+    return ad.mean(ad.logsumexp(logits, mask) - pos)
 
 
-def _cos(a, b):
-    return ad.cosine(ad.constant(as_vector(a)), ad.constant(as_vector(b)))
+def kgc_candidates(
+    triples: Sequence[KgTriple],
+    emb: Mapping[str, np.ndarray],
+    cfg: LossConfig,
+    prebatch: Sequence[tuple[str, np.ndarray]] = (),
+) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate matrix of a batch of triples and the mask of each row.
+
+    Candidates are the batch's tails, then its heads (self-negatives, when
+    enabled), then the pre-batch tails (when enabled). Row i keeps its own
+    tail (the positive), every other in-batch or pre-batch tail whose text
+    differs from its gold tail, and its own head when that differs from the
+    gold tail. A row left with no negative raises ValueError.
+    """
+    ids: dict[str, int] = {}  # text -> id, so texts compare as Python strings do
+    gold = np.array([ids.setdefault(t.t, len(ids)) for t in triples])
+    rows = [emb[t.t] for t in triples]
+    blocks = [(gold[:, None] != gold[None, :]) | np.eye(len(triples), dtype=bool)]
+    if cfg.use_self_neg:
+        rows += [emb[t.h] for t in triples]
+        blocks.append(np.diag([t.h != t.t for t in triples]))
+    if cfg.use_prebatch_neg:
+        rows += [vec for _, vec in prebatch]
+        past = [ids.setdefault(text, len(ids)) for text, _ in prebatch]
+        blocks.append(gold[:, None] != np.array(past, dtype=int))
+    mask = np.concatenate(blocks, axis=1)
+    lonely = np.flatnonzero(mask.sum(axis=1) < 2)
+    if lonely.size:
+        raise ValueError(
+            f"no negatives available for triple {triples[lonely[0]]}; "
+            "enable self/pre-batch negatives or grow the batch"
+        )
+    return np.stack(rows), mask
 
 
 # -- public float API --------------------------------------------------------
@@ -191,12 +242,14 @@ def loss_csts_cl(h1_hi, h2_hi, h1_lo, h2_lo, tau: float) -> float:
     """Twin-pair InfoNCE on projected embeddings; ln 2 when the twins tie."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    return cl_pair_term(_cos(h1_hi, h2_hi), _cos(h1_lo, h2_lo), tau).item()
+    phi = row_cosines(_rows(h1_hi, h1_lo), _rows(h2_hi, h2_lo)).reshape((1, 2))
+    return ad.mean(twin_infonce(phi, tau)).item()
 
 
 def loss_csts_mse(h1c, h2c, y: float) -> float:
     """Squared error between the pair's cosine and the target value."""
-    return mse_term(_cos(h1c, h2c), float(y)).item()
+    d = row_cosines(_rows(h1c), _rows(h2c)) - float(y)
+    return ad.mean(d * d).item()
 
 
 def loss_csts_total(batch: Sequence[TwinEmbeddings], cfg: LossConfig) -> float:
@@ -207,15 +260,10 @@ def loss_csts_total(batch: Sequence[TwinEmbeddings], cfg: LossConfig) -> float:
     cfg.validate()
     if not batch:
         raise ValueError("empty batch")
-    total = 0.0
-    for item in batch:
-        phi_hi = _cos(item.h1_high, item.h2_high)
-        phi_lo = _cos(item.h1_low, item.h2_low)
-        mse = mse_term(phi_hi, rescale_label(item.y_high)) + mse_term(
-            phi_lo, rescale_label(item.y_low)
-        )
-        total += (mse + cl_pair_term(phi_hi, phi_lo, cfg.tau_csts)).item()
-    return total / len(batch)
+    left = _rows(*(v for it in batch for v in (it.h1_high, it.h1_low)))
+    right = _rows(*(v for it in batch for v in (it.h2_high, it.h2_low)))
+    y01 = np.array([[rescale_label(it.y_high), rescale_label(it.y_low)] for it in batch])
+    return csts_loss(left, right, y01, cfg.tau_csts)[0].item()
 
 
 def loss_kgc(h_hr, h_t, negatives: Sequence, gamma: float, tau: float) -> float:
@@ -224,41 +272,11 @@ def loss_kgc(h_hr, h_t, negatives: Sequence, gamma: float, tau: float) -> float:
         raise ValueError(f"tau must be >= {TAU_FLOOR}")
     if len(negatives) == 0:
         raise ValueError("loss_kgc needs at least one negative")
-    hr = ad.constant(as_vector(h_hr))
-    pos = ad.cosine(hr, ad.constant(as_vector(h_t)))
-    negs = [ad.cosine(hr, ad.constant(as_vector(n))) for n in negatives]
-    return kgc_term(pos, negs, gamma, tau).item()
+    return kgc_loss(_rows(h_hr), _rows(h_t, *negatives), None, gamma, tau).item()
 
 
-def assemble_negatives(
-    batch: Sequence[KgBatchItem],
-    index: int,
-    cfg: LossConfig,
-    prebatch_queue: Iterable[Sequence[tuple[str, np.ndarray]]] = (),
-) -> list[np.ndarray]:
-    """Collect negative tail embeddings for one batch item.
-
-    In-batch negatives are the other items' tails; the self-negative is the
-    item's own head embedding; pre-batch negatives come from previously
-    completed batches. Any candidate whose source text equals the gold tail
-    text is excluded.
-    """
-    if not batch:
-        raise ValueError("empty batch")
-    gold = batch[index].triple.t
-    negs: list[np.ndarray] = []
-    for j, other in enumerate(batch):
-        if j == index or other.triple.t == gold:
-            continue
-        negs.append(other.h_tail)
-    if cfg.use_self_neg and batch[index].triple.h != gold:
-        negs.append(batch[index].h_head)
-    if cfg.use_prebatch_neg:
-        for past in prebatch_queue:
-            for text, vec in past:
-                if text != gold:
-                    negs.append(vec)
-    return negs
+def _rows(*vectors) -> np.ndarray:
+    return np.stack([as_vector(v) for v in vectors])
 
 
 # -- gradient checking -------------------------------------------------------

@@ -5,6 +5,12 @@ The encoder is never updated: training only adjusts the operator generator
 the learnable temperature. Gradients come from the reverse-mode graph in
 ``autodiff``; every run is a deterministic function of its seed.
 
+A batch is one matrix graph: its rows are grouped by condition, each group
+is projected as one stack through ``make_operator`` + ``apply_operator``
+(the composition path inference uses), and the loss is evaluated over the
+(B, nh) projections by ``losses.csts_loss`` or ``losses.kgc_loss``, with one
+backward pass per batch.
+
 File formats owned here:
   - similarity data: JSONL records {"sentence1", "sentence2", "condition",
     "label", "pair_id"};
@@ -39,15 +45,13 @@ from .hypernet import (
 from .linalg import is_finite_real, is_integer
 from .losses import (
     CstsQuadruplet,
-    KgBatchItem,
     KgTriple,
     LossConfig,
     TAU_FLOOR,
     TwinPair,
-    assemble_negatives,
-    cl_pair_term,
-    kgc_term,
-    mse_term,
+    csts_loss,
+    kgc_candidates,
+    kgc_loss,
     pair_twins,
     rescale_label,
 )
@@ -163,6 +167,10 @@ class TrainReport:
     nk: int | None
     seed: int
     epoch_losses: list[float]
+    # Per-epoch means of the loss terms: mse and cl (similarity), cl (link prediction).
+    epoch_components: list[dict[str, float]]
+    # Training examples (twin instances or triples) per second of the epoch loop.
+    examples_per_s: float
     wall_time_s: float
     checkpoint_path: str | None = None
 
@@ -211,10 +219,15 @@ class Adam:
             m *= self.b1
             m += (1.0 - self.b1) * g
             v *= self.b2
-            v += (1.0 - self.b2) * (g * g)
+            tmp = np.multiply(g, g, out=np.empty_like(p))
+            tmp *= 1.0 - self.b2
+            v += tmp
             if self.weight_decay and name not in self.decay_exempt:
                 p -= (self.lr * self.weight_decay) * p
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), reusing one buffer
+            step = np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
+            step += self.eps
+            p -= np.divide(self.lr * (m / bc1), step, out=step)
 
 
 # -- loss closures ------------------------------------------------------------
@@ -222,117 +235,98 @@ class Adam:
 LossClosure = Callable[..., tuple[float, dict[str, np.ndarray]]]
 
 
-def _grads_from_leaves(leaves: dict[str, ad.Tensor], arrays: dict[str, np.ndarray]):
-    return {
-        k: (leaves[k].grad if leaves[k].grad is not None else np.zeros_like(arrays[k]))
-        for k in arrays
-    }
+def _closure(loss_of) -> LossClosure:
+    """The loss-and-gradient closure of ``loss_of(leaves) -> (loss, components)``."""
+
+    def fn(arrays, components_out=None):
+        leaves = {k: ad.leaf(v) for k, v in arrays.items()}
+        total, components = loss_of(leaves)
+        total.backward()
+        if components_out is not None:
+            components_out.update(components)
+        grads = {k: leaves[k].grad for k in arrays}
+        unused = {k: np.zeros_like(v) for k, v in arrays.items() if grads[k] is None}
+        return total.item(), {**grads, **unused}
+
+    return fn
+
+
+def _stacks(conds: Sequence[str], rows: np.ndarray, masks: np.ndarray | None):
+    """Group rows by condition: [(condition, rows, masks)] in first-seen order,
+    and the position of each input row in the concatenation of the groups."""
+    groups: dict[str, list[int]] = {}
+    for i, c in enumerate(conds):
+        groups.setdefault(c, []).append(i)
+    stacks = [(c, rows[idx], None if masks is None else masks[idx]) for c, idx in groups.items()]
+    return stacks, np.argsort(np.concatenate(list(groups.values())))
+
+
+def _project(leaves, emb: dict[str, np.ndarray], cfg: TrainConfig, stacks):
+    """Each stack through its condition's operator, concatenated in stack order."""
+    return ad.concat_rows(
+        apply_operator(make_operator(cfg.mode, leaves, emb[c], cfg.nh, cfg.nk_effective), x, m)
+        for c, x, m in stacks
+    )
 
 
 def _csts_closure(
     batch: Sequence[TwinPair],
     emb: dict[str, np.ndarray],
     cfg: TrainConfig,
-    masks: list[dict[str, np.ndarray]] | None,
+    masks: np.ndarray | None,
 ) -> LossClosure:
-    mode, nh, nk = cfg.mode, cfg.nh, cfg.nk_effective
-    tau = cfg.loss.tau_csts
-    conds = sorted({q.c for tp in batch for q in (tp.high, tp.low)})
+    """``masks``: concat dropout masks (B, 4, 2nh) for s1_hi, s2_hi, s1_lo, s2_lo."""
+    sides = [(q.c, s) for tp in batch for q in (tp.high, tp.low) for s in (q.s1, q.s2)]
+    sents = np.stack([emb[s] for _, s in sides])
+    flat = None if masks is None else masks.reshape(len(sides), -1)
+    stacks, where = _stacks([c for c, _ in sides], sents, flat)
+    y01 = np.array([[rescale_label(tp.high.y), rescale_label(tp.low.y)] for tp in batch])
 
-    def fn(arrays, components_out=None):
-        leaves = {k: ad.leaf(v) for k, v in arrays.items()}
-        ops = {c: make_operator(mode, leaves, emb[c], nh, nk) for c in conds}
+    def loss_of(leaves):
+        rows = _project(leaves, emb, cfg, stacks)
+        left, right = (ad.take_rows(rows, where[k::2]) for k in (0, 1))
+        total, mse, cl = csts_loss(left, right, y01, cfg.loss.tau_csts)
+        return total, {"mse": float(mse.data.mean()), "cl": float(cl.data.mean())}
 
-        def side(cond_text, sent_text, mask):
-            return apply_operator(ops[cond_text], emb[sent_text], mask)
-
-        mse_sum = 0.0
-        cl_sum = 0.0
-        terms = []
-        for i, tp in enumerate(batch):
-            m = masks[i] if masks is not None else {}
-            a_hi = side(tp.high.c, tp.high.s1, m.get("s1_hi"))
-            b_hi = side(tp.high.c, tp.high.s2, m.get("s2_hi"))
-            a_lo = side(tp.low.c, tp.low.s1, m.get("s1_lo"))
-            b_lo = side(tp.low.c, tp.low.s2, m.get("s2_lo"))
-            phi_hi = ad.cosine(a_hi, b_hi)
-            phi_lo = ad.cosine(a_lo, b_lo)
-            mse = mse_term(phi_hi, rescale_label(tp.high.y)) + mse_term(
-                phi_lo, rescale_label(tp.low.y)
-            )
-            cl = cl_pair_term(phi_hi, phi_lo, tau)
-            mse_sum += mse.item()
-            cl_sum += cl.item()
-            terms.append(mse + cl)
-        total = ad.add_n(terms) * (1.0 / len(terms))
-        total.backward()
-        if components_out is not None:
-            components_out["mse"] = mse_sum / len(terms)
-            components_out["cl"] = cl_sum / len(terms)
-        return total.item(), _grads_from_leaves(leaves, arrays)
-
-    return fn
+    return _closure(loss_of)
 
 
 def _kgc_closure(
-    batch: Sequence[KgBatchItem],
+    batch: Sequence[KgTriple],
     emb: dict[str, np.ndarray],
     cfg: TrainConfig,
-    prebatch_snapshot: list,
-    masks: list[np.ndarray | None] | None,
+    prebatch: Sequence[Sequence[tuple[str, np.ndarray]]],
+    masks: np.ndarray | None,
 ) -> LossClosure:
-    mode, nh, nk = cfg.mode, cfg.nh, cfg.nk_effective
-    gamma = cfg.loss.gamma
-    relations = sorted({item.triple.r for item in batch})
-    negatives = [
-        assemble_negatives(batch, i, cfg.loss, prebatch_snapshot) for i in range(len(batch))
-    ]
-    for i, negs in enumerate(negatives):
-        if not negs:
-            raise ValueError(
-                f"no negatives available for triple {batch[i].triple}; "
-                "enable self/pre-batch negatives or grow the batch"
-            )
+    """``prebatch``: past batches of (text, vector) tails; ``masks``: (B, 2nh) or None."""
+    past = [pair for chunk in prebatch for pair in chunk]
+    cands, neg_mask = kgc_candidates(batch, emb, cfg.loss, past)
+    stacks, where = _stacks([t.r for t in batch], np.stack([emb[t.h] for t in batch]), masks)
 
-    def fn(arrays, components_out=None):
-        leaves = {k: ad.leaf(v) for k, v in arrays.items()}
-        tau = leaves.get("tau_kgc", ad.constant(cfg.loss.tau_kgc))
-        ops = {r: make_operator(mode, leaves, emb[r], nh, nk) for r in relations}
+    def loss_of(leaves):
+        tau = leaves.get("tau_kgc", cfg.loss.tau_kgc)
+        q = ad.take_rows(_project(leaves, emb, cfg, stacks), where)
+        total = kgc_loss(q, cands, neg_mask, cfg.loss.gamma, tau)
+        return total, {"cl": total.item()}
 
-        terms = []
-        for i, item in enumerate(batch):
-            mask = masks[i] if masks is not None else None
-            hhr = apply_operator(ops[item.triple.r], item.h_head, mask)
-            pos = ad.cosine(hhr, ad.constant(item.h_tail))
-            negs = [ad.cosine(hhr, ad.constant(v)) for v in negatives[i]]
-            terms.append(kgc_term(pos, negs, gamma, tau))
-        total = ad.add_n(terms) * (1.0 / len(terms))
-        total.backward()
-        if components_out is not None:
-            components_out["cl"] = total.item()
-        return total.item(), _grads_from_leaves(leaves, arrays)
-
-    return fn
+    return _closure(loss_of)
 
 
 def make_loss_closure(
-    cfg: TrainConfig,
-    batch,
-    provider,
-    prebatch: list | None = None,
+    cfg: TrainConfig, batch, provider, prebatch: list | None = None
 ) -> LossClosure:
     """Deterministic loss-and-gradient closure over one fixed batch.
 
     For the similarity task the batch is a list of TwinPair; for link
-    prediction a list of KgTriple. Dropout is disabled here so repeated
-    evaluations (as in finite differencing) see an identical function.
+    prediction a list of KgTriple, and ``prebatch`` a list of past batches,
+    each a list of (tail text, tail embedding). Dropout is disabled here so
+    repeated evaluations (as in finite differencing) see an identical function.
     """
     cfg.validate()
     emb = _embedding_table(cfg.task, batch, provider)
     if cfg.task == "csts":
         return _csts_closure(batch, emb, cfg, masks=None)
-    items = [KgBatchItem(triple=t, h_head=emb[t.h], h_tail=emb[t.t]) for t in batch]
-    return _kgc_closure(items, emb, cfg, prebatch_snapshot=list(prebatch or []), masks=None)
+    return _kgc_closure(batch, emb, cfg, prebatch or [], masks=None)
 
 
 def initial_arrays(cfg: TrainConfig) -> tuple[HyperNetParams, dict[str, np.ndarray]]:
@@ -405,33 +399,23 @@ def fit(
     prebatch: deque = deque(maxlen=max(cfg.loss.prebatch_size, 1))
 
     epoch_losses: list[float] = []
+    epoch_components: list[dict[str, float]] = []
+    t_loop = time.perf_counter()
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(len(instances))
-        total = 0.0
+        sums: dict[str, float] = {}  # the loss and its components, weighted by batch size
         seen = 0
         prebatch.clear()
         for start in range(0, len(order), cfg.batch_size):
             chunk = order[start : start + cfg.batch_size]
             batch = [instances[i] for i in chunk]
+            # One concat dropout mask per projected row, drawn in row order.
+            shape = (len(batch), 4, 2 * cfg.nh) if cfg.task == "csts" else (len(batch), 2 * cfg.nh)
+            masks = dropout_mask(dropout_rng, shape, cfg.dropout_p) if use_dropout else None
             if cfg.task == "csts":
-                masks = None
-                if use_dropout:
-                    masks = [
-                        {
-                            key: dropout_mask(dropout_rng, 2 * cfg.nh, cfg.dropout_p)
-                            for key in ("s1_hi", "s2_hi", "s1_lo", "s2_lo")
-                        }
-                        for _ in batch
-                    ]
                 fn = _csts_closure(batch, emb, cfg, masks)
             else:
-                items = [
-                    KgBatchItem(triple=t, h_head=emb[t.h], h_tail=emb[t.t]) for t in batch
-                ]
-                masks = None
-                if use_dropout:
-                    masks = [dropout_mask(dropout_rng, 2 * cfg.nh, cfg.dropout_p) for _ in batch]
-                fn = _kgc_closure(items, emb, cfg, list(prebatch), masks)
+                fn = _kgc_closure(batch, emb, cfg, prebatch, masks)
             components: dict[str, float] = {}
             where = f"epoch {epoch} batch {start // cfg.batch_size}"
             try:
@@ -447,11 +431,14 @@ def fit(
                 opt.step(grads)
                 if "tau_kgc" in arrays:
                     np.maximum(arrays["tau_kgc"], TAU_FLOOR, out=arrays["tau_kgc"])
-            total += loss * len(batch)
+            for name, value in {"loss": loss, **components}.items():
+                sums[name] = sums.get(name, 0.0) + value * len(batch)
             seen += len(batch)
             if cfg.task == "kgc" and cfg.loss.use_prebatch_neg and cfg.loss.prebatch_size > 0:
                 prebatch.append([(t.t, emb[t.t]) for t in batch])
-        epoch_losses.append(total / seen)
+        epoch_losses.append(sums.pop("loss") / seen)
+        epoch_components.append({k: v / seen for k, v in sums.items()})
+    examples_per_s = cfg.epochs * len(instances) / (time.perf_counter() - t_loop)
 
     extras = {"tau_kgc": arrays["tau_kgc"]} if "tau_kgc" in arrays else {}
     saved_path = None
@@ -465,6 +452,8 @@ def fit(
         nk=cfg.nk_effective,
         seed=cfg.seed,
         epoch_losses=epoch_losses,
+        epoch_components=epoch_components,
+        examples_per_s=examples_per_s,
         wall_time_s=time.perf_counter() - t0,
         checkpoint_path=saved_path,
     )

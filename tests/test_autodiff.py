@@ -89,41 +89,100 @@ def test_transpose_and_reshape():
 
 
 def test_cosine_gradients():
-    a0 = rng.normal(size=5)
-    b0 = rng.normal(size=5)
-    check_unary(lambda t: ad.cosine(t, ad.constant(b0)), a0)
-    check_unary(lambda t: ad.cosine(ad.constant(a0), t), b0)
+    # row-wise cosines: normalize_rows then row_dot
+    a0 = rng.normal(size=(3, 5))
+    b0 = rng.normal(size=(3, 5))
+    w = rng.normal(size=3)
+
+    def cos(a, b):
+        return ad.matmul(ad.row_dot(ad.normalize_rows(a), ad.normalize_rows(b)), ad.constant(w))
+
+    check_unary(lambda t: cos(t, ad.constant(b0)), a0)
+    check_unary(lambda t: cos(ad.constant(a0), t), b0)
+    want = np.sum(a0 * b0, axis=1) / (np.linalg.norm(a0, axis=1) * np.linalg.norm(b0, axis=1))
+    got = ad.row_dot(ad.normalize_rows(a0), ad.normalize_rows(b0)).data
+    assert got == pytest.approx(want, abs=1e-14)
 
 
 def test_cosine_zero_norm_raises():
+    x = np.ones((3, 4))
+    x[1] = 0.0
+    with pytest.raises(ValueError, match="zero-norm"):
+        ad.normalize_rows(ad.constant(x))
+
+
+def test_normalize_rows_and_row_dot_gradients():
+    x0 = rng.normal(size=(4, 3))
+    g = rng.normal(size=(4, 3))
+    check_unary(lambda t: ad.mean(ad.normalize_rows(t) * g), x0)
+    y0 = rng.normal(size=(4, 3))
+    check_unary(lambda t: ad.mean(ad.row_dot(t, ad.constant(y0)) * ad.row_dot(t, t)), x0)
     with pytest.raises(ValueError):
-        ad.cosine(ad.constant(np.zeros(3)), ad.constant(np.ones(3)))
+        ad.row_dot(ad.constant(x0), ad.constant(x0[:2]))
 
 
 def test_logsumexp_value_and_grads():
-    vals = [2.0, -1.0, 0.5]
-    leaves = [ad.leaf(np.array(v)) for v in vals]
-    out = ad.logsumexp(leaves)
+    vals = np.array([[2.0, -1.0, 0.5], [0.3, 0.3, -4.0]])
+    x = ad.leaf(vals)
+    out = ad.matmul(ad.logsumexp(x), ad.constant(np.ones(2)))
     out.backward()
-    expected = np.log(np.sum(np.exp(vals)))
-    assert out.item() == pytest.approx(expected, abs=1e-12)
-    soft = np.exp(vals) / np.sum(np.exp(vals))
-    for leaf, s in zip(leaves, soft):
-        assert float(leaf.grad) == pytest.approx(s, abs=1e-12)
+    expected = np.log(np.sum(np.exp(vals), axis=1))
+    assert ad.logsumexp(vals).data == pytest.approx(expected, abs=1e-12)
+    soft = np.exp(vals) / np.sum(np.exp(vals), axis=1, keepdims=True)
+    assert x.grad == pytest.approx(soft, abs=1e-12)
+
+
+def test_masked_logsumexp_ignores_masked_entries():
+    vals = rng.normal(size=(3, 4))
+    mask = np.array([[True, False, True, True], [False, False, True, False], [True] * 4])
+    got = ad.logsumexp(vals, mask).data
+    for i in range(3):
+        assert got[i] == pytest.approx(np.log(np.sum(np.exp(vals[i][mask[i]]))), abs=1e-12)
+    x = ad.leaf(vals)
+    ad.mean(ad.logsumexp(x, mask)).backward()
+    assert np.all(x.grad[~mask] == 0.0)
+    check_unary(lambda t: ad.mean(ad.logsumexp(t, mask)), vals)
+    with pytest.raises(ValueError, match="no entries"):
+        ad.logsumexp(vals, np.zeros((3, 4), dtype=bool))
 
 
 def test_logsumexp_is_stable_for_large_scores():
-    out = ad.logsumexp([ad.constant(np.array(1000.0)), ad.constant(np.array(999.0))])
-    assert np.isfinite(out.item())
-    assert out.item() == pytest.approx(1000.0 + np.log(1 + np.exp(-1.0)), abs=1e-9)
+    out = ad.logsumexp(np.array([[1000.0, 999.0], [-1000.0, -1001.0]]))
+    assert np.all(np.isfinite(out.data))
+    assert out.data[0] == pytest.approx(1000.0 + np.log(1 + np.exp(-1.0)), abs=1e-9)
+    assert out.data[1] == pytest.approx(-1000.0 + np.log(1 + np.exp(-1.0)), abs=1e-9)
 
 
-def test_add_n_fan_in():
-    x0 = rng.normal(size=3)
+def test_concat_rows_fan_in():
+    x0 = rng.normal(size=(2, 3))
     x = ad.leaf(x0)
-    out = ad.matmul(ad.add_n([x, x, x]), ad.constant(np.ones(3)))
+    out = ad.mean(ad.concat_rows([x, x, x]))
     out.backward()
-    assert x.grad == pytest.approx(3 * np.ones(3), abs=1e-12)
+    assert x.grad == pytest.approx(np.full((2, 3), 3 / 18), abs=1e-12)
+    w = rng.normal(size=(4, 3))
+    check_unary(lambda t: ad.mean(ad.concat_rows([t, 2.0 * t]) * w), x0)
+
+
+def test_take_rows_accumulates_repeats():
+    x0 = rng.normal(size=(3, 2))
+    x = ad.leaf(x0)
+    picked = ad.take_rows(x, [2, 0, 2])
+    assert np.array_equal(picked.data, x0[[2, 0, 2]])
+    ad.mean(picked).backward()
+    assert x.grad == pytest.approx(np.array([[1, 1], [0, 0], [2, 2]]) / 6, abs=1e-12)
+
+
+def test_broadcasting_gradients_reduce_to_operand_shapes():
+    m0 = rng.normal(size=(3, 4))
+    row = rng.normal(size=4)
+    s = ad.leaf(np.array(0.7))
+    v = ad.leaf(row)
+    out = ad.mean((ad.constant(m0) - v) / s)
+    out.backward()
+    assert v.grad.shape == (4,) and s.grad.shape == ()
+    assert v.grad == pytest.approx(np.full(4, -1 / (4 * 0.7)), abs=1e-12)
+    assert float(s.grad) == pytest.approx(-np.mean(m0 - row) / 0.7**2, abs=1e-12)
+    check_unary(lambda t: ad.mean((ad.constant(m0) - t) * (ad.constant(m0) * t)), row)
 
 
 def test_diamond_graph_accumulation():
@@ -136,9 +195,9 @@ def test_diamond_graph_accumulation():
 
 
 def test_constants_collect_no_grad():
-    c = ad.constant(np.ones(3))
-    x = ad.leaf(rng.normal(size=3))
-    out = ad.cosine(c, x)
+    c = ad.constant(np.ones((1, 3)))
+    x = ad.leaf(rng.normal(size=(1, 3)))
+    out = ad.mean(ad.row_dot(c, ad.normalize_rows(x)))
     out.backward()
     assert c.grad is None
     assert x.grad is not None

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from condcl import cli
-from condcl.encoder import save_embeddings
+from condcl.encoder import EmbeddingStore, save_embeddings
 from condcl.hypernet import init_params, save_checkpoint
-from condcl.trainer import make_synthetic_csts, save_csts_jsonl
+from condcl.losses import KgTriple
+from condcl.trainer import make_synthetic_csts, save_csts_jsonl, save_kg_tsv
 
 
 @pytest.fixture
@@ -109,3 +110,36 @@ def test_every_mode_trains_and_evaluates(csts_run, capsys):
         assert run(tmp_path, ["eval"], config) == cli.EXIT_OK
         metrics = json.loads(capsys.readouterr().out)
         assert np.isfinite(metrics["spearman"])
+
+
+def test_train_prints_loss_components_and_throughput(csts_run, capsys):
+    tmp_path, _, config = csts_run
+    config["epochs"] = 2
+    assert run(tmp_path, ["train"], config) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert [set(parts) for parts in report["epoch_components"]] == [{"mse", "cl"}] * 2
+    assert report["examples_per_s"] > 0
+
+
+def test_kgc_batch_without_negatives_is_a_usage_error(tmp_path, capsys):
+    triples = [KgTriple("a", "r", "b"), KgTriple("b", "r", "c")]
+    save_kg_tsv(triples, tmp_path / "train.tsv")
+    store = EmbeddingStore(8)
+    rng = np.random.default_rng(0)
+    for text in ("a", "b", "c", "r"):
+        store.add(text, rng.normal(size=8))
+    save_embeddings(store, tmp_path / "emb.jsonl")
+    config = {
+        "task": "kgc",
+        "mode": "full",
+        "nh": 8,
+        "epochs": 1,
+        "batch_size": 1,
+        "loss": {"use_self_neg": False, "use_prebatch_neg": False},
+        "data": str(tmp_path / "train.tsv"),
+        "embeddings": str(tmp_path / "emb.jsonl"),
+    }
+    assert run(tmp_path, ["train"], config) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: no negatives available for triple")
+    assert "Traceback" not in err

@@ -1,22 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condcl.encoder import HashingProvider
 from condcl.errors import CondclError
+from condcl import autodiff as ad
 from condcl.losses import (
     CstsQuadruplet,
-    KgBatchItem,
     KgTriple,
     LossConfig,
     TwinEmbeddings,
-    assemble_negatives,
     grad_check,
+    kgc_candidates,
+    kgc_loss,
     loss_csts_cl,
     loss_csts_mse,
     loss_csts_total,
     loss_kgc,
     pair_twins,
     rescale_label,
+    row_cosines,
 )
 from condcl import trainer
 
@@ -92,11 +96,9 @@ class TestCstsMse:
         b0 = rng.normal(size=6)
 
         def fn(arrays):
-            from condcl import autodiff as ad
-            from condcl.losses import mse_term
-
             at = ad.leaf(arrays["a"])
-            out = mse_term(ad.cosine(at, ad.constant(b0)), 0.3)
+            d = row_cosines(at.reshape((1, 6)), b0[None]) - 0.3
+            out = ad.mean(d * d)
             out.backward()
             return out.item(), {"a": at.grad}
 
@@ -205,58 +207,121 @@ class TestKgcLoss:
 
 
 class TestAssembleNegatives:
-    def _batch(self, tails, heads=None):
+    """The negatives each row of a batch keeps, read from its candidate mask."""
+
+    def _mask(self, tails, cfg, heads=None, prebatch=()):
         heads = heads or [f"h{i}" for i in range(len(tails))]
-        items = []
-        for i, (h, t) in enumerate(zip(heads, tails)):
-            items.append(
-                KgBatchItem(
-                    triple=KgTriple(h, "r", t),
-                    h_head=np.full(4, float(i)),
-                    h_tail=np.full(4, 10.0 + i),
-                )
-            )
-        return items
+        triples = [KgTriple(h, "r", t) for h, t in zip(heads, tails)]
+        emb = {text: np.full(4, float(i)) for i, text in enumerate(heads + tails)}
+        cands, mask = kgc_candidates(triples, emb, cfg, prebatch)
+        # candidate rows: the tails, then the heads (self-negatives), then the pre-batch
+        want = tails + (heads if cfg.use_self_neg else [])
+        want = [emb[t] for t in want] + ([v for _, v in prebatch] if cfg.use_prebatch_neg else [])
+        assert np.array_equal(cands, np.stack(want))
+        return mask
 
     def test_in_batch_count(self):
-        batch = self._batch(["t0", "t1", "t2", "t3"])
         cfg = LossConfig(use_self_neg=False, use_prebatch_neg=False)
-        assert len(assemble_negatives(batch, 0, cfg)) == 3
+        mask = self._mask(["t0", "t1", "t2", "t3"], cfg)
+        assert mask.sum(axis=1).tolist() == [4, 4, 4, 4]  # the positive plus 3 negatives
 
     def test_batch_of_one_has_no_negatives(self):
-        batch = self._batch(["t0"])
         cfg = LossConfig(use_self_neg=False, use_prebatch_neg=False)
-        assert assemble_negatives(batch, 0, cfg) == []
+        with pytest.raises(ValueError, match="no negatives available for triple"):
+            self._mask(["t0"], cfg)
 
     def test_duplicate_gold_tail_excluded(self):
-        batch = self._batch(["t0", "t0", "t2", "t3"])
         cfg = LossConfig(use_self_neg=False, use_prebatch_neg=False)
-        negs = assemble_negatives(batch, 0, cfg)
-        # enumeration oracle: tails of items 1..3 whose text differs from "t0"
-        expected = [v.h_tail for j, v in enumerate(batch) if j != 0 and batch[j].triple.t != "t0"]
-        assert len(negs) == 2
-        for got, want in zip(negs, expected):
-            assert np.array_equal(got, want)
+        mask = self._mask(["t0", "t0", "t2", "t3"], cfg)
+        assert mask[0].tolist() == [True, False, True, True]
+        assert mask[1].tolist() == [False, True, True, True]
 
     def test_self_negative_added(self):
-        batch = self._batch(["t0", "t1"])
         cfg = LossConfig(use_self_neg=True, use_prebatch_neg=False)
-        negs = assemble_negatives(batch, 0, cfg)
-        assert len(negs) == 2
-        assert np.array_equal(negs[-1], batch[0].h_head)
+        mask = self._mask(["t0", "t1"], cfg)
+        # columns: tails t0, t1, then heads h0, h1; a head is only its own row's negative
+        assert mask.tolist() == [[True, True, True, False], [True, True, False, True]]
 
     def test_self_negative_skipped_when_head_is_gold(self):
-        items = self._batch(["h0", "t1"])  # head text h0 == gold tail text
         cfg = LossConfig(use_self_neg=True, use_prebatch_neg=False)
-        negs = assemble_negatives(items, 0, cfg)
-        assert len(negs) == 1
+        mask = self._mask(["h0", "t1"], cfg)  # head text h0 == gold tail text
+        assert mask[0].tolist() == [True, True, False, False]
 
     def test_prebatch_included_minus_gold(self):
-        batch = self._batch(["t0", "t1"])
         cfg = LossConfig(use_self_neg=False, use_prebatch_neg=True, prebatch_size=2)
-        queue = [[("t0", np.zeros(4)), ("x", np.ones(4))]]
-        negs = assemble_negatives(batch, 0, cfg, queue)
-        assert len(negs) == 2  # in-batch t1 + prebatch x ("t0" excluded)
+        prebatch = [("t0", np.zeros(4)), ("x", np.ones(4))]
+        mask = self._mask(["t0", "t1"], cfg, prebatch=prebatch)
+        assert mask[0].tolist() == [True, True, False, True]  # in-batch t1 + pre-batch x
+
+
+def reference_kgc(q, triples, emb, prebatch, cfg, gamma, tau):
+    """Per-triple margin InfoNCE in plain numpy: (loss, d loss / d q, d loss / d tau)."""
+    n = len(triples)
+    loss, grad_q, grad_tau = 0.0, np.zeros_like(q), 0.0
+    for i, tr in enumerate(triples):
+        negs = [emb[o.t] for j, o in enumerate(triples) if j != i and o.t != tr.t]
+        if cfg.use_self_neg and tr.h != tr.t:
+            negs.append(emb[tr.h])
+        if cfg.use_prebatch_neg:
+            negs += [vec for text, vec in prebatch if text != tr.t]
+        if not negs:
+            raise ValueError(f"no negatives available for triple {tr}")
+        cands = [emb[tr.t]] + negs
+        nq = np.linalg.norm(q[i])
+        cos = np.array([q[i] @ c / (nq * np.linalg.norm(c)) for c in cands])
+        a = cos - gamma * (np.arange(len(cands)) == 0)
+        z = a / tau
+        p = np.exp(z - z.max())
+        p /= p.sum()
+        loss += (z.max() + np.log(np.sum(np.exp(z - z.max()))) - z[0]) / n
+        dz = p - (np.arange(len(cands)) == 0)
+        for k, c in enumerate(cands):
+            dcos = c / (nq * np.linalg.norm(c)) - cos[k] * q[i] / nq**2
+            grad_q[i] += dz[k] / tau * dcos / n
+        grad_tau += float(np.sum(dz * -a / tau**2)) / n
+    return loss, grad_q, grad_tau
+
+
+TEXTS = st.sampled_from(["a", "b", "c", "d"])
+
+
+class TestBatchedKgcEqualsReference:
+    """The masked batch loss equals a per-triple reference, gradients included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(TEXTS, TEXTS), min_size=1, max_size=6),
+        prebatch_texts=st.lists(TEXTS, max_size=5),
+        use_self_neg=st.booleans(),
+        use_prebatch_neg=st.booleans(),
+        gamma=st.floats(0.0, 0.3),
+        tau=st.floats(0.02, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_loss_and_gradients(
+        self, pairs, prebatch_texts, use_self_neg, use_prebatch_neg, gamma, tau, seed
+    ):
+        nh = 5
+        rng = np.random.default_rng(seed)
+        emb = {text: rng.normal(size=nh) for text in "abcd"}
+        prebatch = [(text, rng.normal(size=nh)) for text in prebatch_texts]
+        triples = [KgTriple(h, "r", t) for h, t in pairs]  # h == t and repeated tails occur
+        q = rng.normal(size=(len(triples), nh))
+        cfg = LossConfig(use_self_neg=use_self_neg, use_prebatch_neg=use_prebatch_neg)
+        try:
+            want = reference_kgc(q, triples, emb, prebatch, cfg, gamma, tau)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match="no negatives available") as got:
+                kgc_candidates(triples, emb, cfg, prebatch)
+            assert str(exc) in str(got.value)
+            return
+        cands, mask = kgc_candidates(triples, emb, cfg, prebatch)
+        q_leaf, tau_leaf = ad.leaf(q), ad.leaf(np.array(tau))
+        out = kgc_loss(q_leaf, cands, mask, gamma, tau_leaf)
+        out.backward()
+        assert out.item() == pytest.approx(want[0], rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(q_leaf.grad, want[1], rtol=1e-9, atol=1e-11)
+        assert float(tau_leaf.grad) == pytest.approx(want[2], rel=1e-9, abs=1e-11)
 
 
 class TestPairTwins:
@@ -295,15 +360,11 @@ class TestGradCheck:
         b0 = unit(np.random.default_rng(1).normal(size=nh))
 
         def fn(arrays):
-            from condcl import autodiff as ad
-            from condcl.losses import kgc_term
-
             w = ad.leaf(arrays["w"])
             tau = ad.leaf(arrays["tau"])
-            hhr = ad.matmul(w, ad.constant(b0))
-            pos = ad.cosine(hhr, ad.constant(np.roll(b0, 1)))
-            neg = ad.cosine(hhr, ad.constant(np.roll(b0, 2)))
-            out = kgc_term(pos, [neg], 0.02, tau)
+            hhr = ad.matmul(w, ad.constant(b0)).reshape((1, nh))
+            cands = np.stack([np.roll(b0, 1), np.roll(b0, 2)])
+            out = kgc_loss(hhr, cands, None, 0.02, tau)
             out.backward()
             return out.item(), {
                 "w": w.grad,

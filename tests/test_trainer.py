@@ -3,15 +3,16 @@ import copy
 import numpy as np
 import pytest
 
-from condcl.encoder import HashingProvider, StoreProvider
+from condcl.encoder import EmbeddingStore, HashingProvider, StoreProvider
 from condcl.errors import CondclError, ConfigError, FormatError, TrainingDivergedError
 from condcl.evaluation import csts_predictions, spearman
 from condcl.hypernet import load_checkpoint
-from condcl.losses import CstsQuadruplet, KgTriple, LossConfig, pair_twins
+from condcl.losses import CstsQuadruplet, KgTriple, LossConfig, grad_check, pair_twins
 from condcl.trainer import (
     Adam,
     TrainConfig,
     fit,
+    initial_arrays,
     load_csts_jsonl,
     load_kg_tsv,
     make_loss_closure,
@@ -330,3 +331,110 @@ class TestDataFiles:
         p.write_text("a\tb\n")
         with pytest.raises(FormatError, match=":1:"):
             load_kg_tsv(p)
+
+
+def gaussian_provider(texts, nh, seed=0, zero=None):
+    """Random normal embeddings; the text ``zero`` gets the zero vector."""
+    store = EmbeddingStore(nh)
+    rng = np.random.default_rng(seed)
+    for text in texts:
+        v = rng.normal(size=nh)
+        store.add(text, np.zeros(nh) if text == zero else v)
+    return StoreProvider(store)
+
+
+def probe_batches(nh, zero=None):
+    """A twin batch and a triple batch sharing conditions, with a pre-batch."""
+    twins = pair_twins(
+        [
+            CstsQuadruplet(f"s{i}a", f"s{i}b", f"c{(i + k) % 3}", 4.0 - 2.0 * k, i)
+            for i in range(4)
+            for k in (0, 1)
+        ]
+    )
+    triples = [KgTriple(f"e{i}", f"r{i % 2}", f"e{(3 * i + 1) % 5}") for i in range(5)]
+    texts = [t for tp in twins for t in (tp.high.s1, tp.high.s2, tp.high.c, tp.low.c)]
+    texts += [t for tr in triples for t in (tr.h, tr.r, tr.t)] + ["e9"]
+    provider = gaussian_provider(sorted(set(texts)), nh, seed=1, zero=zero)
+    prebatch = [[("e1", provider.embed("e1")), ("e9", provider.embed("e9"))]]
+    return provider, twins, triples, prebatch
+
+
+class TestBatchedTraining:
+    @pytest.mark.parametrize("task", ["csts", "kgc"])
+    @pytest.mark.parametrize("mode", ["full", "lowrank", "hadamard", "concat"])
+    def test_closure_gradients_pass_grad_check(self, task, mode):
+        nh = 6
+        provider, twins, triples, prebatch = probe_batches(nh)
+        cfg = TrainConfig(task=task, mode=mode, nh=nh, nk=2, seed=3)
+        batch, pre = (twins, None) if task == "csts" else (triples, prebatch)
+        closure = make_loss_closure(cfg, batch, provider, prebatch=pre)
+        _, arrays = initial_arrays(cfg)
+        report = grad_check(closure, arrays, n_probes=60, seed=3)
+        assert report.max_rel_err < 1e-4
+        if task == "kgc":  # the learnable temperature, probed on its own
+            rest = {k: v for k, v in arrays.items() if k != "tau_kgc"}
+            tau_only = grad_check(
+                lambda a: closure({**rest, **a}), {"tau_kgc": arrays["tau_kgc"]}
+            )
+            assert tau_only.n_checked == 1 and tau_only.max_rel_err < 1e-4
+
+    def test_batch_of_512_with_two_512_triple_prebatches(self):
+        nh = 8
+        entities = [f"e{i}" for i in range(700)]
+        provider = gaussian_provider(entities + ["r0", "r1", "r2"], nh, seed=2)
+        rng = np.random.default_rng(4)
+        triples = [
+            KgTriple(entities[h], f"r{h % 3}", entities[t])
+            for h, t in rng.integers(0, len(entities), size=(512, 2))
+        ]
+        prebatch = [
+            [(entities[t], provider.embed(entities[t])) for t in rng.integers(0, 700, size=512)]
+            for _ in range(2)
+        ]
+        cfg = TrainConfig(task="kgc", mode="lowrank", nh=nh, nk=2, seed=4)
+        closure = make_loss_closure(cfg, triples, provider, prebatch=prebatch)
+        _, arrays = initial_arrays(cfg)
+        report = grad_check(closure, arrays, n_probes=6, seed=4)
+        assert report.max_rel_err < 1e-4
+        rest = {k: v for k, v in arrays.items() if k != "tau_kgc"}
+        tau_only = grad_check(lambda a: closure({**rest, **a}), {"tau_kgc": arrays["tau_kgc"]})
+        assert tau_only.max_rel_err < 1e-4
+
+    @pytest.mark.parametrize("task", ["csts", "kgc"])
+    def test_zero_norm_projection_raises(self, task):
+        nh = 6
+        zero = "s0a" if task == "csts" else "e0"  # a sentence, or the head of triples[0]
+        provider, twins, triples, prebatch = probe_batches(nh, zero=zero)
+        cfg = TrainConfig(task=task, mode="full", nh=nh, seed=0, epochs=1, batch_size=8)
+        batch = twins if task == "csts" else triples
+        closure = make_loss_closure(cfg, batch, provider, prebatch=prebatch)
+        _, arrays = initial_arrays(cfg)
+        with pytest.raises(ValueError, match="zero-norm"):
+            closure(arrays)
+        data = [q for tp in twins for q in (tp.high, tp.low)] if task == "csts" else triples
+        with pytest.raises(TrainingDivergedError, match="zero-norm"):
+            train(cfg, data, provider)
+
+    def test_a_row_without_negatives_raises(self):
+        provider, _, triples, _ = probe_batches(6)
+        loss = LossConfig(use_self_neg=False, use_prebatch_neg=False)
+        cfg = TrainConfig(task="kgc", mode="full", nh=6, epochs=1, batch_size=1, loss=loss)
+        with pytest.raises(ValueError, match="no negatives available for triple KgTriple"):
+            train(cfg, triples, provider)
+
+    @pytest.mark.parametrize("task", ["csts", "kgc"])
+    def test_report_carries_loss_components_and_throughput(self, task):
+        nh = 6
+        provider, twins, triples, _ = probe_batches(nh)
+        data = [q for tp in twins for q in (tp.high, tp.low)] if task == "csts" else triples
+        cfg = TrainConfig(task=task, mode="lowrank", nh=nh, nk=2, epochs=3, batch_size=2, seed=5)
+        report = train(cfg, data, provider)
+        assert len(report.epoch_components) == 3
+        for loss, parts in zip(report.epoch_losses, report.epoch_components):
+            assert set(parts) == ({"mse", "cl"} if task == "csts" else {"cl"})
+            assert sum(parts.values()) == pytest.approx(loss, rel=1e-12)
+        assert np.isfinite(report.examples_per_s) and report.examples_per_s > 0
+        d = report.to_dict()
+        assert d["epoch_components"] == report.epoch_components
+        assert d["examples_per_s"] == report.examples_per_s
