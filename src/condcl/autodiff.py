@@ -4,8 +4,10 @@ A Tensor wraps a float64 ndarray and remembers how it was produced; calling
 backward() on a scalar output accumulates vector-Jacobian products into the
 leaves that were created with requires_grad=True. The ops work on whole
 matrices, so one training batch is a graph of a few dozen nodes: broadcasting
-arithmetic, matrix products, row normalisation, row-wise dot products, a
-masked log-sum-exp along the last axis, the mean, and row take / concat.
+arithmetic, matrix products, a grouped product (row segment r times matrix r
+of a stack: a batch's rows through their conditions' generated operators),
+row normalisation, row-wise dot products, a masked log-sum-exp along the
+last axis, the mean, and row take.
 
 Gradients flow only through Tensors; plain ndarrays and floats are treated
 as constants.
@@ -16,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "Tensor", "constant", "leaf", "matmul", "normalize_rows", "row_dot", "logsumexp", "mean",
-    "take_rows", "concat_rows",
+    "Tensor", "constant", "leaf", "matmul", "grouped_matmul", "normalize_rows", "row_dot",
+    "logsumexp", "mean", "take_rows",
 ]
 
 
@@ -169,12 +171,32 @@ def matmul(a, b) -> Tensor:
     if ad.ndim == 2 and bd.ndim == 1:
         vjp_a, vjp_b = (lambda g: np.outer(g, bd)), (lambda g: ad.T @ g)
     elif ad.ndim == 2 and bd.ndim == 2:
-        vjp_a, vjp_b = (lambda g: g @ bd.T), (lambda g: ad.T @ g)
+        # (g.T @ a).T rather than a.T @ g: when b is W.T of a leaf W (the
+        # linear-layer form x @ W.T), W then receives a C-contiguous gradient.
+        vjp_a, vjp_b = (lambda g: g @ bd.T), (lambda g: (g.T @ ad).T)
     elif ad.ndim == 1 and bd.ndim == 1:
         vjp_a, vjp_b = (lambda g: g * bd), (lambda g: g * ad)
     else:
         raise ValueError(f"unsupported matmul ranks: {ad.ndim} @ {bd.ndim}")
     return _node(ad @ bd, (a, vjp_a), (b, vjp_b))
+
+
+def grouped_matmul(x, W, bounds, transpose: bool = False) -> Tensor:
+    """Rows bounds[r]:bounds[r+1] of x (B x n) times matrix r of the stack W:
+    ``x[lo:hi] @ W[r]``, or ``x[lo:hi] @ W[r].T`` when ``transpose``. One
+    product per segment forward and two backward; no per-row copies of W."""
+    xd, Wd = _data(x), _data(W)
+    segs = list(zip(bounds[:-1], bounds[1:]))
+    if len(segs) != Wd.shape[0] or bounds[0] != 0 or bounds[-1] != xd.shape[0]:
+        raise ValueError("grouped_matmul: bounds do not split x into one segment per matrix")
+    Ws = Wd.transpose(0, 2, 1) if transpose else Wd
+    return _node(
+        np.concatenate([xd[lo:hi] @ w for (lo, hi), w in zip(segs, Ws)]),
+        (x, lambda g: np.concatenate([g[lo:hi] @ w.T for (lo, hi), w in zip(segs, Ws)])),
+        (W, lambda g: np.stack([
+            g[lo:hi].T @ xd[lo:hi] if transpose else xd[lo:hi].T @ g[lo:hi] for lo, hi in segs
+        ])),
+    )
 
 
 def normalize_rows(x) -> Tensor:
@@ -233,17 +255,6 @@ def take_rows(x, idx) -> Tensor:
         return out
 
     return _node(xd[idx], (x, vjp))
-
-
-def concat_rows(parts) -> Tensor:
-    """Stack 2-D tensors (or arrays) with equal column counts on top of each other."""
-    parts = list(parts)
-    datas = [_data(p) for p in parts]
-    bounds = np.cumsum([0] + [d.shape[0] for d in datas])
-    return _node(
-        np.concatenate(datas, axis=0),
-        *((p, lambda g, lo=lo, hi=hi: g[lo:hi]) for p, lo, hi in zip(parts, bounds, bounds[1:])),
-    )
 
 
 for _name, _op in (("add", add), ("sub", sub), ("mul", mul), ("truediv", div), ("matmul", matmul)):

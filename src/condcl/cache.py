@@ -164,26 +164,16 @@ def simulate_workload(spec: WorkloadSpec, nh: int, nk: int | None = None) -> Cac
     if nh <= 0:
         raise ValueError("nh must be positive")
     stats = CacheStats()
-    if spec.architecture == "bi":
-        seen: set[str] = set()
-        for s, c in spec.requests:
-            key = s + JOINT_KEY_SEP + c
-            stats.lookups += 1
-            if key in seen:
-                stats.hits += 1
-            else:
-                stats.misses += 1
-                stats.heavy_ops += 1
-                stats.resident_bytes += nh * FLOAT_BYTES
-                stats.key_bytes += len(key.encode("utf-8"))
-                seen.add(key)
-        return stats
-
     texts: set[str] = set()
     conditions = set() if spec.architecture == "hyper" else texts
     cond_bytes = (2 * nh * nk if nk else nh * nh) * FLOAT_BYTES
     for s, c in spec.requests:
-        for key, keys in ((s, texts), (c, conditions)):
+        if spec.architecture == "bi":
+            keyed = [(s + JOINT_KEY_SEP + c, texts)]
+        else:
+            keyed = [(s, texts), (c, conditions)]
+            stats.light_ops += 1
+        for key, keys in keyed:
             stats.lookups += 1
             if key in keys:
                 stats.hits += 1
@@ -197,7 +187,6 @@ def simulate_workload(spec: WorkloadSpec, nh: int, nk: int | None = None) -> Cac
                 stats.resident_bytes += cond_bytes
             else:
                 stats.resident_bytes += nh * FLOAT_BYTES
-        stats.light_ops += 1
     return stats
 
 

@@ -129,13 +129,15 @@ def cmd_train(args) -> int:
 # -- eval ------------------------------------------------------------------
 
 
-def _entities_from_triples(*triple_lists) -> list[str]:
-    seen: set[str] = set()
-    for triples in triple_lists:
-        for t in triples:
-            seen.add(t.h)
-            seen.add(t.t)
-    return sorted(seen)
+def _kgc_filter(cfg: dict, *triple_lists) -> tuple[list, list[str]]:
+    """The known triples (the given lists plus each ``filter_data`` TSV) and their entities."""
+    filter_paths = cfg.get("filter_data") or []
+    if not isinstance(filter_paths, list):
+        raise ConfigError("'filter_data' must be a list of TSV paths")
+    known = [t for triples in triple_lists for t in triples]
+    for fp in filter_paths:
+        known.extend(trainer.load_kg_tsv(_existing_path(fp, "filter_data")))
+    return known, sorted({e for t in known for e in (t.h, t.t)})
 
 
 def cmd_eval(args) -> int:
@@ -165,13 +167,7 @@ def cmd_eval(args) -> int:
         if args.split not in (None, "overall"):
             raise ConfigError("seen/unseen splits apply to the csts task only")
         eval_triples = trainer.load_kg_tsv(data_path)
-        filter_paths = cfg.get("filter_data") or []
-        if not isinstance(filter_paths, list):
-            raise ConfigError("'filter_data' must be a list of TSV paths")
-        known = list(eval_triples)
-        for fp in filter_paths:
-            known.extend(trainer.load_kg_tsv(_existing_path(fp, "filter_data")))
-        entities = _entities_from_triples(known)
+        known, entities = _kgc_filter(cfg, eval_triples)
         ks = cfg.get("ks", [1, 3, 10])
         metrics = eval_mod.evaluate_kgc(params, provider, eval_triples, known, entities, ks=ks)
     _emit(json.dumps(metrics, indent=2) + "\n", args.out)
@@ -321,10 +317,7 @@ def cmd_sweep_rank(args) -> int:
     else:
         train_data = trainer.load_kg_tsv(data_path)
         eval_triples = trainer.load_kg_tsv(eval_path)
-        known = list(eval_triples) + list(train_data)
-        for fp in cfg.get("filter_data") or []:
-            known.extend(trainer.load_kg_tsv(_existing_path(fp, "filter_data")))
-        entities = _entities_from_triples(known)
+        known, entities = _kgc_filter(cfg, eval_triples, train_data)
 
     lines = ["nk\tparam_count\tmetric"]
     for d in divisors:
@@ -549,21 +542,13 @@ def main(argv=None) -> int:
     _setup_logging()
     try:
         return args.func(args)
-    except (
-        ConfigError,
-        FormatError,
-        MissingEmbeddingError,
-        FileNotFoundError,
-        IsADirectoryError,
-    ) as exc:
+    except (ValueError, MissingEmbeddingError, FileNotFoundError, IsADirectoryError) as exc:
+        # ConfigError, FormatError and DimensionMismatchError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TrainingDivergedError as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return EXIT_ABORT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CondclError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ABORT

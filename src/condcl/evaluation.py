@@ -36,7 +36,6 @@ __all__ = [
     "mrr_hits",
     "split_seen_unseen",
     "kmeans",
-    "ClusterReport",
     "impurity",
     "frobenius_variance_report",
     "csts_predictions",
@@ -221,13 +220,6 @@ def kmeans(points, k: int, seed: int = 0, max_iters: int = 100) -> np.ndarray:
             break
         assignments = new_assign
     return assignments
-
-
-@dataclass
-class ClusterReport:
-    assignments: np.ndarray
-    impurity: float
-    k: int
 
 
 def impurity(assignments, condition_labels) -> float:

@@ -5,12 +5,12 @@ embeddings into a condition-specific subspace. Every composition mode is
 such an operator: "full" generates a dense nh x nh matrix, "lowrank" a
 factored W1 @ W2.T pair of rank nk that is never multiplied out, "hadamard"
 is diag(h_c), and "concat" is a linear merge Wcat @ [h_c; h_s]. There is one
-path from a condition to a conditioned embedding: generate the operator once
-per condition (``make_operator``), then project each sentence through it
-(``apply_operator``). Both work on ndarrays and autodiff Tensors alike, so
-training and inference share the formulas. Inference is batched:
-``generate_operators`` makes the operators of a stack of condition embeddings
-with one product per generator tensor, and ``project`` takes a stack of rows.
+formula from conditions to operators, ``generate_stack``: one product
+``H @ U.T + bias`` per generator tensor for a stack H of condition embeddings,
+over ndarrays and autodiff Tensors alike. Inference slices the stack into
+per-condition operators (``generate_operators``) and ``project``s vectors or
+rows through them; training projects each condition's rows of a batch through
+its operator of the stack (``apply_stack``).
 
 Checkpoint format: 8-byte magic ``HYPERCL1``, an 8-byte little-endian
 unsigned header length, a UTF-8 JSON header {mode, nh, nk, dropout_p,
@@ -30,6 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import ConfigError, DimensionMismatchError, FormatError
 from .linalg import as_vector, is_integer
 
@@ -40,8 +41,8 @@ __all__ = [
     "default_nk",
     "diagonal_operator",
     "init_params",
-    "make_operator",
-    "apply_operator",
+    "generate_stack",
+    "apply_stack",
     "generate_operators",
     "generate_condition_matrix",
     "project",
@@ -116,8 +117,9 @@ class ConditionOperator:
       - ``concat``: Wcat (nh x 2nh) and the condition embedding h_c, the
         output is Wcat @ [h_c; h_s] (times a dropout mask when training).
 
-    Fields hold ndarrays at inference and autodiff Tensors inside the loss
-    closures; ``apply_operator`` serves both.
+    A stacked operator (``generate_stack``) holds R conditions' operators: each
+    field but the shared Wcat gains a leading axis of length R. Its fields are
+    ndarrays at inference and autodiff Tensors inside the loss closures.
     """
 
     form: str
@@ -184,61 +186,53 @@ def init_params(
     return HyperNetParams(mode="hadamard", nh=nh)
 
 
-# make_operator and apply_operator take autodiff Tensors in place of ndarrays:
-# a Tensor on either side of a product is handled by its (reflected) operators.
+def generate_stack(mode: str, tensors, H, nh: int, nk: int | None = None) -> ConditionOperator:
+    """The operators of condition embeddings H (R x nh) as one stacked operator.
 
-
-def make_operator(mode: str, tensors, h_c, nh: int, nk: int | None = None) -> ConditionOperator:
-    """The operator of condition embedding h_c under ``mode``.
-
-    ``tensors`` maps the mode's learnable tensor names to ndarrays or
-    Tensors; names it does not need are ignored. No input is validated.
+    ``tensors`` maps the mode's learnable tensor names to ndarrays or autodiff
+    Tensors; names it does not need are ignored. No input is validated. With
+    a Tensor U, ``H @ U.T`` is a linear-layer node whose U gradient is G.T @ H.
     """
+
+    def generated(name, shape):
+        return (H @ tensors[name].T + tensors[name + "_bias"]).reshape(shape)
+
     if mode == "full":
-        W = (tensors["U"] @ h_c + tensors["U_bias"]).reshape((nh, nh))
-        return ConditionOperator(form="dense", W=W)
+        return ConditionOperator(form="dense", W=generated("U", (-1, nh, nh)))
     if mode == "lowrank":
-        return ConditionOperator(
-            form="factored",
-            W1=(tensors["U1"] @ h_c + tensors["U1_bias"]).reshape((nh, nk)),
-            W2=(tensors["U2"] @ h_c + tensors["U2_bias"]).reshape((nh, nk)),
-        )
+        W1, W2 = (generated(u, (-1, nh, nk)) for u in ("U1", "U2"))
+        return ConditionOperator(form="factored", W1=W1, W2=W2)
     if mode == "hadamard":
-        return ConditionOperator(form="diagonal", d=h_c)
+        return ConditionOperator(form="diagonal", d=H)
     if mode == "concat":
-        return ConditionOperator(form="concat", Wcat=tensors["Wcat"], h_c=h_c)
+        return ConditionOperator(form="concat", Wcat=tensors["Wcat"], h_c=H)
     raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
 
 
-def apply_operator(op: ConditionOperator, h_s, mask=None):
-    """Project h_s (a vector or a stack of rows); ``mask`` scales the concat input."""
-    rows = np.ndim(h_s) == 2
+def apply_stack(op: ConditionOperator, h_s, bounds, mask=None):
+    """Rows bounds[r]:bounds[r+1] of h_s (B x nh) through operator r of a
+    stacked operator; ``mask`` (B x 2nh) scales each row's concat input."""
     if op.form == "dense":
-        return h_s @ op.W.T if rows else op.W @ h_s
+        return ad.grouped_matmul(h_s, op.W, bounds, transpose=True)
     if op.form == "factored":
-        return (h_s @ op.W2) @ op.W1.T if rows else op.W1 @ (op.W2.T @ h_s)
+        inner = ad.grouped_matmul(h_s, op.W2, bounds)
+        return ad.grouped_matmul(inner, op.W1, bounds, transpose=True)
+    seg = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
     if op.form == "diagonal":
-        return op.d * h_s
+        return op.d[seg] * h_s
     if op.form == "concat":
-        x = np.concatenate([np.broadcast_to(op.h_c, np.shape(h_s)), h_s], axis=-1)
-        if mask is not None:
-            x = x * mask
-        return x @ op.Wcat.T if rows else op.Wcat @ x
+        x = np.concatenate([op.h_c[seg], h_s], axis=1)
+        return (x if mask is None else x * mask) @ op.Wcat.T
     raise ValueError(f"unknown operator form {op.form!r}")
 
 
 def _generate_block(params: HyperNetParams, H: np.ndarray) -> list[ConditionOperator]:
-    tensors, nh, nk = params.tensors(), params.nh, params.nk
-    if params.mode == "full":
-        Ws = H @ tensors["U"].T + tensors["U_bias"]
-        return [ConditionOperator(form="dense", W=W.reshape((nh, nh))) for W in Ws]
-    if params.mode == "lowrank":
-        W1s, W2s = (H @ tensors[u].T + tensors[u + "_bias"] for u in ("U1", "U2"))
-        return [
-            ConditionOperator(form="factored", W1=a.reshape((nh, nk)), W2=b.reshape((nh, nk)))
-            for a, b in zip(W1s, W2s)
-        ]
-    return [make_operator(params.mode, tensors, h_c, nh, nk) for h_c in H]
+    stack = generate_stack(params.mode, params.tensors(), H, params.nh, params.nk)
+    fields = {k: v for k, v in vars(stack).items() if k != "form" and v is not None}
+    return [
+        ConditionOperator(stack.form, **{k: v if k == "Wcat" else v[r] for k, v in fields.items()})
+        for r in range(len(H))
+    ]
 
 
 def generate_operators(params: HyperNetParams, H) -> Iterator[ConditionOperator]:
@@ -271,7 +265,15 @@ def project(op: ConditionOperator, h_s) -> np.ndarray:
         raise ValueError(f"unknown operator form {op.form!r}")
     if not fits:
         raise DimensionMismatchError(f"{op.form} operator/vector dim mismatch")
-    return apply_operator(op, h_s)
+    rows = h_s.ndim == 2
+    if op.form == "dense":
+        return h_s @ op.W.T if rows else op.W @ h_s
+    if op.form == "factored":
+        return (h_s @ op.W2) @ op.W1.T if rows else op.W1 @ (op.W2.T @ h_s)
+    if op.form == "diagonal":
+        return op.d * h_s
+    x = np.concatenate([np.broadcast_to(op.h_c, h_s.shape), h_s], axis=-1)
+    return x @ op.Wcat.T if rows else op.Wcat @ x
 
 
 def dropout_mask(rng: np.random.Generator, size, p: float) -> np.ndarray:

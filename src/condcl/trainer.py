@@ -5,11 +5,11 @@ The encoder is never updated: training only adjusts the operator generator
 the learnable temperature. Gradients come from the reverse-mode graph in
 ``autodiff``; every run is a deterministic function of its seed.
 
-A batch is one matrix graph: its rows are grouped by condition, each group
-is projected as one stack through ``make_operator`` + ``apply_operator``
-(the composition path inference uses), and the loss is evaluated over the
-(B, nh) projections by ``losses.csts_loss`` or ``losses.kgc_loss``, with one
-backward pass per batch.
+A batch is one matrix graph: its rows are grouped by condition, one
+``generate_stack`` (the formula inference uses) makes the operators of its
+conditions, ``apply_stack`` projects each group through its operator, and
+``losses.csts_loss`` or ``losses.kgc_loss`` scores the (B, nh) projections,
+with one backward pass and one ``Adam.step`` (over cache-sized chunks) per batch.
 
 File formats owned here:
   - similarity data: JSONL records {"sentence1", "sentence2", "condition",
@@ -35,11 +35,11 @@ from .errors import CondclError, ConfigError, FormatError, TrainingDivergedError
 from .hypernet import (
     MODES,
     HyperNetParams,
-    apply_operator,
+    apply_stack,
     default_nk,
     dropout_mask,
+    generate_stack,
     init_params,
-    make_operator,
     save_checkpoint,
 )
 from .linalg import is_finite_real, is_integer
@@ -74,6 +74,7 @@ __all__ = [
 ]
 
 TASKS = ("csts", "kgc")
+ADAM_CHUNK = 32768  # values per Adam slice: the slices of p, m, v, g and scratch fit in L2
 
 
 @dataclass
@@ -171,6 +172,8 @@ class TrainReport:
     epoch_components: list[dict[str, float]]
     # Training examples (twin instances or triples) per second of the epoch loop.
     examples_per_s: float
+    # Per-epoch seconds: "graph" (each batch up to its gradients) and "step" (Adam).
+    epoch_stage_s: list[dict[str, float]]
     wall_time_s: float
     checkpoint_path: str | None = None
 
@@ -202,11 +205,15 @@ class Adam:
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.decay_exempt = set(decay_exempt)
+        if not all(v.flags.c_contiguous for v in params.values()):
+            raise ValueError("Adam updates parameters in place and needs C-contiguous arrays")
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
+        self._scratch = np.empty((2, ADAM_CHUNK))
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
+        """One update, over contiguous ADAM_CHUNK slices with the whole-array ops in order."""
         self.t += 1
         bc1 = 1.0 - self.b1**self.t
         bc2 = 1.0 - self.b2**self.t
@@ -214,20 +221,24 @@ class Adam:
             g = grads.get(name)
             if g is None:
                 continue
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            tmp = np.multiply(g, g, out=np.empty_like(p))
-            tmp *= 1.0 - self.b2
-            v += tmp
-            if self.weight_decay and name not in self.decay_exempt:
-                p -= (self.lr * self.weight_decay) * p
-            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), reusing one buffer
-            step = np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
-            step += self.eps
-            p -= np.divide(self.lr * (m / bc1), step, out=step)
+            decay = self.weight_decay and name not in self.decay_exempt
+            flat = [a.reshape(-1) for a in (p, self.m[name], self.v[name], np.asarray(g))]
+            for i in range(0, p.size, ADAM_CHUNK):
+                pc, mc, vc, gc = (a[i : i + ADAM_CHUNK] for a in flat)
+                tmp, tmp2 = self._scratch[:, : pc.size]
+                mc *= self.b1
+                mc += np.multiply(1.0 - self.b1, gc, out=tmp)
+                vc *= self.b2
+                np.multiply(gc, gc, out=tmp)
+                tmp *= 1.0 - self.b2
+                vc += tmp
+                if decay:
+                    pc -= np.multiply(self.lr * self.weight_decay, pc, out=tmp)
+                # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+                step = np.sqrt(np.divide(vc, bc2, out=tmp), out=tmp)
+                step += self.eps
+                np.multiply(self.lr, np.divide(mc, bc1, out=tmp2), out=tmp2)
+                pc -= np.divide(tmp2, step, out=step)
 
 
 # -- loss closures ------------------------------------------------------------
@@ -251,22 +262,23 @@ def _closure(loss_of) -> LossClosure:
     return fn
 
 
-def _stacks(conds: Sequence[str], rows: np.ndarray, masks: np.ndarray | None):
-    """Group rows by condition: [(condition, rows, masks)] in first-seen order,
-    and the position of each input row in the concatenation of the groups."""
+def _grouped(conds: Sequence[str], rows: list, masks: np.ndarray | None, emb, cfg):
+    """Group rows by condition in first-seen order: (project, where), where
+    ``project(leaves)`` is the grouped rows through one stack of their
+    conditions' operators and ``where`` the position of each input row in it."""
     groups: dict[str, list[int]] = {}
     for i, c in enumerate(conds):
         groups.setdefault(c, []).append(i)
-    stacks = [(c, rows[idx], None if masks is None else masks[idx]) for c, idx in groups.items()]
-    return stacks, np.argsort(np.concatenate(list(groups.values())))
+    order = np.concatenate(list(groups.values()))
+    bounds = np.cumsum([0] + [len(idx) for idx in groups.values()])
+    H, rows = np.stack([emb[c] for c in groups]), np.stack(rows)[order]
+    masks = None if masks is None else masks[order]
 
+    def project(leaves):
+        op = generate_stack(cfg.mode, leaves, H, cfg.nh, cfg.nk_effective)
+        return apply_stack(op, rows, bounds, masks)
 
-def _project(leaves, emb: dict[str, np.ndarray], cfg: TrainConfig, stacks):
-    """Each stack through its condition's operator, concatenated in stack order."""
-    return ad.concat_rows(
-        apply_operator(make_operator(cfg.mode, leaves, emb[c], cfg.nh, cfg.nk_effective), x, m)
-        for c, x, m in stacks
-    )
+    return project, np.argsort(order)
 
 
 def _csts_closure(
@@ -277,13 +289,12 @@ def _csts_closure(
 ) -> LossClosure:
     """``masks``: concat dropout masks (B, 4, 2nh) for s1_hi, s2_hi, s1_lo, s2_lo."""
     sides = [(q.c, s) for tp in batch for q in (tp.high, tp.low) for s in (q.s1, q.s2)]
-    sents = np.stack([emb[s] for _, s in sides])
     flat = None if masks is None else masks.reshape(len(sides), -1)
-    stacks, where = _stacks([c for c, _ in sides], sents, flat)
+    project, where = _grouped([c for c, _ in sides], [emb[s] for _, s in sides], flat, emb, cfg)
     y01 = np.array([[rescale_label(tp.high.y), rescale_label(tp.low.y)] for tp in batch])
 
     def loss_of(leaves):
-        rows = _project(leaves, emb, cfg, stacks)
+        rows = project(leaves)
         left, right = (ad.take_rows(rows, where[k::2]) for k in (0, 1))
         total, mse, cl = csts_loss(left, right, y01, cfg.loss.tau_csts)
         return total, {"mse": float(mse.data.mean()), "cl": float(cl.data.mean())}
@@ -301,11 +312,11 @@ def _kgc_closure(
     """``prebatch``: past batches of (text, vector) tails; ``masks``: (B, 2nh) or None."""
     past = [pair for chunk in prebatch for pair in chunk]
     cands, neg_mask = kgc_candidates(batch, emb, cfg.loss, past)
-    stacks, where = _stacks([t.r for t in batch], np.stack([emb[t.h] for t in batch]), masks)
+    project, where = _grouped([t.r for t in batch], [emb[t.h] for t in batch], masks, emb, cfg)
 
     def loss_of(leaves):
         tau = leaves.get("tau_kgc", cfg.loss.tau_kgc)
-        q = ad.take_rows(_project(leaves, emb, cfg, stacks), where)
+        q = ad.take_rows(project(leaves), where)
         total = kgc_loss(q, cands, neg_mask, cfg.loss.gamma, tau)
         return total, {"cl": total.item()}
 
@@ -400,12 +411,15 @@ def fit(
 
     epoch_losses: list[float] = []
     epoch_components: list[dict[str, float]] = []
+    epoch_stage_s: list[dict[str, float]] = []
     t_loop = time.perf_counter()
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(len(instances))
         sums: dict[str, float] = {}  # the loss and its components, weighted by batch size
         seen = 0
         prebatch.clear()
+        stage = {"graph": 0.0, "step": 0.0}
+        t_stepped = time.perf_counter()
         for start in range(0, len(order), cfg.batch_size):
             chunk = order[start : start + cfg.batch_size]
             batch = [instances[i] for i in chunk]
@@ -427,10 +441,14 @@ def fit(
                 raise TrainingDivergedError(
                     f"non-finite loss at {where}: loss={loss} components={components}"
                 )
+            t_graphed = time.perf_counter()
             if trainable:
                 opt.step(grads)
                 if "tau_kgc" in arrays:
                     np.maximum(arrays["tau_kgc"], TAU_FLOOR, out=arrays["tau_kgc"])
+            stage["graph"] += t_graphed - t_stepped
+            t_stepped = time.perf_counter()
+            stage["step"] += t_stepped - t_graphed
             for name, value in {"loss": loss, **components}.items():
                 sums[name] = sums.get(name, 0.0) + value * len(batch)
             seen += len(batch)
@@ -438,6 +456,7 @@ def fit(
                 prebatch.append([(t.t, emb[t.t]) for t in batch])
         epoch_losses.append(sums.pop("loss") / seen)
         epoch_components.append({k: v / seen for k, v in sums.items()})
+        epoch_stage_s.append(stage)
     examples_per_s = cfg.epochs * len(instances) / (time.perf_counter() - t_loop)
 
     extras = {"tau_kgc": arrays["tau_kgc"]} if "tau_kgc" in arrays else {}
@@ -454,6 +473,7 @@ def fit(
         epoch_losses=epoch_losses,
         epoch_components=epoch_components,
         examples_per_s=examples_per_s,
+        epoch_stage_s=epoch_stage_s,
         wall_time_s=time.perf_counter() - t0,
         checkpoint_path=saved_path,
     )

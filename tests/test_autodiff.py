@@ -76,6 +76,62 @@ def test_matmul_matrix_matrix():
     )
 
 
+def test_matmul_right_operand_gradient_and_linear_layer_layout():
+    x0 = rng.normal(size=(4, 3))
+    w0 = rng.normal(size=(5, 3))
+    c = rng.normal(size=(4, 5))
+    check_unary(lambda t: ad.mean(ad.matmul(ad.constant(x0), t) * c), w0.T.copy())
+    check_unary(lambda t: ad.mean(ad.matmul(ad.constant(x0), t.T) * c), w0)
+    # x @ W.T hands the leaf W a C-contiguous gradient, ready for the optimizer.
+    w = ad.leaf(w0)
+    ad.mean(ad.matmul(x0, w.T) * c).backward()
+    assert w.grad.shape == w0.shape and w.grad.flags.c_contiguous
+
+
+GROUPED_BOUNDS = {
+    "one-segment": [0, 5],
+    "one-row-segments": [0, 1, 2, 3, 4, 5],
+    "mixed": [0, 2, 3, 5],
+    "empty-segment": [0, 2, 2, 5],
+}
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["W", "W.T"])
+@pytest.mark.parametrize("bounds", GROUPED_BOUNDS.values(), ids=GROUPED_BOUNDS.keys())
+def test_grouped_matmul_values_and_gradients(bounds, transpose):
+    R, n, m = len(bounds) - 1, 3, 4
+    x0 = rng.normal(size=(5, n))
+    W0 = rng.normal(size=(R, m, n) if transpose else (R, n, m))
+    c = rng.normal(size=(5, m))
+    out = ad.grouped_matmul(x0, W0, bounds, transpose=transpose)
+    for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        want = x0[lo:hi] @ (W0[r].T if transpose else W0[r])
+        np.testing.assert_allclose(out.data[lo:hi], want, rtol=0, atol=1e-12)
+    check_unary(lambda t: ad.mean(ad.grouped_matmul(t, W0, bounds, transpose) * c), x0)
+    check_unary(lambda t: ad.mean(ad.grouped_matmul(x0, t, bounds, transpose) * c), W0)
+
+
+def test_grouped_matmul_chains_through_both_operands():
+    # the factored form: (x @ W2[r]) @ W1[r].T per segment, every operand a leaf
+    bounds = [0, 1, 4]
+    x0, W1, W2 = rng.normal(size=(4, 3)), rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 3, 2))
+    c = rng.normal(size=(4, 3))
+
+    def build(x, a, b):
+        return ad.mean(ad.grouped_matmul(ad.grouped_matmul(x, b, bounds), a, bounds, True) * c)
+
+    check_unary(lambda t: build(t, W1, W2), x0)
+    check_unary(lambda t: build(x0, t, W2), W1)
+    check_unary(lambda t: build(x0, W1, t), W2)
+
+
+def test_grouped_matmul_rejects_mismatched_bounds():
+    x0, W0 = np.ones((4, 2)), np.ones((2, 2, 2))
+    for bounds in ([0, 4], [0, 2, 3], [1, 2, 4], [0, 1, 2, 4]):
+        with pytest.raises(ValueError, match="bounds"):
+            ad.grouped_matmul(x0, W0, bounds)
+
+
 def test_transpose_and_reshape():
     x0 = rng.normal(size=(2, 3))
     check_unary(
@@ -151,16 +207,6 @@ def test_logsumexp_is_stable_for_large_scores():
     assert np.all(np.isfinite(out.data))
     assert out.data[0] == pytest.approx(1000.0 + np.log(1 + np.exp(-1.0)), abs=1e-9)
     assert out.data[1] == pytest.approx(-1000.0 + np.log(1 + np.exp(-1.0)), abs=1e-9)
-
-
-def test_concat_rows_fan_in():
-    x0 = rng.normal(size=(2, 3))
-    x = ad.leaf(x0)
-    out = ad.mean(ad.concat_rows([x, x, x]))
-    out.backward()
-    assert x.grad == pytest.approx(np.full((2, 3), 3 / 18), abs=1e-12)
-    w = rng.normal(size=(4, 3))
-    check_unary(lambda t: ad.mean(ad.concat_rows([t, 2.0 * t]) * w), x0)
 
 
 def test_take_rows_accumulates_repeats():

@@ -119,6 +119,7 @@ def test_train_prints_loss_components_and_throughput(csts_run, capsys):
     report = json.loads(capsys.readouterr().out)
     assert [set(parts) for parts in report["epoch_components"]] == [{"mse", "cl"}] * 2
     assert report["examples_per_s"] > 0
+    assert [set(stage) for stage in report["epoch_stage_s"]] == [{"graph", "step"}] * 2
 
 
 def test_kgc_batch_without_negatives_is_a_usage_error(tmp_path, capsys):

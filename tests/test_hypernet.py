@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import condcl
 from condcl import autodiff as ad
@@ -17,16 +19,16 @@ from condcl.hypernet import (
     MODES,
     ConditionOperator,
     HyperNetParams,
-    apply_operator,
+    apply_stack,
     default_nk,
     densify,
     diagonal_operator,
     dropout_mask,
     generate_condition_matrix,
     generate_operators,
+    generate_stack,
     init_params,
     load_checkpoint,
-    make_operator,
     operator_frobenius_normalized,
     param_count,
     project,
@@ -179,10 +181,10 @@ class TestComposers:
 
     def test_concat_dropout_zero_matches_inference(self):
         p = init_params("concat", 4, seed=5, dropout_p=0.0)
-        h_c, h_s = rng.normal(size=4), rng.normal(size=4)
-        op = generate_condition_matrix(p, h_c)
-        mask = dropout_mask(np.random.default_rng(0), 8, p.dropout_p)
-        assert np.array_equal(apply_operator(op, h_s, mask), project(op, h_s))
+        H, h_s = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
+        mask = dropout_mask(np.random.default_rng(0), (1, 8), p.dropout_p)
+        out = apply_stack(generate_stack("concat", p.tensors(), H, 4), h_s, [0, 1], mask)
+        assert np.array_equal(out, project(generate_condition_matrix(p, H[0]), h_s))
 
     def test_concat_block_structure(self):
         p = init_params("concat", 3, seed=0)
@@ -210,14 +212,42 @@ class TestComposers:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_autodiff_leaves_give_the_inference_values(self, mode):
+        # Training's path (the shared stacked generator over autodiff leaves,
+        # then each row group through its operator) against inference's
+        # (the same generator sliced into operators, then ``project``).
         nh = 6
         p = init_params(mode, nh, 2 if mode == "lowrank" else None, seed=8)
         r = np.random.default_rng(10)
-        h_c, h_s = r.normal(size=nh), r.normal(size=nh)
+        H, h_s = r.normal(size=(3, nh)), r.normal(size=(6, nh))
+        bounds = [0, 1, 4, 6]
         leaves = {k: ad.leaf(v) for k, v in p.tensors().items()}
-        out = apply_operator(make_operator(mode, leaves, h_c, nh, p.nk), h_s)
+        out = apply_stack(generate_stack(mode, leaves, H, nh, p.nk), h_s, bounds)
         out = out.data if isinstance(out, ad.Tensor) else out
-        assert np.array_equal(out, compose(p, h_c, h_s))
+        ops = generate_operators(p, H)
+        parts = zip(ops, bounds, bounds[1:])
+        want = np.concatenate([project(op, h_s[lo:hi]) for op, lo, hi in parts])
+        if mode == "concat":
+            # one product over all rows instead of one per group: the last bit may differ
+            np.testing.assert_allclose(out, want, rtol=0, atol=1e-15)
+        else:
+            assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_stacked_generator_is_the_inference_formula(self, mode):
+        nh, nk = 6, 2
+        p = init_params(mode, nh, nk if mode == "lowrank" else None, seed=3)
+        H = np.random.default_rng(13).normal(size=(4, nh))
+        stack = generate_stack(mode, p.tensors(), H, nh, p.nk)
+        for r, op in enumerate(generate_operators(p, H)):
+            if mode == "full":
+                assert np.array_equal(stack.W[r], (H @ p.U.T + p.U_bias)[r].reshape(nh, nh))
+                assert np.array_equal(op.W, stack.W[r])
+            elif mode == "lowrank":
+                assert np.array_equal(op.W1, stack.W1[r]) and np.array_equal(op.W2, stack.W2[r])
+            elif mode == "hadamard":
+                assert np.array_equal(op.d, H[r])
+            else:
+                assert op.Wcat is p.Wcat and np.array_equal(op.h_c, H[r])
 
 
 class TestBatched:
@@ -423,7 +453,39 @@ HEADER_EDITS = {
 }
 
 
+def _tiny_checkpoint_blob(mode, root):
+    path = root / f"tiny-{mode}.ckpt"
+    if not path.exists():
+        save_checkpoint(path, init_params(mode, 3, nk=2 if mode == "lowrank" else None, seed=0))
+    return path.read_bytes()
+
+
 class TestCheckpointFormatErrors:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mode=st.sampled_from(["full", "lowrank"]), data=st.data())
+    def test_header_byte_edit_or_truncation_is_format_error_or_loads(
+        self, tmp_path_factory, mode, data
+    ):
+        # Any single-byte edit or truncation inside the magic, the length
+        # field or the JSON header: FormatError or a clean load, nothing else.
+        root = tmp_path_factory.getbasetemp()
+        blob = _tiny_checkpoint_blob(mode, root)
+        header_end = 16 + struct.unpack("<Q", blob[8:16])[0]
+        pos = data.draw(st.integers(0, header_end - 1), label="pos")
+        if data.draw(st.booleans(), label="truncate"):
+            bad = blob[:pos]
+        else:
+            byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]), label="byte")
+            bad = blob[:pos] + bytes([byte]) + blob[pos + 1 :]
+        path = root / f"fuzzed-{mode}.ckpt"
+        path.write_bytes(bad)
+        try:
+            params, _ = load_checkpoint(path)
+        except FormatError:
+            return
+        assert params.mode in MODES and param_count(params) > 0
+
+
     @pytest.mark.parametrize("edit", HEADER_EDITS.values(), ids=HEADER_EDITS.keys())
     def test_header_edit_raises_format_error(self, tmp_path, edit):
         path = _lowrank_checkpoint(tmp_path / "m.ckpt")

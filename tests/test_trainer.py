@@ -9,6 +9,7 @@ from condcl.evaluation import csts_predictions, spearman
 from condcl.hypernet import load_checkpoint
 from condcl.losses import CstsQuadruplet, KgTriple, LossConfig, grad_check, pair_twins
 from condcl.trainer import (
+    ADAM_CHUNK,
     Adam,
     TrainConfig,
     fit,
@@ -73,7 +74,55 @@ class TestTrainConfig:
             TrainConfig.from_dict(d)
 
 
+def whole_array_adam(params, grads, m, v, t, lr, betas, eps, weight_decay, exempt):
+    """The whole-array Adam update that the chunked step must reproduce bit for bit."""
+    b1, b2 = betas
+    bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+    for name, p in params.items():
+        g = grads[name]
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        tmp = np.multiply(g, g, out=np.empty_like(p))
+        tmp *= 1.0 - b2
+        v[name] += tmp
+        if weight_decay and name not in exempt:
+            p -= (lr * weight_decay) * p
+        step = np.sqrt(np.divide(v[name], bc2, out=tmp), out=tmp)
+        step += eps
+        p -= np.divide(lr * (m[name] / bc1), step, out=step)
+
+
 class TestAdam:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_chunked_step_equals_the_whole_array_expression(self, weight_decay):
+        rng = np.random.default_rng(7)
+        shapes = {
+            "U": (ADAM_CHUNK // 64 * 3 + 5, 64),  # several chunks and a short last one
+            "bias": (ADAM_CHUNK + 1,),
+            "small": (3, 5),
+            "tau_kgc": (),
+        }
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        ref = copy.deepcopy(params)
+        ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
+        ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
+        kw = dict(lr=3e-3, betas=(0.8, 0.99), eps=1e-7, weight_decay=weight_decay)
+        opt = Adam(params, decay_exempt=("tau_kgc",), **kw)
+        for t in range(1, 6):
+            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+            # a strided gradient: the transpose of a C-ordered array
+            grads["small"] = np.ascontiguousarray(rng.normal(size=(5, 3))).T
+            whole_array_adam(ref, grads, ref_m, ref_v, t, exempt=("tau_kgc",), **kw)
+            opt.step(grads)
+            for k in shapes:
+                assert np.array_equal(params[k], ref[k]), (t, k)
+                assert np.array_equal(opt.m[k], ref_m[k]) and np.array_equal(opt.v[k], ref_v[k])
+
+    def test_non_contiguous_parameter_is_rejected(self):
+        with pytest.raises(ValueError, match="contiguous"):
+            Adam({"w": np.ones((4, 3)).T}, lr=0.1)
+
     def test_lr_zero_is_bit_identical(self):
         rng = np.random.default_rng(0)
         params = {"w": rng.normal(size=(4, 4)), "b": rng.normal(size=4)}
@@ -362,6 +411,27 @@ def probe_batches(nh, zero=None):
 
 class TestBatchedTraining:
     @pytest.mark.parametrize("task", ["csts", "kgc"])
+    def test_generator_gradient_takes_no_per_condition_outer_products(self, task, monkeypatch):
+        # One product G.T @ H per generator tensor and batch, not an (nh^2, nh)
+        # outer product per condition summed over the batch.
+        nh = 6
+        provider, twins, triples, prebatch = probe_batches(nh)
+        cfg = TrainConfig(task=task, mode="full", nh=nh, seed=3)
+        batch, pre = (twins, None) if task == "csts" else (triples, prebatch)
+        closure = make_loss_closure(cfg, batch, provider, prebatch=pre)
+        _, arrays = initial_arrays(cfg)
+        outer, shapes = np.outer, []
+
+        def recording_outer(a, b):
+            shapes.append((np.size(a), np.size(b)))
+            return outer(a, b)
+
+        monkeypatch.setattr(np, "outer", recording_outer)
+        _, grads = closure(arrays)
+        assert (nh * nh, nh) not in shapes
+        assert grads["U"].shape == (nh * nh, nh) and grads["U"].flags.c_contiguous
+
+    @pytest.mark.parametrize("task", ["csts", "kgc"])
     @pytest.mark.parametrize("mode", ["full", "lowrank", "hadamard", "concat"])
     def test_closure_gradients_pass_grad_check(self, task, mode):
         nh = 6
@@ -438,3 +508,17 @@ class TestBatchedTraining:
         d = report.to_dict()
         assert d["epoch_components"] == report.epoch_components
         assert d["examples_per_s"] == report.examples_per_s
+        assert d["epoch_stage_s"] == report.epoch_stage_s
+
+    @pytest.mark.parametrize("mode", ["full", "hadamard"])
+    def test_stage_times_split_the_epoch_loop(self, mode):
+        provider, twins, _, _ = probe_batches(6)
+        data = [q for tp in twins for q in (tp.high, tp.low)]
+        cfg = TrainConfig(task="csts", mode=mode, nh=6, epochs=3, batch_size=1, seed=5)
+        report = train(cfg, data, provider)
+        assert len(report.epoch_stage_s) == 3
+        for stage in report.epoch_stage_s:
+            assert set(stage) == {"graph", "step"}
+            assert all(s >= 0.0 for s in stage.values())
+        loop_s = cfg.epochs * len(twins) / report.examples_per_s
+        assert sum(sum(stage.values()) for stage in report.epoch_stage_s) <= loop_s
