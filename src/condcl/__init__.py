@@ -15,11 +15,11 @@ from .encoder import EmbeddingStore, HashingProvider, StoreProvider, hash_encode
 from .hypernet import (
     ConditionOperator,
     HyperNetParams,
-    generate_condition_matrix,
+    apply_stack,
+    generate_operators,
     init_params,
     load_checkpoint,
     param_count,
-    project,
     save_checkpoint,
 )
 from .losses import CstsQuadruplet, KgTriple, LossConfig, grad_check
@@ -34,11 +34,11 @@ __all__ = [
     "load_embeddings",
     "ConditionOperator",
     "HyperNetParams",
-    "generate_condition_matrix",
+    "apply_stack",
+    "generate_operators",
     "init_params",
     "load_checkpoint",
     "param_count",
-    "project",
     "save_checkpoint",
     "CstsQuadruplet",
     "KgTriple",

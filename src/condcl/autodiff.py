@@ -190,8 +190,11 @@ def grouped_matmul(x, W, bounds, transpose: bool = False) -> Tensor:
     if len(segs) != Wd.shape[0] or bounds[0] != 0 or bounds[-1] != xd.shape[0]:
         raise ValueError("grouped_matmul: bounds do not split x into one segment per matrix")
     Ws = Wd.transpose(0, 2, 1) if transpose else Wd
+    out = np.empty((xd.shape[0], Ws.shape[2]))
+    for (lo, hi), w in zip(segs, Ws):  # in place: concatenating the products costs more
+        np.matmul(xd[lo:hi], w, out=out[lo:hi])
     return _node(
-        np.concatenate([xd[lo:hi] @ w for (lo, hi), w in zip(segs, Ws)]),
+        out,
         (x, lambda g: np.concatenate([g[lo:hi] @ w.T for (lo, hi), w in zip(segs, Ws)])),
         (W, lambda g: np.stack([
             g[lo:hi].T @ xd[lo:hi] if transpose else xd[lo:hi].T @ g[lo:hi] for lo, hi in segs

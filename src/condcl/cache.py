@@ -8,7 +8,8 @@ Three execution architectures are compared over a stream of
   - ``tri``: one cache keyed by individual texts; each miss is a heavy call,
     and each request additionally performs one light composition.
   - ``hyper``: like tri for sentences, but conditions are cached apart, as
-    generated operators (the condition embedding itself is transient).
+    generated operators: one-condition stacks, through which each request
+    sends its sentence as one row (the condition embedding is transient).
 
 Caches are unbounded and never evict: misses equal the number of distinct
 keys, exactly. Byte accounting counts stored payload floats at 8 bytes;
@@ -28,10 +29,10 @@ from .errors import CondclError
 from .hypernet import (
     ConditionOperator,
     HyperNetParams,
+    apply_stack,
     diagonal_operator,
-    generate_condition_matrix,
+    generate_operators,
     operator_payload_bytes,
-    project,
 )
 
 __all__ = [
@@ -137,15 +138,15 @@ def cached_operator(
     """Condition-operator lookup keyed by condition text.
 
     A miss embeds the condition (one heavy op), generates the operator (one
-    generation op), and stores the operator itself; the intermediate
-    condition embedding is not retained.
+    generation op), and stores the operator itself, a one-condition stack;
+    the intermediate condition embedding is not retained.
     """
     if params.mode not in ("full", "lowrank"):
         raise ValueError("cached_operator requires full or lowrank params")
     hit, value = cache.lookup(condition_text)
     if hit:
         return value
-    op = generate_condition_matrix(params, provider.embed(condition_text))
+    op = next(generate_operators(params, provider.embed(condition_text)[None]))
     payload = operator_payload_bytes(op, FLOAT_BYTES)
     cache.insert(condition_text, op, payload, heavy_ops=1, gen_ops=1)
     return op
@@ -214,7 +215,7 @@ def run_architecture(
         for s, c in requests:
             hs = cached_embed(cache, provider, s)
             hc = cached_embed(cache, provider, c)
-            out = project(diagonal_operator(hc), hs)
+            out = apply_stack(diagonal_operator(hc[None]), hs, (0, 1)).data[0]
             cache.stats.light_ops += 1
             if sink:
                 sink(out)
@@ -227,7 +228,7 @@ def run_architecture(
         for s, c in requests:
             hs = cached_embed(vec_cache, provider, s)
             op = cached_operator(op_cache, params, provider, c)
-            out = project(op, hs)
+            out = apply_stack(op, hs, (0, 1)).data[0]
             vec_cache.stats.light_ops += 1
             if sink:
                 sink(out)

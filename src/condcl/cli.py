@@ -22,7 +22,7 @@ import numpy as np
 from . import cache as cache_mod
 from . import evaluation as eval_mod
 from . import hypernet, losses, trainer
-from .encoder import HashingProvider, StoreProvider, load_embeddings, save_embeddings
+from .encoder import HashingProvider, StoreProvider, load_embeddings, save_embeddings, text_lines
 from .errors import (
     CondclError,
     ConfigError,
@@ -179,15 +179,14 @@ def cmd_eval(args) -> int:
 
 def _load_workload(path: Path) -> list[tuple[str, str]]:
     requests: list[tuple[str, str]] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected sentence<TAB>condition")
-            requests.append((parts[0], parts[1]))
+    for lineno, line in text_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise FormatError(f"{path}:{lineno}: expected sentence<TAB>condition")
+        requests.append((parts[0], parts[1]))
     return requests
 
 
@@ -250,10 +249,15 @@ def cmd_analyze_clusters(args) -> int:
         raise ConfigError(f"{len(sentences)} points cannot support k={k}")
 
     before = np.stack([provider.embed(s) for s in sentences])
-    conditions = list(dict.fromkeys(labels))
+    conditions = list(dict.fromkeys(labels))  # each condition's points are contiguous
     H = np.stack([provider.embed(c) for c in conditions])
-    ops = dict(zip(conditions, hypernet.generate_operators(params, H)))
-    after = np.stack([hypernet.project(ops[c], v) for v, c in zip(before, labels)])
+    bounds = np.cumsum([0] + [labels.count(c) for c in conditions])
+    after = []
+    block = hypernet.GENERATE_BLOCK
+    for lo, op in zip(range(0, len(H), block), hypernet.generate_operators(params, H)):
+        cut = bounds[lo : lo + block + 1]
+        after.append(hypernet.apply_stack(op, before[cut[0] : cut[-1]], cut - cut[0]).data)
+    after = np.concatenate(after)
     assign_before = eval_mod.kmeans(before, k, seed=args.seed or 0)
     assign_after = eval_mod.kmeans(after, k, seed=args.seed or 0)
     report = {

@@ -18,6 +18,7 @@ from .errors import DimensionMismatchError, FormatError, MissingEmbeddingError
 
 __all__ = [
     "hash_encode",
+    "text_lines",
     "EmbeddingStore",
     "load_embeddings",
     "save_embeddings",
@@ -106,43 +107,57 @@ class EmbeddingStore:
         return b"".join(v.tobytes() for v in self._entries.values())
 
 
+def text_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """The 1-based numbered lines of a UTF-8 text file, split as text-mode
+    reading splits them; a line that is not valid UTF-8 raises FormatError."""
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")  # undecodable bytes came through as lone surrogates
+            except UnicodeEncodeError:
+                raise FormatError(f"{path}:{lineno}: invalid UTF-8") from None
+            yield lineno, line
+
+
 def load_embeddings(path: str | Path) -> EmbeddingStore:
     """Load an embedding store from JSONL ({"text": ..., "embedding": [...]}).
 
     Floats are parsed at 32-bit precision then widened to float64. The
     dimension is fixed by the first record; inconsistent dims, duplicate
-    texts, non-finite values (NaN, inf, or beyond float32 range) and
-    malformed lines are errors (with 1-based line numbers).
+    texts, values that are not numbers (booleans included), non-finite
+    values (NaN, inf, or beyond float32 range), invalid UTF-8 and malformed
+    lines are errors (with 1-based line numbers).
     """
     path = Path(path)
     store: EmbeddingStore | None = None
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                text = rec["text"]
-                emb = rec["embedding"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise FormatError(f"{path}:{lineno}: malformed embedding record: {exc}") from exc
-            if not isinstance(text, str) or not isinstance(emb, list):
-                raise FormatError(f"{path}:{lineno}: expected string text and list embedding")
-            vec = np.asarray(emb, dtype=np.float32).astype(np.float64)
-            if vec.ndim != 1 or vec.size == 0:
-                raise FormatError(f"{path}:{lineno}: embedding must be a nonempty flat list")
-            if not np.all(np.isfinite(vec)):
-                raise FormatError(f"{path}:{lineno}: embedding holds non-finite values")
-            if store is None:
-                store = EmbeddingStore(vec.shape[0])
-            if vec.shape[0] != store.dim:
-                raise FormatError(
-                    f"{path}:{lineno}: inconsistent dimension {vec.shape[0]} (store dim {store.dim})"
-                )
-            try:
-                store.add(text, vec)
-            except FormatError:
-                raise FormatError(f"{path}:{lineno}: duplicate text: {text!r}") from None
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            # Every JSON number parses to a float (an integer beyond range to inf);
+            # true and false parse to bool.
+            rec = json.loads(line, parse_int=float)
+            text = rec["text"]
+            emb = rec["embedding"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise FormatError(f"{path}:{lineno}: malformed embedding record: {exc}") from exc
+        if not isinstance(text, str) or not isinstance(emb, list) or not emb:
+            raise FormatError(f"{path}:{lineno}: expected string text and nonempty list embedding")
+        if not set(map(type, emb)) <= {float}:
+            raise FormatError(f"{path}:{lineno}: embedding values must be numbers")
+        vec = np.asarray(emb, dtype=np.float32).astype(np.float64)
+        if not np.all(np.isfinite(vec)):
+            raise FormatError(f"{path}:{lineno}: embedding holds non-finite values")
+        if store is None:
+            store = EmbeddingStore(vec.shape[0])
+        if vec.shape[0] != store.dim:
+            raise FormatError(
+                f"{path}:{lineno}: inconsistent dimension {vec.shape[0]} (store dim {store.dim})"
+            )
+        try:
+            store.add(text, vec)
+        except FormatError:
+            raise FormatError(f"{path}:{lineno}: duplicate text: {text!r}") from None
     if store is None:
         raise FormatError(f"{path}: no embedding records found")
     return store

@@ -4,13 +4,13 @@ A condition embedding h_c becomes a linear operator that projects sentence
 embeddings into a condition-specific subspace. Every composition mode is
 such an operator: "full" generates a dense nh x nh matrix, "lowrank" a
 factored W1 @ W2.T pair of rank nk that is never multiplied out, "hadamard"
-is diag(h_c), and "concat" is a linear merge Wcat @ [h_c; h_s]. There is one
-formula from conditions to operators, ``generate_stack``: one product
-``H @ U.T + bias`` per generator tensor for a stack H of condition embeddings,
-over ndarrays and autodiff Tensors alike. Inference slices the stack into
-per-condition operators (``generate_operators``) and ``project``s vectors or
-rows through them; training projects each condition's rows of a batch through
-its operator of the stack (``apply_stack``).
+is diag(h_c), and "concat" is a linear merge Wcat @ [h_c; h_s]. An operator
+is a stack of R conditions' operators. There is one formula from conditions
+to operators, ``generate_stack``: one product ``H @ U.T + bias`` per
+generator tensor for a stack H of condition embeddings, over ndarrays and
+autodiff Tensors alike (inference takes its stacks from the validating
+``generate_operators``). There is one way to apply a stack, ``apply_stack``:
+row segment r of a row matrix through operator r.
 
 Checkpoint format: 8-byte magic ``HYPERCL1``, an 8-byte little-endian
 unsigned header length, a UTF-8 JSON header {mode, nh, nk, dropout_p,
@@ -23,8 +23,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
@@ -44,8 +43,6 @@ __all__ = [
     "generate_stack",
     "apply_stack",
     "generate_operators",
-    "generate_condition_matrix",
-    "project",
     "param_count",
     "operator_frobenius_normalized",
     "operator_payload_bytes",
@@ -84,42 +81,31 @@ def _tensor_shapes(mode: str, nh: int, nk: int | None) -> dict[str, tuple[int, .
 class HyperNetParams:
     """Learnable parameters for one composition mode.
 
-    Fields for inactive modes are None. nk is meaningful only for lowrank;
-    dropout_p only for concat.
+    ``tensors`` maps the mode's tensor names to arrays, in checkpoint
+    manifest order (see ``_tensor_shapes``); hadamard has none. nk is
+    meaningful only for lowrank; dropout_p only for concat.
     """
 
     mode: str
     nh: int
     nk: int | None = None
-    U: np.ndarray | None = None
-    U_bias: np.ndarray | None = None
-    U1: np.ndarray | None = None
-    U1_bias: np.ndarray | None = None
-    U2: np.ndarray | None = None
-    U2_bias: np.ndarray | None = None
-    Wcat: np.ndarray | None = None
     dropout_p: float = 0.0
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        """Learnable tensors in canonical (checkpoint manifest) order."""
-        return {name: getattr(self, name) for name in _tensor_shapes(self.mode, self.nh, self.nk)}
+    tensors: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass
 class ConditionOperator:
-    """The linear map one condition applies to sentence embeddings.
+    """The linear maps of a stack of R conditions, applied by ``apply_stack``.
 
     One of four forms; only that form's fields are set:
 
-      - ``dense``: W (nh x nh), the output is W @ h_s;
-      - ``factored``: W1, W2 (nh x nk each), the output is W1 @ (W2.T @ h_s);
-      - ``diagonal``: d (nh,), the output is d * h_s;
-      - ``concat``: Wcat (nh x 2nh) and the condition embedding h_c, the
-        output is Wcat @ [h_c; h_s] (times a dropout mask when training).
+      - ``dense``: W (R x nh x nh), operator r maps h_s to W[r] @ h_s;
+      - ``factored``: W1, W2 (R x nh x nk each), W1[r] @ (W2[r].T @ h_s);
+      - ``diagonal``: d (R x nh), d[r] * h_s;
+      - ``concat``: the shared Wcat (nh x 2nh) and the condition embeddings
+        h_c (R x nh), Wcat @ [h_c[r]; h_s] (times a dropout mask when training).
 
-    A stacked operator (``generate_stack``) holds R conditions' operators: each
-    field but the shared Wcat gains a leading axis of length R. Its fields are
-    ndarrays at inference and autodiff Tensors inside the loss closures.
+    Fields are ndarrays, or autodiff Tensors inside the loss closures.
     """
 
     form: str
@@ -130,10 +116,23 @@ class ConditionOperator:
     Wcat: np.ndarray | None = None
     h_c: np.ndarray | None = None
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(R, n): the operators in the stack and the width of the rows they take."""
+        if self.form == "dense":
+            return self.W.shape[0], self.W.shape[2]
+        if self.form == "factored":
+            return self.W2.shape[0], self.W2.shape[1]
+        if self.form == "diagonal":
+            return self.d.shape
+        if self.form == "concat":
+            return self.h_c.shape[0], self.Wcat.shape[1] - self.h_c.shape[1]
+        raise ValueError(f"unknown operator form {self.form!r}")
 
-def diagonal_operator(h_c) -> ConditionOperator:
-    """Operator equivalent to the elementwise product with h_c."""
-    return ConditionOperator(form="diagonal", d=as_vector(h_c, "h_c"))
+
+def diagonal_operator(H) -> ConditionOperator:
+    """The stack of elementwise products with the rows of H (R x nh)."""
+    return ConditionOperator(form="diagonal", d=as_vector(H, "H", ndims=(2,)))
 
 
 def default_nk(nh: int) -> int:
@@ -165,7 +164,7 @@ def init_params(
     if mode == "full":
         U = rng.normal(0.0, INIT_WEIGHT_STD, size=(nh * nh, nh))
         bias = np.zeros(nh * nh) if zero_bias else np.eye(nh).reshape(nh * nh)
-        return HyperNetParams(mode=mode, nh=nh, U=U, U_bias=bias)
+        return HyperNetParams(mode, nh, tensors={"U": U, "U_bias": bias})
     if mode == "lowrank":
         nk = default_nk(nh) if nk is None else int(nk)
         if nk > nh or nk < 1:
@@ -175,14 +174,13 @@ def init_params(
         U1_bias = np.zeros(nh * nk) if zero_bias else rng.normal(0.0, bias_std, size=nh * nk)
         U2 = rng.normal(0.0, INIT_WEIGHT_STD, size=(nh * nk, nh))
         U2_bias = np.zeros(nh * nk) if zero_bias else rng.normal(0.0, bias_std, size=nh * nk)
-        return HyperNetParams(
-            mode=mode, nh=nh, nk=nk, U1=U1, U1_bias=U1_bias, U2=U2, U2_bias=U2_bias
-        )
+        tensors = {"U1": U1, "U1_bias": U1_bias, "U2": U2, "U2_bias": U2_bias}
+        return HyperNetParams(mode, nh, nk, tensors=tensors)
     if mode == "concat":
         if not 0.0 <= dropout_p < 1.0:
             raise ValueError("dropout_p must lie in [0, 1)")
         Wcat = rng.normal(0.0, INIT_WEIGHT_STD, size=(nh, 2 * nh))
-        return HyperNetParams(mode=mode, nh=nh, Wcat=Wcat, dropout_p=float(dropout_p))
+        return HyperNetParams(mode, nh, dropout_p=float(dropout_p), tensors={"Wcat": Wcat})
     return HyperNetParams(mode="hadamard", nh=nh)
 
 
@@ -209,71 +207,42 @@ def generate_stack(mode: str, tensors, H, nh: int, nk: int | None = None) -> Con
     raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
 
 
-def apply_stack(op: ConditionOperator, h_s, bounds, mask=None):
-    """Rows bounds[r]:bounds[r+1] of h_s (B x nh) through operator r of a
-    stacked operator; ``mask`` (B x 2nh) scales each row's concat input."""
+def apply_stack(op: ConditionOperator, h_s, bounds, mask=None) -> ad.Tensor:
+    """Rows bounds[r]:bounds[r+1] of h_s through operator r of a stacked operator.
+
+    h_s is B x n rows, or one row as a 1-D vector; ``mask`` (B x 2n) scales
+    each row's concat input. Returns the B projected rows as a Tensor (a graph
+    node when the operator holds Tensors). Rows enter the operators here, so
+    they are checked here: finite, n wide, and cut by ``bounds`` into one
+    segment (possibly empty) per operator."""
+    rows = np.atleast_2d(as_vector(h_s, "h_s", ndims=(1, 2)))
+    size, width = op.shape
+    if rows.shape[1] != width:
+        raise DimensionMismatchError(f"{op.form} operator takes width {width}, got {rows.shape[1]}")
+    steps = np.diff(bounds)
+    if len(steps) != size or bounds[0] != 0 or bounds[-1] != len(rows) or (steps < 0).any():
+        raise ValueError(f"bounds {bounds} do not cut {len(rows)} rows into {size} segments")
     if op.form == "dense":
-        return ad.grouped_matmul(h_s, op.W, bounds, transpose=True)
+        return ad.grouped_matmul(rows, op.W, bounds, transpose=True)
     if op.form == "factored":
-        inner = ad.grouped_matmul(h_s, op.W2, bounds)
+        inner = ad.grouped_matmul(rows, op.W2, bounds)
         return ad.grouped_matmul(inner, op.W1, bounds, transpose=True)
-    seg = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    seg = np.repeat(np.arange(size), steps)
     if op.form == "diagonal":
-        return op.d[seg] * h_s
-    if op.form == "concat":
-        x = np.concatenate([op.h_c[seg], h_s], axis=1)
-        return (x if mask is None else x * mask) @ op.Wcat.T
-    raise ValueError(f"unknown operator form {op.form!r}")
-
-
-def _generate_block(params: HyperNetParams, H: np.ndarray) -> list[ConditionOperator]:
-    stack = generate_stack(params.mode, params.tensors(), H, params.nh, params.nk)
-    fields = {k: v for k, v in vars(stack).items() if k != "form" and v is not None}
-    return [
-        ConditionOperator(stack.form, **{k: v if k == "Wcat" else v[r] for k, v in fields.items()})
-        for r in range(len(H))
-    ]
+        return ad.mul(op.d[seg], rows)
+    x = np.concatenate([op.h_c[seg], rows], axis=1)
+    return ad.matmul(x if mask is None else x * mask, op.Wcat.T)
 
 
 def generate_operators(params: HyperNetParams, H) -> Iterator[ConditionOperator]:
-    """The operators of condition embeddings H (R x nh), made GENERATE_BLOCK rows at a time."""
+    """The operators of condition embeddings H (R x nh), as stacks of up to
+    GENERATE_BLOCK consecutive rows of H."""
     H = as_vector(H, "H", ndims=(2,))
     if H.shape[1] != params.nh:
         raise DimensionMismatchError(f"h_c has dim {H.shape[1]}, generator expects {params.nh}")
     blocks = range(0, H.shape[0], GENERATE_BLOCK)
-    return chain.from_iterable(_generate_block(params, H[i : i + GENERATE_BLOCK]) for i in blocks)
-
-
-def generate_condition_matrix(params: HyperNetParams, h_c) -> ConditionOperator:
-    """Generate the conditioning operator for one condition embedding."""
-    return next(generate_operators(params, as_vector(h_c, "h_c")[None]))
-
-
-def project(op: ConditionOperator, h_s) -> np.ndarray:
-    """Apply a condition operator to one embedding or to each row of a stack."""
-    h_s = as_vector(h_s, "h_s", ndims=(1, 2))
-    n = h_s.shape[-1]
-    if op.form == "dense":
-        fits = op.W.shape[1] == n
-    elif op.form == "factored":
-        fits = op.W1.shape[0] == n and op.W2.shape[0] == n
-    elif op.form == "diagonal":
-        fits = op.d.shape[0] == n
-    elif op.form == "concat":
-        fits = op.h_c.shape[0] == n and op.Wcat.shape[1] == 2 * n
-    else:
-        raise ValueError(f"unknown operator form {op.form!r}")
-    if not fits:
-        raise DimensionMismatchError(f"{op.form} operator/vector dim mismatch")
-    rows = h_s.ndim == 2
-    if op.form == "dense":
-        return h_s @ op.W.T if rows else op.W @ h_s
-    if op.form == "factored":
-        return (h_s @ op.W2) @ op.W1.T if rows else op.W1 @ (op.W2.T @ h_s)
-    if op.form == "diagonal":
-        return op.d * h_s
-    x = np.concatenate([np.broadcast_to(op.h_c, h_s.shape), h_s], axis=-1)
-    return x @ op.Wcat.T if rows else op.Wcat @ x
+    t, nh, nk = params.tensors, params.nh, params.nk
+    return (generate_stack(params.mode, t, H[i : i + GENERATE_BLOCK], nh, nk) for i in blocks)
 
 
 def dropout_mask(rng: np.random.Generator, size, p: float) -> np.ndarray:
@@ -286,37 +255,37 @@ def dropout_mask(rng: np.random.Generator, size, p: float) -> np.ndarray:
 
 def param_count(params: HyperNetParams) -> int:
     """Exact number of learnable scalars."""
-    return sum(t.size for t in params.tensors().values())
+    return sum(t.size for t in params.tensors.values())
 
 
 def densify(op: ConditionOperator) -> np.ndarray:
-    """Materialize the operator as a dense matrix (diagnostics/tests only)."""
+    """Materialize each operator of the stack as a dense matrix: R x nh x nh
+    (diagnostics/tests only)."""
     if op.form == "dense":
         return np.array(op.W)
     if op.form == "factored":
-        return op.W1 @ op.W2.T
+        return op.W1 @ op.W2.transpose(0, 2, 1)
     if op.form == "diagonal":
-        return np.diag(op.d)
+        return op.d[:, :, None] * np.eye(op.d.shape[1])
     raise ValueError(f"a {op.form} operator is not a square matrix over h_s")
 
 
-def operator_frobenius_normalized(op: ConditionOperator) -> float:
-    """Frobenius norm normalized by sqrt(#stored scalars) per form.
+def operator_frobenius_normalized(op: ConditionOperator) -> np.ndarray:
+    """Each operator's Frobenius norm over sqrt(#stored scalars of its form): shape (R,).
 
     The factored norm uses ||W1 W2^T||_F^2 = trace((W1^T W1)(W2^T W2)), so
     the dense product is never formed. The concat form has no norm here.
     """
     if op.form == "dense":
-        nh = op.W.shape[0]
-        return float(np.linalg.norm(op.W)) / float(np.sqrt(nh * nh))
+        R, nh, _ = op.W.shape
+        return np.linalg.norm(op.W.reshape(R, -1), axis=1) / np.sqrt(nh * nh)
     if op.form == "factored":
-        nh, nk = op.W1.shape
-        gram = (op.W1.T @ op.W1) @ (op.W2.T @ op.W2)
-        sq = max(float(np.trace(gram)), 0.0)
-        return float(np.sqrt(sq)) / float(np.sqrt(2 * nh * nk))
+        _, nh, nk = op.W1.shape
+        gram = (op.W1.transpose(0, 2, 1) @ op.W1) @ (op.W2.transpose(0, 2, 1) @ op.W2)
+        sq = np.maximum(np.trace(gram, axis1=1, axis2=2), 0.0)
+        return np.sqrt(sq) / np.sqrt(2 * nh * nk)
     if op.form == "diagonal":
-        nh = op.d.shape[0]
-        return float(np.linalg.norm(op.d)) / float(np.sqrt(nh))
+        return np.linalg.norm(op.d, axis=1) / np.sqrt(op.d.shape[1])
     raise ValueError(f"a {op.form} operator is not a square matrix over h_s")
 
 
@@ -331,7 +300,7 @@ def save_checkpoint(
 ) -> None:
     """Write params (plus optional named extra tensors) at float32 precision."""
     path = Path(path)
-    tensors = dict(params.tensors())
+    tensors = dict(params.tensors)
     for name, arr in (extras or {}).items():
         if name in tensors:
             raise ValueError(f"extra tensor name collides with a parameter: {name!r}")
@@ -397,7 +366,7 @@ def load_checkpoint(path: str | Path) -> tuple[HyperNetParams, dict[str, np.ndar
     entries = header.get("tensors")
     if not isinstance(entries, list):
         raise FormatError(f"{path}: header tensors must be a list")
-    payload = blob[16 + header_len :]
+    base = 16 + header_len
     tensors: dict[str, np.ndarray] = {}
     for entry in entries:
         if not isinstance(entry, dict):
@@ -411,22 +380,23 @@ def load_checkpoint(path: str | Path) -> tuple[HyperNetParams, dict[str, np.ndar
         )
         if not well_formed or name in tensors:
             raise FormatError(f"{path}: malformed or duplicate tensor entry {entry!r}")
-        end = start + 4 * math.prod(shape)
-        if end > len(payload):
+        count = math.prod(shape)
+        end = start + 4 * count
+        if base + end > len(blob):
             raise FormatError(f"{path}: payload truncated for tensor {name!r}")
-        raw = np.frombuffer(payload[start:end], dtype="<f4")
+        raw = np.frombuffer(blob, dtype="<f4", count=count, offset=base + start)
         if not np.all(np.isfinite(raw)):
             raise FormatError(f"{path}: tensor {name!r} holds non-finite values")
         tensors[name] = raw.astype(np.float64).reshape(shape)
-    params = HyperNetParams(mode=mode, nh=nh, nk=nk, dropout_p=float(dropout_p))
-    for name, shape in _tensor_shapes(mode, nh, nk).items():
+    shapes = _tensor_shapes(mode, nh, nk)
+    for name, shape in shapes.items():
         if name not in tensors:
             raise FormatError(f"{path}: checkpoint missing tensor {name!r} for mode {mode!r}")
         if tensors[name].shape != shape:
             raise FormatError(
                 f"{path}: tensor {name!r} has shape {tensors[name].shape}, header implies {shape}"
             )
-        setattr(params, name, tensors.pop(name))
+    params = HyperNetParams(mode, nh, nk, float(dropout_p), {k: tensors.pop(k) for k in shapes})
     return params, tensors
 
 

@@ -53,8 +53,11 @@ def cosine_similarity(a, b) -> float:
 
 
 def is_finite_real(x) -> bool:
-    """True for a finite real number (bools excluded), as config values must be."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    """True for a real number (bools excluded) of finite float value, as config values must be."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def is_integer(x) -> bool:

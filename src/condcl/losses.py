@@ -11,9 +11,9 @@ cosines phi of shape (B, 2), the link-prediction loss over the score matrix
 of the row-normalised projected heads against one candidate matrix (the
 batch's tails, its heads as self-negatives and the pre-batch tails), with a
 boolean mask built once per batch from the texts (``kgc_candidates``). Every
-loss is evaluated through the autodiff graph, and the public float functions
-are the B=1 case of the same functions, so they and the gradients used in
-training share one formula. The gradient checker compares those analytic
+loss is evaluated through the autodiff graph, over ndarrays or Tensors, so
+a loss value and the gradients used in training share one formula; one
+instance is the B=1 case. The gradient checker compares those analytic
 gradients against central finite differences.
 """
 
@@ -26,23 +26,19 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import CondclError
-from .linalg import as_vector, is_finite_real, is_integer
+from .linalg import is_finite_real, is_integer
 
 __all__ = [
     "CstsQuadruplet",
     "KgTriple",
     "LossConfig",
     "TwinPair",
-    "TwinEmbeddings",
     "LABEL_LOW",
     "LABEL_HIGH",
     "rescale_label",
     "similarity_to_label",
     "pair_twins",
-    "loss_csts_cl",
-    "loss_csts_mse",
-    "loss_csts_total",
-    "loss_kgc",
+    "row_cosines",
     "csts_loss",
     "kgc_loss",
     "kgc_candidates",
@@ -113,18 +109,6 @@ class TwinPair:
     low: CstsQuadruplet
 
 
-@dataclass
-class TwinEmbeddings:
-    """Projected embeddings plus labels for both twins of one instance."""
-
-    h1_high: np.ndarray
-    h2_high: np.ndarray
-    h1_low: np.ndarray
-    h2_low: np.ndarray
-    y_high: float
-    y_low: float
-
-
 def rescale_label(y: float) -> float:
     """Map a native-range label onto [0, 1] for the squared-error term."""
     return (float(y) - LABEL_LOW) / (LABEL_HIGH - LABEL_LOW)
@@ -158,18 +142,12 @@ def pair_twins(quads: Sequence[CstsQuadruplet]) -> list[TwinPair]:
     return out
 
 
-# -- graph-level loss terms (shared by float API and trainer) ---------------
+# -- loss terms over the autodiff graph ----------------------------------------
 
 
 def row_cosines(a, b):
     """Cosine of each row of ``a`` with the matching row of ``b``: shape (B,)."""
     return ad.row_dot(ad.normalize_rows(a), ad.normalize_rows(b))
-
-
-def twin_infonce(phi, tau):
-    """-log softmax of the high twin (column 0) against the low twin, per row."""
-    s = phi / tau
-    return ad.logsumexp(s) - s @ np.array([1.0, 0.0])
 
 
 def csts_loss(left, right, y01: np.ndarray, tau):
@@ -181,7 +159,8 @@ def csts_loss(left, right, y01: np.ndarray, tau):
     phi = row_cosines(left, right).reshape(y01.shape)
     d = phi - y01
     mse = (d * d) @ np.ones(2)
-    cl = twin_infonce(phi, tau)
+    s = phi / tau
+    cl = ad.logsumexp(s) - s @ np.array([1.0, 0.0])  # -log softmax of the high twin
     return ad.mean(mse + cl), mse, cl
 
 
@@ -233,50 +212,6 @@ def kgc_candidates(
             "enable self/pre-batch negatives or grow the batch"
         )
     return np.stack(rows), mask
-
-
-# -- public float API --------------------------------------------------------
-
-
-def loss_csts_cl(h1_hi, h2_hi, h1_lo, h2_lo, tau: float) -> float:
-    """Twin-pair InfoNCE on projected embeddings; ln 2 when the twins tie."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    phi = row_cosines(_rows(h1_hi, h1_lo), _rows(h2_hi, h2_lo)).reshape((1, 2))
-    return ad.mean(twin_infonce(phi, tau)).item()
-
-
-def loss_csts_mse(h1c, h2c, y: float) -> float:
-    """Squared error between the pair's cosine and the target value."""
-    d = row_cosines(_rows(h1c), _rows(h2c)) - float(y)
-    return ad.mean(d * d).item()
-
-
-def loss_csts_total(batch: Sequence[TwinEmbeddings], cfg: LossConfig) -> float:
-    """Mean over instances of both twins' squared errors plus the twin InfoNCE.
-
-    Labels are given in the native range and rescaled internally.
-    """
-    cfg.validate()
-    if not batch:
-        raise ValueError("empty batch")
-    left = _rows(*(v for it in batch for v in (it.h1_high, it.h1_low)))
-    right = _rows(*(v for it in batch for v in (it.h2_high, it.h2_low)))
-    y01 = np.array([[rescale_label(it.y_high), rescale_label(it.y_low)] for it in batch])
-    return csts_loss(left, right, y01, cfg.tau_csts)[0].item()
-
-
-def loss_kgc(h_hr, h_t, negatives: Sequence, gamma: float, tau: float) -> float:
-    """Margin InfoNCE of a projected head against its tail and negatives."""
-    if tau < TAU_FLOOR:
-        raise ValueError(f"tau must be >= {TAU_FLOOR}")
-    if len(negatives) == 0:
-        raise ValueError("loss_kgc needs at least one negative")
-    return kgc_loss(_rows(h_hr), _rows(h_t, *negatives), None, gamma, tau).item()
-
-
-def _rows(*vectors) -> np.ndarray:
-    return np.stack([as_vector(v) for v in vectors])
 
 
 # -- gradient checking -------------------------------------------------------

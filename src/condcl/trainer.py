@@ -12,8 +12,8 @@ conditions, ``apply_stack`` projects each group through its operator, and
 with one backward pass and one ``Adam.step`` (over cache-sized chunks) per batch.
 
 File formats owned here:
-  - similarity data: JSONL records {"sentence1", "sentence2", "condition",
-    "label", "pair_id"};
+  - similarity data: JSONL records of strings "sentence1", "sentence2" and
+    "condition", a finite number "label" and an integer "pair_id";
   - triples: UTF-8 TSV ``head<TAB>relation<TAB>tail``;
   - run config: a JSON object mirroring TrainConfig field names.
 """
@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .encoder import EmbeddingStore
+from .encoder import EmbeddingStore, text_lines
 from .errors import CondclError, ConfigError, FormatError, TrainingDivergedError
 from .hypernet import (
     MODES,
@@ -263,8 +263,8 @@ def _closure(loss_of) -> LossClosure:
 
 
 def _grouped(conds: Sequence[str], rows: list, masks: np.ndarray | None, emb, cfg):
-    """Group rows by condition in first-seen order: (project, where), where
-    ``project(leaves)`` is the grouped rows through one stack of their
+    """Group rows by condition in first-seen order: (projected, where), where
+    ``projected(leaves)`` is the grouped rows through one stack of their
     conditions' operators and ``where`` the position of each input row in it."""
     groups: dict[str, list[int]] = {}
     for i, c in enumerate(conds):
@@ -274,11 +274,11 @@ def _grouped(conds: Sequence[str], rows: list, masks: np.ndarray | None, emb, cf
     H, rows = np.stack([emb[c] for c in groups]), np.stack(rows)[order]
     masks = None if masks is None else masks[order]
 
-    def project(leaves):
+    def projected(leaves):
         op = generate_stack(cfg.mode, leaves, H, cfg.nh, cfg.nk_effective)
         return apply_stack(op, rows, bounds, masks)
 
-    return project, np.argsort(order)
+    return projected, np.argsort(order)
 
 
 def _csts_closure(
@@ -290,11 +290,11 @@ def _csts_closure(
     """``masks``: concat dropout masks (B, 4, 2nh) for s1_hi, s2_hi, s1_lo, s2_lo."""
     sides = [(q.c, s) for tp in batch for q in (tp.high, tp.low) for s in (q.s1, q.s2)]
     flat = None if masks is None else masks.reshape(len(sides), -1)
-    project, where = _grouped([c for c, _ in sides], [emb[s] for _, s in sides], flat, emb, cfg)
+    projected, where = _grouped([c for c, _ in sides], [emb[s] for _, s in sides], flat, emb, cfg)
     y01 = np.array([[rescale_label(tp.high.y), rescale_label(tp.low.y)] for tp in batch])
 
     def loss_of(leaves):
-        rows = project(leaves)
+        rows = projected(leaves)
         left, right = (ad.take_rows(rows, where[k::2]) for k in (0, 1))
         total, mse, cl = csts_loss(left, right, y01, cfg.loss.tau_csts)
         return total, {"mse": float(mse.data.mean()), "cl": float(cl.data.mean())}
@@ -312,11 +312,11 @@ def _kgc_closure(
     """``prebatch``: past batches of (text, vector) tails; ``masks``: (B, 2nh) or None."""
     past = [pair for chunk in prebatch for pair in chunk]
     cands, neg_mask = kgc_candidates(batch, emb, cfg.loss, past)
-    project, where = _grouped([t.r for t in batch], [emb[t.h] for t in batch], masks, emb, cfg)
+    projected, where = _grouped([t.r for t in batch], [emb[t.h] for t in batch], masks, emb, cfg)
 
     def loss_of(leaves):
         tau = leaves.get("tau_kgc", cfg.loss.tau_kgc)
-        q = ad.take_rows(project(leaves), where)
+        q = ad.take_rows(projected(leaves), where)
         total = kgc_loss(q, cands, neg_mask, cfg.loss.gamma, tau)
         return total, {"cl": total.item()}
 
@@ -350,7 +350,7 @@ def initial_arrays(cfg: TrainConfig) -> tuple[HyperNetParams, dict[str, np.ndarr
         dropout_p=cfg.dropout_p,
         zero_bias=cfg.zero_bias,
     )
-    arrays = dict(params.tensors())
+    arrays = dict(params.tensors)
     if cfg.task == "kgc":
         arrays["tau_kgc"] = np.array(cfg.loss.tau_kgc, dtype=np.float64)
     return params, arrays
@@ -699,24 +699,22 @@ def split_csts_holdout(
 def load_csts_jsonl(path: str | Path) -> list[CstsQuadruplet]:
     path = Path(path)
     out: list[CstsQuadruplet] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                quad = CstsQuadruplet(
-                    s1=rec["sentence1"],
-                    s2=rec["sentence2"],
-                    c=rec["condition"],
-                    y=float(rec["label"]),
-                    pair_id=int(rec["pair_id"]),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            if not np.isfinite(quad.y):
-                raise FormatError(f"{path}:{lineno}: non-finite label")
-            out.append(quad)
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            texts = (rec["sentence1"], rec["sentence2"], rec["condition"])
+            label, pair_id = rec["label"], rec["pair_id"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise FormatError(f"{path}:{lineno}: malformed record: {exc}") from exc
+        if not all(isinstance(t, str) for t in texts):
+            raise FormatError(f"{path}:{lineno}: sentence1/sentence2/condition must be strings")
+        if not is_finite_real(label):
+            raise FormatError(f"{path}:{lineno}: label must be a finite number, got {label!r}")
+        if not is_integer(pair_id):
+            raise FormatError(f"{path}:{lineno}: pair_id must be an integer, got {pair_id!r}")
+        out.append(CstsQuadruplet(*texts, y=float(label), pair_id=pair_id))
     if not out:
         raise FormatError(f"{path}: no records found")
     return out
@@ -743,15 +741,14 @@ def save_csts_jsonl(quads: Sequence[CstsQuadruplet], path: str | Path) -> None:
 def load_kg_tsv(path: str | Path) -> list[KgTriple]:
     path = Path(path)
     out: list[KgTriple] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or not all(parts):
-                raise FormatError(f"{path}:{lineno}: expected head<TAB>relation<TAB>tail")
-            out.append(KgTriple(*parts))
+    for lineno, line in text_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3 or not all(parts):
+            raise FormatError(f"{path}:{lineno}: expected head<TAB>relation<TAB>tail")
+        out.append(KgTriple(*parts))
     if not out:
         raise FormatError(f"{path}: no triples found")
     return out

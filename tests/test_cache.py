@@ -235,6 +235,31 @@ class TestRunArchitecture:
             assert executed.gen_ops == simulated.gen_ops
             assert executed.resident_bytes == simulated.resident_bytes
 
+    @pytest.mark.parametrize("mode", ["full", "lowrank"])
+    def test_served_vectors_are_the_composition_formulas(self, mode):
+        # Each served vector is its condition's operator (or, for tri, the
+        # elementwise product) applied to its sentence, to the last bit.
+        nh, nk = 8, 3
+        provider = HashingProvider(dim=nh, seed=2)
+        params = init_params(mode, nh, nk, seed=1)
+        t = params.tensors
+        requests = full_cross_requests(3, 2, replays=2)
+        for arch in ("tri", "hyper"):
+            served = []
+            run_architecture(arch, requests, provider, params=params, sink=served.append)
+            for (s, c), out in zip(requests, served):
+                h_s, h_c = provider.embed(s), provider.embed(c)
+                if arch == "tri":
+                    want = h_c * h_s
+                elif mode == "full":
+                    want = (t["U"] @ h_c + t["U_bias"]).reshape(nh, nh) @ h_s
+                else:
+                    W1 = (t["U1"] @ h_c + t["U1_bias"]).reshape(nh, nk)
+                    W2 = (t["U2"] @ h_c + t["U2_bias"]).reshape(nh, nk)
+                    want = W1 @ (W2.T @ h_s)
+                assert np.array_equal(out, want)
+            assert len(served) == len(requests)
+
     def test_hyper_needs_params(self):
         with pytest.raises(ValueError):
             run_architecture("hyper", [("s", "c")], HashingProvider(dim=4, seed=0))

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from condcl import cli
+from condcl import cli, hypernet
 from condcl.encoder import EmbeddingStore, save_embeddings
-from condcl.hypernet import init_params, save_checkpoint
+from condcl.hypernet import init_params, load_checkpoint, save_checkpoint
 from condcl.losses import KgTriple
 from condcl.trainer import make_synthetic_csts, save_csts_jsonl, save_kg_tsv
 
@@ -144,3 +144,63 @@ def test_kgc_batch_without_negatives_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: no negatives available for triple")
     assert "Traceback" not in err
+
+
+def test_eval_reports_a_malformed_embedding_with_its_line(csts_run, capsys):
+    tmp_path, _, config = csts_run
+    emb_path = tmp_path / "emb.jsonl"
+    n = len(emb_path.read_text(encoding="utf-8").splitlines())
+    with emb_path.open("a", encoding="utf-8") as fh:
+        fh.write('{"text": "a", "embedding": [{}]}\n')
+    config["checkpoint"] = str(tmp_path / "absent.ckpt")
+    assert run(tmp_path, ["eval"], config) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"emb.jsonl:{n + 1}:" in err and "Traceback" not in err
+
+
+def test_train_reports_a_non_string_condition_with_its_line(csts_run, capsys):
+    tmp_path, _, config = csts_run
+    data_path = tmp_path / "data.jsonl"
+    records = [json.loads(line) for line in data_path.read_text(encoding="utf-8").splitlines()]
+    records[1]["condition"] = {"x": 1}
+    data_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert run(tmp_path, ["train"], config) == cli.EXIT_USAGE
+    assert "data.jsonl:2: sentence1/sentence2/condition must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block", [1, hypernet.GENERATE_BLOCK])
+def test_cluster_analysis_projects_each_point_through_its_condition(
+    csts_run, monkeypatch, capsys, block
+):
+    tmp_path, quads, config = csts_run
+    # Each condition keeps the sentences of other pairs, so no two groups share points.
+    kept = [q for q in quads if (q.pair_id < 3) == (q.c == "cond-00")]
+    save_csts_jsonl(kept, tmp_path / "data.jsonl")
+    ckpt = tmp_path / "lowrank.ckpt"
+    save_checkpoint(ckpt, init_params("lowrank", 8, 3, seed=2))
+    params, _ = load_checkpoint(ckpt)
+    config["checkpoint"] = str(ckpt)
+    monkeypatch.setattr(hypernet, "GENERATE_BLOCK", block)  # 1: a stack per condition
+    points = []
+    kmeans = cli.eval_mod.kmeans
+
+    def recorded(X, k, seed):
+        points.append(X)
+        return kmeans(X, k, seed)
+
+    monkeypatch.setattr(cli.eval_mod, "kmeans", recorded)
+    out = tmp_path / "clusters"
+    assert run(tmp_path, ["analyze", "clusters"], config, "--k", "2", "--out", str(out)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"k", "points", "impurity_before", "impurity_after"}
+    before, after = points
+    rows = (tmp_path / "clusters.before.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    with (tmp_path / "emb.jsonl").open(encoding="utf-8") as fh:
+        emb = {r["text"]: np.array(r["embedding"]) for r in map(json.loads, fh)}
+    t = params.tensors
+    for row, h_s, got in zip(rows, before, after):
+        h_c = emb[row.split("\t")[1]]
+        W1 = (t["U1"] @ h_c + t["U1_bias"]).reshape(8, 3)
+        W2 = (t["U2"] @ h_c + t["U2_bias"]).reshape(8, 3)
+        np.testing.assert_allclose(got, W1 @ (W2.T @ h_s), rtol=0, atol=1e-12)
+    assert len(rows) == len(after) > 2

@@ -113,6 +113,31 @@ class TestJsonlRoundTrip:
         with pytest.raises(FormatError, match=r":2: embedding holds non-finite values"):
             load_embeddings(p)
 
+    @pytest.mark.parametrize(
+        "embedding",
+        ["[{}]", '["x"]', "[[1.0], [2.0, 3.0]]", "[[1.0, 2.0]]", "[true, 1.0]", "[]", "{}", "null"],
+    )
+    def test_non_numeric_embedding_reports_lineno(self, tmp_path, embedding):
+        p = tmp_path / "emb.jsonl"
+        good = json.dumps({"text": "a", "embedding": [1.0, 2.0]})
+        p.write_text(good + "\n" + '{"text": "b", "embedding": %s}\n' % embedding)
+        with pytest.raises(FormatError, match=":2:"):
+            load_embeddings(p)
+
+    def test_integer_values_load_and_beyond_float_range_is_non_finite(self, tmp_path):
+        p = tmp_path / "emb.jsonl"
+        p.write_text('{"text": "a", "embedding": [1, -2]}\n')
+        assert load_embeddings(p)["a"].tolist() == [1.0, -2.0]
+        p.write_text('{"text": "a", "embedding": [1, %s]}\n' % ("9" * 400))
+        with pytest.raises(FormatError, match=r":1: embedding holds non-finite values"):
+            load_embeddings(p)
+
+    def test_non_string_text_reports_lineno(self, tmp_path):
+        p = tmp_path / "emb.jsonl"
+        p.write_text('{"text": 1, "embedding": [1.0]}\n')
+        with pytest.raises(FormatError, match=":1:"):
+            load_embeddings(p)
+
     def test_duplicate_text(self, tmp_path):
         p = tmp_path / "emb.jsonl"
         rec = json.dumps({"text": "a", "embedding": [1.0, 2.0]})

@@ -4,6 +4,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condcl import evaluation, hypernet
 from condcl.encoder import EmbeddingStore, HashingProvider, StoreProvider
 from condcl.errors import CondclError, DimensionMismatchError
 from condcl.evaluation import (
@@ -19,11 +20,27 @@ from condcl.evaluation import (
     spearman,
     split_seen_unseen,
 )
-from condcl.hypernet import MODES, generate_condition_matrix, init_params, project
+from condcl.hypernet import MODES, diagonal_operator, init_params, operator_frobenius_normalized
 from condcl.linalg import cosine_similarity
 from condcl.losses import CstsQuadruplet, KgTriple, similarity_to_label
+from condcl.trainer import make_synthetic_csts, make_synthetic_kg
 
 rng = np.random.default_rng(0)
+
+
+def mode_formula(params, h_c, h_s):
+    """One condition's operator applied to one vector, by the mode's formula
+    over ``params.tensors`` in plain numpy."""
+    t, nh, nk = params.tensors, params.nh, params.nk
+    if params.mode == "full":
+        return (t["U"] @ h_c + t["U_bias"]).reshape(nh, nh) @ h_s
+    if params.mode == "lowrank":
+        W1 = (t["U1"] @ h_c + t["U1_bias"]).reshape(nh, nk)
+        W2 = (t["U2"] @ h_c + t["U2_bias"]).reshape(nh, nk)
+        return W1 @ (W2.T @ h_s)
+    if params.mode == "hadamard":
+        return h_c * h_s
+    return t["Wcat"] @ np.concatenate([h_c, h_s])
 
 
 def brute_force_ranks(xs):
@@ -119,7 +136,7 @@ class TestRankEntities:
         provider, entities = tiny_graph()
         params = init_params("full", 8, seed=0)
         # bias-only identity operator: scores are raw cosines with the head
-        params.U[:] = 0.0
+        params.tensors["U"][:] = 0.0
         res = rank_entities(params, provider, ("e0", "r0"), gold="e0", candidates=entities)
         assert res.gold_rank == 1  # cosine with itself is maximal
 
@@ -132,7 +149,7 @@ class TestRankEntities:
         store.add("rel", np.full(nh, 0.5))
         provider = StoreProvider(store)
         params = init_params("full", nh, seed=0)
-        params.U[:] = 0.0
+        params.tensors["U"][:] = 0.0
         res = rank_entities(
             params, provider, ("a", "rel"), gold="gold", candidates=["b", "a", "c", "gold"]
         )
@@ -140,13 +157,9 @@ class TestRankEntities:
         assert res.gold_rank == 4
 
     def test_matches_exhaustive_sort_oracle(self):
-        from condcl.hypernet import generate_condition_matrix, project
-        from condcl.linalg import cosine_similarity
-
         provider, entities = tiny_graph(n_entities=10, seed=4)
         params = init_params("full", 8, seed=2)
-        op = generate_condition_matrix(params, provider.embed("r0"))
-        base = project(op, provider.embed("e3"))
+        base = mode_formula(params, provider.embed("r0"), provider.embed("e3"))
         scored = sorted(
             ((cosine_similarity(base, provider.embed(e)), e) for e in entities),
             key=lambda t: (-t[0], t[1]),
@@ -171,13 +184,9 @@ class TestRankEntities:
         assert filtered.gold_rank <= full.gold_rank
 
     def test_filtering_preserves_relative_order(self):
-        from condcl.hypernet import generate_condition_matrix, project
-        from condcl.linalg import cosine_similarity
-
         provider, entities = tiny_graph(n_entities=9, seed=6)
         params = init_params("full", 8, seed=3)
-        op = generate_condition_matrix(params, provider.embed("r0"))
-        base = project(op, provider.embed("e0"))
+        base = mode_formula(params, provider.embed("r0"), provider.embed("e0"))
         keep = [e for e in entities if e not in {"e2", "e5"}]
         order_all = sorted(keep, key=lambda e: (-cosine_similarity(base, provider.embed(e)), e))
         ranks = {
@@ -318,33 +327,26 @@ class TestFrobeniusVarianceReport:
         assert vh == 0.0 and vd == 0.0
 
     def test_diag_value_is_norm_over_sqrt_nh(self):
-        from condcl.hypernet import diagonal_operator, operator_frobenius_normalized
-
         provider = HashingProvider(dim=8, seed=1)
-        for text in ("alpha", "beta", "gamma"):
-            h = provider.embed(text)
-            got = operator_frobenius_normalized(diagonal_operator(h))
-            assert got == pytest.approx(np.linalg.norm(h) / np.sqrt(8), rel=1e-12)
+        H = np.stack([provider.embed(text) for text in ("alpha", "beta", "gamma")])
+        got = operator_frobenius_normalized(diagonal_operator(H))
+        assert got == pytest.approx(np.linalg.norm(H, axis=1) / np.sqrt(8), rel=1e-12)
 
     def test_variances_match_manual_recompute(self):
-        from condcl.hypernet import (
-            diagonal_operator,
-            generate_condition_matrix,
-            operator_frobenius_normalized,
-        )
         from condcl.linalg import variance
 
         provider = HashingProvider(dim=8, seed=2)
         params = init_params("lowrank", 8, nk=2, seed=3)
         conds = [f"cond {i}" for i in range(6)]
         vh, vd = frobenius_variance_report(params, provider, conds)
-        hs = [
-            operator_frobenius_normalized(generate_condition_matrix(params, provider.embed(c)))
-            for c in conds
-        ]
-        ds = [
-            operator_frobenius_normalized(diagonal_operator(provider.embed(c))) for c in conds
-        ]
+        t = params.tensors
+        hs, ds = [], []
+        for c in conds:
+            h = provider.embed(c)
+            W1 = (t["U1"] @ h + t["U1_bias"]).reshape(8, 2)
+            W2 = (t["U2"] @ h + t["U2_bias"]).reshape(8, 2)
+            hs.append(np.linalg.norm(W1 @ W2.T) / np.sqrt(2 * 8 * 2))
+            ds.append(np.linalg.norm(h) / np.sqrt(8))
         assert vh == pytest.approx(variance(hs), rel=1e-12)
         assert vd == pytest.approx(variance(ds), rel=1e-12)
 
@@ -366,14 +368,13 @@ class TestEvaluateKgc:
 
 def reference_rank(params, provider, query, gold, candidates, filter_set, direction):
     """Brute force: project and score each candidate alone, sort by (-score, name)."""
-    op = generate_condition_matrix(params, provider.embed(query[1]))
-    anchor = provider.embed(query[0])
+    h_c, anchor = provider.embed(query[1]), provider.embed(query[0])
     scores = {}
     for e in candidates:
         if direction == "tail":
-            scores[e] = cosine_similarity(project(op, anchor), provider.embed(e))
+            scores[e] = cosine_similarity(mode_formula(params, h_c, anchor), provider.embed(e))
         else:
-            scores[e] = cosine_similarity(project(op, provider.embed(e)), anchor)
+            scores[e] = cosine_similarity(mode_formula(params, h_c, provider.embed(e)), anchor)
     kept = [e for e in scores if e == gold or e not in filter_set]
     return sorted(kept, key=lambda e: (-scores[e], e)).index(gold) + 1, len(kept)
 
@@ -462,10 +463,33 @@ class TestBatchedEqualsReference:
         preds, golds = csts_predictions(params, provider, quads)
         assert golds == [q.y for q in quads]
         for q, pred in zip(quads, preds):
-            op = generate_condition_matrix(params, provider.embed(q.c))
-            a = project(op, provider.embed(q.s1))
-            b = project(op, provider.embed(q.s2))
+            h_c = provider.embed(q.c)
+            a = mode_formula(params, h_c, provider.embed(q.s1))
+            b = mode_formula(params, h_c, provider.embed(q.s2))
             assert abs(pred - similarity_to_label(cosine_similarity(a, b))) <= 1e-12
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_stacks_of_any_size_give_the_same_results(self, monkeypatch, mode, block):
+        ds, store = make_synthetic_kg(40, 3, 8, seed=1)
+        quads, cstore = make_synthetic_csts(20, 4, 8, seed=1)
+        params = mode_params(mode, 8, 1)
+
+        def outputs():
+            kg = evaluate_kgc(params, StoreProvider(store), ds.test, ds.all_triples(), ds.entities)
+            ranks = [
+                rank_entities(params, StoreProvider(store), (t.h, t.r), t.t, ds.entities, (), d)
+                for t in ds.test
+                for d in ("tail", "head")
+            ]
+            return kg, ranks, csts_predictions(params, StoreProvider(cstore), quads)
+
+        kg, ranks, (preds, golds) = outputs()
+        for module in (hypernet, evaluation):  # more than one stack per call
+            monkeypatch.setattr(module, "GENERATE_BLOCK", block)
+        kg_b, ranks_b, (preds_b, golds_b) = outputs()
+        assert kg_b == kg and ranks_b == ranks and golds_b == golds
+        np.testing.assert_allclose(preds_b, preds, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_zero_norm_candidate_raises(self, mode):

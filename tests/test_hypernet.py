@@ -24,14 +24,12 @@ from condcl.hypernet import (
     densify,
     diagonal_operator,
     dropout_mask,
-    generate_condition_matrix,
     generate_operators,
     generate_stack,
     init_params,
     load_checkpoint,
     operator_frobenius_normalized,
     param_count,
-    project,
     save_checkpoint,
 )
 
@@ -42,20 +40,35 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
+def mode_formula(params, h_c, h_s):
+    """One condition's operator applied to one vector, by the mode's formula
+    over ``params.tensors`` in plain numpy."""
+    t, nh, nk = params.tensors, params.nh, params.nk
+    if params.mode == "full":
+        return (t["U"] @ h_c + t["U_bias"]).reshape(nh, nh) @ h_s
+    if params.mode == "lowrank":
+        W1 = (t["U1"] @ h_c + t["U1_bias"]).reshape(nh, nk)
+        W2 = (t["U2"] @ h_c + t["U2_bias"]).reshape(nh, nk)
+        return W1 @ (W2.T @ h_s)
+    if params.mode == "hadamard":
+        return h_c * h_s
+    return t["Wcat"] @ np.concatenate([h_c, h_s])
+
+
 class TestInit:
     def test_same_seed_bit_identical(self):
         a = init_params("full", 8, seed=3)
         b = init_params("full", 8, seed=3)
-        assert np.array_equal(a.U, b.U)
-        assert np.array_equal(a.U_bias, b.U_bias)
+        assert np.array_equal(a.tensors["U"], b.tensors["U"])
+        assert np.array_equal(a.tensors["U_bias"], b.tensors["U_bias"])
 
     def test_full_bias_is_identity(self):
         p = init_params("full", 6, seed=0)
-        assert np.array_equal(p.U_bias.reshape(6, 6), np.eye(6))
+        assert np.array_equal(p.tensors["U_bias"].reshape(6, 6), np.eye(6))
 
     def test_zero_bias_flag(self):
         p = init_params("full", 6, seed=0, zero_bias=True)
-        assert not p.U_bias.any()
+        assert not p.tensors["U_bias"].any()
 
     def test_lowrank_rank_bounds(self):
         with pytest.raises(ValueError):
@@ -67,62 +80,73 @@ class TestInit:
         assert init_params("lowrank", 24, seed=0).nk == default_nk(24) == 2
 
     def test_hadamard_has_no_tensors(self):
-        assert init_params("hadamard", 8).tensors() == {}
+        assert init_params("hadamard", 8).tensors == {}
 
 
 class TestGenerate:
     def test_zeroed_weights_give_identity_operator(self):
         p = init_params("full", 5, seed=1)
-        p.U[:] = 0.0
-        for _ in range(3):
-            op = generate_condition_matrix(p, unit(rng.normal(size=5)))
-            assert np.array_equal(op.W, np.eye(5))
+        p.tensors["U"][:] = 0.0
+        (op,) = generate_operators(p, rng.normal(size=(3, 5)))
+        assert np.array_equal(op.W, np.broadcast_to(np.eye(5), (3, 5, 5)))
 
     def test_linearity_without_bias(self):
         p = init_params("full", 6, seed=2, zero_bias=True)
         h = unit(rng.normal(size=6))
         a = 2.7
-        w1 = generate_condition_matrix(p, a * h).W
-        w2 = a * generate_condition_matrix(p, h).W
-        assert w1 == pytest.approx(w2, abs=1e-10)
+        (op,) = generate_operators(p, np.stack([a * h, h]))
+        assert op.W[0] == pytest.approx(a * op.W[1], abs=1e-10)
 
     def test_affine_combination(self):
         # op(alpha a + beta b) = alpha op(a) + beta op(b) + (1-alpha-beta) * bias
         p = init_params("full", 6, seed=3)
         a, b = rng.normal(size=6), rng.normal(size=6)
         alpha, beta = 0.6, -1.3
-        lhs = generate_condition_matrix(p, alpha * a + beta * b).W
-        rhs = (
-            alpha * generate_condition_matrix(p, a).W
-            + beta * generate_condition_matrix(p, b).W
-            + (1 - alpha - beta) * p.U_bias.reshape(6, 6)
-        )
-        assert lhs == pytest.approx(rhs, abs=1e-9)
+        (op,) = generate_operators(p, np.stack([alpha * a + beta * b, a, b]))
+        bias = p.tensors["U_bias"].reshape(6, 6)
+        rhs = alpha * op.W[1] + beta * op.W[2] + (1 - alpha - beta) * bias
+        assert op.W[0] == pytest.approx(rhs, abs=1e-9)
 
     def test_factored_matches_densified(self):
         for seed in range(5):
             p = init_params("lowrank", 10, nk=3, seed=seed)
-            h = unit(np.random.default_rng(seed).normal(size=10))
-            op = generate_condition_matrix(p, h)
-            assert op.form == "factored"
-            assert densify(op) == pytest.approx(op.W1 @ op.W2.T, abs=1e-12)
+            H = np.random.default_rng(seed).normal(size=(2, 10))
+            (op,) = generate_operators(p, H)
+            assert op.form == "factored" and op.shape == (2, 10)
+            for r in range(2):
+                assert densify(op)[r] == pytest.approx(op.W1[r] @ op.W2[r].T, abs=1e-12)
 
     def test_wrong_mode(self):
         p = HyperNetParams(mode="bogus", nh=4)
         with pytest.raises(ValueError):
-            generate_condition_matrix(p, np.ones(4))
+            next(generate_operators(p, np.ones((1, 4))))
 
     def test_wrong_dim(self):
         p = init_params("full", 4, seed=0)
         with pytest.raises(DimensionMismatchError):
-            generate_condition_matrix(p, np.ones(5))
+            generate_operators(p, np.ones((1, 5)))
 
 
 class TestProject:
+    """Rows projected through a stack by ``apply_stack``."""
+
     def test_identity_dense(self):
-        op = ConditionOperator(form="dense", W=np.eye(4))
+        op = ConditionOperator(form="dense", W=np.eye(4)[None])
         h = rng.normal(size=4)
-        assert np.array_equal(project(op, h), h)
+        assert np.array_equal(apply_stack(op, h, (0, 1)).data, h[None])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_segment_goes_through_its_condition(self, mode):
+        nh = 8
+        p = init_params(mode, nh, 3 if mode == "lowrank" else None, seed=6)
+        r = np.random.default_rng(7)
+        H, h_s = r.normal(size=(3, nh)), r.normal(size=(5, nh))
+        bounds = [0, 2, 2, 5]  # condition 1 gets no rows
+        (op,) = generate_operators(p, H)
+        out = apply_stack(op, h_s, bounds).data
+        which = [0, 0, 2, 2, 2]
+        for row, h, c in zip(out, h_s, which):
+            np.testing.assert_allclose(row, mode_formula(p, H[c], h), rtol=0, atol=1e-12)
 
     def test_factored_equals_densified(self):
         for seed in range(10):
@@ -130,38 +154,61 @@ class TestProject:
             p = init_params("lowrank", 12, nk=4, seed=seed)
             h_c = unit(r.normal(size=12))
             h_s = unit(r.normal(size=12))
-            op = generate_condition_matrix(p, h_c)
-            assert project(op, h_s) == pytest.approx(densify(op) @ h_s, abs=1e-10)
+            (op,) = generate_operators(p, h_c[None])
+            got = apply_stack(op, h_s, (0, 1)).data[0]
+            assert got == pytest.approx(mode_formula(p, h_c, h_s), abs=1e-10)
+            assert got == pytest.approx(densify(op)[0] @ h_s, abs=1e-10)
 
     def test_diagonal_is_hadamard(self):
         h_c = rng.normal(size=7)
         h_s = rng.normal(size=7)
-        generated = generate_condition_matrix(init_params("hadamard", 7), h_c)
-        assert np.array_equal(project(diagonal_operator(h_c), h_s), project(generated, h_s))
-        assert np.array_equal(project(generated, h_s), h_c * h_s)
+        (generated,) = generate_operators(init_params("hadamard", 7), h_c[None])
+        by_hand = apply_stack(diagonal_operator(h_c[None]), h_s, (0, 1)).data
+        assert np.array_equal(by_hand, apply_stack(generated, h_s, (0, 1)).data)
+        assert np.array_equal(by_hand[0], h_c * h_s)
 
     def test_factored_never_densifies(self):
         # With nh=3000 a dense product would need ~72 MB; the factored path
         # must stay within a small fraction of that.
         nh, nk = 3000, 2
-        w1 = rng.normal(size=(nh, nk))
-        w2 = rng.normal(size=(nh, nk))
+        w1 = rng.normal(size=(1, nh, nk))
+        w2 = rng.normal(size=(1, nh, nk))
         h = rng.normal(size=nh)
         op = ConditionOperator(form="factored", W1=w1, W2=w2)
         tracemalloc.start()
-        project(op, h)
+        apply_stack(op, h, (0, 1))
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < nh * nh * 8 * 0.05
 
     def test_dim_mismatch(self):
-        op = ConditionOperator(form="dense", W=np.eye(4))
+        op = ConditionOperator(form="dense", W=np.eye(4)[None])
         with pytest.raises(DimensionMismatchError):
-            project(op, np.ones(5))
+            apply_stack(op, np.ones(5), (0, 1))
+        (concat,) = generate_operators(init_params("concat", 4, seed=0), np.ones((1, 4)))
+        with pytest.raises(DimensionMismatchError):
+            apply_stack(concat, np.ones((2, 3)), (0, 2))
+
+    @pytest.mark.parametrize(
+        "size,bounds",
+        [(1, (0,)), (1, (0, 2)), (1, (1, 3)), (1, (0, 3, 3)), (1, (0, 4)), (2, (0, 4, 3))],
+    )
+    def test_bounds_must_cut_the_rows_into_one_segment_per_operator(self, size, bounds):
+        (op,) = generate_operators(init_params("lowrank", 4, nk=2, seed=0), np.ones((size, 4)))
+        with pytest.raises(ValueError, match="bounds"):
+            apply_stack(op, np.ones((3, 4)), bounds)
+
+    def test_rows_must_be_finite_one_or_two_dimensional(self):
+        op = ConditionOperator(form="dense", W=np.eye(4)[None])
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_stack(op, np.full((3, 4), np.inf), (0, 3))
+        with pytest.raises(ValueError, match="2-D"):
+            apply_stack(op, np.ones((1, 1, 4)), (0, 1))
 
 
 def compose(params, h_c, h_s):
-    return project(generate_condition_matrix(params, h_c), h_s)
+    (op,) = generate_operators(params, np.asarray(h_c)[None])
+    return apply_stack(op, h_s, (0, 1)).data[0]
 
 
 class TestComposers:
@@ -177,18 +224,19 @@ class TestComposers:
         p = init_params("concat", 4, seed=5)
         h_c, h_s = rng.normal(size=4), rng.normal(size=4)
         out = compose(p, h_c, h_s)
-        assert out == pytest.approx(p.Wcat @ np.concatenate([h_c, h_s]), abs=1e-12)
+        assert out == pytest.approx(p.tensors["Wcat"] @ np.concatenate([h_c, h_s]), abs=1e-12)
 
     def test_concat_dropout_zero_matches_inference(self):
         p = init_params("concat", 4, seed=5, dropout_p=0.0)
         H, h_s = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
         mask = dropout_mask(np.random.default_rng(0), (1, 8), p.dropout_p)
-        out = apply_stack(generate_stack("concat", p.tensors(), H, 4), h_s, [0, 1], mask)
-        assert np.array_equal(out, project(generate_condition_matrix(p, H[0]), h_s))
+        op = generate_stack("concat", p.tensors, H, 4)
+        out = apply_stack(op, h_s, [0, 1], mask).data
+        assert np.array_equal(out[0], compose(p, H[0], h_s[0]))
 
     def test_concat_block_structure(self):
         p = init_params("concat", 3, seed=0)
-        p.Wcat[:] = np.hstack([np.eye(3), np.zeros((3, 3))])
+        p.tensors["Wcat"][:] = np.hstack([np.eye(3), np.zeros((3, 3))])
         h_c, h_s = rng.normal(size=3), rng.normal(size=3)
         assert compose(p, h_c, h_s) == pytest.approx(h_c, abs=1e-12)
 
@@ -198,56 +246,40 @@ class TestComposers:
         p = init_params(mode, nh, nk if mode == "lowrank" else None, seed=4)
         r = np.random.default_rng(9)
         h_c, h_s = r.normal(size=nh), r.normal(size=nh)
-        if mode == "full":
-            expected = (p.U @ h_c + p.U_bias).reshape(nh, nh) @ h_s
-        elif mode == "lowrank":
-            W1 = (p.U1 @ h_c + p.U1_bias).reshape(nh, nk)
-            W2 = (p.U2 @ h_c + p.U2_bias).reshape(nh, nk)
-            expected = W1 @ (W2.T @ h_s)
-        elif mode == "hadamard":
-            expected = h_c * h_s
-        else:
-            expected = p.Wcat @ np.concatenate([h_c, h_s])
-        assert np.array_equal(compose(p, h_c, h_s), expected)
+        assert np.array_equal(compose(p, h_c, h_s), mode_formula(p, h_c, h_s))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_autodiff_leaves_give_the_inference_values(self, mode):
-        # Training's path (the shared stacked generator over autodiff leaves,
-        # then each row group through its operator) against inference's
-        # (the same generator sliced into operators, then ``project``).
+        # Training's path (the shared stacked generator over autodiff leaves)
+        # against inference's (``generate_operators`` over ndarrays), both
+        # sending three row groups through ``apply_stack``.
         nh = 6
         p = init_params(mode, nh, 2 if mode == "lowrank" else None, seed=8)
         r = np.random.default_rng(10)
         H, h_s = r.normal(size=(3, nh)), r.normal(size=(6, nh))
         bounds = [0, 1, 4, 6]
-        leaves = {k: ad.leaf(v) for k, v in p.tensors().items()}
+        leaves = {k: ad.leaf(v) for k, v in p.tensors.items()}
         out = apply_stack(generate_stack(mode, leaves, H, nh, p.nk), h_s, bounds)
-        out = out.data if isinstance(out, ad.Tensor) else out
-        ops = generate_operators(p, H)
-        parts = zip(ops, bounds, bounds[1:])
-        want = np.concatenate([project(op, h_s[lo:hi]) for op, lo, hi in parts])
-        if mode == "concat":
-            # one product over all rows instead of one per group: the last bit may differ
-            np.testing.assert_allclose(out, want, rtol=0, atol=1e-15)
-        else:
-            assert np.array_equal(out, want)
+        (op,) = generate_operators(p, H)
+        assert np.array_equal(out.data, apply_stack(op, h_s, bounds).data)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_stacked_generator_is_the_inference_formula(self, mode):
         nh, nk = 6, 2
         p = init_params(mode, nh, nk if mode == "lowrank" else None, seed=3)
         H = np.random.default_rng(13).normal(size=(4, nh))
-        stack = generate_stack(mode, p.tensors(), H, nh, p.nk)
-        for r, op in enumerate(generate_operators(p, H)):
+        (op,) = generate_operators(p, H)
+        t = p.tensors
+        for r in range(4):
             if mode == "full":
-                assert np.array_equal(stack.W[r], (H @ p.U.T + p.U_bias)[r].reshape(nh, nh))
-                assert np.array_equal(op.W, stack.W[r])
+                assert np.array_equal(op.W[r], (H @ t["U"].T + t["U_bias"])[r].reshape(nh, nh))
             elif mode == "lowrank":
-                assert np.array_equal(op.W1, stack.W1[r]) and np.array_equal(op.W2, stack.W2[r])
+                assert np.array_equal(op.W1[r], (H @ t["U1"].T + t["U1_bias"])[r].reshape(nh, nk))
+                assert np.array_equal(op.W2[r], (H @ t["U2"].T + t["U2_bias"])[r].reshape(nh, nk))
             elif mode == "hadamard":
-                assert np.array_equal(op.d, H[r])
+                assert np.array_equal(op.d[r], H[r])
             else:
-                assert op.Wcat is p.Wcat and np.array_equal(op.h_c, H[r])
+                assert op.Wcat is t["Wcat"] and np.array_equal(op.h_c[r], H[r])
 
 
 class TestBatched:
@@ -256,28 +288,36 @@ class TestBatched:
         nh = 6
         p = init_params(mode, nh, 2 if mode == "lowrank" else None, seed=5)
         H = np.random.default_rng(11).normal(size=(GENERATE_BLOCK + 3, nh))  # two blocks
-        ops = list(generate_operators(p, H))
-        assert len(ops) == len(H)
-        for h_c, op in zip(H, ops):
-            one = generate_condition_matrix(p, h_c)
+        stacks = list(generate_operators(p, H))
+        assert [op.shape for op in stacks] == [(GENERATE_BLOCK, nh), (3, nh)]
+        for i, h_c in enumerate(H):
+            op = stacks[i // GENERATE_BLOCK]
+            (one,) = generate_operators(p, h_c[None])
             assert op.form == one.form
-            for name in ("W", "W1", "W2", "d", "Wcat", "h_c"):
-                got, want = getattr(op, name), getattr(one, name)
-                assert (got is None) == (want is None)
-                if got is not None:
-                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            r = i % GENERATE_BLOCK
+            if op.form == "dense":
+                pairs = [(op.W[r], one.W[0])]
+            elif op.form == "factored":
+                pairs = [(op.W1[r], one.W1[0]), (op.W2[r], one.W2[0])]
+            elif op.form == "diagonal":
+                pairs = [(op.d[r], one.d[0])]
+            else:
+                pairs = [(op.h_c[r], one.h_c[0]), (op.Wcat, one.Wcat)]
+            for got, want in pairs:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_project_rows_match_vectors(self, mode):
         nh = 6
         p = init_params(mode, nh, 2 if mode == "lowrank" else None, seed=6)
         r = np.random.default_rng(12)
-        op = generate_condition_matrix(p, r.normal(size=nh))
+        (op,) = generate_operators(p, r.normal(size=(1, nh)))
         M = r.normal(size=(5, nh))
-        out = project(op, M)
+        out = apply_stack(op, M, (0, 5)).data
         assert out.shape == (5, nh)
         for row, h_s in zip(out, M):
-            np.testing.assert_allclose(row, project(op, h_s), rtol=0, atol=1e-12)
+            one = apply_stack(op, h_s, (0, 1)).data[0]
+            np.testing.assert_allclose(row, one, rtol=0, atol=1e-12)
 
     def test_generate_operators_validates_the_stack(self):
         p = init_params("full", 4, seed=0)
@@ -287,8 +327,6 @@ class TestBatched:
             generate_operators(p, np.full((1, 4), np.nan))
         with pytest.raises(ValueError, match="2-D"):
             generate_operators(p, np.ones(4))
-        with pytest.raises(ValueError, match="non-finite"):
-            project(generate_condition_matrix(p, np.ones(4)), np.full((3, 4), np.inf))
 
 
 class TestParamCount:
@@ -305,7 +343,7 @@ class TestParamCount:
         # zero-stride arrays: exact sizes, and nothing allocated at nh=512
         def params(mode, nh, nk, shapes):
             arrays = {name: np.broadcast_to(0.0, shape) for name, shape in shapes.items()}
-            return HyperNetParams(mode=mode, nh=nh, nk=nk, **arrays)
+            return HyperNetParams(mode=mode, nh=nh, nk=nk, tensors=arrays)
 
         for nh, nk in ((256, 16), (512, 8)):
             dense = {"U": (nh * nh, nh), "U_bias": (nh * nh,)}
@@ -330,29 +368,29 @@ class TestParamCount:
 
 class TestFrobenius:
     def test_concat_form_has_no_matrix(self):
-        op = generate_condition_matrix(init_params("concat", 4, seed=0), np.ones(4))
+        (op,) = generate_operators(init_params("concat", 4, seed=0), np.ones((1, 4)))
         with pytest.raises(ValueError):
             operator_frobenius_normalized(op)
         with pytest.raises(ValueError):
             densify(op)
 
     def test_dense_value(self):
-        op = ConditionOperator(form="dense", W=np.eye(4))
-        assert operator_frobenius_normalized(op) == pytest.approx(2 / 4)
+        op = ConditionOperator(form="dense", W=np.stack([np.eye(4), 2 * np.eye(4)]))
+        assert operator_frobenius_normalized(op) == pytest.approx([2 / 4, 4 / 4])
 
     def test_diagonal_value(self):
-        h = rng.normal(size=9)
-        assert operator_frobenius_normalized(diagonal_operator(h)) == pytest.approx(
-            np.linalg.norm(h) / 3
+        H = rng.normal(size=(2, 9))
+        assert operator_frobenius_normalized(diagonal_operator(H)) == pytest.approx(
+            np.linalg.norm(H, axis=1) / 3
         )
 
     def test_factored_blockwise_matches_densified(self):
         for seed in range(5):
             p = init_params("lowrank", 10, nk=4, seed=seed)
-            op = generate_condition_matrix(p, unit(np.random.default_rng(seed).normal(size=10)))
-            dense_norm = np.linalg.norm(densify(op))
+            (op,) = generate_operators(p, np.random.default_rng(seed).normal(size=(3, 10)))
+            dense_norms = [np.linalg.norm(W) for W in densify(op)]
             assert operator_frobenius_normalized(op) == pytest.approx(
-                dense_norm / np.sqrt(2 * 10 * 4), rel=1e-10
+                np.array(dense_norms) / np.sqrt(2 * 10 * 4), rel=1e-10
             )
 
 
@@ -365,9 +403,9 @@ class TestCheckpoint:
         loaded, extras = load_checkpoint(path)
         assert loaded.mode == mode
         assert loaded.nh == 8
-        for name, arr in p.tensors().items():
+        for name, arr in p.tensors.items():
             expected = np.asarray(arr, dtype=np.float32).astype(np.float64)
-            assert np.array_equal(loaded.tensors()[name], expected)
+            assert np.array_equal(loaded.tensors[name], expected)
         assert extras["tau_kgc"] == pytest.approx(0.05, abs=1e-9)
 
     def test_magic_enforced(self, tmp_path):
@@ -529,18 +567,31 @@ class TestCheckpointFormatErrors:
         header, payload = _split_checkpoint(path)
         header["nk"] = 1
         _write_checkpoint(path, header, payload)
+        # The rows entering an operator are checked under -O as well: width,
+        # finiteness and bounds.
         code = (
             "import sys\n"
-            "from condcl.errors import FormatError\n"
-            "from condcl.hypernet import load_checkpoint\n"
-            "try:\n"
-            "    load_checkpoint(sys.argv[1])\n"
-            "except FormatError:\n"
-            "    sys.exit(0)\n"
-            "sys.exit(1)\n"
+            "import numpy as np\n"
+            "from condcl.errors import DimensionMismatchError, FormatError\n"
+            "from condcl.hypernet import ConditionOperator, apply_stack, load_checkpoint\n"
+            "def raises(error, call, *args):\n"
+            "    try:\n"
+            "        call(*args)\n"
+            "    except error:\n"
+            "        return True\n"
+            "    return False\n"
+            "op = ConditionOperator('dense', W=np.eye(4)[None])\n"
+            "checks = [\n"
+            "    raises(FormatError, load_checkpoint, sys.argv[1]),\n"
+            "    raises(DimensionMismatchError, apply_stack, op, np.ones(5), (0, 1)),\n"
+            "    raises(ValueError, apply_stack, op, np.full((2, 4), np.nan), (0, 2)),\n"
+            "    raises(ValueError, apply_stack, op, np.ones((2, 4)), (0, 1)),\n"
+            "]\n"
+            "print(checks)\n"
+            "sys.exit(0 if all(checks) else 1)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(condcl.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, "-O", "-c", code, str(path)], env=env, capture_output=True, timeout=120
         )
-        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.returncode == 0, proc.stdout.decode() + proc.stderr.decode()

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from condcl.errors import DimensionMismatchError
 from condcl.hypernet import (
     ConditionOperator,
+    apply_stack,
     diagonal_operator,
     operator_frobenius_normalized,
-    project,
 )
 from condcl.linalg import cosine_similarity, is_finite_real, variance
 
@@ -53,11 +53,12 @@ class TestCosine:
 
 
 def matvec(m, v):
-    return project(ConditionOperator(form="dense", W=np.asarray(m, dtype=np.float64)), v)
+    op = ConditionOperator(form="dense", W=np.asarray(m, dtype=np.float64)[None])
+    return apply_stack(op, v, (0, 1)).data[0]
 
 
 class TestMatvec:
-    """Matrix-vector products, as a dense operator computes them."""
+    """Matrix-vector products, as a one-operator dense stack computes them."""
 
     def test_identity_matrix(self):
         v = np.array([1.0, -2.0, 3.0])
@@ -96,26 +97,25 @@ class TestFrobeniusNormalized:
 
     def test_identity_diagonal_convention(self):
         for n in (2, 5, 9):
-            op = diagonal_operator(np.ones(n))
-            assert operator_frobenius_normalized(op) == pytest.approx(1.0)
+            op = diagonal_operator(np.ones((2, n)))
+            assert operator_frobenius_normalized(op) == pytest.approx([1.0, 1.0])
 
     def test_identity_dense_convention(self):
         for n in (2, 5, 9):
-            op = ConditionOperator(form="dense", W=np.eye(n))
-            assert operator_frobenius_normalized(op) == pytest.approx(1 / np.sqrt(n))
+            op = ConditionOperator(form="dense", W=np.eye(n)[None])
+            assert operator_frobenius_normalized(op) == pytest.approx([1 / np.sqrt(n)])
 
     def test_diag_vector_norm(self):
         rng = np.random.default_rng(2)
         h = rng.normal(size=6)
-        got = operator_frobenius_normalized(diagonal_operator(h))
-        assert got == pytest.approx(np.linalg.norm(h) / np.sqrt(6), rel=1e-12)
+        got = operator_frobenius_normalized(diagonal_operator(h[None]))
+        assert got == pytest.approx([np.linalg.norm(h) / np.sqrt(6)], rel=1e-12)
 
     def test_nonnegative_zero_iff_zero(self):
-        zero = ConditionOperator(form="dense", W=np.zeros((3, 3)))
-        assert operator_frobenius_normalized(zero) == 0.0
         rng = np.random.default_rng(3)
-        m = rng.normal(size=(3, 3))
-        assert operator_frobenius_normalized(ConditionOperator(form="dense", W=m)) > 0.0
+        stack = np.stack([np.zeros((3, 3)), rng.normal(size=(3, 3))])
+        norms = operator_frobenius_normalized(ConditionOperator(form="dense", W=stack))
+        assert norms[0] == 0.0 and norms[1] > 0.0
 
 
 class TestIsFiniteReal:
@@ -123,7 +123,7 @@ class TestIsFiniteReal:
         assert all(is_finite_real(x) for x in (0, -3, 1e-8, 2.5, np.float32(1.0), np.int64(4)))
 
     def test_rejects_non_finite_and_non_numbers(self):
-        for x in (float("nan"), float("inf"), -np.inf, True, "1.0", None, [1.0]):
+        for x in (float("nan"), float("inf"), -np.inf, 10**400, True, "1.0", None, [1.0]):
             assert not is_finite_real(x)
 
 

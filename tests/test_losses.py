@@ -10,14 +10,10 @@ from condcl.losses import (
     CstsQuadruplet,
     KgTriple,
     LossConfig,
-    TwinEmbeddings,
+    csts_loss,
     grad_check,
     kgc_candidates,
     kgc_loss,
-    loss_csts_cl,
-    loss_csts_mse,
-    loss_csts_total,
-    loss_kgc,
     pair_twins,
     rescale_label,
     row_cosines,
@@ -40,24 +36,35 @@ def orthogonal_pair(dim=8, seed=0):
     return a, b
 
 
+def twin_rows(h1_hi, h2_hi, h1_lo, h2_lo):
+    """One twin instance as the (left, right) row stacks ``csts_loss`` takes."""
+    return np.stack([h1_hi, h1_lo]), np.stack([h2_hi, h2_lo])
+
+
+NO_LABELS = np.zeros((1, 2))  # the cl term does not read the labels
+
+
 class TestCstsCl:
+    """The twin InfoNCE term of ``csts_loss`` on one instance."""
+
     def test_equal_similarity_is_ln2(self):
         v = unit(rng.normal(size=8))
         w = unit(rng.normal(size=8))
         # identical twin pairs: phi_hi == phi_lo
-        assert loss_csts_cl(v, w, v, w, tau=1.5) == pytest.approx(LN2, abs=1e-9)
+        _, _, cl = csts_loss(*twin_rows(v, w, v, w), NO_LABELS, tau=1.5)
+        assert cl.data[0] == pytest.approx(LN2, abs=1e-9)
 
     def test_closed_form_extremes(self):
         v = unit(rng.normal(size=8))
         # phi_hi = 1 (same vector), phi_lo = -1 (antipodal), tau = 1
-        got = loss_csts_cl(v, v, v, -v, tau=1.0)
-        assert got == pytest.approx(np.log(1 + np.exp(-2.0)), abs=1e-9)
+        _, _, cl = csts_loss(*twin_rows(v, v, v, -v), NO_LABELS, tau=1.0)
+        assert cl.data[0] == pytest.approx(np.log(1 + np.exp(-2.0)), abs=1e-9)
 
     def test_monotone_in_tau_toward_ln2(self):
         v = unit(rng.normal(size=8))
         a, b = orthogonal_pair(8, 3)
         taus = [0.5, 1.0, 1.5, 2.0, 4.0, 8.0]
-        vals = [loss_csts_cl(v, v, a, b, tau=t) for t in taus]
+        vals = [csts_loss(*twin_rows(v, v, a, b), NO_LABELS, t)[2].data[0] for t in taus]
         # phi_hi=1 > phi_lo=0: loss rises with tau and approaches ln 2
         assert all(x < y for x, y in zip(vals, vals[1:]))
         assert all(v_ < LN2 for v_ in vals)
@@ -65,31 +72,33 @@ class TestCstsCl:
 
     def test_scale_invariance_of_inputs(self):
         h = [unit(rng.normal(size=6)) for _ in range(4)]
-        base = loss_csts_cl(h[0], h[1], h[2], h[3], tau=1.5)
-        scaled = loss_csts_cl(3.7 * h[0], h[1], h[2], 0.2 * h[3], tau=1.5)
+        base = csts_loss(*twin_rows(*h), NO_LABELS, tau=1.5)[2].data[0]
+        scaled_rows = twin_rows(3.7 * h[0], h[1], h[2], 0.2 * h[3])
+        scaled = csts_loss(*scaled_rows, NO_LABELS, tau=1.5)[2].data[0]
         assert scaled == pytest.approx(base, abs=1e-12)
 
     def test_positive(self):
         for seed in range(20):
             r = np.random.default_rng(seed)
             h = [unit(r.normal(size=5)) for _ in range(4)]
-            val = loss_csts_cl(h[0], h[1], h[2], h[3], tau=1.5)
+            val = csts_loss(*twin_rows(*h), NO_LABELS, tau=1.5)[2].data[0]
             assert 0.0 < val < LN2 + 2.0 / 1.5
-
-    def test_tau_must_be_positive(self):
-        v = unit(rng.normal(size=4))
-        with pytest.raises(ValueError):
-            loss_csts_cl(v, v, v, v, tau=0.0)
 
 
 class TestCstsMse:
+    """The squared-error term of ``csts_loss``: both twins' errors, summed."""
+
     def test_zero_at_target(self):
         a, b = orthogonal_pair(6, 1)
-        assert loss_csts_mse(a, b, y=0.0) == pytest.approx(0.0, abs=1e-12)
+        _, mse, _ = csts_loss(*twin_rows(a, b, a, b), np.zeros((1, 2)), tau=1.5)
+        assert mse.data[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_gap(self):
         v = unit(rng.normal(size=6))
-        assert loss_csts_mse(v, v, y=0.0) == pytest.approx(1.0, abs=1e-12)
+        a, b = orthogonal_pair(6, 1)
+        # the high twin's cosine is 1 against a target of 0; the low twin's is on target
+        _, mse, _ = csts_loss(*twin_rows(v, v, a, b), np.zeros((1, 2)), tau=1.5)
+        assert mse.data[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         a0 = rng.normal(size=6)
@@ -107,15 +116,23 @@ class TestCstsMse:
 
 
 class TestCstsTotal:
-    def _twin(self, phi_equal=True, seed=0):
+    """The mean over a batch of instances of both twins' squared errors plus the twin InfoNCE."""
+
+    @staticmethod
+    def _batch(items):
+        """Rows and rescaled labels of (h1_hi, h2_hi, h1_lo, h2_lo, y_hi, y_lo) items."""
+        left = np.stack([v for it in items for v in (it[0], it[2])])
+        right = np.stack([v for it in items for v in (it[1], it[3])])
+        y01 = np.array([[rescale_label(it[4]), rescale_label(it[5])] for it in items])
+        return left, right, y01
+
+    def _twin(self, seed=0):
         r = np.random.default_rng(seed)
         v = unit(r.normal(size=8))
         w = unit(r.normal(size=8))
         phi = float(v @ w)
         y = 1.0 + 4.0 * phi if 0 <= phi <= 1 else 3.0
-        return TwinEmbeddings(
-            h1_high=v, h2_high=w, h1_low=v, h2_low=w, y_high=y, y_low=y
-        )
+        return v, w, v, w, y, y
 
     def test_perfect_fit_leaves_ln2(self):
         # all phi equal their (rescaled) labels and phi_hi == phi_lo
@@ -126,50 +143,51 @@ class TestCstsTotal:
             w = unit(r.normal(size=8))
             phi = float(v @ w)
             y_native = 1.0 + 4.0 * phi
-            items.append(
-                TwinEmbeddings(h1_high=v, h2_high=w, h1_low=v, h2_low=w, y_high=y_native, y_low=y_native)
-            )
+            items.append((v, w, v, w, y_native, y_native))
             assert rescale_label(y_native) == pytest.approx(phi, abs=1e-12)
-        assert loss_csts_total(items, LossConfig()) == pytest.approx(LN2, abs=1e-9)
+        total, _, _ = csts_loss(*self._batch(items), LossConfig().tau_csts)
+        assert total.item() == pytest.approx(LN2, abs=1e-9)
 
     def test_duplication_keeps_mean(self):
         items = [self._twin(seed=s) for s in range(4)]
-        a = loss_csts_total(items, LossConfig())
-        b = loss_csts_total(items + items, LossConfig())
+        tau = LossConfig().tau_csts
+        a = csts_loss(*self._batch(items), tau)[0].item()
+        b = csts_loss(*self._batch(items + items), tau)[0].item()
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_matches_hand_summed_items(self):
-        cfg = LossConfig()
+        tau = LossConfig().tau_csts
         items = []
         expected = 0.0
         for seed in range(3):
             r = np.random.default_rng(seed + 50)
             h = [unit(r.normal(size=8)) for _ in range(4)]
             y_hi, y_lo = float(r.uniform(3, 5)), float(r.uniform(1, 3))
-            items.append(
-                TwinEmbeddings(
-                    h1_high=h[0], h2_high=h[1], h1_low=h[2], h2_low=h[3],
-                    y_high=y_hi, y_low=y_lo,
-                )
-            )
+            items.append((h[0], h[1], h[2], h[3], y_hi, y_lo))
+            phi_hi, phi_lo = float(h[0] @ h[1]), float(h[2] @ h[3])  # unit rows: cosines
             expected += (
-                loss_csts_mse(h[0], h[1], rescale_label(y_hi))
-                + loss_csts_mse(h[2], h[3], rescale_label(y_lo))
-                + loss_csts_cl(h[0], h[1], h[2], h[3], cfg.tau_csts)
+                (phi_hi - rescale_label(y_hi)) ** 2
+                + (phi_lo - rescale_label(y_lo)) ** 2
+                + np.log(np.exp(phi_hi / tau) + np.exp(phi_lo / tau)) - phi_hi / tau
             )
-        assert loss_csts_total(items, cfg) == pytest.approx(expected / 3, abs=1e-12)
+        total, _, _ = csts_loss(*self._batch(items), tau)
+        assert total.item() == pytest.approx(expected / 3, abs=1e-12)
 
 
 class TestKgcLoss:
+    """``kgc_loss`` of one projected head (a one-row stack) against the candidate
+    rows of its tail and negatives, every entry kept."""
+
     def test_balanced_is_ln2(self):
         # one negative with phi_pos - gamma == phi_neg
         a, b = orthogonal_pair(8, 7)
         gamma = 0.0
-        assert loss_kgc(a, b, [b], gamma=gamma, tau=0.7) == pytest.approx(LN2, abs=1e-9)
+        got = kgc_loss(a[None], np.stack([b, b]), None, gamma, 0.7).item()
+        assert got == pytest.approx(LN2, abs=1e-9)
 
     def test_closed_form(self):
         v = unit(rng.normal(size=8))
-        got = loss_kgc(v, v, [-v], gamma=0.0, tau=1.0)
+        got = kgc_loss(v[None], np.stack([v, -v]), None, 0.0, 1.0).item()
         assert got == pytest.approx(np.log(1 + np.exp(-2.0)), abs=1e-9)
 
     def test_adding_negative_never_decreases(self):
@@ -177,7 +195,10 @@ class TestKgcLoss:
         hr = unit(r.normal(size=8))
         t = unit(r.normal(size=8))
         negs = [unit(r.normal(size=8)) for _ in range(8)]
-        losses = [loss_kgc(hr, t, negs[: k + 1], gamma=0.02, tau=0.5) for k in range(8)]
+        losses = [
+            kgc_loss(hr[None], np.stack([t, *negs[: k + 1]]), None, 0.02, 0.5).item()
+            for k in range(8)
+        ]
         assert all(b >= a - 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_bounded_by_pool_size_plus_margin_slack(self):
@@ -187,23 +208,25 @@ class TestKgcLoss:
             t = unit(r.normal(size=6))
             negs = [unit(r.normal(size=6)) for _ in range(n)]
             tau, gamma = 0.3, 0.05
-            val = loss_kgc(hr, t, negs, gamma=gamma, tau=tau)
+            val = kgc_loss(hr[None], np.stack([t, *negs]), None, gamma, tau).item()
             assert 0.0 < val < np.log(1 + n) + (2.0 + gamma) / tau
 
     def test_finite_at_tau_floor(self):
         v = unit(rng.normal(size=8))
-        val = loss_kgc(v, v, [-v], gamma=0.02, tau=1e-3)
+        val = kgc_loss(v[None], np.stack([v, -v]), None, 0.02, 1e-3).item()
         assert np.isfinite(val)
 
-    def test_empty_negatives_rejected(self):
-        v = unit(rng.normal(size=4))
-        with pytest.raises(ValueError):
-            loss_kgc(v, v, [], gamma=0.0, tau=0.5)
 
-    def test_tau_floor_enforced(self):
-        v = unit(rng.normal(size=4))
-        with pytest.raises(ValueError):
-            loss_kgc(v, v, [-v], gamma=0.0, tau=1e-4)
+class TestLossConfig:
+    @pytest.mark.parametrize(
+        "field,value", [("tau_csts", 0.0), ("tau_csts", -1.0), ("tau_kgc", 1e-4)]
+    )
+    def test_temperature_out_of_range_rejected(self, field, value):
+        loss = LossConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            loss.validate()
+        with pytest.raises(ValueError, match=field):  # every training run validates its config
+            trainer.TrainConfig(task="csts", mode="full", nh=4, loss=loss).validate()
 
 
 class TestAssembleNegatives:

@@ -1,9 +1,12 @@
 import copy
+import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from condcl.encoder import EmbeddingStore, HashingProvider, StoreProvider
+from condcl.encoder import EmbeddingStore, HashingProvider, StoreProvider, load_embeddings
 from condcl.errors import CondclError, ConfigError, FormatError, TrainingDivergedError
 from condcl.evaluation import csts_predictions, spearman
 from condcl.hypernet import load_checkpoint
@@ -174,8 +177,8 @@ class TestTrainBasics:
         from condcl.hypernet import init_params
 
         fresh = init_params("full", 8, seed=1)
-        assert np.array_equal(params.U, fresh.U)
-        assert np.array_equal(params.U_bias, fresh.U_bias)
+        assert np.array_equal(params.tensors["U"], fresh.tensors["U"])
+        assert np.array_equal(params.tensors["U_bias"], fresh.tensors["U_bias"])
 
     def test_frozen_encoder_invariant(self):
         quads, store = tiny_csts()
@@ -196,7 +199,7 @@ class TestTrainBasics:
             )
             params, arrays, report = fit(cfg, quads, provider)
             closure = make_loss_closure(cfg, twins, provider)
-            final_arrays = dict(params.tensors())
+            final_arrays = dict(params.tensors)
             loss_after, _ = closure(final_arrays)
             if loss_after < report.epoch_losses[0]:
                 wins += 1
@@ -207,7 +210,7 @@ class TestTrainBasics:
         provider = StoreProvider(store)
         cfg = TrainConfig(task="csts", mode="hadamard", nh=8, epochs=3, batch_size=4, seed=4)
         params, _, report = fit(cfg, quads, provider)
-        assert params.tensors() == {}
+        assert params.tensors == {}
         assert len(report.epoch_losses) == 3
         assert all(np.isfinite(l) for l in report.epoch_losses)
         # no learnable params: all epochs see the same mean loss
@@ -221,9 +224,9 @@ class TestTrainBasics:
         params, arrays, _ = fit(cfg, quads, provider, checkpoint_path=path)
         twins = pair_twins(quads)
         closure = make_loss_closure(cfg, twins, provider)
-        loss_native, _ = closure(dict(params.tensors()))
+        loss_native, _ = closure(dict(params.tensors))
         loaded, _extras = load_checkpoint(path)
-        loss_loaded, _ = closure(dict(loaded.tensors()))
+        loss_loaded, _ = closure(dict(loaded.tensors))
         assert loss_loaded == pytest.approx(loss_native, abs=1e-6)
 
     def test_kgc_checkpoint_round_trips_temperature(self, tmp_path):
@@ -380,6 +383,78 @@ class TestDataFiles:
         p.write_text("a\tb\n")
         with pytest.raises(FormatError, match=":1:"):
             load_kg_tsv(p)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("condition", {"x": 1}),
+            ("sentence1", 3),
+            ("sentence2", None),
+            ("label", True),
+            ("label", "3.0"),
+            ("label", float("nan")),
+            pytest.param("label", 10**400, id="label-beyond-float"),
+            ("pair_id", 1.5),
+            ("pair_id", True),
+            ("pair_id", "1"),
+        ],
+    )
+    def test_csts_field_of_the_wrong_type_reports_lineno(self, tmp_path, field, value):
+        rec = {"sentence1": "a", "sentence2": "b", "condition": "c", "label": 3, "pair_id": 0}
+        lines = [json.dumps(rec), json.dumps({**rec, field: value})]
+        p = tmp_path / "data.jsonl"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f":2: .*{field}"):
+            load_csts_jsonl(p)
+        p.write_text(lines[0] + "\n")
+        (quad,) = load_csts_jsonl(p)
+        assert quad == CstsQuadruplet("a", "b", "c", 3.0, 0) and isinstance(quad.y, float)
+
+
+# One small valid file per text loader.
+TEXT_FILES = {
+    "embeddings": (
+        load_embeddings,
+        '{"text": "a b", "embedding": [0.5, -1]}\n{"text": "c", "embedding": [2.0, 3e-2]}\n',
+    ),
+    "csts": (
+        load_csts_jsonl,
+        '{"sentence1": "a", "sentence2": "b", "condition": "c", "label": 3.5, "pair_id": 0}\n'
+        '{"sentence1": "a", "sentence2": "b", "condition": "d", "label": 1, "pair_id": 0}\n',
+    ),
+    "triples": (load_kg_tsv, "h\tr\tt\nh2\tr2\tt\n"),
+}
+
+
+class TestTextLoaderErrors:
+    @pytest.mark.parametrize("name", sorted(TEXT_FILES))
+    def test_invalid_utf8_reports_lineno(self, tmp_path, name):
+        load, text = TEXT_FILES[name]
+        first, second = text.encode("utf-8").split(b"\n", 1)
+        p = tmp_path / name
+        p.write_bytes(first + b"\n" + second.replace(b"c", b"\xff", 1).replace(b"t", b"\xff", 1))
+        with pytest.raises(FormatError, match=":2: invalid UTF-8"):
+            load(p)
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(name=st.sampled_from(sorted(TEXT_FILES)), data=st.data())
+    def test_byte_edit_or_truncation_is_format_error_or_loads(self, tmp_path_factory, name, data):
+        # Any single-byte edit or truncation of a valid file: FormatError or a
+        # clean load, nothing else.
+        load, text = TEXT_FILES[name]
+        blob = text.encode("utf-8")
+        pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+        if data.draw(st.booleans(), label="truncate"):
+            bad = blob[:pos]
+        else:
+            byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]), label="byte")
+            bad = blob[:pos] + bytes([byte]) + blob[pos + 1 :]
+        path = tmp_path_factory.getbasetemp() / f"fuzzed-{name}"
+        path.write_bytes(bad)
+        try:
+            load(path)
+        except FormatError:
+            pass
 
 
 def gaussian_provider(texts, nh, seed=0, zero=None):
