@@ -184,22 +184,30 @@ def matmul(a, b) -> Tensor:
 def grouped_matmul(x, W, bounds, transpose: bool = False) -> Tensor:
     """Rows bounds[r]:bounds[r+1] of x (B x n) times matrix r of the stack W:
     ``x[lo:hi] @ W[r]``, or ``x[lo:hi] @ W[r].T`` when ``transpose``. One
-    product per segment forward and two backward; no per-row copies of W."""
+    product per nonempty segment forward and two backward (an empty segment's
+    W gradient is zeros); no per-row copies of W."""
     xd, Wd = _data(x), _data(W)
-    segs = list(zip(bounds[:-1], bounds[1:]))
-    if len(segs) != Wd.shape[0] or bounds[0] != 0 or bounds[-1] != xd.shape[0]:
+    if len(bounds) != Wd.shape[0] + 1 or bounds[0] != 0 or bounds[-1] != xd.shape[0]:
         raise ValueError("grouped_matmul: bounds do not split x into one segment per matrix")
+    segs = [(r, lo, hi) for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
     Ws = Wd.transpose(0, 2, 1) if transpose else Wd
     out = np.empty((xd.shape[0], Ws.shape[2]))
-    for (lo, hi), w in zip(segs, Ws):  # in place: concatenating the products costs more
-        np.matmul(xd[lo:hi], w, out=out[lo:hi])
-    return _node(
-        out,
-        (x, lambda g: np.concatenate([g[lo:hi] @ w.T for (lo, hi), w in zip(segs, Ws)])),
-        (W, lambda g: np.stack([
-            g[lo:hi].T @ xd[lo:hi] if transpose else xd[lo:hi].T @ g[lo:hi] for lo, hi in segs
-        ])),
-    )
+    for r, lo, hi in segs:  # in place: concatenating the products costs more
+        np.matmul(xd[lo:hi], Ws[r], out=out[lo:hi])
+
+    def grad_x(g):
+        gx = np.empty(xd.shape)
+        for r, lo, hi in segs:
+            np.matmul(g[lo:hi], Ws[r].T, out=gx[lo:hi])
+        return gx
+
+    def grad_W(g):
+        gW = np.zeros(Wd.shape)
+        for r, lo, hi in segs:
+            gW[r] = g[lo:hi].T @ xd[lo:hi] if transpose else xd[lo:hi].T @ g[lo:hi]
+        return gW
+
+    return _node(out, (x, grad_x), (W, grad_W))
 
 
 def normalize_rows(x) -> Tensor:

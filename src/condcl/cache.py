@@ -10,6 +10,9 @@ Three execution architectures are compared over a stream of
   - ``hyper``: like tri for sentences, but conditions are cached apart, as
     generated operators: one-condition stacks, through which each request
     sends its sentence as one row (the condition embedding is transient).
+    A call resolves all its conditions first, generating every uncached one
+    in one stacked product per generator tensor, then serves its requests
+    one row at a time.
 
 Caches are unbounded and never evict: misses equal the number of distinct
 keys, exactly. Byte accounting counts stored payload floats at 8 bytes;
@@ -40,8 +43,7 @@ __all__ = [
     "WorkloadSpec",
     "TextKeyedCache",
     "cached_embed",
-    "cached_operator",
-    "simulate_workload",
+    "cached_operators",
     "run_architecture",
     "bench_report",
     "BenchRow",
@@ -103,13 +105,24 @@ class TextKeyedCache:
         return len(self._store)
 
     def lookup(self, key: str):
+        found, _ = self.lookup_all([key])
+        return key in found, found.get(key)
+
+    def lookup_all(self, keys: Sequence[str]) -> tuple[dict[str, object], list[str]]:
+        """One counted lookup per key, under one lock acquisition.
+
+        Returns the stored values found and the distinct missing keys in
+        first-seen order. A missing key counts as a miss at its first
+        occurrence and as a hit after that, as sequential lookups that insert
+        each miss would count it.
+        """
         with self._lock:
-            self.stats.lookups += 1
-            if key in self._store:
-                self.stats.hits += 1
-                return True, self._store[key]
-            self.stats.misses += 1
-            return False, None
+            found = {k: self._store[k] for k in keys if k in self._store}
+            missing = list(dict.fromkeys(k for k in keys if k not in found))
+            self.stats.lookups += len(keys)
+            self.stats.hits += len(keys) - len(missing)
+            self.stats.misses += len(missing)
+            return found, missing
 
     def insert(self, key: str, value, payload_bytes: int, heavy_ops: int, gen_ops: int = 0):
         with self._lock:
@@ -132,63 +145,32 @@ def cached_embed(cache: TextKeyedCache, provider, text: str) -> np.ndarray:
     return vec
 
 
-def cached_operator(
-    cache: TextKeyedCache, params: HyperNetParams, provider, condition_text: str
-) -> ConditionOperator:
-    """Condition-operator lookup keyed by condition text.
+def cached_operators(
+    cache: TextKeyedCache, params: HyperNetParams, provider, condition_texts: Sequence[str]
+) -> list[ConditionOperator]:
+    """Condition-operator lookups keyed by condition text: one operator per text.
 
-    A miss embeds the condition (one heavy op), generates the operator (one
-    generation op), and stores the operator itself, a one-condition stack;
-    the intermediate condition embedding is not retained.
+    Each text is one counted lookup. The distinct misses are embedded (one
+    heavy op each) and generated together, one product per generator tensor
+    for each GENERATE_BLOCK of them. Each miss is stored as a one-condition
+    view of its block (one generation op); the condition embeddings are not
+    retained. A text repeated in the call returns the same object.
     """
     if params.mode not in ("full", "lowrank"):
-        raise ValueError("cached_operator requires full or lowrank params")
-    hit, value = cache.lookup(condition_text)
-    if hit:
-        return value
-    op = next(generate_operators(params, provider.embed(condition_text)[None]))
-    payload = operator_payload_bytes(op, FLOAT_BYTES)
-    cache.insert(condition_text, op, payload, heavy_ops=1, gen_ops=1)
-    return op
-
-
-def simulate_workload(spec: WorkloadSpec, nh: int, nk: int | None = None) -> CacheStats:
-    """Count cache traffic and heavy/light operations without executing.
-
-    Mirrors the unbounded caches above: bi does one joint-keyed lookup per
-    request; tri and hyper do two lookups (sentence key, condition key) and
-    one light composition per request. Tri keeps every text in one cache.
-    Hyper keeps conditions in a cache of their own, as operators rather
-    than embeddings (dense nh^2 floats, or 2*nh*nk when a rank is given), so
-    a text used both as a sentence and as a condition misses in each.
-    """
-    if nh <= 0:
-        raise ValueError("nh must be positive")
-    stats = CacheStats()
-    texts: set[str] = set()
-    conditions = set() if spec.architecture == "hyper" else texts
-    cond_bytes = (2 * nh * nk if nk else nh * nh) * FLOAT_BYTES
-    for s, c in spec.requests:
-        if spec.architecture == "bi":
-            keyed = [(s + JOINT_KEY_SEP + c, texts)]
-        else:
-            keyed = [(s, texts), (c, conditions)]
-            stats.light_ops += 1
-        for key, keys in keyed:
-            stats.lookups += 1
-            if key in keys:
-                stats.hits += 1
-                continue
-            stats.misses += 1
-            stats.heavy_ops += 1
-            stats.key_bytes += len(key.encode("utf-8"))
-            keys.add(key)
-            if keys is not texts:
-                stats.gen_ops += 1
-                stats.resident_bytes += cond_bytes
-            else:
-                stats.resident_bytes += nh * FLOAT_BYTES
-    return stats
+        raise ValueError("cached_operators requires full or lowrank params")
+    found, missing = cache.lookup_all(condition_texts)
+    if missing:
+        H = np.stack([provider.embed(c) for c in missing])
+        keys = iter(missing)
+        for block in generate_operators(params, H):
+            arrays = {n: a for n in ("W", "W1", "W2") if (a := getattr(block, n)) is not None}
+            for r in range(block.shape[0]):
+                op = ConditionOperator(block.form, **{n: a[r : r + 1] for n, a in arrays.items()})
+                key = next(keys)
+                payload = operator_payload_bytes(op, FLOAT_BYTES)
+                cache.insert(key, op, payload, heavy_ops=1, gen_ops=1)
+                found[key] = op
+    return [found[c] for c in condition_texts]
 
 
 def run_architecture(
@@ -200,8 +182,10 @@ def run_architecture(
 ) -> CacheStats:
     """Execute a request stream for real through fresh caches.
 
-    Requests are served one at a time (batch of 1). The optional sink
-    receives each conditioned embedding, keeping the work observable.
+    Requests are served one at a time, in order; hyper first resolves the
+    conditions of the whole request list in one ``cached_operators`` call,
+    then sends each request's sentence through its operator as one row. The
+    optional sink receives each conditioned embedding, once per request.
     """
     if architecture == "bi":
         cache = TextKeyedCache()
@@ -225,9 +209,9 @@ def run_architecture(
             raise ValueError("hyper architecture needs generator params")
         vec_cache = TextKeyedCache()
         op_cache = TextKeyedCache()
-        for s, c in requests:
+        ops = cached_operators(op_cache, params, provider, [c for _, c in requests])
+        for (s, _), op in zip(requests, ops):
             hs = cached_embed(vec_cache, provider, s)
-            op = cached_operator(op_cache, params, provider, c)
             out = apply_stack(op, hs, (0, 1)).data[0]
             vec_cache.stats.light_ops += 1
             if sink:
@@ -249,6 +233,7 @@ BENCH_COLUMNS = (
     "requests",
     "heavy_ops",
     "light_ops",
+    "gen_ops",
     "hits",
     "misses",
     "hit_rate",
@@ -305,6 +290,7 @@ def bench_rows_to_tsv(rows: Sequence[BenchRow]) -> str:
                     str(row.requests),
                     str(s.heavy_ops),
                     str(s.light_ops),
+                    str(s.gen_ops),
                     str(s.hits),
                     str(s.misses),
                     f"{s.hit_rate:.6f}",

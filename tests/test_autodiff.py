@@ -93,6 +93,7 @@ GROUPED_BOUNDS = {
     "one-row-segments": [0, 1, 2, 3, 4, 5],
     "mixed": [0, 2, 3, 5],
     "empty-segment": [0, 2, 2, 5],
+    "empty-ends": [0, 0, 5, 5],
 }
 
 
@@ -109,6 +110,10 @@ def test_grouped_matmul_values_and_gradients(bounds, transpose):
         np.testing.assert_allclose(out.data[lo:hi], want, rtol=0, atol=1e-12)
     check_unary(lambda t: ad.mean(ad.grouped_matmul(t, W0, bounds, transpose) * c), x0)
     check_unary(lambda t: ad.mean(ad.grouped_matmul(x0, t, bounds, transpose) * c), W0)
+    W = ad.leaf(W0)
+    ad.mean(ad.grouped_matmul(x0, W, bounds, transpose) * c).backward()
+    for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        assert (hi > lo) == bool(W.grad[r].any())  # an empty segment's gradient is exact zeros
 
 
 def test_grouped_matmul_chains_through_both_operands():

@@ -3,16 +3,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from condcl import hypernet
 from condcl.cache import (
+    FLOAT_BYTES,
+    JOINT_KEY_SEP,
+    CacheStats,
     TextKeyedCache,
     WorkloadSpec,
     bench_report,
     bench_rows_to_tsv,
     cached_embed,
-    cached_operator,
+    cached_operators,
     full_cross_requests,
     run_architecture,
-    simulate_workload,
 )
 from condcl.encoder import HashingProvider
 from condcl.hypernet import init_params
@@ -29,6 +32,45 @@ def replay_oracle(requests_keys):
             misses += 1
             seen.add(k)
     return hits, misses, len(seen)
+
+
+def simulate_workload(spec: WorkloadSpec, nh: int, nk: int | None = None) -> CacheStats:
+    """Count cache traffic and heavy/light operations without executing.
+
+    Mirrors the unbounded caches of ``condcl.cache``: bi does one
+    joint-keyed lookup per request; tri and hyper do two lookups (sentence
+    key, condition key) and one light composition per request. Tri keeps every text in one cache.
+    Hyper keeps conditions in a cache of their own, as operators rather
+    than embeddings (dense nh^2 floats, or 2*nh*nk when a rank is given), so
+    a text used both as a sentence and as a condition misses in each.
+    """
+    if nh <= 0:
+        raise ValueError("nh must be positive")
+    stats = CacheStats()
+    texts: set[str] = set()
+    conditions = set() if spec.architecture == "hyper" else texts
+    cond_bytes = (2 * nh * nk if nk else nh * nh) * FLOAT_BYTES
+    for s, c in spec.requests:
+        if spec.architecture == "bi":
+            keyed = [(s + JOINT_KEY_SEP + c, texts)]
+        else:
+            keyed = [(s, texts), (c, conditions)]
+            stats.light_ops += 1
+        for key, keys in keyed:
+            stats.lookups += 1
+            if key in keys:
+                stats.hits += 1
+                continue
+            stats.misses += 1
+            stats.heavy_ops += 1
+            stats.key_bytes += len(key.encode("utf-8"))
+            keys.add(key)
+            if keys is not texts:
+                stats.gen_ops += 1
+                stats.resident_bytes += cond_bytes
+            else:
+                stats.resident_bytes += nh * FLOAT_BYTES
+    return stats
 
 
 class TestCachedEmbed:
@@ -70,10 +112,15 @@ class TestCachedEmbed:
         provider = HashingProvider(dim=8, seed=0)
         params = init_params("lowrank", 8, 2, seed=0)
 
+        repeats_identical = []
+
         def worker(k):
             for i in range(100):
                 cached_embed(sentences, provider, f"s{(i * 7 + k) % 50}")
-                cached_operator(operators, params, provider, f"c{(i + k) % 5}")
+                # Overlapping windows, across threads and calls, with one repeat.
+                texts = [f"c{(i + k + j) % 40}" for j in (0, 1, 0, 2)]
+                ops = cached_operators(operators, params, provider, texts)
+                repeats_identical.append(len(ops) == 4 and ops[0] is ops[2])
 
         threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
         interval = sys.getswitchinterval()
@@ -90,8 +137,21 @@ class TestCachedEmbed:
         s, o = sentences.stats, operators.stats
         assert s.lookups == s.hits + s.misses == 400 and len(sentences) == 50
         assert (s.heavy_ops, s.gen_ops) == (s.misses, 0)
-        assert o.lookups == o.hits + o.misses == 400 and len(operators) == 5
-        assert o.heavy_ops == o.gen_ops == o.misses
+        assert o.lookups == o.hits + o.misses == 1600 and len(operators) == 40
+        assert o.heavy_ops == o.gen_ops == o.misses >= 40
+        assert len(repeats_identical) == 400 and all(repeats_identical)
+
+
+CONDITIONS = ("x", "y", "x y", *(f"c{i}" for i in range(hypernet.GENERATE_BLOCK + 3)))
+
+
+def operator_formula(params, h_c):
+    """One condition's generated arrays by the per-condition formula:
+    (W,) for full, (W1, W2) for lowrank."""
+    t, nh, nk = params.tensors, params.nh, params.nk
+    if params.mode == "full":
+        return ((t["U"] @ h_c + t["U_bias"]).reshape(nh, nh),)
+    return tuple((t[u] @ h_c + t[u + "_bias"]).reshape(nh, nk) for u in ("U1", "U2"))
 
 
 class TestCachedOperator:
@@ -100,7 +160,7 @@ class TestCachedOperator:
         cache = TextKeyedCache()
         provider = HashingProvider(dim=nh, seed=0)
         params = init_params("full", nh, seed=0)
-        cached_operator(cache, params, provider, "c1")
+        cached_operators(cache, params, provider, ["c1"])
         assert cache.stats.resident_bytes == nh * nh * 8
         assert cache.stats.gen_ops == 1
         assert cache.stats.heavy_ops == 1
@@ -110,8 +170,8 @@ class TestCachedOperator:
         cache_full = TextKeyedCache()
         cache_low = TextKeyedCache()
         provider = HashingProvider(dim=nh, seed=0)
-        cached_operator(cache_full, init_params("full", nh, seed=0), provider, "c1")
-        cached_operator(cache_low, init_params("lowrank", nh, nk, seed=0), provider, "c1")
+        cached_operators(cache_full, init_params("full", nh, seed=0), provider, ["c1"])
+        cached_operators(cache_low, init_params("lowrank", nh, nk, seed=0), provider, ["c1"])
         assert cache_low.stats.resident_bytes == 2 * nh * nk * 8
         ratio = cache_low.stats.resident_bytes / cache_full.stats.resident_bytes
         assert ratio == pytest.approx(2 * nk / nh)
@@ -120,8 +180,8 @@ class TestCachedOperator:
         cache = TextKeyedCache()
         provider = HashingProvider(dim=8, seed=0)
         params = init_params("full", 8, seed=0)
-        op1 = cached_operator(cache, params, provider, "c")
-        op2 = cached_operator(cache, params, provider, "c")
+        (op1,) = cached_operators(cache, params, provider, ["c"])
+        (op2,) = cached_operators(cache, params, provider, ["c"])
         assert op1 is op2
         assert cache.stats.heavy_ops == 1
 
@@ -129,7 +189,43 @@ class TestCachedOperator:
         cache = TextKeyedCache()
         provider = HashingProvider(dim=8, seed=0)
         with pytest.raises(ValueError):
-            cached_operator(cache, init_params("hadamard", 8), provider, "c")
+            cached_operators(cache, init_params("hadamard", 8), provider, ["c"])
+
+    @given(
+        cached=st.lists(st.sampled_from(CONDITIONS), max_size=8),
+        texts=st.lists(st.sampled_from(CONDITIONS), max_size=60),
+        nk=st.sampled_from([None, 2]),
+    )
+    @example(cached=["x", "c0"], texts=[*CONDITIONS, "x", "c1", "c1"], nk=2)
+    @example(cached=[], texts=[*CONDITIONS, *CONDITIONS], nk=None)
+    @settings(max_examples=60, deadline=None)
+    def test_batched_misses_count_and_compute_as_sequential_serving(self, cached, texts, nk):
+        # CONDITIONS is larger than GENERATE_BLOCK, so misses can span blocks.
+        nh = 6
+        provider = HashingProvider(dim=nh, seed=3)
+        params = init_params("lowrank" if nk else "full", nh, nk, seed=0)
+        cache, replay = TextKeyedCache(), TextKeyedCache()
+        pre = dict(zip(cached, cached_operators(cache, params, provider, cached)))
+        ops = cached_operators(cache, params, provider, texts)
+        for t in cached + texts:
+            cached_operators(replay, params, provider, [t])
+        s = cache.stats
+        assert s == replay.stats
+        hits, misses, distinct = replay_oracle(cached + texts)
+        assert (s.lookups, s.hits, s.misses) == (len(cached) + len(texts), hits, misses)
+        assert s.heavy_ops == s.gen_ops == misses
+        assert s.resident_bytes == distinct * (2 * nh * nk if nk else nh * nh) * FLOAT_BYTES
+        assert len(ops) == len(texts)
+        for t, op in zip(texts, ops):
+            assert op.shape == (1, nh)
+            got = (op.W[0],) if nk is None else (op.W1[0], op.W2[0])
+            for g, want in zip(got, operator_formula(params, provider.embed(t)), strict=True):
+                np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)
+            assert op is ops[texts.index(t)] and op is pre.get(t, op)
+        for mode in ("hadamard", "concat"):
+            with pytest.raises(ValueError):
+                cached_operators(cache, init_params(mode, nh), provider, texts)
+        assert cache.stats == replay.stats
 
 
 class TestSimulateWorkload:
@@ -282,6 +378,7 @@ class TestBenchReport:
             "requests",
             "heavy_ops",
             "light_ops",
+            "gen_ops",
             "hits",
             "misses",
             "hit_rate",

@@ -204,3 +204,15 @@ def test_cluster_analysis_projects_each_point_through_its_condition(
         W2 = (t["U2"] @ h_c + t["U2_bias"]).reshape(8, 3)
         np.testing.assert_allclose(got, W1 @ (W2.T @ h_s), rtol=0, atol=1e-12)
     assert len(rows) == len(after) > 2
+
+
+def test_bench_cache_reports_generated_operators_per_architecture(capsys):
+    argv = ["bench-cache", "--gen-sentences", "3", "--gen-conditions", "2", "--nh", "8"]
+    assert cli.main([*argv, "--nk", "2", "--heavy-rounds", "1"]) == cli.EXIT_OK
+    header, *rows = [line.split("\t") for line in capsys.readouterr().out.strip().split("\n")]
+    assert header == [
+        "architecture", "requests", "heavy_ops", "light_ops", "gen_ops",
+        "hits", "misses", "hit_rate", "resident_bytes", "wall_ms",
+    ]
+    gen_ops = {row[0]: int(row[header.index("gen_ops")]) for row in rows}
+    assert gen_ops == {"bi": 0, "tri": 0, "hyper-full": 2, "hyper-lowrank": 2}
