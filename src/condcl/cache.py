@@ -11,8 +11,8 @@ Three execution architectures are compared over a stream of
     generated operators: one-condition stacks, through which each request
     sends its sentence as one row (the condition embedding is transient).
     A call resolves all its conditions first, generating every uncached one
-    in one stacked product per generator tensor, then serves its requests
-    one row at a time.
+    in one ``generate_operators`` call, then serves its requests one row at
+    a time.
 
 Caches are unbounded and never evict: misses equal the number of distinct
 keys, exactly. Byte accounting counts stored payload floats at 8 bytes;
@@ -40,7 +40,6 @@ from .hypernet import (
 
 __all__ = [
     "CacheStats",
-    "WorkloadSpec",
     "TextKeyedCache",
     "cached_embed",
     "cached_operators",
@@ -53,7 +52,6 @@ __all__ = [
 ]
 
 JOINT_KEY_SEP = "\x1f"
-ARCHITECTURES = ("bi", "tri", "hyper")
 FLOAT_BYTES = 8
 
 
@@ -76,18 +74,6 @@ class CacheStats:
         return CacheStats(
             **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
         )
-
-
-@dataclass
-class WorkloadSpec:
-    architecture: str
-    requests: list[tuple[str, str]]
-
-    def __post_init__(self):
-        if self.architecture not in ARCHITECTURES:
-            raise ValueError(f"architecture must be one of {ARCHITECTURES}")
-        if not self.requests:
-            raise ValueError("workload requests must be nonempty")
 
 
 class TextKeyedCache:
@@ -151,25 +137,19 @@ def cached_operators(
     """Condition-operator lookups keyed by condition text: one operator per text.
 
     Each text is one counted lookup. The distinct misses are embedded (one
-    heavy op each) and generated together, one product per generator tensor
-    for each GENERATE_BLOCK of them. Each miss is stored as a one-condition
-    view of its block (one generation op); the condition embeddings are not
-    retained. A text repeated in the call returns the same object.
+    heavy op each) and generated in one ``generate_operators`` call, which
+    yields one operator per miss; each is stored as it comes (one generation
+    op). The condition embeddings are not retained. A text repeated in the
+    call returns the same object.
     """
     if params.mode not in ("full", "lowrank"):
         raise ValueError("cached_operators requires full or lowrank params")
     found, missing = cache.lookup_all(condition_texts)
     if missing:
         H = np.stack([provider.embed(c) for c in missing])
-        keys = iter(missing)
-        for block in generate_operators(params, H):
-            arrays = {n: a for n in ("W", "W1", "W2") if (a := getattr(block, n)) is not None}
-            for r in range(block.shape[0]):
-                op = ConditionOperator(block.form, **{n: a[r : r + 1] for n, a in arrays.items()})
-                key = next(keys)
-                payload = operator_payload_bytes(op, FLOAT_BYTES)
-                cache.insert(key, op, payload, heavy_ops=1, gen_ops=1)
-                found[key] = op
+        for key, op in zip(missing, generate_operators(params, H)):
+            cache.insert(key, op, operator_payload_bytes(op, FLOAT_BYTES), heavy_ops=1, gen_ops=1)
+            found[key] = op
     return [found[c] for c in condition_texts]
 
 
@@ -243,8 +223,8 @@ BENCH_COLUMNS = (
 
 
 def bench_report(
-    spec: WorkloadSpec,
-    params: HyperNetParams | Sequence[HyperNetParams],
+    requests: Sequence[tuple[str, str]],
+    params: Sequence[HyperNetParams],
     provider,
     repetitions: int = 1,
 ) -> list[BenchRow]:
@@ -254,11 +234,12 @@ def bench_report(
     repetition count; reported stats are those of a single pass. One hyper
     row is emitted per supplied params object, labeled by its mode.
     """
+    if not requests:
+        raise ValueError("workload requests must be nonempty")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    params_list = [params] if isinstance(params, HyperNetParams) else list(params)
     runs: list[tuple[str, HyperNetParams | None]] = [("bi", None), ("tri", None)]
-    for p in params_list:
+    for p in params:
         runs.append((f"hyper-{p.mode}", p))
     rows: list[BenchRow] = []
     for label, p in runs:
@@ -266,12 +247,12 @@ def bench_report(
         stats = CacheStats()
         t0 = time.perf_counter()
         for _ in range(repetitions):
-            stats = run_architecture(arch, spec.requests, provider, params=p)
+            stats = run_architecture(arch, requests, provider, params=p)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         rows.append(
             BenchRow(
                 architecture=label,
-                requests=len(spec.requests),
+                requests=len(requests),
                 stats=stats,
                 wall_ms=wall_ms,
             )

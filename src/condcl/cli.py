@@ -40,6 +40,7 @@ EXIT_ABORT = 3
 
 GRADCHECK_THRESHOLD = 1e-4
 DEFAULT_DIVISORS = (1, 4, 8, 12, 16, 24)
+MODEL_KEYS = ("checkpoint", "embeddings")  # analyze takes them as flags or config keys
 
 
 def _setup_logging() -> None:
@@ -96,6 +97,17 @@ def _store_provider(cfg: dict, key: str = "embeddings") -> StoreProvider:
     return StoreProvider(load_embeddings(path))
 
 
+def _load_model(cfg: dict) -> tuple[hypernet.HyperNetParams, StoreProvider]:
+    """The params of cfg's checkpoint and a provider over its embeddings; their nh must agree."""
+    provider = _store_provider(cfg)
+    params, _ = hypernet.load_checkpoint(_existing_path(_require(cfg, "checkpoint"), "checkpoint"))
+    if params.nh != provider.dim:
+        raise ConfigError(
+            f"checkpoint dimension {params.nh} does not match provider dimension {provider.dim}"
+        )
+    return params, provider
+
+
 def _emit(payload: str, out: str | None) -> None:
     if out:
         Path(out).write_text(payload, encoding="utf-8")
@@ -145,10 +157,7 @@ def cmd_eval(args) -> int:
     task = cfg.get("task")
     if task not in trainer.TASKS:
         raise ConfigError("config must set 'task' (csts or kgc)")
-    provider = _store_provider(cfg)
-    ckpt = _existing_path(_require(cfg, "checkpoint"), "checkpoint")
-    params, _extras = hypernet.load_checkpoint(ckpt)
-    hypernet.params_dim_check(params, provider.dim)
+    params, provider = _load_model(cfg)
     data_path = _existing_path(_require(cfg, "data"), "data")
 
     if task == "csts":
@@ -204,9 +213,8 @@ def cmd_bench_cache(args) -> int:
     provider = HashingProvider(dim=nh, seed=seed, rounds=args.heavy_rounds)
     params_full = hypernet.init_params("full", nh, seed=seed)
     params_lowrank = hypernet.init_params("lowrank", nh, args.nk, seed=seed)
-    spec = cache_mod.WorkloadSpec(architecture="tri", requests=requests)
     rows = cache_mod.bench_report(
-        spec, [params_full, params_lowrank], provider, repetitions=args.repetitions
+        requests, [params_full, params_lowrank], provider, repetitions=args.repetitions
     )
     _emit(cache_mod.bench_rows_to_tsv(rows), args.out)
     return EXIT_OK
@@ -237,11 +245,7 @@ def _cluster_points(quads, provider, k, per_group):
 
 def cmd_analyze_clusters(args) -> int:
     cfg = _load_config(args.config)
-    provider = _store_provider({"embeddings": args.embeddings or cfg.get("embeddings")})
-    params, _ = hypernet.load_checkpoint(
-        _existing_path(args.checkpoint or cfg.get("checkpoint"), "checkpoint")
-    )
-    hypernet.params_dim_check(params, provider.dim)
+    params, provider = _load_model({k: getattr(args, k) or cfg.get(k) for k in MODEL_KEYS})
     quads = trainer.load_csts_jsonl(_existing_path(args.data or cfg.get("data"), "data"))
     k = args.k
     sentences, labels = _cluster_points(quads, provider, k, args.per_group)
@@ -251,13 +255,11 @@ def cmd_analyze_clusters(args) -> int:
     before = np.stack([provider.embed(s) for s in sentences])
     conditions = list(dict.fromkeys(labels))  # each condition's points are contiguous
     H = np.stack([provider.embed(c) for c in conditions])
-    bounds = np.cumsum([0] + [labels.count(c) for c in conditions])
-    after = []
-    block = hypernet.GENERATE_BLOCK
-    for lo, op in zip(range(0, len(H), block), hypernet.generate_operators(params, H)):
-        cut = bounds[lo : lo + block + 1]
-        after.append(hypernet.apply_stack(op, before[cut[0] : cut[-1]], cut - cut[0]).data)
-    after = np.concatenate(after)
+    groups = np.split(before, np.cumsum([labels.count(c) for c in conditions])[:-1])
+    ops = hypernet.generate_operators(params, H)
+    after = np.concatenate(
+        [hypernet.apply_stack(op, rows, (0, len(rows))).data for rows, op in zip(groups, ops)]
+    )
     assign_before = eval_mod.kmeans(before, k, seed=args.seed or 0)
     assign_after = eval_mod.kmeans(after, k, seed=args.seed or 0)
     report = {
@@ -282,11 +284,7 @@ def cmd_analyze_clusters(args) -> int:
 
 def cmd_analyze_frobenius(args) -> int:
     cfg = _load_config(args.config)
-    provider = _store_provider({"embeddings": args.embeddings or cfg.get("embeddings")})
-    params, _ = hypernet.load_checkpoint(
-        _existing_path(args.checkpoint or cfg.get("checkpoint"), "checkpoint")
-    )
-    hypernet.params_dim_check(params, provider.dim)
+    params, provider = _load_model({k: getattr(args, k) or cfg.get(k) for k in MODEL_KEYS})
     cond_path = _existing_path(args.conditions or cfg.get("conditions"), "conditions")
     conditions = [line for line in cond_path.read_text(encoding="utf-8").splitlines() if line]
     if not conditions:
@@ -460,26 +458,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, split=False):
-        p.add_argument("--config", help="JSON config path")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--mode", choices=hypernet.MODES)
-        p.add_argument("--nh", type=int)
-        p.add_argument("--nk", type=int)
-        p.add_argument("--out")
-        if split:
-            p.add_argument("--split", choices=["seen", "unseen", "overall"])
+    shared = {
+        "config": {"help": "JSON config path"},
+        "seed": {"type": int},
+        "mode": {"choices": hypernet.MODES},
+        "nh": {"type": int},
+        "nk": {"type": int},
+        "out": {},
+    }
+
+    def common(p, *names):
+        """The shared flags that p's command reads."""
+        for name in names:
+            p.add_argument(f"--{name}", **shared[name])
 
     p = sub.add_parser("train", help="train composition parameters")
-    common(p)
+    common(p, *shared)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    common(p, split=True)
+    common(p, "config", "out")
+    p.add_argument("--split", choices=["seen", "unseen", "overall"])
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench-cache", help="benchmark cached execution per architecture")
-    common(p)
+    common(p, "seed", "nh", "nk", "out")
     p.add_argument("--workload", help="TSV of sentence<TAB>condition requests")
     p.add_argument("--gen-sentences", type=int, default=0)
     p.add_argument("--gen-conditions", type=int, default=0)
@@ -492,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     an_sub = p_an.add_subparsers(dest="analysis", required=True)
 
     p = an_sub.add_parser("clusters", help="k-means impurity before/after projection")
-    common(p)
+    common(p, "config", "seed", "out")
     p.add_argument("--checkpoint")
     p.add_argument("--embeddings")
     p.add_argument("--data", help="similarity JSONL supplying sentence/condition groups")
@@ -501,19 +504,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze_clusters)
 
     p = an_sub.add_parser("frobenius", help="operator-norm variance: generated vs diagonal")
-    common(p)
+    common(p, "config", "out")
     p.add_argument("--checkpoint")
     p.add_argument("--embeddings")
     p.add_argument("--conditions", help="file with one condition per line")
     p.set_defaults(func=cmd_analyze_frobenius)
 
     p = sub.add_parser("sweep-rank", help="train/evaluate across rank divisors")
-    common(p)
+    common(p, "config", "seed", "nh", "out")
     p.add_argument("--divisors", default=",".join(str(d) for d in DEFAULT_DIVISORS))
     p.set_defaults(func=cmd_sweep_rank)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of analytic gradients")
-    common(p)
+    common(p, "seed", "nh", "nk")
     p.add_argument("--probes", type=int, default=100)
     p.add_argument("--epsilon", type=float, default=1e-5)
     p.set_defaults(func=cmd_gradcheck, nh=16)
@@ -522,14 +525,14 @@ def build_parser() -> argparse.ArgumentParser:
     mk_sub = p_mk.add_subparsers(dest="dataset", required=True)
 
     p = mk_sub.add_parser("csts", help="block-structured similarity data")
-    common(p)
+    common(p, "seed", "nh", "out")
     p.add_argument("--pairs", type=int, default=500)
     p.add_argument("--conditions", type=int, default=4)
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.set_defaults(func=cmd_make_synthetic_csts, nh=64)
 
     p = mk_sub.add_parser("kg", help="orthogonal-map link-prediction data")
-    common(p)
+    common(p, "seed", "nh", "out")
     p.add_argument("--entities", type=int, default=200)
     p.add_argument("--relations", type=int, default=4)
     p.set_defaults(func=cmd_make_synthetic_kg, nh=64)

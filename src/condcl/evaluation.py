@@ -6,10 +6,10 @@ k-means clustering with a condition-weighted entropy (impurity) score, and
 the operator-norm variance comparison between generated operators and the
 diagonal (elementwise) composition.
 
-Ranking and C-STS prediction are batched: one call generates its conditions'
-operators in stacks and sends rows through them with ``apply_stack``: a
-tail query's anchor as one row, the candidate matrix once per relation for
-head queries, and a stack's condition-grouped C-STS rows in one call.
+Ranking and C-STS prediction are batched: one call takes one operator per
+condition from ``generate_operators`` and sends rows through it with
+``apply_stack``: a tail query's anchor as one row, the candidate matrix once
+per relation for head queries, and each condition's C-STS rows in one call.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import CondclError, DimensionMismatchError
 from .hypernet import (
-    GENERATE_BLOCK,
     HyperNetParams,
     apply_stack,
     diagonal_operator,
@@ -116,29 +115,25 @@ def _rank_queries(params, provider, candidates, queries) -> list[RankingResult]:
     first: dict[bytes, int] = {}
     same = np.array([first.setdefault(e.tobytes(), i) for i, e in enumerate(E)])
     H = np.stack([provider.embed(relation) for relation in by_relation])
-    groups = list(by_relation.values())
     results: list = [None] * len(queries)
-    for lo, op in zip(range(0, len(H), GENERATE_BLOCK), generate_operators(params, H)):
-        block = groups[lo : lo + GENERATE_BLOCK]
-        for r, members in enumerate(block):
-            past_r = np.arange(len(block) + 1) > r  # times n: bounds of n rows through relation r
-            heads = None  # the relation's projected entity matrix and its row norms
-            for i in members:
-                query, gold, filter_set, direction = queries[i]
-                anchor = as_vector(provider.embed(query[0]), "anchor")
-                if direction == "tail":
-                    base = apply_stack(op, anchor, past_r * 1).data[0]
-                    scores = _cosines(E @ base, norms, np.linalg.norm(base))
-                else:
-                    if heads is None:
-                        P = apply_stack(op, E, past_r * len(E)).data
-                        heads = P, np.linalg.norm(P, axis=1)
-                    scores = _cosines(heads[0] @ anchor, heads[1], np.linalg.norm(anchor))
-                scores, g = scores[same], index[gold]
-                kept = np.ones(len(names), dtype=bool)
-                kept[[index[name] for name in filter_set if name in index and name != gold]] = False
-                ahead = (scores > scores[g]) | ((scores == scores[g]) & (order < order[g]))
-                results[i] = RankingResult(query, int((ahead & kept).sum()) + 1, int(kept.sum()))
+    for members, op in zip(by_relation.values(), generate_operators(params, H)):
+        heads = None  # the relation's projected entity matrix and its row norms
+        for i in members:
+            query, gold, filter_set, direction = queries[i]
+            anchor = as_vector(provider.embed(query[0]), "anchor")
+            if direction == "tail":
+                base = apply_stack(op, anchor, (0, 1)).data[0]
+                scores = _cosines(E @ base, norms, np.linalg.norm(base))
+            else:
+                if heads is None:
+                    P = apply_stack(op, E, (0, len(E))).data
+                    heads = P, np.linalg.norm(P, axis=1)
+                scores = _cosines(heads[0] @ anchor, heads[1], np.linalg.norm(anchor))
+            scores, g = scores[same], index[gold]
+            kept = np.ones(len(names), dtype=bool)
+            kept[[index[name] for name in filter_set if name in index and name != gold]] = False
+            ahead = (scores > scores[g]) | ((scores == scores[g]) & (order < order[g]))
+            results[i] = RankingResult(query, int((ahead & kept).sum()) + 1, int(kept.sum()))
     return results
 
 
@@ -287,16 +282,13 @@ def csts_predictions(
     if not groups:
         return [], []
     H = np.stack([provider.embed(c) for c in groups])
-    members = list(groups.values())
     phi = np.empty(len(quads))
-    for lo, op in zip(range(0, len(H), GENERATE_BLOCK), generate_operators(params, H)):
-        block = members[lo : lo + GENERATE_BLOCK]
-        idx = np.concatenate(block)  # the block's records, grouped by condition
-        bounds = np.cumsum([0] + [len(m) for m in block])
-        a = apply_stack(op, [provider.embed(quads[i].s1) for i in idx], bounds).data
-        b = apply_stack(op, [provider.embed(quads[i].s2) for i in idx], bounds).data
+    for members, op in zip(groups.values(), generate_operators(params, H)):
+        bounds = (0, len(members))
+        a = apply_stack(op, [provider.embed(quads[i].s1) for i in members], bounds).data
+        b = apply_stack(op, [provider.embed(quads[i].s2) for i in members], bounds).data
         dots = np.einsum("ij,ij->i", a, b)
-        phi[idx] = _cosines(dots, np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
+        phi[members] = _cosines(dots, np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
     return [similarity_to_label(p) for p in phi], [q.y for q in quads]
 
 

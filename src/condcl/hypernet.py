@@ -8,8 +8,10 @@ is diag(h_c), and "concat" is a linear merge Wcat @ [h_c; h_s]. An operator
 is a stack of R conditions' operators. There is one formula from conditions
 to operators, ``generate_stack``: one product ``H @ U.T + bias`` per
 generator tensor for a stack H of condition embeddings, over ndarrays and
-autodiff Tensors alike (inference takes its stacks from the validating
-``generate_operators``). There is one way to apply a stack, ``apply_stack``:
+autodiff Tensors alike. Training generates each batch's conditions as one
+stack; inference takes one operator per condition from the validating
+``generate_operators``, which generates in blocks of GENERATE_BLOCK rows
+that no caller sees. There is one way to apply a stack, ``apply_stack``:
 row segment r of a row matrix through operator r.
 
 Checkpoint format: 8-byte magic ``HYPERCL1``, an 8-byte little-endian
@@ -23,14 +25,14 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DimensionMismatchError, FormatError
+from .errors import DimensionMismatchError, FormatError
 from .linalg import as_vector, is_integer
 
 __all__ = [
@@ -235,14 +237,27 @@ def apply_stack(op: ConditionOperator, h_s, bounds, mask=None) -> ad.Tensor:
 
 
 def generate_operators(params: HyperNetParams, H) -> Iterator[ConditionOperator]:
-    """The operators of condition embeddings H (R x nh), as stacks of up to
-    GENERATE_BLOCK consecutive rows of H."""
+    """The operator of each row of H (R x nh), in order, as a one-condition stack.
+
+    H is validated at the call. Rows are generated GENERATE_BLOCK at a time,
+    one ``generate_stack`` product per block, and each yielded operator is a
+    view of its block's product: the block bounds memory and stays private
+    to this module."""
     H = as_vector(H, "H", ndims=(2,))
     if H.shape[1] != params.nh:
         raise DimensionMismatchError(f"h_c has dim {H.shape[1]}, generator expects {params.nh}")
-    blocks = range(0, H.shape[0], GENERATE_BLOCK)
     t, nh, nk = params.tensors, params.nh, params.nk
-    return (generate_stack(params.mode, t, H[i : i + GENERATE_BLOCK], nh, nk) for i in blocks)
+    blocks = (
+        generate_stack(params.mode, t, H[i : i + GENERATE_BLOCK], nh, nk)
+        for i in range(0, H.shape[0], GENERATE_BLOCK)
+    )
+    return (_operator_of_row(op, r) for op in blocks for r in range(op.shape[0]))
+
+
+def _operator_of_row(op: ConditionOperator, r: int) -> ConditionOperator:
+    """Operator r of a stack as a one-condition stack of views (Wcat is shared)."""
+    stacked = ("W", "W1", "W2", "d", "h_c")
+    return replace(op, **{n: a[r : r + 1] for n in stacked if (a := getattr(op, n)) is not None})
 
 
 def dropout_mask(rng: np.random.Generator, size, p: float) -> np.ndarray:
@@ -398,10 +413,3 @@ def load_checkpoint(path: str | Path) -> tuple[HyperNetParams, dict[str, np.ndar
             )
     params = HyperNetParams(mode, nh, nk, float(dropout_p), {k: tensors.pop(k) for k in shapes})
     return params, tensors
-
-
-def params_dim_check(params: HyperNetParams, provider_dim: int) -> None:
-    if params.nh != provider_dim:
-        raise ConfigError(
-            f"checkpoint dimension {params.nh} does not match provider dimension {provider_dim}"
-        )

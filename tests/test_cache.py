@@ -9,7 +9,6 @@ from condcl.cache import (
     JOINT_KEY_SEP,
     CacheStats,
     TextKeyedCache,
-    WorkloadSpec,
     bench_report,
     bench_rows_to_tsv,
     cached_embed,
@@ -34,7 +33,9 @@ def replay_oracle(requests_keys):
     return hits, misses, len(seen)
 
 
-def simulate_workload(spec: WorkloadSpec, nh: int, nk: int | None = None) -> CacheStats:
+def simulate_workload(
+    architecture: str, requests: list[tuple[str, str]], nh: int, nk: int | None = None
+) -> CacheStats:
     """Count cache traffic and heavy/light operations without executing.
 
     Mirrors the unbounded caches of ``condcl.cache``: bi does one
@@ -48,10 +49,10 @@ def simulate_workload(spec: WorkloadSpec, nh: int, nk: int | None = None) -> Cac
         raise ValueError("nh must be positive")
     stats = CacheStats()
     texts: set[str] = set()
-    conditions = set() if spec.architecture == "hyper" else texts
+    conditions = set() if architecture == "hyper" else texts
     cond_bytes = (2 * nh * nk if nk else nh * nh) * FLOAT_BYTES
-    for s, c in spec.requests:
-        if spec.architecture == "bi":
+    for s, c in requests:
+        if architecture == "bi":
             keyed = [(s + JOINT_KEY_SEP + c, texts)]
         else:
             keyed = [(s, texts), (c, conditions)]
@@ -232,8 +233,8 @@ class TestSimulateWorkload:
     def test_full_cross_counting(self):
         S, C = 10, 5
         requests = full_cross_requests(S, C)
-        bi = simulate_workload(WorkloadSpec("bi", requests), nh=8)
-        tri = simulate_workload(WorkloadSpec("tri", requests), nh=8)
+        bi = simulate_workload("bi", requests, nh=8)
+        tri = simulate_workload("tri", requests, nh=8)
         assert bi.hits == 0
         assert bi.heavy_ops == S * C
         assert bi.hit_rate == 0.0
@@ -244,24 +245,24 @@ class TestSimulateWorkload:
     def test_double_replay_rates(self):
         S, C = 10, 5
         requests = full_cross_requests(S, C, replays=2)
-        bi = simulate_workload(WorkloadSpec("bi", requests), nh=8)
-        tri = simulate_workload(WorkloadSpec("tri", requests), nh=8)
+        bi = simulate_workload("bi", requests, nh=8)
+        tri = simulate_workload("tri", requests, nh=8)
         assert bi.hit_rate == pytest.approx(0.5)
         assert tri.hit_rate == pytest.approx(1 - (S + C) / (4 * S * C))
 
     def test_single_request_all_miss(self):
         requests = [("s", "c")]
         for arch in ("bi", "tri", "hyper"):
-            st = simulate_workload(WorkloadSpec(arch, requests), nh=8, nk=2)
+            st = simulate_workload(arch, requests, nh=8, nk=2)
             assert st.hits == 0
             assert st.misses == st.lookups
 
     def test_hyper_stores_operators(self):
         requests = full_cross_requests(3, 2)
         nh = 8
-        full = simulate_workload(WorkloadSpec("hyper", requests), nh=nh)
-        low = simulate_workload(WorkloadSpec("hyper", requests), nh=nh, nk=2)
-        tri = simulate_workload(WorkloadSpec("tri", requests), nh=nh)
+        full = simulate_workload("hyper", requests, nh=nh)
+        low = simulate_workload("hyper", requests, nh=nh, nk=2)
+        tri = simulate_workload("tri", requests, nh=nh)
         assert full.resident_bytes == 3 * nh * 8 + 2 * nh * nh * 8
         assert low.resident_bytes == 3 * nh * 8 + 2 * (2 * nh * 2) * 8
         assert tri.resident_bytes == 5 * nh * 8
@@ -273,33 +274,33 @@ class TestSimulateWorkload:
             requests = [
                 (f"s{rng.integers(0, 6)}", f"c{rng.integers(0, 4)}") for _ in range(50)
             ]
-            bi = simulate_workload(WorkloadSpec("bi", requests), nh=4)
-            tri = simulate_workload(WorkloadSpec("tri", requests), nh=4)
+            bi = simulate_workload("bi", requests, nh=4)
+            tri = simulate_workload("tri", requests, nh=4)
             assert tri.heavy_ops <= bi.heavy_ops
 
     def test_relabeling_invariance(self):
         requests = [("a", "x"), ("b", "x"), ("a", "y"), ("a", "x")]
         renamed = [("sent one", "CX"), ("other", "CX"), ("sent one", "CY"), ("sent one", "CX")]
         for arch in ("bi", "tri", "hyper"):
-            a = simulate_workload(WorkloadSpec(arch, requests), nh=8, nk=2)
-            b = simulate_workload(WorkloadSpec(arch, renamed), nh=8, nk=2)
+            a = simulate_workload(arch, requests, nh=8, nk=2)
+            b = simulate_workload(arch, renamed, nh=8, nk=2)
             assert a.hit_rate == b.hit_rate
             assert (a.hits, a.misses) == (b.hits, b.misses)
 
     def test_hyper_keeps_sentence_and_condition_keys_apart(self):
         requests = [("x", "x"), ("y", "x"), ("x", "y")]
-        hyper = simulate_workload(WorkloadSpec("hyper", requests), nh=8)
-        tri = simulate_workload(WorkloadSpec("tri", requests), nh=8)
+        hyper = simulate_workload("hyper", requests, nh=8)
+        tri = simulate_workload("tri", requests, nh=8)
         assert (hyper.gen_ops, hyper.heavy_ops, hyper.misses) == (2, 4, 4)
         assert (tri.gen_ops, tri.heavy_ops, tri.misses) == (0, 2, 2)
 
     def test_unbounded_misses_equal_distinct_keys(self):
         rng = np.random.default_rng(6)
         requests = [(f"s{rng.integers(0, 9)}", f"c{rng.integers(0, 3)}") for _ in range(300)]
-        bi = simulate_workload(WorkloadSpec("bi", requests), nh=4)
+        bi = simulate_workload("bi", requests, nh=4)
         joint = {s + "\x1f" + c for s, c in requests}
         assert bi.misses == len(joint)
-        tri = simulate_workload(WorkloadSpec("tri", requests), nh=4)
+        tri = simulate_workload("tri", requests, nh=4)
         texts = {t for sc in requests for t in sc}
         assert tri.misses == len(texts)
 
@@ -322,7 +323,7 @@ class TestRunArchitecture:
         params = init_params("lowrank" if nk else "full", 8, nk, seed=0)
         for arch in ("bi", "tri", "hyper"):
             executed = run_architecture(arch, requests, provider, params=params)
-            simulated = simulate_workload(WorkloadSpec(arch, requests), nh=8, nk=nk)
+            simulated = simulate_workload(arch, requests, nh=8, nk=nk)
             assert executed.lookups == simulated.lookups
             assert executed.hits == simulated.hits
             assert executed.misses == simulated.misses
@@ -366,7 +367,7 @@ class TestBenchReport:
         requests = full_cross_requests(4, 3)
         provider = HashingProvider(dim=8, seed=0)
         rows = bench_report(
-            WorkloadSpec("tri", requests),
+            requests,
             [init_params("full", 8, seed=0), init_params("lowrank", 8, 2, seed=0)],
             provider,
         )
@@ -387,10 +388,14 @@ class TestBenchReport:
         ]
         assert len(lines) == 5
 
+    def test_empty_workload_is_refused(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            bench_report([], [init_params("full", 8, seed=0)], HashingProvider(dim=8, seed=0))
+
     def test_tri_hit_rate_beats_bi_with_shared_conditions(self):
         requests = full_cross_requests(5, 3)
         provider = HashingProvider(dim=8, seed=0)
-        rows = bench_report(WorkloadSpec("tri", requests), init_params("full", 8, seed=0), provider)
+        rows = bench_report(requests, [init_params("full", 8, seed=0)], provider)
         by_arch = {r.architecture: r.stats for r in rows}
         assert by_arch["tri"].hit_rate > by_arch["bi"].hit_rate
 
@@ -399,7 +404,6 @@ class TestBenchReport:
         # so 4 repetitions make exactly 4x the embed calls of one.
         requests = full_cross_requests(8, 4, replays=2)
         params = init_params("full", 8, seed=0)
-        spec = WorkloadSpec("tri", requests)
 
         class CountingProvider(HashingProvider):
             calls = 0
@@ -410,7 +414,7 @@ class TestBenchReport:
 
         def embed_calls(reps):
             CountingProvider.calls = 0
-            bench_report(spec, params, CountingProvider(dim=8, seed=0), repetitions=reps)
+            bench_report(requests, [params], CountingProvider(dim=8, seed=0), repetitions=reps)
             return CountingProvider.calls
 
         one = embed_calls(1)

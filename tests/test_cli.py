@@ -216,3 +216,34 @@ def test_bench_cache_reports_generated_operators_per_architecture(capsys):
     ]
     gen_ops = {row[0]: int(row[header.index("gen_ops")]) for row in rows}
     assert gen_ops == {"bi": 0, "tri": 0, "hyper-full": 2, "hyper-lowrank": 2}
+
+
+@pytest.mark.parametrize("command", [["eval"], ["analyze", "clusters"], ["analyze", "frobenius"]])
+def test_a_checkpoint_of_another_dimension_is_a_usage_error(csts_run, capsys, command):
+    tmp_path, _, config = csts_run
+    ckpt = tmp_path / "nh6.ckpt"
+    save_checkpoint(ckpt, init_params("full", 6, seed=0))
+    config["checkpoint"] = str(ckpt)
+    assert run(tmp_path, command, config) == cli.EXIT_USAGE
+    assert "checkpoint dimension 6 does not match provider dimension 8" in capsys.readouterr().err
+
+
+UNREAD_FLAGS = {
+    "eval": ("seed", "mode", "nh", "nk"),
+    "bench-cache": ("config", "mode"),
+    "analyze clusters": ("mode", "nh", "nk"),
+    "analyze frobenius": ("seed", "mode", "nh", "nk"),
+    "sweep-rank": ("mode", "nk"),
+    "gradcheck": ("config", "mode", "out"),
+    "make-synthetic csts": ("config", "mode", "nk"),
+    "make-synthetic kg": ("config", "mode", "nk"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(command, flag) for command, flags in UNREAD_FLAGS.items() for flag in flags]
+)
+def test_a_shared_flag_the_command_does_not_read_is_refused(capsys, command, flag):
+    value = "full" if flag == "mode" else "1"
+    assert cli.main([*command.split(), f"--{flag}", value]) == cli.EXIT_USAGE
+    assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err

@@ -87,14 +87,14 @@ class TestGenerate:
     def test_zeroed_weights_give_identity_operator(self):
         p = init_params("full", 5, seed=1)
         p.tensors["U"][:] = 0.0
-        (op,) = generate_operators(p, rng.normal(size=(3, 5)))
+        op = generate_stack(p.mode, p.tensors, rng.normal(size=(3, 5)), p.nh, p.nk)
         assert np.array_equal(op.W, np.broadcast_to(np.eye(5), (3, 5, 5)))
 
     def test_linearity_without_bias(self):
         p = init_params("full", 6, seed=2, zero_bias=True)
         h = unit(rng.normal(size=6))
         a = 2.7
-        (op,) = generate_operators(p, np.stack([a * h, h]))
+        op = generate_stack(p.mode, p.tensors, np.stack([a * h, h]), p.nh, p.nk)
         assert op.W[0] == pytest.approx(a * op.W[1], abs=1e-10)
 
     def test_affine_combination(self):
@@ -102,7 +102,7 @@ class TestGenerate:
         p = init_params("full", 6, seed=3)
         a, b = rng.normal(size=6), rng.normal(size=6)
         alpha, beta = 0.6, -1.3
-        (op,) = generate_operators(p, np.stack([alpha * a + beta * b, a, b]))
+        op = generate_stack(p.mode, p.tensors, np.stack([alpha * a + beta * b, a, b]), p.nh, p.nk)
         bias = p.tensors["U_bias"].reshape(6, 6)
         rhs = alpha * op.W[1] + beta * op.W[2] + (1 - alpha - beta) * bias
         assert op.W[0] == pytest.approx(rhs, abs=1e-9)
@@ -111,7 +111,7 @@ class TestGenerate:
         for seed in range(5):
             p = init_params("lowrank", 10, nk=3, seed=seed)
             H = np.random.default_rng(seed).normal(size=(2, 10))
-            (op,) = generate_operators(p, H)
+            op = generate_stack(p.mode, p.tensors, H, p.nh, p.nk)
             assert op.form == "factored" and op.shape == (2, 10)
             for r in range(2):
                 assert densify(op)[r] == pytest.approx(op.W1[r] @ op.W2[r].T, abs=1e-12)
@@ -142,7 +142,7 @@ class TestProject:
         r = np.random.default_rng(7)
         H, h_s = r.normal(size=(3, nh)), r.normal(size=(5, nh))
         bounds = [0, 2, 2, 5]  # condition 1 gets no rows
-        (op,) = generate_operators(p, H)
+        op = generate_stack(p.mode, p.tensors, H, p.nh, p.nk)
         out = apply_stack(op, h_s, bounds).data
         which = [0, 0, 2, 2, 2]
         for row, h, c in zip(out, h_s, which):
@@ -194,7 +194,8 @@ class TestProject:
         [(1, (0,)), (1, (0, 2)), (1, (1, 3)), (1, (0, 3, 3)), (1, (0, 4)), (2, (0, 4, 3))],
     )
     def test_bounds_must_cut_the_rows_into_one_segment_per_operator(self, size, bounds):
-        (op,) = generate_operators(init_params("lowrank", 4, nk=2, seed=0), np.ones((size, 4)))
+        p = init_params("lowrank", 4, nk=2, seed=0)
+        op = generate_stack(p.mode, p.tensors, np.ones((size, 4)), p.nh, p.nk)
         with pytest.raises(ValueError, match="bounds"):
             apply_stack(op, np.ones((3, 4)), bounds)
 
@@ -250,9 +251,11 @@ class TestComposers:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_autodiff_leaves_give_the_inference_values(self, mode):
-        # Training's path (the shared stacked generator over autodiff leaves)
-        # against inference's (``generate_operators`` over ndarrays), both
-        # sending three row groups through ``apply_stack``.
+        # Training's path (the shared stacked generator over autodiff leaves,
+        # three row groups in one ``apply_stack``) against inference's (one
+        # ``generate_operators`` operator per group over ndarrays). Concat
+        # merges all rows in one product there and per group here, so it
+        # rounds apart in the last bits.
         nh = 6
         p = init_params(mode, nh, 2 if mode == "lowrank" else None, seed=8)
         r = np.random.default_rng(10)
@@ -260,51 +263,56 @@ class TestComposers:
         bounds = [0, 1, 4, 6]
         leaves = {k: ad.leaf(v) for k, v in p.tensors.items()}
         out = apply_stack(generate_stack(mode, leaves, H, nh, p.nk), h_s, bounds)
-        (op,) = generate_operators(p, H)
-        assert np.array_equal(out.data, apply_stack(op, h_s, bounds).data)
+        groups = zip(generate_operators(p, H), bounds, bounds[1:])
+        inferred = [apply_stack(op, h_s[lo:hi], (0, hi - lo)).data for op, lo, hi in groups]
+        if mode == "concat":
+            np.testing.assert_allclose(out.data, np.concatenate(inferred), rtol=0, atol=1e-12)
+        else:
+            assert np.array_equal(out.data, np.concatenate(inferred))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_stacked_generator_is_the_inference_formula(self, mode):
         nh, nk = 6, 2
         p = init_params(mode, nh, nk if mode == "lowrank" else None, seed=3)
         H = np.random.default_rng(13).normal(size=(4, nh))
-        (op,) = generate_operators(p, H)
+        ops = list(generate_operators(p, H))
+        assert len(ops) == 4
         t = p.tensors
-        for r in range(4):
+        for r, op in enumerate(ops):
             if mode == "full":
-                assert np.array_equal(op.W[r], (H @ t["U"].T + t["U_bias"])[r].reshape(nh, nh))
+                assert np.array_equal(op.W[0], (H @ t["U"].T + t["U_bias"])[r].reshape(nh, nh))
             elif mode == "lowrank":
-                assert np.array_equal(op.W1[r], (H @ t["U1"].T + t["U1_bias"])[r].reshape(nh, nk))
-                assert np.array_equal(op.W2[r], (H @ t["U2"].T + t["U2_bias"])[r].reshape(nh, nk))
+                assert np.array_equal(op.W1[0], (H @ t["U1"].T + t["U1_bias"])[r].reshape(nh, nk))
+                assert np.array_equal(op.W2[0], (H @ t["U2"].T + t["U2_bias"])[r].reshape(nh, nk))
             elif mode == "hadamard":
-                assert np.array_equal(op.d[r], H[r])
+                assert np.array_equal(op.d[0], H[r])
             else:
-                assert op.Wcat is t["Wcat"] and np.array_equal(op.h_c[r], H[r])
+                assert op.Wcat is t["Wcat"] and np.array_equal(op.h_c[0], H[r])
 
 
 class TestBatched:
     @pytest.mark.parametrize("mode", MODES)
     def test_generate_operators_match_one_at_a_time(self, mode):
+        # One operator per row of H, across two generating blocks, each the
+        # row of a single stacked product.
         nh = 6
         p = init_params(mode, nh, 2 if mode == "lowrank" else None, seed=5)
         H = np.random.default_rng(11).normal(size=(GENERATE_BLOCK + 3, nh))  # two blocks
-        stacks = list(generate_operators(p, H))
-        assert [op.shape for op in stacks] == [(GENERATE_BLOCK, nh), (3, nh)]
-        for i, h_c in enumerate(H):
-            op = stacks[i // GENERATE_BLOCK]
-            (one,) = generate_operators(p, h_c[None])
-            assert op.form == one.form
-            r = i % GENERATE_BLOCK
-            if op.form == "dense":
-                pairs = [(op.W[r], one.W[0])]
-            elif op.form == "factored":
-                pairs = [(op.W1[r], one.W1[0]), (op.W2[r], one.W2[0])]
-            elif op.form == "diagonal":
-                pairs = [(op.d[r], one.d[0])]
+        ops = list(generate_operators(p, H))
+        assert [op.shape for op in ops] == [(1, nh)] * len(H)
+        stack = generate_stack(p.mode, p.tensors, H, p.nh, p.nk)
+        for r, one in enumerate(ops):
+            assert one.form == stack.form
+            if stack.form == "dense":
+                pairs = [(stack.W[r], one.W[0])]
+            elif stack.form == "factored":
+                pairs = [(stack.W1[r], one.W1[0]), (stack.W2[r], one.W2[0])]
+            elif stack.form == "diagonal":
+                pairs = [(stack.d[r], one.d[0])]
             else:
-                pairs = [(op.h_c[r], one.h_c[0]), (op.Wcat, one.Wcat)]
+                pairs = [(stack.h_c[r], one.h_c[0]), (stack.Wcat, one.Wcat)]
             for got, want in pairs:
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_project_rows_match_vectors(self, mode):
@@ -387,7 +395,8 @@ class TestFrobenius:
     def test_factored_blockwise_matches_densified(self):
         for seed in range(5):
             p = init_params("lowrank", 10, nk=4, seed=seed)
-            (op,) = generate_operators(p, np.random.default_rng(seed).normal(size=(3, 10)))
+            H = np.random.default_rng(seed).normal(size=(3, 10))
+            op = generate_stack(p.mode, p.tensors, H, p.nh, p.nk)
             dense_norms = [np.linalg.norm(W) for W in densify(op)]
             assert operator_frobenius_normalized(op) == pytest.approx(
                 np.array(dense_norms) / np.sqrt(2 * 10 * 4), rel=1e-10
