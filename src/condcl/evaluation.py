@@ -45,6 +45,8 @@ __all__ = [
     "evaluate_kgc",
 ]
 
+TIE_TOL = 1e-9  # a score this close to gold's ties with it; ties rank by name
+
 
 def _check_xy(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(list(xs), dtype=np.float64)
@@ -110,10 +112,6 @@ def _rank_queries(params, provider, candidates, queries) -> list[RankingResult]:
     order = np.argsort(sorted(range(len(names)), key=names.__getitem__))  # tie-break key
     E = as_vector(np.stack([provider.embed(name) for name in names]), "candidates", ndims=(2,))
     norms = np.linalg.norm(E, axis=1)
-    # Each candidate takes the score of the first row equal to its own, so
-    # equal embeddings tie exactly whatever the order of summation.
-    first: dict[bytes, int] = {}
-    same = np.array([first.setdefault(e.tobytes(), i) for i, e in enumerate(E)])
     H = np.stack([provider.embed(relation) for relation in by_relation])
     results: list = [None] * len(queries)
     for members, op in zip(by_relation.values(), generate_operators(params, H)):
@@ -129,10 +127,11 @@ def _rank_queries(params, provider, candidates, queries) -> list[RankingResult]:
                     P = apply_stack(op, E, (0, len(E))).data
                     heads = P, np.linalg.norm(P, axis=1)
                 scores = _cosines(heads[0] @ anchor, heads[1], np.linalg.norm(anchor))
-            scores, g = scores[same], index[gold]
+            g = index[gold]
             kept = np.ones(len(names), dtype=bool)
             kept[[index[name] for name in filter_set if name in index and name != gold]] = False
-            ahead = (scores > scores[g]) | ((scores == scores[g]) & (order < order[g]))
+            tied = np.abs(scores - scores[g]) <= TIE_TOL
+            ahead = (scores > scores[g] + TIE_TOL) | (tied & (order < order[g]))
             results[i] = RankingResult(query, int((ahead & kept).sum()) + 1, int(kept.sum()))
     return results
 
@@ -153,8 +152,12 @@ def rank_entities(
     candidate. direction="head": candidates complete (?, relation, anchor)
     and each candidate is relation-composed before scoring against the
     anchor. Known-true entities other than gold are filtered out before
-    ranking; ties break lexicographically by candidate text. This is the
-    one-query case of ``evaluate_kgc``.
+    ranking. A competitor whose score is within TIE_TOL of gold's ties with
+    it, and ties break lexicographically by candidate text: rounding then
+    decides no rank, so equal embeddings, rank-1 operators (whose head
+    scores are equal in exact arithmetic) and one relation generated alone
+    or with others all rank alike. This is the one-query case of
+    ``evaluate_kgc``.
     """
     return _rank_queries(params, provider, candidates, [(query, gold, filter_set, direction)])[0]
 

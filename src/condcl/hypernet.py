@@ -17,13 +17,17 @@ row segment r of a row matrix through operator r.
 Checkpoint format: 8-byte magic ``HYPERCL1``, an 8-byte little-endian
 unsigned header length, a UTF-8 JSON header {mode, nh, nk, dropout_p,
 tensors: [{name, shape, offset}]}, then little-endian float32 payloads at
-the given byte offsets, in manifest order.
+the given byte offsets, in manifest order. Tensors are written and read in
+bounded chunks of CHUNK_VALUES values, so a save holds one float32 chunk
+beyond the params and a load peaks at about the float64 tensors plus one
+chunk; the whole file is never held in memory.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -61,6 +65,7 @@ INIT_WEIGHT_STD = 0.02
 DEFAULT_RANK_DIVISOR = 12
 DEFAULT_DROPOUT_P = 0.1
 GENERATE_BLOCK = 32  # conditions per generating product: bounds the output memory
+CHUNK_VALUES = 1 << 20  # float32 values per checkpoint read or write: bounds the buffer memory
 
 
 def _tensor_shapes(mode: str, nh: int, nk: int | None) -> dict[str, tuple[int, ...]]:
@@ -313,7 +318,10 @@ def operator_payload_bytes(op: ConditionOperator, element_bytes: int = 8) -> int
 def save_checkpoint(
     path: str | Path, params: HyperNetParams, extras: dict[str, np.ndarray] | None = None
 ) -> None:
-    """Write params (plus optional named extra tensors) at float32 precision."""
+    """Write params (plus optional named extra tensors) at float32 precision.
+
+    The manifest offsets follow from the shapes, so the header goes first and
+    each tensor is then converted and written CHUNK_VALUES values at a time."""
     path = Path(path)
     tensors = dict(params.tensors)
     for name, arr in (extras or {}).items():
@@ -321,13 +329,10 @@ def save_checkpoint(
             raise ValueError(f"extra tensor name collides with a parameter: {name!r}")
         tensors[name] = np.asarray(arr, dtype=np.float64)
     manifest = []
-    payloads = []
     offset = 0
     for name, arr in tensors.items():
-        data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
         manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        payloads.append(data)
-        offset += len(data)
+        offset += 4 * arr.size
     header = {
         "mode": params.mode,
         "nh": params.nh,
@@ -336,12 +341,17 @@ def save_checkpoint(
         "tensors": manifest,
     }
     header_bytes = json.dumps(header).encode("utf-8")
+    chunk = np.empty(CHUNK_VALUES, dtype="<f4")
     with path.open("wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for data in payloads:
-            fh.write(data)
+        for arr in tensors.values():
+            flat = np.ravel(arr)
+            for i in range(0, flat.size, CHUNK_VALUES):
+                part = chunk[: min(CHUNK_VALUES, flat.size - i)]
+                part[:] = flat[i : i + len(part)]
+                fh.write(part)
 
 
 def load_checkpoint(path: str | Path) -> tuple[HyperNetParams, dict[str, np.ndarray]]:
@@ -349,60 +359,72 @@ def load_checkpoint(path: str | Path) -> tuple[HyperNetParams, dict[str, np.ndar
 
     Any deviation from the format, including a missing or mistyped header
     field, tensor shapes that disagree with the header and non-finite
-    payload values, raises FormatError.
+    payload values, raises FormatError. Each tensor is read from the open
+    file CHUNK_VALUES float32 values at a time into one reused buffer,
+    checked and widened into its float64 array, so the peak memory is the
+    float64 tensors plus one chunk.
     """
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[:8] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad checkpoint magic {blob[:8]!r}")
-    if len(blob) < 16:
-        raise FormatError(f"{path}: truncated checkpoint header")
-    (header_len,) = struct.unpack("<Q", blob[8:16])
-    if 16 + header_len > len(blob):
-        raise FormatError(f"{path}: truncated checkpoint header")
-    try:
-        header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: unreadable checkpoint header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: checkpoint header is not a JSON object")
-    mode, nh, nk = header.get("mode"), header.get("nh"), header.get("nk")
-    dropout_p = header.get("dropout_p") or 0.0
-    if mode not in MODES:
-        raise FormatError(f"{path}: unknown mode {mode!r}")
-    if not is_integer(nh) or nh <= 0:
-        raise FormatError(f"{path}: header nh must be a positive integer, got {nh!r}")
-    if nk is not None and not (is_integer(nk) and nk >= 0):
-        raise FormatError(f"{path}: header nk must be an integer or null, got {nk!r}")
-    if mode == "lowrank" and (nk is None or not 1 <= nk <= nh):
-        raise FormatError(f"{path}: lowrank header needs 1 <= nk <= nh, got nk={nk!r}")
-    if not isinstance(dropout_p, (int, float)) or not 0.0 <= dropout_p < 1.0:
-        raise FormatError(f"{path}: header dropout_p must lie in [0, 1), got {dropout_p!r}")
-    entries = header.get("tensors")
-    if not isinstance(entries, list):
-        raise FormatError(f"{path}: header tensors must be a list")
-    base = 16 + header_len
-    tensors: dict[str, np.ndarray] = {}
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise FormatError(f"{path}: malformed tensor entry {entry!r}")
-        name, shape, start = entry.get("name"), entry.get("shape"), entry.get("offset")
-        well_formed = (
-            isinstance(name, str)
-            and isinstance(shape, list)
-            and all(is_integer(n) and n >= 0 for n in shape)
-            and is_integer(start) and start >= 0
-        )
-        if not well_formed or name in tensors:
-            raise FormatError(f"{path}: malformed or duplicate tensor entry {entry!r}")
-        count = math.prod(shape)
-        end = start + 4 * count
-        if base + end > len(blob):
-            raise FormatError(f"{path}: payload truncated for tensor {name!r}")
-        raw = np.frombuffer(blob, dtype="<f4", count=count, offset=base + start)
-        if not np.all(np.isfinite(raw)):
-            raise FormatError(f"{path}: tensor {name!r} holds non-finite values")
-        tensors[name] = raw.astype(np.float64).reshape(shape)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        preamble = fh.read(16)
+        if preamble[:8] != CHECKPOINT_MAGIC:
+            raise FormatError(f"{path}: bad checkpoint magic {preamble[:8]!r}")
+        if len(preamble) < 16:
+            raise FormatError(f"{path}: truncated checkpoint header")
+        (header_len,) = struct.unpack("<Q", preamble[8:16])
+        if 16 + header_len > size:
+            raise FormatError(f"{path}: truncated checkpoint header")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"{path}: unreadable checkpoint header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise FormatError(f"{path}: checkpoint header is not a JSON object")
+        mode, nh, nk = header.get("mode"), header.get("nh"), header.get("nk")
+        dropout_p = header.get("dropout_p") or 0.0
+        if mode not in MODES:
+            raise FormatError(f"{path}: unknown mode {mode!r}")
+        if not is_integer(nh) or nh <= 0:
+            raise FormatError(f"{path}: header nh must be a positive integer, got {nh!r}")
+        if nk is not None and not (is_integer(nk) and nk >= 0):
+            raise FormatError(f"{path}: header nk must be an integer or null, got {nk!r}")
+        if mode == "lowrank" and (nk is None or not 1 <= nk <= nh):
+            raise FormatError(f"{path}: lowrank header needs 1 <= nk <= nh, got nk={nk!r}")
+        if not isinstance(dropout_p, (int, float)) or not 0.0 <= dropout_p < 1.0:
+            raise FormatError(f"{path}: header dropout_p must lie in [0, 1), got {dropout_p!r}")
+        entries = header.get("tensors")
+        if not isinstance(entries, list):
+            raise FormatError(f"{path}: header tensors must be a list")
+        base = 16 + header_len
+        chunk = np.empty(CHUNK_VALUES, dtype="<f4")
+        tensors: dict[str, np.ndarray] = {}
+        for entry in entries:
+            if not isinstance(entry, dict):
+                raise FormatError(f"{path}: malformed tensor entry {entry!r}")
+            name, shape, start = entry.get("name"), entry.get("shape"), entry.get("offset")
+            well_formed = (
+                isinstance(name, str)
+                and isinstance(shape, list)
+                and all(is_integer(n) and n >= 0 for n in shape)
+                and is_integer(start) and start >= 0
+            )
+            if not well_formed or name in tensors:
+                raise FormatError(f"{path}: malformed or duplicate tensor entry {entry!r}")
+            count = math.prod(shape)
+            if base + start + 4 * count > size:
+                raise FormatError(f"{path}: payload truncated for tensor {name!r}")
+            out = np.empty(shape, dtype=np.float64)
+            flat = out.reshape(-1)
+            fh.seek(base + start)
+            for i in range(0, count, CHUNK_VALUES):
+                part = chunk[: min(CHUNK_VALUES, count - i)]
+                if fh.readinto(part) != part.nbytes:
+                    raise FormatError(f"{path}: payload truncated for tensor {name!r}")
+                if not np.isfinite(part).all():
+                    raise FormatError(f"{path}: tensor {name!r} holds non-finite values")
+                flat[i : i + len(part)] = part
+            tensors[name] = out
     shapes = _tensor_shapes(mode, nh, nk)
     for name, shape in shapes.items():
         if name not in tensors:

@@ -9,6 +9,7 @@ from condcl.cache import TextKeyedCache, cached_operators
 from condcl.encoder import EmbeddingStore, HashingProvider, StoreProvider
 from condcl.errors import CondclError, DimensionMismatchError
 from condcl.evaluation import (
+    TIE_TOL,
     RankingResult,
     csts_predictions,
     evaluate_kgc,
@@ -364,11 +365,56 @@ class TestEvaluateKgc:
         assert both["queries"] == tail["queries"] + head["queries"]
 
 
+class TestNearTies:
+    def test_rank_one_head_scores_tie_and_rank_by_name(self):
+        # A recorded Hypothesis example: a rank-1 operator maps both candidates
+        # onto multiples of W1 with the same sign, so both head scores equal
+        # cos(W1, anchor) in exact arithmetic and only rounding separates them.
+        r = np.random.default_rng(8)
+        store = EmbeddingStore(2)
+        for name in ("a", "b", "r0"):
+            store.add(name, r.normal(size=2))
+        provider = StoreProvider(store)
+        params = init_params("lowrank", 2, nk=1, seed=8)
+        w2 = params.tensors["U2"] @ provider.embed("r0") + params.tensors["U2_bias"]
+        assert (w2 @ provider.embed("a")) * (w2 @ provider.embed("b")) > 0
+        for candidates in (["a", "b"], ["b", "a"]):
+            for gold, rank in (("a", 1), ("b", 2)):
+                got = rank_entities(params, provider, ("a", "r0"), gold, candidates, (), "head")
+                assert got.gold_rank == rank
+
+    def test_rank_entities_equals_evaluate_kgc_per_query_at_rank_one(self, monkeypatch):
+        # rank_entities generates one relation's operator (a gemv), evaluate_kgc
+        # all of them in one product (a gemm): the last bits differ, and with
+        # nk=1 every head query is decided by near-ties.
+        ds, store = make_synthetic_kg(40, 3, 8, seed=1)
+        provider = StoreProvider(store)
+        params = init_params("lowrank", 8, nk=1, seed=3)
+        known = ds.all_triples()
+        batched = []
+        monkeypatch.setattr(
+            evaluation, "mrr_hits", lambda results, ks: batched.extend(results) or {}
+        )
+        evaluate_kgc(params, provider, ds.test, known, ds.entities)
+        one_by_one = []
+        for t in ds.test:
+            tails = {k.t for k in known if (k.h, k.r) == (t.h, t.r)}
+            heads = {k.h for k in known if (k.t, k.r) == (t.t, t.r)}
+            one_by_one.append(rank_entities(params, provider, (t.h, t.r), t.t, ds.entities, tails))
+            one_by_one.append(
+                rank_entities(params, provider, (t.t, t.r), t.h, ds.entities, heads, "head")
+            )
+        assert len({t.r for t in ds.test}) > 1
+        assert batched == one_by_one
+
+
 # -- batched paths against per-candidate references ------------------------------
 
 
 def reference_rank(params, provider, query, gold, candidates, filter_set, direction):
-    """Brute force: project and score each candidate alone, sort by (-score, name)."""
+    """Brute force: project and score each candidate alone, then count the kept
+    candidates ahead of gold: scoring more than TIE_TOL higher, or within
+    TIE_TOL and sorting first by name."""
     h_c, anchor = provider.embed(query[1]), provider.embed(query[0])
     scores = {}
     for e in candidates:
@@ -377,13 +423,17 @@ def reference_rank(params, provider, query, gold, candidates, filter_set, direct
         else:
             scores[e] = cosine_similarity(mode_formula(params, h_c, provider.embed(e)), anchor)
     kept = [e for e in scores if e == gold or e not in filter_set]
-    return sorted(kept, key=lambda e: (-scores[e], e)).index(gold) + 1, len(kept)
+    g = scores[gold]
+    ahead = [
+        e for e in kept if scores[e] > g + TIE_TOL or (abs(scores[e] - g) <= TIE_TOL and e < gold)
+    ]
+    return len(ahead) + 1, len(kept)
 
 
 def mode_params(mode, nh, seed):
-    # Rank 2 at least: a rank-1 operator makes every head projection parallel,
-    # so all head scores are equal in exact arithmetic and rounding orders them.
-    return init_params(mode, nh, nk=max(2, nh // 2) if mode == "lowrank" else None, seed=seed)
+    # nh // 2 is rank 1 for nh < 4: every head projection is then parallel,
+    # so all head scores are equal in exact arithmetic and tie within TIE_TOL.
+    return init_params(mode, nh, nk=nh // 2 if mode == "lowrank" else None, seed=seed)
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import struct
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import condcl
 from condcl import autodiff as ad
+from condcl import hypernet
 from condcl.errors import DimensionMismatchError, FormatError
 from condcl.hypernet import (
     GENERATE_BLOCK,
@@ -437,6 +439,28 @@ class TestCheckpoint:
         save_checkpoint(path, init_params("full", 4, seed=0))
         assert path.read_bytes()[:8] == b"HYPERCL1"
 
+    def test_load_holds_the_float64_tensors_and_one_chunk(self, tmp_path):
+        # full nh=160 is 4.1M values, about four chunks.
+        path = tmp_path / "m.ckpt"
+        p = init_params("full", 160, seed=0)
+        save_checkpoint(path, p)
+        values = param_count(p)
+        del p
+        tracemalloc.start()
+        load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        # float64 tensors, the float32 read buffer and its finiteness mask
+        assert peak < 8 * values + 5 * hypernet.CHUNK_VALUES + 64 * 1024
+
+    def test_save_holds_one_chunk(self, tmp_path):
+        p = init_params("full", 160, seed=0)
+        tracemalloc.start()
+        save_checkpoint(tmp_path / "m.ckpt", p, {"tau_kgc": np.array(0.05)})
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 4 * hypernet.CHUNK_VALUES + 64 * 1024
+
 
 def _split_checkpoint(path):
     blob = path.read_bytes()
@@ -451,6 +475,24 @@ def _write_checkpoint(path, header, payload):
 
 def _lowrank_checkpoint(path):
     save_checkpoint(path, init_params("lowrank", 4, nk=2, seed=0), {"tau_kgc": np.array(0.05)})
+    return path
+
+
+def _later_chunk_non_finite(path, value):
+    """The lowrank checkpoint with ``value`` as the last value of U2 (32 values)."""
+    header, payload = _split_checkpoint(_lowrank_checkpoint(path))
+    (u2,) = (e for e in header["tensors"] if e["name"] == "U2")
+    at = u2["offset"] + 4 * 31
+    bad = np.array([value], "<f4").tobytes()
+    _write_checkpoint(path, header, payload[:at] + bad + payload[at + 4 :])
+    return path
+
+
+def _cut_inside_u2(path):
+    """The lowrank checkpoint cut after the first 20 of U2's 32 values."""
+    header, payload = _split_checkpoint(_lowrank_checkpoint(path))
+    (u2,) = (e for e in header["tensors"] if e["name"] == "U2")
+    _write_checkpoint(path, header, payload[: u2["offset"] + 4 * 20])
     return path
 
 
@@ -571,17 +613,75 @@ class TestCheckpointFormatErrors:
         with pytest.raises(FormatError, match="non-finite"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 16])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value_in_a_later_chunk_names_the_tensor(
+        self, tmp_path, monkeypatch, chunk, value
+    ):
+        monkeypatch.setattr(hypernet, "CHUNK_VALUES", chunk)
+        path = _later_chunk_non_finite(tmp_path / "m.ckpt", value)
+        with pytest.raises(FormatError, match="'U2' holds non-finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 16])
+    def test_payload_cut_inside_a_later_chunk_is_truncation(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(hypernet, "CHUNK_VALUES", chunk)
+        path = _cut_inside_u2(tmp_path / "m.ckpt")
+        with pytest.raises(FormatError, match="payload truncated for tensor 'U2'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 16, hypernet.CHUNK_VALUES])
+    def test_offsets_out_of_file_order_load_equal(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(hypernet, "CHUNK_VALUES", chunk)
+        in_order = _lowrank_checkpoint(tmp_path / "in-order.ckpt")
+        header, payload = _split_checkpoint(in_order)
+        # Write the payloads in reverse manifest order; the manifest keeps its order.
+        pieces, end = [], 0
+        for entry in reversed(header["tensors"]):
+            size = 4 * int(np.prod(entry["shape"]))
+            pieces.append(payload[entry["offset"] : entry["offset"] + size])
+            entry["offset"], end = end, end + size
+        _write_checkpoint(tmp_path / "reversed.ckpt", header, b"".join(pieces))
+        params, extras = load_checkpoint(in_order)
+        got, got_extras = load_checkpoint(tmp_path / "reversed.ckpt")
+        assert list(got.tensors) == list(params.tensors) and list(got_extras) == list(extras)
+        for name, arr in {**params.tensors, **extras}.items():
+            assert np.array_equal({**got.tensors, **got_extras}[name], arr)
+
+    def test_short_read_is_truncation(self, tmp_path, monkeypatch):
+        # The file shrinks after its size was taken: the second chunk read
+        # comes back one byte short.
+        class ShortReader(io.BufferedReader):
+            reads = 0
+
+            def readinto(self, buffer):
+                self.reads += 1
+                view = memoryview(buffer).cast("B")
+                return super().readinto(view[:-1] if self.reads == 2 else view)
+
+        monkeypatch.setattr(hypernet, "CHUNK_VALUES", 5)
+        monkeypatch.setattr(
+            hypernet, "open", lambda path, mode: ShortReader(io.FileIO(path, mode)), raising=False
+        )
+        path = _lowrank_checkpoint(tmp_path / "m.ckpt")
+        with pytest.raises(FormatError, match="payload truncated for tensor 'U1'"):
+            load_checkpoint(path)
+
     def test_wrong_rank_is_rejected_under_optimize(self, tmp_path):
         path = _lowrank_checkpoint(tmp_path / "m.ckpt")
         header, payload = _split_checkpoint(path)
         header["nk"] = 1
         _write_checkpoint(path, header, payload)
-        # The rows entering an operator are checked under -O as well: width,
-        # finiteness and bounds.
+        nan = _later_chunk_non_finite(tmp_path / "nan.ckpt", np.nan)
+        cut = _cut_inside_u2(tmp_path / "cut.ckpt")
+        # Under -O as well: a checkpoint's header and payloads, a NaN and a cut
+        # in a later chunk included, and the rows entering an operator (width,
+        # finiteness and bounds).
         code = (
             "import sys\n"
             "import numpy as np\n"
             "from condcl.errors import DimensionMismatchError, FormatError\n"
+            "from condcl import hypernet\n"
             "from condcl.hypernet import ConditionOperator, apply_stack, load_checkpoint\n"
             "def raises(error, call, *args):\n"
             "    try:\n"
@@ -590,8 +690,11 @@ class TestCheckpointFormatErrors:
             "        return True\n"
             "    return False\n"
             "op = ConditionOperator('dense', W=np.eye(4)[None])\n"
+            "hypernet.CHUNK_VALUES = 3\n"
             "checks = [\n"
             "    raises(FormatError, load_checkpoint, sys.argv[1]),\n"
+            "    raises(FormatError, load_checkpoint, sys.argv[2]),\n"
+            "    raises(FormatError, load_checkpoint, sys.argv[3]),\n"
             "    raises(DimensionMismatchError, apply_stack, op, np.ones(5), (0, 1)),\n"
             "    raises(ValueError, apply_stack, op, np.full((2, 4), np.nan), (0, 2)),\n"
             "    raises(ValueError, apply_stack, op, np.ones((2, 4)), (0, 1)),\n"
@@ -601,6 +704,9 @@ class TestCheckpointFormatErrors:
         )
         env = dict(os.environ, PYTHONPATH=str(Path(condcl.__file__).parents[1]))
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", code, str(path)], env=env, capture_output=True, timeout=120
+            [sys.executable, "-O", "-c", code, str(path), str(nan), str(cut)],
+            env=env,
+            capture_output=True,
+            timeout=120,
         )
         assert proc.returncode == 0, proc.stdout.decode() + proc.stderr.decode()
