@@ -148,7 +148,7 @@ def cached_operators(
     if missing:
         H = np.stack([provider.embed(c) for c in missing])
         for key, op in zip(missing, generate_operators(params, H)):
-            cache.insert(key, op, operator_payload_bytes(op, FLOAT_BYTES), heavy_ops=1, gen_ops=1)
+            cache.insert(key, op, operator_payload_bytes(op), heavy_ops=1, gen_ops=1)
             found[key] = op
     return [found[c] for c in condition_texts]
 

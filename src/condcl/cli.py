@@ -2,10 +2,10 @@
 
 Subcommands: train, eval, bench-cache, analyze clusters|frobenius,
 sweep-rank, gradcheck, make-synthetic csts|kg. Runs are configured by a
-JSON file whose keys mirror TrainConfig plus input/output paths; explicit
-flags win over config values. Exit codes: 0 success, 1 check failure,
-2 usage/config error, 3 runtime abort. Set CONDCL_LOG=debug|info for
-progress output.
+JSON file whose keys mirror TrainConfig plus input/output paths (any other
+key is refused); explicit flags win over config values. Exit codes:
+0 success, 1 check failure, 2 usage/config error, 3 runtime abort. Set
+CONDCL_LOG=debug|info for progress output.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import (
     MissingEmbeddingError,
     TrainingDivergedError,
 )
+from .linalg import is_integer
 
 log = logging.getLogger("condcl")
 
@@ -41,6 +42,11 @@ EXIT_ABORT = 3
 GRADCHECK_THRESHOLD = 1e-4
 DEFAULT_DIVISORS = (1, 4, 8, 12, 16, 24)
 MODEL_KEYS = ("checkpoint", "embeddings")  # analyze takes them as flags or config keys
+# Every key a run config may hold: the TrainConfig fields, input/output paths and ks.
+RUN_CONFIG_KEYS = set(trainer.TrainConfig.__dataclass_fields__) | {
+    "data", "embeddings", "out", "report", "checkpoint", "conditions",
+    "train_data", "eval_data", "filter_data", "ks",
+}
 
 
 def _setup_logging() -> None:
@@ -61,6 +67,9 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"{p}: invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{p}: config must be a JSON object")
+    unknown = sorted(set(cfg) - RUN_CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"{p}: unknown config keys: {unknown}")
     return cfg
 
 
@@ -177,7 +186,9 @@ def cmd_eval(args) -> int:
             raise ConfigError("seen/unseen splits apply to the csts task only")
         eval_triples = trainer.load_kg_tsv(data_path)
         known, entities = _kgc_filter(cfg, eval_triples)
-        ks = cfg.get("ks", [1, 3, 10])
+        ks = cfg.get("ks", eval_mod.DEFAULT_KS)
+        if not (isinstance(ks, (list, tuple)) and ks and all(is_integer(k) and k >= 1 for k in ks)):
+            raise ConfigError(f"'ks' must be a non-empty list of positive integers, got {ks!r}")
         metrics = eval_mod.evaluate_kgc(params, provider, eval_triples, known, entities, ks=ks)
     _emit(json.dumps(metrics, indent=2) + "\n", args.out)
     return EXIT_OK
@@ -368,8 +379,6 @@ def _gradcheck_batches(nh: int, seed: int):
 
 
 def cmd_gradcheck(args) -> int:
-    if args.epsilon is None or not 1e-7 <= args.epsilon <= 1e-3:
-        raise ValueError(f"epsilon must lie in [1e-7, 1e-3], got {args.epsilon}")
     nh = args.nh
     nk = args.nk if args.nk is not None else max(1, nh // 4)
     seed = args.seed if args.seed is not None else 0

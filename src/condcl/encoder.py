@@ -84,9 +84,6 @@ class EmbeddingStore:
         except KeyError:
             raise MissingEmbeddingError(f"no embedding stored for text: {text!r}") from None
 
-    def texts(self) -> Iterator[str]:
-        return iter(self._entries)
-
     def items(self):
         return self._entries.items()
 
@@ -175,8 +172,6 @@ def save_embeddings(store: EmbeddingStore, path: str | Path) -> None:
 class StoreProvider:
     """Provider backed by a precomputed store; misses are hard errors."""
 
-    kind = "store"
-
     def __init__(self, store: EmbeddingStore):
         self.store = store
 
@@ -196,8 +191,6 @@ class HashingProvider:
     expensive encode step; at the default rounds=1 the output is exactly
     hash_encode(text, dim, seed).
     """
-
-    kind = "hashing"
 
     def __init__(self, dim: int, seed: int = 0, rounds: int = 1):
         if rounds < 1:

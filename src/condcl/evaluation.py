@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 TIE_TOL = 1e-9  # a score this close to gold's ties with it; ties rank by name
+DEFAULT_KS = (1, 3, 10)  # the Hits@k cutoffs reported when none are given
 
 
 def _check_xy(xs, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -308,7 +309,7 @@ def evaluate_kgc(
     eval_triples: Sequence[KgTriple],
     known_triples: Sequence[KgTriple],
     entities: Sequence[str],
-    ks: Sequence[int] = (1, 3, 10),
+    ks: Sequence[int] = DEFAULT_KS,
     directions: Sequence[str] = ("tail", "head"),
 ) -> dict:
     """Filtered ranking metrics over both prediction directions.

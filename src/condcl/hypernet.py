@@ -1,18 +1,19 @@
 """Condition operators and the networks that produce them.
 
 A condition embedding h_c becomes a linear operator that projects sentence
-embeddings into a condition-specific subspace. Every composition mode is
-such an operator: "full" generates a dense nh x nh matrix, "lowrank" a
-factored W1 @ W2.T pair of rank nk that is never multiplied out, "hadamard"
-is diag(h_c), and "concat" is a linear merge Wcat @ [h_c; h_s]. An operator
-is a stack of R conditions' operators. There is one formula from conditions
-to operators, ``generate_stack``: one product ``H @ U.T + bias`` per
-generator tensor for a stack H of condition embeddings, over ndarrays and
-autodiff Tensors alike. Training generates each batch's conditions as one
-stack; inference takes one operator per condition from the validating
-``generate_operators``, which generates in blocks of GENERATE_BLOCK rows
-that no caller sees. There is one way to apply a stack, ``apply_stack``:
-row segment r of a row matrix through operator r.
+embeddings into a condition-specific subspace. The mode fixes the operator:
+"full" generates a dense nh x nh matrix, "lowrank" a W1 @ W2.T pair of rank
+nk that is never multiplied out, "hadamard" is diag(h_c), and "concat" is a
+merge Wcat @ [h_c; h_s]. Only this module knows the shapes
+(``_tensor_shapes``) and rules (``generator_problem``) of a mode's
+generator. An operator is a stack of R conditions' operators. There is one
+formula from conditions to operators, ``generate_stack``: one product
+``H @ U.T + bias`` per generator tensor for a stack H of condition
+embeddings, over ndarrays and autodiff Tensors alike. Training generates
+each batch's conditions as one stack; inference takes one operator per
+condition from the validating ``generate_operators``, which generates in
+blocks of GENERATE_BLOCK rows that no caller sees. There is one way to apply
+a stack, ``apply_stack``: row segment r of a row matrix through operator r.
 
 Checkpoint format: 8-byte magic ``HYPERCL1``, an 8-byte little-endian
 unsigned header length, a UTF-8 JSON header {mode, nh, nk, dropout_p,
@@ -29,6 +30,7 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DimensionMismatchError, FormatError
-from .linalg import as_vector, is_integer
+from .linalg import as_vector, is_finite_real, is_integer
 
 __all__ = [
     "MODES",
@@ -45,6 +47,7 @@ __all__ = [
     "ConditionOperator",
     "default_nk",
     "diagonal_operator",
+    "generator_problem",
     "init_params",
     "generate_stack",
     "apply_stack",
@@ -66,6 +69,7 @@ DEFAULT_RANK_DIVISOR = 12
 DEFAULT_DROPOUT_P = 0.1
 GENERATE_BLOCK = 32  # conditions per generating product: bounds the output memory
 CHUNK_VALUES = 1 << 20  # float32 values per checkpoint read or write: bounds the buffer memory
+MAX_TENSOR_DIMS = 32  # array rank numpy accepts on every supported version (1.x: 32, 2.x: 64)
 
 
 def _tensor_shapes(mode: str, nh: int, nk: int | None) -> dict[str, tuple[int, ...]]:
@@ -104,47 +108,55 @@ class HyperNetParams:
 class ConditionOperator:
     """The linear maps of a stack of R conditions, applied by ``apply_stack``.
 
-    One of four forms; only that form's fields are set:
+    ``arrays`` holds the mode's per-condition arrays, R of each on axis 0:
 
-      - ``dense``: W (R x nh x nh), operator r maps h_s to W[r] @ h_s;
-      - ``factored``: W1, W2 (R x nh x nk each), W1[r] @ (W2[r].T @ h_s);
-      - ``diagonal``: d (R x nh), d[r] * h_s;
-      - ``concat``: the shared Wcat (nh x 2nh) and the condition embeddings
-        h_c (R x nh), Wcat @ [h_c[r]; h_s] (times a dropout mask when training).
+      - full: W (R x nh x nh), operator r maps h_s to W[r] @ h_s;
+      - lowrank: W1, W2 (R x nh x nk each), W1[r] @ (W2[r].T @ h_s);
+      - hadamard: d (R x nh), d[r] * h_s;
+      - concat: the condition embeddings h_c (R x nh) and the shared ``Wcat``
+        (nh x 2nh), Wcat @ [h_c[r]; h_s] (times a dropout mask when training).
 
-    Fields are ndarrays, or autodiff Tensors inside the loss closures.
+    Arrays are ndarrays, or autodiff Tensors inside the loss closures.
     """
 
-    form: str
-    W: np.ndarray | None = None
-    W1: np.ndarray | None = None
-    W2: np.ndarray | None = None
-    d: np.ndarray | None = None
+    mode: str
+    arrays: dict
     Wcat: np.ndarray | None = None
-    h_c: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
         """(R, n): the operators in the stack and the width of the rows they take."""
-        if self.form == "dense":
-            return self.W.shape[0], self.W.shape[2]
-        if self.form == "factored":
-            return self.W2.shape[0], self.W2.shape[1]
-        if self.form == "diagonal":
-            return self.d.shape
-        if self.form == "concat":
-            return self.h_c.shape[0], self.Wcat.shape[1] - self.h_c.shape[1]
-        raise ValueError(f"unknown operator form {self.form!r}")
+        first = next(iter(self.arrays.values()))
+        # Rows enter W[r] along its last axis, which a non-square W keeps apart.
+        return first.shape[0], first.shape[2 if self.mode == "full" else 1]
 
 
 def diagonal_operator(H) -> ConditionOperator:
     """The stack of elementwise products with the rows of H (R x nh)."""
-    return ConditionOperator(form="diagonal", d=as_vector(H, "H", ndims=(2,)))
+    return ConditionOperator("hadamard", {"d": as_vector(H, "H", ndims=(2,))})
 
 
 def default_nk(nh: int) -> int:
     """Rank used for lowrank operators when none is given."""
     return max(1, nh // DEFAULT_RANK_DIVISOR)
+
+
+def generator_problem(mode, nh, nk, dropout_p) -> str | None:
+    """Why (mode, nh, nk, dropout_p) describes no generator, or None if it does.
+    A lowrank nk of None means ``default_nk``; only concat uses dropout_p."""
+    if mode not in MODES:
+        return f"unknown mode {mode!r}, expected one of {MODES}"
+    if not is_integer(nh):
+        return f"nh must be an integer, got {nh!r}"
+    if nk is not None and not is_integer(nk):
+        return f"nk must be an integer, got {nk!r}"
+    if nh < 1:
+        return f"nh must be positive, got {nh}"
+    if mode == "lowrank" and nk is not None and not 1 <= nk <= nh:
+        return f"lowrank requires 1 <= nk <= nh, got nk={nk}, nh={nh}"
+    if not (is_finite_real(dropout_p) and 0.0 <= dropout_p < 1.0):
+        return f"dropout_p must be a finite number in [0, 1), got {dropout_p!r}"
+    return None
 
 
 def init_params(
@@ -155,62 +167,53 @@ def init_params(
     dropout_p: float = DEFAULT_DROPOUT_P,
     zero_bias: bool = False,
 ) -> HyperNetParams:
-    """Seeded parameter initialization.
+    """Seeded parameter initialization, one draw per tensor in manifest order.
 
-    Full mode starts at (approximately) the identity operator: weights are
-    small Gaussians and the bias is the flattened identity, so an untrained
+    Weights are small Gaussians. Full mode starts at (approximately) the
+    identity operator: its bias is the flattened identity, so an untrained
     model roughly preserves sentence embeddings. Lowrank cannot represent
-    the identity for nk < nh, so it starts from small random values. Set
-    zero_bias=True for the no-bias generator variant.
+    the identity for nk < nh, so its biases are small random values too.
+    Set zero_bias=True for the no-bias generator variant.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    if nh <= 0:
-        raise ValueError("nh must be positive")
+    problem = generator_problem(mode, nh, nk, dropout_p)
+    if problem is not None:
+        raise ValueError(problem)
+    nk = int(nk or default_nk(nh)) if mode == "lowrank" else None
     rng = np.random.default_rng(seed)
-    if mode == "full":
-        U = rng.normal(0.0, INIT_WEIGHT_STD, size=(nh * nh, nh))
-        bias = np.zeros(nh * nh) if zero_bias else np.eye(nh).reshape(nh * nh)
-        return HyperNetParams(mode, nh, tensors={"U": U, "U_bias": bias})
-    if mode == "lowrank":
-        nk = default_nk(nh) if nk is None else int(nk)
-        if nk > nh or nk < 1:
-            raise ValueError(f"lowrank requires 1 <= nk <= nh, got nk={nk}, nh={nh}")
-        bias_std = INIT_WEIGHT_STD / np.sqrt(nk)
-        U1 = rng.normal(0.0, INIT_WEIGHT_STD, size=(nh * nk, nh))
-        U1_bias = np.zeros(nh * nk) if zero_bias else rng.normal(0.0, bias_std, size=nh * nk)
-        U2 = rng.normal(0.0, INIT_WEIGHT_STD, size=(nh * nk, nh))
-        U2_bias = np.zeros(nh * nk) if zero_bias else rng.normal(0.0, bias_std, size=nh * nk)
-        tensors = {"U1": U1, "U1_bias": U1_bias, "U2": U2, "U2_bias": U2_bias}
-        return HyperNetParams(mode, nh, nk, tensors=tensors)
-    if mode == "concat":
-        if not 0.0 <= dropout_p < 1.0:
-            raise ValueError("dropout_p must lie in [0, 1)")
-        Wcat = rng.normal(0.0, INIT_WEIGHT_STD, size=(nh, 2 * nh))
-        return HyperNetParams(mode, nh, dropout_p=float(dropout_p), tensors={"Wcat": Wcat})
-    return HyperNetParams(mode="hadamard", nh=nh)
+    tensors = {}
+    for name, shape in _tensor_shapes(mode, nh, nk).items():
+        if not name.endswith("_bias"):
+            tensors[name] = rng.normal(0.0, INIT_WEIGHT_STD, size=shape)
+        elif zero_bias:
+            tensors[name] = np.zeros(shape)
+        elif mode == "full":
+            tensors[name] = np.eye(nh).reshape(shape)
+        else:
+            tensors[name] = rng.normal(0.0, INIT_WEIGHT_STD / np.sqrt(nk), size=shape)
+    dropout_p = float(dropout_p) if mode == "concat" else 0.0
+    return HyperNetParams(mode, int(nh), nk, dropout_p, tensors)
 
 
-def generate_stack(mode: str, tensors, H, nh: int, nk: int | None = None) -> ConditionOperator:
+def generate_stack(mode: str, tensors, H) -> ConditionOperator:
     """The operators of condition embeddings H (R x nh) as one stacked operator.
 
     ``tensors`` maps the mode's learnable tensor names to ndarrays or autodiff
-    Tensors; names it does not need are ignored. No input is validated. With
-    a Tensor U, ``H @ U.T`` is a linear-layer node whose U gradient is G.T @ H.
+    Tensors; names it does not need are ignored; nh and nk follow from them
+    and H. No input is validated. With a Tensor U, ``H @ U.T`` is a
+    linear-layer node whose U gradient is G.T @ H.
     """
 
-    def generated(name, shape):
-        return (H @ tensors[name].T + tensors[name + "_bias"]).reshape(shape)
+    def generated(name):
+        return (H @ tensors[name].T + tensors[name + "_bias"]).reshape(H.shape + (-1,))
 
     if mode == "full":
-        return ConditionOperator(form="dense", W=generated("U", (-1, nh, nh)))
+        return ConditionOperator(mode, {"W": generated("U")})
     if mode == "lowrank":
-        W1, W2 = (generated(u, (-1, nh, nk)) for u in ("U1", "U2"))
-        return ConditionOperator(form="factored", W1=W1, W2=W2)
+        return ConditionOperator(mode, {"W1": generated("U1"), "W2": generated("U2")})
     if mode == "hadamard":
-        return ConditionOperator(form="diagonal", d=H)
+        return ConditionOperator(mode, {"d": H})
     if mode == "concat":
-        return ConditionOperator(form="concat", Wcat=tensors["Wcat"], h_c=H)
+        return ConditionOperator(mode, {"h_c": H}, tensors["Wcat"])
     raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
 
 
@@ -225,19 +228,19 @@ def apply_stack(op: ConditionOperator, h_s, bounds, mask=None) -> ad.Tensor:
     rows = np.atleast_2d(as_vector(h_s, "h_s", ndims=(1, 2)))
     size, width = op.shape
     if rows.shape[1] != width:
-        raise DimensionMismatchError(f"{op.form} operator takes width {width}, got {rows.shape[1]}")
+        raise DimensionMismatchError(f"{op.mode} operator takes width {width}, got {rows.shape[1]}")
     steps = np.diff(bounds)
     if len(steps) != size or bounds[0] != 0 or bounds[-1] != len(rows) or (steps < 0).any():
         raise ValueError(f"bounds {bounds} do not cut {len(rows)} rows into {size} segments")
-    if op.form == "dense":
-        return ad.grouped_matmul(rows, op.W, bounds, transpose=True)
-    if op.form == "factored":
-        inner = ad.grouped_matmul(rows, op.W2, bounds)
-        return ad.grouped_matmul(inner, op.W1, bounds, transpose=True)
+    if op.mode == "full":
+        return ad.grouped_matmul(rows, op.arrays["W"], bounds, transpose=True)
+    if op.mode == "lowrank":
+        inner = ad.grouped_matmul(rows, op.arrays["W2"], bounds)
+        return ad.grouped_matmul(inner, op.arrays["W1"], bounds, transpose=True)
     seg = np.repeat(np.arange(size), steps)
-    if op.form == "diagonal":
-        return ad.mul(op.d[seg], rows)
-    x = np.concatenate([op.h_c[seg], rows], axis=1)
+    if op.mode == "hadamard":
+        return ad.mul(op.arrays["d"][seg], rows)
+    x = np.concatenate([op.arrays["h_c"][seg], rows], axis=1)
     return ad.matmul(x if mask is None else x * mask, op.Wcat.T)
 
 
@@ -251,9 +254,8 @@ def generate_operators(params: HyperNetParams, H) -> Iterator[ConditionOperator]
     H = as_vector(H, "H", ndims=(2,))
     if H.shape[1] != params.nh:
         raise DimensionMismatchError(f"h_c has dim {H.shape[1]}, generator expects {params.nh}")
-    t, nh, nk = params.tensors, params.nh, params.nk
     blocks = (
-        generate_stack(params.mode, t, H[i : i + GENERATE_BLOCK], nh, nk)
+        generate_stack(params.mode, params.tensors, H[i : i + GENERATE_BLOCK])
         for i in range(0, H.shape[0], GENERATE_BLOCK)
     )
     return (_operator_of_row(op, r) for op in blocks for r in range(op.shape[0]))
@@ -261,8 +263,7 @@ def generate_operators(params: HyperNetParams, H) -> Iterator[ConditionOperator]
 
 def _operator_of_row(op: ConditionOperator, r: int) -> ConditionOperator:
     """Operator r of a stack as a one-condition stack of views (Wcat is shared)."""
-    stacked = ("W", "W1", "W2", "d", "h_c")
-    return replace(op, **{n: a[r : r + 1] for n in stacked if (a := getattr(op, n)) is not None})
+    return replace(op, arrays={name: a[r : r + 1] for name, a in op.arrays.items()})
 
 
 def dropout_mask(rng: np.random.Generator, size, p: float) -> np.ndarray:
@@ -281,38 +282,41 @@ def param_count(params: HyperNetParams) -> int:
 def densify(op: ConditionOperator) -> np.ndarray:
     """Materialize each operator of the stack as a dense matrix: R x nh x nh
     (diagnostics/tests only)."""
-    if op.form == "dense":
-        return np.array(op.W)
-    if op.form == "factored":
-        return op.W1 @ op.W2.transpose(0, 2, 1)
-    if op.form == "diagonal":
-        return op.d[:, :, None] * np.eye(op.d.shape[1])
-    raise ValueError(f"a {op.form} operator is not a square matrix over h_s")
+    if op.mode == "full":
+        return np.array(op.arrays["W"])
+    if op.mode == "lowrank":
+        return op.arrays["W1"] @ op.arrays["W2"].transpose(0, 2, 1)
+    if op.mode == "hadamard":
+        d = op.arrays["d"]
+        return d[:, :, None] * np.eye(d.shape[1])
+    raise ValueError(f"a {op.mode} operator is not a square matrix over h_s")
 
 
 def operator_frobenius_normalized(op: ConditionOperator) -> np.ndarray:
-    """Each operator's Frobenius norm over sqrt(#stored scalars of its form): shape (R,).
+    """Each operator's Frobenius norm over sqrt(#stored scalars of its mode): shape (R,).
 
-    The factored norm uses ||W1 W2^T||_F^2 = trace((W1^T W1)(W2^T W2)), so
-    the dense product is never formed. The concat form has no norm here.
+    The lowrank norm uses ||W1 W2^T||_F^2 = trace((W1^T W1)(W2^T W2)), so
+    the dense product is never formed. A concat operator has no norm here.
     """
-    if op.form == "dense":
-        R, nh, _ = op.W.shape
-        return np.linalg.norm(op.W.reshape(R, -1), axis=1) / np.sqrt(nh * nh)
-    if op.form == "factored":
-        _, nh, nk = op.W1.shape
-        gram = (op.W1.transpose(0, 2, 1) @ op.W1) @ (op.W2.transpose(0, 2, 1) @ op.W2)
+    a = op.arrays
+    if op.mode == "full":
+        R, nh, _ = a["W"].shape
+        return np.linalg.norm(a["W"].reshape(R, -1), axis=1) / np.sqrt(nh * nh)
+    if op.mode == "lowrank":
+        W1, W2 = a["W1"], a["W2"]
+        _, nh, nk = W1.shape
+        gram = (W1.transpose(0, 2, 1) @ W1) @ (W2.transpose(0, 2, 1) @ W2)
         sq = np.maximum(np.trace(gram, axis1=1, axis2=2), 0.0)
         return np.sqrt(sq) / np.sqrt(2 * nh * nk)
-    if op.form == "diagonal":
-        return np.linalg.norm(op.d, axis=1) / np.sqrt(op.d.shape[1])
-    raise ValueError(f"a {op.form} operator is not a square matrix over h_s")
+    if op.mode == "hadamard":
+        return np.linalg.norm(a["d"], axis=1) / np.sqrt(a["d"].shape[1])
+    raise ValueError(f"a {op.mode} operator is not a square matrix over h_s")
 
 
-def operator_payload_bytes(op: ConditionOperator, element_bytes: int = 8) -> int:
+def operator_payload_bytes(op: ConditionOperator) -> int:
     """Stored payload size for cache accounting (keys excluded)."""
-    arrays = (op.W, op.W1, op.W2, op.d, op.Wcat, op.h_c)
-    return sum(a.size for a in arrays if a is not None) * element_bytes
+    shared = 0 if op.Wcat is None else op.Wcat.nbytes
+    return sum(a.nbytes for a in op.arrays.values()) + shared
 
 
 def save_checkpoint(
@@ -383,16 +387,11 @@ def load_checkpoint(path: str | Path) -> tuple[HyperNetParams, dict[str, np.ndar
             raise FormatError(f"{path}: checkpoint header is not a JSON object")
         mode, nh, nk = header.get("mode"), header.get("nh"), header.get("nk")
         dropout_p = header.get("dropout_p") or 0.0
-        if mode not in MODES:
-            raise FormatError(f"{path}: unknown mode {mode!r}")
-        if not is_integer(nh) or nh <= 0:
-            raise FormatError(f"{path}: header nh must be a positive integer, got {nh!r}")
-        if nk is not None and not (is_integer(nk) and nk >= 0):
-            raise FormatError(f"{path}: header nk must be an integer or null, got {nk!r}")
-        if mode == "lowrank" and (nk is None or not 1 <= nk <= nh):
-            raise FormatError(f"{path}: lowrank header needs 1 <= nk <= nh, got nk={nk!r}")
-        if not isinstance(dropout_p, (int, float)) or not 0.0 <= dropout_p < 1.0:
-            raise FormatError(f"{path}: header dropout_p must lie in [0, 1), got {dropout_p!r}")
+        problem = generator_problem(mode, nh, nk, dropout_p)
+        if problem is not None:
+            raise FormatError(f"{path}: header: {problem}")
+        if mode == "lowrank" and nk is None:
+            raise FormatError(f"{path}: lowrank header needs nk")
         entries = header.get("tensors")
         if not isinstance(entries, list):
             raise FormatError(f"{path}: header tensors must be a list")
@@ -411,6 +410,9 @@ def load_checkpoint(path: str | Path) -> tuple[HyperNetParams, dict[str, np.ndar
             )
             if not well_formed or name in tensors:
                 raise FormatError(f"{path}: malformed or duplicate tensor entry {entry!r}")
+            # A zero dimension makes any other dimension cost no payload bytes.
+            if len(shape) > MAX_TENSOR_DIMS or 8 * math.prod(n for n in shape if n) > sys.maxsize:
+                raise FormatError(f"{path}: tensor {name!r} has shape {shape}, too large for an array")
             count = math.prod(shape)
             if base + start + 4 * count > size:
                 raise FormatError(f"{path}: payload truncated for tensor {name!r}")

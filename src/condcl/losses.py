@@ -227,9 +227,6 @@ class GradCheckReport:
     seed: int
     per_param: dict[str, float] = field(default_factory=dict)
 
-    def passed(self, threshold: float = 1e-4) -> bool:
-        return self.max_rel_err < threshold
-
 
 def grad_check(
     loss_fn: LossFn,

@@ -33,12 +33,12 @@ from . import autodiff as ad
 from .encoder import EmbeddingStore, text_lines
 from .errors import CondclError, ConfigError, FormatError, TrainingDivergedError
 from .hypernet import (
-    MODES,
+    DEFAULT_DROPOUT_P,
     HyperNetParams,
     apply_stack,
-    default_nk,
     dropout_mask,
     generate_stack,
+    generator_problem,
     init_params,
     save_checkpoint,
 )
@@ -91,22 +91,19 @@ class TrainConfig:
     betas: tuple[float, float] = (0.9, 0.999)
     eps: float = 1e-8
     weight_decay: float = 0.0
-    dropout_p: float = 0.1
+    dropout_p: float = DEFAULT_DROPOUT_P
     zero_bias: bool = False
 
     def validate(self) -> None:
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        for name in ("nh", "epochs", "batch_size", "seed") + (() if self.nk is None else ("nk",)):
+        problem = generator_problem(self.mode, self.nh, self.nk, self.dropout_p)
+        if problem is not None:
+            raise ConfigError(problem)
+        for name in ("epochs", "batch_size", "seed"):
             if not is_integer(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.nh <= 0:
-            raise ConfigError("nh must be positive")
-        if self.mode == "lowrank" and self.nk is not None and not 1 <= self.nk <= self.nh:
-            raise ConfigError("lowrank requires 1 <= nk <= nh")
-        for name in ("lr", "eps", "weight_decay", "dropout_p"):
+        for name in ("lr", "eps", "weight_decay"):
             if not is_finite_real(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number")
         if not (
@@ -119,8 +116,6 @@ class TrainConfig:
             raise ConfigError("lr must be >= 0")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError("dropout_p must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be >= 0")
         self.loss.validate()
@@ -152,12 +147,6 @@ class TrainConfig:
         d = asdict(self)
         d["betas"] = list(self.betas)
         return d
-
-    @property
-    def nk_effective(self) -> int | None:
-        if self.mode != "lowrank":
-            return None
-        return self.nk if self.nk is not None else default_nk(self.nh)
 
 
 @dataclass
@@ -275,7 +264,7 @@ def _grouped(conds: Sequence[str], rows: list, masks: np.ndarray | None, emb, cf
     masks = None if masks is None else masks[order]
 
     def projected(leaves):
-        op = generate_stack(cfg.mode, leaves, H, cfg.nh, cfg.nk_effective)
+        op = generate_stack(cfg.mode, leaves, H)
         return apply_stack(op, rows, bounds, masks)
 
     return projected, np.argsort(order)
@@ -345,7 +334,7 @@ def initial_arrays(cfg: TrainConfig) -> tuple[HyperNetParams, dict[str, np.ndarr
     params = init_params(
         cfg.mode,
         cfg.nh,
-        cfg.nk_effective,
+        cfg.nk,
         seed=cfg.seed,
         dropout_p=cfg.dropout_p,
         zero_bias=cfg.zero_bias,
@@ -468,7 +457,7 @@ def fit(
         task=cfg.task,
         mode=cfg.mode,
         nh=cfg.nh,
-        nk=cfg.nk_effective,
+        nk=params.nk,
         seed=cfg.seed,
         epoch_losses=epoch_losses,
         epoch_components=epoch_components,

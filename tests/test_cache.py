@@ -219,7 +219,7 @@ class TestCachedOperator:
         assert len(ops) == len(texts)
         for t, op in zip(texts, ops):
             assert op.shape == (1, nh)
-            got = (op.W[0],) if nk is None else (op.W1[0], op.W2[0])
+            got = [a[0] for a in op.arrays.values()]
             for g, want in zip(got, operator_formula(params, provider.embed(t)), strict=True):
                 np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)
             assert op is ops[texts.index(t)] and op is pre.get(t, op)

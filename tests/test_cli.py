@@ -7,7 +7,7 @@ from condcl import cli, hypernet
 from condcl.encoder import EmbeddingStore, save_embeddings
 from condcl.hypernet import init_params, load_checkpoint, save_checkpoint
 from condcl.losses import KgTriple
-from condcl.trainer import make_synthetic_csts, save_csts_jsonl, save_kg_tsv
+from condcl.trainer import make_synthetic_csts, make_synthetic_kg, save_csts_jsonl, save_kg_tsv
 
 
 @pytest.fixture
@@ -53,6 +53,33 @@ def test_train_rejects_a_wrongly_typed_count_with_usage_exit(csts_run, capsys, k
     config[key] = value
     assert run(tmp_path, ["train"], config) == cli.EXIT_USAGE
     assert f"error: {key} must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["epoch", "batch_szie"])
+def test_a_misspelt_config_key_is_a_usage_error(csts_run, capsys, key):
+    tmp_path, _, config = csts_run
+    config[key] = 1
+    assert run(tmp_path, ["train"], config) == cli.EXIT_USAGE
+    assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ks", [5, "ab", [1.5], [True], [], [0]])
+def test_eval_refuses_ks_that_are_not_positive_integers(tmp_path, capsys, ks):
+    dataset, store = make_synthetic_kg(24, 2, 8, seed=0)
+    save_kg_tsv(dataset.test, tmp_path / "test.tsv")
+    save_embeddings(store, tmp_path / "emb.jsonl")
+    save_checkpoint(tmp_path / "m.ckpt", init_params("full", 8, seed=0))
+    config = {
+        "task": "kgc",
+        "data": str(tmp_path / "test.tsv"),
+        "embeddings": str(tmp_path / "emb.jsonl"),
+        "checkpoint": str(tmp_path / "m.ckpt"),
+    }
+    assert run(tmp_path, ["eval"], {**config, "ks": [1, 2]}) == cli.EXIT_OK
+    assert set(json.loads(capsys.readouterr().out)["hits"]) == {"1", "2"}
+    assert run(tmp_path, ["eval"], {**config, "ks": ks}) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "'ks' must be a non-empty list of positive integers" in err and "Traceback" not in err
 
 
 def test_train_rejects_a_wrongly_typed_prebatch_size(csts_run, capsys):

@@ -546,7 +546,7 @@ class TestBatchedEqualsReference:
                 return kg, ranks, preds, variances, None, []
             cache = TextKeyedCache()
             ops = cached_operators(cache, params, StoreProvider(cstore), [q.c for q in quads])
-            arrays = [a for op in ops for a in (op.W, op.W1, op.W2) if a is not None]
+            arrays = [a for op in ops for a in op.arrays.values()]
             return kg, ranks, preds, variances, cache.stats, arrays
 
         kg, ranks, (preds, golds), variances, stats, arrays = outputs()

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import condcl
 from condcl import autodiff as ad
 from condcl import hypernet
-from condcl.errors import DimensionMismatchError, FormatError
+from condcl.errors import ConfigError, DimensionMismatchError, FormatError
 from condcl.hypernet import (
     GENERATE_BLOCK,
     MODES,
@@ -34,6 +34,7 @@ from condcl.hypernet import (
     param_count,
     save_checkpoint,
 )
+from condcl.trainer import TrainConfig
 
 rng = np.random.default_rng(0)
 
@@ -84,39 +85,85 @@ class TestInit:
     def test_hadamard_has_no_tensors(self):
         assert init_params("hadamard", 8).tensors == {}
 
+    @pytest.mark.parametrize("mode,nh,nk", [(m, 12, 3) for m in MODES] + [("lowrank", 24, None)])
+    def test_tensors_follow_the_shape_table(self, mode, nh, nk):
+        p = init_params(mode, nh, nk, seed=0)
+        shapes = {name: t.shape for name, t in p.tensors.items()}
+        assert list(shapes.items()) == list(hypernet._tensor_shapes(mode, nh, p.nk).items())
+
+
+# (mode, nh, nk, dropout_p) that describe no generator, and what the refusal says.
+BAD_GENERATORS = {
+    "lowrank-nk-float": (("lowrank", 8, 2.5, 0.1), "nk must be an integer, got 2.5"),
+    "lowrank-nk-bool": (("lowrank", 8, True, 0.1), "nk must be an integer, got True"),
+    "nh-float": (("full", 8.0, None, 0.1), "nh must be an integer, got 8.0"),
+    "nh-bool": (("full", True, None, 0.1), "nh must be an integer, got True"),
+    "nh-zero": (("full", 0, None, 0.1), "nh must be positive"),
+    "full-dropout-two": (("full", 8, None, 2.0), "dropout_p must be a finite number"),
+    "concat-dropout-nan": (("concat", 8, None, float("nan")), "dropout_p must be a finite number"),
+    "mode-unknown": (("bogus", 8, None, 0.1), "unknown mode 'bogus'"),
+}
+
+
+class TestGeneratorRules:
+    """One rule check, three callers: init, a run config and a checkpoint header."""
+
+    @pytest.mark.parametrize("shape,message", BAD_GENERATORS.values(), ids=BAD_GENERATORS.keys())
+    def test_init_params_refuses(self, shape, message):
+        mode, nh, nk, dropout_p = shape
+        with pytest.raises(ValueError, match=message):
+            init_params(mode, nh, nk, dropout_p=dropout_p)
+
+    @pytest.mark.parametrize("shape,message", BAD_GENERATORS.values(), ids=BAD_GENERATORS.keys())
+    def test_train_config_refuses(self, shape, message):
+        mode, nh, nk, dropout_p = shape
+        cfg = TrainConfig(task="csts", mode=mode, nh=nh, nk=nk, dropout_p=dropout_p)
+        with pytest.raises(ConfigError, match=message):
+            cfg.validate()
+
+    @pytest.mark.parametrize("shape,message", BAD_GENERATORS.values(), ids=BAD_GENERATORS.keys())
+    def test_checkpoint_header_refuses(self, tmp_path, shape, message):
+        path = _lowrank_checkpoint(tmp_path / "m.ckpt")
+        header, payload = _split_checkpoint(path)
+        header.update(zip(("mode", "nh", "nk", "dropout_p"), shape))
+        _write_checkpoint(path, header, payload)
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path)
+
 
 class TestGenerate:
     def test_zeroed_weights_give_identity_operator(self):
         p = init_params("full", 5, seed=1)
         p.tensors["U"][:] = 0.0
-        op = generate_stack(p.mode, p.tensors, rng.normal(size=(3, 5)), p.nh, p.nk)
-        assert np.array_equal(op.W, np.broadcast_to(np.eye(5), (3, 5, 5)))
+        op = generate_stack(p.mode, p.tensors, rng.normal(size=(3, 5)))
+        assert np.array_equal(op.arrays["W"], np.broadcast_to(np.eye(5), (3, 5, 5)))
 
     def test_linearity_without_bias(self):
         p = init_params("full", 6, seed=2, zero_bias=True)
         h = unit(rng.normal(size=6))
         a = 2.7
-        op = generate_stack(p.mode, p.tensors, np.stack([a * h, h]), p.nh, p.nk)
-        assert op.W[0] == pytest.approx(a * op.W[1], abs=1e-10)
+        W = generate_stack(p.mode, p.tensors, np.stack([a * h, h])).arrays["W"]
+        assert W[0] == pytest.approx(a * W[1], abs=1e-10)
 
     def test_affine_combination(self):
         # op(alpha a + beta b) = alpha op(a) + beta op(b) + (1-alpha-beta) * bias
         p = init_params("full", 6, seed=3)
         a, b = rng.normal(size=6), rng.normal(size=6)
         alpha, beta = 0.6, -1.3
-        op = generate_stack(p.mode, p.tensors, np.stack([alpha * a + beta * b, a, b]), p.nh, p.nk)
+        W = generate_stack(p.mode, p.tensors, np.stack([alpha * a + beta * b, a, b])).arrays["W"]
         bias = p.tensors["U_bias"].reshape(6, 6)
-        rhs = alpha * op.W[1] + beta * op.W[2] + (1 - alpha - beta) * bias
-        assert op.W[0] == pytest.approx(rhs, abs=1e-9)
+        rhs = alpha * W[1] + beta * W[2] + (1 - alpha - beta) * bias
+        assert W[0] == pytest.approx(rhs, abs=1e-9)
 
     def test_factored_matches_densified(self):
         for seed in range(5):
             p = init_params("lowrank", 10, nk=3, seed=seed)
             H = np.random.default_rng(seed).normal(size=(2, 10))
-            op = generate_stack(p.mode, p.tensors, H, p.nh, p.nk)
-            assert op.form == "factored" and op.shape == (2, 10)
+            op = generate_stack(p.mode, p.tensors, H)
+            assert op.mode == "lowrank" and op.shape == (2, 10)
+            W1, W2 = op.arrays["W1"], op.arrays["W2"]
             for r in range(2):
-                assert densify(op)[r] == pytest.approx(op.W1[r] @ op.W2[r].T, abs=1e-12)
+                assert densify(op)[r] == pytest.approx(W1[r] @ W2[r].T, abs=1e-12)
 
     def test_wrong_mode(self):
         p = HyperNetParams(mode="bogus", nh=4)
@@ -133,7 +180,7 @@ class TestProject:
     """Rows projected through a stack by ``apply_stack``."""
 
     def test_identity_dense(self):
-        op = ConditionOperator(form="dense", W=np.eye(4)[None])
+        op = ConditionOperator("full", {"W": np.eye(4)[None]})
         h = rng.normal(size=4)
         assert np.array_equal(apply_stack(op, h, (0, 1)).data, h[None])
 
@@ -144,7 +191,7 @@ class TestProject:
         r = np.random.default_rng(7)
         H, h_s = r.normal(size=(3, nh)), r.normal(size=(5, nh))
         bounds = [0, 2, 2, 5]  # condition 1 gets no rows
-        op = generate_stack(p.mode, p.tensors, H, p.nh, p.nk)
+        op = generate_stack(p.mode, p.tensors, H)
         out = apply_stack(op, h_s, bounds).data
         which = [0, 0, 2, 2, 2]
         for row, h, c in zip(out, h_s, which):
@@ -176,7 +223,7 @@ class TestProject:
         w1 = rng.normal(size=(1, nh, nk))
         w2 = rng.normal(size=(1, nh, nk))
         h = rng.normal(size=nh)
-        op = ConditionOperator(form="factored", W1=w1, W2=w2)
+        op = ConditionOperator("lowrank", {"W1": w1, "W2": w2})
         tracemalloc.start()
         apply_stack(op, h, (0, 1))
         _, peak = tracemalloc.get_traced_memory()
@@ -184,7 +231,7 @@ class TestProject:
         assert peak < nh * nh * 8 * 0.05
 
     def test_dim_mismatch(self):
-        op = ConditionOperator(form="dense", W=np.eye(4)[None])
+        op = ConditionOperator("full", {"W": np.eye(4)[None]})
         with pytest.raises(DimensionMismatchError):
             apply_stack(op, np.ones(5), (0, 1))
         (concat,) = generate_operators(init_params("concat", 4, seed=0), np.ones((1, 4)))
@@ -197,12 +244,12 @@ class TestProject:
     )
     def test_bounds_must_cut_the_rows_into_one_segment_per_operator(self, size, bounds):
         p = init_params("lowrank", 4, nk=2, seed=0)
-        op = generate_stack(p.mode, p.tensors, np.ones((size, 4)), p.nh, p.nk)
+        op = generate_stack(p.mode, p.tensors, np.ones((size, 4)))
         with pytest.raises(ValueError, match="bounds"):
             apply_stack(op, np.ones((3, 4)), bounds)
 
     def test_rows_must_be_finite_one_or_two_dimensional(self):
-        op = ConditionOperator(form="dense", W=np.eye(4)[None])
+        op = ConditionOperator("full", {"W": np.eye(4)[None]})
         with pytest.raises(ValueError, match="non-finite"):
             apply_stack(op, np.full((3, 4), np.inf), (0, 3))
         with pytest.raises(ValueError, match="2-D"):
@@ -233,7 +280,7 @@ class TestComposers:
         p = init_params("concat", 4, seed=5, dropout_p=0.0)
         H, h_s = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
         mask = dropout_mask(np.random.default_rng(0), (1, 8), p.dropout_p)
-        op = generate_stack("concat", p.tensors, H, 4)
+        op = generate_stack("concat", p.tensors, H)
         out = apply_stack(op, h_s, [0, 1], mask).data
         assert np.array_equal(out[0], compose(p, H[0], h_s[0]))
 
@@ -264,7 +311,7 @@ class TestComposers:
         H, h_s = r.normal(size=(3, nh)), r.normal(size=(6, nh))
         bounds = [0, 1, 4, 6]
         leaves = {k: ad.leaf(v) for k, v in p.tensors.items()}
-        out = apply_stack(generate_stack(mode, leaves, H, nh, p.nk), h_s, bounds)
+        out = apply_stack(generate_stack(mode, leaves, H), h_s, bounds)
         groups = zip(generate_operators(p, H), bounds, bounds[1:])
         inferred = [apply_stack(op, h_s[lo:hi], (0, hi - lo)).data for op, lo, hi in groups]
         if mode == "concat":
@@ -281,15 +328,16 @@ class TestComposers:
         assert len(ops) == 4
         t = p.tensors
         for r, op in enumerate(ops):
+            a = {name: array[0] for name, array in op.arrays.items()}
             if mode == "full":
-                assert np.array_equal(op.W[0], (H @ t["U"].T + t["U_bias"])[r].reshape(nh, nh))
+                assert np.array_equal(a["W"], (H @ t["U"].T + t["U_bias"])[r].reshape(nh, nh))
             elif mode == "lowrank":
-                assert np.array_equal(op.W1[0], (H @ t["U1"].T + t["U1_bias"])[r].reshape(nh, nk))
-                assert np.array_equal(op.W2[0], (H @ t["U2"].T + t["U2_bias"])[r].reshape(nh, nk))
+                assert np.array_equal(a["W1"], (H @ t["U1"].T + t["U1_bias"])[r].reshape(nh, nk))
+                assert np.array_equal(a["W2"], (H @ t["U2"].T + t["U2_bias"])[r].reshape(nh, nk))
             elif mode == "hadamard":
-                assert np.array_equal(op.d[0], H[r])
+                assert np.array_equal(a["d"], H[r])
             else:
-                assert op.Wcat is t["Wcat"] and np.array_equal(op.h_c[0], H[r])
+                assert op.Wcat is t["Wcat"] and np.array_equal(a["h_c"], H[r])
 
 
 class TestBatched:
@@ -302,19 +350,12 @@ class TestBatched:
         H = np.random.default_rng(11).normal(size=(GENERATE_BLOCK + 3, nh))  # two blocks
         ops = list(generate_operators(p, H))
         assert [op.shape for op in ops] == [(1, nh)] * len(H)
-        stack = generate_stack(p.mode, p.tensors, H, p.nh, p.nk)
+        stack = generate_stack(p.mode, p.tensors, H)
         for r, one in enumerate(ops):
-            assert one.form == stack.form
-            if stack.form == "dense":
-                pairs = [(stack.W[r], one.W[0])]
-            elif stack.form == "factored":
-                pairs = [(stack.W1[r], one.W1[0]), (stack.W2[r], one.W2[0])]
-            elif stack.form == "diagonal":
-                pairs = [(stack.d[r], one.d[0])]
-            else:
-                pairs = [(stack.h_c[r], one.h_c[0]), (stack.Wcat, one.Wcat)]
-            for got, want in pairs:
-                assert np.array_equal(got, want)
+            assert one.mode == stack.mode and list(one.arrays) == list(stack.arrays)
+            for name, array in stack.arrays.items():
+                assert np.array_equal(array[r], one.arrays[name][0])
+            assert one.Wcat is stack.Wcat
 
     @pytest.mark.parametrize("mode", MODES)
     def test_project_rows_match_vectors(self, mode):
@@ -385,7 +426,7 @@ class TestFrobenius:
             densify(op)
 
     def test_dense_value(self):
-        op = ConditionOperator(form="dense", W=np.stack([np.eye(4), 2 * np.eye(4)]))
+        op = ConditionOperator("full", {"W": np.stack([np.eye(4), 2 * np.eye(4)])})
         assert operator_frobenius_normalized(op) == pytest.approx([2 / 4, 4 / 4])
 
     def test_diagonal_value(self):
@@ -398,7 +439,7 @@ class TestFrobenius:
         for seed in range(5):
             p = init_params("lowrank", 10, nk=4, seed=seed)
             H = np.random.default_rng(seed).normal(size=(3, 10))
-            op = generate_stack(p.mode, p.tensors, H, p.nh, p.nk)
+            op = generate_stack(p.mode, p.tensors, H)
             dense_norms = [np.linalg.norm(W) for W in densify(op)]
             assert operator_frobenius_normalized(op) == pytest.approx(
                 np.array(dense_norms) / np.sqrt(2 * 10 * 4), rel=1e-10
@@ -496,6 +537,15 @@ def _cut_inside_u2(path):
     return path
 
 
+def _zero_sized_checkpoint(path, shape):
+    """The lowrank checkpoint with its extra tensor's shape set to ``shape``."""
+    header, payload = _split_checkpoint(_lowrank_checkpoint(path))
+    (extra,) = (e for e in header["tensors"] if e["name"] == "tau_kgc")
+    extra["shape"] = shape
+    _write_checkpoint(path, header, payload)
+    return path
+
+
 def _drop(key):
     return lambda h: h.pop(key)
 
@@ -537,6 +587,8 @@ HEADER_EDITS = {
     "entry-shape-string": _set_entry(0, "shape", "8,4"),
     "entry-shape-negative": _set_entry(0, "shape", [-8, -4]),
     "entry-shape-wrong": _set_entry(0, "shape", [4, 8]),
+    "entry-shape-zero-too-big": _set_entry(0, "shape", [0, 2**62]),
+    "entry-shape-zero-beyond-intp": _set_entry(0, "shape", [0, 2**70]),
     "entry-renamed": _set_entry(0, "name", "V1"),
     "entry-duplicate": lambda h: h["tensors"].append(dict(h["tensors"][0])),
 }
@@ -582,6 +634,13 @@ class TestCheckpointFormatErrors:
         edit(header)
         _write_checkpoint(path, header, payload)
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [[0, 2**62], [0, 2**70], [0] + [1] * 64])
+    def test_a_shape_no_array_can_take_names_the_tensor(self, tmp_path, shape):
+        # A zero dimension needs no payload, so only the shape check refuses these.
+        path = _zero_sized_checkpoint(tmp_path / "m.ckpt", shape)
+        with pytest.raises(FormatError, match="tensor 'tau_kgc' has shape"):
             load_checkpoint(path)
 
     def test_header_that_is_not_an_object_raises_format_error(self, tmp_path):
@@ -674,37 +733,42 @@ class TestCheckpointFormatErrors:
         _write_checkpoint(path, header, payload)
         nan = _later_chunk_non_finite(tmp_path / "nan.ckpt", np.nan)
         cut = _cut_inside_u2(tmp_path / "cut.ckpt")
+        huge = [_zero_sized_checkpoint(tmp_path / f"z{e}.ckpt", [0, 2**e]) for e in (62, 70)]
         # Under -O as well: a checkpoint's header and payloads, a NaN and a cut
-        # in a later chunk included, and the rows entering an operator (width,
-        # finiteness and bounds).
+        # in a later chunk and shapes no array can take included, the rows
+        # entering an operator (width, finiteness and bounds), and the rules
+        # of a generator.
         code = (
             "import sys\n"
             "import numpy as np\n"
             "from condcl.errors import DimensionMismatchError, FormatError\n"
             "from condcl import hypernet\n"
-            "from condcl.hypernet import ConditionOperator, apply_stack, load_checkpoint\n"
+            "from condcl.hypernet import ConditionOperator, apply_stack, init_params, load_checkpoint\n"
             "def raises(error, call, *args):\n"
             "    try:\n"
             "        call(*args)\n"
             "    except error:\n"
             "        return True\n"
             "    return False\n"
-            "op = ConditionOperator('dense', W=np.eye(4)[None])\n"
+            "op = ConditionOperator('full', {'W': np.eye(4)[None]})\n"
             "hypernet.CHUNK_VALUES = 3\n"
             "checks = [\n"
             "    raises(FormatError, load_checkpoint, sys.argv[1]),\n"
             "    raises(FormatError, load_checkpoint, sys.argv[2]),\n"
             "    raises(FormatError, load_checkpoint, sys.argv[3]),\n"
+            "    raises(FormatError, load_checkpoint, sys.argv[4]),\n"
+            "    raises(FormatError, load_checkpoint, sys.argv[5]),\n"
             "    raises(DimensionMismatchError, apply_stack, op, np.ones(5), (0, 1)),\n"
             "    raises(ValueError, apply_stack, op, np.full((2, 4), np.nan), (0, 2)),\n"
             "    raises(ValueError, apply_stack, op, np.ones((2, 4)), (0, 1)),\n"
+            "    raises(ValueError, init_params, 'lowrank', 8, 2.5),\n"
             "]\n"
             "print(checks)\n"
             "sys.exit(0 if all(checks) else 1)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(condcl.__file__).parents[1]))
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", code, str(path), str(nan), str(cut)],
+            [sys.executable, "-O", "-c", code, *map(str, (path, nan, cut, *huge))],
             env=env,
             capture_output=True,
             timeout=120,

@@ -53,7 +53,7 @@ class TestCosine:
 
 
 def matvec(m, v):
-    op = ConditionOperator(form="dense", W=np.asarray(m, dtype=np.float64)[None])
+    op = ConditionOperator("full", {"W": np.asarray(m, dtype=np.float64)[None]})
     return apply_stack(op, v, (0, 1)).data[0]
 
 
@@ -102,7 +102,7 @@ class TestFrobeniusNormalized:
 
     def test_identity_dense_convention(self):
         for n in (2, 5, 9):
-            op = ConditionOperator(form="dense", W=np.eye(n)[None])
+            op = ConditionOperator("full", {"W": np.eye(n)[None]})
             assert operator_frobenius_normalized(op) == pytest.approx([1 / np.sqrt(n)])
 
     def test_diag_vector_norm(self):
@@ -114,7 +114,7 @@ class TestFrobeniusNormalized:
     def test_nonnegative_zero_iff_zero(self):
         rng = np.random.default_rng(3)
         stack = np.stack([np.zeros((3, 3)), rng.normal(size=(3, 3))])
-        norms = operator_frobenius_normalized(ConditionOperator(form="dense", W=stack))
+        norms = operator_frobenius_normalized(ConditionOperator("full", {"W": stack}))
         assert norms[0] == 0.0 and norms[1] > 0.0
 
 

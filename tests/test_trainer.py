@@ -55,7 +55,8 @@ class TestTrainConfig:
 
     def test_lowrank_default_rank(self):
         cfg = TrainConfig(task="csts", mode="lowrank", nh=64)
-        assert cfg.nk_effective == 5  # 64 // 12
+        params, _ = initial_arrays(cfg)
+        assert params.nk == 5  # 64 // 12
 
     def test_negative_lr_rejected(self):
         with pytest.raises(ConfigError):
