@@ -7,7 +7,7 @@ matrices, so one training batch is a graph of a few dozen nodes: broadcasting
 arithmetic, matrix products, a grouped product (row segment r times matrix r
 of a stack: a batch's rows through their conditions' generated operators),
 row normalisation, row-wise dot products, a masked log-sum-exp along the
-last axis, the mean, and row take.
+last axis, the mean, and row take (distinct rows).
 
 Gradients flow only through Tensors; plain ndarrays and floats are treated
 as constants.
@@ -256,13 +256,17 @@ def mean(x) -> Tensor:
 
 
 def take_rows(x, idx) -> Tensor:
-    """Rows ``idx`` of a 2-D tensor, in that order (repeats allowed)."""
+    """Rows ``idx`` of a 2-D tensor, in that order; ``idx`` must not repeat a row."""
     xd = _data(x)
     idx = np.asarray(idx, dtype=np.intp)
+    taken = np.zeros(xd.shape[0], dtype=bool)
+    taken[idx] = True
+    if np.count_nonzero(taken) != idx.size:
+        raise ValueError("take_rows: repeated row index")
 
     def vjp(g):
-        out = np.zeros_like(xd)
-        np.add.at(out, idx, g)
+        out = np.zeros(xd.shape)
+        out[idx] = g + 0.0  # + 0.0 turns -0.0 into 0.0, as adding into zeros does
         return out
 
     return _node(xd[idx], (x, vjp))

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CondclError
+from .errors import ConfigError
 from .hypernet import (
     ConditionOperator,
     HyperNetParams,
@@ -288,7 +288,7 @@ def full_cross_requests(
 ) -> list[tuple[str, str]]:
     """Every sentence paired with every condition, optionally replayed."""
     if n_sentences < 1 or n_conditions < 1 or replays < 1:
-        raise CondclError("workload generator needs positive sizes")
+        raise ConfigError("workload generator needs positive sizes")
     base = [
         (f"s-{i:04d}", f"c-{j:04d}")
         for i in range(n_sentences)

@@ -1,4 +1,4 @@
-"""Vector checks, cosine similarity, variance and the config-number tests.
+"""Vector checks, variance and the config-number tests.
 
 All values are float64 internally. Vectors are 1-D arrays and a stack of
 vectors is a 2-D array of rows; there are no sparse paths.
@@ -11,11 +11,8 @@ import numbers
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-
 __all__ = [
     "as_vector",
-    "cosine_similarity",
     "is_finite_real",
     "is_integer",
     "variance",
@@ -31,25 +28,6 @@ def as_vector(x, name: str = "vector", ndims: tuple[int, ...] = (1,)) -> np.ndar
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     return v
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two vectors, in [-1, 1] up to rounding.
-
-    Raises on zero-norm input; similarity is undefined there and callers
-    must not silently treat it as 0.
-    """
-    a = as_vector(a, "a")
-    b = as_vector(b, "b")
-    if a.shape != b.shape:
-        raise DimensionMismatchError(
-            f"cosine_similarity: dims differ ({a.shape[0]} vs {b.shape[0]})"
-        )
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine_similarity: zero-norm input")
-    return float(a @ b) / (na * nb)
 
 
 def is_finite_real(x) -> bool:

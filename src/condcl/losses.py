@@ -10,17 +10,17 @@ Both are written over whole batches: the similarity loss over row-wise
 cosines phi of shape (B, 2), the link-prediction loss over the score matrix
 of the row-normalised projected heads against one candidate matrix (the
 batch's tails, its heads as self-negatives and the pre-batch tails), with a
-boolean mask built once per batch from the texts (``kgc_candidates``). Every
-loss is evaluated through the autodiff graph, over ndarrays or Tensors, so
-a loss value and the gradients used in training share one formula; one
-instance is the B=1 case. The gradient checker compares those analytic
-gradients against central finite differences.
+boolean mask built once per batch from the texts' row ids
+(``kgc_candidates``). Every loss is evaluated through the autodiff graph,
+over ndarrays or Tensors, so a loss value and the gradients used in training
+share one formula; one instance is the B=1 case. The gradient checker
+compares those analytic gradients against central finite differences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -179,31 +179,27 @@ def kgc_loss(q, cands: np.ndarray, mask: np.ndarray | None, gamma: float, tau):
     return ad.mean(ad.logsumexp(logits, mask) - pos)
 
 
-def kgc_candidates(
-    triples: Sequence[KgTriple],
-    emb: Mapping[str, np.ndarray],
-    cfg: LossConfig,
-    prebatch: Sequence[tuple[str, np.ndarray]] = (),
-) -> tuple[np.ndarray, np.ndarray]:
-    """The candidate matrix of a batch of triples and the mask of each row.
+def kgc_candidates(triples: Sequence[KgTriple], ids: np.ndarray, cfg: LossConfig, past=()):
+    """The candidates of a batch of triples, as row ids, and the mask of each row.
 
-    Candidates are the batch's tails, then its heads (self-negatives, when
-    enabled), then the pre-batch tails (when enabled). Row i keeps its own
-    tail (the positive), every other in-batch or pre-batch tail whose text
-    differs from its gold tail, and its own head when that differs from the
-    gold tail. A row left with no negative raises ValueError.
+    ``ids`` (B, 3) holds the triples' heads, relations and tails as rows of one
+    embedding matrix with one row per distinct text, ``past`` the rows of the
+    pre-batch tails. Candidates are the tails, then the heads (self-negatives,
+    when enabled), then the pre-batch tails (when enabled). Row i keeps its own
+    tail (the positive), every other tail whose text differs from its gold tail,
+    and its own head when that differs from the gold tail. A row left with no
+    negative raises ValueError naming its triple.
     """
-    ids: dict[str, int] = {}  # text -> id, so texts compare as Python strings do
-    gold = np.array([ids.setdefault(t.t, len(ids)) for t in triples])
-    rows = [emb[t.t] for t in triples]
-    blocks = [(gold[:, None] != gold[None, :]) | np.eye(len(triples), dtype=bool)]
+    heads, gold = ids[:, 0], ids[:, 2]
+    cands = [gold]
+    blocks = [(gold[:, None] != gold[None, :]) | np.eye(len(gold), dtype=bool)]
     if cfg.use_self_neg:
-        rows += [emb[t.h] for t in triples]
-        blocks.append(np.diag([t.h != t.t for t in triples]))
+        cands.append(heads)
+        blocks.append(np.diag(heads != gold))
     if cfg.use_prebatch_neg:
-        rows += [vec for _, vec in prebatch]
-        past = [ids.setdefault(text, len(ids)) for text, _ in prebatch]
-        blocks.append(gold[:, None] != np.array(past, dtype=int))
+        past = np.asarray(past, dtype=np.intp)
+        cands.append(past)
+        blocks.append(gold[:, None] != past[None, :])
     mask = np.concatenate(blocks, axis=1)
     lonely = np.flatnonzero(mask.sum(axis=1) < 2)
     if lonely.size:
@@ -211,7 +207,7 @@ def kgc_candidates(
             f"no negatives available for triple {triples[lonely[0]]}; "
             "enable self/pre-batch negatives or grow the batch"
         )
-    return np.stack(rows), mask
+    return np.concatenate(cands), mask
 
 
 # -- gradient checking -------------------------------------------------------
@@ -238,24 +234,31 @@ def grad_check(
     """Compare analytic gradients against central finite differences.
 
     loss_fn maps a parameter dict to (loss, gradient dict). With
-    n_probes=None every learnable scalar is probed; otherwise n_probes
-    coordinates are sampled without replacement from a seeded stream.
+    n_probes=None every learnable scalar is probed; otherwise n_probes (at
+    least 1) coordinates are sampled without replacement from a seeded stream.
     Relative error per coordinate is |a - n| / max(1, |a|, |n|).
     """
     if not 1e-7 <= epsilon <= 1e-3:
         raise ValueError("epsilon must lie in [1e-7, 1e-3]")
+    if n_probes is not None and n_probes < 1:
+        raise ValueError(f"n_probes must be >= 1, got {n_probes}")
     base = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
     loss0, grads = loss_fn(base)
     if not np.isfinite(loss0):
         raise CondclError(f"grad_check: non-finite loss {loss0}")
 
-    coords: list[tuple[str, int]] = []
-    for name in base:
-        coords.extend((name, i) for i in range(base[name].size))
-    if n_probes is not None and n_probes < len(coords):
+    # A flat coordinate maps to (tensor, offset) through the cumulative sizes.
+    names = list(base)
+    sizes = np.array([base[name].size for name in names], dtype=np.int64)
+    ends, total = np.cumsum(sizes), int(sizes.sum())
+    if n_probes is not None and n_probes < total:
         rng = np.random.default_rng(seed)
-        picked = rng.choice(len(coords), size=n_probes, replace=False)
-        coords = [coords[i] for i in sorted(picked)]
+        picked = np.sort(rng.choice(total, size=n_probes, replace=False))
+    else:
+        picked = np.arange(total)
+    which = np.searchsorted(ends, picked, side="right")
+    offsets = picked - (ends - sizes)[which]
+    coords = [(names[w], int(i)) for w, i in zip(which, offsets)]
 
     max_rel = 0.0
     per_param: dict[str, float] = {name: 0.0 for name in base}

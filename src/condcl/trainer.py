@@ -21,6 +21,7 @@ File formats owned here:
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
@@ -202,10 +203,13 @@ class Adam:
         self._scratch = np.empty((2, ADAM_CHUNK))
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
-        """One update, over contiguous ADAM_CHUNK slices with the whole-array ops in order."""
+        """One update over contiguous ADAM_CHUNK slices: p -= lr_t * m / (sqrt(v) + eps_t),
+        with the bias corrections folded into lr_t = lr * sqrt(bc2) / bc1 and
+        eps_t = eps * sqrt(bc2) (Kingma & Ba 2015, section 2)."""
         self.t += 1
-        bc1 = 1.0 - self.b1**self.t
-        bc2 = 1.0 - self.b2**self.t
+        sqrt_bc2 = math.sqrt(1.0 - self.b2**self.t)
+        lr_t = self.lr * sqrt_bc2 / (1.0 - self.b1**self.t)
+        eps_t = self.eps * sqrt_bc2
         for name, p in self.params.items():
             g = grads.get(name)
             if g is None:
@@ -223,11 +227,9 @@ class Adam:
                 vc += tmp
                 if decay:
                     pc -= np.multiply(self.lr * self.weight_decay, pc, out=tmp)
-                # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-                step = np.sqrt(np.divide(vc, bc2, out=tmp), out=tmp)
-                step += self.eps
-                np.multiply(self.lr, np.divide(mc, bc1, out=tmp2), out=tmp2)
-                pc -= np.divide(tmp2, step, out=step)
+                step = np.sqrt(vc, out=tmp)
+                step += eps_t
+                pc -= np.divide(np.multiply(lr_t, mc, out=tmp2), step, out=step)
 
 
 # -- loss closures ------------------------------------------------------------
@@ -251,16 +253,16 @@ def _closure(loss_of) -> LossClosure:
     return fn
 
 
-def _grouped(conds: Sequence[str], rows: list, masks: np.ndarray | None, emb, cfg):
-    """Group rows by condition in first-seen order: (projected, where), where
-    ``projected(leaves)`` is the grouped rows through one stack of their
-    conditions' operators and ``where`` the position of each input row in it."""
-    groups: dict[str, list[int]] = {}
-    for i, c in enumerate(conds):
-        groups.setdefault(c, []).append(i)
-    order = np.concatenate(list(groups.values()))
-    bounds = np.cumsum([0] + [len(idx) for idx in groups.values()])
-    H, rows = np.stack([emb[c] for c in groups]), np.stack(rows)[order]
+def _grouped(conds: np.ndarray, rows: np.ndarray, masks: np.ndarray | None, E, cfg):
+    """Group rows by condition (row ids of E) in first-seen order: (projected,
+    where), where ``projected(leaves)`` is the grouped rows through one stack of
+    their conditions' operators and ``where`` the position of each input row in it."""
+    _, first, inverse = np.unique(conds, return_index=True, return_inverse=True)
+    order = np.argsort(first[inverse], kind="stable")
+    conds = conds[order]
+    starts = np.flatnonzero(np.diff(conds, prepend=-1))  # row ids are >= 0
+    bounds = np.append(starts, len(conds))
+    H, rows = E[conds[starts]], E[rows[order]]
     masks = None if masks is None else masks[order]
 
     def projected(leaves):
@@ -270,17 +272,14 @@ def _grouped(conds: Sequence[str], rows: list, masks: np.ndarray | None, emb, cf
     return projected, np.argsort(order)
 
 
-def _csts_closure(
-    batch: Sequence[TwinPair],
-    emb: dict[str, np.ndarray],
-    cfg: TrainConfig,
-    masks: np.ndarray | None,
-) -> LossClosure:
-    """``masks``: concat dropout masks (B, 4, 2nh) for s1_hi, s2_hi, s1_lo, s2_lo."""
-    sides = [(q.c, s) for tp in batch for q in (tp.high, tp.low) for s in (q.s1, q.s2)]
-    flat = None if masks is None else masks.reshape(len(sides), -1)
-    projected, where = _grouped([c for c, _ in sides], [emb[s] for _, s in sides], flat, emb, cfg)
-    y01 = np.array([[rescale_label(tp.high.y), rescale_label(tp.low.y)] for tp in batch])
+def _csts_closure(ids, E, y01, cfg: TrainConfig, masks) -> LossClosure:
+    """``ids`` (B, 4): each twin pair's s1, s2, c_high, c_low as rows of E; ``y01``
+    (B, 2) its rescaled labels; ``masks``: concat dropout masks (B, 4, 2nh) for
+    s1_hi, s2_hi, s1_lo, s2_lo."""
+    conds = np.repeat(ids[:, 2:], 2, axis=1).ravel()
+    sents = np.tile(ids[:, :2], 2).ravel()
+    flat = None if masks is None else masks.reshape(len(sents), -1)
+    projected, where = _grouped(conds, sents, flat, E, cfg)
 
     def loss_of(leaves):
         rows = projected(leaves)
@@ -291,17 +290,12 @@ def _csts_closure(
     return _closure(loss_of)
 
 
-def _kgc_closure(
-    batch: Sequence[KgTriple],
-    emb: dict[str, np.ndarray],
-    cfg: TrainConfig,
-    prebatch: Sequence[Sequence[tuple[str, np.ndarray]]],
-    masks: np.ndarray | None,
-) -> LossClosure:
-    """``prebatch``: past batches of (text, vector) tails; ``masks``: (B, 2nh) or None."""
-    past = [pair for chunk in prebatch for pair in chunk]
-    cands, neg_mask = kgc_candidates(batch, emb, cfg.loss, past)
-    projected, where = _grouped([t.r for t in batch], [emb[t.h] for t in batch], masks, emb, cfg)
+def _kgc_closure(batch, ids, E, cfg: TrainConfig, past, masks) -> LossClosure:
+    """``batch``: the KgTriples; ``ids`` (B, 3): their h, r, t as rows of E;
+    ``past``: the rows of the pre-batch tails; ``masks``: (B, 2nh) or None."""
+    cand_ids, neg_mask = kgc_candidates(batch, ids, cfg.loss, past)
+    cands = E[cand_ids]
+    projected, where = _grouped(ids[:, 1], ids[:, 0], masks, E, cfg)
 
     def loss_of(leaves):
         tau = leaves.get("tau_kgc", cfg.loss.tau_kgc)
@@ -319,14 +313,16 @@ def make_loss_closure(
 
     For the similarity task the batch is a list of TwinPair; for link
     prediction a list of KgTriple, and ``prebatch`` a list of past batches,
-    each a list of (tail text, tail embedding). Dropout is disabled here so
-    repeated evaluations (as in finite differencing) see an identical function.
+    each a list of (tail text, tail embedding); a text the batch also holds
+    keeps the provider's embedding. Dropout is disabled here so repeated
+    evaluations (as in finite differencing) see an identical function.
     """
     cfg.validate()
-    emb = _embedding_table(cfg.task, batch, provider)
+    past = [pair for chunk in prebatch or () for pair in chunk] if cfg.task == "kgc" else []
+    ids, E, row_of = _embedding_matrix(cfg.task, batch, provider, past)
     if cfg.task == "csts":
-        return _csts_closure(batch, emb, cfg, masks=None)
-    return _kgc_closure(batch, emb, cfg, prebatch or [], masks=None)
+        return _csts_closure(ids, E, _labels01(batch), cfg, masks=None)
+    return _kgc_closure(batch, ids, E, cfg, [row_of[text] for text, _ in past], masks=None)
 
 
 def initial_arrays(cfg: TrainConfig) -> tuple[HyperNetParams, dict[str, np.ndarray]]:
@@ -345,15 +341,32 @@ def initial_arrays(cfg: TrainConfig) -> tuple[HyperNetParams, dict[str, np.ndarr
     return params, arrays
 
 
-def _embedding_table(task: str, instances, provider) -> dict[str, np.ndarray]:
-    """Every text of the TwinPairs (csts) or KgTriples (kgc), embedded once."""
-    emb: dict[str, np.ndarray] = {}
-    for x in instances:
-        texts = (x.high.s1, x.high.s2, x.high.c, x.low.c) if task == "csts" else (x.h, x.r, x.t)
-        for text in texts:
-            if text not in emb:
-                emb[text] = provider.embed(text)
-    return emb
+def _embedding_matrix(task: str, instances, provider, given=()):
+    """Every text of the TwinPairs (csts) or KgTriples (kgc) embedded once.
+
+    Returns (ids, E, row_of): E (T, nh) holds one row per distinct text, in
+    first-seen order, then the (text, vector) pairs of ``given`` whose text is
+    new; ``row_of`` maps each text to its row; ``ids`` holds each instance's
+    texts as rows: (N, 4) s1, s2, c_high, c_low, or (N, 3) h, r, t.
+    """
+
+    def texts(x):
+        return (x.high.s1, x.high.s2, x.high.c, x.low.c) if task == "csts" else (x.h, x.r, x.t)
+
+    row_of: dict[str, int] = {}
+    ids = [[row_of.setdefault(t, len(row_of)) for t in texts(x)] for x in instances]
+    ids = np.array(ids, dtype=np.intp).reshape(len(instances), 4 if task == "csts" else 3)
+    vectors = [provider.embed(text) for text in row_of]
+    for text, vec in given:
+        if text not in row_of:
+            row_of[text] = len(vectors)
+            vectors.append(vec)
+    return ids, np.array(vectors, dtype=np.float64), row_of
+
+
+def _labels01(twins: Sequence[TwinPair]) -> np.ndarray:
+    """(N, 2) rescaled labels of the high and low twin of each pair."""
+    return np.array([[rescale_label(tp.high.y), rescale_label(tp.low.y)] for tp in twins])
 
 
 def train(cfg: TrainConfig, data, provider, checkpoint_path: str | None = None) -> TrainReport:
@@ -393,7 +406,8 @@ def fit(
     dropout_rng = np.random.default_rng([cfg.seed, 2])
 
     instances = pair_twins(data) if cfg.task == "csts" else list(data)
-    emb = _embedding_table(cfg.task, instances, provider)
+    ids, E, _ = _embedding_matrix(cfg.task, instances, provider)
+    y01 = _labels01(instances) if cfg.task == "csts" else None
 
     use_dropout = cfg.mode == "concat" and cfg.dropout_p > 0.0
     prebatch: deque = deque(maxlen=max(cfg.loss.prebatch_size, 1))
@@ -411,14 +425,15 @@ def fit(
         t_stepped = time.perf_counter()
         for start in range(0, len(order), cfg.batch_size):
             chunk = order[start : start + cfg.batch_size]
-            batch = [instances[i] for i in chunk]
             # One concat dropout mask per projected row, drawn in row order.
-            shape = (len(batch), 4, 2 * cfg.nh) if cfg.task == "csts" else (len(batch), 2 * cfg.nh)
+            shape = (len(chunk), 4, 2 * cfg.nh) if cfg.task == "csts" else (len(chunk), 2 * cfg.nh)
             masks = dropout_mask(dropout_rng, shape, cfg.dropout_p) if use_dropout else None
             if cfg.task == "csts":
-                fn = _csts_closure(batch, emb, cfg, masks)
+                fn = _csts_closure(ids[chunk], E, y01[chunk], cfg, masks)
             else:
-                fn = _kgc_closure(batch, emb, cfg, prebatch, masks)
+                past = np.concatenate(prebatch) if prebatch else ()
+                batch = [instances[i] for i in chunk]
+                fn = _kgc_closure(batch, ids[chunk], E, cfg, past, masks)
             components: dict[str, float] = {}
             where = f"epoch {epoch} batch {start // cfg.batch_size}"
             try:
@@ -439,10 +454,10 @@ def fit(
             t_stepped = time.perf_counter()
             stage["step"] += t_stepped - t_graphed
             for name, value in {"loss": loss, **components}.items():
-                sums[name] = sums.get(name, 0.0) + value * len(batch)
-            seen += len(batch)
+                sums[name] = sums.get(name, 0.0) + value * len(chunk)
+            seen += len(chunk)
             if cfg.task == "kgc" and cfg.loss.use_prebatch_neg and cfg.loss.prebatch_size > 0:
-                prebatch.append([(t.t, emb[t.t]) for t in batch])
+                prebatch.append(ids[chunk, 2])
         epoch_losses.append(sums.pop("loss") / seen)
         epoch_components.append({k: v / seen for k, v in sums.items()})
         epoch_stage_s.append(stage)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condcl import autodiff as ad
 
@@ -214,13 +216,45 @@ def test_logsumexp_is_stable_for_large_scores():
     assert out.data[1] == pytest.approx(-1000.0 + np.log(1 + np.exp(-1.0)), abs=1e-9)
 
 
-def test_take_rows_accumulates_repeats():
+def test_take_rows_rejects_a_repeated_index():
+    x = ad.leaf(rng.normal(size=(3, 2)))
+    for idx in ([2, 0, 2], [0, -3]):  # -3 is row 0 again
+        with pytest.raises(ValueError, match="repeated row index"):
+            ad.take_rows(x, idx)
+
+
+def add_at_backward(shape, idx, g):
+    """The scatter-add backward of a row take: zeros, then np.add.at."""
+    out = np.zeros(shape)
+    np.add.at(out, idx, g)
+    return out
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), width=st.integers(1, 3))
+def test_take_rows_backward_equals_add_at_bit_for_bit(data, n, width):
+    # permutations (k == n) and partial permutations (k < n), signed zeros included
+    k = data.draw(st.integers(0, n))
+    idx = np.array(data.draw(st.permutations(range(n)))[:k], dtype=np.intp)
+    g = np.array(data.draw(st.lists(FLOATS, min_size=k * width, max_size=k * width)))
+    g = g.reshape(k, width)
+    x = ad.leaf(np.zeros((n, width)))
+    picked = ad.take_rows(x, idx)
+    (got,) = (vjp(g) for vjp in picked._vjps)
+    want = add_at_backward((n, width), idx, g)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_take_rows_gradient_of_a_permutation():
     x0 = rng.normal(size=(3, 2))
     x = ad.leaf(x0)
-    picked = ad.take_rows(x, [2, 0, 2])
-    assert np.array_equal(picked.data, x0[[2, 0, 2]])
-    ad.mean(picked).backward()
-    assert x.grad == pytest.approx(np.array([[1, 1], [0, 0], [2, 2]]) / 6, abs=1e-12)
+    picked = ad.take_rows(x, [2, 0, 1])
+    assert np.array_equal(picked.data, x0[[2, 0, 1]])
+    ad.mean(picked * picked).backward()
+    assert x.grad == pytest.approx(x0 / 3, abs=1e-12)
 
 
 def test_broadcasting_gradients_reduce_to_operand_shapes():

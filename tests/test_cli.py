@@ -245,6 +245,21 @@ def test_bench_cache_reports_generated_operators_per_architecture(capsys):
     assert gen_ops == {"bi": 0, "tri": 0, "hyper-full": 2, "hyper-lowrank": 2}
 
 
+@pytest.mark.parametrize("sizes", [("0", "2"), ("3", "0")])
+def test_bench_cache_with_a_zero_size_workload_is_a_usage_error(capsys, sizes):
+    argv = ["bench-cache", "--gen-sentences", sizes[0], "--gen-conditions", sizes[1], "--nh", "8"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: workload generator needs positive sizes\n"
+
+
+@pytest.mark.parametrize("probes", ["0", "-3"])
+def test_gradcheck_with_no_probes_is_a_usage_error(capsys, probes):
+    assert cli.main(["gradcheck", "--nh", "4", "--probes", probes]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: n_probes must be >= 1")
+
+
 @pytest.mark.parametrize("command", [["eval"], ["analyze", "clusters"], ["analyze", "frobenius"]])
 def test_a_checkpoint_of_another_dimension_is_a_usage_error(csts_run, capsys, command):
     tmp_path, _, config = csts_run

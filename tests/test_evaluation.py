@@ -23,11 +23,54 @@ from condcl.evaluation import (
     split_seen_unseen,
 )
 from condcl.hypernet import MODES, diagonal_operator, init_params, operator_frobenius_normalized
-from condcl.linalg import cosine_similarity
 from condcl.losses import CstsQuadruplet, KgTriple, similarity_to_label
 from condcl.trainer import make_synthetic_csts, make_synthetic_kg
 
 rng = np.random.default_rng(0)
+
+
+def cosine_similarity(a, b) -> float:
+    """Cosine of the angle between two vectors: the plain-numpy reference score."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"cosine_similarity: dims differ ({a.shape} vs {b.shape})")
+    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("cosine_similarity: zero-norm input")
+    return float(a @ b) / (na * nb)
+
+
+VECTOR6 = st.lists(
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False, width=64), min_size=6, max_size=6
+)
+
+
+class TestCosineReference:
+    def test_identity(self):
+        v = np.array([0.3, -0.7, 2.0])
+        assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-12)
+
+    def test_antipodal(self):
+        v = np.array([0.3, -0.7, 2.0])
+        assert cosine_similarity(v, -v) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_closed_form(self):
+        assert cosine_similarity([1, 0], [1, 1]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+
+    def test_zero_norm_rejected(self):
+        with pytest.raises(ValueError):
+            cosine_similarity([0, 0], [1, 1])
+
+    @given(VECTOR6, VECTOR6, st.floats(0.1, 100.0))
+    @settings(max_examples=100, deadline=None)
+    def test_symmetric_and_scale_invariant(self, a, b, lam):
+        a, b = np.array(a), np.array(b)
+        if np.linalg.norm(a) < 1e-6 or np.linalg.norm(b) < 1e-6:
+            return
+        assert cosine_similarity(a, b) == pytest.approx(cosine_similarity(b, a), abs=1e-12)
+        assert cosine_similarity(lam * a, b) == pytest.approx(
+            cosine_similarity(a, b), abs=1e-12
+        )
 
 
 def mode_formula(params, h_c, h_s):

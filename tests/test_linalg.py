@@ -10,46 +10,7 @@ from condcl.hypernet import (
     diagonal_operator,
     operator_frobenius_normalized,
 )
-from condcl.linalg import cosine_similarity, is_finite_real, variance
-
-
-def vectors(dim=None, min_dim=1, max_dim=12):
-    dims = st.just(dim) if dim else st.integers(min_dim, max_dim)
-    return dims.flatmap(
-        lambda d: st.lists(
-            st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False, width=64),
-            min_size=d,
-            max_size=d,
-        )
-    )
-
-
-class TestCosine:
-    def test_identity(self):
-        v = np.array([0.3, -0.7, 2.0])
-        assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_antipodal(self):
-        v = np.array([0.3, -0.7, 2.0])
-        assert cosine_similarity(v, -v) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_closed_form(self):
-        assert cosine_similarity([1, 0], [1, 1]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError):
-            cosine_similarity([0, 0], [1, 1])
-
-    @given(vectors(dim=6), vectors(dim=6), st.floats(0.1, 100.0))
-    @settings(max_examples=100, deadline=None)
-    def test_symmetric_and_scale_invariant(self, a, b, lam):
-        a, b = np.array(a), np.array(b)
-        if np.linalg.norm(a) < 1e-6 or np.linalg.norm(b) < 1e-6:
-            return
-        assert cosine_similarity(a, b) == pytest.approx(cosine_similarity(b, a), abs=1e-12)
-        assert cosine_similarity(lam * a, b) == pytest.approx(
-            cosine_similarity(a, b), abs=1e-12
-        )
+from condcl.linalg import is_finite_real, variance
 
 
 def matvec(m, v):

@@ -8,6 +8,7 @@ from condcl.errors import CondclError
 from condcl import autodiff as ad
 from condcl.losses import (
     CstsQuadruplet,
+    GradCheckReport,
     KgTriple,
     LossConfig,
     csts_loss,
@@ -229,18 +230,29 @@ class TestLossConfig:
             trainer.TrainConfig(task="csts", mode="full", nh=4, loss=loss).validate()
 
 
+def candidates(triples, emb, cfg, prebatch_texts=()):
+    """``kgc_candidates`` over texts, each key of ``emb`` one row: (candidate matrix, mask)."""
+    row_of = {text: i for i, text in enumerate(emb)}
+    # the relation's row is not read
+    ids = np.array([[row_of[t.h], 0, row_of[t.t]] for t in triples], dtype=np.intp)
+    past = [row_of[text] for text in prebatch_texts]
+    cand, mask = kgc_candidates(triples, ids, cfg, past)
+    return np.stack(list(emb.values()))[cand], mask
+
+
 class TestAssembleNegatives:
     """The negatives each row of a batch keeps, read from its candidate mask."""
 
     def _mask(self, tails, cfg, heads=None, prebatch=()):
         heads = heads or [f"h{i}" for i in range(len(tails))]
         triples = [KgTriple(h, "r", t) for h, t in zip(heads, tails)]
-        emb = {text: np.full(4, float(i)) for i, text in enumerate(heads + tails)}
-        cands, mask = kgc_candidates(triples, emb, cfg, prebatch)
+        emb = {text: np.full(4, float(i)) for i, text in enumerate(heads + tails + list(prebatch))}
+        cands, mask = candidates(triples, emb, cfg, prebatch)
         # candidate rows: the tails, then the heads (self-negatives), then the pre-batch
-        want = tails + (heads if cfg.use_self_neg else [])
-        want = [emb[t] for t in want] + ([v for _, v in prebatch] if cfg.use_prebatch_neg else [])
-        assert np.array_equal(cands, np.stack(want))
+        want = tails + (heads if cfg.use_self_neg else []) + (
+            list(prebatch) if cfg.use_prebatch_neg else []
+        )
+        assert np.array_equal(cands, np.stack([emb[t] for t in want]))
         return mask
 
     def test_in_batch_count(self):
@@ -272,8 +284,7 @@ class TestAssembleNegatives:
 
     def test_prebatch_included_minus_gold(self):
         cfg = LossConfig(use_self_neg=False, use_prebatch_neg=True, prebatch_size=2)
-        prebatch = [("t0", np.zeros(4)), ("x", np.ones(4))]
-        mask = self._mask(["t0", "t1"], cfg, prebatch=prebatch)
+        mask = self._mask(["t0", "t1"], cfg, prebatch=["t0", "x"])
         assert mask[0].tolist() == [True, True, False, True]  # in-batch t1 + pre-batch x
 
 
@@ -305,6 +316,31 @@ def reference_kgc(q, triples, emb, prebatch, cfg, gamma, tau):
     return loss, grad_q, grad_tau
 
 
+def list_based_grad_check(loss_fn, params, epsilon, n_probes, seed):
+    """The grad_check reference that lists every coordinate before sampling."""
+    base = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
+    _, grads = loss_fn(base)
+    coords = [(name, i) for name in base for i in range(base[name].size)]
+    if n_probes is not None and n_probes < len(coords):
+        picked = np.random.default_rng(seed).choice(len(coords), size=n_probes, replace=False)
+        coords = [coords[i] for i in sorted(picked)]
+    max_rel, per_param = 0.0, {name: 0.0 for name in base}
+    for name, idx in coords:
+        arr = base[name]
+        orig = arr.flat[idx]
+        arr.flat[idx] = orig + epsilon
+        lplus, _ = loss_fn(base)
+        arr.flat[idx] = orig - epsilon
+        lminus, _ = loss_fn(base)
+        arr.flat[idx] = orig
+        numeric = (lplus - lminus) / (2.0 * epsilon)
+        analytic = float(grads[name].flat[idx])
+        rel = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
+        per_param[name] = max(per_param[name], rel)
+        max_rel = max(max_rel, rel)
+    return GradCheckReport(max_rel, len(coords), epsilon, seed, per_param)
+
+
 TEXTS = st.sampled_from(["a", "b", "c", "d"])
 
 
@@ -327,7 +363,7 @@ class TestBatchedKgcEqualsReference:
         nh = 5
         rng = np.random.default_rng(seed)
         emb = {text: rng.normal(size=nh) for text in "abcd"}
-        prebatch = [(text, rng.normal(size=nh)) for text in prebatch_texts]
+        prebatch = [(text, emb[text]) for text in prebatch_texts]  # a text has one row
         triples = [KgTriple(h, "r", t) for h, t in pairs]  # h == t and repeated tails occur
         q = rng.normal(size=(len(triples), nh))
         cfg = LossConfig(use_self_neg=use_self_neg, use_prebatch_neg=use_prebatch_neg)
@@ -335,10 +371,10 @@ class TestBatchedKgcEqualsReference:
             want = reference_kgc(q, triples, emb, prebatch, cfg, gamma, tau)
         except ValueError as exc:
             with pytest.raises(ValueError, match="no negatives available") as got:
-                kgc_candidates(triples, emb, cfg, prebatch)
+                candidates(triples, emb, cfg, prebatch_texts)
             assert str(exc) in str(got.value)
             return
-        cands, mask = kgc_candidates(triples, emb, cfg, prebatch)
+        cands, mask = candidates(triples, emb, cfg, prebatch_texts)
         q_leaf, tau_leaf = ad.leaf(q), ad.leaf(np.array(tau))
         out = kgc_loss(q_leaf, cands, mask, gamma, tau_leaf)
         out.backward()
@@ -419,6 +455,36 @@ class TestGradCheck:
         b = grad_check(fn, arrays, epsilon=1e-5, n_probes=10, seed=4)
         assert a.max_rel_err == b.max_rel_err
         assert a.n_checked == b.n_checked == 10
+
+    @pytest.mark.parametrize("n_probes", [1, 7, 36, 39, 40, 41, None])
+    def test_probes_and_error_equal_the_list_based_selection(self, n_probes):
+        # 40 coordinates over a (6, 6), a () and a (3,) tensor
+        fn, arrays = self._closure()
+        runs = []
+        for check in (grad_check, list_based_grad_check):
+            probed = []
+
+            def recording(a, probed=probed):
+                probed.append(
+                    [(k, int(i)) for k in a for i in np.flatnonzero(a[k] != arrays[k])]
+                )
+                return fn(a)
+
+            report = check(recording, arrays, epsilon=1e-5, n_probes=n_probes, seed=9)
+            runs.append((probed, report))
+        (got_probed, got), (want_probed, want) = runs
+        assert got_probed == want_probed
+        assert got.n_checked == want.n_checked == min(n_probes or 40, 40)
+        assert got.max_rel_err.hex() == want.max_rel_err.hex()
+        assert {k: v.hex() for k, v in got.per_param.items()} == {
+            k: v.hex() for k, v in want.per_param.items()
+        }
+
+    @pytest.mark.parametrize("n_probes", [0, -1])
+    def test_a_probe_count_below_one_is_refused(self, n_probes):
+        fn, arrays = self._closure()
+        with pytest.raises(ValueError, match="n_probes"):
+            grad_check(fn, arrays, n_probes=n_probes)
 
     def test_epsilon_window(self):
         fn, arrays = self._closure()

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -79,9 +80,11 @@ class TestTrainConfig:
 
 
 def whole_array_adam(params, grads, m, v, t, lr, betas, eps, weight_decay, exempt):
-    """The whole-array Adam update that the chunked step must reproduce bit for bit."""
+    """The whole-array Adam update that the chunked step must reproduce bit for bit:
+    the bias corrections folded into ``lr_t`` and ``eps_t``."""
     b1, b2 = betas
-    bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+    sqrt_bc2 = math.sqrt(1.0 - b2**t)
+    lr_t, eps_t = lr * sqrt_bc2 / (1.0 - b1**t), eps * sqrt_bc2
     for name, p in params.items():
         g = grads[name]
         m[name] *= b1
@@ -92,9 +95,19 @@ def whole_array_adam(params, grads, m, v, t, lr, betas, eps, weight_decay, exemp
         v[name] += tmp
         if weight_decay and name not in exempt:
             p -= (lr * weight_decay) * p
-        step = np.sqrt(np.divide(v[name], bc2, out=tmp), out=tmp)
-        step += eps
-        p -= np.divide(lr * (m[name] / bc1), step, out=step)
+        p -= lr_t * m[name] / (np.sqrt(v[name]) + eps_t)
+
+
+def unfolded_adam(params, grads, m, v, t, lr, betas, eps, weight_decay, exempt):
+    """The textbook update with three divisions per value: lr * m_hat / (sqrt(v_hat) + eps)."""
+    b1, b2 = betas
+    for name, p in params.items():
+        g = grads[name]
+        m[name] = b1 * m[name] + (1.0 - b1) * g
+        v[name] = b2 * v[name] + (1.0 - b2) * g * g
+        if weight_decay and name not in exempt:
+            p -= (lr * weight_decay) * p
+        p -= lr * (m[name] / (1.0 - b1**t)) / (np.sqrt(v[name] / (1.0 - b2**t)) + eps)
 
 
 class TestAdam:
@@ -122,6 +135,23 @@ class TestAdam:
             for k in shapes:
                 assert np.array_equal(params[k], ref[k]), (t, k)
                 assert np.array_equal(opt.m[k], ref_m[k]) and np.array_equal(opt.v[k], ref_v[k])
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_folded_step_stays_within_1e_12_of_the_unfolded_formula(self, weight_decay):
+        rng = np.random.default_rng(11)
+        shapes = {"U": (ADAM_CHUNK // 64 + 3, 64), "bias": (17,), "tau_kgc": ()}
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        ref = copy.deepcopy(params)
+        ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
+        ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
+        kw = dict(lr=3e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=weight_decay)
+        opt = Adam(params, decay_exempt=("tau_kgc",), **kw)
+        for t in range(1, 6):
+            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+            unfolded_adam(ref, grads, ref_m, ref_v, t, exempt=("tau_kgc",), **kw)
+            opt.step(grads)
+        for k in shapes:
+            np.testing.assert_allclose(params[k], ref[k], rtol=1e-12, atol=0, err_msg=k)
 
     def test_non_contiguous_parameter_is_rejected(self):
         with pytest.raises(ValueError, match="contiguous"):
