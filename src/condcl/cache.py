@@ -10,13 +10,16 @@ Three execution architectures are compared over a stream of
   - ``hyper``: like tri for sentences, but conditions are cached apart, as
     generated operators: one-condition stacks, through which each request
     sends its sentence as one row (the condition embedding is transient).
-    A call resolves all its conditions first, generating every uncached one
-    in one ``generate_operators`` call, then serves its requests one row at
-    a time.
+
+``cached_values`` is the one way to read a cache: one counted lookup over a
+call's keys, then one call that makes every distinct miss (for hyper's
+conditions, one ``generate_operators`` call). A stream is served by
+resolving its keys first, once per cache, then composing one row per
+request, in order.
 
 Caches are unbounded and never evict: misses equal the number of distinct
-keys, exactly. Byte accounting counts stored payload floats at 8 bytes;
-key strings are tracked separately as bookkeeping.
+keys, exactly. Byte accounting counts the stored payload arrays' bytes; key
+strings are tracked separately as bookkeeping.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,13 +38,12 @@ from .hypernet import (
     apply_stack,
     diagonal_operator,
     generate_operators,
-    operator_payload_bytes,
 )
 
 __all__ = [
     "CacheStats",
     "TextKeyedCache",
-    "cached_embed",
+    "cached_values",
     "cached_operators",
     "run_architecture",
     "bench_report",
@@ -52,7 +54,6 @@ __all__ = [
 ]
 
 JOINT_KEY_SEP = "\x1f"
-FLOAT_BYTES = 8
 
 
 @dataclass
@@ -90,10 +91,6 @@ class TextKeyedCache:
     def __len__(self) -> int:
         return len(self._store)
 
-    def lookup(self, key: str):
-        found, _ = self.lookup_all([key])
-        return key in found, found.get(key)
-
     def lookup_all(self, keys: Sequence[str]) -> tuple[dict[str, object], list[str]]:
         """One counted lookup per key, under one lock acquisition.
 
@@ -110,25 +107,45 @@ class TextKeyedCache:
             self.stats.misses += len(missing)
             return found, missing
 
-    def insert(self, key: str, value, payload_bytes: int, heavy_ops: int, gen_ops: int = 0):
+    def insert(self, key: str, value, gen_ops: int = 0):
+        """Store a value made for a missed key: one heavy op, plus ``gen_ops``."""
         with self._lock:
-            self.stats.heavy_ops += heavy_ops
+            self.stats.heavy_ops += 1
             self.stats.gen_ops += gen_ops
             if key in self._store:
                 return
             self._store[key] = value
-            self.stats.resident_bytes += payload_bytes
+            self.stats.resident_bytes += _payload_bytes(value)
             self.stats.key_bytes += len(key.encode("utf-8"))
 
 
-def cached_embed(cache: TextKeyedCache, provider, text: str) -> np.ndarray:
-    """Embedding lookup through an unbounded cache; misses cost a heavy op."""
-    hit, value = cache.lookup(text)
-    if hit:
-        return value
-    vec = provider.embed(text)
-    cache.insert(text, vec, vec.size * FLOAT_BYTES, heavy_ops=1)
-    return vec
+def _payload_bytes(value) -> int:
+    """Stored payload size of a cached vector or operator (keys excluded).
+
+    Cached operators are full or lowrank, so their arrays are all they hold."""
+    arrays = value.arrays.values() if isinstance(value, ConditionOperator) else (value,)
+    return sum(a.nbytes for a in arrays)
+
+
+def cached_values(
+    cache: TextKeyedCache,
+    keys: Sequence[str],
+    make: Callable[[list[str]], Iterable],
+    gen_ops: int = 0,
+) -> list:
+    """The value of each key, read through the cache: one value per key.
+
+    One counted ``lookup_all`` covers the keys. The distinct misses, in
+    first-seen order, are made by one ``make(missing)`` call, which yields
+    one value per miss; each is stored as it comes at one heavy op (plus
+    ``gen_ops``). A key repeated in the call returns the same object.
+    """
+    found, missing = cache.lookup_all(keys)
+    if missing:
+        for key, value in zip(missing, make(missing), strict=True):
+            cache.insert(key, value, gen_ops)
+            found[key] = value
+    return [found[k] for k in keys]
 
 
 def cached_operators(
@@ -136,21 +153,27 @@ def cached_operators(
 ) -> list[ConditionOperator]:
     """Condition-operator lookups keyed by condition text: one operator per text.
 
-    Each text is one counted lookup. The distinct misses are embedded (one
-    heavy op each) and generated in one ``generate_operators`` call, which
-    yields one operator per miss; each is stored as it comes (one generation
-    op). The condition embeddings are not retained. A text repeated in the
-    call returns the same object.
+    The distinct misses are embedded (one heavy op each) and generated in one
+    ``generate_operators`` call (one generation op each). The condition
+    embeddings are not retained.
     """
     if params.mode not in ("full", "lowrank"):
         raise ValueError("cached_operators requires full or lowrank params")
-    found, missing = cache.lookup_all(condition_texts)
-    if missing:
-        H = np.stack([provider.embed(c) for c in missing])
-        for key, op in zip(missing, generate_operators(params, H)):
-            cache.insert(key, op, operator_payload_bytes(op), heavy_ops=1, gen_ops=1)
-            found[key] = op
-    return [found[c] for c in condition_texts]
+
+    def make(missing):
+        return generate_operators(params, np.stack([provider.embed(c) for c in missing]))
+
+    return cached_values(cache, condition_texts, make, gen_ops=1)
+
+
+def _compose(cache: TextKeyedCache, ops, sentences, sink) -> CacheStats:
+    """Each sentence through its operator as one row, in order: one light op each."""
+    for op, h_s in zip(ops, sentences, strict=True):
+        out = apply_stack(op, h_s, (0, 1)).data[0]
+        cache.stats.light_ops += 1
+        if sink:
+            sink(out)
+    return cache.stats
 
 
 def run_architecture(
@@ -162,41 +185,33 @@ def run_architecture(
 ) -> CacheStats:
     """Execute a request stream for real through fresh caches.
 
-    Requests are served one at a time, in order; hyper first resolves the
-    conditions of the whole request list in one ``cached_operators`` call,
-    then sends each request's sentence through its operator as one row. The
-    optional sink receives each conditioned embedding, once per request.
+    The stream's keys are resolved first, with one ``cached_values`` call
+    per cache, so every heavy op happens before the first request is
+    served. Then each request is composed as one row, in order, and the
+    optional sink receives its conditioned embedding.
     """
+
+    def embed(missing):
+        return map(provider.embed, missing)
+
+    cache = TextKeyedCache()
     if architecture == "bi":
-        cache = TextKeyedCache()
-        for s, c in requests:
-            vec = cached_embed(cache, provider, s + JOINT_KEY_SEP + c)
+        keys = [s + JOINT_KEY_SEP + c for s, c in requests]
+        for vec in cached_values(cache, keys, embed):
             if sink:
                 sink(vec)
         return cache.stats
     if architecture == "tri":
-        cache = TextKeyedCache()
-        for s, c in requests:
-            hs = cached_embed(cache, provider, s)
-            hc = cached_embed(cache, provider, c)
-            out = apply_stack(diagonal_operator(hc[None]), hs, (0, 1)).data[0]
-            cache.stats.light_ops += 1
-            if sink:
-                sink(out)
-        return cache.stats
+        vecs = cached_values(cache, [t for request in requests for t in request], embed)
+        ops = (diagonal_operator(h_c[None]) for h_c in vecs[1::2])
+        return _compose(cache, ops, vecs[::2], sink)
     if architecture == "hyper":
         if params is None:
             raise ValueError("hyper architecture needs generator params")
-        vec_cache = TextKeyedCache()
         op_cache = TextKeyedCache()
         ops = cached_operators(op_cache, params, provider, [c for _, c in requests])
-        for (s, _), op in zip(requests, ops):
-            hs = cached_embed(vec_cache, provider, s)
-            out = apply_stack(op, hs, (0, 1)).data[0]
-            vec_cache.stats.light_ops += 1
-            if sink:
-                sink(out)
-        return vec_cache.stats.merged_with(op_cache.stats)
+        vecs = cached_values(cache, [s for s, _ in requests], embed)
+        return _compose(cache, ops, vecs, sink).merged_with(op_cache.stats)
     raise ValueError(f"unknown architecture {architecture!r}")
 
 
@@ -261,25 +276,15 @@ def bench_report(
 
 
 def bench_rows_to_tsv(rows: Sequence[BenchRow]) -> str:
+    """One TSV line per row: each column of BENCH_COLUMNS read from the row or its stats."""
+    formats = {"hit_rate": "{:.6f}", "wall_ms": "{:.3f}"}
+
+    def field(row: BenchRow, name: str) -> str:
+        value = getattr(row if hasattr(row, name) else row.stats, name)
+        return formats.get(name, "{}").format(value)
+
     lines = ["\t".join(BENCH_COLUMNS)]
-    for row in rows:
-        s = row.stats
-        lines.append(
-            "\t".join(
-                [
-                    row.architecture,
-                    str(row.requests),
-                    str(s.heavy_ops),
-                    str(s.light_ops),
-                    str(s.gen_ops),
-                    str(s.hits),
-                    str(s.misses),
-                    f"{s.hit_rate:.6f}",
-                    str(s.resident_bytes),
-                    f"{row.wall_ms:.3f}",
-                ]
-            )
-        )
+    lines += ["\t".join(field(row, name) for name in BENCH_COLUMNS) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -236,19 +236,16 @@ def cmd_bench_cache(args) -> int:
 
 def _cluster_points(quads, provider, k, per_group):
     """Pick the k most frequent conditions and up to per_group sentences each."""
-    by_cond: dict[str, list[str]] = {}
+    by_cond: dict[str, dict[str, None]] = {}
     for q in quads:
-        for s in (q.s1, q.s2):
-            members = by_cond.setdefault(q.c, [])
-            if s not in members:
-                members.append(s)
+        by_cond.setdefault(q.c, {}).update(dict.fromkeys((q.s1, q.s2)))
     ranked = sorted(by_cond.items(), key=lambda kv: (-len(kv[1]), kv[0]))[:k]
     if len(ranked) < k:
         raise ConfigError(f"only {len(ranked)} conditions available, need k={k}")
     sentences: list[str] = []
     labels: list[str] = []
     for cond, members in ranked:
-        for s in members[:per_group]:
+        for s in list(members)[:per_group]:
             sentences.append(s)
             labels.append(cond)
     return sentences, labels

@@ -54,7 +54,6 @@ __all__ = [
     "generate_operators",
     "param_count",
     "operator_frobenius_normalized",
-    "operator_payload_bytes",
     "densify",
     "save_checkpoint",
     "load_checkpoint",
@@ -311,12 +310,6 @@ def operator_frobenius_normalized(op: ConditionOperator) -> np.ndarray:
     if op.mode == "hadamard":
         return np.linalg.norm(a["d"], axis=1) / np.sqrt(a["d"].shape[1])
     raise ValueError(f"a {op.mode} operator is not a square matrix over h_s")
-
-
-def operator_payload_bytes(op: ConditionOperator) -> int:
-    """Stored payload size for cache accounting (keys excluded)."""
-    shared = 0 if op.Wcat is None else op.Wcat.nbytes
-    return sum(a.nbytes for a in op.arrays.values()) + shared
 
 
 def save_checkpoint(

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .errors import CondclError
+from .errors import CondclError, ConfigError
 from .linalg import is_finite_real, is_integer
 
 __all__ = [
@@ -88,17 +88,17 @@ class LossConfig:
     def validate(self) -> None:
         for name in ("tau_csts", "tau_kgc", "gamma"):
             if not is_finite_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number")
+                raise ConfigError(f"{name} must be a finite number")
         if self.tau_csts <= 0:
-            raise ValueError("tau_csts must be positive")
+            raise ConfigError("tau_csts must be positive")
         if self.tau_kgc < TAU_FLOOR:
-            raise ValueError(f"tau_kgc must be >= {TAU_FLOOR}")
+            raise ConfigError(f"tau_kgc must be >= {TAU_FLOOR}")
         if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+            raise ConfigError("gamma must be >= 0")
         if not is_integer(self.prebatch_size):
-            raise ValueError(f"prebatch_size must be an integer, got {self.prebatch_size!r}")
+            raise ConfigError(f"prebatch_size must be an integer, got {self.prebatch_size!r}")
         if self.prebatch_size < 0:
-            raise ValueError("prebatch_size must be >= 0")
+            raise ConfigError("prebatch_size must be >= 0")
 
 
 @dataclass(frozen=True)

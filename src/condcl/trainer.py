@@ -318,6 +318,8 @@ def make_loss_closure(
     evaluations (as in finite differencing) see an identical function.
     """
     cfg.validate()
+    if not batch:
+        raise ValueError("make_loss_closure: the batch is empty")
     past = [pair for chunk in prebatch or () for pair in chunk] if cfg.task == "kgc" else []
     ids, E, row_of = _embedding_matrix(cfg.task, batch, provider, past)
     if cfg.task == "csts":
@@ -686,10 +688,7 @@ def split_csts_holdout(
     """Split by pair (twins stay together), first fraction of pairs to train."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie in (0, 1)")
-    seen: list[int] = []
-    for q in quads:
-        if q.pair_id not in seen:
-            seen.append(q.pair_id)
+    seen = list(dict.fromkeys(q.pair_id for q in quads))
     cut = int(round(train_fraction * len(seen)))
     train_ids = set(seen[:cut])
     train = [q for q in quads if q.pair_id in train_ids]

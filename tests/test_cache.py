@@ -5,19 +5,20 @@ from hypothesis import strategies as st
 
 from condcl import hypernet
 from condcl.cache import (
-    FLOAT_BYTES,
     JOINT_KEY_SEP,
     CacheStats,
     TextKeyedCache,
     bench_report,
     bench_rows_to_tsv,
-    cached_embed,
     cached_operators,
+    cached_values,
     full_cross_requests,
     run_architecture,
 )
 from condcl.encoder import HashingProvider
 from condcl.hypernet import init_params
+
+FLOAT_BYTES = 8
 
 
 def replay_oracle(requests_keys):
@@ -74,36 +75,49 @@ def simulate_workload(
     return stats
 
 
-class TestCachedEmbed:
+def cached_embeddings(cache, provider, texts):
+    return cached_values(cache, texts, lambda missing: map(provider.embed, missing))
+
+
+class TestCachedValues:
     def test_miss_then_hit(self):
         cache = TextKeyedCache()
         provider = HashingProvider(dim=8, seed=0)
-        a = cached_embed(cache, provider, "x")
-        b = cached_embed(cache, provider, "x")
-        assert np.array_equal(a, b)
+        (a,) = cached_embeddings(cache, provider, ["x"])
+        (b,) = cached_embeddings(cache, provider, ["x"])
+        assert a is b and np.array_equal(a, provider.embed("x"))
         s = cache.stats
         assert (s.lookups, s.hits, s.misses, s.heavy_ops) == (2, 1, 1, 1)
 
     def test_resident_bytes_accounting(self):
         cache = TextKeyedCache()
         provider = HashingProvider(dim=16, seed=0)
-        for i in range(5):
-            cached_embed(cache, provider, f"text-{i}")
+        cached_embeddings(cache, provider, [f"text-{i}" for i in range(5)])
         assert cache.stats.resident_bytes == 5 * 16 * 8
         assert cache.stats.key_bytes == sum(len(f"text-{i}") for i in range(5))
 
     def test_stats_match_replay_oracle(self):
         rng = np.random.default_rng(3)
         texts = [f"t{rng.integers(0, 20)}" for _ in range(200)]
+        made = []
+
+        def make(missing):
+            made.append(list(missing))
+            return (np.full(3, float(t[1:])) for t in missing)
+
         cache = TextKeyedCache()
-        provider = HashingProvider(dim=8, seed=0)
-        for t in texts:
-            cached_embed(cache, provider, t)
+        values = cached_values(cache, texts[:10], make)
+        values += cached_values(cache, texts[10:], make, gen_ops=2)
         hits, misses, distinct = replay_oracle(texts)
         s = cache.stats
-        assert (s.hits, s.misses, s.heavy_ops) == (hits, misses, misses)
+        assert (s.lookups, s.hits, s.misses, s.heavy_ops) == (200, hits, misses, misses)
         assert len(cache) == distinct
-
+        # One make call per call with misses, each over its distinct misses in first-seen order.
+        first = list(dict.fromkeys(texts[:10]))
+        assert made == [first, [t for t in dict.fromkeys(texts[10:]) if t not in first]]
+        assert made[1] and s.gen_ops == 2 * len(made[1])
+        for t, v in zip(texts, values):
+            assert v is values[texts.index(t)] and v[0] == float(t[1:])
 
     def test_threaded_counts_stay_consistent(self):
         import sys
@@ -117,7 +131,7 @@ class TestCachedEmbed:
 
         def worker(k):
             for i in range(100):
-                cached_embed(sentences, provider, f"s{(i * 7 + k) % 50}")
+                cached_embeddings(sentences, provider, [f"s{(i * 7 + k) % 50}"])
                 # Overlapping windows, across threads and calls, with one repeat.
                 texts = [f"c{(i + k + j) % 40}" for j in (0, 1, 0, 2)]
                 ops = cached_operators(operators, params, provider, texts)
@@ -387,6 +401,20 @@ class TestBenchReport:
             "wall_ms",
         ]
         assert len(lines) == 5
+        for line, row in zip(lines[1:], rows):
+            s = row.stats
+            assert line.split("\t") == [
+                row.architecture,
+                str(row.requests),
+                str(s.heavy_ops),
+                str(s.light_ops),
+                str(s.gen_ops),
+                str(s.hits),
+                str(s.misses),
+                f"{s.hit_rate:.6f}",
+                str(s.resident_bytes),
+                f"{row.wall_ms:.3f}",
+            ]
 
     def test_empty_workload_is_refused(self):
         with pytest.raises(ValueError, match="nonempty"):

@@ -78,6 +78,21 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=key):
             TrainConfig.from_dict(d)
 
+    @pytest.mark.parametrize(
+        "loss",
+        [
+            {"tau_csts": -1},
+            {"tau_csts": 0.0},
+            {"tau_kgc": 0.0},
+            {"gamma": -0.5},
+            {"prebatch_size": -1},
+            {"prebatch_size": 1.5},
+        ],
+    )
+    def test_bad_loss_values_raise_config_error(self, loss):
+        with pytest.raises(ConfigError, match=next(iter(loss))):
+            TrainConfig.from_dict({"task": "csts", "mode": "full", "nh": 8, "loss": loss})
+
 
 def whole_array_adam(params, grads, m, v, t, lr, betas, eps, weight_decay, exempt):
     """The whole-array Adam update that the chunked step must reproduce bit for bit:
@@ -192,6 +207,12 @@ class TestAdam:
 
 
 class TestTrainBasics:
+    @pytest.mark.parametrize("task", ["csts", "kgc"])
+    def test_empty_batch_refused_when_closure_is_built(self, task):
+        cfg = TrainConfig(task=task, mode="full", nh=8)
+        with pytest.raises(ValueError, match="batch is empty"):
+            make_loss_closure(cfg, [], HashingProvider(dim=8, seed=0))
+
     def test_same_seed_identical_report(self):
         quads, store = tiny_csts()
         provider = StoreProvider(store)
