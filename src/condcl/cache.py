@@ -253,9 +253,7 @@ def bench_report(
         raise ValueError("workload requests must be nonempty")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    runs: list[tuple[str, HyperNetParams | None]] = [("bi", None), ("tri", None)]
-    for p in params:
-        runs.append((f"hyper-{p.mode}", p))
+    runs = [("bi", None), ("tri", None)] + [(f"hyper-{p.mode}", p) for p in params]
     rows: list[BenchRow] = []
     for label, p in runs:
         arch = "hyper" if label.startswith("hyper") else label
@@ -264,14 +262,7 @@ def bench_report(
         for _ in range(repetitions):
             stats = run_architecture(arch, requests, provider, params=p)
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        rows.append(
-            BenchRow(
-                architecture=label,
-                requests=len(requests),
-                stats=stats,
-                wall_ms=wall_ms,
-            )
-        )
+        rows.append(BenchRow(label, len(requests), stats, wall_ms))
     return rows
 
 

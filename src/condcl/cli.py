@@ -234,7 +234,7 @@ def cmd_bench_cache(args) -> int:
 # -- analyze -------------------------------------------------------------------
 
 
-def _cluster_points(quads, provider, k, per_group):
+def _cluster_points(quads, k, per_group):
     """Pick the k most frequent conditions and up to per_group sentences each."""
     by_cond: dict[str, dict[str, None]] = {}
     for q in quads:
@@ -256,7 +256,7 @@ def cmd_analyze_clusters(args) -> int:
     params, provider = _load_model({k: getattr(args, k) or cfg.get(k) for k in MODEL_KEYS})
     quads = trainer.load_csts_jsonl(_existing_path(args.data or cfg.get("data"), "data"))
     k = args.k
-    sentences, labels = _cluster_points(quads, provider, k, args.per_group)
+    sentences, labels = _cluster_points(quads, k, args.per_group)
     if len(sentences) < k:
         raise ConfigError(f"{len(sentences)} points cannot support k={k}")
 
@@ -493,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen-sentences", type=int, default=0)
     p.add_argument("--gen-conditions", type=int, default=0)
     p.add_argument("--gen-replays", type=int, default=1)
-    p.add_argument("--heavy-rounds", type=int, default=64)
+    rounds_help = "hash rounds per embed: 2 keyed hashes per token per round, no memo across texts"
+    p.add_argument("--heavy-rounds", type=int, default=64, help=rounds_help)
     p.add_argument("--repetitions", type=int, default=1)
     p.set_defaults(func=cmd_bench_cache, nh=64)
 

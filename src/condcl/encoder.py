@@ -15,6 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DimensionMismatchError, FormatError, MissingEmbeddingError
+from .linalg import is_integer
 
 __all__ = [
     "hash_encode",
@@ -27,36 +28,12 @@ __all__ = [
 ]
 
 
-def _token_hash(token: str, seed: int, salt: bytes) -> int:
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    digest = hashlib.blake2b(token.encode("utf-8"), key=key, salt=salt, digest_size=8)
-    return int.from_bytes(digest.digest(), "little")
+HASH_BLOCK = 64  # rounds hashed per pass: bounds a provider's hashers and an embed's matrix
 
 
 def hash_encode(text: str, dim: int, seed: int) -> np.ndarray:
-    """Deterministic bag-of-words signed-hash embedding, L2-normalized.
-
-    Tokens are lowercase whitespace splits; each token lands in a bucket
-    chosen by a 64-bit keyed hash, with a sign bit from a second hash.
-    Empty or whitespace-only text maps to the unit vector e_0.
-    """
-    if dim < 2:
-        raise ValueError("hash_encode requires dim >= 2")
-    tokens = text.lower().split()
-    v = np.zeros(dim, dtype=np.float64)
-    if not tokens:
-        v[0] = 1.0
-        return v
-    for tok in tokens:
-        idx = _token_hash(tok, seed, b"idx") % dim
-        sign = 1.0 if _token_hash(tok, seed, b"sgn") & 1 else -1.0
-        v[idx] += sign
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        # Signed counts can cancel exactly; fall back to the defined empty case.
-        v[0] = 1.0
-        return v
-    return v / norm
+    """Deterministic bag-of-words signed-hash embedding: HashingProvider's one-round case."""
+    return HashingProvider(dim, seed).embed(text)
 
 
 class EmbeddingStore:
@@ -184,26 +161,57 @@ class StoreProvider:
 
 
 class HashingProvider:
-    """Deterministic hashing encoder.
-
-    `rounds` repeats the hash accumulation with derived seeds, mixing each
-    round into the result. It exists so benchmarks can realize a genuinely
-    expensive encode step; at the default rounds=1 the output is exactly
-    hash_encode(text, dim, seed).
-    """
+    """Deterministic hashing encoder: in round r each lowercase whitespace token
+    adds a sign (a blake2b hash keyed by seed + r) to a bucket (a second one);
+    each round's counts are L2-normalized (all zero, as for empty text: e_0) and
+    rounds > 1 are summed in order and normalized again. Cost model: 2 keyed
+    hashes per token per round, no memo across texts, so one embed is the heavy
+    op per cache miss that bi / tri / hyper count. Only the first HASH_BLOCK
+    rounds' hashers are kept and rounds are hashed a block at a time, so set-up
+    and memory do not grow with `rounds`."""
 
     def __init__(self, dim: int, seed: int = 0, rounds: int = 1):
-        if rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        self.dim = int(dim)
-        self.seed = int(seed)
-        self.rounds = int(rounds)
+        if not (is_integer(dim) and is_integer(seed) and is_integer(rounds)) or dim < 2 or rounds < 1:
+            got = f"dim={dim!r}, seed={seed!r}, rounds={rounds!r}"
+            raise ValueError(f"HashingProvider needs integers, dim >= 2 and rounds >= 1: {got}")
+        self.dim, self.seed, self.rounds = int(dim), int(seed), int(rounds)
+        self._hashers = self._keyed(range(min(self.rounds, HASH_BLOCK)))
+
+    def _keyed(self, rounds: range) -> list:
+        """Each round's idx and sgn blake2b hashers, keyed by seed + r modulo 2**64."""
+        keys = [((self.seed + r) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little") for r in rounds]
+        return [hashlib.blake2b(key=k, salt=s, digest_size=8) for k in keys for s in (b"idx", b"sgn")]
+
+    def _round_vectors(self, tokens: list[bytes], hashers: list) -> np.ndarray:
+        """One block's (rounds x dim) unit vectors, read from one join of its digests."""
+        digests = []
+        for h in hashers:
+            for tok in tokens:
+                c = h.copy()  # the keyed state, without compressing the key block again
+                c.update(tok)
+                digests.append(c.digest())
+        words = np.frombuffer(b"".join(digests), "<u8").reshape(-1, 2, len(tokens))
+        n, dim = len(words), self.dim
+        buckets = (words[:, 0] % np.uint64(dim)).astype(np.intp) + np.arange(0, n * dim, dim)[:, None]
+        signs = (words[:, 1] & np.uint64(1)).astype(np.float64) * 2.0 - 1.0
+        counts = np.bincount(buckets.ravel(), signs.ravel(), n * dim).reshape(n, dim)
+        norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))  # exact: small integer counts
+        cancelled = norms == 0.0
+        counts[cancelled, 0] = norms[cancelled] = 1.0
+        counts /= norms[:, None]
+        return counts
 
     def embed(self, text: str) -> np.ndarray:
-        v = hash_encode(text, self.dim, self.seed)
+        tokens = [tok.encode("utf-8") for tok in text.lower().split()]
+        if not tokens:
+            return np.eye(1, self.dim)[0]
+        v = np.zeros(self.dim)  # 0.0 + x == x for all but -0.0, which no round holds
+        for start in range(0, self.rounds, HASH_BLOCK):
+            block = range(start, min(start + HASH_BLOCK, self.rounds))
+            u = self._round_vectors(tokens, self._keyed(block) if start else self._hashers)
+            u[0] += v
+            v = u.sum(axis=0)  # along axis 0 numpy adds row after row, in round order
         if self.rounds == 1:
             return v
-        for r in range(1, self.rounds):
-            v = v + hash_encode(text, self.dim, self.seed + r)
         norm = float(np.linalg.norm(v))
-        return v / norm if norm > 0.0 else hash_encode("", self.dim, self.seed)
+        return v / norm if norm > 0.0 else np.eye(1, self.dim)[0]

@@ -253,6 +253,14 @@ def test_bench_cache_with_a_zero_size_workload_is_a_usage_error(capsys, sizes):
     assert out == "" and err == "error: workload generator needs positive sizes\n"
 
 
+@pytest.mark.parametrize("flags", [("--heavy-rounds", "0"), ("--nh", "1")])
+def test_bench_cache_with_a_bad_encoder_setting_is_a_usage_error(capsys, flags):
+    argv = ["bench-cache", "--gen-sentences", "2", "--gen-conditions", "2", "--nh", "8", *flags]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: HashingProvider needs integers, dim >= 2 and rounds >= 1")
+
+
 @pytest.mark.parametrize("probes", ["0", "-3"])
 def test_gradcheck_with_no_probes_is_a_usage_error(capsys, probes):
     assert cli.main(["gradcheck", "--nh", "4", "--probes", probes]) == cli.EXIT_USAGE

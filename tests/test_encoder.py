@@ -1,11 +1,19 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import condcl
+from condcl.cache import JOINT_KEY_SEP
 from condcl.encoder import (
+    HASH_BLOCK,
     EmbeddingStore,
     HashingProvider,
     StoreProvider,
@@ -14,6 +22,117 @@ from condcl.encoder import (
     save_embeddings,
 )
 from condcl.errors import FormatError, MissingEmbeddingError
+
+# -- frozen reference: the per-token, per-round hashing encoder, kept as it was ----------
+
+
+def _token_hash(token: str, seed: int, salt: bytes) -> int:
+    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    digest = hashlib.blake2b(token.encode("utf-8"), key=key, salt=salt, digest_size=8)
+    return int.from_bytes(digest.digest(), "little")
+
+
+def reference_hash_encode(text: str, dim: int, seed: int) -> np.ndarray:
+    if dim < 2:
+        raise ValueError("hash_encode requires dim >= 2")
+    tokens = text.lower().split()
+    v = np.zeros(dim, dtype=np.float64)
+    if not tokens:
+        v[0] = 1.0
+        return v
+    for tok in tokens:
+        idx = _token_hash(tok, seed, b"idx") % dim
+        sign = 1.0 if _token_hash(tok, seed, b"sgn") & 1 else -1.0
+        v[idx] += sign
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        # Signed counts can cancel exactly; fall back to the defined empty case.
+        v[0] = 1.0
+        return v
+    return v / norm
+
+
+def reference_embed(text: str, dim: int, seed: int, rounds: int) -> np.ndarray:
+    v = reference_hash_encode(text, dim, seed)
+    if rounds == 1:
+        return v
+    for r in range(1, rounds):
+        v = v + reference_hash_encode(text, dim, seed + r)
+    norm = float(np.linalg.norm(v))
+    return v / norm if norm > 0.0 else reference_hash_encode("", dim, seed)
+
+
+def _bucket_and_sign(token: str, dim: int, seed: int) -> tuple[int, bool]:
+    return _token_hash(token, seed, b"idx") % dim, bool(_token_hash(token, seed, b"sgn") & 1)
+
+
+def cancelling_text(dim: int, seed: int) -> str:
+    """Two tokens that share a bucket with opposite signs under ``seed``: their counts cancel."""
+    seen: dict[tuple[int, bool], str] = {}
+    for i in range(20000):
+        token = f"w{i}"
+        bucket, positive = _bucket_and_sign(token, dim, seed)
+        if (bucket, not positive) in seen:
+            return f"{seen[bucket, not positive]} {token}"
+        seen.setdefault((bucket, positive), token)
+    raise AssertionError("no cancelling pair found")
+
+
+ORACLE_DIMS = (2, 3, 8, 768)
+ORACLE_SEEDS = (0, 7, -3, 2**64 - 1, 2**64 + 5)
+ORACLE_ROUNDS = (1, 2, 5, 64, 130)  # 130 spans three blocks of rounds
+ORACLE_TEXTS = (
+    "",
+    "  \t\n ",
+    "the cat sat" + JOINT_KEY_SEP + "is about animals",
+    "echo echo echo echo",
+    "MiXeD Case mixed CASE",
+    "naïve café — 東京 ß",
+)
+
+
+class TestFrozenOracle:
+    """The provider's output equals the frozen reference bit for bit."""
+
+    @pytest.mark.parametrize("rounds", ORACLE_ROUNDS)
+    @pytest.mark.parametrize("dim", ORACLE_DIMS)
+    def test_matches_reference(self, dim, rounds):
+        for seed in ORACLE_SEEDS:
+            provider = HashingProvider(dim, seed, rounds)
+            # Counts cancel in the last round, which for 130 rounds is in the third block.
+            texts = (*ORACLE_TEXTS, cancelling_text(dim, seed + rounds - 1))
+            for text in texts:
+                assert np.array_equal(provider.embed(text), reference_embed(text, dim, seed, rounds))
+            if rounds == 1:
+                for text in texts:
+                    assert np.array_equal(hash_encode(text, dim, seed), reference_embed(text, dim, seed, 1))
+
+    def test_cancelling_text_cancels(self):
+        for dim in ORACLE_DIMS:
+            text = cancelling_text(dim, 7)
+            assert reference_hash_encode(text, dim, 7).tolist() == [1.0] + [0.0] * (dim - 1)
+            assert np.array_equal(hash_encode(text, dim, 7), reference_hash_encode(text, dim, 7))
+
+    def test_rounds_that_cancel_each_other_give_e0(self):
+        # One token whose two round vectors are opposite: the sum has norm 0.
+        token = next(
+            t for t in (f"t{i}" for i in range(1000))
+            if _bucket_and_sign(t, 2, 0)[0] == _bucket_and_sign(t, 2, 1)[0]
+            and _bucket_and_sign(t, 2, 0)[1] != _bucket_and_sign(t, 2, 1)[1]
+        )
+        assert reference_embed(token, 2, 0, 2).tolist() == [1.0, 0.0]
+        assert np.array_equal(HashingProvider(2, 0, 2).embed(token), reference_embed(token, 2, 0, 2))
+
+    @given(
+        st.text(max_size=60),
+        st.sampled_from(ORACLE_DIMS),
+        st.integers(-(2**65), 2**65),
+        st.sampled_from((1, 2, 3, 64, 65)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_on_any_text(self, text, dim, seed, rounds):
+        got = HashingProvider(dim, seed, rounds).embed(text)
+        assert np.array_equal(got, reference_embed(text, dim, seed, rounds))
 
 
 class TestHashEncode:
@@ -183,6 +302,59 @@ class TestProviders:
     def test_hashing_provider_pure(self):
         p = HashingProvider(dim=8, seed=1)
         assert np.array_equal(p.embed("abc def"), p.embed("abc def"))
+
+    def test_set_up_is_bounded_by_one_block_of_rounds(self):
+        # Never embed with it: that would hash 10**9 rounds.
+        p = HashingProvider(8, rounds=10**9)
+        assert p.rounds == 10**9
+        assert len(p._hashers) == 2 * HASH_BLOCK
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"dim": 1},
+            {"dim": 0},
+            {"dim": True},
+            {"dim": 8.0},
+            {"dim": "8"},
+            {"dim": 8, "seed": 1.5},
+            {"dim": 8, "seed": True},
+            {"dim": 8, "seed": None},
+            {"dim": 8, "rounds": 0},
+            {"dim": 8, "rounds": -2},
+            {"dim": 8, "rounds": 2.5},
+            {"dim": 8, "rounds": True},
+        ],
+    )
+    def test_bad_arguments_are_refused_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            HashingProvider(**kwargs)
+
+    def test_numpy_integers_are_accepted(self):
+        p = HashingProvider(np.int64(8), np.int32(3), np.int64(2))
+        assert (p.dim, p.seed, p.rounds) == (8, 3, 2)
+        assert np.array_equal(p.embed("a b"), reference_embed("a b", 8, 3, 2))
+
+    def test_bad_arguments_are_refused_under_optimize(self):
+        code = (
+            "import sys\n"
+            "from condcl.encoder import HashingProvider\n"
+            "def refused(**kwargs):\n"
+            "    try:\n"
+            "        HashingProvider(**kwargs)\n"
+            "    except ValueError:\n"
+            "        return True\n"
+            "    return False\n"
+            "checks = [refused(dim=1), refused(dim=True), refused(dim=8, seed=0.5),\n"
+            "          refused(dim=8, rounds=2.5), refused(dim=8, rounds=True), refused(dim=8, rounds=0)]\n"
+            "print(checks)\n"
+            "sys.exit(0 if all(checks) else 1)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(condcl.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stdout.decode() + proc.stderr.decode()
 
     def test_rounds_add_work_but_stay_deterministic(self):
         p1 = HashingProvider(dim=16, seed=3, rounds=5)
