@@ -14,8 +14,8 @@ Three execution architectures are compared over a stream of
 ``cached_values`` is the one way to read a cache: one counted lookup over a
 call's keys, then one call that makes every distinct miss (for hyper's
 conditions, one ``generate_operators`` call). A stream is served by
-resolving its keys first, once per cache, then composing one row per
-request, in order.
+resolving its keys first, once per cache, then composing it COMPOSE_BLOCK
+requests at a time: within a block, one stacked product per condition.
 
 Caches are unbounded and never evict: misses equal the number of distinct
 keys, exactly. Byte accounting counts the stored payload arrays' bytes; key
@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 JOINT_KEY_SEP = "\x1f"
+COMPOSE_BLOCK = 1024  # requests composed together; bounds memory to ~2 x block x nh floats
 
 
 @dataclass
@@ -166,13 +167,24 @@ def cached_operators(
     return cached_values(cache, condition_texts, make, gen_ops=1)
 
 
-def _compose(cache: TextKeyedCache, ops, sentences, sink) -> CacheStats:
-    """Each sentence through its operator as one row, in order: one light op each."""
-    for op, h_s in zip(ops, sentences, strict=True):
-        out = apply_stack(op, h_s, (0, 1)).data[0]
-        cache.stats.light_ops += 1
+def _compose(cache: TextKeyedCache, requests, operator, sentences, sink) -> CacheStats:
+    """Each request's sentence through its condition's operator: one light op each.
+
+    COMPOSE_BLOCK requests at a time, grouped by condition key in first-seen
+    order: one stacked product per group, through ``operator(i)``, i its first request."""
+    for lo in range(0, len(requests), COMPOSE_BLOCK):
+        block = range(lo, min(lo + COMPOSE_BLOCK, len(requests)))
+        groups: dict[str, list[int]] = {}
+        for i in block:
+            groups.setdefault(requests[i][1], []).append(i)
+        rows = {}
+        for group in groups.values():
+            stacked = np.stack([sentences[i] for i in group])
+            rows.update(zip(group, apply_stack(operator(group[0]), stacked, (0, len(group))).data))
+        cache.stats.light_ops += len(block)
         if sink:
-            sink(out)
+            for i in block:
+                sink(rows[i])
     return cache.stats
 
 
@@ -187,8 +199,10 @@ def run_architecture(
 
     The stream's keys are resolved first, with one ``cached_values`` call
     per cache, so every heavy op happens before the first request is
-    served. Then each request is composed as one row, in order, and the
-    optional sink receives its conditioned embedding.
+    served. Then the requests are composed a block at a time, and the
+    optional sink receives each conditioned embedding, in request order.
+    A block's rows are all computed before its first sink call, and each
+    row is a view of its condition group's output.
     """
 
     def embed(missing):
@@ -203,15 +217,15 @@ def run_architecture(
         return cache.stats
     if architecture == "tri":
         vecs = cached_values(cache, [t for request in requests for t in request], embed)
-        ops = (diagonal_operator(h_c[None]) for h_c in vecs[1::2])
-        return _compose(cache, ops, vecs[::2], sink)
+        h_c = vecs[1::2]
+        return _compose(cache, requests, lambda i: diagonal_operator(h_c[i][None]), vecs[::2], sink)
     if architecture == "hyper":
         if params is None:
             raise ValueError("hyper architecture needs generator params")
         op_cache = TextKeyedCache()
         ops = cached_operators(op_cache, params, provider, [c for _, c in requests])
         vecs = cached_values(cache, [s for s, _ in requests], embed)
-        return _compose(cache, ops, vecs, sink).merged_with(op_cache.stats)
+        return _compose(cache, requests, ops.__getitem__, vecs, sink).merged_with(op_cache.stats)
     raise ValueError(f"unknown architecture {architecture!r}")
 
 

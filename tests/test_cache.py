@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from condcl import hypernet
 from condcl.cache import (
+    COMPOSE_BLOCK,
     JOINT_KEY_SEP,
     CacheStats,
     TextKeyedCache,
@@ -16,9 +17,10 @@ from condcl.cache import (
     run_architecture,
 )
 from condcl.encoder import HashingProvider
-from condcl.hypernet import init_params
+from condcl.hypernet import apply_stack, init_params
 
 FLOAT_BYTES = 8
+COMPOSE_TOL = 1e-12  # served rows against per-request formulas, relative
 
 
 def replay_oracle(requests_keys):
@@ -167,6 +169,20 @@ def operator_formula(params, h_c):
     if params.mode == "full":
         return ((t["U"] @ h_c + t["U_bias"]).reshape(nh, nh),)
     return tuple((t[u] @ h_c + t[u + "_bias"]).reshape(nh, nk) for u in ("U1", "U2"))
+
+
+def composition_formula(arch, params, h_s, h_c):
+    """One request's served vector by the per-request formula."""
+    if arch == "tri":
+        return h_c * h_s
+    arrays = operator_formula(params, h_c)
+    return arrays[0] @ h_s if params.mode == "full" else arrays[0] @ (arrays[1].T @ h_s)
+
+
+def assert_rel_close(out, want):
+    """Equal within COMPOSE_TOL of the reference's largest entry."""
+    assert out.shape == want.shape
+    assert np.max(np.abs(out - want)) <= COMPOSE_TOL * np.max(np.abs(want))
 
 
 class TestCachedOperator:
@@ -349,27 +365,68 @@ class TestRunArchitecture:
     @pytest.mark.parametrize("mode", ["full", "lowrank"])
     def test_served_vectors_are_the_composition_formulas(self, mode):
         # Each served vector is its condition's operator (or, for tri, the
-        # elementwise product) applied to its sentence, to the last bit.
+        # elementwise product) applied to its sentence: tri to the last bit,
+        # hyper within COMPOSE_TOL. A hyper row is exactly the matching row of
+        # its condition group's stacked product, which rounds as one gemm
+        # where a single row alone would round as a gemv.
         nh, nk = 8, 3
         provider = HashingProvider(dim=nh, seed=2)
         params = init_params(mode, nh, nk, seed=1)
-        t = params.tensors
         requests = full_cross_requests(3, 2, replays=2)
+        assert len(requests) <= COMPOSE_BLOCK
+        ops = cached_operators(TextKeyedCache(), params, provider, [c for _, c in requests])
         for arch in ("tri", "hyper"):
             served = []
             run_architecture(arch, requests, provider, params=params, sink=served.append)
-            for (s, c), out in zip(requests, served):
-                h_s, h_c = provider.embed(s), provider.embed(c)
-                if arch == "tri":
-                    want = h_c * h_s
-                elif mode == "full":
-                    want = (t["U"] @ h_c + t["U_bias"]).reshape(nh, nh) @ h_s
-                else:
-                    W1 = (t["U1"] @ h_c + t["U1_bias"]).reshape(nh, nk)
-                    W2 = (t["U2"] @ h_c + t["U2_bias"]).reshape(nh, nk)
-                    want = W1 @ (W2.T @ h_s)
-                assert np.array_equal(out, want)
             assert len(served) == len(requests)
+            for i, ((s, c), out) in enumerate(zip(requests, served)):
+                h_s, h_c = provider.embed(s), provider.embed(c)
+                assert_rel_close(out, composition_formula(arch, params, h_s, h_c))
+                if arch == "tri":
+                    assert np.array_equal(out, h_c * h_s)
+                    continue
+                group = [j for j, (_, cj) in enumerate(requests) if cj == c]
+                stacked = np.stack([provider.embed(requests[j][0]) for j in group])
+                want = apply_stack(ops[i], stacked, (0, len(group))).data[group.index(i)]
+                assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("arch, mode", [("hyper", "full"), ("hyper", "lowrank"), ("tri", None)])
+    def test_groups_spanning_two_blocks_serve_every_request_in_order(self, arch, mode):
+        # Conditions interleave and sentences repeat, so every condition's
+        # group has members on both sides of the block boundary.
+        nh, nk = 8, 3
+        n = COMPOSE_BLOCK + 3
+        requests = [(f"s{i % 7}", f"c{i % 3}") for i in range(n)]
+        provider = HashingProvider(dim=nh, seed=4)
+        params = init_params(mode or "full", nh, nk, seed=2)
+        served = []
+        stats = run_architecture(arch, requests, provider, params=params, sink=served.append)
+        assert len(served) == n
+        assert stats.light_ops == n
+        nk_oracle = nk if mode == "lowrank" else None
+        assert stats == simulate_workload(arch, requests, nh=nh, nk=nk_oracle)
+        for (s, c), out in zip(requests, served):
+            want = composition_formula(arch, params, provider.embed(s), provider.embed(c))
+            assert_rel_close(out, want)
+
+    @pytest.mark.parametrize("arch, mode", [("hyper", "full"), ("hyper", "lowrank"), ("tri", None)])
+    def test_one_block_applies_one_stacked_product_per_condition(self, arch, mode, monkeypatch):
+        # Counted, not timed: composing per request would make n calls.
+        requests = full_cross_requests(5, 3, replays=2)
+        k, n = 3, len(requests)
+        assert k < n <= COMPOSE_BLOCK
+        calls = []
+
+        def counting(op, rows, bounds, mask=None):
+            calls.append(len(rows))
+            return apply_stack(op, rows, bounds, mask)
+
+        monkeypatch.setattr("condcl.cache.apply_stack", counting)
+        params = init_params(mode or "full", 8, 3, seed=0)
+        served = []
+        run_architecture(arch, requests, HashingProvider(dim=8, seed=0), params, served.append)
+        assert len(calls) == k
+        assert sum(calls) == len(served) == n
 
     def test_hyper_needs_params(self):
         with pytest.raises(ValueError):
