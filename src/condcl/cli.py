@@ -11,6 +11,7 @@ CONDCL_LOG=debug|info for progress output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -63,6 +64,8 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config file not found: {p}")
     try:
         cfg = json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: invalid UTF-8 at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -294,7 +297,7 @@ def cmd_analyze_frobenius(args) -> int:
     cfg = _load_config(args.config)
     params, provider = _load_model({k: getattr(args, k) or cfg.get(k) for k in MODEL_KEYS})
     cond_path = _existing_path(args.conditions or cfg.get("conditions"), "conditions")
-    conditions = [line for line in cond_path.read_text(encoding="utf-8").splitlines() if line]
+    conditions = [c for _, line in text_lines(cond_path) if (c := line.rstrip("\n"))]
     if not conditions:
         raise ConfigError(f"{cond_path}: no conditions listed")
     var_hyper, var_diag = eval_mod.frobenius_variance_report(params, provider, conditions)
@@ -312,8 +315,6 @@ def cmd_analyze_frobenius(args) -> int:
 def cmd_sweep_rank(args) -> int:
     cfg = _load_config(args.config)
     base = _train_config_from(cfg, args)
-    if base.task not in trainer.TASKS:
-        raise ConfigError("sweep-rank config must set task")
     provider = _store_provider(cfg)
     data_path = _existing_path(_require(cfg, "data"), "data")
     eval_path = _existing_path(_require(cfg, "eval_data"), "eval_data")
@@ -334,10 +335,8 @@ def cmd_sweep_rank(args) -> int:
         if base.nh % d != 0:
             log.warning("nh=%d not divisible by %d; rounding rank down", base.nh, d)
         nk = max(1, base.nh // d)
-        run_dict = base.to_dict()
-        run_dict["mode"] = "lowrank"
-        run_dict["nk"] = nk
-        run_cfg = trainer.TrainConfig.from_dict(run_dict)
+        run_cfg = dataclasses.replace(base, mode="lowrank", nk=nk)
+        run_cfg.validate()
         params, _extras, _report = trainer.fit(run_cfg, train_data, provider)
         if base.task == "csts":
             metric = eval_mod.evaluate_csts(params, provider, eval_quads)["spearman"]

@@ -142,7 +142,7 @@ def save_embeddings(store: EmbeddingStore, path: str | Path) -> None:
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for text, vec in store.items():
-            rounded = [float(np.float32(x)) for x in vec]
+            rounded = vec.astype(np.float32).tolist()
             fh.write(json.dumps({"text": text, "embedding": rounded}) + "\n")
 
 

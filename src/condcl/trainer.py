@@ -5,11 +5,14 @@ The encoder is never updated: training only adjusts the operator generator
 the learnable temperature. Gradients come from the reverse-mode graph in
 ``autodiff``; every run is a deterministic function of its seed.
 
-A batch is one matrix graph: its rows are grouped by condition, one
+A batch is one matrix graph, built by one function, ``_batch_closure``, for
+both ``fit`` and ``make_loss_closure``: its rows are grouped by condition, one
 ``generate_stack`` (the formula inference uses) makes the operators of its
 conditions, ``apply_stack`` projects each group through its operator, and
 ``losses.csts_loss`` or ``losses.kgc_loss`` scores the (B, nh) projections,
 with one backward pass and one ``Adam.step`` (over cache-sized chunks) per batch.
+The pre-batch window of a link-prediction batch is the tails of the last
+``loss.prebatch_size`` batches of the epoch (none when it is 0).
 
 File formats owned here:
   - similarity data: JSONL records of strings "sentence1", "sentence2" and
@@ -49,7 +52,6 @@ from .losses import (
     KgTriple,
     LossConfig,
     TAU_FLOOR,
-    TwinPair,
     csts_loss,
     kgc_candidates,
     kgc_loss,
@@ -184,8 +186,8 @@ class Adam:
         self,
         params: dict[str, np.ndarray],
         lr: float,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
+        betas: tuple[float, float] = TrainConfig.betas,
+        eps: float = TrainConfig.eps,
         weight_decay: float = 0.0,
         decay_exempt: tuple[str, ...] = (),
     ):
@@ -272,36 +274,37 @@ def _grouped(conds: np.ndarray, rows: np.ndarray, masks: np.ndarray | None, E, c
     return projected, np.argsort(order)
 
 
-def _csts_closure(ids, E, y01, cfg: TrainConfig, masks) -> LossClosure:
-    """``ids`` (B, 4): each twin pair's s1, s2, c_high, c_low as rows of E; ``y01``
-    (B, 2) its rescaled labels; ``masks``: concat dropout masks (B, 4, 2nh) for
-    s1_hi, s2_hi, s1_lo, s2_lo."""
-    conds = np.repeat(ids[:, 2:], 2, axis=1).ravel()
-    sents = np.tile(ids[:, :2], 2).ravel()
-    flat = None if masks is None else masks.reshape(len(sents), -1)
-    projected, where = _grouped(conds, sents, flat, E, cfg)
+def _batch_closure(cfg: TrainConfig, batch, ids, E, past=(), rng=None) -> LossClosure:
+    """The one batch builder, of ``fit`` and ``make_loss_closure``: the loss closure of
+    ``batch``, TwinPairs (csts: rows s1_hi, s2_hi, s1_lo, s2_lo each) or KgTriples (kgc:
+    each head through its relation), with ``ids`` their texts as rows of E. ``past``
+    is the pre-batch window, the tail rows of earlier batches (kgc only); ``rng``, if
+    given, draws the concat dropout masks, one (rows, 2nh) draw in row order."""
+    csts = cfg.task == "csts"
+    conds = np.repeat(ids[:, 2:], 2, axis=1).ravel() if csts else ids[:, 1]
+    sents = np.tile(ids[:, :2], 2).ravel() if csts else ids[:, 0]
+    use_dropout = rng is not None and cfg.mode == "concat" and cfg.dropout_p > 0.0
+    masks = dropout_mask(rng, (len(sents), 2 * cfg.nh), cfg.dropout_p) if use_dropout else None
+    projected, where = _grouped(conds, sents, masks, E, cfg)
+    if csts:
+        y01 = np.array([[rescale_label(tp.high.y), rescale_label(tp.low.y)] for tp in batch])
 
-    def loss_of(leaves):
-        rows = projected(leaves)
-        left, right = (ad.take_rows(rows, where[k::2]) for k in (0, 1))
-        total, mse, cl = csts_loss(left, right, y01, cfg.loss.tau_csts)
-        return total, {"mse": float(mse.data.mean()), "cl": float(cl.data.mean())}
+        def loss_of(leaves):
+            rows = projected(leaves)
+            left, right = (ad.take_rows(rows, where[k::2]) for k in (0, 1))
+            total, mse, cl = csts_loss(left, right, y01, cfg.loss.tau_csts)
+            return total, {"mse": float(mse.data.mean()), "cl": float(cl.data.mean())}
 
-    return _closure(loss_of)
+    else:
+        past = np.concatenate([np.empty(0, dtype=np.intp), *past])
+        cand_ids, neg_mask = kgc_candidates(batch, ids, cfg.loss, past)
+        cands = E[cand_ids]
 
-
-def _kgc_closure(batch, ids, E, cfg: TrainConfig, past, masks) -> LossClosure:
-    """``batch``: the KgTriples; ``ids`` (B, 3): their h, r, t as rows of E;
-    ``past``: the rows of the pre-batch tails; ``masks``: (B, 2nh) or None."""
-    cand_ids, neg_mask = kgc_candidates(batch, ids, cfg.loss, past)
-    cands = E[cand_ids]
-    projected, where = _grouped(ids[:, 1], ids[:, 0], masks, E, cfg)
-
-    def loss_of(leaves):
-        tau = leaves.get("tau_kgc", cfg.loss.tau_kgc)
-        q = ad.take_rows(projected(leaves), where)
-        total = kgc_loss(q, cands, neg_mask, cfg.loss.gamma, tau)
-        return total, {"cl": total.item()}
+        def loss_of(leaves):
+            tau = leaves.get("tau_kgc", cfg.loss.tau_kgc)
+            q = ad.take_rows(projected(leaves), where)
+            total = kgc_loss(q, cands, neg_mask, cfg.loss.gamma, tau)
+            return total, {"cl": total.item()}
 
     return _closure(loss_of)
 
@@ -309,22 +312,24 @@ def _kgc_closure(batch, ids, E, cfg: TrainConfig, past, masks) -> LossClosure:
 def make_loss_closure(
     cfg: TrainConfig, batch, provider, prebatch: list | None = None
 ) -> LossClosure:
-    """Deterministic loss-and-gradient closure over one fixed batch.
+    """Deterministic loss-and-gradient closure over one fixed batch, built by
+    ``_batch_closure`` as ``fit`` builds its batches.
 
     For the similarity task the batch is a list of TwinPair; for link
     prediction a list of KgTriple, and ``prebatch`` a list of past batches,
-    each a list of (tail text, tail embedding); a text the batch also holds
-    keeps the provider's embedding. Dropout is disabled here so repeated
-    evaluations (as in finite differencing) see an identical function.
+    oldest first, each a list of (tail text, tail embedding); as in training,
+    only the last ``cfg.loss.prebatch_size`` of them are the pre-batch window,
+    and a text the batch also holds keeps the provider's embedding. Dropout is
+    disabled here so repeated evaluations (as in finite differencing) see an
+    identical function.
     """
     cfg.validate()
     if not batch:
         raise ValueError("make_loss_closure: the batch is empty")
-    past = [pair for chunk in prebatch or () for pair in chunk] if cfg.task == "kgc" else []
-    ids, E, row_of = _embedding_matrix(cfg.task, batch, provider, past)
-    if cfg.task == "csts":
-        return _csts_closure(ids, E, _labels01(batch), cfg, masks=None)
-    return _kgc_closure(batch, ids, E, cfg, [row_of[text] for text, _ in past], masks=None)
+    window = deque(prebatch or (), maxlen=cfg.loss.prebatch_size)
+    ids, E, row_of = _embedding_matrix(cfg.task, batch, provider, [p for c in window for p in c])
+    past = [np.array([row_of[text] for text, _ in chunk], dtype=np.intp) for chunk in window]
+    return _batch_closure(cfg, batch, ids, E, past)
 
 
 def initial_arrays(cfg: TrainConfig) -> tuple[HyperNetParams, dict[str, np.ndarray]]:
@@ -366,11 +371,6 @@ def _embedding_matrix(task: str, instances, provider, given=()):
     return ids, np.array(vectors, dtype=np.float64), row_of
 
 
-def _labels01(twins: Sequence[TwinPair]) -> np.ndarray:
-    """(N, 2) rescaled labels of the high and low twin of each pair."""
-    return np.array([[rescale_label(tp.high.y), rescale_label(tp.low.y)] for tp in twins])
-
-
 def train(cfg: TrainConfig, data, provider, checkpoint_path: str | None = None) -> TrainReport:
     """Run the optimization loop; returns per-epoch mean losses.
 
@@ -409,10 +409,7 @@ def fit(
 
     instances = pair_twins(data) if cfg.task == "csts" else list(data)
     ids, E, _ = _embedding_matrix(cfg.task, instances, provider)
-    y01 = _labels01(instances) if cfg.task == "csts" else None
-
-    use_dropout = cfg.mode == "concat" and cfg.dropout_p > 0.0
-    prebatch: deque = deque(maxlen=max(cfg.loss.prebatch_size, 1))
+    past: deque = deque(maxlen=cfg.loss.prebatch_size)  # the pre-batch window
 
     epoch_losses: list[float] = []
     epoch_components: list[dict[str, float]] = []
@@ -422,20 +419,13 @@ def fit(
         order = shuffle_rng.permutation(len(instances))
         sums: dict[str, float] = {}  # the loss and its components, weighted by batch size
         seen = 0
-        prebatch.clear()
+        past.clear()
         stage = {"graph": 0.0, "step": 0.0}
         t_stepped = time.perf_counter()
         for start in range(0, len(order), cfg.batch_size):
             chunk = order[start : start + cfg.batch_size]
-            # One concat dropout mask per projected row, drawn in row order.
-            shape = (len(chunk), 4, 2 * cfg.nh) if cfg.task == "csts" else (len(chunk), 2 * cfg.nh)
-            masks = dropout_mask(dropout_rng, shape, cfg.dropout_p) if use_dropout else None
-            if cfg.task == "csts":
-                fn = _csts_closure(ids[chunk], E, y01[chunk], cfg, masks)
-            else:
-                past = np.concatenate(prebatch) if prebatch else ()
-                batch = [instances[i] for i in chunk]
-                fn = _kgc_closure(batch, ids[chunk], E, cfg, past, masks)
+            batch = [instances[i] for i in chunk]
+            fn = _batch_closure(cfg, batch, ids[chunk], E, past, dropout_rng)
             components: dict[str, float] = {}
             where = f"epoch {epoch} batch {start // cfg.batch_size}"
             try:
@@ -458,8 +448,7 @@ def fit(
             for name, value in {"loss": loss, **components}.items():
                 sums[name] = sums.get(name, 0.0) + value * len(chunk)
             seen += len(chunk)
-            if cfg.task == "kgc" and cfg.loss.use_prebatch_neg and cfg.loss.prebatch_size > 0:
-                prebatch.append(ids[chunk, 2])
+            past.append(ids[chunk, 2])  # a triple's tail; the window is read for kgc only
         epoch_losses.append(sums.pop("loss") / seen)
         epoch_components.append({k: v / seen for k, v in sums.items()})
         epoch_stage_s.append(stage)

@@ -127,6 +127,36 @@ def test_frobenius_analysis_refuses_a_concat_checkpoint(csts_run):
     assert run(tmp_path, ["analyze", "frobenius"], config) == cli.EXIT_USAGE
 
 
+def test_a_config_that_is_not_utf8_is_a_usage_error_naming_it(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"task": "csts", "x": "\xff"}')
+    assert cli.main(["train", "--config", str(path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {path}: invalid UTF-8 at byte 23\n"
+
+
+def test_a_conditions_file_that_is_not_utf8_is_a_usage_error_naming_its_line(csts_run, capsys):
+    tmp_path, quads, config = csts_run
+    ckpt = tmp_path / "full.ckpt"
+    save_checkpoint(ckpt, init_params("full", 8, seed=0))
+    conditions = tmp_path / "conditions.txt"
+    conditions.write_bytes(quads[0].c.encode("utf-8") + b"\ncond-\xff\n")
+    config.update(checkpoint=str(ckpt), conditions=str(conditions))
+    assert run(tmp_path, ["analyze", "frobenius"], config) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {conditions}:2: invalid UTF-8\n"
+
+
+def test_sweep_rank_trains_one_lowrank_run_per_divisor(csts_run):
+    tmp_path, _, config = csts_run
+    config["eval_data"] = config["data"]
+    out = tmp_path / "sweep.tsv"
+    assert run(tmp_path, ["sweep-rank"], config, "--divisors", "1,4", "--out", str(out)) == 0
+    header, *rows = out.read_text(encoding="utf-8").splitlines()
+    assert header == "nk\tparam_count\tmetric"
+    for row, nk in zip(rows, (8, 2), strict=True):
+        count = hypernet.param_count(init_params("lowrank", 8, nk, seed=0))
+        assert row.split("\t")[:2] == [str(nk), str(count)]
+
+
 def test_every_mode_trains_and_evaluates(csts_run, capsys):
     tmp_path, _, config = csts_run
     for mode in ("full", "lowrank", "hadamard", "concat"):

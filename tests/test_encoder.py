@@ -282,6 +282,24 @@ class TestJsonlRoundTrip:
         for text, vec in loaded.items():
             assert np.array_equal(loaded2[text], vec)
 
+    def test_written_text_equals_the_per_scalar_float32_formula(self, tmp_path):
+        # Files written before the vectorized writer (benchmark inputs among them)
+        # keep their bytes: each value is written as float(np.float32(x)).
+        edges = [0.0, -0.0, 1e-45, 1.4e-45, 7e-46, 5e-324, 1e-40, 1.1754942e-38, 1.17549435e-38]
+        edges += [0.1, 1 / 3, 2.0**-149, 3.4028234e38, 3.4e38, 65504.0, 16777217.0]
+        values = np.concatenate([np.logspace(-45, np.log10(3.4e38), 10_000), edges])
+        values = np.concatenate([values, -values, [0.0] * (-2 * len(values) % 16)])
+        store = EmbeddingStore(16)
+        for i, vec in enumerate(values.reshape(-1, 16)):
+            store.add(f"t{i}", vec)
+        p = tmp_path / "emb.jsonl"
+        save_embeddings(store, p)
+        want = "".join(
+            json.dumps({"text": text, "embedding": [float(np.float32(x)) for x in vec]}) + "\n"
+            for text, vec in store.items()
+        )
+        assert p.read_text(encoding="utf-8") == want
+
 
 class TestProviders:
     def test_store_provider_hit(self):

@@ -11,7 +11,14 @@ from condcl.encoder import EmbeddingStore, HashingProvider, StoreProvider, load_
 from condcl.errors import CondclError, ConfigError, FormatError, TrainingDivergedError
 from condcl.evaluation import csts_predictions, spearman
 from condcl.hypernet import load_checkpoint
-from condcl.losses import CstsQuadruplet, KgTriple, LossConfig, grad_check, pair_twins
+from condcl.losses import (
+    CstsQuadruplet,
+    KgTriple,
+    LossConfig,
+    grad_check,
+    kgc_candidates,
+    pair_twins,
+)
 from condcl.trainer import (
     ADAM_CHUNK,
     Adam,
@@ -28,6 +35,7 @@ from condcl.trainer import (
     split_csts_holdout,
     train,
 )
+from condcl.trainer import _closure as trainer_closure
 
 
 def tiny_csts(n_pairs=6, nh=8, seed=0):
@@ -649,3 +657,40 @@ class TestBatchedTraining:
             assert all(s >= 0.0 for s in stage.values())
         loop_s = cfg.epochs * len(twins) / report.examples_per_s
         assert sum(sum(stage.values()) for stage in report.epoch_stage_s) <= loop_s
+
+    @pytest.mark.parametrize("prebatch_size", [0, 1])
+    def test_closure_keeps_the_pre_batch_window_of_training(self, prebatch_size, monkeypatch):
+        # The last of three KGC batches follows two earlier ones; given both as
+        # past batches, make_loss_closure keeps the last prebatch_size of them,
+        # as training does, and so gives training's loss for that batch.
+        nh = 8
+        triples = [KgTriple(f"h{i}", f"r{i % 2}", f"t{i}") for i in range(9)]
+        texts = sorted({x for tr in triples for x in (tr.h, tr.r, tr.t)})
+        provider = gaussian_provider(texts, nh, seed=3)
+        window = LossConfig(prebatch_size=prebatch_size)
+        cfg = TrainConfig(task="kgc", mode="full", nh=nh, epochs=1, batch_size=3, seed=2, loss=window)
+        batches, trained = [], []
+
+        def recording_candidates(batch, *args):
+            batches.append(list(batch))
+            return kgc_candidates(batch, *args)
+
+        def recording_closure(loss_of):
+            fn = trainer_closure(loss_of)
+
+            def recorded(arrays, components_out=None):
+                loss, grads = fn(arrays, components_out)
+                trained.append((loss, {k: v.copy() for k, v in arrays.items()}))
+                return loss, grads
+
+            return recorded
+
+        monkeypatch.setattr("condcl.trainer.kgc_candidates", recording_candidates)
+        monkeypatch.setattr("condcl.trainer._closure", recording_closure)
+        train(cfg, triples, provider)
+        monkeypatch.undo()
+        assert len(batches) == len(trained) == 3
+        past = [[(tr.t, provider.embed(tr.t)) for tr in batch] for batch in batches[:2]]
+        loss, arrays = trained[2]
+        got, _ = make_loss_closure(cfg, batches[2], provider, prebatch=past)(arrays)
+        assert got == pytest.approx(loss, rel=1e-12)
