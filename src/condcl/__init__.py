@@ -11,7 +11,7 @@ impurity, operator-norm variance).
 
 __version__ = "0.1.0"
 
-from .encoder import EmbeddingStore, HashingProvider, StoreProvider, hash_encode, load_embeddings
+from .encoder import EmbeddingStore, HashingProvider, StoreProvider, load_embeddings
 from .hypernet import (
     ConditionOperator,
     HyperNetParams,
@@ -30,7 +30,6 @@ __all__ = [
     "EmbeddingStore",
     "HashingProvider",
     "StoreProvider",
-    "hash_encode",
     "load_embeddings",
     "ConditionOperator",
     "HyperNetParams",

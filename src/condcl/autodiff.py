@@ -1,45 +1,39 @@
-"""Minimal reverse-mode automatic differentiation over numpy arrays.
+"""Minimal reverse-mode automatic differentiation over numpy arrays, for training.
 
 A Tensor wraps a float64 ndarray and remembers how it was produced; calling
 backward() on a scalar output accumulates vector-Jacobian products into the
-leaves that were created with requires_grad=True. The ops work on whole
-matrices, so one training batch is a graph of a few dozen nodes: broadcasting
-arithmetic, matrix products, a grouped product (row segment r times matrix r
-of a stack: a batch's rows through their conditions' generated operators),
-row normalisation, row-wise dot products, a masked log-sum-exp along the
-last axis, the mean, and row take (distinct rows).
+leaves of its graph. Only the generator and projection of a training batch
+are built from generic ops: broadcasting addition and matrix products (the
+linear layers ``H @ U.T + bias``), transpose and reshape, a grouped product
+(row segment r times matrix r of a stack: a batch's rows through their
+conditions' generated operators) and row take (distinct rows). Each batch
+loss is then one node with a closed-form vector-Jacobian product
+(``losses.csts_loss``, ``losses.kgc_loss``), made through ``node``.
 
-Gradients flow only through Tensors; plain ndarrays and floats are treated
-as constants.
+Gradients flow only through Tensors; plain ndarrays and floats are constants,
+and an op whose operands are all constants returns the plain ndarray, so
+inference never builds a Tensor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "Tensor", "constant", "leaf", "matmul", "grouped_matmul", "normalize_rows", "row_dot",
-    "logsumexp", "mean", "take_rows",
-]
+__all__ = ["Tensor", "leaf", "value", "node", "matmul", "grouped_matmul", "take_rows"]
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps")
+    __slots__ = ("data", "grad", "_parents", "_vjps")
 
     # Keep numpy from absorbing Tensor operands into object arrays; reflected
     # operators below handle ndarray-on-the-left expressions instead.
     __array_ufunc__ = None
 
-    def __init__(self, data, requires_grad: bool = False, parents=(), vjps=()):
+    def __init__(self, data, parents=(), vjps=()):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
         self.grad: np.ndarray | None = None
-        if self.requires_grad:
-            self._parents = tuple(parents)
-            self._vjps = tuple(vjps)
-        else:
-            self._parents = ()
-            self._vjps = ()
+        self._parents = tuple(parents)
+        self._vjps = tuple(vjps)
 
     @property
     def shape(self):
@@ -50,11 +44,8 @@ class Tensor:
 
     # -- graph construction ------------------------------------------------
 
-    # Arithmetic operators (__add__, __rsub__, __matmul__, ...) are attached
+    # The operators __add__, __radd__, __matmul__ and __rmatmul__ are attached
     # below the op functions they call.
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def reshape(self, shape) -> "Tensor":
         old_shape = self.data.shape
@@ -70,7 +61,7 @@ class Tensor:
     # -- backward pass -------------------------------------------------------
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into all requires_grad leaves."""
+        """Accumulate gradients of this scalar into every leaf of its graph."""
         if self.data.shape != ():
             raise ValueError("backward() requires a scalar output")
         order: list[Tensor] = []
@@ -86,38 +77,32 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+                if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones((), dtype=np.float64)
-        for node in reversed(order):
-            g = node.grad
-            if g is None:
-                continue
+        for node in reversed(order):  # every node is reached, and so has a gradient
             for parent, vjp in zip(node._parents, node._vjps):
-                if not parent.requires_grad:
-                    continue
-                contrib = vjp(g)
+                contrib = vjp(node.grad)
                 # Gradients are never updated in place, so contrib can be shared.
                 parent.grad = contrib if parent.grad is None else parent.grad + contrib
 
 
-def constant(x) -> Tensor:
-    return Tensor(x, requires_grad=False)
-
-
 def leaf(x) -> Tensor:
-    return Tensor(x, requires_grad=True)
+    return Tensor(x)
 
 
-def _data(x) -> np.ndarray:
+def value(x) -> np.ndarray:
+    """The array of a Tensor, or an array-like as a float64 ndarray."""
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def _node(data, *operands) -> Tensor:
-    """A Tensor over ``data`` with a parent per (operand, vjp) pair whose
-    operand is a Tensor; ndarray and float operands are constants and make
-    no node."""
+def node(data, *operands):
+    """``data`` as a Tensor with a parent per (operand, vjp) pair whose operand
+    is a Tensor; with no Tensor operand, ``data`` itself: ndarray and float
+    operands are constants and make no node."""
     live = [(x, vjp) for x, vjp in operands if isinstance(x, Tensor)]
+    if not live:
+        return data
     return Tensor(data, parents=[x for x, _ in live], vjps=[vjp for _, vjp in live])
 
 
@@ -130,44 +115,17 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
     return np.asarray(g.sum(axis=axes, keepdims=True) if axes else g, dtype=np.float64)
 
 
-def add(a, b) -> Tensor:
-    ad, bd = _data(a), _data(b)
-    return _node(
+def add(a, b) -> Tensor | np.ndarray:
+    ad, bd = value(a), value(b)
+    return node(
         ad + bd,
         (a, lambda g: _reduce_to(g, ad.shape)),
         (b, lambda g: _reduce_to(g, bd.shape)),
     )
 
 
-def sub(a, b) -> Tensor:
-    ad, bd = _data(a), _data(b)
-    return _node(
-        ad - bd,
-        (a, lambda g: _reduce_to(g, ad.shape)),
-        (b, lambda g: _reduce_to(-g, bd.shape)),
-    )
-
-
-def mul(a, b) -> Tensor:
-    ad, bd = _data(a), _data(b)
-    return _node(
-        ad * bd,
-        (a, lambda g: _reduce_to(g * bd, ad.shape)),
-        (b, lambda g: _reduce_to(g * ad, bd.shape)),
-    )
-
-
-def div(a, b) -> Tensor:
-    ad, bd = _data(a), _data(b)
-    return _node(
-        ad / bd,
-        (a, lambda g: _reduce_to(g / bd, ad.shape)),
-        (b, lambda g: _reduce_to(-g * ad / (bd * bd), bd.shape)),
-    )
-
-
-def matmul(a, b) -> Tensor:
-    ad, bd = _data(a), _data(b)
+def matmul(a, b) -> Tensor | np.ndarray:
+    ad, bd = value(a), value(b)
     if ad.ndim == 2 and bd.ndim == 1:
         vjp_a, vjp_b = (lambda g: np.outer(g, bd)), (lambda g: ad.T @ g)
     elif ad.ndim == 2 and bd.ndim == 2:
@@ -178,15 +136,15 @@ def matmul(a, b) -> Tensor:
         vjp_a, vjp_b = (lambda g: g * bd), (lambda g: g * ad)
     else:
         raise ValueError(f"unsupported matmul ranks: {ad.ndim} @ {bd.ndim}")
-    return _node(ad @ bd, (a, vjp_a), (b, vjp_b))
+    return node(ad @ bd, (a, vjp_a), (b, vjp_b))
 
 
-def grouped_matmul(x, W, bounds, transpose: bool = False) -> Tensor:
+def grouped_matmul(x, W, bounds, transpose: bool = False) -> Tensor | np.ndarray:
     """Rows bounds[r]:bounds[r+1] of x (B x n) times matrix r of the stack W:
     ``x[lo:hi] @ W[r]``, or ``x[lo:hi] @ W[r].T`` when ``transpose``. One
     product per nonempty segment forward and two backward (an empty segment's
     W gradient is zeros); no per-row copies of W."""
-    xd, Wd = _data(x), _data(W)
+    xd, Wd = value(x), value(W)
     if len(bounds) != Wd.shape[0] + 1 or bounds[0] != 0 or bounds[-1] != xd.shape[0]:
         raise ValueError("grouped_matmul: bounds do not split x into one segment per matrix")
     segs = [(r, lo, hi) for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
@@ -207,57 +165,12 @@ def grouped_matmul(x, W, bounds, transpose: bool = False) -> Tensor:
             gW[r] = g[lo:hi].T @ xd[lo:hi] if transpose else xd[lo:hi].T @ g[lo:hi]
         return gW
 
-    return _node(out, (x, grad_x), (W, grad_W))
+    return node(out, (x, grad_x), (W, grad_W))
 
 
-def normalize_rows(x) -> Tensor:
-    """Each row of a 2-D tensor divided by its Euclidean norm."""
-    xd = _data(x)
-    norms = np.sqrt(np.einsum("ij,ij->i", xd, xd))[:, None]
-    if np.any(norms == 0.0):
-        raise ValueError("normalize_rows: zero-norm input")
-    y = xd / norms
-    return _node(y, (x, lambda g: (g - y * np.einsum("ij,ij->i", g, y)[:, None]) / norms))
-
-
-def row_dot(a, b) -> Tensor:
-    """Dot product of matching rows of two equal-shape 2-D tensors: shape (B,)."""
-    ad, bd = _data(a), _data(b)
-    return _node(
-        np.einsum("ij,ij->i", ad, bd),
-        (a, lambda g: g[:, None] * bd),
-        (b, lambda g: g[:, None] * ad),
-    )
-
-
-def logsumexp(x, mask=None) -> Tensor:
-    """log(sum(exp(x))) along the last axis of a 2-D tensor, max-shifted.
-
-    ``mask`` (boolean, x's shape) keeps the entries that take part; a row
-    with no kept entry raises ValueError. Masked entries get zero gradient.
-    """
-    xd = _data(x)
-    if mask is None:
-        mask = np.ones(xd.shape, dtype=bool)
-    if not np.all(mask.any(axis=1)):
-        raise ValueError("logsumexp over a row with no entries")
-    kept = np.where(mask, xd, -np.inf)
-    m = kept.max(axis=1, keepdims=True)
-    e = np.exp(kept - m)
-    total = e.sum(axis=1, keepdims=True)
-    weights = e / total
-    return _node((m + np.log(total))[:, 0], (x, lambda g: g[:, None] * weights))
-
-
-def mean(x) -> Tensor:
-    """Mean of all entries: a scalar."""
-    xd = _data(x)
-    return _node(xd.mean(), (x, lambda g: np.full(xd.shape, g / xd.size)))
-
-
-def take_rows(x, idx) -> Tensor:
-    """Rows ``idx`` of a 2-D tensor, in that order; ``idx`` must not repeat a row."""
-    xd = _data(x)
+def take_rows(x, idx) -> Tensor | np.ndarray:
+    """Rows ``idx`` of a 2-D array, in that order; ``idx`` must not repeat a row."""
+    xd = value(x)
     idx = np.asarray(idx, dtype=np.intp)
     taken = np.zeros(xd.shape[0], dtype=bool)
     taken[idx] = True
@@ -269,9 +182,9 @@ def take_rows(x, idx) -> Tensor:
         out[idx] = g + 0.0  # + 0.0 turns -0.0 into 0.0, as adding into zeros does
         return out
 
-    return _node(xd[idx], (x, vjp))
+    return node(xd[idx], (x, vjp))
 
 
-for _name, _op in (("add", add), ("sub", sub), ("mul", mul), ("truediv", div), ("matmul", matmul)):
+for _name, _op in (("add", add), ("matmul", matmul)):
     setattr(Tensor, f"__{_name}__", lambda self, other, op=_op: op(self, other))
     setattr(Tensor, f"__r{_name}__", lambda self, other, op=_op: op(other, self))

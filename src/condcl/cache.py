@@ -180,7 +180,7 @@ def _compose(cache: TextKeyedCache, requests, operator, sentences, sink) -> Cach
         rows = {}
         for group in groups.values():
             stacked = np.stack([sentences[i] for i in group])
-            rows.update(zip(group, apply_stack(operator(group[0]), stacked, (0, len(group))).data))
+            rows.update(zip(group, apply_stack(operator(group[0]), stacked, (0, len(group)))))
         cache.stats.light_ops += len(block)
         if sink:
             for i in block:

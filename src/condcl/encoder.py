@@ -18,7 +18,6 @@ from .errors import DimensionMismatchError, FormatError, MissingEmbeddingError
 from .linalg import is_integer
 
 __all__ = [
-    "hash_encode",
     "text_lines",
     "EmbeddingStore",
     "load_embeddings",
@@ -29,11 +28,6 @@ __all__ = [
 
 
 HASH_BLOCK = 64  # rounds hashed per pass: bounds a provider's hashers and an embed's matrix
-
-
-def hash_encode(text: str, dim: int, seed: int) -> np.ndarray:
-    """Deterministic bag-of-words signed-hash embedding: HashingProvider's one-round case."""
-    return HashingProvider(dim, seed).embed(text)
 
 
 class EmbeddingStore:
@@ -76,10 +70,6 @@ class EmbeddingStore:
         v.flags.writeable = False
         self._entries[text] = v
 
-    def snapshot_bytes(self) -> bytes:
-        """Concatenated raw payload, usable to assert the store is unchanged."""
-        return b"".join(v.tobytes() for v in self._entries.values())
-
 
 def text_lines(path: Path) -> Iterator[tuple[int, str]]:
     """The 1-based numbered lines of a UTF-8 text file, split as text-mode
@@ -119,7 +109,8 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
             raise FormatError(f"{path}:{lineno}: expected string text and nonempty list embedding")
         if not set(map(type, emb)) <= {float}:
             raise FormatError(f"{path}:{lineno}: embedding values must be numbers")
-        vec = np.asarray(emb, dtype=np.float32).astype(np.float64)
+        with np.errstate(over="ignore"):  # beyond float32 range: inf, refused just below
+            vec = np.asarray(emb, dtype=np.float32).astype(np.float64)
         if not np.all(np.isfinite(vec)):
             raise FormatError(f"{path}:{lineno}: embedding holds non-finite values")
         if store is None:

@@ -92,10 +92,10 @@ class RankingResult:
 def _cosines(dots: np.ndarray, norms, other_norms) -> np.ndarray:
     """Cosines from dot products and norms; zero norms and non-finite values raise."""
     if not (np.all(norms) and np.all(other_norms)):
-        raise ValueError("cosine_similarity: zero-norm input")
+        raise ValueError("cosines: zero-norm input")
     out = dots / (norms * other_norms)
     if not np.all(np.isfinite(out)):
-        raise ValueError("cosine_similarity: non-finite input")
+        raise ValueError("cosines: non-finite input")
     return out
 
 
@@ -121,11 +121,11 @@ def _rank_queries(params, provider, candidates, queries) -> list[RankingResult]:
             query, gold, filter_set, direction = queries[i]
             anchor = as_vector(provider.embed(query[0]), "anchor")
             if direction == "tail":
-                base = apply_stack(op, anchor, (0, 1)).data[0]
+                base = apply_stack(op, anchor, (0, 1))[0]
                 scores = _cosines(E @ base, norms, np.linalg.norm(base))
             else:
                 if heads is None:
-                    P = apply_stack(op, E, (0, len(E))).data
+                    P = apply_stack(op, E, (0, len(E)))
                     heads = P, np.linalg.norm(P, axis=1)
                 scores = _cosines(heads[0] @ anchor, heads[1], np.linalg.norm(anchor))
             g = index[gold]
@@ -289,8 +289,8 @@ def csts_predictions(
     phi = np.empty(len(quads))
     for members, op in zip(groups.values(), generate_operators(params, H)):
         bounds = (0, len(members))
-        a = apply_stack(op, [provider.embed(quads[i].s1) for i in members], bounds).data
-        b = apply_stack(op, [provider.embed(quads[i].s2) for i in members], bounds).data
+        a = apply_stack(op, [provider.embed(quads[i].s1) for i in members], bounds)
+        b = apply_stack(op, [provider.embed(quads[i].s2) for i in members], bounds)
         dots = np.einsum("ij,ij->i", a, b)
         phi[members] = _cosines(dots, np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
     return [similarity_to_label(p) for p in phi], [q.y for q in quads]

@@ -14,6 +14,7 @@ each batch's conditions as one stack; inference takes one operator per
 condition from the validating ``generate_operators``, which generates in
 blocks of GENERATE_BLOCK rows that no caller sees. There is one way to apply
 a stack, ``apply_stack``: row segment r of a row matrix through operator r.
+Over ndarrays both give ndarrays; only training's Tensors build a graph.
 
 Checkpoint format: 8-byte magic ``HYPERCL1``, an 8-byte little-endian
 unsigned header length, a UTF-8 JSON header {mode, nh, nk, dropout_p,
@@ -54,7 +55,6 @@ __all__ = [
     "generate_operators",
     "param_count",
     "operator_frobenius_normalized",
-    "densify",
     "save_checkpoint",
     "load_checkpoint",
     "CHECKPOINT_MAGIC",
@@ -216,12 +216,12 @@ def generate_stack(mode: str, tensors, H) -> ConditionOperator:
     raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
 
 
-def apply_stack(op: ConditionOperator, h_s, bounds, mask=None) -> ad.Tensor:
+def apply_stack(op: ConditionOperator, h_s, bounds, mask=None) -> np.ndarray | ad.Tensor:
     """Rows bounds[r]:bounds[r+1] of h_s through operator r of a stacked operator.
 
     h_s is B x n rows, or one row as a 1-D vector; ``mask`` (B x 2n) scales
-    each row's concat input. Returns the B projected rows as a Tensor (a graph
-    node when the operator holds Tensors). Rows enter the operators here, so
+    each row's concat input. Returns the B projected rows: an ndarray, or a
+    graph node when the operator holds Tensors. Rows enter the operators here, so
     they are checked here: finite, n wide, and cut by ``bounds`` into one
     segment (possibly empty) per operator."""
     rows = np.atleast_2d(as_vector(h_s, "h_s", ndims=(1, 2)))
@@ -237,10 +237,10 @@ def apply_stack(op: ConditionOperator, h_s, bounds, mask=None) -> ad.Tensor:
         inner = ad.grouped_matmul(rows, op.arrays["W2"], bounds)
         return ad.grouped_matmul(inner, op.arrays["W1"], bounds, transpose=True)
     seg = np.repeat(np.arange(size), steps)
-    if op.mode == "hadamard":
-        return ad.mul(op.arrays["d"][seg], rows)
+    if op.mode == "hadamard":  # d is the condition embeddings, an ndarray
+        return op.arrays["d"][seg] * rows
     x = np.concatenate([op.arrays["h_c"][seg], rows], axis=1)
-    return ad.matmul(x if mask is None else x * mask, op.Wcat.T)
+    return (x if mask is None else x * mask) @ op.Wcat.T
 
 
 def generate_operators(params: HyperNetParams, H) -> Iterator[ConditionOperator]:
@@ -276,19 +276,6 @@ def dropout_mask(rng: np.random.Generator, size, p: float) -> np.ndarray:
 def param_count(params: HyperNetParams) -> int:
     """Exact number of learnable scalars."""
     return sum(t.size for t in params.tensors.values())
-
-
-def densify(op: ConditionOperator) -> np.ndarray:
-    """Materialize each operator of the stack as a dense matrix: R x nh x nh
-    (diagnostics/tests only)."""
-    if op.mode == "full":
-        return np.array(op.arrays["W"])
-    if op.mode == "lowrank":
-        return op.arrays["W1"] @ op.arrays["W2"].transpose(0, 2, 1)
-    if op.mode == "hadamard":
-        d = op.arrays["d"]
-        return d[:, :, None] * np.eye(d.shape[1])
-    raise ValueError(f"a {op.mode} operator is not a square matrix over h_s")
 
 
 def operator_frobenius_normalized(op: ConditionOperator) -> np.ndarray:

@@ -11,10 +11,12 @@ cosines phi of shape (B, 2), the link-prediction loss over the score matrix
 of the row-normalised projected heads against one candidate matrix (the
 batch's tails, its heads as self-negatives and the pre-batch tails), with a
 boolean mask built once per batch from the texts' row ids
-(``kgc_candidates``). Every loss is evaluated through the autodiff graph,
-over ndarrays or Tensors, so a loss value and the gradients used in training
-share one formula; one instance is the B=1 case. The gradient checker
-compares those analytic gradients against central finite differences.
+(``kgc_candidates``). Each loss is one autodiff node: its forward arrays are
+computed once in numpy, and its vector-Jacobian product is a closed form
+built from them, so a loss value and the gradients used in training share one
+evaluation. Over plain ndarrays a loss is a plain value; one instance is the
+B=1 case. The gradient checker compares those analytic gradients against
+central finite differences.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "rescale_label",
     "similarity_to_label",
     "pair_twins",
-    "row_cosines",
     "csts_loss",
     "kgc_loss",
     "kgc_candidates",
@@ -142,26 +143,58 @@ def pair_twins(quads: Sequence[CstsQuadruplet]) -> list[TwinPair]:
     return out
 
 
-# -- loss terms over the autodiff graph ----------------------------------------
+# -- the batch losses, one autodiff node each -------------------------------------
+
+HIGH_TWIN = np.array([1.0, 0.0])  # selects the high twin's column of a (B, 2) array
 
 
-def row_cosines(a, b):
-    """Cosine of each row of ``a`` with the matching row of ``b``: shape (B,)."""
-    return ad.row_dot(ad.normalize_rows(a), ad.normalize_rows(b))
+def _unit_rows(x: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of a 2-D array over its Euclidean norm, and the (rows, 1) norms."""
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+    if np.any(norms == 0.0):
+        raise ValueError(f"{name}: zero-norm input")
+    return x / norms, norms
 
 
-def csts_loss(left, right, y01: np.ndarray, tau):
+def _logsumexp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's max-shifted log-sum-exp, and its softmax; -inf entries take no part."""
+    m = x.max(axis=1, keepdims=True)
+    e = np.exp(x - m)
+    total = e.sum(axis=1, keepdims=True)
+    return (m + np.log(total))[:, 0], e / total
+
+
+def csts_loss(left, right, y01: np.ndarray, tau: float):
     """Mean twin loss of B instances, plus its per-instance mse and cl terms.
 
     Rows 2i and 2i+1 of ``left`` and ``right`` are the two projected sides of
-    instance i's high and low twin; ``y01`` (B, 2) holds the rescaled labels.
+    instance i's high and low twin, and phi_i (2,) the cosines of those row
+    pairs; ``y01`` (B, 2) holds the rescaled labels. Instance i scores
+    mse_i = sum_j (phi_ij - y01_ij)^2 plus cl_i = logsumexp(phi_i / tau) -
+    phi_i0 / tau (-log softmax of the high twin). The mean is one autodiff
+    node over ``left`` and ``right`` (a plain value when neither is a
+    Tensor); mse and cl are (B,) ndarrays.
     """
-    phi = row_cosines(left, right).reshape(y01.shape)
+    l_hat, l_norms = _unit_rows(ad.value(left), "csts_loss")
+    r_hat, r_norms = _unit_rows(ad.value(right), "csts_loss")
+    cos = np.einsum("ij,ij->i", l_hat, r_hat)
+    phi = cos.reshape(y01.shape)
     d = phi - y01
     mse = (d * d) @ np.ones(2)
     s = phi / tau
-    cl = ad.logsumexp(s) - s @ np.array([1.0, 0.0])  # -log softmax of the high twin
-    return ad.mean(mse + cl), mse, cl
+    lse, softmax = _logsumexp(s)
+    cl = lse - s @ HIGH_TWIN
+    d_cos = ((2.0 * d + (softmax - HIGH_TWIN) / tau) / len(d)).reshape(-1, 1)  # d mean / d phi
+
+    def vjp(own_hat, other_hat, norms):  # d cos_k / d row k = (other_hat - cos_k own_hat) / |row k|
+        return lambda g: g * d_cos * (other_hat - cos[:, None] * own_hat) / norms
+
+    loss = ad.node(
+        (mse + cl).mean(),
+        (left, vjp(l_hat, r_hat, l_norms)),
+        (right, vjp(r_hat, l_hat, r_norms)),
+    )
+    return loss, mse, cl
 
 
 def kgc_loss(q, cands: np.ndarray, mask: np.ndarray | None, gamma: float, tau):
@@ -169,14 +202,30 @@ def kgc_loss(q, cands: np.ndarray, mask: np.ndarray | None, gamma: float, tau):
 
     The first B rows of ``cands`` are the heads' gold tails, so entry (i, i)
     is row i's positive and carries the -gamma margin; ``mask`` (B, C) keeps
-    each row's positive and negatives (None keeps every entry).
+    each row's positive and negatives (None keeps every entry). With logits
+    z_ij = (cos(q_i, cands_j) - gamma [i == j]) / tau, row i scores the
+    logsumexp of its kept z_ij minus z_ii. The mean is one autodiff node over
+    ``q`` and ``tau`` (a plain value when neither is a Tensor).
     """
-    q_hat = ad.normalize_rows(q)
-    c_hat = ad.normalize_rows(cands).data
+    q_hat, q_norms = _unit_rows(ad.value(q), "kgc_loss")
+    c_hat, _ = _unit_rows(ad.value(cands), "kgc_loss")
+    t = ad.value(tau)
     n = q_hat.shape[0]
-    logits = (q_hat @ c_hat.T - gamma * np.eye(n, c_hat.shape[0])) / tau
-    pos = (ad.row_dot(q_hat, c_hat[:n]) - gamma) / tau
-    return ad.mean(ad.logsumexp(logits, mask) - pos)
+    logits = (q_hat @ c_hat.T - gamma * np.eye(n, c_hat.shape[0])) / t
+    pos = (np.einsum("ij,ij->i", q_hat, c_hat[:n]) - gamma) / t
+    if mask is not None and not mask.any(axis=1).all():
+        raise ValueError("kgc_loss: a row keeps no candidate")
+    lse, softmax = _logsumexp(logits if mask is None else np.where(mask, logits, -np.inf))
+    w = softmax / n  # d mean / d logits; a masked entry's is 0, and d mean / d pos is -1/n
+
+    def grad_q(g):
+        d_hat = g * (w @ c_hat - c_hat[:n] / n) / t
+        return (d_hat - q_hat * np.einsum("ij,ij->i", d_hat, q_hat)[:, None]) / q_norms
+
+    def grad_tau(g):  # logits and pos are both over tau: d / d tau = -(.) / tau
+        return np.asarray(g * (pos.sum() / n - np.einsum("ij,ij->", w, logits)) / t)
+
+    return ad.node((lse - pos).mean(), (q, grad_q), (tau, grad_tau))
 
 
 def kgc_candidates(triples: Sequence[KgTriple], ids: np.ndarray, cfg: LossConfig, past=()):

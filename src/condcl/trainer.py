@@ -9,8 +9,10 @@ A batch is one matrix graph, built by one function, ``_batch_closure``, for
 both ``fit`` and ``make_loss_closure``: its rows are grouped by condition, one
 ``generate_stack`` (the formula inference uses) makes the operators of its
 conditions, ``apply_stack`` projects each group through its operator, and
-``losses.csts_loss`` or ``losses.kgc_loss`` scores the (B, nh) projections,
-with one backward pass and one ``Adam.step`` (over cache-sized chunks) per batch.
+``losses.csts_loss`` or ``losses.kgc_loss`` scores the (B, nh) projections as
+one node, with one backward pass and one ``Adam.step`` (over cache-sized
+chunks) per batch. Only the learnable arrays are graph leaves, so a loss that
+reads none (hadamard similarity) is a plain value and runs no backward pass.
 The pre-batch window of a link-prediction batch is the tails of the last
 ``loss.prebatch_size`` batches of the epoch (none when it is 0).
 
@@ -240,12 +242,14 @@ LossClosure = Callable[..., tuple[float, dict[str, np.ndarray]]]
 
 
 def _closure(loss_of) -> LossClosure:
-    """The loss-and-gradient closure of ``loss_of(leaves) -> (loss, components)``."""
+    """The loss-and-gradient closure of ``loss_of(leaves) -> (loss, components)``;
+    a learnable array the loss does not read gets a zero gradient."""
 
     def fn(arrays, components_out=None):
         leaves = {k: ad.leaf(v) for k, v in arrays.items()}
         total, components = loss_of(leaves)
-        total.backward()
+        if isinstance(total, ad.Tensor):  # a loss that reads no leaf (hadamard csts) is a value
+            total.backward()
         if components_out is not None:
             components_out.update(components)
         grads = {k: leaves[k].grad for k in arrays}
@@ -293,7 +297,7 @@ def _batch_closure(cfg: TrainConfig, batch, ids, E, past=(), rng=None) -> LossCl
             rows = projected(leaves)
             left, right = (ad.take_rows(rows, where[k::2]) for k in (0, 1))
             total, mse, cl = csts_loss(left, right, y01, cfg.loss.tau_csts)
-            return total, {"mse": float(mse.data.mean()), "cl": float(cl.data.mean())}
+            return total, {"mse": float(mse.mean()), "cl": float(cl.mean())}
 
     else:
         past = np.concatenate([np.empty(0, dtype=np.intp), *past])

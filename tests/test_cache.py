@@ -387,7 +387,7 @@ class TestRunArchitecture:
                     continue
                 group = [j for j, (_, cj) in enumerate(requests) if cj == c]
                 stacked = np.stack([provider.embed(requests[j][0]) for j in group])
-                want = apply_stack(ops[i], stacked, (0, len(group))).data[group.index(i)]
+                want = apply_stack(ops[i], stacked, (0, len(group)))[group.index(i)]
                 assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("arch, mode", [("hyper", "full"), ("hyper", "lowrank"), ("tri", None)])

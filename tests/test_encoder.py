@@ -17,11 +17,16 @@ from condcl.encoder import (
     EmbeddingStore,
     HashingProvider,
     StoreProvider,
-    hash_encode,
     load_embeddings,
     save_embeddings,
 )
 from condcl.errors import FormatError, MissingEmbeddingError
+
+
+def hash_encode(text: str, dim: int, seed: int) -> np.ndarray:
+    """HashingProvider's one-round embedding of ``text``."""
+    return HashingProvider(dim, seed).embed(text)
+
 
 # -- frozen reference: the per-token, per-round hashing encoder, kept as it was ----------
 
@@ -224,6 +229,7 @@ class TestJsonlRoundTrip:
         with pytest.raises(FormatError, match=":2:"):
             load_embeddings(p)
 
+    @pytest.mark.filterwarnings("error")  # the typed error alone: no overflow warning first
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e39"])
     def test_non_finite_value_reports_lineno(self, tmp_path, value):
         p = tmp_path / "emb.jsonl"

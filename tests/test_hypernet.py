@@ -23,7 +23,6 @@ from condcl.hypernet import (
     HyperNetParams,
     apply_stack,
     default_nk,
-    densify,
     diagonal_operator,
     dropout_mask,
     generate_operators,
@@ -37,6 +36,18 @@ from condcl.hypernet import (
 from condcl.trainer import TrainConfig
 
 rng = np.random.default_rng(0)
+
+
+def densify(op: ConditionOperator) -> np.ndarray:
+    """Each operator of a full, lowrank or hadamard stack as a dense R x nh x nh matrix."""
+    if op.mode == "full":
+        return np.array(op.arrays["W"])
+    if op.mode == "lowrank":
+        return op.arrays["W1"] @ op.arrays["W2"].transpose(0, 2, 1)
+    if op.mode == "hadamard":
+        d = op.arrays["d"]
+        return d[:, :, None] * np.eye(d.shape[1])
+    raise ValueError(f"a {op.mode} operator is not a square matrix over h_s")
 
 
 def unit(v):
@@ -182,7 +193,7 @@ class TestProject:
     def test_identity_dense(self):
         op = ConditionOperator("full", {"W": np.eye(4)[None]})
         h = rng.normal(size=4)
-        assert np.array_equal(apply_stack(op, h, (0, 1)).data, h[None])
+        assert np.array_equal(apply_stack(op, h, (0, 1)), h[None])
 
     @pytest.mark.parametrize("mode", MODES)
     def test_each_segment_goes_through_its_condition(self, mode):
@@ -192,10 +203,21 @@ class TestProject:
         H, h_s = r.normal(size=(3, nh)), r.normal(size=(5, nh))
         bounds = [0, 2, 2, 5]  # condition 1 gets no rows
         op = generate_stack(p.mode, p.tensors, H)
-        out = apply_stack(op, h_s, bounds).data
+        out = apply_stack(op, h_s, bounds)
         which = [0, 0, 2, 2, 2]
         for row, h, c in zip(out, h_s, which):
             np.testing.assert_allclose(row, mode_formula(p, H[c], h), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ndarray_operators_give_ndarrays(self, mode):
+        # inference builds no autodiff Tensor: operators and projected rows are ndarrays
+        p = init_params(mode, 6, 2 if mode == "lowrank" else None, seed=1)
+        H, h_s = rng.normal(size=(2, 6)), rng.normal(size=(3, 6))
+        op = generate_stack(mode, p.tensors, H)
+        assert all(type(a) is np.ndarray for a in op.arrays.values())
+        assert type(apply_stack(op, h_s, [0, 1, 3])) is np.ndarray
+        for one in generate_operators(p, H):
+            assert type(apply_stack(one, h_s, (0, 3))) is np.ndarray
 
     def test_factored_equals_densified(self):
         for seed in range(10):
@@ -204,7 +226,7 @@ class TestProject:
             h_c = unit(r.normal(size=12))
             h_s = unit(r.normal(size=12))
             (op,) = generate_operators(p, h_c[None])
-            got = apply_stack(op, h_s, (0, 1)).data[0]
+            got = apply_stack(op, h_s, (0, 1))[0]
             assert got == pytest.approx(mode_formula(p, h_c, h_s), abs=1e-10)
             assert got == pytest.approx(densify(op)[0] @ h_s, abs=1e-10)
 
@@ -212,8 +234,8 @@ class TestProject:
         h_c = rng.normal(size=7)
         h_s = rng.normal(size=7)
         (generated,) = generate_operators(init_params("hadamard", 7), h_c[None])
-        by_hand = apply_stack(diagonal_operator(h_c[None]), h_s, (0, 1)).data
-        assert np.array_equal(by_hand, apply_stack(generated, h_s, (0, 1)).data)
+        by_hand = apply_stack(diagonal_operator(h_c[None]), h_s, (0, 1))
+        assert np.array_equal(by_hand, apply_stack(generated, h_s, (0, 1)))
         assert np.array_equal(by_hand[0], h_c * h_s)
 
     def test_factored_never_densifies(self):
@@ -258,7 +280,7 @@ class TestProject:
 
 def compose(params, h_c, h_s):
     (op,) = generate_operators(params, np.asarray(h_c)[None])
-    return apply_stack(op, h_s, (0, 1)).data[0]
+    return apply_stack(op, h_s, (0, 1))[0]
 
 
 class TestComposers:
@@ -281,7 +303,7 @@ class TestComposers:
         H, h_s = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
         mask = dropout_mask(np.random.default_rng(0), (1, 8), p.dropout_p)
         op = generate_stack("concat", p.tensors, H)
-        out = apply_stack(op, h_s, [0, 1], mask).data
+        out = apply_stack(op, h_s, [0, 1], mask)
         assert np.array_equal(out[0], compose(p, H[0], h_s[0]))
 
     def test_concat_block_structure(self):
@@ -313,11 +335,11 @@ class TestComposers:
         leaves = {k: ad.leaf(v) for k, v in p.tensors.items()}
         out = apply_stack(generate_stack(mode, leaves, H), h_s, bounds)
         groups = zip(generate_operators(p, H), bounds, bounds[1:])
-        inferred = [apply_stack(op, h_s[lo:hi], (0, hi - lo)).data for op, lo, hi in groups]
+        inferred = [apply_stack(op, h_s[lo:hi], (0, hi - lo)) for op, lo, hi in groups]
         if mode == "concat":
             np.testing.assert_allclose(out.data, np.concatenate(inferred), rtol=0, atol=1e-12)
-        else:
-            assert np.array_equal(out.data, np.concatenate(inferred))
+        else:  # hadamard has no learnable tensor: no leaf, so no graph
+            assert np.array_equal(ad.value(out), np.concatenate(inferred))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_stacked_generator_is_the_inference_formula(self, mode):
@@ -364,10 +386,10 @@ class TestBatched:
         r = np.random.default_rng(12)
         (op,) = generate_operators(p, r.normal(size=(1, nh)))
         M = r.normal(size=(5, nh))
-        out = apply_stack(op, M, (0, 5)).data
+        out = apply_stack(op, M, (0, 5))
         assert out.shape == (5, nh)
         for row, h_s in zip(out, M):
-            one = apply_stack(op, h_s, (0, 1)).data[0]
+            one = apply_stack(op, h_s, (0, 1))[0]
             np.testing.assert_allclose(row, one, rtol=0, atol=1e-12)
 
     def test_generate_operators_validates_the_stack(self):

@@ -15,7 +15,7 @@ from condcl.linalg import is_finite_real, variance
 
 def matvec(m, v):
     op = ConditionOperator("full", {"W": np.asarray(m, dtype=np.float64)[None]})
-    return apply_stack(op, v, (0, 1)).data[0]
+    return apply_stack(op, v, (0, 1))[0]
 
 
 class TestMatvec:

@@ -17,7 +17,6 @@ from condcl.losses import (
     kgc_loss,
     pair_twins,
     rescale_label,
-    row_cosines,
 )
 from condcl import trainer
 
@@ -53,19 +52,19 @@ class TestCstsCl:
         w = unit(rng.normal(size=8))
         # identical twin pairs: phi_hi == phi_lo
         _, _, cl = csts_loss(*twin_rows(v, w, v, w), NO_LABELS, tau=1.5)
-        assert cl.data[0] == pytest.approx(LN2, abs=1e-9)
+        assert cl[0] == pytest.approx(LN2, abs=1e-9)
 
     def test_closed_form_extremes(self):
         v = unit(rng.normal(size=8))
         # phi_hi = 1 (same vector), phi_lo = -1 (antipodal), tau = 1
         _, _, cl = csts_loss(*twin_rows(v, v, v, -v), NO_LABELS, tau=1.0)
-        assert cl.data[0] == pytest.approx(np.log(1 + np.exp(-2.0)), abs=1e-9)
+        assert cl[0] == pytest.approx(np.log(1 + np.exp(-2.0)), abs=1e-9)
 
     def test_monotone_in_tau_toward_ln2(self):
         v = unit(rng.normal(size=8))
         a, b = orthogonal_pair(8, 3)
         taus = [0.5, 1.0, 1.5, 2.0, 4.0, 8.0]
-        vals = [csts_loss(*twin_rows(v, v, a, b), NO_LABELS, t)[2].data[0] for t in taus]
+        vals = [csts_loss(*twin_rows(v, v, a, b), NO_LABELS, t)[2][0] for t in taus]
         # phi_hi=1 > phi_lo=0: loss rises with tau and approaches ln 2
         assert all(x < y for x, y in zip(vals, vals[1:]))
         assert all(v_ < LN2 for v_ in vals)
@@ -73,16 +72,26 @@ class TestCstsCl:
 
     def test_scale_invariance_of_inputs(self):
         h = [unit(rng.normal(size=6)) for _ in range(4)]
-        base = csts_loss(*twin_rows(*h), NO_LABELS, tau=1.5)[2].data[0]
+        base = csts_loss(*twin_rows(*h), NO_LABELS, tau=1.5)[2][0]
         scaled_rows = twin_rows(3.7 * h[0], h[1], h[2], 0.2 * h[3])
-        scaled = csts_loss(*scaled_rows, NO_LABELS, tau=1.5)[2].data[0]
+        scaled = csts_loss(*scaled_rows, NO_LABELS, tau=1.5)[2][0]
         assert scaled == pytest.approx(base, abs=1e-12)
+
+    def test_finite_for_a_small_tau(self):
+        v = unit(rng.normal(size=8))
+        a, b = orthogonal_pair(8, 3)
+        left, right = (ad.leaf(x) for x in twin_rows(v, v, a, b))
+        total, _, cl = csts_loss(left, right, NO_LABELS, tau=1e-3)
+        total.backward()
+        assert cl[0] == pytest.approx(0.0, abs=1e-12)  # phi_hi - phi_lo = 1, scaled by 1000
+        assert np.isfinite(total.item())
+        assert np.isfinite(left.grad).all() and np.isfinite(right.grad).all()
 
     def test_positive(self):
         for seed in range(20):
             r = np.random.default_rng(seed)
             h = [unit(r.normal(size=5)) for _ in range(4)]
-            val = csts_loss(*twin_rows(*h), NO_LABELS, tau=1.5)[2].data[0]
+            val = csts_loss(*twin_rows(*h), NO_LABELS, tau=1.5)[2][0]
             assert 0.0 < val < LN2 + 2.0 / 1.5
 
 
@@ -92,28 +101,35 @@ class TestCstsMse:
     def test_zero_at_target(self):
         a, b = orthogonal_pair(6, 1)
         _, mse, _ = csts_loss(*twin_rows(a, b, a, b), np.zeros((1, 2)), tau=1.5)
-        assert mse.data[0] == pytest.approx(0.0, abs=1e-12)
+        assert mse[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_gap(self):
         v = unit(rng.normal(size=6))
         a, b = orthogonal_pair(6, 1)
         # the high twin's cosine is 1 against a target of 0; the low twin's is on target
         _, mse, _ = csts_loss(*twin_rows(v, v, a, b), np.zeros((1, 2)), tau=1.5)
-        assert mse.data[0] == pytest.approx(1.0, abs=1e-12)
+        assert mse[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
-        a0 = rng.normal(size=6)
-        b0 = rng.normal(size=6)
+        left0, right0 = rng.normal(size=(2, 6)), rng.normal(size=(2, 6))
+        y01 = np.array([[0.3, 0.1]])
 
         def fn(arrays):
-            at = ad.leaf(arrays["a"])
-            d = row_cosines(at.reshape((1, 6)), b0[None]) - 0.3
-            out = ad.mean(d * d)
+            left, right = ad.leaf(arrays["left"]), ad.leaf(arrays["right"])
+            out, _, _ = csts_loss(left, right, y01, tau=1.5)
             out.backward()
-            return out.item(), {"a": at.grad}
+            return out.item(), {"left": left.grad, "right": right.grad}
 
-        report = grad_check(fn, {"a": a0}, epsilon=1e-6)
+        report = grad_check(fn, {"left": left0, "right": right0}, epsilon=1e-6)
         assert report.max_rel_err < 1e-5
+
+    def test_zero_norm_row_raises(self):
+        rows = np.ones((2, 4))
+        zero = np.ones((2, 4))
+        zero[1] = 0.0
+        for left, right in ((zero, rows), (rows, zero)):
+            with pytest.raises(ValueError, match="zero-norm"):
+                csts_loss(left, right, NO_LABELS, tau=1.5)
 
 
 class TestCstsTotal:
@@ -147,6 +163,7 @@ class TestCstsTotal:
             items.append((v, w, v, w, y_native, y_native))
             assert rescale_label(y_native) == pytest.approx(phi, abs=1e-12)
         total, _, _ = csts_loss(*self._batch(items), LossConfig().tau_csts)
+        assert not isinstance(total, ad.Tensor)  # over ndarrays the loss is a plain value
         assert total.item() == pytest.approx(LN2, abs=1e-9)
 
     def test_duplication_keeps_mean(self):
@@ -216,6 +233,20 @@ class TestKgcLoss:
         v = unit(rng.normal(size=8))
         val = kgc_loss(v[None], np.stack([v, -v]), None, 0.02, 1e-3).item()
         assert np.isfinite(val)
+
+    def test_zero_norm_row_raises(self):
+        rows = np.ones((2, 4))
+        zero = np.ones((2, 4))
+        zero[1] = 0.0
+        for q, cands in ((zero, rows), (rows, zero)):
+            with pytest.raises(ValueError, match="zero-norm"):
+                kgc_loss(q, cands, None, 0.02, 0.5)
+
+    def test_a_row_keeping_no_candidate_raises(self):
+        q, cands = rng.normal(size=(2, 4)), rng.normal(size=(3, 4))
+        mask = np.array([[True, False, True], [False, False, False]])
+        with pytest.raises(ValueError, match="keeps no candidate"):
+            kgc_loss(q, cands, mask, 0.02, 0.5)
 
 
 class TestLossConfig:
@@ -383,6 +414,55 @@ class TestBatchedKgcEqualsReference:
         assert float(tau_leaf.grad) == pytest.approx(want[2], rel=1e-9, abs=1e-11)
 
 
+def reference_csts(left, right, y01, tau):
+    """Per-instance twin loss in plain numpy: (loss, d loss / d left, d loss / d right)."""
+    n = len(y01)
+    loss, grad_left, grad_right = 0.0, np.zeros_like(left), np.zeros_like(right)
+    for i in range(n):
+        rows = (2 * i, 2 * i + 1)  # the high twin's row, then the low twin's
+        norms = [(np.linalg.norm(left[k]), np.linalg.norm(right[k])) for k in rows]
+        phi = np.array([left[k] @ right[k] / (nl * nr) for k, (nl, nr) in zip(rows, norms)])
+        z = phi / tau
+        p = np.exp(z - z.max())
+        lse = z.max() + np.log(p.sum())
+        p /= p.sum()
+        loss += (np.sum((phi - y01[i]) ** 2) + lse - z[0]) / n
+        dphi = (2.0 * (phi - y01[i]) + (p - np.array([1.0, 0.0])) / tau) / n
+        for j, (k, (nl, nr)) in enumerate(zip(rows, norms)):
+            grad_left[k] = dphi[j] * (right[k] / (nl * nr) - phi[j] * left[k] / nl**2)
+            grad_right[k] = dphi[j] * (left[k] / (nl * nr) - phi[j] * right[k] / nr**2)
+    return loss, grad_left, grad_right
+
+
+class TestBatchedCstsEqualsReference:
+    """The twin loss node equals a per-instance reference, gradients included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        tied=st.integers(0, 4),
+        scale=st.floats(1e-3, 1e3),
+        tau=st.floats(0.05, 4.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_loss_and_gradients(self, n, tied, scale, tau, seed):
+        nh = 5
+        r = np.random.default_rng(seed)
+        left, right = r.normal(size=(2 * n, nh)), r.normal(size=(2 * n, nh))
+        i = tied % n
+        left[2 * i + 1], right[2 * i + 1] = left[2 * i], right[2 * i]  # a tied twin pair
+        left[-1] *= scale  # a scaled row: its cosine is unchanged, its gradient scaled by 1/scale
+        y01 = r.uniform(0.0, 1.0, size=(n, 2))
+        want = reference_csts(left, right, y01, tau)
+        left_leaf, right_leaf = ad.leaf(left), ad.leaf(right)
+        out, mse, cl = csts_loss(left_leaf, right_leaf, y01, tau)
+        out.backward()
+        assert out.item() == pytest.approx(want[0], rel=1e-12, abs=1e-12)
+        assert float(np.mean(mse + cl)) == out.item()
+        np.testing.assert_allclose(left_leaf.grad, want[1], rtol=1e-9, atol=1e-11)
+        np.testing.assert_allclose(right_leaf.grad, want[2], rtol=1e-9, atol=1e-11)
+
+
 class TestPairTwins:
     def test_pairs_by_id_and_orders_by_label(self):
         quads = [
@@ -421,7 +501,7 @@ class TestGradCheck:
         def fn(arrays):
             w = ad.leaf(arrays["w"])
             tau = ad.leaf(arrays["tau"])
-            hhr = ad.matmul(w, ad.constant(b0)).reshape((1, nh))
+            hhr = ad.matmul(w, b0).reshape((1, nh))
             cands = np.stack([np.roll(b0, 1), np.roll(b0, 2)])
             out = kgc_loss(hhr, cands, None, 0.02, tau)
             out.backward()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from condcl import autodiff as ad
 from condcl.encoder import EmbeddingStore, HashingProvider, StoreProvider, load_embeddings
 from condcl.errors import CondclError, ConfigError, FormatError, TrainingDivergedError
 from condcl.evaluation import csts_predictions, spearman
@@ -40,6 +41,11 @@ from condcl.trainer import _closure as trainer_closure
 
 def tiny_csts(n_pairs=6, nh=8, seed=0):
     return make_synthetic_csts(n_pairs, 2, nh, seed)
+
+
+def snapshot_bytes(store: EmbeddingStore) -> bytes:
+    """A store's vectors as one byte string, to check that nothing changes them."""
+    return b"".join(v.tobytes() for _, v in store.items())
 
 
 class TestTrainConfig:
@@ -243,10 +249,10 @@ class TestTrainBasics:
     def test_frozen_encoder_invariant(self):
         quads, store = tiny_csts()
         provider = StoreProvider(store)
-        before = store.snapshot_bytes()
+        before = snapshot_bytes(store)
         cfg = TrainConfig(task="csts", mode="full", nh=8, epochs=2, batch_size=4, seed=2)
         train(cfg, quads, provider)
-        assert store.snapshot_bytes() == before
+        assert snapshot_bytes(store) == before
 
     def test_single_batch_step_reduces_loss_for_95_of_100_seeds(self):
         quads, store = tiny_csts(n_pairs=4, nh=8, seed=3)
@@ -544,7 +550,50 @@ def probe_batches(nh, zero=None):
     return provider, twins, triples, prebatch
 
 
+# Tensors one closure call builds at nh=64 and 32 instances: the leaves, the
+# generator's linear layers, the grouped projection, the row takes and one loss node.
+TENSORS_PER_CALL = {
+    ("csts", "full"): 10,
+    ("csts", "lowrank"): 17,
+    ("csts", "hadamard"): 0,  # no leaf: the loss is a plain value
+    ("csts", "concat"): 6,
+    ("kgc", "full"): 10,
+    ("kgc", "lowrank"): 17,
+    ("kgc", "hadamard"): 2,  # the tau_kgc leaf and the loss node
+    ("kgc", "concat"): 6,
+}
+
+
 class TestBatchedTraining:
+    @pytest.mark.parametrize("task,mode", sorted(TENSORS_PER_CALL))
+    def test_tensors_per_closure_call(self, task, mode, monkeypatch):
+        nh, n = 64, 32
+        twins = pair_twins(
+            [
+                CstsQuadruplet(f"s{i}a", f"s{i}b", f"c{(i + k) % 5}", 4.0 - 2.0 * k, i)
+                for i in range(n)
+                for k in (0, 1)
+            ]
+        )
+        triples = [KgTriple(f"e{i}", f"r{i % 4}", f"t{i}") for i in range(n)]
+        texts = {t for tp in twins for t in (tp.high.s1, tp.high.s2, tp.high.c, tp.low.c)}
+        texts |= {t for tr in triples for t in (tr.h, tr.r, tr.t)}
+        provider = gaussian_provider(sorted(texts), nh, seed=2)
+        cfg = TrainConfig(task=task, mode=mode, nh=nh, seed=1, batch_size=n)
+        prebatch = [[("t0", provider.embed("t0"))]] if task == "kgc" else None
+        closure = make_loss_closure(cfg, twins if task == "csts" else triples, provider, prebatch)
+        _, arrays = initial_arrays(cfg)
+        made, init = [], ad.Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+        loss, grads = closure(arrays)
+        assert len(made) == TENSORS_PER_CALL[task, mode]
+        assert np.isfinite(loss) and set(grads) == set(arrays)
+
     @pytest.mark.parametrize("task", ["csts", "kgc"])
     def test_generator_gradient_takes_no_per_condition_outer_products(self, task, monkeypatch):
         # One product G.T @ H per generator tensor and batch, not an (nh^2, nh)
