@@ -2,13 +2,13 @@
 
 A Tensor wraps a float64 ndarray and remembers how it was produced; calling
 backward() on a scalar output accumulates vector-Jacobian products into the
-leaves of its graph. Only the generator and projection of a training batch
-are built from generic ops: broadcasting addition and matrix products (the
-linear layers ``H @ U.T + bias``), transpose and reshape, a grouped product
-(row segment r times matrix r of a stack: a batch's rows through their
-conditions' generated operators) and row take (distinct rows). Each batch
-loss is then one node with a closed-form vector-Jacobian product
-(``losses.csts_loss``, ``losses.kgc_loss``), made through ``node``.
+leaves of its graph. A training batch is built from three ops: the linear
+layer ``x @ W.T + b`` (a generator tensor over condition embeddings, and
+concat's merge), a grouped product (row segment r times matrix r of a stack:
+a batch's rows through their conditions' generated operators) and row take
+(distinct rows). Each batch loss is then one node with a closed-form
+vector-Jacobian product (``losses.csts_loss``, ``losses.kgc_loss``), made
+through ``node``.
 
 Gradients flow only through Tensors; plain ndarrays and floats are constants,
 and an op whose operands are all constants returns the plain ndarray, so
@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "leaf", "value", "node", "matmul", "grouped_matmul", "take_rows"]
+__all__ = ["Tensor", "leaf", "value", "node", "linear", "grouped_matmul", "take_rows"]
 
 
 class Tensor:
     __slots__ = ("data", "grad", "_parents", "_vjps")
 
-    # Keep numpy from absorbing Tensor operands into object arrays; reflected
-    # operators below handle ndarray-on-the-left expressions instead.
+    # Keep numpy from absorbing Tensor operands into object arrays: Tensor
+    # defines no arithmetic operator, so ``ndarray op Tensor`` raises TypeError.
     __array_ufunc__ = None
 
     def __init__(self, data, parents=(), vjps=()):
@@ -41,22 +41,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    # -- graph construction ------------------------------------------------
-
-    # The operators __add__, __radd__, __matmul__ and __rmatmul__ are attached
-    # below the op functions they call.
-
-    def reshape(self, shape) -> "Tensor":
-        old_shape = self.data.shape
-        out = self.data.reshape(shape)
-        return Tensor(out, parents=(self,), vjps=(lambda g: g.reshape(old_shape),))
-
-    @property
-    def T(self) -> "Tensor":
-        if self.data.ndim != 2:
-            raise ValueError("transpose expects a 2-D tensor")
-        return Tensor(self.data.T, parents=(self,), vjps=(lambda g: g.T,))
 
     # -- backward pass -------------------------------------------------------
 
@@ -106,37 +90,20 @@ def node(data, *operands):
     return Tensor(data, parents=[x for x, _ in live], vjps=[vjp for _, vjp in live])
 
 
-def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
-    """Sum a broadcast gradient back onto an operand of ``shape``."""
-    if g.shape == shape:
-        return g
-    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    return np.asarray(g.sum(axis=axes, keepdims=True) if axes else g, dtype=np.float64)
-
-
-def add(a, b) -> Tensor | np.ndarray:
-    ad, bd = value(a), value(b)
+def linear(x, W, b=None, shape=None) -> Tensor | np.ndarray:
+    """The linear layer ``x @ W.T + b`` of rows x (B x n), weights W (m x n) and an
+    optional bias b (m,), reshaped to ``shape`` if given. With G the output
+    gradient as B x m, the vjps are ``G @ W`` for x, ``G.T @ x`` for W (C-contiguous,
+    as the optimizer updates it) and ``G.sum(axis=0)`` for b."""
+    xd, Wd = value(x), value(W)
+    out = xd @ Wd.T if b is None else xd @ Wd.T + value(b)
+    shape_2d = out.shape
     return node(
-        ad + bd,
-        (a, lambda g: _reduce_to(g, ad.shape)),
-        (b, lambda g: _reduce_to(g, bd.shape)),
+        out if shape is None else out.reshape(shape),
+        (x, lambda g: g.reshape(shape_2d) @ Wd),
+        (W, lambda g: g.reshape(shape_2d).T @ xd),
+        (b, lambda g: g.reshape(shape_2d).sum(axis=0)),
     )
-
-
-def matmul(a, b) -> Tensor | np.ndarray:
-    ad, bd = value(a), value(b)
-    if ad.ndim == 2 and bd.ndim == 1:
-        vjp_a, vjp_b = (lambda g: np.outer(g, bd)), (lambda g: ad.T @ g)
-    elif ad.ndim == 2 and bd.ndim == 2:
-        # (g.T @ a).T rather than a.T @ g: when b is W.T of a leaf W (the
-        # linear-layer form x @ W.T), W then receives a C-contiguous gradient.
-        vjp_a, vjp_b = (lambda g: g @ bd.T), (lambda g: (g.T @ ad).T)
-    elif ad.ndim == 1 and bd.ndim == 1:
-        vjp_a, vjp_b = (lambda g: g * bd), (lambda g: g * ad)
-    else:
-        raise ValueError(f"unsupported matmul ranks: {ad.ndim} @ {bd.ndim}")
-    return node(ad @ bd, (a, vjp_a), (b, vjp_b))
 
 
 def grouped_matmul(x, W, bounds, transpose: bool = False) -> Tensor | np.ndarray:
@@ -183,8 +150,3 @@ def take_rows(x, idx) -> Tensor | np.ndarray:
         return out
 
     return node(xd[idx], (x, vjp))
-
-
-for _name, _op in (("add", add), ("matmul", matmul)):
-    setattr(Tensor, f"__{_name}__", lambda self, other, op=_op: op(self, other))
-    setattr(Tensor, f"__r{_name}__", lambda self, other, op=_op: op(other, self))

@@ -23,7 +23,8 @@ import numpy as np
 from . import cache as cache_mod
 from . import evaluation as eval_mod
 from . import hypernet, losses, trainer
-from .encoder import HashingProvider, StoreProvider, load_embeddings, save_embeddings, text_lines
+from .encoder import EmbeddingStore, HashingProvider, StoreProvider
+from .encoder import load_embeddings, save_embeddings, text_lines
 from .errors import (
     CondclError,
     ConfigError,
@@ -255,6 +256,9 @@ def _cluster_points(quads, k, per_group):
 
 
 def cmd_analyze_clusters(args) -> int:
+    for flag, n in (("--k", args.k), ("--per-group", args.per_group)):
+        if n < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {n}")
     cfg = _load_config(args.config)
     params, provider = _load_model({k: getattr(args, k) or cfg.get(k) for k in MODEL_KEYS})
     quads = trainer.load_csts_jsonl(_existing_path(args.data or cfg.get("data"), "data"))
@@ -354,8 +358,8 @@ def cmd_sweep_rank(args) -> int:
 
 
 def _gradcheck_batches(nh: int, seed: int):
-    """Small deterministic batches for both loss families."""
-    provider = HashingProvider(dim=nh, seed=seed)
+    """Small deterministic batches for both loss families, embedded as seeded
+    Gaussian vectors: dense, so no mode projects a row to zero norm."""
     rng = np.random.default_rng(seed)
     quads = []
     for i in range(3):
@@ -370,8 +374,12 @@ def _gradcheck_batches(nh: int, seed: int):
         losses.KgTriple("qe-3", "qr-1", "qe-4"),
         losses.KgTriple("qe-4", "qr-2", "qe-1"),
     ]
-    prebatch = [[("qe-5", provider.embed("qe-5")), ("qe-6", provider.embed("qe-6"))]]
-    return provider, twin_batch, triples, prebatch
+    store = EmbeddingStore(nh)
+    texts = [t for q in quads for t in (q.s1, q.s2, q.c)] + ["qr-1", "qr-2"]
+    for text in dict.fromkeys(texts + [f"qe-{i}" for i in range(1, 7)]):
+        store.add(text, rng.normal(size=nh))
+    prebatch = [[(text, store[text]) for text in ("qe-5", "qe-6")]]
+    return StoreProvider(store), twin_batch, triples, prebatch
 
 
 def cmd_gradcheck(args) -> int:
@@ -381,7 +389,7 @@ def cmd_gradcheck(args) -> int:
     provider, twin_batch, triples, prebatch = _gradcheck_batches(nh, seed)
     worst = 0.0
     for task in ("csts", "kgc"):
-        for mode in ("full", "lowrank"):
+        for mode in hypernet.MODES:
             cfg = trainer.TrainConfig(
                 task=task, mode=mode, nh=nh, nk=nk, seed=seed, epochs=1, batch_size=4
             )
@@ -521,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--divisors", default=",".join(str(d) for d in DEFAULT_DIVISORS))
     p.set_defaults(func=cmd_sweep_rank)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of analytic gradients")
+    p = sub.add_parser("gradcheck", help="finite-difference gradient check: each task and mode")
     common(p, "seed", "nh", "nk")
     p.add_argument("--probes", type=int, default=100)
     p.add_argument("--epsilon", type=float, default=1e-5)

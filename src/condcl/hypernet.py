@@ -7,14 +7,15 @@ nk that is never multiplied out, "hadamard" is diag(h_c), and "concat" is a
 merge Wcat @ [h_c; h_s]. Only this module knows the shapes
 (``_tensor_shapes``) and rules (``generator_problem``) of a mode's
 generator. An operator is a stack of R conditions' operators. There is one
-formula from conditions to operators, ``generate_stack``: one product
-``H @ U.T + bias`` per generator tensor for a stack H of condition
-embeddings, over ndarrays and autodiff Tensors alike. Training generates
-each batch's conditions as one stack; inference takes one operator per
-condition from the validating ``generate_operators``, which generates in
-blocks of GENERATE_BLOCK rows that no caller sees. There is one way to apply
-a stack, ``apply_stack``: row segment r of a row matrix through operator r.
-Over ndarrays both give ndarrays; only training's Tensors build a graph.
+formula from conditions to operators, ``generate_stack``: one linear-layer
+node ``H @ U.T + bias`` (``autodiff.linear``) per generator tensor for a
+stack H of condition embeddings, over ndarrays and autodiff Tensors alike.
+Training generates each batch's conditions as one stack; inference takes
+one operator per condition from the validating ``generate_operators``,
+which generates in blocks of GENERATE_BLOCK rows that no caller sees. There
+is one way to apply a stack, ``apply_stack``: row segment r of a row matrix
+through operator r. Over ndarrays both give ndarrays; only training's
+Tensors build a graph.
 
 Checkpoint format: 8-byte magic ``HYPERCL1``, an 8-byte little-endian
 unsigned header length, a UTF-8 JSON header {mode, nh, nk, dropout_p,
@@ -198,12 +199,12 @@ def generate_stack(mode: str, tensors, H) -> ConditionOperator:
 
     ``tensors`` maps the mode's learnable tensor names to ndarrays or autodiff
     Tensors; names it does not need are ignored; nh and nk follow from them
-    and H. No input is validated. With a Tensor U, ``H @ U.T`` is a
-    linear-layer node whose U gradient is G.T @ H.
+    and H. No input is validated. Each generator tensor U is one linear-layer
+    node ``H @ U.T + bias`` (``autodiff.linear``), whose U gradient is G.T @ H.
     """
 
     def generated(name):
-        return (H @ tensors[name].T + tensors[name + "_bias"]).reshape(H.shape + (-1,))
+        return ad.linear(H, tensors[name], tensors[name + "_bias"], H.shape + (-1,))
 
     if mode == "full":
         return ConditionOperator(mode, {"W": generated("U")})
@@ -240,7 +241,7 @@ def apply_stack(op: ConditionOperator, h_s, bounds, mask=None) -> np.ndarray | a
     if op.mode == "hadamard":  # d is the condition embeddings, an ndarray
         return op.arrays["d"][seg] * rows
     x = np.concatenate([op.arrays["h_c"][seg], rows], axis=1)
-    return (x if mask is None else x * mask) @ op.Wcat.T
+    return ad.linear(x if mask is None else x * mask, op.Wcat)
 
 
 def generate_operators(params: HyperNetParams, H) -> Iterator[ConditionOperator]:

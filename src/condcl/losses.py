@@ -83,7 +83,6 @@ class LossConfig:
     tau_kgc: float = 0.05
     gamma: float = 0.02
     use_self_neg: bool = True
-    use_prebatch_neg: bool = True
     prebatch_size: int = 2
 
     def validate(self) -> None:
@@ -233,22 +232,20 @@ def kgc_candidates(triples: Sequence[KgTriple], ids: np.ndarray, cfg: LossConfig
 
     ``ids`` (B, 3) holds the triples' heads, relations and tails as rows of one
     embedding matrix with one row per distinct text, ``past`` the rows of the
-    pre-batch tails. Candidates are the tails, then the heads (self-negatives,
-    when enabled), then the pre-batch tails (when enabled). Row i keeps its own
-    tail (the positive), every other tail whose text differs from its gold tail,
-    and its own head when that differs from the gold tail. A row left with no
-    negative raises ValueError naming its triple.
+    pre-batch tails (none when ``prebatch_size`` is 0). Candidates are the tails,
+    then the heads (self-negatives, when enabled), then the pre-batch tails. Row
+    i keeps its own tail (the positive), every other tail whose text differs
+    from its gold tail, and its own head when that differs from the gold tail.
+    A row left with no negative raises ValueError naming its triple.
     """
-    heads, gold = ids[:, 0], ids[:, 2]
+    heads, gold, past = ids[:, 0], ids[:, 2], np.asarray(past, dtype=np.intp)
     cands = [gold]
     blocks = [(gold[:, None] != gold[None, :]) | np.eye(len(gold), dtype=bool)]
     if cfg.use_self_neg:
         cands.append(heads)
         blocks.append(np.diag(heads != gold))
-    if cfg.use_prebatch_neg:
-        past = np.asarray(past, dtype=np.intp)
-        cands.append(past)
-        blocks.append(gold[:, None] != past[None, :])
+    cands.append(past)
+    blocks.append(gold[:, None] != past[None, :])
     mask = np.concatenate(blocks, axis=1)
     lonely = np.flatnonzero(mask.sum(axis=1) < 2)
     if lonely.size:

@@ -114,9 +114,9 @@ class TrainConfig:
         if not (
             isinstance(self.betas, (tuple, list))
             and len(self.betas) == 2
-            and all(is_finite_real(b) for b in self.betas)
+            and all(is_finite_real(b) and 0.0 <= b < 1.0 for b in self.betas)
         ):
-            raise ConfigError("betas must be two finite numbers")
+            raise ConfigError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
         if self.lr < 0:
             raise ConfigError("lr must be >= 0")
         if self.epochs < 1 or self.batch_size < 1:

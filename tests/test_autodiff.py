@@ -32,42 +32,41 @@ def check_unary(build, x0):
 
 
 def weighted_mean(t, c):
-    """The mean of t * c (a scalar), as one matrix product."""
-    return ad.matmul(t.reshape((-1,)), np.ravel(c) / np.size(c))
+    """The mean of t * c (c has t's shape) as one node: a scalar."""
+    w = np.asarray(c) / np.size(c)
+    return ad.node(np.sum(ad.value(t) * w), (t, lambda g: g * w))
+
+
+def dot(p, q):
+    """The sum of p * q as one node over both operands: a scalar."""
+    pd, qd = ad.value(p), ad.value(q)
+    return ad.node(np.sum(pd * qd), (p, lambda g: g * qd), (q, lambda g: g * pd))
 
 
 rng = np.random.default_rng(0)
 
 
-def test_matmul_matrix_vector():
-    m0 = rng.normal(size=(3, 4))
-    v0 = rng.normal(size=4)
-    w = rng.normal(size=3)
-    m = ad.leaf(m0)
-    out = ad.matmul(w, ad.matmul(m, v0))
-    out.backward()
-    assert m.grad == pytest.approx(np.outer(w, v0), abs=1e-12)
-    check_unary(lambda t: ad.matmul(w, ad.matmul(t, v0)), m0)
+def test_linear_values_are_the_layer_formula_bit_for_bit():
+    x0, w0, b0 = rng.normal(size=(4, 3)), rng.normal(size=(10, 3)), rng.normal(size=10)
+    assert np.array_equal(ad.linear(x0, w0), x0 @ w0.T)
+    assert np.array_equal(ad.linear(x0, w0, b0), x0 @ w0.T + b0)
+    shaped = ad.linear(x0, ad.leaf(w0), ad.leaf(b0), shape=(4, 5, -1))
+    assert shaped.shape == (4, 5, 2)
+    assert np.array_equal(shaped.data, (x0 @ w0.T + b0).reshape(4, 5, 2))
 
 
-def test_matmul_matrix_matrix():
-    a0 = rng.normal(size=(3, 2))
-    b0 = rng.normal(size=(2, 3))
-    check_unary(
-        lambda t: ad.matmul(np.ones(3), ad.matmul(ad.matmul(t, b0), np.ones(3))),
-        a0,
-    )
-
-
-def test_matmul_right_operand_gradient_and_linear_layer_layout():
-    x0 = rng.normal(size=(4, 3))
-    w0 = rng.normal(size=(5, 3))
-    c = rng.normal(size=(4, 5))
-    check_unary(lambda t: weighted_mean(ad.matmul(x0, t), c), w0.T.copy())
-    check_unary(lambda t: weighted_mean(ad.matmul(x0, t.T), c), w0)
+@pytest.mark.parametrize("shape", [None, (4, 5, 1)], ids=["2-D", "reshaped"])
+def test_linear_gradients(shape):
+    x0, w0, b0 = rng.normal(size=(4, 3)), rng.normal(size=(5, 3)), rng.normal(size=5)
+    c = rng.normal(size=(4, 5)).reshape(shape or (4, 5))
+    check_unary(lambda t: weighted_mean(ad.linear(x0, t, b0, shape), c), w0)
+    check_unary(lambda t: weighted_mean(ad.linear(x0, w0, t, shape), c), b0)
+    check_unary(lambda t: weighted_mean(ad.linear(t, w0, b0, shape), c), x0)
+    w, b = ad.leaf(w0), ad.leaf(b0)
+    weighted_mean(ad.linear(x0, w, b, shape), c).backward()
+    G = c.reshape(4, 5) / c.size
+    assert np.array_equal(w.grad, G.T @ x0) and np.array_equal(b.grad, G.sum(axis=0))
     # x @ W.T hands the leaf W a C-contiguous gradient, ready for the optimizer.
-    w = ad.leaf(w0)
-    weighted_mean(ad.matmul(x0, w.T), c).backward()
     assert w.grad.shape == w0.shape and w.grad.flags.c_contiguous
 
 
@@ -120,12 +119,6 @@ def test_grouped_matmul_rejects_mismatched_bounds():
             ad.grouped_matmul(x0, W0, bounds)
 
 
-def test_transpose_and_reshape():
-    x0 = rng.normal(size=(2, 3))
-    check_unary(lambda t: ad.matmul(np.ones(3), ad.matmul(t.T, np.ones(2))), x0)
-    check_unary(lambda t: ad.matmul(t.reshape((6,)), np.arange(6.0)), x0)
-
-
 def test_take_rows_rejects_a_repeated_index():
     x = ad.leaf(rng.normal(size=(3, 2)))
     for idx in ([2, 0, 2], [0, -3]):  # -3 is row 0 again
@@ -168,45 +161,43 @@ def test_take_rows_gradient_of_a_permutation():
     assert np.array_equal(x.grad[[2, 0, 1]], c / 6)
 
 
-def test_broadcasting_gradients_reduce_to_operand_shapes():
-    m0 = rng.normal(size=(3, 4))
-    row = rng.normal(size=4)
-    c = rng.normal(size=(3, 4))
-    s = ad.leaf(np.array(0.7))
-    v = ad.leaf(row)
-    weighted_mean(m0 + v + s, c).backward()
-    assert v.grad.shape == (4,) and s.grad.shape == ()
-    assert v.grad == pytest.approx(c.sum(axis=0) / 12, abs=1e-12)
-    assert float(s.grad) == pytest.approx(c.sum() / 12, abs=1e-12)
-    check_unary(lambda t: weighted_mean(ad.matmul(m0 + t, np.ones((4, 2))), c[:, :2]), row)
-
-
 def test_diamond_graph_accumulation():
     a, b = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-    x0 = rng.normal(size=3)
+    x0 = rng.normal(size=(1, 3))
     x = ad.leaf(x0)
-    out = ad.matmul(ad.matmul(a, x), ad.matmul(b, x))  # x.T a.T b x: x feeds two paths
+    out = dot(ad.linear(x, a), ad.linear(x, b))  # x a.T b x.T: x feeds two paths
     out.backward()
-    assert x.grad == pytest.approx((a.T @ b + b.T @ a) @ x0, abs=1e-10)
+    assert x.grad == pytest.approx(x0 @ (a.T @ b + b.T @ a), abs=1e-10)
 
 
 def test_ndarray_operands_make_no_node():
     x0, w0 = rng.normal(size=(4, 3)), rng.normal(size=(2, 3, 3))
     plain = [
-        x0 + 1.0,
-        ad.matmul(x0, w0[0]),
+        ad.linear(x0, w0[0]),
+        ad.linear(x0, w0[0], np.ones(3), shape=(4, 3, 1)),
         ad.grouped_matmul(x0, w0, [0, 1, 4]),
         ad.take_rows(x0, [3, 1]),
     ]
     assert all(type(out) is np.ndarray for out in plain)
     x = ad.leaf(x0)
-    out = ad.matmul(x, w0[0])
+    out = ad.linear(x, w0[0])
     assert len(out._parents) == 1 and out._parents[0] is x  # the ndarray is a constant
     weighted_mean(out, np.ones((4, 3))).backward()
     assert x.grad is not None
+    w = ad.leaf(w0[0])
+    for b in (None, np.ones(3)):  # no bias, or an ndarray bias, makes no parent
+        out = ad.linear(x0, w, b)
+        assert len(out._parents) == 1 and out._parents[0] is w
+
+
+def test_tensor_defines_no_arithmetic_operator():
+    x = ad.leaf(np.ones((2, 2)))
+    for op in (lambda: x + 1.0, lambda: np.ones((2, 2)) + x, lambda: np.ones((2, 2)) @ x):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_backward_requires_scalar():
     x = ad.leaf(np.ones(3))
     with pytest.raises(ValueError):
-        (x + 2.0).backward()
+        ad.take_rows(x, [0, 2]).backward()

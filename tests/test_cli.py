@@ -193,7 +193,7 @@ def test_kgc_batch_without_negatives_is_a_usage_error(tmp_path, capsys):
         "nh": 8,
         "epochs": 1,
         "batch_size": 1,
-        "loss": {"use_self_neg": False, "use_prebatch_neg": False},
+        "loss": {"use_self_neg": False, "prebatch_size": 0},
         "data": str(tmp_path / "train.tsv"),
         "embeddings": str(tmp_path / "emb.jsonl"),
     }
@@ -263,6 +263,18 @@ def test_cluster_analysis_projects_each_point_through_its_condition(
     assert len(rows) == len(after) > 2
 
 
+@pytest.mark.parametrize("flag", ["--k", "--per-group"])
+def test_cluster_analysis_refuses_a_count_below_one(csts_run, capsys, flag):
+    tmp_path, _, config = csts_run
+    ckpt = tmp_path / "full.ckpt"
+    save_checkpoint(ckpt, init_params("full", 8, seed=0))
+    config["checkpoint"] = str(ckpt)
+    out = str(tmp_path / "clusters")
+    assert run(tmp_path, ["analyze", "clusters"], config, flag, "-1", "--out", out) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {flag} must be >= 1, got -1\n"
+    assert not (tmp_path / "clusters.impurity.json").exists()
+
+
 def test_bench_cache_reports_generated_operators_per_architecture(capsys):
     argv = ["bench-cache", "--gen-sentences", "3", "--gen-conditions", "2", "--nh", "8"]
     assert cli.main([*argv, "--nk", "2", "--heavy-rounds", "1"]) == cli.EXIT_OK
@@ -289,6 +301,17 @@ def test_bench_cache_with_a_bad_encoder_setting_is_a_usage_error(capsys, flags):
     assert cli.main(argv) == cli.EXIT_USAGE
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: HashingProvider needs integers, dim >= 2 and rounds >= 1")
+
+
+def test_gradcheck_checks_every_task_and_mode(capsys):
+    assert cli.main(["gradcheck", "--nh", "6", "--probes", "20"]) == cli.EXIT_OK
+    *lines, overall = capsys.readouterr().out.strip().split("\n")
+    checked = [tuple(f.split("=")[1] for f in line.split()[1:3]) for line in lines]
+    assert checked == [(task, mode) for task in ("csts", "kgc") for mode in hypernet.MODES]
+    assert overall.startswith("gradcheck overall max_rel_err=")
+    probes = {pair: int(line.split("probes=")[1].split()[0]) for pair, line in zip(checked, lines)}
+    assert probes["csts", "hadamard"] == 0  # no learnable array
+    assert all(n > 0 for pair, n in probes.items() if pair != ("csts", "hadamard"))
 
 
 @pytest.mark.parametrize("probes", ["0", "-3"])

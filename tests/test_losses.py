@@ -280,41 +280,39 @@ class TestAssembleNegatives:
         emb = {text: np.full(4, float(i)) for i, text in enumerate(heads + tails + list(prebatch))}
         cands, mask = candidates(triples, emb, cfg, prebatch)
         # candidate rows: the tails, then the heads (self-negatives), then the pre-batch
-        want = tails + (heads if cfg.use_self_neg else []) + (
-            list(prebatch) if cfg.use_prebatch_neg else []
-        )
+        want = tails + (heads if cfg.use_self_neg else []) + list(prebatch)
         assert np.array_equal(cands, np.stack([emb[t] for t in want]))
         return mask
 
     def test_in_batch_count(self):
-        cfg = LossConfig(use_self_neg=False, use_prebatch_neg=False)
+        cfg = LossConfig(use_self_neg=False, prebatch_size=0)
         mask = self._mask(["t0", "t1", "t2", "t3"], cfg)
         assert mask.sum(axis=1).tolist() == [4, 4, 4, 4]  # the positive plus 3 negatives
 
     def test_batch_of_one_has_no_negatives(self):
-        cfg = LossConfig(use_self_neg=False, use_prebatch_neg=False)
+        cfg = LossConfig(use_self_neg=False, prebatch_size=0)
         with pytest.raises(ValueError, match="no negatives available for triple"):
             self._mask(["t0"], cfg)
 
     def test_duplicate_gold_tail_excluded(self):
-        cfg = LossConfig(use_self_neg=False, use_prebatch_neg=False)
+        cfg = LossConfig(use_self_neg=False, prebatch_size=0)
         mask = self._mask(["t0", "t0", "t2", "t3"], cfg)
         assert mask[0].tolist() == [True, False, True, True]
         assert mask[1].tolist() == [False, True, True, True]
 
     def test_self_negative_added(self):
-        cfg = LossConfig(use_self_neg=True, use_prebatch_neg=False)
+        cfg = LossConfig(use_self_neg=True, prebatch_size=0)
         mask = self._mask(["t0", "t1"], cfg)
         # columns: tails t0, t1, then heads h0, h1; a head is only its own row's negative
         assert mask.tolist() == [[True, True, True, False], [True, True, False, True]]
 
     def test_self_negative_skipped_when_head_is_gold(self):
-        cfg = LossConfig(use_self_neg=True, use_prebatch_neg=False)
+        cfg = LossConfig(use_self_neg=True, prebatch_size=0)
         mask = self._mask(["h0", "t1"], cfg)  # head text h0 == gold tail text
         assert mask[0].tolist() == [True, True, False, False]
 
     def test_prebatch_included_minus_gold(self):
-        cfg = LossConfig(use_self_neg=False, use_prebatch_neg=True, prebatch_size=2)
+        cfg = LossConfig(use_self_neg=False, prebatch_size=2)
         mask = self._mask(["t0", "t1"], cfg, prebatch=["t0", "x"])
         assert mask[0].tolist() == [True, True, False, True]  # in-batch t1 + pre-batch x
 
@@ -327,8 +325,7 @@ def reference_kgc(q, triples, emb, prebatch, cfg, gamma, tau):
         negs = [emb[o.t] for j, o in enumerate(triples) if j != i and o.t != tr.t]
         if cfg.use_self_neg and tr.h != tr.t:
             negs.append(emb[tr.h])
-        if cfg.use_prebatch_neg:
-            negs += [vec for text, vec in prebatch if text != tr.t]
+        negs += [vec for text, vec in prebatch if text != tr.t]
         if not negs:
             raise ValueError(f"no negatives available for triple {tr}")
         cands = [emb[tr.t]] + negs
@@ -383,21 +380,22 @@ class TestBatchedKgcEqualsReference:
         pairs=st.lists(st.tuples(TEXTS, TEXTS), min_size=1, max_size=6),
         prebatch_texts=st.lists(TEXTS, max_size=5),
         use_self_neg=st.booleans(),
-        use_prebatch_neg=st.booleans(),
+        use_prebatch=st.booleans(),
         gamma=st.floats(0.0, 0.3),
         tau=st.floats(0.02, 1.0),
         seed=st.integers(0, 2**16),
     )
     def test_loss_and_gradients(
-        self, pairs, prebatch_texts, use_self_neg, use_prebatch_neg, gamma, tau, seed
+        self, pairs, prebatch_texts, use_self_neg, use_prebatch, gamma, tau, seed
     ):
         nh = 5
         rng = np.random.default_rng(seed)
         emb = {text: rng.normal(size=nh) for text in "abcd"}
+        prebatch_texts = prebatch_texts if use_prebatch else []  # an empty pre-batch window
         prebatch = [(text, emb[text]) for text in prebatch_texts]  # a text has one row
         triples = [KgTriple(h, "r", t) for h, t in pairs]  # h == t and repeated tails occur
         q = rng.normal(size=(len(triples), nh))
-        cfg = LossConfig(use_self_neg=use_self_neg, use_prebatch_neg=use_prebatch_neg)
+        cfg = LossConfig(use_self_neg=use_self_neg)
         try:
             want = reference_kgc(q, triples, emb, prebatch, cfg, gamma, tau)
         except ValueError as exc:
@@ -501,7 +499,7 @@ class TestGradCheck:
         def fn(arrays):
             w = ad.leaf(arrays["w"])
             tau = ad.leaf(arrays["tau"])
-            hhr = ad.matmul(w, b0).reshape((1, nh))
+            hhr = ad.linear(b0[None, :], w)  # the row w @ b0
             cands = np.stack([np.roll(b0, 1), np.roll(b0, 2)])
             out = kgc_loss(hhr, cands, None, 0.02, tau)
             out.backward()

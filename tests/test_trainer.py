@@ -58,10 +58,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="unknown"):
             TrainConfig.from_dict({"task": "csts", "mode": "full", "nh": 8, "bogus": 1})
 
-    def test_unknown_loss_keys_rejected(self):
-        with pytest.raises(ConfigError, match="unknown loss"):
+    @pytest.mark.parametrize("key", ["nope", "use_prebatch_neg"])
+    def test_unknown_loss_keys_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"unknown loss config keys: \\['{key}'\\]"):
             TrainConfig.from_dict(
-                {"task": "csts", "mode": "full", "nh": 8, "loss": {"nope": 1}}
+                {"task": "csts", "mode": "full", "nh": 8, "loss": {key: False}}
             )
 
     def test_bad_task(self):
@@ -91,6 +92,12 @@ class TestTrainConfig:
             d[key] = value
         with pytest.raises(ValueError, match=key):
             TrainConfig.from_dict(d)
+
+    @pytest.mark.parametrize("betas", [[1.0, 0.999], [0.9, 1.5], [-0.1, 0.999]])
+    def test_betas_outside_unit_interval_rejected(self, betas):
+        # b1 = 1 divides by zero in Adam's bias correction; b2 > 1 takes sqrt of a negative
+        with pytest.raises(ConfigError, match="betas"):
+            TrainConfig.from_dict({"task": "csts", "mode": "full", "nh": 8, "betas": betas})
 
     @pytest.mark.parametrize(
         "loss",
@@ -553,14 +560,14 @@ def probe_batches(nh, zero=None):
 # Tensors one closure call builds at nh=64 and 32 instances: the leaves, the
 # generator's linear layers, the grouped projection, the row takes and one loss node.
 TENSORS_PER_CALL = {
-    ("csts", "full"): 10,
-    ("csts", "lowrank"): 17,
+    ("csts", "full"): 7,
+    ("csts", "lowrank"): 11,
     ("csts", "hadamard"): 0,  # no leaf: the loss is a plain value
-    ("csts", "concat"): 6,
-    ("kgc", "full"): 10,
-    ("kgc", "lowrank"): 17,
+    ("csts", "concat"): 5,
+    ("kgc", "full"): 7,
+    ("kgc", "lowrank"): 11,
     ("kgc", "hadamard"): 2,  # the tau_kgc leaf and the loss node
-    ("kgc", "concat"): 6,
+    ("kgc", "concat"): 5,
 }
 
 
@@ -672,7 +679,7 @@ class TestBatchedTraining:
 
     def test_a_row_without_negatives_raises(self):
         provider, _, triples, _ = probe_batches(6)
-        loss = LossConfig(use_self_neg=False, use_prebatch_neg=False)
+        loss = LossConfig(use_self_neg=False, prebatch_size=0)
         cfg = TrainConfig(task="kgc", mode="full", nh=6, epochs=1, batch_size=1, loss=loss)
         with pytest.raises(ValueError, match="no negatives available for triple KgTriple"):
             train(cfg, triples, provider)
