@@ -4,7 +4,7 @@ A condition embedding is mapped, by a learned affine generator, to a linear
 operator that projects sentence embeddings into a condition-specific
 subspace. The package covers training (contrastive + regression objectives
 with analytic gradients), baselines (elementwise and concatenation
-composers), operator/embedding caching with a cost simulator, and an
+composers), request-stream serving with cache and cost counters, and an
 analysis toolkit (rank correlations, filtered ranking metrics, clustering
 impurity, operator-norm variance).
 """

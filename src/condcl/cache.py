@@ -1,32 +1,30 @@
-"""Content-addressed caches plus the heavy/light cost model.
+"""Request-stream serving plus the heavy/light cost model.
 
 Three execution architectures are compared over a stream of
 (sentence, condition) requests:
 
-  - ``bi``: one cache keyed by the joint (sentence, condition) string; every
+  - ``bi``: keys are the joint (sentence, condition) strings; every
     distinct pairing costs one heavy encoder call.
-  - ``tri``: one cache keyed by individual texts; each miss is a heavy call,
+  - ``tri``: keys are individual texts; each distinct text is a heavy call,
     and each request additionally performs one light composition.
-  - ``hyper``: like tri for sentences, but conditions are cached apart, as
-    generated operators: one-condition stacks, through which each request
-    sends its sentence as one row (the condition embedding is transient).
+  - ``hyper``: like tri for sentences, but conditions are a key space of
+    their own, resolved to generated operators: one-condition stacks,
+    through which each request sends its sentence as one row (the condition
+    embedding is transient).
 
-``cached_values`` is the one way to read a cache: one counted lookup over a
-call's keys, then one call that makes every distinct miss (for hyper's
-conditions, one ``generate_operators`` call). A stream is served by
-resolving its keys first, once per cache, then composing it COMPOSE_BLOCK
-requests at a time: within a block, one stacked product per condition.
-
-Caches are unbounded and never evict: misses equal the number of distinct
-keys, exactly. Byte accounting counts the stored payload arrays' bytes; key
-strings are tracked separately as bookkeeping.
+``run_architecture`` resolves a stream's keys first, with one ``_cached``
+call per key space: each distinct key is made once, and counted as one miss
+and one heavy op; every later occurrence is a hit. It then composes the
+stream COMPOSE_BLOCK requests at a time: within a block, one stacked product
+per condition. Nothing outlives one call, so misses equal the number of
+distinct keys, exactly. Byte accounting counts the made payload arrays'
+bytes; key strings are tracked separately as bookkeeping.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -42,9 +40,6 @@ from .hypernet import (
 
 __all__ = [
     "CacheStats",
-    "TextKeyedCache",
-    "cached_values",
-    "cached_operators",
     "run_architecture",
     "bench_report",
     "BenchRow",
@@ -72,102 +67,41 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def merged_with(self, other: "CacheStats") -> "CacheStats":
-        return CacheStats(
-            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
-        )
-
-
-class TextKeyedCache:
-    """Unbounded text-keyed cache of embeddings or operators, with counters.
-
-    Lookups and inserts are serialized by a lock.
-    """
-
-    def __init__(self):
-        self._store: dict[str, object] = {}
-        self._lock = threading.Lock()
-        self.stats = CacheStats()
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def lookup_all(self, keys: Sequence[str]) -> tuple[dict[str, object], list[str]]:
-        """One counted lookup per key, under one lock acquisition.
-
-        Returns the stored values found and the distinct missing keys in
-        first-seen order. A missing key counts as a miss at its first
-        occurrence and as a hit after that, as sequential lookups that insert
-        each miss would count it.
-        """
-        with self._lock:
-            found = {k: self._store[k] for k in keys if k in self._store}
-            missing = list(dict.fromkeys(k for k in keys if k not in found))
-            self.stats.lookups += len(keys)
-            self.stats.hits += len(keys) - len(missing)
-            self.stats.misses += len(missing)
-            return found, missing
-
-    def insert(self, key: str, value, gen_ops: int = 0):
-        """Store a value made for a missed key: one heavy op, plus ``gen_ops``."""
-        with self._lock:
-            self.stats.heavy_ops += 1
-            self.stats.gen_ops += gen_ops
-            if key in self._store:
-                return
-            self._store[key] = value
-            self.stats.resident_bytes += _payload_bytes(value)
-            self.stats.key_bytes += len(key.encode("utf-8"))
-
 
 def _payload_bytes(value) -> int:
-    """Stored payload size of a cached vector or operator (keys excluded).
+    """Payload size of a made vector or operator (keys excluded).
 
-    Cached operators are full or lowrank, so their arrays are all they hold."""
+    Made operators are full or lowrank, so their arrays are all they hold."""
     arrays = value.arrays.values() if isinstance(value, ConditionOperator) else (value,)
     return sum(a.nbytes for a in arrays)
 
 
-def cached_values(
-    cache: TextKeyedCache,
+def _cached(
+    stats: CacheStats,
     keys: Sequence[str],
     make: Callable[[list[str]], Iterable],
     gen_ops: int = 0,
 ) -> list:
-    """The value of each key, read through the cache: one value per key.
+    """The value of each key, each distinct key made once: one value per key.
 
-    One counted ``lookup_all`` covers the keys. The distinct misses, in
-    first-seen order, are made by one ``make(missing)`` call, which yields
-    one value per miss; each is stored as it comes at one heavy op (plus
-    ``gen_ops``). A key repeated in the call returns the same object.
+    One ``make(distinct)`` call, over the distinct keys in first-seen order,
+    yields one value per key. Into ``stats``, a key's first occurrence counts
+    as a miss at one heavy op (plus ``gen_ops``), every later one as a hit.
+    A repeated key returns the same object.
     """
-    found, missing = cache.lookup_all(keys)
-    if missing:
-        for key, value in zip(missing, make(missing), strict=True):
-            cache.insert(key, value, gen_ops)
-            found[key] = value
-    return [found[k] for k in keys]
+    distinct = list(dict.fromkeys(keys))
+    made = dict(zip(distinct, make(distinct), strict=True)) if distinct else {}
+    stats.lookups += len(keys)
+    stats.hits += len(keys) - len(distinct)
+    stats.misses += len(distinct)
+    stats.heavy_ops += len(distinct)
+    stats.gen_ops += gen_ops * len(distinct)
+    stats.resident_bytes += sum(_payload_bytes(v) for v in made.values())
+    stats.key_bytes += sum(len(k.encode("utf-8")) for k in distinct)
+    return [made[k] for k in keys]
 
 
-def cached_operators(
-    cache: TextKeyedCache, params: HyperNetParams, provider, condition_texts: Sequence[str]
-) -> list[ConditionOperator]:
-    """Condition-operator lookups keyed by condition text: one operator per text.
-
-    The distinct misses are embedded (one heavy op each) and generated in one
-    ``generate_operators`` call (one generation op each). The condition
-    embeddings are not retained.
-    """
-    if params.mode not in ("full", "lowrank"):
-        raise ValueError("cached_operators requires full or lowrank params")
-
-    def make(missing):
-        return generate_operators(params, np.stack([provider.embed(c) for c in missing]))
-
-    return cached_values(cache, condition_texts, make, gen_ops=1)
-
-
-def _compose(cache: TextKeyedCache, requests, operator, sentences, sink) -> CacheStats:
+def _compose(stats: CacheStats, requests, operator, sentences, sink) -> CacheStats:
     """Each request's sentence through its condition's operator: one light op each.
 
     COMPOSE_BLOCK requests at a time, grouped by condition key in first-seen
@@ -181,11 +115,11 @@ def _compose(cache: TextKeyedCache, requests, operator, sentences, sink) -> Cach
         for group in groups.values():
             stacked = np.stack([sentences[i] for i in group])
             rows.update(zip(group, apply_stack(operator(group[0]), stacked, (0, len(group)))))
-        cache.stats.light_ops += len(block)
+        stats.light_ops += len(block)
         if sink:
             for i in block:
                 sink(rows[i])
-    return cache.stats
+    return stats
 
 
 def run_architecture(
@@ -195,37 +129,41 @@ def run_architecture(
     params: HyperNetParams | None = None,
     sink: Callable[[np.ndarray], None] | None = None,
 ) -> CacheStats:
-    """Execute a request stream for real through fresh caches.
+    """Execute a request stream for real, counting into one fresh CacheStats.
 
-    The stream's keys are resolved first, with one ``cached_values`` call
-    per cache, so every heavy op happens before the first request is
-    served. Then the requests are composed a block at a time, and the
-    optional sink receives each conditioned embedding, in request order.
-    A block's rows are all computed before its first sink call, and each
-    row is a view of its condition group's output.
+    The stream's keys are resolved first, with one ``_cached`` call per key
+    space, so every heavy op happens before the first request is served.
+    Hyper's conditions are embedded and generated in one
+    ``generate_operators`` call (one generation op each), and their
+    embeddings are not retained. Then the requests are composed a block at
+    a time, and the optional sink receives each conditioned embedding, in
+    request order. A block's rows are all computed before its first sink
+    call, and each row is a view of its condition group's output.
     """
 
     def embed(missing):
         return map(provider.embed, missing)
 
-    cache = TextKeyedCache()
+    stats = CacheStats()
     if architecture == "bi":
-        keys = [s + JOINT_KEY_SEP + c for s, c in requests]
-        for vec in cached_values(cache, keys, embed):
+        for vec in _cached(stats, [s + JOINT_KEY_SEP + c for s, c in requests], embed):
             if sink:
                 sink(vec)
-        return cache.stats
+        return stats
     if architecture == "tri":
-        vecs = cached_values(cache, [t for request in requests for t in request], embed)
+        vecs = _cached(stats, [t for request in requests for t in request], embed)
         h_c = vecs[1::2]
-        return _compose(cache, requests, lambda i: diagonal_operator(h_c[i][None]), vecs[::2], sink)
+        return _compose(stats, requests, lambda i: diagonal_operator(h_c[i][None]), vecs[::2], sink)
     if architecture == "hyper":
-        if params is None:
-            raise ValueError("hyper architecture needs generator params")
-        op_cache = TextKeyedCache()
-        ops = cached_operators(op_cache, params, provider, [c for _, c in requests])
-        vecs = cached_values(cache, [s for s, _ in requests], embed)
-        return _compose(cache, requests, ops.__getitem__, vecs, sink).merged_with(op_cache.stats)
+        if params is None or params.mode not in ("full", "lowrank"):
+            raise ValueError("hyper architecture needs full or lowrank generator params")
+
+        def generate(missing):
+            return generate_operators(params, np.stack([provider.embed(c) for c in missing]))
+
+        ops = _cached(stats, [c for _, c in requests], generate, gen_ops=1)
+        vecs = _cached(stats, [s for s, _ in requests], embed)
+        return _compose(stats, requests, ops.__getitem__, vecs, sink)
     raise ValueError(f"unknown architecture {architecture!r}")
 
 

@@ -43,7 +43,6 @@ EXIT_ABORT = 3
 
 GRADCHECK_THRESHOLD = 1e-4
 DEFAULT_DIVISORS = (1, 4, 8, 12, 16, 24)
-MODEL_KEYS = ("checkpoint", "embeddings")  # analyze takes them as flags or config keys
 # Every key a run config may hold: the TrainConfig fields, input/output paths and ks.
 RUN_CONFIG_KEYS = set(trainer.TrainConfig.__dataclass_fields__) | {
     "data", "embeddings", "out", "report", "checkpoint", "conditions",
@@ -77,6 +76,12 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _settings(args) -> dict:
+    """The run config, with every config-key flag that was given laid over it."""
+    flags = {k: v for k, v in vars(args).items() if k in RUN_CONFIG_KEYS and v is not None}
+    return {**_load_config(args.config), **flags}
+
+
 def _require(cfg: dict, key: str) -> object:
     if key not in cfg or cfg[key] in (None, ""):
         raise ConfigError(f"missing required config key: {key!r}")
@@ -90,16 +95,8 @@ def _existing_path(value, key: str) -> Path:
     return p
 
 
-def _train_config_from(cfg: dict, args) -> trainer.TrainConfig:
-    fields = {
-        k: v
-        for k, v in cfg.items()
-        if k in trainer.TrainConfig.__dataclass_fields__
-    }
-    for flag in ("seed", "mode", "nh", "nk"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            fields[flag] = value
+def _train_config_from(cfg: dict) -> trainer.TrainConfig:
+    fields = {k: v for k, v in cfg.items() if k in trainer.TrainConfig.__dataclass_fields__}
     if "task" not in fields:
         raise ConfigError("config must set 'task' (csts or kgc)")
     return trainer.TrainConfig.from_dict(fields)
@@ -132,18 +129,17 @@ def _emit(payload: str, out: str | None) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config)
-    tc = _train_config_from(cfg, args)
+    cfg = _settings(args)
+    tc = _train_config_from(cfg)
     provider = _store_provider(cfg)
     data_path = _existing_path(_require(cfg, "data"), "data")
     if tc.task == "csts":
         data = trainer.load_csts_jsonl(data_path)
     else:
         data = trainer.load_kg_tsv(data_path)
-    out = args.out or cfg.get("out")
     report_path = cfg.get("report")
     log.info("training task=%s mode=%s nh=%d seed=%d", tc.task, tc.mode, tc.nh, tc.seed)
-    report = trainer.train(tc, data, provider, checkpoint_path=out)
+    report = trainer.train(tc, data, provider, checkpoint_path=cfg.get("out") or None)
     payload = json.dumps(report.to_dict(), indent=2) + "\n"
     if report_path:
         Path(report_path).write_text(payload, encoding="utf-8")
@@ -166,7 +162,7 @@ def _kgc_filter(cfg: dict, *triple_lists) -> tuple[list, list[str]]:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _settings(args)
     task = cfg.get("task")
     if task not in trainer.TASKS:
         raise ConfigError("config must set 'task' (csts or kgc)")
@@ -194,7 +190,7 @@ def cmd_eval(args) -> int:
         if not (isinstance(ks, (list, tuple)) and ks and all(is_integer(k) and k >= 1 for k in ks)):
             raise ConfigError(f"'ks' must be a non-empty list of positive integers, got {ks!r}")
         metrics = eval_mod.evaluate_kgc(params, provider, eval_triples, known, entities, ks=ks)
-    _emit(json.dumps(metrics, indent=2) + "\n", args.out)
+    _emit(json.dumps(metrics, indent=2) + "\n", cfg.get("out"))
     return EXIT_OK
 
 
@@ -259,9 +255,9 @@ def cmd_analyze_clusters(args) -> int:
     for flag, n in (("--k", args.k), ("--per-group", args.per_group)):
         if n < 1:
             raise ConfigError(f"{flag} must be >= 1, got {n}")
-    cfg = _load_config(args.config)
-    params, provider = _load_model({k: getattr(args, k) or cfg.get(k) for k in MODEL_KEYS})
-    quads = trainer.load_csts_jsonl(_existing_path(args.data or cfg.get("data"), "data"))
+    cfg = _settings(args)
+    params, provider = _load_model(cfg)
+    quads = trainer.load_csts_jsonl(_existing_path(_require(cfg, "data"), "data"))
     k = args.k
     sentences, labels = _cluster_points(quads, k, args.per_group)
     if len(sentences) < k:
@@ -275,8 +271,9 @@ def cmd_analyze_clusters(args) -> int:
     after = np.concatenate(
         [hypernet.apply_stack(op, rows, (0, len(rows))) for rows, op in zip(groups, ops)]
     )
-    assign_before = eval_mod.kmeans(before, k, seed=args.seed or 0)
-    assign_after = eval_mod.kmeans(after, k, seed=args.seed or 0)
+    seed = cfg.get("seed") or 0
+    assign_before = eval_mod.kmeans(before, k, seed=seed)
+    assign_after = eval_mod.kmeans(after, k, seed=seed)
     report = {
         "k": k,
         "points": len(sentences),
@@ -284,7 +281,7 @@ def cmd_analyze_clusters(args) -> int:
         "impurity_after": eval_mod.impurity(assign_after, labels),
     }
 
-    prefix = args.out or "clusters"
+    prefix = cfg.get("out") or "clusters"
     for tag, assign in (("before", assign_before), ("after", assign_after)):
         lines = ["point_id\tcondition\tcluster"]
         lines += [
@@ -298,9 +295,9 @@ def cmd_analyze_clusters(args) -> int:
 
 
 def cmd_analyze_frobenius(args) -> int:
-    cfg = _load_config(args.config)
-    params, provider = _load_model({k: getattr(args, k) or cfg.get(k) for k in MODEL_KEYS})
-    cond_path = _existing_path(args.conditions or cfg.get("conditions"), "conditions")
+    cfg = _settings(args)
+    params, provider = _load_model(cfg)
+    cond_path = _existing_path(_require(cfg, "conditions"), "conditions")
     conditions = [c for _, line in text_lines(cond_path) if (c := line.rstrip("\n"))]
     if not conditions:
         raise ConfigError(f"{cond_path}: no conditions listed")
@@ -308,7 +305,7 @@ def cmd_analyze_frobenius(args) -> int:
     _emit(
         json.dumps({"var_hyper": var_hyper, "var_diag": var_diag, "conditions": len(conditions)})
         + "\n",
-        args.out,
+        cfg.get("out"),
     )
     return EXIT_OK
 
@@ -317,8 +314,8 @@ def cmd_analyze_frobenius(args) -> int:
 
 
 def cmd_sweep_rank(args) -> int:
-    cfg = _load_config(args.config)
-    base = _train_config_from(cfg, args)
+    cfg = _settings(args)
+    base = _train_config_from(cfg)
     provider = _store_provider(cfg)
     data_path = _existing_path(_require(cfg, "data"), "data")
     eval_path = _existing_path(_require(cfg, "eval_data"), "eval_data")
@@ -350,7 +347,7 @@ def cmd_sweep_rank(args) -> int:
             )["mrr"]
         lines.append(f"{nk}\t{hypernet.param_count(params)}\t{metric:.6f}")
         log.info("sweep divisor=%d nk=%d metric=%.4f", d, nk, metric)
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines) + "\n", cfg.get("out"))
     return EXIT_OK
 
 
@@ -397,13 +394,14 @@ def cmd_gradcheck(args) -> int:
             closure = trainer.make_loss_closure(
                 cfg, batch, provider, prebatch=prebatch if task == "kgc" else None
             )
-            _params, arrays = trainer.initial_arrays(cfg)
+            params, arrays = trainer.initial_arrays(cfg)
             report = losses.grad_check(
                 closure, arrays, epsilon=args.epsilon, n_probes=args.probes, seed=seed
             )
             worst = max(worst, report.max_rel_err)
+            rank = f" nk={params.nk}" if params.nk else ""
             print(
-                f"gradcheck task={task} mode={mode} nh={nh} nk={nk} "
+                f"gradcheck task={task} mode={mode} nh={nh}{rank} "
                 f"probes={report.n_checked} max_rel_err={report.max_rel_err:.3e}"
             )
     print(f"gradcheck overall max_rel_err={worst:.3e} threshold={GRADCHECK_THRESHOLD:.0e}")

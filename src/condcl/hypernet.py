@@ -173,7 +173,7 @@ def init_params(
     identity operator: its bias is the flattened identity, so an untrained
     model roughly preserves sentence embeddings. Lowrank cannot represent
     the identity for nk < nh, so its biases are small random values too.
-    Set zero_bias=True for the no-bias generator variant.
+    zero_bias=True starts every bias at zero; the biases stay learnable.
     """
     problem = generator_problem(mode, nh, nk, dropout_p)
     if problem is not None:

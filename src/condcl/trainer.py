@@ -97,7 +97,7 @@ class TrainConfig:
     eps: float = 1e-8
     weight_decay: float = 0.0
     dropout_p: float = DEFAULT_DROPOUT_P
-    zero_bias: bool = False
+    zero_bias: bool = False  # start the generator's biases at zero; they stay learnable
 
     def validate(self) -> None:
         if self.task not in TASKS:
@@ -399,7 +399,6 @@ def fit(
 
     t0 = time.perf_counter()
     params, arrays = initial_arrays(cfg)
-    trainable = cfg.mode != "hadamard"
     opt = Adam(
         arrays,
         lr=cfg.lr,
@@ -442,10 +441,9 @@ def fit(
                     f"non-finite loss at {where}: loss={loss} components={components}"
                 )
             t_graphed = time.perf_counter()
-            if trainable:
-                opt.step(grads)
-                if "tau_kgc" in arrays:
-                    np.maximum(arrays["tau_kgc"], TAU_FLOOR, out=arrays["tau_kgc"])
+            opt.step(grads)
+            if "tau_kgc" in arrays:
+                np.maximum(arrays["tau_kgc"], TAU_FLOOR, out=arrays["tau_kgc"])
             stage["graph"] += t_graphed - t_stepped
             t_stepped = time.perf_counter()
             stage["step"] += t_stepped - t_graphed

@@ -1,3 +1,6 @@
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,16 +11,14 @@ from condcl.cache import (
     COMPOSE_BLOCK,
     JOINT_KEY_SEP,
     CacheStats,
-    TextKeyedCache,
+    _cached,
     bench_report,
     bench_rows_to_tsv,
-    cached_operators,
-    cached_values,
     full_cross_requests,
     run_architecture,
 )
 from condcl.encoder import HashingProvider
-from condcl.hypernet import apply_stack, init_params
+from condcl.hypernet import apply_stack, generate_operators, init_params
 
 FLOAT_BYTES = 8
 COMPOSE_TOL = 1e-12  # served rows against per-request formulas, relative
@@ -41,7 +42,7 @@ def simulate_workload(
 ) -> CacheStats:
     """Count cache traffic and heavy/light operations without executing.
 
-    Mirrors the unbounded caches of ``condcl.cache``: bi does one
+    Mirrors the key resolution of ``condcl.cache``: bi does one
     joint-keyed lookup per request; tri and hyper do two lookups (sentence
     key, condition key) and one light composition per request. Tri keeps every text in one cache.
     Hyper keeps conditions in a cache of their own, as operators rather
@@ -77,26 +78,24 @@ def simulate_workload(
     return stats
 
 
-def cached_embeddings(cache, provider, texts):
-    return cached_values(cache, texts, lambda missing: map(provider.embed, missing))
+def cached_embeddings(stats, provider, texts):
+    return _cached(stats, texts, lambda missing: map(provider.embed, missing))
 
 
-class TestCachedValues:
+class TestCached:
     def test_miss_then_hit(self):
-        cache = TextKeyedCache()
+        stats = CacheStats()
         provider = HashingProvider(dim=8, seed=0)
-        (a,) = cached_embeddings(cache, provider, ["x"])
-        (b,) = cached_embeddings(cache, provider, ["x"])
+        a, b = cached_embeddings(stats, provider, ["x", "x"])
         assert a is b and np.array_equal(a, provider.embed("x"))
-        s = cache.stats
-        assert (s.lookups, s.hits, s.misses, s.heavy_ops) == (2, 1, 1, 1)
+        assert (stats.lookups, stats.hits, stats.misses, stats.heavy_ops) == (2, 1, 1, 1)
 
     def test_resident_bytes_accounting(self):
-        cache = TextKeyedCache()
+        stats = CacheStats()
         provider = HashingProvider(dim=16, seed=0)
-        cached_embeddings(cache, provider, [f"text-{i}" for i in range(5)])
-        assert cache.stats.resident_bytes == 5 * 16 * 8
-        assert cache.stats.key_bytes == sum(len(f"text-{i}") for i in range(5))
+        cached_embeddings(stats, provider, [f"text-{i}" for i in range(5)])
+        assert stats.resident_bytes == 5 * 16 * 8
+        assert stats.key_bytes == sum(len(f"text-{i}") for i in range(5))
 
     def test_stats_match_replay_oracle(self):
         rng = np.random.default_rng(3)
@@ -107,56 +106,45 @@ class TestCachedValues:
             made.append(list(missing))
             return (np.full(3, float(t[1:])) for t in missing)
 
-        cache = TextKeyedCache()
-        values = cached_values(cache, texts[:10], make)
-        values += cached_values(cache, texts[10:], make, gen_ops=2)
+        s = CacheStats()
+        values = _cached(s, texts, make, gen_ops=2)
         hits, misses, distinct = replay_oracle(texts)
-        s = cache.stats
         assert (s.lookups, s.hits, s.misses, s.heavy_ops) == (200, hits, misses, misses)
-        assert len(cache) == distinct
-        # One make call per call with misses, each over its distinct misses in first-seen order.
-        first = list(dict.fromkeys(texts[:10]))
-        assert made == [first, [t for t in dict.fromkeys(texts[10:]) if t not in first]]
-        assert made[1] and s.gen_ops == 2 * len(made[1])
+        # One make call, over the distinct keys in first-seen order.
+        assert made == [list(dict.fromkeys(texts))] and len(made[0]) == distinct
+        assert s.gen_ops == 2 * distinct and s.resident_bytes == distinct * 3 * FLOAT_BYTES
         for t, v in zip(texts, values):
             assert v is values[texts.index(t)] and v[0] == float(t[1:])
 
-    def test_threaded_counts_stay_consistent(self):
-        import sys
-        import threading
+    def test_an_empty_stream_makes_nothing(self):
+        provider = HashingProvider(dim=8, seed=0)
+        params = init_params("full", 8, seed=0)
+        for arch in ("bi", "tri", "hyper"):
+            assert run_architecture(arch, [], provider, params, pytest.fail) == CacheStats()
 
-        sentences, operators = TextKeyedCache(), TextKeyedCache()
+    def test_concurrent_runs_count_and_serve_as_one_run(self):
+        # Each run_architecture call owns its own key spaces and stats.
+        requests = [(f"s{(i * 7) % 50}", f"c{i % 40}") for i in range(400)]
         provider = HashingProvider(dim=8, seed=0)
         params = init_params("lowrank", 8, 2, seed=0)
+        alone = []
+        want = run_architecture("hyper", requests, provider, params, alone.append)
+        results = []
 
-        repeats_identical = []
+        def worker():
+            served = []
+            stats = run_architecture("hyper", requests, provider, params, served.append)
+            results.append((stats, served))
 
-        def worker(k):
-            for i in range(100):
-                cached_embeddings(sentences, provider, [f"s{(i * 7 + k) % 50}"])
-                # Overlapping windows, across threads and calls, with one repeat.
-                texts = [f"c{(i + k + j) % 40}" for j in (0, 1, 0, 2)]
-                ops = cached_operators(operators, params, provider, texts)
-                repeats_identical.append(len(ops) == 4 and ops[0] is ops[2])
-
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        # A key two threads miss together is computed, and counted, twice.
-        s, o = sentences.stats, operators.stats
-        assert s.lookups == s.hits + s.misses == 400 and len(sentences) == 50
-        assert (s.heavy_ops, s.gen_ops) == (s.misses, 0)
-        assert o.lookups == o.hits + o.misses == 1600 and len(operators) == 40
-        assert o.heavy_ops == o.gen_ops == o.misses >= 40
-        assert len(repeats_identical) == 400 and all(repeats_identical)
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads) and len(results) == 4
+        for stats, served in results:
+            assert stats == want
+            assert all(np.array_equal(a, b) for a, b in zip(served, alone, strict=True))
 
 
 CONDITIONS = ("x", "y", "x y", *(f"c{i}" for i in range(hypernet.GENERATE_BLOCK + 3)))
@@ -185,78 +173,93 @@ def assert_rel_close(out, want):
     assert np.max(np.abs(out - want)) <= COMPOSE_TOL * np.max(np.abs(want))
 
 
-class TestCachedOperator:
+def recording(applied):
+    """apply_stack, appending each operator it applies to ``applied``."""
+
+    def apply(op, rows, bounds, mask=None):
+        applied.append(op)
+        return apply_stack(op, rows, bounds, mask)
+
+    return apply
+
+
+def hyper_stats(params, provider, requests, **patches):
+    with mock.patch.multiple("condcl.cache", **patches):
+        return run_architecture("hyper", requests, provider, params)
+
+
+class TestHyperOperators:
     def test_full_mode_bytes_per_condition(self):
         nh = 12
-        cache = TextKeyedCache()
         provider = HashingProvider(dim=nh, seed=0)
-        params = init_params("full", nh, seed=0)
-        cached_operators(cache, params, provider, ["c1"])
-        assert cache.stats.resident_bytes == nh * nh * 8
-        assert cache.stats.gen_ops == 1
-        assert cache.stats.heavy_ops == 1
+        stats = run_architecture("hyper", [("s", "c1")], provider, init_params("full", nh, seed=0))
+        assert stats.resident_bytes == nh * 8 + nh * nh * 8
+        assert stats.gen_ops == 1
+        assert stats.heavy_ops == 2
 
     def test_lowrank_bytes_ratio(self):
         nh, nk = 16, 2
-        cache_full = TextKeyedCache()
-        cache_low = TextKeyedCache()
         provider = HashingProvider(dim=nh, seed=0)
-        cached_operators(cache_full, init_params("full", nh, seed=0), provider, ["c1"])
-        cached_operators(cache_low, init_params("lowrank", nh, nk, seed=0), provider, ["c1"])
-        assert cache_low.stats.resident_bytes == 2 * nh * nk * 8
-        ratio = cache_low.stats.resident_bytes / cache_full.stats.resident_bytes
+        full = run_architecture("hyper", [("s", "c1")], provider, init_params("full", nh, seed=0))
+        low = run_architecture("hyper", [("s", "c1")], provider, init_params("lowrank", nh, nk))
+        assert low.resident_bytes - nh * 8 == 2 * nh * nk * 8
+        ratio = (low.resident_bytes - nh * 8) / (full.resident_bytes - nh * 8)
         assert ratio == pytest.approx(2 * nk / nh)
 
     def test_hit_returns_identical_object(self):
-        cache = TextKeyedCache()
+        # Two compose blocks, so the one condition's operator is applied twice.
+        applied = []
         provider = HashingProvider(dim=8, seed=0)
+        requests = [("s", "c")] * (COMPOSE_BLOCK + 1)
         params = init_params("full", 8, seed=0)
-        (op1,) = cached_operators(cache, params, provider, ["c"])
-        (op2,) = cached_operators(cache, params, provider, ["c"])
-        assert op1 is op2
-        assert cache.stats.heavy_ops == 1
+        stats = hyper_stats(params, provider, requests, apply_stack=recording(applied))
+        assert len(applied) == 2 and applied[0] is applied[1]
+        assert (stats.heavy_ops, stats.gen_ops) == (2, 1)
 
-    def test_requires_generating_mode(self):
-        cache = TextKeyedCache()
-        provider = HashingProvider(dim=8, seed=0)
-        with pytest.raises(ValueError):
-            cached_operators(cache, init_params("hadamard", 8), provider, ["c"])
+    @pytest.mark.parametrize("mode", [None, "hadamard", "concat"])
+    def test_requires_generating_params(self, mode):
+        params = init_params(mode, 8) if mode else None
+        with pytest.raises(ValueError, match="full or lowrank"):
+            run_architecture("hyper", [("s", "c")], HashingProvider(dim=8, seed=0), params)
 
     @given(
-        cached=st.lists(st.sampled_from(CONDITIONS), max_size=8),
-        texts=st.lists(st.sampled_from(CONDITIONS), max_size=60),
+        texts=st.lists(st.sampled_from(CONDITIONS), min_size=1, max_size=60),
         nk=st.sampled_from([None, 2]),
     )
-    @example(cached=["x", "c0"], texts=[*CONDITIONS, "x", "c1", "c1"], nk=2)
-    @example(cached=[], texts=[*CONDITIONS, *CONDITIONS], nk=None)
+    @example(texts=[*CONDITIONS, "x", "c1", "c1"], nk=2)
+    @example(texts=[*CONDITIONS, *CONDITIONS], nk=None)
     @settings(max_examples=60, deadline=None)
-    def test_batched_misses_count_and_compute_as_sequential_serving(self, cached, texts, nk):
-        # CONDITIONS is larger than GENERATE_BLOCK, so misses can span blocks.
+    def test_conditions_are_generated_once_each_by_the_formula(self, texts, nk):
+        # CONDITIONS is larger than GENERATE_BLOCK, so generation can span blocks.
         nh = 6
         provider = HashingProvider(dim=nh, seed=3)
         params = init_params("lowrank" if nk else "full", nh, nk, seed=0)
-        cache, replay = TextKeyedCache(), TextKeyedCache()
-        pre = dict(zip(cached, cached_operators(cache, params, provider, cached)))
-        ops = cached_operators(cache, params, provider, texts)
-        for t in cached + texts:
-            cached_operators(replay, params, provider, [t])
-        s = cache.stats
-        assert s == replay.stats
-        hits, misses, distinct = replay_oracle(cached + texts)
-        assert (s.lookups, s.hits, s.misses) == (len(cached) + len(texts), hits, misses)
-        assert s.heavy_ops == s.gen_ops == misses
-        assert s.resident_bytes == distinct * (2 * nh * nk if nk else nh * nh) * FLOAT_BYTES
-        assert len(ops) == len(texts)
-        for t, op in zip(texts, ops):
+        generated, applied = [], []
+
+        def generating(p, H):
+            generated.append(H)
+            return generate_operators(p, H)
+
+        requests = [("s", t) for t in texts]
+        patches = {"generate_operators": generating, "apply_stack": recording(applied)}
+        s = hyper_stats(params, provider, requests, **patches)
+        hits, misses, distinct = replay_oracle(texts)
+        # The one sentence "s" is a key space of its own: one miss, then hits.
+        assert (s.lookups, s.hits, s.misses) == (2 * len(texts), hits + len(texts) - 1, misses + 1)
+        assert s.heavy_ops == misses + 1 and s.gen_ops == misses
+        op_bytes = (2 * nh * nk if nk else nh * nh) * FLOAT_BYTES
+        assert s.resident_bytes == distinct * op_bytes + nh * FLOAT_BYTES
+        # One generating call over the distinct conditions in first-seen order,
+        # and one stacked product per condition (one compose block).
+        conditions = list(dict.fromkeys(texts))
+        assert len(generated) == 1
+        assert np.array_equal(generated[0], np.stack([provider.embed(c) for c in conditions]))
+        assert len(applied) == len(conditions)
+        for t, op in zip(conditions, applied):
             assert op.shape == (1, nh)
             got = [a[0] for a in op.arrays.values()]
             for g, want in zip(got, operator_formula(params, provider.embed(t)), strict=True):
                 np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)
-            assert op is ops[texts.index(t)] and op is pre.get(t, op)
-        for mode in ("hadamard", "concat"):
-            with pytest.raises(ValueError):
-                cached_operators(cache, init_params(mode, nh), provider, texts)
-        assert cache.stats == replay.stats
 
 
 class TestSimulateWorkload:
@@ -374,7 +377,9 @@ class TestRunArchitecture:
         params = init_params(mode, nh, nk, seed=1)
         requests = full_cross_requests(3, 2, replays=2)
         assert len(requests) <= COMPOSE_BLOCK
-        ops = cached_operators(TextKeyedCache(), params, provider, [c for _, c in requests])
+        conditions = list(dict.fromkeys(c for _, c in requests))
+        H = np.stack([provider.embed(c) for c in conditions])
+        ops = dict(zip(conditions, generate_operators(params, H)))
         for arch in ("tri", "hyper"):
             served = []
             run_architecture(arch, requests, provider, params=params, sink=served.append)
@@ -387,7 +392,7 @@ class TestRunArchitecture:
                     continue
                 group = [j for j, (_, cj) in enumerate(requests) if cj == c]
                 stacked = np.stack([provider.embed(requests[j][0]) for j in group])
-                want = apply_stack(ops[i], stacked, (0, len(group)))[group.index(i)]
+                want = apply_stack(ops[c], stacked, (0, len(group)))[group.index(i)]
                 assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("arch, mode", [("hyper", "full"), ("hyper", "lowrank"), ("tri", None)])
@@ -427,10 +432,6 @@ class TestRunArchitecture:
         run_architecture(arch, requests, HashingProvider(dim=8, seed=0), params, served.append)
         assert len(calls) == k
         assert sum(calls) == len(served) == n
-
-    def test_hyper_needs_params(self):
-        with pytest.raises(ValueError):
-            run_architecture("hyper", [("s", "c")], HashingProvider(dim=4, seed=0))
 
 
 class TestBenchReport:

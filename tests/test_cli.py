@@ -309,6 +309,9 @@ def test_gradcheck_checks_every_task_and_mode(capsys):
     checked = [tuple(f.split("=")[1] for f in line.split()[1:3]) for line in lines]
     assert checked == [(task, mode) for task in ("csts", "kgc") for mode in hypernet.MODES]
     assert overall.startswith("gradcheck overall max_rel_err=")
+    # Only lowrank generators have a rank, and each line names the checked one.
+    ranks = [[f for f in line.split() if f.startswith("nk=")] for line in lines]
+    assert ranks == [["nk=1"] if mode == "lowrank" else [] for _, mode in checked]
     probes = {pair: int(line.split("probes=")[1].split()[0]) for pair, line in zip(checked, lines)}
     assert probes["csts", "hadamard"] == 0  # no learnable array
     assert all(n > 0 for pair, n in probes.items() if pair != ("csts", "hadamard"))
@@ -350,3 +353,63 @@ def test_a_shared_flag_the_command_does_not_read_is_refused(capsys, command, fla
     value = "full" if flag == "mode" else "1"
     assert cli.main([*command.split(), f"--{flag}", value]) == cli.EXIT_USAGE
     assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+
+def analyze_ready(csts_run):
+    """csts_run's config with a full checkpoint and a conditions file added."""
+    tmp_path, quads, config = csts_run
+    ckpt = tmp_path / "full.ckpt"
+    save_checkpoint(ckpt, init_params("full", 8, seed=0))
+    conditions = tmp_path / "conditions.txt"
+    conditions.write_text("\n".join(sorted({q.c for q in quads})) + "\n", encoding="utf-8")
+    config.update(checkpoint=str(ckpt), conditions=str(conditions), eval_data=config["data"])
+    return tmp_path, config
+
+
+@pytest.mark.parametrize(
+    "command, written",
+    [
+        (["eval"], "out"),
+        (["sweep-rank", "--divisors", "4"], "out"),
+        (["analyze", "frobenius"], "out"),
+        (["analyze", "clusters", "--k", "2"], "out.impurity.json"),
+    ],
+)
+def test_a_config_out_is_where_the_command_writes(csts_run, capsys, command, written):
+    tmp_path, config = analyze_ready(csts_run)
+    config["out"] = str(tmp_path / "out")
+    assert run(tmp_path, command, config) == cli.EXIT_OK
+    assert (tmp_path / written).exists()
+    if written == "out":
+        assert capsys.readouterr().out == ""
+    assert not (tmp_path / "clusters.impurity.json").exists()
+
+
+def test_a_flag_wins_over_the_config_value(csts_run, capsys):
+    tmp_path, config = analyze_ready(csts_run)
+    config["out"] = str(tmp_path / "config-out")
+    assert run(tmp_path, ["eval"], config, "--out", str(tmp_path / "flag-out")) == cli.EXIT_OK
+    assert (tmp_path / "flag-out").exists() and not (tmp_path / "config-out").exists()
+
+
+def test_cluster_analysis_reads_the_config_seed(csts_run, monkeypatch):
+    tmp_path, config = analyze_ready(csts_run)
+    config.update(seed=7, out=str(tmp_path / "clusters"))
+    seeds = []
+    kmeans = cli.eval_mod.kmeans
+
+    def recorded(X, k, seed):
+        seeds.append(seed)
+        return kmeans(X, k, seed)
+
+    monkeypatch.setattr(cli.eval_mod, "kmeans", recorded)
+    assert run(tmp_path, ["analyze", "clusters"], config, "--k", "2") == cli.EXIT_OK
+    assert seeds == [7, 7]
+
+
+@pytest.mark.parametrize("command, key", [("clusters", "data"), ("frobenius", "conditions")])
+def test_a_missing_analyze_path_is_a_usage_error_naming_its_key(csts_run, capsys, command, key):
+    tmp_path, config = analyze_ready(csts_run)
+    del config[key]
+    assert run(tmp_path, ["analyze", command], config) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: missing required config key: {key!r}\n"

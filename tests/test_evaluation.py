@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condcl import evaluation, hypernet
-from condcl.cache import TextKeyedCache, cached_operators
+from condcl.cache import run_architecture
 from condcl.encoder import EmbeddingStore, HashingProvider, StoreProvider
 from condcl.errors import CondclError, DimensionMismatchError
 from condcl.evaluation import (
@@ -582,15 +582,17 @@ class TestBatchedEqualsReference:
                 for d in ("tail", "head")
             ]
             preds = csts_predictions(params, StoreProvider(cstore), quads)
-            if mode == "concat":  # no Frobenius norm, and no cached operators
+            if mode == "concat":  # no Frobenius norm, and no generated operators
                 return kg, ranks, preds, (), None, []
             variances = frobenius_variance_report(params, StoreProvider(cstore), conditions)
             if mode == "hadamard":
                 return kg, ranks, preds, variances, None, []
-            cache = TextKeyedCache()
-            ops = cached_operators(cache, params, StoreProvider(cstore), [q.c for q in quads])
-            arrays = [a for op in ops for a in op.arrays.values()]
-            return kg, ranks, preds, variances, cache.stats, arrays
+            provider, served = StoreProvider(cstore), []
+            requests = [(q.s1, q.c) for q in quads]
+            stats = run_architecture("hyper", requests, provider, params, served.append)
+            H = np.stack([provider.embed(c) for c in conditions])
+            arrays = [a for op in hypernet.generate_operators(params, H) for a in op.arrays.values()]
+            return kg, ranks, preds, variances, stats, arrays + served
 
         kg, ranks, (preds, golds), variances, stats, arrays = outputs()
         monkeypatch.setattr(hypernet, "GENERATE_BLOCK", block)  # more than one block per call

@@ -4,8 +4,10 @@
 tasks in all four modes, concat with dropout on, and the gradients of
 ``make_loss_closure`` on one probe batch per task and mode. They were
 recorded from the per-triple scalar implementation that the batched
-training core replaced; ``python tests/test_reference_pin.py`` prints the
-values of the current code in the same layout.
+training core replaced, except the hadamard link-prediction epoch losses,
+recorded again once ``fit`` began to train that mode's temperature;
+``python tests/test_reference_pin.py`` prints the values of the current
+code in the same layout.
 """
 
 import json

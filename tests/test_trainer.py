@@ -311,6 +311,15 @@ class TestTrainBasics:
         _, extras = load_checkpoint(path)
         assert extras["tau_kgc"] == pytest.approx(float(arrays["tau_kgc"]), abs=1e-6)
 
+    def test_hadamard_kgc_trains_its_temperature(self):
+        # The temperature is hadamard KGC's only learnable array.
+        ds, store = make_synthetic_kg(24, 2, 8, seed=6)
+        cfg = TrainConfig(task="kgc", mode="hadamard", nh=8, lr=1e-2, epochs=2, batch_size=4)
+        params, arrays, report = fit(cfg, ds.train, StoreProvider(store))
+        assert params.tensors == {} and set(arrays) == {"tau_kgc"}
+        assert abs(float(arrays["tau_kgc"]) - cfg.loss.tau_kgc) > 1e-3
+        assert report.epoch_losses[-1] < report.epoch_losses[0]
+
     def test_empty_dataset_rejected(self):
         _, store = tiny_csts()
         cfg = TrainConfig(task="csts", mode="full", nh=8, epochs=1, batch_size=4, seed=0)
