@@ -1,11 +1,13 @@
 """Batch command-line interface.
 
 Subcommands: train, eval, bench-cache, analyze clusters|frobenius,
-sweep-rank, gradcheck, make-synthetic csts|kg. Runs are configured by a
-JSON file whose keys mirror TrainConfig plus input/output paths (any other
-key is refused); explicit flags win over config values. Exit codes:
-0 success, 1 check failure, 2 usage/config error, 3 runtime abort. Set
-CONDCL_LOG=debug|info for progress output.
+sweep-rank, gradcheck, make-synthetic csts|kg. train, eval, analyze and
+sweep-rank read a JSON config (--config) whose keys mirror TrainConfig plus
+input/output paths (any other key is refused); explicit flags win over
+config values. bench-cache, gradcheck and make-synthetic take flags only,
+with --seed defaulting to 0. Exit codes: 0 success, 1 check failure,
+2 usage/config error, 3 runtime abort. Set CONDCL_LOG=debug|info for
+progress output.
 """
 
 from __future__ import annotations
@@ -82,17 +84,23 @@ def _settings(args) -> dict:
     return {**_load_config(args.config), **flags}
 
 
-def _require(cfg: dict, key: str) -> object:
-    if key not in cfg or cfg[key] in (None, ""):
-        raise ConfigError(f"missing required config key: {key!r}")
-    return cfg[key]
-
-
 def _existing_path(value, key: str) -> Path:
     p = Path(str(value))
     if not p.exists():
         raise ConfigError(f"{key}: path does not exist: {p}")
     return p
+
+
+def _input(cfg: dict, key: str) -> Path:
+    """The path cfg names under key; a missing key or path is a ConfigError."""
+    if cfg.get(key) in (None, ""):
+        raise ConfigError(f"missing required config key: {key!r}")
+    return _existing_path(cfg[key], key)
+
+
+def _task_data(task: str, path: Path) -> list:
+    """The records of a task's data file: similarity JSONL for csts, triple TSV for kgc."""
+    return trainer.load_csts_jsonl(path) if task == "csts" else trainer.load_kg_tsv(path)
 
 
 def _train_config_from(cfg: dict) -> trainer.TrainConfig:
@@ -102,15 +110,14 @@ def _train_config_from(cfg: dict) -> trainer.TrainConfig:
     return trainer.TrainConfig.from_dict(fields)
 
 
-def _store_provider(cfg: dict, key: str = "embeddings") -> StoreProvider:
-    path = _existing_path(_require(cfg, key), key)
-    return StoreProvider(load_embeddings(path))
+def _store_provider(cfg: dict) -> StoreProvider:
+    return StoreProvider(load_embeddings(_input(cfg, "embeddings")))
 
 
 def _load_model(cfg: dict) -> tuple[hypernet.HyperNetParams, StoreProvider]:
     """The params of cfg's checkpoint and a provider over its embeddings; their nh must agree."""
     provider = _store_provider(cfg)
-    params, _ = hypernet.load_checkpoint(_existing_path(_require(cfg, "checkpoint"), "checkpoint"))
+    params, _ = hypernet.load_checkpoint(_input(cfg, "checkpoint"))
     if params.nh != provider.dim:
         raise ConfigError(
             f"checkpoint dimension {params.nh} does not match provider dimension {provider.dim}"
@@ -132,11 +139,7 @@ def cmd_train(args) -> int:
     cfg = _settings(args)
     tc = _train_config_from(cfg)
     provider = _store_provider(cfg)
-    data_path = _existing_path(_require(cfg, "data"), "data")
-    if tc.task == "csts":
-        data = trainer.load_csts_jsonl(data_path)
-    else:
-        data = trainer.load_kg_tsv(data_path)
+    data = _task_data(tc.task, _input(cfg, "data"))
     report_path = cfg.get("report")
     log.info("training task=%s mode=%s nh=%d seed=%d", tc.task, tc.mode, tc.nh, tc.seed)
     report = trainer.train(tc, data, provider, checkpoint_path=cfg.get("out") or None)
@@ -167,29 +170,27 @@ def cmd_eval(args) -> int:
     if task not in trainer.TASKS:
         raise ConfigError("config must set 'task' (csts or kgc)")
     params, provider = _load_model(cfg)
-    data_path = _existing_path(_require(cfg, "data"), "data")
+    data_path = _input(cfg, "data")
+    split = args.split or "overall"
+    if task == "kgc" and split != "overall":
+        raise ConfigError("seen/unseen splits apply to the csts task only")
+    data = _task_data(task, data_path)
 
     if task == "csts":
-        quads = trainer.load_csts_jsonl(data_path)
-        split = args.split or "overall"
         if split != "overall":
-            train_path = _existing_path(_require(cfg, "train_data"), "train_data")
-            train_conditions = {q.c for q in trainer.load_csts_jsonl(train_path)}
-            seen, unseen = eval_mod.split_seen_unseen(train_conditions, quads)
-            quads = seen if split == "seen" else unseen
-            if not quads:
+            train_conditions = {q.c for q in trainer.load_csts_jsonl(_input(cfg, "train_data"))}
+            seen, unseen = eval_mod.split_seen_unseen(train_conditions, data)
+            data = seen if split == "seen" else unseen
+            if not data:
                 raise ConfigError(f"split {split!r} selected zero instances")
-        metrics = eval_mod.evaluate_csts(params, provider, quads)
-        metrics["instances"] = len(quads)
+        metrics = eval_mod.evaluate_csts(params, provider, data)
+        metrics["instances"] = len(data)
     else:
-        if args.split not in (None, "overall"):
-            raise ConfigError("seen/unseen splits apply to the csts task only")
-        eval_triples = trainer.load_kg_tsv(data_path)
-        known, entities = _kgc_filter(cfg, eval_triples)
+        known, entities = _kgc_filter(cfg, data)
         ks = cfg.get("ks", eval_mod.DEFAULT_KS)
         if not (isinstance(ks, (list, tuple)) and ks and all(is_integer(k) and k >= 1 for k in ks)):
             raise ConfigError(f"'ks' must be a non-empty list of positive integers, got {ks!r}")
-        metrics = eval_mod.evaluate_kgc(params, provider, eval_triples, known, entities, ks=ks)
+        metrics = eval_mod.evaluate_kgc(params, provider, data, known, entities, ks=ks)
     _emit(json.dumps(metrics, indent=2) + "\n", cfg.get("out"))
     return EXIT_OK
 
@@ -219,8 +220,7 @@ def cmd_bench_cache(args) -> int:
         )
     if not requests:
         raise ConfigError("empty workload")
-    nh = args.nh
-    seed = args.seed if args.seed is not None else 0
+    nh, seed = args.nh, args.seed
     provider = HashingProvider(dim=nh, seed=seed, rounds=args.heavy_rounds)
     params_full = hypernet.init_params("full", nh, seed=seed)
     params_lowrank = hypernet.init_params("lowrank", nh, args.nk, seed=seed)
@@ -257,7 +257,7 @@ def cmd_analyze_clusters(args) -> int:
             raise ConfigError(f"{flag} must be >= 1, got {n}")
     cfg = _settings(args)
     params, provider = _load_model(cfg)
-    quads = trainer.load_csts_jsonl(_existing_path(_require(cfg, "data"), "data"))
+    quads = trainer.load_csts_jsonl(_input(cfg, "data"))
     k = args.k
     sentences, labels = _cluster_points(quads, k, args.per_group)
     if len(sentences) < k:
@@ -297,7 +297,7 @@ def cmd_analyze_clusters(args) -> int:
 def cmd_analyze_frobenius(args) -> int:
     cfg = _settings(args)
     params, provider = _load_model(cfg)
-    cond_path = _existing_path(_require(cfg, "conditions"), "conditions")
+    cond_path = _input(cfg, "conditions")
     conditions = [c for _, line in text_lines(cond_path) if (c := line.rstrip("\n"))]
     if not conditions:
         raise ConfigError(f"{cond_path}: no conditions listed")
@@ -317,19 +317,13 @@ def cmd_sweep_rank(args) -> int:
     cfg = _settings(args)
     base = _train_config_from(cfg)
     provider = _store_provider(cfg)
-    data_path = _existing_path(_require(cfg, "data"), "data")
-    eval_path = _existing_path(_require(cfg, "eval_data"), "eval_data")
+    paths = [_input(cfg, "data"), _input(cfg, "eval_data")]
     divisors = [int(d) for d in args.divisors.split(",") if d]
     if not divisors or any(d < 1 for d in divisors):
         raise ConfigError("divisors must be positive integers")
-
-    if base.task == "csts":
-        train_data = trainer.load_csts_jsonl(data_path)
-        eval_quads = trainer.load_csts_jsonl(eval_path)
-    else:
-        train_data = trainer.load_kg_tsv(data_path)
-        eval_triples = trainer.load_kg_tsv(eval_path)
-        known, entities = _kgc_filter(cfg, eval_triples, train_data)
+    train_data, eval_data = (_task_data(base.task, p) for p in paths)
+    if base.task == "kgc":
+        known, entities = _kgc_filter(cfg, eval_data, train_data)
 
     lines = ["nk\tparam_count\tmetric"]
     for d in divisors:
@@ -340,11 +334,9 @@ def cmd_sweep_rank(args) -> int:
         run_cfg.validate()
         params, _extras, _report = trainer.fit(run_cfg, train_data, provider)
         if base.task == "csts":
-            metric = eval_mod.evaluate_csts(params, provider, eval_quads)["spearman"]
+            metric = eval_mod.evaluate_csts(params, provider, eval_data)["spearman"]
         else:
-            metric = eval_mod.evaluate_kgc(
-                params, provider, eval_triples, known, entities
-            )["mrr"]
+            metric = eval_mod.evaluate_kgc(params, provider, eval_data, known, entities)["mrr"]
         lines.append(f"{nk}\t{hypernet.param_count(params)}\t{metric:.6f}")
         log.info("sweep divisor=%d nk=%d metric=%.4f", d, nk, metric)
     _emit("\n".join(lines) + "\n", cfg.get("out"))
@@ -380,9 +372,8 @@ def _gradcheck_batches(nh: int, seed: int):
 
 
 def cmd_gradcheck(args) -> int:
-    nh = args.nh
+    nh, seed = args.nh, args.seed
     nk = args.nk if args.nk is not None else max(1, nh // 4)
-    seed = args.seed if args.seed is not None else 0
     provider, twin_batch, triples, prebatch = _gradcheck_batches(nh, seed)
     worst = 0.0
     for task in ("csts", "kgc"):
@@ -411,51 +402,26 @@ def cmd_gradcheck(args) -> int:
 # -- make-synthetic ---------------------------------------------------------------
 
 
-def cmd_make_synthetic_csts(args) -> int:
+def cmd_make_synthetic(args) -> int:
+    if args.dataset == "csts":
+        quads, store = trainer.make_synthetic_csts(args.pairs, args.conditions, args.nh, args.seed)
+        train, held = trainer.split_csts_holdout(quads, args.train_fraction)
+        save = trainer.save_csts_jsonl
+        splits = {"csts_train.jsonl": train, "csts_eval.jsonl": held}
+        counts = {"train_records": len(train), "eval_records": len(held), "embeddings": len(store)}
+    else:
+        dataset, store = trainer.make_synthetic_kg(args.entities, args.relations, args.nh, args.seed)
+        save = trainer.save_kg_tsv
+        names = ("train", "valid", "test")
+        splits = {f"{name}.tsv": getattr(dataset, name) for name in names}
+        counts = {f"{name}_triples": len(getattr(dataset, name)) for name in names}
+        counts.update(entities=len(dataset.entities), relations=len(dataset.relations))
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    quads, store = trainer.make_synthetic_csts(
-        args.pairs, args.conditions, args.nh, args.seed if args.seed is not None else 0
-    )
-    train, held = trainer.split_csts_holdout(quads, args.train_fraction)
-    trainer.save_csts_jsonl(train, out_dir / "csts_train.jsonl")
-    trainer.save_csts_jsonl(held, out_dir / "csts_eval.jsonl")
+    for name, split in splits.items():
+        save(split, out_dir / name)
     save_embeddings(store, out_dir / "embeddings.jsonl")
-    print(
-        json.dumps(
-            {
-                "train_records": len(train),
-                "eval_records": len(held),
-                "embeddings": len(store),
-                "out_dir": str(out_dir),
-            }
-        )
-    )
-    return EXIT_OK
-
-
-def cmd_make_synthetic_kg(args) -> int:
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dataset, store = trainer.make_synthetic_kg(
-        args.entities, args.relations, args.nh, args.seed if args.seed is not None else 0
-    )
-    trainer.save_kg_tsv(dataset.train, out_dir / "train.tsv")
-    trainer.save_kg_tsv(dataset.valid, out_dir / "valid.tsv")
-    trainer.save_kg_tsv(dataset.test, out_dir / "test.tsv")
-    save_embeddings(store, out_dir / "embeddings.jsonl")
-    print(
-        json.dumps(
-            {
-                "train_triples": len(dataset.train),
-                "valid_triples": len(dataset.valid),
-                "test_triples": len(dataset.test),
-                "entities": len(dataset.entities),
-                "relations": len(dataset.relations),
-                "out_dir": str(out_dir),
-            }
-        )
-    )
+    print(json.dumps({**counts, "out_dir": str(out_dir)}))
     return EXIT_OK
 
 
@@ -476,6 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
         "nh": {"type": int},
         "nk": {"type": int},
         "out": {},
+        "checkpoint": {},
+        "embeddings": {},
     }
 
     def common(p, *names):
@@ -484,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{name}", **shared[name])
 
     p = sub.add_parser("train", help="train composition parameters")
-    common(p, *shared)
+    common(p, "config", "seed", "mode", "nh", "nk", "out")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -501,24 +469,20 @@ def build_parser() -> argparse.ArgumentParser:
     rounds_help = "hash rounds per embed: 2 keyed hashes per token per round, no memo across texts"
     p.add_argument("--heavy-rounds", type=int, default=64, help=rounds_help)
     p.add_argument("--repetitions", type=int, default=1)
-    p.set_defaults(func=cmd_bench_cache, nh=64)
+    p.set_defaults(func=cmd_bench_cache, nh=64, seed=0)
 
     p_an = sub.add_parser("analyze", help="clustering and operator-norm analyses")
     an_sub = p_an.add_subparsers(dest="analysis", required=True)
 
     p = an_sub.add_parser("clusters", help="k-means impurity before/after projection")
-    common(p, "config", "seed", "out")
-    p.add_argument("--checkpoint")
-    p.add_argument("--embeddings")
+    common(p, "config", "seed", "out", "checkpoint", "embeddings")
     p.add_argument("--data", help="similarity JSONL supplying sentence/condition groups")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--per-group", type=int, default=20)
     p.set_defaults(func=cmd_analyze_clusters)
 
     p = an_sub.add_parser("frobenius", help="operator-norm variance: generated vs diagonal")
-    common(p, "config", "out")
-    p.add_argument("--checkpoint")
-    p.add_argument("--embeddings")
+    common(p, "config", "out", "checkpoint", "embeddings")
     p.add_argument("--conditions", help="file with one condition per line")
     p.set_defaults(func=cmd_analyze_frobenius)
 
@@ -531,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "seed", "nh", "nk")
     p.add_argument("--probes", type=int, default=100)
     p.add_argument("--epsilon", type=float, default=1e-5)
-    p.set_defaults(func=cmd_gradcheck, nh=16)
+    p.set_defaults(func=cmd_gradcheck, nh=16, seed=0)
 
     p_mk = sub.add_parser("make-synthetic", help="generate desk-scale datasets")
     mk_sub = p_mk.add_subparsers(dest="dataset", required=True)
@@ -541,13 +505,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, default=500)
     p.add_argument("--conditions", type=int, default=4)
     p.add_argument("--train-fraction", type=float, default=0.8)
-    p.set_defaults(func=cmd_make_synthetic_csts, nh=64)
+    p.set_defaults(func=cmd_make_synthetic, nh=64, seed=0)
 
     p = mk_sub.add_parser("kg", help="orthogonal-map link-prediction data")
     common(p, "seed", "nh", "out")
     p.add_argument("--entities", type=int, default=200)
     p.add_argument("--relations", type=int, default=4)
-    p.set_defaults(func=cmd_make_synthetic_kg, nh=64)
+    p.set_defaults(func=cmd_make_synthetic, nh=64, seed=0)
 
     return parser
 

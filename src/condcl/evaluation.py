@@ -310,7 +310,6 @@ def evaluate_kgc(
     known_triples: Sequence[KgTriple],
     entities: Sequence[str],
     ks: Sequence[int] = DEFAULT_KS,
-    directions: Sequence[str] = ("tail", "head"),
 ) -> dict:
     """Filtered ranking metrics over both prediction directions.
 
@@ -327,10 +326,8 @@ def evaluate_kgc(
         heads_of.setdefault((t.t, t.r), set()).add(t.h)
     queries = []
     for t in eval_triples:
-        if "tail" in directions:
-            queries.append(((t.h, t.r), t.t, tails_of.get((t.h, t.r), ()), "tail"))
-        if "head" in directions:
-            queries.append(((t.t, t.r), t.h, heads_of.get((t.t, t.r), ()), "head"))
+        queries.append(((t.h, t.r), t.t, tails_of.get((t.h, t.r), ()), "tail"))
+        queries.append(((t.t, t.r), t.h, heads_of.get((t.t, t.r), ()), "head"))
     results = _rank_queries(params, provider, entities, queries)
     metrics = mrr_hits(results, ks)
     metrics["queries"] = len(results)

@@ -182,7 +182,7 @@ class TrainReport:
 
 
 class Adam:
-    """Adam with decoupled weight decay; decay skips names in decay_exempt."""
+    """Adam with decoupled weight decay; decay skips the temperature tau_kgc."""
 
     def __init__(
         self,
@@ -191,14 +191,12 @@ class Adam:
         betas: tuple[float, float] = TrainConfig.betas,
         eps: float = TrainConfig.eps,
         weight_decay: float = 0.0,
-        decay_exempt: tuple[str, ...] = (),
     ):
         self.params = params
         self.lr = float(lr)
         self.b1, self.b2 = betas
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
-        self.decay_exempt = set(decay_exempt)
         if not all(v.flags.c_contiguous for v in params.values()):
             raise ValueError("Adam updates parameters in place and needs C-contiguous arrays")
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
@@ -218,7 +216,7 @@ class Adam:
             g = grads.get(name)
             if g is None:
                 continue
-            decay = self.weight_decay and name not in self.decay_exempt
+            decay = self.weight_decay and name != "tau_kgc"
             flat = [a.reshape(-1) for a in (p, self.m[name], self.v[name], np.asarray(g))]
             for i in range(0, p.size, ADAM_CHUNK):
                 pc, mc, vc, gc = (a[i : i + ADAM_CHUNK] for a in flat)
@@ -405,7 +403,6 @@ def fit(
         betas=cfg.betas,
         eps=cfg.eps,
         weight_decay=cfg.weight_decay,
-        decay_exempt=("tau_kgc",),
     )
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     dropout_rng = np.random.default_rng([cfg.seed, 2])
@@ -563,8 +560,8 @@ def make_synthetic_kg(
     triple typically remain in train, which is what makes the task
     learnable at this scale.
     """
-    if n_entities < 4 or n_relations < 2:
-        raise ValueError("need n_entities >= 4 and n_relations >= 2")
+    if n_entities < 4 or n_relations < 2 or nh < 2:
+        raise ValueError("need n_entities >= 4, n_relations >= 2 and nh >= 2")
     rng = np.random.default_rng(seed)
 
     def unit(v):
@@ -676,11 +673,19 @@ def make_synthetic_kg(
 def split_csts_holdout(
     quads: Sequence[CstsQuadruplet], train_fraction: float = 0.8
 ) -> tuple[list[CstsQuadruplet], list[CstsQuadruplet]]:
-    """Split by pair (twins stay together), first fraction of pairs to train."""
+    """Split by pair (twins stay together), first fraction of pairs to train.
+
+    A fraction that rounds to no pair on either side is refused with a
+    ValueError naming the pair count and the fraction."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie in (0, 1)")
     seen = list(dict.fromkeys(q.pair_id for q in quads))
     cut = int(round(train_fraction * len(seen)))
+    if cut in (0, len(seen)):
+        side = "train" if cut == 0 else "eval"
+        raise ValueError(
+            f"{len(seen)} pairs at train_fraction={train_fraction} leave the {side} split empty"
+        )
     train_ids = set(seen[:cut])
     train = [q for q in quads if q.pair_id in train_ids]
     held = [q for q in quads if q.pair_id not in train_ids]

@@ -4,10 +4,21 @@ import numpy as np
 import pytest
 
 from condcl import cli, hypernet
-from condcl.encoder import EmbeddingStore, save_embeddings
+from condcl.encoder import EmbeddingStore, StoreProvider, load_embeddings, save_embeddings
+from condcl.evaluation import evaluate_csts, evaluate_kgc
 from condcl.hypernet import init_params, load_checkpoint, save_checkpoint
 from condcl.losses import KgTriple
-from condcl.trainer import make_synthetic_csts, make_synthetic_kg, save_csts_jsonl, save_kg_tsv
+from condcl.trainer import (
+    TrainConfig,
+    fit,
+    load_csts_jsonl,
+    load_kg_tsv,
+    make_synthetic_csts,
+    make_synthetic_kg,
+    save_csts_jsonl,
+    save_kg_tsv,
+    split_csts_holdout,
+)
 
 
 @pytest.fixture
@@ -413,3 +424,229 @@ def test_a_missing_analyze_path_is_a_usage_error_naming_its_key(csts_run, capsys
     del config[key]
     assert run(tmp_path, ["analyze", command], config) == cli.EXIT_USAGE
     assert capsys.readouterr().err == f"error: missing required config key: {key!r}\n"
+
+
+def make_synthetic(tmp_path, capsys, dataset, *flags):
+    """Run make-synthetic into tmp_path/dataset and return its directory and printed counts."""
+    out_dir = tmp_path / dataset
+    assert cli.main(["make-synthetic", dataset, "--nh", "8", *flags, "--out", str(out_dir)]) == 0
+    return out_dir, capsys.readouterr().out
+
+
+def assert_same_files(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    assert all((a / name).read_bytes() == (b / name).read_bytes() for name in names)
+
+
+def test_make_synthetic_csts_writes_the_splits_embeddings_and_counts(tmp_path, capsys):
+    out_dir, printed = make_synthetic(tmp_path, capsys, "csts", "--pairs", "10", "--conditions", "2")
+    quads, store = make_synthetic_csts(10, 2, 8, seed=0)
+    train, held = split_csts_holdout(quads, 0.8)
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    save_csts_jsonl(train, expected / "csts_train.jsonl")
+    save_csts_jsonl(held, expected / "csts_eval.jsonl")
+    save_embeddings(store, expected / "embeddings.jsonl")
+    assert_same_files(out_dir, expected)
+    counts = {"train_records": 16, "eval_records": 4, "embeddings": 22, "out_dir": str(out_dir)}
+    assert printed == json.dumps(counts) + "\n"
+
+
+def test_make_synthetic_kg_writes_the_splits_embeddings_and_counts(tmp_path, capsys):
+    out_dir, printed = make_synthetic(tmp_path, capsys, "kg", "--entities", "60", "--relations", "2")
+    dataset, store = make_synthetic_kg(60, 2, 8, seed=0)
+    expected = tmp_path / "expected"
+    expected.mkdir()
+    for name, split in (("train", dataset.train), ("valid", dataset.valid), ("test", dataset.test)):
+        save_kg_tsv(split, expected / f"{name}.tsv")
+    save_embeddings(store, expected / "embeddings.jsonl")
+    assert_same_files(out_dir, expected)
+    counts = {
+        "train_triples": len(dataset.train),
+        "valid_triples": len(dataset.valid),
+        "test_triples": len(dataset.test),
+        "entities": 60,
+        "relations": 2,
+        "out_dir": str(out_dir),
+    }
+    assert printed == json.dumps(counts) + "\n"
+
+
+@pytest.mark.parametrize(
+    "dataset, flags",
+    [("csts", ("--pairs", "10", "--conditions", "2")), ("kg", ("--entities", "60"))],
+)
+def test_make_synthetic_seeds_0_by_default(tmp_path, capsys, dataset, flags):
+    default, _ = make_synthetic(tmp_path / "default", capsys, dataset, *flags)
+    zero, _ = make_synthetic(tmp_path / "zero", capsys, dataset, *flags, "--seed", "0")
+    one, _ = make_synthetic(tmp_path / "one", capsys, dataset, *flags, "--seed", "1")
+    assert_same_files(default, zero)
+    assert (default / "embeddings.jsonl").read_bytes() != (one / "embeddings.jsonl").read_bytes()
+
+
+@pytest.fixture
+def csts_trained(tmp_path, capsys):
+    """make-synthetic csts, then train on its train split: the eval config over its eval split."""
+    out_dir, _ = make_synthetic(tmp_path, capsys, "csts", "--pairs", "20", "--conditions", "2")
+    config = {
+        "task": "csts",
+        "mode": "full",
+        "nh": 8,
+        "epochs": 1,
+        "batch_size": 8,
+        "data": str(out_dir / "csts_train.jsonl"),
+        "embeddings": str(out_dir / "embeddings.jsonl"),
+        "checkpoint": str(tmp_path / "m.ckpt"),
+    }
+    assert run(tmp_path, ["train"], config, "--out", config["checkpoint"]) == cli.EXIT_OK
+    capsys.readouterr()
+    config.update(data=str(out_dir / "csts_eval.jsonl"), train_data=config["data"])
+    return tmp_path, config
+
+
+def test_csts_eval_after_training_scores_the_eval_split(csts_trained, capsys):
+    tmp_path, config = csts_trained
+    params, _ = load_checkpoint(config["checkpoint"])
+    provider = StoreProvider(load_embeddings(config["embeddings"]))
+    quads = load_csts_jsonl(config["data"])
+    expected = {**evaluate_csts(params, provider, quads), "instances": len(quads)}
+    for split in ([], ["--split", "overall"], ["--split", "seen"]):
+        # Every eval condition also occurs in training, so seen is the whole split.
+        assert run(tmp_path, ["eval"], config, *split) == cli.EXIT_OK
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+    assert run(tmp_path, ["eval"], config, "--split", "unseen") == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: split 'unseen' selected zero instances\n"
+
+
+def test_csts_eval_splits_by_the_train_data_conditions(csts_trained, capsys):
+    tmp_path, config = csts_trained
+    train = [q for q in load_csts_jsonl(config["train_data"]) if q.c == "cond-00"]
+    save_csts_jsonl(train, tmp_path / "cond00.jsonl")
+    config["train_data"] = str(tmp_path / "cond00.jsonl")
+    quads = load_csts_jsonl(config["data"])
+    for split, keep in (("seen", lambda c: c == "cond-00"), ("unseen", lambda c: c != "cond-00")):
+        assert run(tmp_path, ["eval"], config, "--split", split) == cli.EXIT_OK
+        metrics = json.loads(capsys.readouterr().out)
+        assert metrics["instances"] == sum(keep(q.c) for q in quads) > 0
+    del config["train_data"]
+    assert run(tmp_path, ["eval"], config, "--split", "seen") == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: missing required config key: 'train_data'\n"
+
+
+@pytest.fixture
+def kgc_run(tmp_path, capsys):
+    """make-synthetic kg and a lowrank kgc config over it, filtered by train and valid."""
+    out_dir, _ = make_synthetic(tmp_path, capsys, "kg", "--entities", "60", "--relations", "2")
+    config = {
+        "task": "kgc",
+        "mode": "lowrank",
+        "nh": 8,
+        "nk": 2,
+        "epochs": 1,
+        "batch_size": 16,
+        "data": str(out_dir / "train.tsv"),
+        "embeddings": str(out_dir / "embeddings.jsonl"),
+        "checkpoint": str(tmp_path / "m.ckpt"),
+        "eval_data": str(out_dir / "test.tsv"),
+        "filter_data": [str(out_dir / "train.tsv"), str(out_dir / "valid.tsv")],
+    }
+    return tmp_path, out_dir, config
+
+
+def test_kgc_eval_after_training_filters_by_every_known_triple(kgc_run, capsys):
+    tmp_path, out_dir, config = kgc_run
+    assert run(tmp_path, ["train"], config, "--out", config["checkpoint"]) == cli.EXIT_OK
+    capsys.readouterr()
+    config["data"] = config["eval_data"]
+    assert run(tmp_path, ["eval"], config) == cli.EXIT_OK
+    metrics = json.loads(capsys.readouterr().out)
+    params, _ = load_checkpoint(config["checkpoint"])
+    provider = StoreProvider(load_embeddings(config["embeddings"]))
+    test = load_kg_tsv(out_dir / "test.tsv")
+    known = test + load_kg_tsv(out_dir / "train.tsv") + load_kg_tsv(out_dir / "valid.tsv")
+    entities = sorted({e for t in known for e in (t.h, t.t)})
+    assert metrics == json.loads(json.dumps(evaluate_kgc(params, provider, test, known, entities)))
+    assert metrics["queries"] == 2 * len(test)
+    assert run(tmp_path, ["eval"], config, "--split", "seen") == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: seen/unseen splits apply to the csts task only\n"
+
+
+def test_sweep_rank_on_kgc_ranks_the_eval_split_against_every_known_triple(kgc_run):
+    tmp_path, out_dir, config = kgc_run
+    out = tmp_path / "sweep.tsv"
+    assert run(tmp_path, ["sweep-rank"], config, "--divisors", "1,4", "--out", str(out)) == 0
+    header, *rows = out.read_text(encoding="utf-8").splitlines()
+    assert header == "nk\tparam_count\tmetric"
+    provider = StoreProvider(load_embeddings(config["embeddings"]))
+    train = load_kg_tsv(out_dir / "train.tsv")
+    test = load_kg_tsv(out_dir / "test.tsv")
+    known = test + train + train + load_kg_tsv(out_dir / "valid.tsv")
+    entities = sorted({e for t in known for e in (t.h, t.t)})
+    fields = {k: v for k, v in config.items() if k in TrainConfig.__dataclass_fields__}
+    for row, nk in zip(rows, (8, 2), strict=True):
+        run_cfg = TrainConfig.from_dict({**fields, "nk": nk})
+        params, _, _ = fit(run_cfg, train, provider)
+        mrr = evaluate_kgc(params, provider, test, known, entities)["mrr"]
+        assert row == f"{nk}\t{hypernet.param_count(params)}\t{mrr:.6f}"
+
+
+def test_bench_cache_reads_a_workload_file(tmp_path, capsys):
+    workload = tmp_path / "workload.tsv"
+    workload.write_text("a b\tc1\nd e\tc2\n\na b\tc2\n", encoding="utf-8")
+    argv = ["bench-cache", "--workload", str(workload), "--nh", "8", "--nk", "2"]
+    assert cli.main([*argv, "--heavy-rounds", "1"]) == cli.EXIT_OK
+    header, *rows = [line.split("\t") for line in capsys.readouterr().out.strip().split("\n")]
+    columns = {name: {row[0]: row[header.index(name)] for row in rows} for name in header}
+    assert columns["requests"] == dict.fromkeys(["bi", "tri", "hyper-full", "hyper-lowrank"], "3")
+    assert columns["gen_ops"] == {"bi": "0", "tri": "0", "hyper-full": "2", "hyper-lowrank": "2"}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("a\tb\tc\n", "{path}:1: expected sentence<TAB>condition"), ("\n\n", "empty workload")],
+)
+def test_bench_cache_refuses_a_malformed_or_empty_workload(tmp_path, capsys, text, message):
+    workload = tmp_path / "workload.tsv"
+    workload.write_text(text, encoding="utf-8")
+    assert cli.main(["bench-cache", "--workload", str(workload), "--nh", "8"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message.format(path=workload)}\n"
+
+
+def test_gradcheck_seeds_0_by_default(capsys):
+    def printed(*seed):
+        assert cli.main(["gradcheck", "--nh", "4", "--probes", "5", *seed]) == cli.EXIT_OK
+        return capsys.readouterr().out
+
+    assert printed() == printed("--seed", "0") != printed("--seed", "1")
+
+
+def test_bench_cache_seeds_0_by_default(capsys, monkeypatch):
+    seeds = []
+    init_params = cli.hypernet.init_params
+
+    def recorded(*args, seed):
+        seeds.append(seed)
+        return init_params(*args, seed=seed)
+
+    monkeypatch.setattr(cli.hypernet, "init_params", recorded)
+    argv = ["bench-cache", "--gen-sentences", "2", "--gen-conditions", "2", "--nh", "8"]
+    for seed in ([], ["--seed", "3"]):
+        assert cli.main([*argv, "--heavy-rounds", "1", *seed]) == cli.EXIT_OK
+    assert seeds == [0, 0, 3, 3]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["csts", "--pairs", "1"], "1 pairs at train_fraction=0.8 leave the eval split empty"),
+        (["csts", "--pairs", "2", "--train-fraction", "0.1"], "leave the train split empty"),
+        (["kg", "--nh", "1"], "need n_entities >= 4, n_relations >= 2 and nh >= 2"),
+    ],
+)
+def test_make_synthetic_refuses_sizes_that_leave_a_split_empty(tmp_path, capsys, flags, message):
+    assert cli.main(["make-synthetic", *flags, "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()

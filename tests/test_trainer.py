@@ -161,7 +161,7 @@ class TestAdam:
         ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
         ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
         kw = dict(lr=3e-3, betas=(0.8, 0.99), eps=1e-7, weight_decay=weight_decay)
-        opt = Adam(params, decay_exempt=("tau_kgc",), **kw)
+        opt = Adam(params, **kw)
         for t in range(1, 6):
             grads = {k: rng.normal(size=s) for k, s in shapes.items()}
             # a strided gradient: the transpose of a C-ordered array
@@ -181,7 +181,7 @@ class TestAdam:
         ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
         ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
         kw = dict(lr=3e-3, betas=(0.9, 0.999), eps=1e-8, weight_decay=weight_decay)
-        opt = Adam(params, decay_exempt=("tau_kgc",), **kw)
+        opt = Adam(params, **kw)
         for t in range(1, 6):
             grads = {k: rng.normal(size=s) for k, s in shapes.items()}
             unfolded_adam(ref, grads, ref_m, ref_v, t, exempt=("tau_kgc",), **kw)
@@ -222,7 +222,7 @@ class TestAdam:
 
     def test_exempt_names_skip_decay(self):
         params = {"tau_kgc": np.array(0.05)}
-        opt = Adam(params, lr=0.5, weight_decay=0.9, decay_exempt=("tau_kgc",))
+        opt = Adam(params, lr=0.5, weight_decay=0.9)
         opt.step({"tau_kgc": np.array(0.0)})
         assert float(params["tau_kgc"]) == pytest.approx(0.05)
 
@@ -393,6 +393,13 @@ class TestSyntheticCsts:
         pair_twins(train_q)
         pair_twins(eval_q)
 
+    @pytest.mark.parametrize("n_pairs, fraction, side", [(1, 0.8, "eval"), (2, 0.1, "train")])
+    def test_holdout_split_refuses_to_leave_a_side_empty(self, n_pairs, fraction, side):
+        quads, _ = make_synthetic_csts(n_pairs, 2, 8, seed=6)
+        message = f"{n_pairs} pairs at train_fraction={fraction} leave the {side} split empty"
+        with pytest.raises(ValueError, match=message):
+            split_csts_holdout(quads, fraction)
+
 
 class TestSyntheticKg:
     def test_splits_disjoint_and_nonempty(self):
@@ -433,6 +440,12 @@ class TestSyntheticKg:
             make_synthetic_kg(3, 2, 16, seed=0)
         with pytest.raises((CondclError, ValueError)):
             make_synthetic_kg(4, 2, 16, seed=0)
+
+    def test_a_one_dimensional_space_is_refused_and_two_dimensions_suffice(self):
+        with pytest.raises(ValueError, match="nh >= 2"):
+            make_synthetic_kg(60, 2, 1, seed=0)
+        ds, _ = make_synthetic_kg(60, 2, 2, seed=0)
+        assert ds.train and ds.valid and ds.test
 
     def test_deterministic(self):
         a, _ = make_synthetic_kg(80, 2, 16, seed=9)
