@@ -10,6 +10,10 @@ a batch's rows through their conditions' generated operators) and row take
 vector-Jacobian product (``losses.csts_loss``, ``losses.kgc_loss``), made
 through ``node``.
 
+The linear layer's weight gradient ``G.T @ x`` stays as its factor pair (G, x),
+a ``Factored`` that ``np.asarray`` multiplies out; the optimizer forms it a
+slice of rows at a time, so no U-sized generator gradient is ever held.
+
 Gradients flow only through Tensors; plain ndarrays and floats are constants,
 and an op whose operands are all constants returns the plain ndarray, so
 inference never builds a Tensor.
@@ -19,7 +23,20 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Tensor", "leaf", "value", "node", "linear", "grouped_matmul", "take_rows"]
+__all__ = ["Factored", "Tensor", "leaf", "value", "node", "linear", "grouped_matmul", "take_rows"]
+
+
+class Factored:
+    """The matrix ``G.T @ x`` as its two factors, G (B x m) and x (B x n):
+    ``np.asarray`` gives the C-contiguous m x n product."""
+
+    __slots__ = ("G", "x")
+
+    def __init__(self, G: np.ndarray, x: np.ndarray):
+        self.G, self.x = G, x
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.G.T @ self.x, dtype=dtype)
 
 
 class Tensor:
@@ -31,7 +48,7 @@ class Tensor:
 
     def __init__(self, data, parents=(), vjps=()):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
+        self.grad: np.ndarray | Factored | None = None
         self._parents = tuple(parents)
         self._vjps = tuple(vjps)
 
@@ -93,15 +110,16 @@ def node(data, *operands):
 def linear(x, W, b=None, shape=None) -> Tensor | np.ndarray:
     """The linear layer ``x @ W.T + b`` of rows x (B x n), weights W (m x n) and an
     optional bias b (m,), reshaped to ``shape`` if given. With G the output
-    gradient as B x m, the vjps are ``G @ W`` for x, ``G.T @ x`` for W (C-contiguous,
-    as the optimizer updates it) and ``G.sum(axis=0)`` for b."""
+    gradient as B x m, the vjps are ``G @ W`` for x, ``G.sum(axis=0)`` for b and,
+    for W, ``Factored(G, x)``: the factors of ``G.T @ x``, not their product. So W
+    must be a leaf, used once, whose gradient the optimizer reads."""
     xd, Wd = value(x), value(W)
     out = xd @ Wd.T if b is None else xd @ Wd.T + value(b)
     shape_2d = out.shape
     return node(
         out if shape is None else out.reshape(shape),
         (x, lambda g: g.reshape(shape_2d) @ Wd),
-        (W, lambda g: g.reshape(shape_2d).T @ xd),
+        (W, lambda g: Factored(g.reshape(shape_2d), xd)),
         (b, lambda g: g.reshape(shape_2d).sum(axis=0)),
     )
 

@@ -6,8 +6,9 @@ sweep-rank read a JSON config (--config) whose keys mirror TrainConfig plus
 input/output paths (any other key is refused); explicit flags win over
 config values. bench-cache, gradcheck and make-synthetic take flags only,
 with --seed defaulting to 0. Exit codes: 0 success, 1 check failure,
-2 usage/config error, 3 runtime abort. Set CONDCL_LOG=debug|info for
-progress output.
+2 usage/config error (a path that cannot be read or written included),
+3 runtime abort (running out of memory included). Set CONDCL_LOG=debug|info
+for progress output.
 """
 
 from __future__ import annotations
@@ -525,10 +526,14 @@ def main(argv=None) -> int:
     _setup_logging()
     try:
         return args.func(args)
-    except (ValueError, MissingEmbeddingError, FileNotFoundError, IsADirectoryError) as exc:
-        # ConfigError, FormatError and DimensionMismatchError are ValueErrors.
+    except (ValueError, MissingEmbeddingError, OSError) as exc:
+        # ConfigError, FormatError and DimensionMismatchError are ValueErrors; an
+        # OSError is a path that cannot be read or written as given.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_ABORT
     except TrainingDivergedError as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return EXIT_ABORT

@@ -290,6 +290,7 @@ def grad_check(
         raise ValueError(f"n_probes must be >= 1, got {n_probes}")
     base = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
     loss0, grads = loss_fn(base)
+    grads = {name: np.asarray(g) for name, g in grads.items()}  # multiplied out once
     if not np.isfinite(loss0):
         raise CondclError(f"grad_check: non-finite loss {loss0}")
 

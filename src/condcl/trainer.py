@@ -11,8 +11,9 @@ both ``fit`` and ``make_loss_closure``: its rows are grouped by condition, one
 conditions, ``apply_stack`` projects each group through its operator, and
 ``losses.csts_loss`` or ``losses.kgc_loss`` scores the (B, nh) projections as
 one node, with one backward pass and one ``Adam.step`` (over cache-sized
-chunks) per batch. Only the learnable arrays are graph leaves, so a loss that
-reads none (hadamard similarity) is a plain value and runs no backward pass.
+chunks, forming each generator gradient from its two factors) per batch. Only
+the learnable arrays are graph leaves, so a loss that reads none (hadamard
+similarity) is a plain value and runs no backward pass.
 The pre-batch window of a link-prediction batch is the tails of the last
 ``loss.prebatch_size`` batches of the epoch (none when it is 0).
 
@@ -202,12 +203,18 @@ class Adam:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
-        self._scratch = np.empty((2, ADAM_CHUNK))
+        # Rows 0 and 1 hold the update's temporaries, row 2 a slice of a factored
+        # gradient: whole rows, at least one, so it is as wide as the widest row.
+        width = max([ADAM_CHUNK, *(p.shape[1] for p in params.values() if p.ndim == 2)])
+        self._scratch = np.empty((3, width))
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        """One update over contiguous ADAM_CHUNK slices: p -= lr_t * m / (sqrt(v) + eps_t),
-        with the bias corrections folded into lr_t = lr * sqrt(bc2) / bc1 and
-        eps_t = eps * sqrt(bc2) (Kingma & Ba 2015, section 2)."""
+    def step(self, grads: dict[str, np.ndarray | ad.Factored]) -> None:
+        """One update over contiguous slices of about ADAM_CHUNK values:
+        p -= lr_t * m / (sqrt(v) + eps_t), with the bias corrections folded into
+        lr_t = lr * sqrt(bc2) / bc1 and eps_t = eps * sqrt(bc2) (Kingma & Ba 2015,
+        section 2). A factored gradient G.T @ x (``autodiff.Factored``) is formed
+        from its factors one slice of whole rows at a time, ``G[:, rows].T @ x``,
+        so no array the size of its parameter is made."""
         self.t += 1
         sqrt_bc2 = math.sqrt(1.0 - self.b2**self.t)
         lr_t = self.lr * sqrt_bc2 / (1.0 - self.b1**self.t)
@@ -217,10 +224,10 @@ class Adam:
             if g is None:
                 continue
             decay = self.weight_decay and name != "tau_kgc"
-            flat = [a.reshape(-1) for a in (p, self.m[name], self.v[name], np.asarray(g))]
-            for i in range(0, p.size, ADAM_CHUNK):
-                pc, mc, vc, gc = (a[i : i + ADAM_CHUNK] for a in flat)
-                tmp, tmp2 = self._scratch[:, : pc.size]
+            flat = [a.reshape(-1) for a in (p, self.m[name], self.v[name])]
+            for i, gc in self._slices(g):
+                pc, mc, vc = (a[i : i + gc.size] for a in flat)
+                tmp, tmp2 = self._scratch[:2, : gc.size]
                 mc *= self.b1
                 mc += np.multiply(1.0 - self.b1, gc, out=tmp)
                 vc *= self.b2
@@ -233,10 +240,30 @@ class Adam:
                 step += eps_t
                 pc -= np.divide(np.multiply(lr_t, mc, out=tmp2), step, out=step)
 
+    def _slices(self, g):
+        """(offset, values) of the flattened gradient g, one slice at a time.
+
+        A factored gradient is formed in slices of whole rows, split evenly. numpy
+        multiplies a one-row slice as a vector, which rounds unlike the whole
+        product; an even split makes a one-row slice only when the tensor has one
+        row (its whole product is a vector product too) or its rows hold over
+        ADAM_CHUNK / 4 values."""
+        if isinstance(g, ad.Factored):
+            m, n = g.G.shape[1], g.x.shape[1]
+            parts = -(-m // max(1, ADAM_CHUNK // n))
+            bounds = [k * m // parts for k in range(parts + 1)]
+            for lo, hi in zip(bounds, bounds[1:]):
+                block = self._scratch[2, : (hi - lo) * n].reshape(hi - lo, n)
+                yield lo * n, np.matmul(g.G[:, lo:hi].T, g.x, out=block).reshape(-1)
+        else:
+            flat = np.asarray(g).reshape(-1)
+            for i in range(0, flat.size, ADAM_CHUNK):
+                yield i, flat[i : i + ADAM_CHUNK]
+
 
 # -- loss closures ------------------------------------------------------------
 
-LossClosure = Callable[..., tuple[float, dict[str, np.ndarray]]]
+LossClosure = Callable[..., tuple[float, dict[str, np.ndarray | ad.Factored]]]
 
 
 def _closure(loss_of) -> LossClosure:
@@ -324,6 +351,10 @@ def make_loss_closure(
     and a text the batch also holds keeps the provider's embedding. Dropout is
     disabled here so repeated evaluations (as in finite differencing) see an
     identical function.
+
+    The closure returns (loss, gradients). A weight gradient of a linear layer
+    (a generator tensor, concat's Wcat) is an ``autodiff.Factored``, array-like
+    through ``np.asarray``; every other gradient is an ndarray.
     """
     cfg.validate()
     if not batch:

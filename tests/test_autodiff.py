@@ -65,9 +65,10 @@ def test_linear_gradients(shape):
     w, b = ad.leaf(w0), ad.leaf(b0)
     weighted_mean(ad.linear(x0, w, b, shape), c).backward()
     G = c.reshape(4, 5) / c.size
-    assert np.array_equal(w.grad, G.T @ x0) and np.array_equal(b.grad, G.sum(axis=0))
+    w_grad = np.asarray(w.grad)
+    assert np.array_equal(w_grad, G.T @ x0) and np.array_equal(b.grad, G.sum(axis=0))
     # x @ W.T hands the leaf W a C-contiguous gradient, ready for the optimizer.
-    assert w.grad.shape == w0.shape and w.grad.flags.c_contiguous
+    assert w_grad.shape == w0.shape and w_grad.flags.c_contiguous
 
 
 GROUPED_BOUNDS = {

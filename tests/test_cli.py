@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from condcl import cli, hypernet
+from condcl import cli, hypernet, trainer
 from condcl.encoder import EmbeddingStore, StoreProvider, load_embeddings, save_embeddings
 from condcl.evaluation import evaluate_csts, evaluate_kgc
 from condcl.hypernet import init_params, load_checkpoint, save_checkpoint
@@ -483,6 +483,28 @@ def test_make_synthetic_seeds_0_by_default(tmp_path, capsys, dataset, flags):
     one, _ = make_synthetic(tmp_path / "one", capsys, dataset, *flags, "--seed", "1")
     assert_same_files(default, zero)
     assert (default / "embeddings.jsonl").read_bytes() != (one / "embeddings.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+def test_make_synthetic_into_a_file_is_a_usage_error(tmp_path, capsys, below):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "sub" if below else taken
+    argv = ["make-synthetic", "csts", "--nh", "8", "--pairs", "10", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err and err.count("\n") == 1
+
+
+def test_running_out_of_memory_is_a_one_line_abort(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 302. MiB for an array with shape (49152, 768)")
+
+    monkeypatch.setattr(trainer, "make_synthetic_csts", exhausted)
+    assert cli.main(["make-synthetic", "csts", "--nh", "8"]) == cli.EXIT_ABORT
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 302. MiB for an array with shape (49152, 768)\n"
+    )
 
 
 @pytest.fixture

@@ -362,7 +362,7 @@ def list_based_grad_check(loss_fn, params, epsilon, n_probes, seed):
         lminus, _ = loss_fn(base)
         arr.flat[idx] = orig
         numeric = (lplus - lminus) / (2.0 * epsilon)
-        analytic = float(grads[name].flat[idx])
+        analytic = float(np.asarray(grads[name]).flat[idx])
         rel = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
         per_param[name] = max(per_param[name], rel)
         max_rel = max(max_rel, rel)

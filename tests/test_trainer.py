@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,16 @@ class TestAdam:
             "small": (3, 5),
             "tau_kgc": (),
         }
+        # Gradients given as their factors (G, x), G.T @ x, by row width: a generator
+        # tensor at nh=64 and at nh=6, and concat's Wcat (2nh wide) at nh=64, each
+        # over several slices; R is the number of factor rows. Cut into full
+        # ADAM_CHUNK slices, each would end in a short slice, and U6 in a single row.
+        factored = {
+            "U64": (ADAM_CHUNK // 64 * 3 + 5, 64, 32),
+            "U6": (ADAM_CHUNK // 6 * 2 + 1, 6, 3),
+            "Wcat": (ADAM_CHUNK // 128 * 2 + 3, 128, 32),
+        }
+        shapes.update({k: (m, n) for k, (m, n, _) in factored.items()})
         params = {k: rng.normal(size=s) for k, s in shapes.items()}
         ref = copy.deepcopy(params)
         ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
@@ -166,7 +177,10 @@ class TestAdam:
             grads = {k: rng.normal(size=s) for k, s in shapes.items()}
             # a strided gradient: the transpose of a C-ordered array
             grads["small"] = np.ascontiguousarray(rng.normal(size=(5, 3))).T
-            whole_array_adam(ref, grads, ref_m, ref_v, t, exempt=("tau_kgc",), **kw)
+            for k, (m, n, R) in factored.items():
+                grads[k] = ad.Factored(rng.normal(size=(R, m)), rng.normal(size=(R, n)))
+            dense = {k: np.asarray(g) for k, g in grads.items()}
+            whole_array_adam(ref, dense, ref_m, ref_v, t, exempt=("tau_kgc",), **kw)
             opt.step(grads)
             for k in shapes:
                 assert np.array_equal(params[k], ref[k]), (t, k)
@@ -642,7 +656,28 @@ class TestBatchedTraining:
         monkeypatch.setattr(np, "outer", recording_outer)
         _, grads = closure(arrays)
         assert (nh * nh, nh) not in shapes
-        assert grads["U"].shape == (nh * nh, nh) and grads["U"].flags.c_contiguous
+        U_grad = np.asarray(grads["U"])
+        assert U_grad.shape == (nh * nh, nh) and U_grad.flags.c_contiguous
+
+    @pytest.mark.parametrize("task", ["csts", "kgc"])
+    def test_a_training_step_never_holds_a_dense_generator_gradient(self, task):
+        # Formed whole, U's gradient G.T @ H is U-sized: nh^2 x nh floats. The
+        # step forms it from its factors one slice at a time instead.
+        nh = 32
+        provider, twins, triples, prebatch = probe_batches(nh)
+        cfg = TrainConfig(task=task, mode="full", nh=nh, seed=3)
+        batch, pre = (twins, None) if task == "csts" else (triples, prebatch)
+        closure = make_loss_closure(cfg, batch, provider, prebatch=pre)
+        _, arrays = initial_arrays(cfg)
+        opt = Adam(arrays, lr=1e-3)
+        tracemalloc.start()
+        try:
+            _, grads = closure(arrays)
+            opt.step(grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < nh**3 * np.dtype(np.float64).itemsize
 
     @pytest.mark.parametrize("task", ["csts", "kgc"])
     @pytest.mark.parametrize("mode", ["full", "lowrank", "hadamard", "concat"])
