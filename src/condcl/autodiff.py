@@ -2,11 +2,11 @@
 
 A Tensor wraps a float64 ndarray and remembers how it was produced; calling
 backward() on a scalar output accumulates vector-Jacobian products into the
-leaves of its graph. A training batch is built from three ops: the linear
+leaves of its graph. A training batch is built from two ops: the linear
 layer ``x @ W.T + b`` (a generator tensor over condition embeddings, and
-concat's merge), a grouped product (row segment r times matrix r of a stack:
-a batch's rows through their conditions' generated operators) and row take
-(distinct rows). Each batch loss is then one node with a closed-form
+concat's merge) and a grouped product (row i times matrix ``which[i]`` of a
+stack: a batch's rows, in batch order, through their conditions' generated
+operators). Each batch loss is then one node with a closed-form
 vector-Jacobian product (``losses.csts_loss``, ``losses.kgc_loss``), made
 through ``node``.
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Factored", "Tensor", "leaf", "value", "node", "linear", "grouped_matmul", "take_rows"]
+__all__ = ["Factored", "Tensor", "leaf", "value", "node", "linear", "check_which", "grouped_matmul"]
 
 
 class Factored:
@@ -124,47 +124,56 @@ def linear(x, W, b=None, shape=None) -> Tensor | np.ndarray:
     )
 
 
-def grouped_matmul(x, W, bounds, transpose: bool = False) -> Tensor | np.ndarray:
-    """Rows bounds[r]:bounds[r+1] of x (B x n) times matrix r of the stack W:
-    ``x[lo:hi] @ W[r]``, or ``x[lo:hi] @ W[r].T`` when ``transpose``. One
-    product per nonempty segment forward and two backward (an empty segment's
-    W gradient is zeros); no per-row copies of W."""
-    xd, Wd = value(x), value(W)
-    if len(bounds) != Wd.shape[0] + 1 or bounds[0] != 0 or bounds[-1] != xd.shape[0]:
-        raise ValueError("grouped_matmul: bounds do not split x into one segment per matrix")
-    segs = [(r, lo, hi) for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])) if hi > lo]
-    Ws = Wd.transpose(0, 2, 1) if transpose else Wd
-    out = np.empty((xd.shape[0], Ws.shape[2]))
-    for r, lo, hi in segs:  # in place: concatenating the products costs more
-        np.matmul(xd[lo:hi], Ws[r], out=out[lo:hi])
+def check_which(which, size: int, rows: int):
+    """``which`` as one int for every row, or an intp array of one index per row, each
+    an operator of a stack of ``size``; anything else, a negative index included
+    (numpy would wrap it), raises ValueError."""
+    arr = np.asarray(which)
+    if arr.shape not in ((), (rows,)) or (
+        arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= size)
+    ):
+        raise ValueError(f"which must be an int or {rows} integers in [0, {size}), got {which!r}")
+    return int(arr) if arr.ndim == 0 else arr.astype(np.intp, copy=False)
 
-    def grad_x(g):
-        gx = np.empty(xd.shape)
-        for r, lo, hi in segs:
-            np.matmul(g[lo:hi], Ws[r].T, out=gx[lo:hi])
-        return gx
+
+def grouped_matmul(x, W, which, transpose: bool = False) -> Tensor | np.ndarray:
+    """Row i of x (B x n) times matrix ``which[i]`` of the stack W, in row order:
+    ``x[i] @ W[which[i]]``, or ``x[i] @ W[which[i]].T`` when ``transpose``; ``which``
+    is one index per row, or one int for every row. Rows are grouped stably by
+    index, one product per nonempty group forward and two backward (an empty
+    group's W gradient is zeros); rows already grouped (``which`` non-decreasing)
+    are multiplied in place into slices, and no per-row copies of W are made."""
+    xd, Wd = value(x), value(W)
+    which, order = check_which(which, len(Wd), len(xd)), None
+    if isinstance(which, int):
+        segs = [(which, 0, len(xd))]
+    else:
+        if (which[1:] < which[:-1]).any():  # not grouped: group stably
+            order = np.argsort(which, kind="stable")
+            which = which[order]
+        bounds = np.searchsorted(which, np.arange(len(Wd) + 1)).tolist()
+        segs = [(r, lo, hi) for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
+    Ws = Wd.transpose(0, 2, 1) if transpose else Wd
+
+    def grouped(a):  # the rows of a in group order
+        return a if order is None else a[order]
+
+    def products(a, mats):  # grouped row segment r of a times mats[r], in row order
+        out = np.empty((len(a), mats.shape[2]))
+        for r, lo, hi in segs:  # in place: concatenating the products costs more
+            np.matmul(a[lo:hi], mats[r], out=out[lo:hi])
+        return out if order is None else out[np.argsort(order)]
+
+    xs = grouped(xd)
 
     def grad_W(g):
-        gW = np.zeros(Wd.shape)
+        gs, gW = grouped(g), np.zeros(Wd.shape)
         for r, lo, hi in segs:
-            gW[r] = g[lo:hi].T @ xd[lo:hi] if transpose else xd[lo:hi].T @ g[lo:hi]
+            gW[r] = gs[lo:hi].T @ xs[lo:hi] if transpose else xs[lo:hi].T @ gs[lo:hi]
         return gW
 
-    return node(out, (x, grad_x), (W, grad_W))
-
-
-def take_rows(x, idx) -> Tensor | np.ndarray:
-    """Rows ``idx`` of a 2-D array, in that order; ``idx`` must not repeat a row."""
-    xd = value(x)
-    idx = np.asarray(idx, dtype=np.intp)
-    taken = np.zeros(xd.shape[0], dtype=bool)
-    taken[idx] = True
-    if np.count_nonzero(taken) != idx.size:
-        raise ValueError("take_rows: repeated row index")
-
-    def vjp(g):
-        out = np.zeros(xd.shape)
-        out[idx] = g + 0.0  # + 0.0 turns -0.0 into 0.0, as adding into zeros does
-        return out
-
-    return node(xd[idx], (x, vjp))
+    return node(
+        products(xs, Ws),
+        (x, lambda g: products(grouped(g), Ws.transpose(0, 2, 1))),
+        (W, grad_W),
+    )

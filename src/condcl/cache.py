@@ -114,7 +114,7 @@ def _compose(stats: CacheStats, requests, operator, sentences, sink) -> CacheSta
         rows = {}
         for group in groups.values():
             stacked = np.stack([sentences[i] for i in group])
-            rows.update(zip(group, apply_stack(operator(group[0]), stacked, (0, len(group)))))
+            rows.update(zip(group, apply_stack(operator(group[0]), stacked, 0)))
         stats.light_ops += len(block)
         if sink:
             for i in block:

@@ -270,7 +270,7 @@ def cmd_analyze_clusters(args) -> int:
     groups = np.split(before, np.cumsum([labels.count(c) for c in conditions])[:-1])
     ops = hypernet.generate_operators(params, H)
     after = np.concatenate(
-        [hypernet.apply_stack(op, rows, (0, len(rows))) for rows, op in zip(groups, ops)]
+        [hypernet.apply_stack(op, rows, 0) for rows, op in zip(groups, ops)]
     )
     seed = cfg.get("seed") or 0
     assign_before = eval_mod.kmeans(before, k, seed=seed)

@@ -121,11 +121,11 @@ def _rank_queries(params, provider, candidates, queries) -> list[RankingResult]:
             query, gold, filter_set, direction = queries[i]
             anchor = as_vector(provider.embed(query[0]), "anchor")
             if direction == "tail":
-                base = apply_stack(op, anchor, (0, 1))[0]
+                base = apply_stack(op, anchor, 0)[0]
                 scores = _cosines(E @ base, norms, np.linalg.norm(base))
             else:
                 if heads is None:
-                    P = apply_stack(op, E, (0, len(E)))
+                    P = apply_stack(op, E, 0)
                     heads = P, np.linalg.norm(P, axis=1)
                 scores = _cosines(heads[0] @ anchor, heads[1], np.linalg.norm(anchor))
             g = index[gold]
@@ -288,9 +288,8 @@ def csts_predictions(
     H = np.stack([provider.embed(c) for c in groups])
     phi = np.empty(len(quads))
     for members, op in zip(groups.values(), generate_operators(params, H)):
-        bounds = (0, len(members))
-        a = apply_stack(op, [provider.embed(quads[i].s1) for i in members], bounds)
-        b = apply_stack(op, [provider.embed(quads[i].s2) for i in members], bounds)
+        a = apply_stack(op, [provider.embed(quads[i].s1) for i in members], 0)
+        b = apply_stack(op, [provider.embed(quads[i].s2) for i in members], 0)
         dots = np.einsum("ij,ij->i", a, b)
         phi[members] = _cosines(dots, np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
     return [similarity_to_label(p) for p in phi], [q.y for q in quads]

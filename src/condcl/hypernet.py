@@ -13,9 +13,10 @@ stack H of condition embeddings, over ndarrays and autodiff Tensors alike.
 Training generates each batch's conditions as one stack; inference takes
 one operator per condition from the validating ``generate_operators``,
 which generates in blocks of GENERATE_BLOCK rows that no caller sees. There
-is one way to apply a stack, ``apply_stack``: row segment r of a row matrix
-through operator r. Over ndarrays both give ndarrays; only training's
-Tensors build a graph.
+is one way to apply a stack, ``apply_stack``: each row of a row matrix through
+the operator its index names (one int for every row, or one index per row),
+in row order. Over ndarrays both give ndarrays; only training's Tensors build
+a graph.
 
 Checkpoint format: 8-byte magic ``HYPERCL1``, an 8-byte little-endian
 unsigned header length, a UTF-8 JSON header {mode, nh, nk, dropout_p,
@@ -217,30 +218,27 @@ def generate_stack(mode: str, tensors, H) -> ConditionOperator:
     raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
 
 
-def apply_stack(op: ConditionOperator, h_s, bounds, mask=None) -> np.ndarray | ad.Tensor:
-    """Rows bounds[r]:bounds[r+1] of h_s through operator r of a stacked operator.
+def apply_stack(op: ConditionOperator, h_s, which, mask=None) -> np.ndarray | ad.Tensor:
+    """Row i of h_s through operator ``which[i]`` of a stacked operator, in row order.
 
-    h_s is B x n rows, or one row as a 1-D vector; ``mask`` (B x 2n) scales
-    each row's concat input. Returns the B projected rows: an ndarray, or a
-    graph node when the operator holds Tensors. Rows enter the operators here, so
-    they are checked here: finite, n wide, and cut by ``bounds`` into one
-    segment (possibly empty) per operator."""
+    h_s is B x n rows, or one row as a 1-D vector; ``which`` holds each row's
+    operator index, or is one int for every row; ``mask`` (B x 2n) scales each
+    row's concat input. Returns the B projected rows: an ndarray, or a graph node
+    when the operator holds Tensors. Rows enter the operators here, so they are
+    checked here: finite, n wide, and each sent to an operator of the stack."""
     rows = np.atleast_2d(as_vector(h_s, "h_s", ndims=(1, 2)))
     size, width = op.shape
     if rows.shape[1] != width:
         raise DimensionMismatchError(f"{op.mode} operator takes width {width}, got {rows.shape[1]}")
-    steps = np.diff(bounds)
-    if len(steps) != size or bounds[0] != 0 or bounds[-1] != len(rows) or (steps < 0).any():
-        raise ValueError(f"bounds {bounds} do not cut {len(rows)} rows into {size} segments")
     if op.mode == "full":
-        return ad.grouped_matmul(rows, op.arrays["W"], bounds, transpose=True)
+        return ad.grouped_matmul(rows, op.arrays["W"], which, transpose=True)
     if op.mode == "lowrank":
-        inner = ad.grouped_matmul(rows, op.arrays["W2"], bounds)
-        return ad.grouped_matmul(inner, op.arrays["W1"], bounds, transpose=True)
-    seg = np.repeat(np.arange(size), steps)
+        inner = ad.grouped_matmul(rows, op.arrays["W2"], which)
+        return ad.grouped_matmul(inner, op.arrays["W1"], which, transpose=True)
+    which = ad.check_which(which, size, len(rows))
     if op.mode == "hadamard":  # d is the condition embeddings, an ndarray
-        return op.arrays["d"][seg] * rows
-    x = np.concatenate([op.arrays["h_c"][seg], rows], axis=1)
+        return op.arrays["d"][which] * rows
+    x = np.concatenate([np.broadcast_to(op.arrays["h_c"][which], rows.shape), rows], axis=1)
     return ad.linear(x if mask is None else x * mask, op.Wcat)
 
 

@@ -6,17 +6,18 @@ pair plus squared-error terms against labels), and a link-prediction task
 over (head, relation, tail) triples (InfoNCE with an additive margin and a
 pool of negative tails).
 
-Both are written over whole batches: the similarity loss over row-wise
-cosines phi of shape (B, 2), the link-prediction loss over the score matrix
-of the row-normalised projected heads against one candidate matrix (the
-batch's tails, its heads as self-negatives and the pre-batch tails), with a
-boolean mask built once per batch from the texts' row ids
-(``kgc_candidates``). Each loss is one autodiff node: its forward arrays are
-computed once in numpy, and its vector-Jacobian product is a closed form
-built from them, so a loss value and the gradients used in training share one
-evaluation. Over plain ndarrays a loss is a plain value; one instance is the
-B=1 case. The gradient checker compares those analytic gradients against
-central finite differences.
+Both are written over whole batches: the similarity loss over the cosines
+phi (B, 2) of 4B projected rows (rows 2k and 2k+1 the two sides of twin k,
+twins 2i and 2i+1 instance i's high and low twin), the link-prediction loss
+over the score matrix of the row-normalised projected heads against one
+candidate matrix (the batch's tails, its heads as self-negatives and the
+pre-batch tails), with a boolean mask built once per batch from the texts'
+row ids (``kgc_candidates``). Each loss is one autodiff node: its forward
+arrays are computed once in numpy, and its vector-Jacobian product is a
+closed form built from them, so a loss value and the gradients used in
+training share one evaluation. Over plain ndarrays a loss is a plain value;
+one instance is the B=1 case. The gradient checker compares those analytic
+gradients against central finite differences.
 """
 
 from __future__ import annotations
@@ -95,6 +96,8 @@ class LossConfig:
             raise ConfigError(f"tau_kgc must be >= {TAU_FLOOR}")
         if self.gamma < 0:
             raise ConfigError("gamma must be >= 0")
+        if not isinstance(self.use_self_neg, bool):
+            raise ConfigError(f"use_self_neg must be true or false, got {self.use_self_neg!r}")
         if not is_integer(self.prebatch_size):
             raise ConfigError(f"prebatch_size must be an integer, got {self.prebatch_size!r}")
         if self.prebatch_size < 0:
@@ -163,19 +166,20 @@ def _logsumexp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (m + np.log(total))[:, 0], e / total
 
 
-def csts_loss(left, right, y01: np.ndarray, tau: float):
+def csts_loss(rows, y01: np.ndarray, tau: float):
     """Mean twin loss of B instances, plus its per-instance mse and cl terms.
 
-    Rows 2i and 2i+1 of ``left`` and ``right`` are the two projected sides of
-    instance i's high and low twin, and phi_i (2,) the cosines of those row
-    pairs; ``y01`` (B, 2) holds the rescaled labels. Instance i scores
+    ``rows`` (4B, n) holds the projected sides of 2B twins: rows 2k and 2k+1
+    are twin k's two sides, and twins 2i and 2i+1 are instance i's high and
+    low twin. phi_i (2,) holds the cosines of instance i's twins; ``y01``
+    (B, 2) holds the rescaled labels. Instance i scores
     mse_i = sum_j (phi_ij - y01_ij)^2 plus cl_i = logsumexp(phi_i / tau) -
     phi_i0 / tau (-log softmax of the high twin). The mean is one autodiff
-    node over ``left`` and ``right`` (a plain value when neither is a
-    Tensor); mse and cl are (B,) ndarrays.
+    node over ``rows`` (a plain value when it is no Tensor); mse and cl are
+    (B,) ndarrays.
     """
-    l_hat, l_norms = _unit_rows(ad.value(left), "csts_loss")
-    r_hat, r_norms = _unit_rows(ad.value(right), "csts_loss")
+    hat, norms = _unit_rows(ad.value(rows), "csts_loss")
+    l_hat, r_hat = hat[0::2], hat[1::2]
     cos = np.einsum("ij,ij->i", l_hat, r_hat)
     phi = cos.reshape(y01.shape)
     d = phi - y01
@@ -185,15 +189,13 @@ def csts_loss(left, right, y01: np.ndarray, tau: float):
     cl = lse - s @ HIGH_TWIN
     d_cos = ((2.0 * d + (softmax - HIGH_TWIN) / tau) / len(d)).reshape(-1, 1)  # d mean / d phi
 
-    def vjp(own_hat, other_hat, norms):  # d cos_k / d row k = (other_hat - cos_k own_hat) / |row k|
-        return lambda g: g * d_cos * (other_hat - cos[:, None] * own_hat) / norms
+    def vjp(g):  # d cos_k / d side = (other_hat - cos_k own_hat) / |side|
+        out = np.empty(hat.shape)
+        out[0::2] = g * d_cos * (r_hat - cos[:, None] * l_hat) / norms[0::2]
+        out[1::2] = g * d_cos * (l_hat - cos[:, None] * r_hat) / norms[1::2]
+        return out
 
-    loss = ad.node(
-        (mse + cl).mean(),
-        (left, vjp(l_hat, r_hat, l_norms)),
-        (right, vjp(r_hat, l_hat, r_norms)),
-    )
-    return loss, mse, cl
+    return ad.node((mse + cl).mean(), (rows, vjp)), mse, cl
 
 
 def kgc_loss(q, cands: np.ndarray, mask: np.ndarray | None, gamma: float, tau):

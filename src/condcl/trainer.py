@@ -6,14 +6,15 @@ the learnable temperature. Gradients come from the reverse-mode graph in
 ``autodiff``; every run is a deterministic function of its seed.
 
 A batch is one matrix graph, built by one function, ``_batch_closure``, for
-both ``fit`` and ``make_loss_closure``: its rows are grouped by condition, one
-``generate_stack`` (the formula inference uses) makes the operators of its
-conditions, ``apply_stack`` projects each group through its operator, and
-``losses.csts_loss`` or ``losses.kgc_loss`` scores the (B, nh) projections as
-one node, with one backward pass and one ``Adam.step`` (over cache-sized
-chunks, forming each generator gradient from its two factors) per batch. Only
-the learnable arrays are graph leaves, so a loss that reads none (hadamard
-similarity) is a plain value and runs no backward pass.
+both ``fit`` and ``make_loss_closure``: one ``generate_stack`` (the formula
+inference uses) makes the operators of its conditions, first seen first,
+``apply_stack`` projects its rows in batch order, each through the operator
+its condition index names, and ``losses.csts_loss`` or ``losses.kgc_loss``
+scores the (B, nh) projections as one node, with one backward pass and one
+``Adam.step`` (over cache-sized chunks, forming each generator gradient from
+its two factors) per batch. Only the learnable arrays are graph leaves, so a
+loss that reads none (hadamard similarity) is a plain value and runs no
+backward pass.
 The pre-batch window of a link-prediction batch is the tails of the last
 ``loss.prebatch_size`` batches of the epoch (none when it is 0).
 
@@ -124,6 +125,8 @@ class TrainConfig:
             raise ConfigError("epochs and batch_size must be >= 1")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be >= 0")
+        if not isinstance(self.zero_bias, bool):
+            raise ConfigError(f"zero_bias must be true or false, got {self.zero_bias!r}")
         self.loss.validate()
 
     @classmethod
@@ -140,13 +143,12 @@ class TrainConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        if "betas" in d:
-            d["betas"] = tuple(d["betas"])
         try:
             cfg = cls(loss=LossConfig(**loss_d), **d)
         except TypeError as exc:
             raise ConfigError(f"bad train config: {exc}") from exc
         cfg.validate()
+        cfg.betas = tuple(cfg.betas)
         return cfg
 
     def to_dict(self) -> dict:
@@ -284,44 +286,31 @@ def _closure(loss_of) -> LossClosure:
     return fn
 
 
-def _grouped(conds: np.ndarray, rows: np.ndarray, masks: np.ndarray | None, E, cfg):
-    """Group rows by condition (row ids of E) in first-seen order: (projected,
-    where), where ``projected(leaves)`` is the grouped rows through one stack of
-    their conditions' operators and ``where`` the position of each input row in it."""
-    _, first, inverse = np.unique(conds, return_index=True, return_inverse=True)
-    order = np.argsort(first[inverse], kind="stable")
-    conds = conds[order]
-    starts = np.flatnonzero(np.diff(conds, prepend=-1))  # row ids are >= 0
-    bounds = np.append(starts, len(conds))
-    H, rows = E[conds[starts]], E[rows[order]]
-    masks = None if masks is None else masks[order]
-
-    def projected(leaves):
-        op = generate_stack(cfg.mode, leaves, H)
-        return apply_stack(op, rows, bounds, masks)
-
-    return projected, np.argsort(order)
-
-
 def _batch_closure(cfg: TrainConfig, batch, ids, E, past=(), rng=None) -> LossClosure:
     """The one batch builder, of ``fit`` and ``make_loss_closure``: the loss closure of
     ``batch``, TwinPairs (csts: rows s1_hi, s2_hi, s1_lo, s2_lo each) or KgTriples (kgc:
-    each head through its relation), with ``ids`` their texts as rows of E. ``past``
-    is the pre-batch window, the tail rows of earlier batches (kgc only); ``rng``, if
-    given, draws the concat dropout masks, one (rows, 2nh) draw in row order."""
+    each head through its relation), with ``ids`` their texts as rows of E. The rows
+    stay in batch order, each naming its condition by its index in the batch's stack
+    of conditions, first seen first. ``past`` is the pre-batch window, the tail rows
+    of earlier batches (kgc only); ``rng``, if given, draws the concat dropout masks,
+    one (rows, 2nh) draw in row order."""
     csts = cfg.task == "csts"
     conds = np.repeat(ids[:, 2:], 2, axis=1).ravel() if csts else ids[:, 1]
-    sents = np.tile(ids[:, :2], 2).ravel() if csts else ids[:, 0]
+    sents = E[np.tile(ids[:, :2], 2).ravel() if csts else ids[:, 0]]
+    index: dict[int, int] = {}
+    which = np.array([index.setdefault(c, len(index)) for c in conds.tolist()])
+    H = E[list(index)]
     use_dropout = rng is not None and cfg.mode == "concat" and cfg.dropout_p > 0.0
     masks = dropout_mask(rng, (len(sents), 2 * cfg.nh), cfg.dropout_p) if use_dropout else None
-    projected, where = _grouped(conds, sents, masks, E, cfg)
+
+    def projected(leaves):
+        return apply_stack(generate_stack(cfg.mode, leaves, H), sents, which, masks)
+
     if csts:
         y01 = np.array([[rescale_label(tp.high.y), rescale_label(tp.low.y)] for tp in batch])
 
         def loss_of(leaves):
-            rows = projected(leaves)
-            left, right = (ad.take_rows(rows, where[k::2]) for k in (0, 1))
-            total, mse, cl = csts_loss(left, right, y01, cfg.loss.tau_csts)
+            total, mse, cl = csts_loss(projected(leaves), y01, cfg.loss.tau_csts)
             return total, {"mse": float(mse.mean()), "cl": float(cl.mean())}
 
     else:
@@ -331,8 +320,7 @@ def _batch_closure(cfg: TrainConfig, batch, ids, E, past=(), rng=None) -> LossCl
 
         def loss_of(leaves):
             tau = leaves.get("tau_kgc", cfg.loss.tau_kgc)
-            q = ad.take_rows(projected(leaves), where)
-            total = kgc_loss(q, cands, neg_mask, cfg.loss.gamma, tau)
+            total = kgc_loss(projected(leaves), cands, neg_mask, cfg.loss.gamma, tau)
             return total, {"cl": total.item()}
 
     return _closure(loss_of)

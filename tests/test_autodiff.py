@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from condcl import autodiff as ad
 
@@ -71,95 +69,87 @@ def test_linear_gradients(shape):
     assert w_grad.shape == w0.shape and w_grad.flags.c_contiguous
 
 
-GROUPED_BOUNDS = {
-    "one-segment": [0, 5],
-    "one-row-segments": [0, 1, 2, 3, 4, 5],
-    "mixed": [0, 2, 3, 5],
-    "empty-segment": [0, 2, 2, 5],
-    "empty-ends": [0, 0, 5, 5],
+# (stack size, which) over five rows
+GROUPED_WHICH = {
+    "one-operator": (1, [0, 0, 0, 0, 0]),
+    "one-int": (2, 1),
+    "one-row-groups": (5, [0, 1, 2, 3, 4]),
+    "grouped": (3, [0, 0, 1, 2, 2]),
+    "empty-group": (3, [0, 0, 2, 2, 2]),
+    "empty-ends": (3, [1, 1, 1, 1, 1]),
+    "interleaved": (3, [2, 0, 2, 1, 0]),
+    "interleaved-empty-group": (4, [3, 0, 3, 0, 3]),
 }
 
 
 @pytest.mark.parametrize("transpose", [False, True], ids=["W", "W.T"])
-@pytest.mark.parametrize("bounds", GROUPED_BOUNDS.values(), ids=GROUPED_BOUNDS.keys())
-def test_grouped_matmul_values_and_gradients(bounds, transpose):
-    R, n, m = len(bounds) - 1, 3, 4
+@pytest.mark.parametrize("R,which", GROUPED_WHICH.values(), ids=GROUPED_WHICH.keys())
+def test_grouped_matmul_values_and_gradients(R, which, transpose):
+    n, m = 3, 4
     x0 = rng.normal(size=(5, n))
     W0 = rng.normal(size=(R, m, n) if transpose else (R, n, m))
     c = rng.normal(size=(5, m))
-    out = ad.grouped_matmul(x0, W0, bounds, transpose=transpose)
-    for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        want = x0[lo:hi] @ (W0[r].T if transpose else W0[r])
-        np.testing.assert_allclose(out[lo:hi], want, rtol=0, atol=1e-12)
-    check_unary(lambda t: weighted_mean(ad.grouped_matmul(t, W0, bounds, transpose), c), x0)
-    check_unary(lambda t: weighted_mean(ad.grouped_matmul(x0, t, bounds, transpose), c), W0)
+    out = ad.grouped_matmul(x0, W0, which, transpose=transpose)
+    rows = np.broadcast_to(which, 5)
+    for i, r in enumerate(rows):
+        want = x0[i] @ (W0[r].T if transpose else W0[r])
+        np.testing.assert_allclose(out[i], want, rtol=0, atol=1e-12)
+    check_unary(lambda t: weighted_mean(ad.grouped_matmul(t, W0, which, transpose), c), x0)
+    check_unary(lambda t: weighted_mean(ad.grouped_matmul(x0, t, which, transpose), c), W0)
     W = ad.leaf(W0)
-    weighted_mean(ad.grouped_matmul(x0, W, bounds, transpose), c).backward()
-    for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        assert (hi > lo) == bool(W.grad[r].any())  # an empty segment's gradient is exact zeros
+    weighted_mean(ad.grouped_matmul(x0, W, which, transpose), c).backward()
+    for r in range(R):
+        assert (r in rows) == bool(W.grad[r].any())  # an empty group's gradient is exact zeros
+
+
+def test_grouped_matmul_of_unordered_rows_is_the_grouped_product_reordered():
+    # The same rows and operators, grouped or interleaved, give the same values bit
+    # for bit, in row order, forward and backward.
+    which = np.array([1, 0, 1, 0, 0])
+    order = np.argsort(which, kind="stable")
+    x0, W0, c = rng.normal(size=(5, 3)), rng.normal(size=(2, 3, 4)), rng.normal(size=(5, 4))
+    x, W, xg, Wg = (ad.leaf(a) for a in (x0, W0, x0[order], W0))
+    out = ad.grouped_matmul(x, W, which)
+    assert np.array_equal(out.data[order], ad.grouped_matmul(xg, Wg, which[order]).data)
+    weighted_mean(out, c).backward()
+    weighted_mean(ad.grouped_matmul(xg, Wg, which[order]), c[order]).backward()
+    assert np.array_equal(x.grad[order], xg.grad) and np.array_equal(W.grad, Wg.grad)
 
 
 def test_grouped_matmul_chains_through_both_operands():
-    # the factored form: (x @ W2[r]) @ W1[r].T per segment, every operand a leaf
-    bounds = [0, 1, 4]
+    # the factored form: (x @ W2[r]) @ W1[r].T per row, every operand a leaf
+    which = [1, 0, 1, 1]
     x0, W1, W2 = rng.normal(size=(4, 3)), rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 3, 2))
     c = rng.normal(size=(4, 3))
 
     def build(x, a, b):
-        return weighted_mean(ad.grouped_matmul(ad.grouped_matmul(x, b, bounds), a, bounds, True), c)
+        return weighted_mean(ad.grouped_matmul(ad.grouped_matmul(x, b, which), a, which, True), c)
 
     check_unary(lambda t: build(t, W1, W2), x0)
     check_unary(lambda t: build(x0, t, W2), W1)
     check_unary(lambda t: build(x0, W1, t), W2)
 
 
-def test_grouped_matmul_rejects_mismatched_bounds():
+BAD_WHICH = {
+    "short": [0, 1, 1],
+    "long": [0, 1, 1, 0, 0],
+    "two-d": [[0, 1, 1, 0]],
+    "float": [0.0, 1.0, 1.0, 0.0],
+    "bool": [False, True, True, False],
+    "negative": [0, -1, 1, 0],
+    "past-the-stack": [0, 2, 1, 0],
+    "negative-int": -1,
+    "int-past-the-stack": 2,
+    "float-scalar": 0.0,
+    "none": None,
+}
+
+
+@pytest.mark.parametrize("which", BAD_WHICH.values(), ids=BAD_WHICH.keys())
+def test_grouped_matmul_refuses_a_which_that_names_no_operator_per_row(which):
     x0, W0 = np.ones((4, 2)), np.ones((2, 2, 2))
-    for bounds in ([0, 4], [0, 2, 3], [1, 2, 4], [0, 1, 2, 4]):
-        with pytest.raises(ValueError, match="bounds"):
-            ad.grouped_matmul(x0, W0, bounds)
-
-
-def test_take_rows_rejects_a_repeated_index():
-    x = ad.leaf(rng.normal(size=(3, 2)))
-    for idx in ([2, 0, 2], [0, -3]):  # -3 is row 0 again
-        with pytest.raises(ValueError, match="repeated row index"):
-            ad.take_rows(x, idx)
-
-
-def add_at_backward(shape, idx, g):
-    """The scatter-add backward of a row take: zeros, then np.add.at."""
-    out = np.zeros(shape)
-    np.add.at(out, idx, g)
-    return out
-
-
-FLOATS = st.floats(allow_nan=True, allow_infinity=True, width=64)
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), n=st.integers(1, 8), width=st.integers(1, 3))
-def test_take_rows_backward_equals_add_at_bit_for_bit(data, n, width):
-    # permutations (k == n) and partial permutations (k < n), signed zeros included
-    k = data.draw(st.integers(0, n))
-    idx = np.array(data.draw(st.permutations(range(n)))[:k], dtype=np.intp)
-    g = np.array(data.draw(st.lists(FLOATS, min_size=k * width, max_size=k * width)))
-    g = g.reshape(k, width)
-    x = ad.leaf(np.zeros((n, width)))
-    picked = ad.take_rows(x, idx)
-    (got,) = (vjp(g) for vjp in picked._vjps)
-    want = add_at_backward((n, width), idx, g)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
-def test_take_rows_gradient_of_a_permutation():
-    x0 = rng.normal(size=(3, 2))
-    x = ad.leaf(x0)
-    picked = ad.take_rows(x, [2, 0, 1])
-    assert np.array_equal(picked.data, x0[[2, 0, 1]])
-    c = rng.normal(size=(3, 2))
-    weighted_mean(picked, c).backward()
-    assert np.array_equal(x.grad[[2, 0, 1]], c / 6)
+    with pytest.raises(ValueError, match="which"):
+        ad.grouped_matmul(x0, W0, which)
 
 
 def test_diamond_graph_accumulation():
@@ -176,8 +166,8 @@ def test_ndarray_operands_make_no_node():
     plain = [
         ad.linear(x0, w0[0]),
         ad.linear(x0, w0[0], np.ones(3), shape=(4, 3, 1)),
-        ad.grouped_matmul(x0, w0, [0, 1, 4]),
-        ad.take_rows(x0, [3, 1]),
+        ad.grouped_matmul(x0, w0, [0, 1, 1, 1]),
+        ad.grouped_matmul(x0, w0, 1),
     ]
     assert all(type(out) is np.ndarray for out in plain)
     x = ad.leaf(x0)
@@ -201,4 +191,4 @@ def test_tensor_defines_no_arithmetic_operator():
 def test_backward_requires_scalar():
     x = ad.leaf(np.ones(3))
     with pytest.raises(ValueError):
-        ad.take_rows(x, [0, 2]).backward()
+        ad.grouped_matmul(x, np.ones((1, 3, 2)), 0).backward()

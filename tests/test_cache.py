@@ -176,9 +176,9 @@ def assert_rel_close(out, want):
 def recording(applied):
     """apply_stack, appending each operator it applies to ``applied``."""
 
-    def apply(op, rows, bounds, mask=None):
+    def apply(op, rows, which, mask=None):
         applied.append(op)
-        return apply_stack(op, rows, bounds, mask)
+        return apply_stack(op, rows, which, mask)
 
     return apply
 
@@ -392,7 +392,7 @@ class TestRunArchitecture:
                     continue
                 group = [j for j, (_, cj) in enumerate(requests) if cj == c]
                 stacked = np.stack([provider.embed(requests[j][0]) for j in group])
-                want = apply_stack(ops[c], stacked, (0, len(group)))[group.index(i)]
+                want = apply_stack(ops[c], stacked, 0)[group.index(i)]
                 assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("arch, mode", [("hyper", "full"), ("hyper", "lowrank"), ("tri", None)])
@@ -422,9 +422,9 @@ class TestRunArchitecture:
         assert k < n <= COMPOSE_BLOCK
         calls = []
 
-        def counting(op, rows, bounds, mask=None):
+        def counting(op, rows, which, mask=None):
             calls.append(len(rows))
-            return apply_stack(op, rows, bounds, mask)
+            return apply_stack(op, rows, which, mask)
 
         monkeypatch.setattr("condcl.cache.apply_stack", counting)
         params = init_params(mode or "full", 8, 3, seed=0)

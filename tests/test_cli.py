@@ -45,6 +45,20 @@ def run(tmp_path, command, config, *extra):
     return cli.main([*command, "--config", str(path), *extra])
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("betas", 0.9), ("betas", None), ("zero_bias", "false"), ("use_self_neg", "false")],
+)
+def test_train_rejects_a_mistyped_config_value_with_usage_exit(csts_run, capsys, key, value):
+    tmp_path, _, config = csts_run
+    if key == "use_self_neg":
+        config["loss"] = {key: value}
+    else:
+        config[key] = value
+    assert run(tmp_path, ["train"], config) == cli.EXIT_USAGE
+    assert key in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["lr", "gamma"])
 def test_train_rejects_nan_config_with_usage_exit(csts_run, capsys, key):
     tmp_path, _, config = csts_run

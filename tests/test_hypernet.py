@@ -54,6 +54,30 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
+def traced_peak(call, *args):
+    """The peak traced allocation of ``call(*args)``; tracing stops however it ends."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Operator indices that do not send each of three rows to one of two operators.
+BAD_WHICH = {
+    "short": [0, 1],
+    "long": [0, 1, 1, 0],
+    "float": [0.0, 1.0, 1.0],
+    "bool": [False, True, True],
+    "negative": [0, -1, 1],
+    "past-the-stack": [0, 2, 1],
+    "negative-int": -1,
+    "int-past-the-stack": 2,
+    "float-scalar": 0.0,
+}
+
+
 def mode_formula(params, h_c, h_s):
     """One condition's operator applied to one vector, by the mode's formula
     over ``params.tensors`` in plain numpy."""
@@ -193,18 +217,19 @@ class TestProject:
     def test_identity_dense(self):
         op = ConditionOperator("full", {"W": np.eye(4)[None]})
         h = rng.normal(size=4)
-        assert np.array_equal(apply_stack(op, h, (0, 1)), h[None])
+        assert np.array_equal(apply_stack(op, h, 0), h[None])
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_each_segment_goes_through_its_condition(self, mode):
+    @pytest.mark.parametrize(
+        "which", [[0, 0, 2, 2, 2], [2, 0, 2, 0, 2]], ids=["grouped", "interleaved"]
+    )
+    def test_each_row_goes_through_its_condition(self, mode, which):
         nh = 8
         p = init_params(mode, nh, 3 if mode == "lowrank" else None, seed=6)
         r = np.random.default_rng(7)
         H, h_s = r.normal(size=(3, nh)), r.normal(size=(5, nh))
-        bounds = [0, 2, 2, 5]  # condition 1 gets no rows
         op = generate_stack(p.mode, p.tensors, H)
-        out = apply_stack(op, h_s, bounds)
-        which = [0, 0, 2, 2, 2]
+        out = apply_stack(op, h_s, which)  # condition 1 gets no rows
         for row, h, c in zip(out, h_s, which):
             np.testing.assert_allclose(row, mode_formula(p, H[c], h), rtol=0, atol=1e-12)
 
@@ -215,9 +240,9 @@ class TestProject:
         H, h_s = rng.normal(size=(2, 6)), rng.normal(size=(3, 6))
         op = generate_stack(mode, p.tensors, H)
         assert all(type(a) is np.ndarray for a in op.arrays.values())
-        assert type(apply_stack(op, h_s, [0, 1, 3])) is np.ndarray
+        assert type(apply_stack(op, h_s, [0, 1, 1])) is np.ndarray
         for one in generate_operators(p, H):
-            assert type(apply_stack(one, h_s, (0, 3))) is np.ndarray
+            assert type(apply_stack(one, h_s, 0)) is np.ndarray
 
     def test_factored_equals_densified(self):
         for seed in range(10):
@@ -226,7 +251,7 @@ class TestProject:
             h_c = unit(r.normal(size=12))
             h_s = unit(r.normal(size=12))
             (op,) = generate_operators(p, h_c[None])
-            got = apply_stack(op, h_s, (0, 1))[0]
+            got = apply_stack(op, h_s, 0)[0]
             assert got == pytest.approx(mode_formula(p, h_c, h_s), abs=1e-10)
             assert got == pytest.approx(densify(op)[0] @ h_s, abs=1e-10)
 
@@ -234,8 +259,8 @@ class TestProject:
         h_c = rng.normal(size=7)
         h_s = rng.normal(size=7)
         (generated,) = generate_operators(init_params("hadamard", 7), h_c[None])
-        by_hand = apply_stack(diagonal_operator(h_c[None]), h_s, (0, 1))
-        assert np.array_equal(by_hand, apply_stack(generated, h_s, (0, 1)))
+        by_hand = apply_stack(diagonal_operator(h_c[None]), h_s, 0)
+        assert np.array_equal(by_hand, apply_stack(generated, h_s, 0))
         assert np.array_equal(by_hand[0], h_c * h_s)
 
     def test_factored_never_densifies(self):
@@ -246,41 +271,35 @@ class TestProject:
         w2 = rng.normal(size=(1, nh, nk))
         h = rng.normal(size=nh)
         op = ConditionOperator("lowrank", {"W1": w1, "W2": w2})
-        tracemalloc.start()
-        apply_stack(op, h, (0, 1))
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak < nh * nh * 8 * 0.05
+        assert traced_peak(apply_stack, op, h, 0) < nh * nh * 8 * 0.05
 
     def test_dim_mismatch(self):
         op = ConditionOperator("full", {"W": np.eye(4)[None]})
         with pytest.raises(DimensionMismatchError):
-            apply_stack(op, np.ones(5), (0, 1))
+            apply_stack(op, np.ones(5), 0)
         (concat,) = generate_operators(init_params("concat", 4, seed=0), np.ones((1, 4)))
         with pytest.raises(DimensionMismatchError):
-            apply_stack(concat, np.ones((2, 3)), (0, 2))
+            apply_stack(concat, np.ones((2, 3)), 0)
 
-    @pytest.mark.parametrize(
-        "size,bounds",
-        [(1, (0,)), (1, (0, 2)), (1, (1, 3)), (1, (0, 3, 3)), (1, (0, 4)), (2, (0, 4, 3))],
-    )
-    def test_bounds_must_cut_the_rows_into_one_segment_per_operator(self, size, bounds):
-        p = init_params("lowrank", 4, nk=2, seed=0)
-        op = generate_stack(p.mode, p.tensors, np.ones((size, 4)))
-        with pytest.raises(ValueError, match="bounds"):
-            apply_stack(op, np.ones((3, 4)), bounds)
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("which", BAD_WHICH.values(), ids=BAD_WHICH.keys())
+    def test_which_must_name_an_operator_of_the_stack_per_row(self, mode, which):
+        p = init_params(mode, 4, nk=2 if mode == "lowrank" else None, seed=0)
+        op = generate_stack(p.mode, p.tensors, np.ones((2, 4)))
+        with pytest.raises(ValueError, match="which"):
+            apply_stack(op, np.ones((3, 4)), which)
 
     def test_rows_must_be_finite_one_or_two_dimensional(self):
         op = ConditionOperator("full", {"W": np.eye(4)[None]})
         with pytest.raises(ValueError, match="non-finite"):
-            apply_stack(op, np.full((3, 4), np.inf), (0, 3))
+            apply_stack(op, np.full((3, 4), np.inf), 0)
         with pytest.raises(ValueError, match="2-D"):
-            apply_stack(op, np.ones((1, 1, 4)), (0, 1))
+            apply_stack(op, np.ones((1, 1, 4)), 0)
 
 
 def compose(params, h_c, h_s):
     (op,) = generate_operators(params, np.asarray(h_c)[None])
-    return apply_stack(op, h_s, (0, 1))[0]
+    return apply_stack(op, h_s, 0)[0]
 
 
 class TestComposers:
@@ -303,7 +322,7 @@ class TestComposers:
         H, h_s = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
         mask = dropout_mask(np.random.default_rng(0), (1, 8), p.dropout_p)
         op = generate_stack("concat", p.tensors, H)
-        out = apply_stack(op, h_s, [0, 1], mask)
+        out = apply_stack(op, h_s, 0, mask)
         assert np.array_equal(out[0], compose(p, H[0], h_s[0]))
 
     def test_concat_block_structure(self):
@@ -323,23 +342,23 @@ class TestComposers:
     @pytest.mark.parametrize("mode", MODES)
     def test_autodiff_leaves_give_the_inference_values(self, mode):
         # Training's path (the shared stacked generator over autodiff leaves,
-        # three row groups in one ``apply_stack``) against inference's (one
-        # ``generate_operators`` operator per group over ndarrays). Concat
-        # merges all rows in one product there and per group here, so it
-        # rounds apart in the last bits.
+        # three interleaved row groups in one ``apply_stack``) against
+        # inference's (one ``generate_operators`` operator per group over
+        # ndarrays). Concat merges all rows in one product there and per group
+        # here, so it rounds apart in the last bits.
         nh = 6
         p = init_params(mode, nh, 2 if mode == "lowrank" else None, seed=8)
         r = np.random.default_rng(10)
         H, h_s = r.normal(size=(3, nh)), r.normal(size=(6, nh))
-        bounds = [0, 1, 4, 6]
+        which = np.array([1, 0, 2, 1, 2, 1])
         leaves = {k: ad.leaf(v) for k, v in p.tensors.items()}
-        out = apply_stack(generate_stack(mode, leaves, H), h_s, bounds)
-        groups = zip(generate_operators(p, H), bounds, bounds[1:])
-        inferred = [apply_stack(op, h_s[lo:hi], (0, hi - lo)) for op, lo, hi in groups]
-        if mode == "concat":
-            np.testing.assert_allclose(out.data, np.concatenate(inferred), rtol=0, atol=1e-12)
-        else:  # hadamard has no learnable tensor: no leaf, so no graph
-            assert np.array_equal(ad.value(out), np.concatenate(inferred))
+        out = ad.value(apply_stack(generate_stack(mode, leaves, H), h_s, which))
+        for c, op in enumerate(generate_operators(p, H)):
+            inferred = apply_stack(op, h_s[which == c], 0)
+            if mode == "concat":
+                np.testing.assert_allclose(out[which == c], inferred, rtol=0, atol=1e-12)
+            else:  # hadamard has no learnable tensor: no leaf, so no graph
+                assert np.array_equal(out[which == c], inferred)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_stacked_generator_is_the_inference_formula(self, mode):
@@ -386,10 +405,10 @@ class TestBatched:
         r = np.random.default_rng(12)
         (op,) = generate_operators(p, r.normal(size=(1, nh)))
         M = r.normal(size=(5, nh))
-        out = apply_stack(op, M, (0, 5))
+        out = apply_stack(op, M, 0)
         assert out.shape == (5, nh)
         for row, h_s in zip(out, M):
-            one = apply_stack(op, h_s, (0, 1))[0]
+            one = apply_stack(op, h_s, 0)[0]
             np.testing.assert_allclose(row, one, rtol=0, atol=1e-12)
 
     def test_generate_operators_validates_the_stack(self):
@@ -509,19 +528,13 @@ class TestCheckpoint:
         save_checkpoint(path, p)
         values = param_count(p)
         del p
-        tracemalloc.start()
-        load_checkpoint(path)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        peak = traced_peak(load_checkpoint, path)
         # float64 tensors, the float32 read buffer and its finiteness mask
         assert peak < 8 * values + 5 * hypernet.CHUNK_VALUES + 64 * 1024
 
     def test_save_holds_one_chunk(self, tmp_path):
         p = init_params("full", 160, seed=0)
-        tracemalloc.start()
-        save_checkpoint(tmp_path / "m.ckpt", p, {"tau_kgc": np.array(0.05)})
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        peak = traced_peak(save_checkpoint, tmp_path / "m.ckpt", p, {"tau_kgc": np.array(0.05)})
         assert peak < 4 * hypernet.CHUNK_VALUES + 64 * 1024
 
 
@@ -758,13 +771,15 @@ class TestCheckpointFormatErrors:
         huge = [_zero_sized_checkpoint(tmp_path / f"z{e}.ckpt", [0, 2**e]) for e in (62, 70)]
         # Under -O as well: a checkpoint's header and payloads, a NaN and a cut
         # in a later chunk and shapes no array can take included, the rows
-        # entering an operator (width, finiteness and bounds), and the rules
+        # entering an operator (width, finiteness and each row's operator
+        # index, in apply_stack and in grouped_matmul), and the rules
         # of a generator.
         code = (
             "import sys\n"
             "import numpy as np\n"
             "from condcl.errors import DimensionMismatchError, FormatError\n"
             "from condcl import hypernet\n"
+            "from condcl.autodiff import grouped_matmul\n"
             "from condcl.hypernet import ConditionOperator, apply_stack, init_params, load_checkpoint\n"
             "def raises(error, call, *args):\n"
             "    try:\n"
@@ -774,15 +789,17 @@ class TestCheckpointFormatErrors:
             "    return False\n"
             "op = ConditionOperator('full', {'W': np.eye(4)[None]})\n"
             "hypernet.CHUNK_VALUES = 3\n"
+            "bad = [[0], [0, 0.0], [0, -1], [0, 1], -1, 1]\n"
             "checks = [\n"
             "    raises(FormatError, load_checkpoint, sys.argv[1]),\n"
             "    raises(FormatError, load_checkpoint, sys.argv[2]),\n"
             "    raises(FormatError, load_checkpoint, sys.argv[3]),\n"
             "    raises(FormatError, load_checkpoint, sys.argv[4]),\n"
             "    raises(FormatError, load_checkpoint, sys.argv[5]),\n"
-            "    raises(DimensionMismatchError, apply_stack, op, np.ones(5), (0, 1)),\n"
-            "    raises(ValueError, apply_stack, op, np.full((2, 4), np.nan), (0, 2)),\n"
-            "    raises(ValueError, apply_stack, op, np.ones((2, 4)), (0, 1)),\n"
+            "    raises(DimensionMismatchError, apply_stack, op, np.ones(5), 0),\n"
+            "    raises(ValueError, apply_stack, op, np.full((2, 4), np.nan), 0),\n"
+            "    *(raises(ValueError, apply_stack, op, np.ones((2, 4)), w) for w in bad),\n"
+            "    *(raises(ValueError, grouped_matmul, np.ones((2, 4)), op.arrays['W'], w) for w in bad),\n"
             "    raises(ValueError, init_params, 'lowrank', 8, 2.5),\n"
             "]\n"
             "print(checks)\n"

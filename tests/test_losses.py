@@ -37,8 +37,8 @@ def orthogonal_pair(dim=8, seed=0):
 
 
 def twin_rows(h1_hi, h2_hi, h1_lo, h2_lo):
-    """One twin instance as the (left, right) row stacks ``csts_loss`` takes."""
-    return np.stack([h1_hi, h1_lo]), np.stack([h2_hi, h2_lo])
+    """One twin instance as the rows ``csts_loss`` takes: each twin's two sides."""
+    return np.stack([h1_hi, h2_hi, h1_lo, h2_lo])
 
 
 NO_LABELS = np.zeros((1, 2))  # the cl term does not read the labels
@@ -51,20 +51,20 @@ class TestCstsCl:
         v = unit(rng.normal(size=8))
         w = unit(rng.normal(size=8))
         # identical twin pairs: phi_hi == phi_lo
-        _, _, cl = csts_loss(*twin_rows(v, w, v, w), NO_LABELS, tau=1.5)
+        _, _, cl = csts_loss(twin_rows(v, w, v, w), NO_LABELS, tau=1.5)
         assert cl[0] == pytest.approx(LN2, abs=1e-9)
 
     def test_closed_form_extremes(self):
         v = unit(rng.normal(size=8))
         # phi_hi = 1 (same vector), phi_lo = -1 (antipodal), tau = 1
-        _, _, cl = csts_loss(*twin_rows(v, v, v, -v), NO_LABELS, tau=1.0)
+        _, _, cl = csts_loss(twin_rows(v, v, v, -v), NO_LABELS, tau=1.0)
         assert cl[0] == pytest.approx(np.log(1 + np.exp(-2.0)), abs=1e-9)
 
     def test_monotone_in_tau_toward_ln2(self):
         v = unit(rng.normal(size=8))
         a, b = orthogonal_pair(8, 3)
         taus = [0.5, 1.0, 1.5, 2.0, 4.0, 8.0]
-        vals = [csts_loss(*twin_rows(v, v, a, b), NO_LABELS, t)[2][0] for t in taus]
+        vals = [csts_loss(twin_rows(v, v, a, b), NO_LABELS, t)[2][0] for t in taus]
         # phi_hi=1 > phi_lo=0: loss rises with tau and approaches ln 2
         assert all(x < y for x, y in zip(vals, vals[1:]))
         assert all(v_ < LN2 for v_ in vals)
@@ -72,26 +72,26 @@ class TestCstsCl:
 
     def test_scale_invariance_of_inputs(self):
         h = [unit(rng.normal(size=6)) for _ in range(4)]
-        base = csts_loss(*twin_rows(*h), NO_LABELS, tau=1.5)[2][0]
+        base = csts_loss(twin_rows(*h), NO_LABELS, tau=1.5)[2][0]
         scaled_rows = twin_rows(3.7 * h[0], h[1], h[2], 0.2 * h[3])
-        scaled = csts_loss(*scaled_rows, NO_LABELS, tau=1.5)[2][0]
+        scaled = csts_loss(scaled_rows, NO_LABELS, tau=1.5)[2][0]
         assert scaled == pytest.approx(base, abs=1e-12)
 
     def test_finite_for_a_small_tau(self):
         v = unit(rng.normal(size=8))
         a, b = orthogonal_pair(8, 3)
-        left, right = (ad.leaf(x) for x in twin_rows(v, v, a, b))
-        total, _, cl = csts_loss(left, right, NO_LABELS, tau=1e-3)
+        rows = ad.leaf(twin_rows(v, v, a, b))
+        total, _, cl = csts_loss(rows, NO_LABELS, tau=1e-3)
         total.backward()
         assert cl[0] == pytest.approx(0.0, abs=1e-12)  # phi_hi - phi_lo = 1, scaled by 1000
         assert np.isfinite(total.item())
-        assert np.isfinite(left.grad).all() and np.isfinite(right.grad).all()
+        assert np.isfinite(rows.grad).all()
 
     def test_positive(self):
         for seed in range(20):
             r = np.random.default_rng(seed)
             h = [unit(r.normal(size=5)) for _ in range(4)]
-            val = csts_loss(*twin_rows(*h), NO_LABELS, tau=1.5)[2][0]
+            val = csts_loss(twin_rows(*h), NO_LABELS, tau=1.5)[2][0]
             assert 0.0 < val < LN2 + 2.0 / 1.5
 
 
@@ -100,36 +100,35 @@ class TestCstsMse:
 
     def test_zero_at_target(self):
         a, b = orthogonal_pair(6, 1)
-        _, mse, _ = csts_loss(*twin_rows(a, b, a, b), np.zeros((1, 2)), tau=1.5)
+        _, mse, _ = csts_loss(twin_rows(a, b, a, b), np.zeros((1, 2)), tau=1.5)
         assert mse[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_unit_gap(self):
         v = unit(rng.normal(size=6))
         a, b = orthogonal_pair(6, 1)
         # the high twin's cosine is 1 against a target of 0; the low twin's is on target
-        _, mse, _ = csts_loss(*twin_rows(v, v, a, b), np.zeros((1, 2)), tau=1.5)
+        _, mse, _ = csts_loss(twin_rows(v, v, a, b), np.zeros((1, 2)), tau=1.5)
         assert mse[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
-        left0, right0 = rng.normal(size=(2, 6)), rng.normal(size=(2, 6))
+        rows0 = rng.normal(size=(4, 6))
         y01 = np.array([[0.3, 0.1]])
 
         def fn(arrays):
-            left, right = ad.leaf(arrays["left"]), ad.leaf(arrays["right"])
-            out, _, _ = csts_loss(left, right, y01, tau=1.5)
+            rows = ad.leaf(arrays["rows"])
+            out, _, _ = csts_loss(rows, y01, tau=1.5)
             out.backward()
-            return out.item(), {"left": left.grad, "right": right.grad}
+            return out.item(), {"rows": rows.grad}
 
-        report = grad_check(fn, {"left": left0, "right": right0}, epsilon=1e-6)
+        report = grad_check(fn, {"rows": rows0}, epsilon=1e-6)
         assert report.max_rel_err < 1e-5
 
     def test_zero_norm_row_raises(self):
-        rows = np.ones((2, 4))
-        zero = np.ones((2, 4))
-        zero[1] = 0.0
-        for left, right in ((zero, rows), (rows, zero)):
+        for k in range(4):  # either side of either twin
+            rows = np.ones((4, 4))
+            rows[k] = 0.0
             with pytest.raises(ValueError, match="zero-norm"):
-                csts_loss(left, right, NO_LABELS, tau=1.5)
+                csts_loss(rows, NO_LABELS, tau=1.5)
 
 
 class TestCstsTotal:
@@ -138,10 +137,9 @@ class TestCstsTotal:
     @staticmethod
     def _batch(items):
         """Rows and rescaled labels of (h1_hi, h2_hi, h1_lo, h2_lo, y_hi, y_lo) items."""
-        left = np.stack([v for it in items for v in (it[0], it[2])])
-        right = np.stack([v for it in items for v in (it[1], it[3])])
+        rows = np.stack([v for it in items for v in it[:4]])
         y01 = np.array([[rescale_label(it[4]), rescale_label(it[5])] for it in items])
-        return left, right, y01
+        return rows, y01
 
     def _twin(self, seed=0):
         r = np.random.default_rng(seed)
@@ -452,13 +450,15 @@ class TestBatchedCstsEqualsReference:
         left[-1] *= scale  # a scaled row: its cosine is unchanged, its gradient scaled by 1/scale
         y01 = r.uniform(0.0, 1.0, size=(n, 2))
         want = reference_csts(left, right, y01, tau)
-        left_leaf, right_leaf = ad.leaf(left), ad.leaf(right)
-        out, mse, cl = csts_loss(left_leaf, right_leaf, y01, tau)
+        rows = np.empty((4 * n, nh))
+        rows[0::2], rows[1::2] = left, right  # each twin's two sides, side by side
+        leaf = ad.leaf(rows)
+        out, mse, cl = csts_loss(leaf, y01, tau)
         out.backward()
         assert out.item() == pytest.approx(want[0], rel=1e-12, abs=1e-12)
         assert float(np.mean(mse + cl)) == out.item()
-        np.testing.assert_allclose(left_leaf.grad, want[1], rtol=1e-9, atol=1e-11)
-        np.testing.assert_allclose(right_leaf.grad, want[2], rtol=1e-9, atol=1e-11)
+        np.testing.assert_allclose(leaf.grad[0::2], want[1], rtol=1e-9, atol=1e-11)
+        np.testing.assert_allclose(leaf.grad[1::2], want[2], rtol=1e-9, atol=1e-11)
 
 
 class TestPairTwins:

@@ -12,7 +12,7 @@ from condcl import autodiff as ad
 from condcl.encoder import EmbeddingStore, HashingProvider, StoreProvider, load_embeddings
 from condcl.errors import CondclError, ConfigError, FormatError, TrainingDivergedError
 from condcl.evaluation import csts_predictions, spearman
-from condcl.hypernet import load_checkpoint
+from condcl.hypernet import apply_stack, load_checkpoint
 from condcl.losses import (
     CstsQuadruplet,
     KgTriple,
@@ -99,6 +99,23 @@ class TestTrainConfig:
         # b1 = 1 divides by zero in Adam's bias correction; b2 > 1 takes sqrt of a negative
         with pytest.raises(ConfigError, match="betas"):
             TrainConfig.from_dict({"task": "csts", "mode": "full", "nh": 8, "betas": betas})
+
+    @pytest.mark.parametrize("betas", [0.9, None, "ab"])
+    def test_betas_that_are_not_a_pair_of_numbers_raise_config_error(self, betas):
+        with pytest.raises(ConfigError, match="betas"):
+            TrainConfig.from_dict({"task": "csts", "mode": "full", "nh": 8, "betas": betas})
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_zero_bias_must_be_a_bool(self, value):
+        with pytest.raises(ConfigError, match="zero_bias"):
+            TrainConfig.from_dict({"task": "csts", "mode": "full", "nh": 8, "zero_bias": value})
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_use_self_neg_must_be_a_bool(self, value):
+        with pytest.raises(ConfigError, match="use_self_neg"):
+            TrainConfig.from_dict(
+                {"task": "kgc", "mode": "full", "nh": 8, "loss": {"use_self_neg": value}}
+            )
 
     @pytest.mark.parametrize(
         "loss",
@@ -594,16 +611,16 @@ def probe_batches(nh, zero=None):
 
 
 # Tensors one closure call builds at nh=64 and 32 instances: the leaves, the
-# generator's linear layers, the grouped projection, the row takes and one loss node.
+# generator's linear layers, the grouped projection and one loss node.
 TENSORS_PER_CALL = {
-    ("csts", "full"): 7,
-    ("csts", "lowrank"): 11,
+    ("csts", "full"): 5,
+    ("csts", "lowrank"): 9,
     ("csts", "hadamard"): 0,  # no leaf: the loss is a plain value
-    ("csts", "concat"): 5,
-    ("kgc", "full"): 7,
-    ("kgc", "lowrank"): 11,
+    ("csts", "concat"): 3,
+    ("kgc", "full"): 6,
+    ("kgc", "lowrank"): 10,
     ("kgc", "hadamard"): 2,  # the tau_kgc leaf and the loss node
-    ("kgc", "concat"): 5,
+    ("kgc", "concat"): 4,
 }
 
 
@@ -681,15 +698,25 @@ class TestBatchedTraining:
 
     @pytest.mark.parametrize("task", ["csts", "kgc"])
     @pytest.mark.parametrize("mode", ["full", "lowrank", "hadamard", "concat"])
-    def test_closure_gradients_pass_grad_check(self, task, mode):
+    def test_closure_gradients_pass_grad_check(self, task, mode, monkeypatch):
         nh = 6
         provider, twins, triples, prebatch = probe_batches(nh)
         cfg = TrainConfig(task=task, mode=mode, nh=nh, nk=2, seed=3)
         batch, pre = (twins, None) if task == "csts" else (triples, prebatch)
+        whiches = []
+
+        def recording(op, rows, which, mask=None):
+            whiches.append(which)
+            return apply_stack(op, rows, which, mask)
+
+        monkeypatch.setattr("condcl.trainer.apply_stack", recording)
         closure = make_loss_closure(cfg, batch, provider, prebatch=pre)
         _, arrays = initial_arrays(cfg)
         report = grad_check(closure, arrays, n_probes=60, seed=3)
         assert report.max_rel_err < 1e-4
+        # The batches' condition rows interleave (c0 c1 c2 c0 ..., r0 r1 r0 ...), so
+        # the projection groups its rows and returns them to batch order itself.
+        assert (np.diff(whiches[0]) < 0).any()
         if task == "kgc":  # the learnable temperature, probed on its own
             rest = {k: v for k, v in arrays.items() if k != "tau_kgc"}
             tau_only = grad_check(
