@@ -141,17 +141,17 @@ def grouped_matmul(x, W, which, transpose: bool = False) -> Tensor | np.ndarray:
     ``x[i] @ W[which[i]]``, or ``x[i] @ W[which[i]].T`` when ``transpose``; ``which``
     is one index per row, or one int for every row. Rows are grouped stably by
     index, one product per nonempty group forward and two backward (an empty
-    group's W gradient is zeros); rows already grouped (``which`` non-decreasing)
-    are multiplied in place into slices, and no per-row copies of W are made."""
+    group's W gradient is zeros), each multiplied in place into its slice; no
+    per-row copies of W are made."""
     xd, Wd = value(x), value(W)
-    which, order = check_which(which, len(Wd), len(xd)), None
+    which = check_which(which, len(Wd), len(xd))
     if isinstance(which, int):
-        segs = [(which, 0, len(xd))]
+        segs, order, inverse = [(which, 0, len(xd))], None, None
     else:
-        if (which[1:] < which[:-1]).any():  # not grouped: group stably
-            order = np.argsort(which, kind="stable")
-            which = which[order]
-        bounds = np.searchsorted(which, np.arange(len(Wd) + 1)).tolist()
+        order = np.argsort(which, kind="stable")
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(len(order))
+        bounds = np.searchsorted(which[order], np.arange(len(Wd) + 1)).tolist()
         segs = [(r, lo, hi) for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
     Ws = Wd.transpose(0, 2, 1) if transpose else Wd
 
@@ -162,7 +162,7 @@ def grouped_matmul(x, W, which, transpose: bool = False) -> Tensor | np.ndarray:
         out = np.empty((len(a), mats.shape[2]))
         for r, lo, hi in segs:  # in place: concatenating the products costs more
             np.matmul(a[lo:hi], mats[r], out=out[lo:hi])
-        return out if order is None else out[np.argsort(order)]
+        return out if inverse is None else out[inverse]
 
     xs = grouped(xd)
 
