@@ -112,9 +112,12 @@ def linear(x, W, b=None, shape=None) -> Tensor | np.ndarray:
     optional bias b (m,), reshaped to ``shape`` if given. With G the output
     gradient as B x m, the vjps are ``G @ W`` for x, ``G.sum(axis=0)`` for b and,
     for W, ``Factored(G, x)``: the factors of ``G.T @ x``, not their product. So W
-    must be a leaf, used once, whose gradient the optimizer reads."""
+    must be a leaf, used once, whose gradient the optimizer reads. b is added in
+    place, so the layer peaks at the memory of its output, not twice that."""
     xd, Wd = value(x), value(W)
-    out = xd @ Wd.T if b is None else xd @ Wd.T + value(b)
+    out = xd @ Wd.T
+    if b is not None:
+        out += value(b)
     shape_2d = out.shape
     return node(
         out if shape is None else out.reshape(shape),

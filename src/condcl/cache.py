@@ -8,34 +8,37 @@ Three execution architectures are compared over a stream of
   - ``tri``: keys are individual texts; each distinct text is a heavy call,
     and each request additionally performs one light composition.
   - ``hyper``: like tri for sentences, but conditions are a key space of
-    their own, resolved to generated operators: one-condition stacks,
-    through which each request sends its sentence as one row (the condition
-    embedding is transient).
+    their own, resolved to generated operators (the condition embeddings
+    are transient).
 
 ``run_architecture`` resolves a stream's keys first, with one ``_cached``
-call per key space: each distinct key is made once, and counted as one miss
-and one heavy op; every later occurrence is a hit. It then composes the
-stream COMPOSE_BLOCK requests at a time: within a block, one stacked product
-per condition. Nothing outlives one call, so misses equal the number of
-distinct keys, exactly. Byte accounting counts the made payload arrays'
-bytes; key strings are tracked separately as bookkeeping.
+call per key space: the distinct keys' values are made at once as one stack
+(an array of rows, or one ``generate_stack`` operator of R conditions), and
+each key becomes its index into it. Each distinct key counts as one miss and
+one heavy op; every later occurrence is a hit. Requests are then composed as
+training composes: ``apply_stack`` sends each sentence row through the
+operator its condition index names (tri: one ``diagonal_operator`` over the
+distinct texts), one call per COMPOSE_BLOCK requests, whose sentence rows are
+gathered only then. Nothing outlives one call, so misses equal the number of
+distinct keys, exactly. Byte accounting counts the made stacks' bytes; key
+strings are tracked separately as bookkeeping.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatchError
 from .hypernet import (
     ConditionOperator,
     HyperNetParams,
     apply_stack,
     diagonal_operator,
-    generate_operators,
+    generate_stack,
 )
 
 __all__ = [
@@ -49,7 +52,7 @@ __all__ = [
 ]
 
 JOINT_KEY_SEP = "\x1f"
-COMPOSE_BLOCK = 1024  # requests composed together; bounds memory to ~2 x block x nh floats
+COMPOSE_BLOCK = 1024  # requests composed together; bounds memory to ~4 x block x nh floats
 
 
 @dataclass
@@ -68,57 +71,42 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-def _payload_bytes(value) -> int:
-    """Payload size of a made vector or operator (keys excluded).
-
-    Made operators are full or lowrank, so their arrays are all they hold."""
-    arrays = value.arrays.values() if isinstance(value, ConditionOperator) else (value,)
-    return sum(a.nbytes for a in arrays)
-
-
-def _cached(
-    stats: CacheStats,
-    keys: Sequence[str],
-    make: Callable[[list[str]], Iterable],
-    gen_ops: int = 0,
-) -> list:
-    """The value of each key, each distinct key made once: one value per key.
+def _cached(stats: CacheStats, keys: Sequence[str], make: Callable, gen_ops: int = 0):
+    """The distinct keys' values as one stack, and each key's index into it.
 
     One ``make(distinct)`` call, over the distinct keys in first-seen order,
-    yields one value per key. Into ``stats``, a key's first occurrence counts
-    as a miss at one heavy op (plus ``gen_ops``), every later one as a hit.
-    A repeated key returns the same object.
+    returns their values as one stack: an array of rows, or an operator of R
+    conditions. Into ``stats``, a key's first occurrence counts as a miss at
+    one heavy op (plus ``gen_ops``), every later one as a hit; the stack's
+    arrays (a made operator is full or lowrank: its arrays are all it holds)
+    count as resident bytes.
     """
-    distinct = list(dict.fromkeys(keys))
-    made = dict(zip(distinct, make(distinct), strict=True)) if distinct else {}
+    position: dict[str, int] = {}
+    index = np.array([position.setdefault(k, len(position)) for k in keys], dtype=np.intp)
+    made = make(list(position))
     stats.lookups += len(keys)
-    stats.hits += len(keys) - len(distinct)
-    stats.misses += len(distinct)
-    stats.heavy_ops += len(distinct)
-    stats.gen_ops += gen_ops * len(distinct)
-    stats.resident_bytes += sum(_payload_bytes(v) for v in made.values())
-    stats.key_bytes += sum(len(k.encode("utf-8")) for k in distinct)
-    return [made[k] for k in keys]
+    stats.hits += len(keys) - len(position)
+    stats.misses += len(position)
+    stats.heavy_ops += len(position)
+    stats.gen_ops += gen_ops * len(position)
+    arrays = made.arrays.values() if isinstance(made, ConditionOperator) else (made,)
+    stats.resident_bytes += sum(a.nbytes for a in arrays)
+    stats.key_bytes += sum(len(k.encode("utf-8")) for k in position)
+    return made, index
 
 
-def _compose(stats: CacheStats, requests, operator, sentences, sink) -> CacheStats:
-    """Each request's sentence through its condition's operator: one light op each.
-
-    COMPOSE_BLOCK requests at a time, grouped by condition key in first-seen
-    order: one stacked product per group, through ``operator(i)``, i its first request."""
-    for lo in range(0, len(requests), COMPOSE_BLOCK):
-        block = range(lo, min(lo + COMPOSE_BLOCK, len(requests)))
-        groups: dict[str, list[int]] = {}
-        for i in block:
-            groups.setdefault(requests[i][1], []).append(i)
-        rows = {}
-        for group in groups.values():
-            stacked = np.stack([sentences[i] for i in group])
-            rows.update(zip(group, apply_stack(operator(group[0]), stacked, 0)))
-        stats.light_ops += len(block)
+def _compose(stats: CacheStats, op, which, sentences, rows, sink) -> CacheStats:
+    """Request i's sentence ``sentences[rows[i]]`` through operator ``which[i]`` of
+    op: one light op each, and one ``apply_stack`` call per COMPOSE_BLOCK requests,
+    whose sentence rows are gathered only for that call."""
+    for lo in range(0, len(which), COMPOSE_BLOCK):
+        block = slice(lo, lo + COMPOSE_BLOCK)
+        out = apply_stack(op, sentences[rows[block]], which[block])
+        stats.light_ops += len(out)
         if sink:
-            for i in block:
-                sink(rows[i])
+            for i in range(len(out)):
+                sink(out[i])
+        del out  # the next block is composed with no earlier block held
     return stats
 
 
@@ -133,38 +121,41 @@ def run_architecture(
 
     The stream's keys are resolved first, with one ``_cached`` call per key
     space, so every heavy op happens before the first request is served.
-    Hyper's conditions are embedded and generated in one
-    ``generate_operators`` call (one generation op each), and their
-    embeddings are not retained. Then the requests are composed a block at
-    a time, and the optional sink receives each conditioned embedding, in
-    request order. A block's rows are all computed before its first sink
-    call, and each row is a view of its condition group's output.
+    Hyper's conditions are generated as one operator (one generation op
+    each), and their embeddings are not retained. Then the requests are
+    composed a block at a time, and the optional sink receives each
+    conditioned embedding, in request order: a view of its block's output,
+    all of which is computed before the block's first sink call.
     """
-
-    def embed(missing):
-        return map(provider.embed, missing)
-
-    stats = CacheStats()
-    if architecture == "bi":
-        for vec in _cached(stats, [s + JOINT_KEY_SEP + c for s, c in requests], embed):
-            if sink:
-                sink(vec)
-        return stats
-    if architecture == "tri":
-        vecs = _cached(stats, [t for request in requests for t in request], embed)
-        h_c = vecs[1::2]
-        return _compose(stats, requests, lambda i: diagonal_operator(h_c[i][None]), vecs[::2], sink)
+    if architecture not in ("bi", "tri", "hyper"):
+        raise ValueError(f"unknown architecture {architecture!r}")
     if architecture == "hyper":
         if params is None or params.mode not in ("full", "lowrank"):
             raise ValueError("hyper architecture needs full or lowrank generator params")
+        if provider.dim != params.nh:
+            raise DimensionMismatchError(f"h_c has dim {provider.dim}, generator expects {params.nh}")
+    stats = CacheStats()
+    if not requests:
+        return stats
 
-        def generate(missing):
-            return generate_operators(params, np.stack([provider.embed(c) for c in missing]))
+    def embed(texts):  # each text's row, filled into one preallocated array
+        return np.fromiter(map(provider.embed, texts), (np.float64, provider.dim), len(texts))
 
-        ops = _cached(stats, [c for _, c in requests], generate, gen_ops=1)
-        vecs = _cached(stats, [s for s, _ in requests], embed)
-        return _compose(stats, requests, ops.__getitem__, vecs, sink)
-    raise ValueError(f"unknown architecture {architecture!r}")
+    if architecture == "bi":
+        vecs, index = _cached(stats, [s + JOINT_KEY_SEP + c for s, c in requests], embed)
+        for i in index if sink else ():
+            sink(vecs[i])
+        return stats
+    if architecture == "tri":
+        vecs, index = _cached(stats, [t for request in requests for t in request], embed)
+        return _compose(stats, diagonal_operator(vecs), index[1::2], vecs, index[::2], sink)
+
+    def generate(conditions):
+        return generate_stack(params.mode, params.tensors, embed(conditions))
+
+    ops, which = _cached(stats, [c for _, c in requests], generate, gen_ops=1)
+    vecs, index = _cached(stats, [s for s, _ in requests], embed)
+    return _compose(stats, ops, which, vecs, index, sink)
 
 
 @dataclass

@@ -80,9 +80,14 @@ def _load_config(path: str | None) -> dict:
 
 
 def _settings(args) -> dict:
-    """The run config, with every config-key flag that was given laid over it."""
+    """The run config, with every config-key flag that was given laid over it.
+    An output path (``out``, ``report``) that is not a string is a ConfigError."""
     flags = {k: v for k, v in vars(args).items() if k in RUN_CONFIG_KEYS and v is not None}
-    return {**_load_config(args.config), **flags}
+    cfg = {**_load_config(args.config), **flags}
+    for key in ("out", "report"):
+        if cfg.get(key) is not None and not isinstance(cfg[key], str):
+            raise ConfigError(f"{key!r} must be a path string, got {cfg[key]!r}")
+    return cfg
 
 
 def _existing_path(value, key: str) -> Path:
@@ -257,6 +262,9 @@ def cmd_analyze_clusters(args) -> int:
         if n < 1:
             raise ConfigError(f"{flag} must be >= 1, got {n}")
     cfg = _settings(args)
+    seed = cfg.get("seed", 0)
+    if not (is_integer(seed) and seed >= 0):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     params, provider = _load_model(cfg)
     quads = trainer.load_csts_jsonl(_input(cfg, "data"))
     k = args.k
@@ -265,14 +273,10 @@ def cmd_analyze_clusters(args) -> int:
         raise ConfigError(f"{len(sentences)} points cannot support k={k}")
 
     before = np.stack([provider.embed(s) for s in sentences])
-    conditions = list(dict.fromkeys(labels))  # each condition's points are contiguous
+    conditions = list(dict.fromkeys(labels))
     H = np.stack([provider.embed(c) for c in conditions])
-    groups = np.split(before, np.cumsum([labels.count(c) for c in conditions])[:-1])
-    ops = hypernet.generate_operators(params, H)
-    after = np.concatenate(
-        [hypernet.apply_stack(op, rows, 0) for rows, op in zip(groups, ops)]
-    )
-    seed = cfg.get("seed") or 0
+    op = hypernet.generate_stack(params.mode, params.tensors, H)
+    after = hypernet.apply_stack(op, before, np.array([conditions.index(c) for c in labels]))
     assign_before = eval_mod.kmeans(before, k, seed=seed)
     assign_after = eval_mod.kmeans(after, k, seed=seed)
     report = {

@@ -10,13 +10,14 @@ generator. An operator is a stack of R conditions' operators. There is one
 formula from conditions to operators, ``generate_stack``: one linear-layer
 node ``H @ U.T + bias`` (``autodiff.linear``) per generator tensor for a
 stack H of condition embeddings, over ndarrays and autodiff Tensors alike.
-Training generates each batch's conditions as one stack; inference takes
-one operator per condition from the validating ``generate_operators``,
-which generates in blocks of GENERATE_BLOCK rows that no caller sees. There
-is one way to apply a stack, ``apply_stack``: each row of a row matrix through
-the operator its index names (one int for every row, or one index per row),
-in row order. Over ndarrays both give ndarrays; only training's Tensors build
-a graph.
+Training, serving (a stream's distinct conditions, kept resident) and
+``analyze clusters`` (its k conditions) generate theirs as one stack;
+evaluation and the Frobenius report take one operator per condition from the
+validating ``generate_operators``, which holds one block of GENERATE_BLOCK
+rows, a block no caller sees, at a time. There is one way to apply a stack,
+``apply_stack``: each row of a row matrix through the operator its index
+names (one int for every row, or one index per row), in row order. Over
+ndarrays both give ndarrays; only training's Tensors build a graph.
 
 Checkpoint format: 8-byte magic ``HYPERCL1``, an 8-byte little-endian
 unsigned header length, a UTF-8 JSON header {mode, nh, nk, dropout_p,

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,8 @@ from condcl.cache import (
     run_architecture,
 )
 from condcl.encoder import HashingProvider
-from condcl.hypernet import apply_stack, generate_operators, init_params
+from condcl.errors import DimensionMismatchError
+from condcl.hypernet import apply_stack, generate_operators, generate_stack, init_params
 
 FLOAT_BYTES = 8
 COMPOSE_TOL = 1e-12  # served rows against per-request formulas, relative
@@ -79,15 +81,15 @@ def simulate_workload(
 
 
 def cached_embeddings(stats, provider, texts):
-    return _cached(stats, texts, lambda missing: map(provider.embed, missing))
+    return _cached(stats, texts, lambda missing: np.stack([provider.embed(t) for t in missing]))
 
 
 class TestCached:
     def test_miss_then_hit(self):
         stats = CacheStats()
         provider = HashingProvider(dim=8, seed=0)
-        a, b = cached_embeddings(stats, provider, ["x", "x"])
-        assert a is b and np.array_equal(a, provider.embed("x"))
+        vecs, index = cached_embeddings(stats, provider, ["x", "x"])
+        assert index.tolist() == [0, 0] and np.array_equal(vecs, [provider.embed("x")])
         assert (stats.lookups, stats.hits, stats.misses, stats.heavy_ops) == (2, 1, 1, 1)
 
     def test_resident_bytes_accounting(self):
@@ -104,17 +106,18 @@ class TestCached:
 
         def make(missing):
             made.append(list(missing))
-            return (np.full(3, float(t[1:])) for t in missing)
+            return np.stack([np.full(3, float(t[1:])) for t in missing])
 
         s = CacheStats()
-        values = _cached(s, texts, make, gen_ops=2)
+        values, index = _cached(s, texts, make, gen_ops=2)
         hits, misses, distinct = replay_oracle(texts)
         assert (s.lookups, s.hits, s.misses, s.heavy_ops) == (200, hits, misses, misses)
         # One make call, over the distinct keys in first-seen order.
         assert made == [list(dict.fromkeys(texts))] and len(made[0]) == distinct
         assert s.gen_ops == 2 * distinct and s.resident_bytes == distinct * 3 * FLOAT_BYTES
-        for t, v in zip(texts, values):
-            assert v is values[texts.index(t)] and v[0] == float(t[1:])
+        # Each key's index names its row: one row per distinct key, first seen first.
+        assert index.tolist() == [made[0].index(t) for t in texts]
+        assert values[:, 0].tolist() == [float(t[1:]) for t in made[0]]
 
     def test_an_empty_stream_makes_nothing(self):
         provider = HashingProvider(dim=8, seed=0)
@@ -216,6 +219,27 @@ class TestHyperOperators:
         assert len(applied) == 2 and applied[0] is applied[1]
         assert (stats.heavy_ops, stats.gen_ops) == (2, 1)
 
+    def test_a_provider_of_another_width_is_refused(self):
+        params = init_params("full", 8, seed=0)
+        with pytest.raises(DimensionMismatchError, match="^h_c has dim 6, generator expects 8$"):
+            run_architecture("hyper", [("s", "c")], HashingProvider(dim=6, seed=0), params)
+
+    @pytest.mark.parametrize("mode", ["full", "lowrank"])
+    def test_serving_holds_one_block_of_rows_at_a_time(self, mode):
+        # Four blocks over few distinct texts, so resident bytes are small: gathering
+        # the whole stream's sentence rows at once would hold three blocks more.
+        nh = 256
+        params = init_params(mode, nh, 8, seed=0)
+        provider = HashingProvider(dim=nh, seed=0)
+        requests = [(f"s{i % 16}", f"c{i % 5}") for i in range(4 * COMPOSE_BLOCK)]
+        tracemalloc.start()
+        try:
+            stats = run_architecture("hyper", requests, provider, params, lambda row: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stats.resident_bytes + 5 * COMPOSE_BLOCK * nh * FLOAT_BYTES
+
     @pytest.mark.parametrize("mode", [None, "hadamard", "concat"])
     def test_requires_generating_params(self, mode):
         params = init_params(mode, 8) if mode else None
@@ -236,12 +260,12 @@ class TestHyperOperators:
         params = init_params("lowrank" if nk else "full", nh, nk, seed=0)
         generated, applied = [], []
 
-        def generating(p, H):
+        def generating(mode, tensors, H):
             generated.append(H)
-            return generate_operators(p, H)
+            return generate_stack(mode, tensors, H)
 
         requests = [("s", t) for t in texts]
-        patches = {"generate_operators": generating, "apply_stack": recording(applied)}
+        patches = {"generate_stack": generating, "apply_stack": recording(applied)}
         s = hyper_stats(params, provider, requests, **patches)
         hits, misses, distinct = replay_oracle(texts)
         # The one sentence "s" is a key space of its own: one miss, then hits.
@@ -250,14 +274,13 @@ class TestHyperOperators:
         op_bytes = (2 * nh * nk if nk else nh * nh) * FLOAT_BYTES
         assert s.resident_bytes == distinct * op_bytes + nh * FLOAT_BYTES
         # One generating call over the distinct conditions in first-seen order,
-        # and one stacked product per condition (one compose block).
+        # and one stack of them applied (one compose block).
         conditions = list(dict.fromkeys(texts))
         assert len(generated) == 1
         assert np.array_equal(generated[0], np.stack([provider.embed(c) for c in conditions]))
-        assert len(applied) == len(conditions)
-        for t, op in zip(conditions, applied):
-            assert op.shape == (1, nh)
-            got = [a[0] for a in op.arrays.values()]
+        assert len(applied) == 1 and applied[0].shape == (len(conditions), nh)
+        for r, t in enumerate(conditions):
+            got = [a[r] for a in applied[0].arrays.values()]
             for g, want in zip(got, operator_formula(params, provider.embed(t)), strict=True):
                 np.testing.assert_allclose(g, want, rtol=0, atol=1e-12)
 
@@ -415,11 +438,11 @@ class TestRunArchitecture:
             assert_rel_close(out, want)
 
     @pytest.mark.parametrize("arch, mode", [("hyper", "full"), ("hyper", "lowrank"), ("tri", None)])
-    def test_one_block_applies_one_stacked_product_per_condition(self, arch, mode, monkeypatch):
-        # Counted, not timed: composing per request would make n calls.
-        requests = full_cross_requests(5, 3, replays=2)
-        k, n = 3, len(requests)
-        assert k < n <= COMPOSE_BLOCK
+    def test_each_compose_block_is_one_apply_stack_call(self, arch, mode, monkeypatch):
+        # Counted, not timed: composing per condition or per request would make more calls.
+        requests = full_cross_requests(5, 3, replays=2) * (COMPOSE_BLOCK // 30 + 1)
+        n = len(requests)
+        assert COMPOSE_BLOCK < n <= 2 * COMPOSE_BLOCK
         calls = []
 
         def counting(op, rows, which, mask=None):
@@ -430,8 +453,8 @@ class TestRunArchitecture:
         params = init_params(mode or "full", 8, 3, seed=0)
         served = []
         run_architecture(arch, requests, HashingProvider(dim=8, seed=0), params, served.append)
-        assert len(calls) == k
-        assert sum(calls) == len(served) == n
+        assert calls == [COMPOSE_BLOCK, n - COMPOSE_BLOCK]
+        assert len(served) == n
 
 
 class TestBenchReport:

@@ -432,6 +432,39 @@ def test_cluster_analysis_reads_the_config_seed(csts_run, monkeypatch):
     assert seeds == [7, 7]
 
 
+@pytest.mark.parametrize("seed", ["x", 1.5, -1, True, None])
+def test_cluster_analysis_refuses_a_seed_that_is_not_a_non_negative_integer(csts_run, capsys, seed):
+    tmp_path, config = analyze_ready(csts_run)
+    # The embeddings are missing too: the seed is checked before anything is read.
+    config.update(seed=seed, embeddings=str(tmp_path / "missing.jsonl"))
+    assert run(tmp_path, ["analyze", "clusters"], config, "--k", "2") == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: seed must be a non-negative integer, got {seed!r}\n"
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        (["train"], "report", 5),
+        (["train"], "out", ["x"]),
+        (["eval"], "out", 5),
+        (["sweep-rank", "--divisors", "4"], "out", 5),
+        (["analyze", "frobenius"], "out", 5),
+        (["analyze", "clusters", "--k", "2"], "out", 5),
+    ],
+)
+def test_an_output_path_that_is_not_a_string_is_refused_before_any_work(
+    csts_run, capsys, monkeypatch, command, key, value
+):
+    tmp_path, config = analyze_ready(csts_run)
+    config[key] = value
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_store_provider", lambda cfg: pytest.fail("work began"))
+    written = {p.name for p in tmp_path.iterdir()} | {"config.json"}
+    assert run(tmp_path, command, config) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {key!r} must be a path string, got {value!r}\n"
+    assert {p.name for p in tmp_path.iterdir()} == written
+
+
 @pytest.mark.parametrize("command, key", [("clusters", "data"), ("frobenius", "conditions")])
 def test_a_missing_analyze_path_is_a_usage_error_naming_its_key(csts_run, capsys, command, key):
     tmp_path, config = analyze_ready(csts_run)

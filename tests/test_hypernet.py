@@ -210,6 +210,14 @@ class TestGenerate:
         with pytest.raises(DimensionMismatchError):
             generate_operators(p, np.ones((1, 5)))
 
+    @pytest.mark.parametrize("mode, nk", [("full", None), ("lowrank", 8)])
+    def test_a_stack_is_generated_at_the_memory_of_its_output(self, mode, nk):
+        # The bias is added in place; holding the product and its sum at once peaks at 2x.
+        p = init_params(mode, 32, nk, seed=0)
+        H = np.random.default_rng(0).normal(size=(64, 32))
+        out_bytes = sum(a.nbytes for a in generate_stack(mode, p.tensors, H).arrays.values())
+        assert traced_peak(generate_stack, mode, p.tensors, H) < 1.5 * out_bytes
+
 
 class TestProject:
     """Rows projected through a stack by ``apply_stack``."""
