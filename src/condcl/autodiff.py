@@ -5,10 +5,10 @@ backward() on a scalar output accumulates vector-Jacobian products into the
 leaves of its graph. A training batch is built from two ops: the linear
 layer ``x @ W.T + b`` (a generator tensor over condition embeddings, and
 concat's merge) and a grouped product (row i times matrix ``which[i]`` of a
-stack: a batch's rows, in batch order, through their conditions' generated
-operators). Each batch loss is then one node with a closed-form
-vector-Jacobian product (``losses.csts_loss``, ``losses.kgc_loss``), made
-through ``node``.
+stack, each group of rows multiplied straight into its rows: a batch's rows,
+in batch order, through their conditions' generated operators). Each batch
+loss is then one node with a closed-form vector-Jacobian product
+(``losses.csts_loss``, ``losses.kgc_loss``), made through ``node``.
 
 The linear layer's weight gradient ``G.T @ x`` stays as its factor pair (G, x),
 a ``Factored`` that ``np.asarray`` multiplies out; the optimizer forms it a
@@ -142,41 +142,37 @@ def check_which(which, size: int, rows: int):
 def grouped_matmul(x, W, which, transpose: bool = False) -> Tensor | np.ndarray:
     """Row i of x (B x n) times matrix ``which[i]`` of the stack W, in row order:
     ``x[i] @ W[which[i]]``, or ``x[i] @ W[which[i]].T`` when ``transpose``; ``which``
-    is one index per row, or one int for every row. Rows are grouped stably by
-    index, one product per nonempty group forward and two backward (an empty
-    group's W gradient is zeros), each multiplied in place into its slice; no
-    per-row copies of W are made."""
+    is one index per row, or one int for every row (one product over all rows).
+    Otherwise each nonempty group's rows are gathered, multiplied by its matrix
+    and written straight back to those rows, forward and for the x gradient; its
+    W gradient reads the group's rows of g and x (an empty group's is zeros). So
+    beyond the output one group's rows are held at a time, and W is not copied."""
     xd, Wd = value(x), value(W)
     which = check_which(which, len(Wd), len(xd))
     if isinstance(which, int):
-        segs, order, inverse = [(which, 0, len(xd))], None, None
+        groups = [(which, slice(None))]
     else:
         order = np.argsort(which, kind="stable")
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(len(order))
-        bounds = np.searchsorted(which[order], np.arange(len(Wd) + 1)).tolist()
-        segs = [(r, lo, hi) for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
+        cuts = np.searchsorted(which[order], np.arange(len(Wd) + 1)).tolist()
+        groups = [(r, order[lo:hi]) for r, (lo, hi) in enumerate(zip(cuts, cuts[1:])) if hi > lo]
     Ws = Wd.transpose(0, 2, 1) if transpose else Wd
 
-    def grouped(a):  # the rows of a in group order
-        return a if order is None else a[order]
-
-    def products(a, mats):  # grouped row segment r of a times mats[r], in row order
+    def products(a, mats):  # row i of a times mats[which[i]], in row order
+        if isinstance(which, int):
+            return a @ mats[which]
         out = np.empty((len(a), mats.shape[2]))
-        for r, lo, hi in segs:  # in place: concatenating the products costs more
-            np.matmul(a[lo:hi], mats[r], out=out[lo:hi])
-        return out if inverse is None else out[inverse]
-
-    xs = grouped(xd)
+        for r, rows in groups:
+            out[rows] = a[rows] @ mats[r]
+        return out
 
     def grad_W(g):
-        gs, gW = grouped(g), np.zeros(Wd.shape)
-        for r, lo, hi in segs:
-            gW[r] = gs[lo:hi].T @ xs[lo:hi] if transpose else xs[lo:hi].T @ gs[lo:hi]
+        gW = np.zeros(Wd.shape)
+        for r, rows in groups:
+            gW[r] = g[rows].T @ xd[rows] if transpose else xd[rows].T @ g[rows]
         return gW
 
     return node(
-        products(xs, Ws),
-        (x, lambda g: products(grouped(g), Ws.transpose(0, 2, 1))),
+        products(xd, Ws),
+        (x, lambda g: products(g, Ws.transpose(0, 2, 1))),
         (W, grad_W),
     )

@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 JOINT_KEY_SEP = "\x1f"
-COMPOSE_BLOCK = 1024  # requests composed together; bounds memory to ~4 x block x nh floats
+COMPOSE_BLOCK = 1024  # requests composed together; bounds memory to ~2.5 x block x nh floats
 
 
 @dataclass

@@ -81,13 +81,20 @@ def _load_config(path: str | None) -> dict:
 
 def _settings(args) -> dict:
     """The run config, with every config-key flag that was given laid over it.
-    An output path (``out``, ``report``) that is not a string is a ConfigError."""
+    Its output paths (``out``, ``report``) are checked by ``_output``."""
     flags = {k: v for k, v in vars(args).items() if k in RUN_CONFIG_KEYS and v is not None}
     cfg = {**_load_config(args.config), **flags}
     for key in ("out", "report"):
-        if cfg.get(key) is not None and not isinstance(cfg[key], str):
-            raise ConfigError(f"{key!r} must be a path string, got {cfg[key]!r}")
+        _output(cfg.get(key), key)
     return cfg
+
+
+def _output(value, key: str) -> None:
+    """Refuse, before any work, an output path that is not a string or whose folder is missing."""
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{key!r} must be a path string, got {value!r}")
+    if value and not Path(value).parent.is_dir():
+        raise ConfigError(f"{key}: directory does not exist: {Path(value).parent}")
 
 
 def _existing_path(value, key: str) -> Path:
@@ -218,6 +225,7 @@ def _load_workload(path: Path) -> list[tuple[str, str]]:
 
 
 def cmd_bench_cache(args) -> int:
+    _output(args.out, "out")
     if args.workload:
         requests = _load_workload(_existing_path(args.workload, "workload"))
     else:
@@ -525,6 +533,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if (getattr(args, "seed", None) or 0) < 0:  # numpy's own refusal names no seed
+            parser.error(f"argument --seed: seed must be a non-negative integer, got {args.seed}")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     _setup_logging()

@@ -107,9 +107,10 @@ class TrainConfig:
         problem = generator_problem(self.mode, self.nh, self.nk, self.dropout_p)
         if problem is not None:
             raise ConfigError(problem)
-        for name in ("epochs", "batch_size", "seed"):
-            if not is_integer(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (is_integer(value) and value >= least):
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         for name in ("lr", "eps", "weight_decay"):
             if not is_finite_real(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number")
@@ -121,8 +122,6 @@ class TrainConfig:
             raise ConfigError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
         if self.lr < 0:
             raise ConfigError("lr must be >= 0")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be >= 0")
         if not isinstance(self.zero_bias, bool):
@@ -536,14 +535,8 @@ def make_synthetic_csts(
             b = v2[k * block : (k + 1) * block]
             denom = np.linalg.norm(a) * np.linalg.norm(b)
             cosines.append(float(np.clip(a @ b / denom, -1.0, 1.0)))
-        k_hi = int(np.argmax(cosines))
-        k_lo = int(np.argmin(cosines))
-        quads.append(
-            CstsQuadruplet(s1, s2, cond_texts[k_hi], 3.0 + 2.0 * cosines[k_hi], pair_id=i)
-        )
-        quads.append(
-            CstsQuadruplet(s1, s2, cond_texts[k_lo], 3.0 + 2.0 * cosines[k_lo], pair_id=i)
-        )
+        for k in (int(np.argmax(cosines)), int(np.argmin(cosines))):  # the high twin, then the low
+            quads.append(CstsQuadruplet(s1, s2, cond_texts[k], 3.0 + 2.0 * cosines[k], pair_id=i))
     return quads, store
 
 

@@ -238,7 +238,7 @@ class TestHyperOperators:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < stats.resident_bytes + 5 * COMPOSE_BLOCK * nh * FLOAT_BYTES
+        assert peak < stats.resident_bytes + 3 * COMPOSE_BLOCK * nh * FLOAT_BYTES
 
     @pytest.mark.parametrize("mode", [None, "hadamard", "concat"])
     def test_requires_generating_params(self, mode):

@@ -465,6 +465,70 @@ def test_an_output_path_that_is_not_a_string_is_refused_before_any_work(
     assert {p.name for p in tmp_path.iterdir()} == written
 
 
+@pytest.mark.parametrize(
+    "command, key, path",
+    [
+        (["train"], "out", "nodir/model.ckpt"),
+        (["train"], "report", "nodir/r.json"),
+        (["sweep-rank", "--divisors", "4"], "out", "nodir/sweep.tsv"),
+        (["eval"], "out", "nodir/metrics.json"),
+        (["analyze", "clusters", "--k", "2"], "out", "nodir/clusters"),
+    ],
+)
+def test_an_output_in_a_missing_directory_is_refused_before_any_work(
+    csts_run, capsys, monkeypatch, command, key, path
+):
+    tmp_path, config = analyze_ready(csts_run)
+    config[key] = str(tmp_path / path)
+    monkeypatch.setattr(cli.trainer, "fit", lambda *a, **k: pytest.fail("training began"))
+    monkeypatch.setattr(cli, "_store_provider", lambda cfg: pytest.fail("work began"))
+    assert run(tmp_path, command, config) == cli.EXIT_USAGE
+    missing = tmp_path / "nodir"
+    assert capsys.readouterr().err == f"error: {key}: directory does not exist: {missing}\n"
+    assert not missing.exists()
+
+
+def test_bench_cache_refuses_an_output_in_a_missing_directory_before_any_work(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli.cache_mod, "bench_report", lambda *a, **k: pytest.fail("work began"))
+    out = tmp_path / "nodir" / "bench.tsv"
+    argv = ["bench-cache", "--gen-sentences", "1", "--gen-conditions", "1", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: out: directory does not exist: {out.parent}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["make-synthetic", "csts"],
+        ["make-synthetic", "kg"],
+        ["bench-cache", "--gen-sentences", "1", "--gen-conditions", "1"],
+        ["gradcheck"],
+        ["train", "--config", "unread.json"],
+    ],
+)
+def test_a_negative_seed_flag_is_refused_naming_the_seed(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--seed", "-1"]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: argument --seed: seed must be a non-negative integer, got -1\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [["train"], ["sweep-rank", "--divisors", "4"]])
+def test_a_negative_config_seed_is_refused_before_any_work(
+    csts_run, capsys, monkeypatch, command
+):
+    tmp_path, config = analyze_ready(csts_run)
+    config["seed"] = -1
+    monkeypatch.setattr(cli.trainer, "fit", lambda *a, **k: pytest.fail("training began"))
+    monkeypatch.setattr(cli, "_store_provider", lambda cfg: pytest.fail("work began"))
+    assert run(tmp_path, command, config) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("command, key", [("clusters", "data"), ("frobenius", "conditions")])
 def test_a_missing_analyze_path_is_a_usage_error_naming_its_key(csts_run, capsys, command, key):
     tmp_path, config = analyze_ready(csts_run)

@@ -304,6 +304,20 @@ class TestProject:
         with pytest.raises(ValueError, match="2-D"):
             apply_stack(op, np.ones((1, 1, 4)), 0)
 
+    @pytest.mark.parametrize(
+        "mode, nh, nk",
+        [("full", 64, None), ("full", 256, None), ("lowrank", 64, 8), ("lowrank", 768, 64)],
+    )
+    def test_indexed_rows_are_projected_one_group_at_a_time(self, mode, nh, nk):
+        # Each group's product is written straight into its rows of the output;
+        # copying all rows into group order and the products back peaks above 2.
+        g = np.random.default_rng(0)
+        R, B = 8, 512
+        shapes = {"full": {"W": (R, nh, nh)}, "lowrank": {"W1": (R, nh, nk), "W2": (R, nh, nk)}}
+        op = ConditionOperator(mode, {k: g.normal(size=s) for k, s in shapes[mode].items()})
+        rows, which = g.normal(size=(B, nh)), g.integers(0, R, size=B)
+        assert traced_peak(apply_stack, op, rows, which) < 2 * B * nh * 8
+
 
 def compose(params, h_c, h_s):
     (op,) = generate_operators(params, np.asarray(h_c)[None])

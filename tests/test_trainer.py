@@ -70,6 +70,10 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(task="both", mode="full", nh=8).validate()
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="^seed must be an integer >= 0, got -1$"):
+            TrainConfig(task="csts", mode="full", nh=8, seed=-1).validate()
+
     def test_lowrank_default_rank(self):
         cfg = TrainConfig(task="csts", mode="lowrank", nh=64)
         params, _ = initial_arrays(cfg)
