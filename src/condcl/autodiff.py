@@ -142,13 +142,16 @@ def check_which(which, size: int, rows: int):
 def grouped_matmul(x, W, which, transpose: bool = False) -> Tensor | np.ndarray:
     """Row i of x (B x n) times matrix ``which[i]`` of the stack W, in row order:
     ``x[i] @ W[which[i]]``, or ``x[i] @ W[which[i]].T`` when ``transpose``; ``which``
-    is one index per row, or one int for every row (one product over all rows).
-    Otherwise each nonempty group's rows are gathered, multiplied by its matrix
-    and written straight back to those rows, forward and for the x gradient; its
-    W gradient reads the group's rows of g and x (an empty group's is zeros). So
-    beyond the output one group's rows are held at a time, and W is not copied."""
+    is one index per row, or one int for every row (one product over all rows,
+    also taken when every index names one matrix). Otherwise each nonempty
+    group's rows are gathered, multiplied by its matrix and written straight back
+    to those rows, forward and for the x gradient; its W gradient reads the
+    group's rows of g and x (an empty group's is zeros). So beyond the output one
+    group's rows are held at a time, and W is not copied."""
     xd, Wd = value(x), value(W)
     which = check_which(which, len(Wd), len(xd))
+    if not isinstance(which, int) and which.size and (which == which[0]).all():
+        which = int(which[0])
     if isinstance(which, int):
         groups = [(which, slice(None))]
     else:

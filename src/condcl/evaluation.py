@@ -7,9 +7,13 @@ the operator-norm variance comparison between generated operators and the
 diagonal (elementwise) composition.
 
 Ranking and C-STS prediction are batched: one call takes one operator per
-condition from ``generate_operators`` and sends rows through it with
-``apply_stack``: a tail query's anchor as one row, the candidate matrix once
-per relation for head queries, and each condition's C-STS rows in one call.
+condition from ``generate_operators``. A relation's queries of one direction
+are ranked RANK_BLOCK at a time as one (block x candidates) matrix of
+cosines: a block's tail anchors go through ``apply_stack`` as rows and meet
+the candidate matrix in one product, and a head block meets the
+relation-composed candidates of ``projected_dots_and_norms`` (worked once per
+relation; lowrank stays in rank-nk space). Each condition's C-STS rows go
+through ``apply_stack`` in one call.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .hypernet import (
     diagonal_operator,
     generate_operators,
     operator_frobenius_normalized,
+    projected_dots_and_norms,
 )
 from .linalg import as_vector, variance
 from .losses import CstsQuadruplet, KgTriple, similarity_to_label
@@ -46,6 +51,7 @@ __all__ = [
 ]
 
 TIE_TOL = 1e-9  # a score this close to gold's ties with it; ties rank by name
+RANK_BLOCK = 128  # queries scored at a time: bounds ranking memory to a few blocks x candidates
 DEFAULT_KS = (1, 3, 10)  # the Hits@k cutoffs reported when none are given
 
 
@@ -99,42 +105,60 @@ def _cosines(dots: np.ndarray, norms, other_norms) -> np.ndarray:
     return out
 
 
+def _filtered_ranks(scores: np.ndarray, queries, index, order) -> np.ndarray:
+    """(gold rank, candidate count) of each query against its row of scores
+    (queries x candidates). Known-true candidates other than gold are filtered
+    out; a kept candidate is ahead of gold if it scores more than TIE_TOL
+    higher, or within TIE_TOL and first by name (``order``)."""
+    rows = np.arange(len(queries))
+    golds = np.array([index[gold] for _, gold, _, _ in queries])
+    drop = [(k, index[e]) for k, (_, _, known, _) in enumerate(queries) for e in known if e in index]
+    kept = np.ones(scores.shape, dtype=bool)
+    kept[tuple(np.array(drop, dtype=np.intp).reshape(-1, 2).T)] = False
+    kept[rows, golds] = True
+    gold = scores[rows, golds][:, None]
+    tied = np.abs(scores - gold) <= TIE_TOL
+    ahead = (scores > gold + TIE_TOL) | (tied & (order < order[golds][:, None]))
+    return np.stack([(ahead & kept).sum(axis=1) + 1, kept.sum(axis=1)], axis=1)
+
+
 def _rank_queries(params, provider, candidates, queries) -> list[RankingResult]:
-    """Filtered ranks of (query, gold, filter_set, direction) tuples, in order."""
+    """Filtered ranks of (query, gold, filter_set, direction) tuples, in order.
+
+    Queries are ranked by relation and direction, RANK_BLOCK at a time, as one
+    (block x candidates) matrix of cosines: a tail block's anchors are composed
+    with the relation in one ``apply_stack`` and scored with one product against
+    the candidates; a head block is one product against the relation-composed
+    candidates of ``projected_dots_and_norms``, worked once per relation."""
     names = list(dict.fromkeys(candidates))
     index = {name: i for i, name in enumerate(names)}
-    by_relation: dict[str, list[int]] = {}
+    groups: dict[str, dict[str, list[int]]] = {}  # relation -> direction -> query positions
     for i, ((_, relation), gold, _, direction) in enumerate(queries):
         if direction not in ("tail", "head"):
             raise ValueError("direction must be 'tail' or 'head'")
         if gold not in index:
             raise CondclError(f"gold entity {gold!r} not among candidates")
-        by_relation.setdefault(relation, []).append(i)
+        groups.setdefault(relation, {}).setdefault(direction, []).append(i)
     order = np.argsort(sorted(range(len(names)), key=names.__getitem__))  # tie-break key
     E = as_vector(np.stack([provider.embed(name) for name in names]), "candidates", ndims=(2,))
     norms = np.linalg.norm(E, axis=1)
-    H = np.stack([provider.embed(relation) for relation in by_relation])
-    results: list = [None] * len(queries)
-    for members, op in zip(by_relation.values(), generate_operators(params, H)):
-        heads = None  # the relation's projected entity matrix and its row norms
-        for i in members:
-            query, gold, filter_set, direction = queries[i]
-            anchor = as_vector(provider.embed(query[0]), "anchor")
-            if direction == "tail":
-                base = apply_stack(op, anchor, 0)[0]
-                scores = _cosines(E @ base, norms, np.linalg.norm(base))
-            else:
-                if heads is None:
-                    P = apply_stack(op, E, 0)
-                    heads = P, np.linalg.norm(P, axis=1)
-                scores = _cosines(heads[0] @ anchor, heads[1], np.linalg.norm(anchor))
-            g = index[gold]
-            kept = np.ones(len(names), dtype=bool)
-            kept[[index[name] for name in filter_set if name in index and name != gold]] = False
-            tied = np.abs(scores - scores[g]) <= TIE_TOL
-            ahead = (scores > scores[g] + TIE_TOL) | (tied & (order < order[g]))
-            results[i] = RankingResult(query, int((ahead & kept).sum()) + 1, int(kept.sum()))
-    return results
+    H = np.stack([provider.embed(relation) for relation in groups])
+    ranks = np.empty((len(queries), 2), dtype=np.int64)
+    for by_direction, op in zip(groups.values(), generate_operators(params, H)):
+        for direction, members in by_direction.items():
+            if direction == "head":
+                dots, head_norms = projected_dots_and_norms(op, E)
+            for lo in range(0, len(members), RANK_BLOCK):
+                block = members[lo : lo + RANK_BLOCK]
+                A = as_vector([provider.embed(queries[i][0][0]) for i in block], "anchor", (2,))
+                if direction == "tail":
+                    P = apply_stack(op, A, 0)
+                    scores = _cosines(P @ E.T, np.linalg.norm(P, axis=1)[:, None], norms)
+                else:
+                    scores = _cosines(dots(A), np.linalg.norm(A, axis=1)[:, None], head_norms)
+                ranks[block] = _filtered_ranks(scores, [queries[i] for i in block], index, order)
+                del scores  # hold one block's scores at a time
+    return [RankingResult(q[0], rank, count) for q, (rank, count) in zip(queries, ranks.tolist())]
 
 
 def rank_entities(

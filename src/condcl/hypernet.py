@@ -18,6 +18,10 @@ rows, a block no caller sees, at a time. There is one way to apply a stack,
 ``apply_stack``: each row of a row matrix through the operator its index
 names (one int for every row, or one index per row), in row order. Over
 ndarrays both give ndarrays; only training's Tensors build a graph.
+``projected_dots_and_norms`` gives the dot products of anchors with rows
+projected by one operator, and those rows' norms, without handing out the
+projection: evaluation's head queries score the relation-composed candidates
+with it, and a lowrank operator is worked in rank-nk space, never as N x nh.
 
 Checkpoint format: 8-byte magic ``HYPERCL1``, an 8-byte little-endian
 unsigned header length, a UTF-8 JSON header {mode, nh, nk, dropout_p,
@@ -37,7 +41,7 @@ import struct
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -55,6 +59,7 @@ __all__ = [
     "init_params",
     "generate_stack",
     "apply_stack",
+    "projected_dots_and_norms",
     "generate_operators",
     "param_count",
     "operator_frobenius_normalized",
@@ -227,20 +232,45 @@ def apply_stack(op: ConditionOperator, h_s, which, mask=None) -> np.ndarray | ad
     row's concat input. Returns the B projected rows: an ndarray, or a graph node
     when the operator holds Tensors. Rows enter the operators here, so they are
     checked here: finite, n wide, and each sent to an operator of the stack."""
-    rows = np.atleast_2d(as_vector(h_s, "h_s", ndims=(1, 2)))
-    size, width = op.shape
-    if rows.shape[1] != width:
-        raise DimensionMismatchError(f"{op.mode} operator takes width {width}, got {rows.shape[1]}")
+    rows = _checked_rows(op, h_s)
     if op.mode == "full":
         return ad.grouped_matmul(rows, op.arrays["W"], which, transpose=True)
     if op.mode == "lowrank":
         inner = ad.grouped_matmul(rows, op.arrays["W2"], which)
         return ad.grouped_matmul(inner, op.arrays["W1"], which, transpose=True)
-    which = ad.check_which(which, size, len(rows))
+    which = ad.check_which(which, op.shape[0], len(rows))
     if op.mode == "hadamard":  # d is the condition embeddings, an ndarray
         return op.arrays["d"][which] * rows
     x = np.concatenate([np.broadcast_to(op.arrays["h_c"][which], rows.shape), rows], axis=1)
     return ad.linear(x if mask is None else x * mask, op.Wcat)
+
+
+def _checked_rows(op: ConditionOperator, h_s) -> np.ndarray:
+    """h_s as a finite B x n row matrix of the width the operator takes."""
+    rows = np.atleast_2d(as_vector(h_s, "h_s", ndims=(1, 2)))
+    width = op.shape[1]
+    if rows.shape[1] != width:
+        raise DimensionMismatchError(f"{op.mode} operator takes width {width}, got {rows.shape[1]}")
+    return rows
+
+
+def projected_dots_and_norms(
+    op: ConditionOperator, rows
+) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
+    """Rows projected by operator 0 of a stack, P = ``apply_stack(op, rows, 0)``, as
+    ``(dots, norms)``: ``dots(anchors)`` is ``anchors @ P.T`` for anchors (b x nh), and
+    norms holds P's row norms. The rows side is worked once, so each block of
+    anchors costs one product. A lowrank P is never formed: with Z = rows @ W2
+    (N x nk), dots is ``(anchors @ W1) @ Z.T`` and ||P_i||^2 is z_i (W1^T W1) z_i^T,
+    clipped at zero against rounding (so a zero row has norm 0). Other modes
+    project the rows once with ``apply_stack``. Rows are checked as it checks them."""
+    if op.mode != "lowrank":
+        P = apply_stack(op, rows, 0)
+        return (lambda anchors: anchors @ P.T), np.linalg.norm(P, axis=1)
+    W1, W2 = op.arrays["W1"][0], op.arrays["W2"][0]
+    Z = _checked_rows(op, rows) @ W2
+    squares = np.einsum("ij,ij->i", Z @ (W1.T @ W1), Z)
+    return (lambda anchors: (anchors @ W1) @ Z.T), np.sqrt(np.maximum(squares, 0.0))
 
 
 def generate_operators(params: HyperNetParams, H) -> Iterator[ConditionOperator]:

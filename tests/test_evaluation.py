@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -608,6 +610,47 @@ class TestBatchedEqualsReference:
         quads = [CstsQuadruplet("e0", "zero", "r0", 3.0, 0)]
         with pytest.raises(ValueError, match="zero-norm"):
             csts_predictions(init_params("full", 8, seed=0), provider, quads)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ranking_blocks_of_any_size_give_the_same_ranks(self, monkeypatch, mode):
+        ds, store = make_synthetic_kg(40, 3, 8, seed=1)
+        params = mode_params(mode, 8, 1)
+        triples = ds.all_triples()
+
+        def ranks():
+            results = []
+            monkeypatch.setattr(
+                evaluation, "mrr_hits", lambda res, ks: results.extend(res) or {}
+            )
+            evaluate_kgc(params, StoreProvider(store), triples, triples, ds.entities)
+            return results
+
+        whole = ranks()
+        monkeypatch.setattr(evaluation, "RANK_BLOCK", 3)  # several blocks per relation
+        assert len(triples) > 3 * 3 * len({t.r for t in triples})
+        assert ranks() == whole
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ranking_holds_a_few_blocks_of_scores(self, mode):
+        # 4 x RANK_BLOCK triples of one relation make 4 x RANK_BLOCK tail and as
+        # many head queries; scoring either direction at once would hold 4 blocks
+        # of RANK_BLOCK x candidates floats per score array (13 in all).
+        N, nh = 1000, 8
+        g = np.random.default_rng(0)
+        store = EmbeddingStore(nh)
+        entities = [f"e{i}" for i in range(N)]
+        for name in entities + ["r0"]:
+            store.add(name, g.normal(size=nh))
+        pairs = g.integers(0, N, size=(4 * evaluation.RANK_BLOCK, 2))
+        triples = [KgTriple(entities[h], "r0", entities[t]) for h, t in pairs]
+        params = mode_params(mode, nh, 0)
+        tracemalloc.start()
+        try:
+            evaluate_kgc(params, StoreProvider(store), triples, triples, entities)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - N * nh * 8 < 6 * evaluation.RANK_BLOCK * N * 8  # beyond E
 
     def test_non_finite_candidate_raises(self):
         provider, entities = tiny_graph()

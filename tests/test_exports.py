@@ -26,3 +26,20 @@ def test_no_check_is_an_assert_statement(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_hypernet_reads_an_operators_arrays_by_key(path):
+    # A mode's array layout stays behind hypernet; other modules go through its
+    # functions (iterating ``.arrays.values()`` to count bytes is layout-free).
+    if path.name == "hypernet.py":
+        return
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "arrays"
+    ]
+    assert not lines, f"{path.name} subscripts an operator's .arrays at lines {lines}"

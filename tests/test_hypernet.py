@@ -308,15 +308,66 @@ class TestProject:
         "mode, nh, nk",
         [("full", 64, None), ("full", 256, None), ("lowrank", 64, 8), ("lowrank", 768, 64)],
     )
-    def test_indexed_rows_are_projected_one_group_at_a_time(self, mode, nh, nk):
+    @pytest.mark.parametrize("spread, blocks", [(True, 2), (False, 1.5)], ids=["spread", "one"])
+    def test_indexed_rows_are_projected_one_group_at_a_time(self, mode, nh, nk, spread, blocks):
         # Each group's product is written straight into its rows of the output;
         # copying all rows into group order and the products back peaks above 2.
+        # Rows that all name one operator are one product into the output, as
+        # for an int: gathering them as one group and copying it back peaks at 3.
         g = np.random.default_rng(0)
         R, B = 8, 512
         shapes = {"full": {"W": (R, nh, nh)}, "lowrank": {"W1": (R, nh, nk), "W2": (R, nh, nk)}}
         op = ConditionOperator(mode, {k: g.normal(size=s) for k, s in shapes[mode].items()})
-        rows, which = g.normal(size=(B, nh)), g.integers(0, R, size=B)
-        assert traced_peak(apply_stack, op, rows, which) < 2 * B * nh * 8
+        rows = g.normal(size=(B, nh))
+        which = g.integers(0, R, size=B) if spread else np.full(B, 3)
+        assert traced_peak(apply_stack, op, rows, which) < blocks * B * nh * 8
+        if not spread:
+            assert np.array_equal(apply_stack(op, rows, which), apply_stack(op, rows, 3))
+
+
+class TestProjectedDotsAndNorms:
+    """``projected_dots_and_norms`` against the projected rows of ``apply_stack``."""
+
+    @pytest.mark.parametrize(
+        "mode, nk",
+        [("full", None), ("hadamard", None), ("concat", None), ("lowrank", 1), ("lowrank", 4),
+         ("lowrank", 8)],
+    )
+    def test_dots_and_norms_are_those_of_the_projected_rows(self, mode, nk):
+        nh = 8
+        g = np.random.default_rng(5)
+        p = init_params(mode, nh, nk, seed=5)
+        (op,) = generate_operators(p, g.normal(size=(1, nh)))
+        rows, anchors = g.normal(size=(20, nh)), g.normal(size=(6, nh))
+        rows[7] = 0.0
+        P = apply_stack(op, rows, 0)
+        dots, norms = hypernet.projected_dots_and_norms(op, rows)
+        np.testing.assert_allclose(dots(anchors), anchors @ P.T, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(norms, np.linalg.norm(P, axis=1), rtol=1e-12, atol=1e-12)
+        if mode != "concat":  # concat adds Wcat @ [h_c; 0] to a zero row
+            assert norms[7] == 0.0  # so a cosine against it still raises
+
+    def test_lowrank_rows_are_never_projected_to_nh(self):
+        # With nh=3000 and nk=2 the 200 projected rows would hold 4.8 MB. The
+        # rank-nk path holds 200 x 2 values, the anchors' dots and the rows'
+        # finiteness check (one bool per value, an eighth of that).
+        nh, nk, N = 3000, 2, 200
+        g = np.random.default_rng(0)
+        op = ConditionOperator("lowrank", {k: g.normal(size=(1, nh, nk)) for k in ("W1", "W2")})
+        rows, anchors = g.normal(size=(N, nh)), g.normal(size=(4, nh))
+
+        def score():
+            dots, _ = hypernet.projected_dots_and_norms(op, rows)
+            return dots(anchors)
+
+        assert traced_peak(score) < 0.25 * N * nh * 8
+
+    def test_rows_are_checked_as_apply_stack_checks_them(self):
+        op = ConditionOperator("lowrank", {"W1": np.ones((1, 4, 2)), "W2": np.ones((1, 4, 2))})
+        with pytest.raises(DimensionMismatchError):
+            hypernet.projected_dots_and_norms(op, np.ones((3, 5)))
+        with pytest.raises(ValueError, match="non-finite"):
+            hypernet.projected_dots_and_norms(op, np.full((3, 4), np.nan))
 
 
 def compose(params, h_c, h_s):
