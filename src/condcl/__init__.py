@@ -16,7 +16,6 @@ from .hypernet import (
     ConditionOperator,
     HyperNetParams,
     apply_stack,
-    generate_operators,
     init_params,
     load_checkpoint,
     param_count,
@@ -34,7 +33,6 @@ __all__ = [
     "ConditionOperator",
     "HyperNetParams",
     "apply_stack",
-    "generate_operators",
     "init_params",
     "load_checkpoint",
     "param_count",

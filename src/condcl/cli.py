@@ -281,10 +281,13 @@ def cmd_analyze_clusters(args) -> int:
         raise ConfigError(f"{len(sentences)} points cannot support k={k}")
 
     before = np.stack([provider.embed(s) for s in sentences])
-    conditions = list(dict.fromkeys(labels))
+    conditions = {c: i for i, c in enumerate(dict.fromkeys(labels))}
+    which = np.array([conditions[c] for c in labels])
     H = np.stack([provider.embed(c) for c in conditions])
-    op = hypernet.generate_stack(params.mode, params.tensors, H)
-    after = hypernet.apply_stack(op, before, np.array([conditions.index(c) for c in labels]))
+    after = np.empty_like(before)
+    for span, op in hypernet.generate_blocks(params, H):
+        rows = np.flatnonzero((which >= span.start) & (which < span.stop))
+        after[rows] = hypernet.apply_stack(op, before[rows], which[rows] - span.start)
     assign_before = eval_mod.kmeans(before, k, seed=seed)
     assign_after = eval_mod.kmeans(after, k, seed=seed)
     report = {

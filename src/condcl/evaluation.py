@@ -6,14 +6,14 @@ k-means clustering with a condition-weighted entropy (impurity) score, and
 the operator-norm variance comparison between generated operators and the
 diagonal (elementwise) composition.
 
-Ranking and C-STS prediction are batched: one call takes one operator per
-condition from ``generate_operators``. A relation's queries of one direction
-are ranked RANK_BLOCK at a time as one (block x candidates) matrix of
-cosines: a block's tail anchors go through ``apply_stack`` as rows and meet
-the candidate matrix in one product, and a head block meets the
-relation-composed candidates of ``projected_dots_and_norms`` (worked once per
-relation; lowrank stays in rank-nk space). Each condition's C-STS rows go
-through ``apply_stack`` in one call.
+Ranking, C-STS prediction and the norm report generate a call's distinct
+conditions with ``generate_blocks`` and send each condition's rows through
+``apply_stack`` by the condition's index in its block. A relation's queries
+of one direction are ranked RANK_BLOCK at a time as one (block x candidates)
+matrix of cosines: tail anchors go through ``apply_stack`` and meet the
+candidate matrix, checked once per call, in one product; head anchors meet
+the candidates composed by ``projected_dots_and_norms``, once per relation
+(lowrank stays in rank-nk space).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .hypernet import (
     HyperNetParams,
     apply_stack,
     diagonal_operator,
-    generate_operators,
+    generate_blocks,
     operator_frobenius_normalized,
     projected_dots_and_norms,
 )
@@ -123,13 +123,8 @@ def _filtered_ranks(scores: np.ndarray, queries, index, order) -> np.ndarray:
 
 
 def _rank_queries(params, provider, candidates, queries) -> list[RankingResult]:
-    """Filtered ranks of (query, gold, filter_set, direction) tuples, in order.
-
-    Queries are ranked by relation and direction, RANK_BLOCK at a time, as one
-    (block x candidates) matrix of cosines: a tail block's anchors are composed
-    with the relation in one ``apply_stack`` and scored with one product against
-    the candidates; a head block is one product against the relation-composed
-    candidates of ``projected_dots_and_norms``, worked once per relation."""
+    """Filtered ranks of (query, gold, filter_set, direction) tuples, in order, ranked
+    by relation and direction RANK_BLOCK at a time (see the module docstring)."""
     names = list(dict.fromkeys(candidates))
     index = {name: i for i, name in enumerate(names)}
     groups: dict[str, dict[str, list[int]]] = {}  # relation -> direction -> query positions
@@ -144,20 +139,21 @@ def _rank_queries(params, provider, candidates, queries) -> list[RankingResult]:
     norms = np.linalg.norm(E, axis=1)
     H = np.stack([provider.embed(relation) for relation in groups])
     ranks = np.empty((len(queries), 2), dtype=np.int64)
-    for by_direction, op in zip(groups.values(), generate_operators(params, H)):
-        for direction, members in by_direction.items():
-            if direction == "head":
-                dots, head_norms = projected_dots_and_norms(op, E)
-            for lo in range(0, len(members), RANK_BLOCK):
-                block = members[lo : lo + RANK_BLOCK]
-                A = as_vector([provider.embed(queries[i][0][0]) for i in block], "anchor", (2,))
-                if direction == "tail":
-                    P = apply_stack(op, A, 0)
-                    scores = _cosines(P @ E.T, np.linalg.norm(P, axis=1)[:, None], norms)
-                else:
-                    scores = _cosines(dots(A), np.linalg.norm(A, axis=1)[:, None], head_norms)
-                ranks[block] = _filtered_ranks(scores, [queries[i] for i in block], index, order)
-                del scores  # hold one block's scores at a time
+    for span, op in generate_blocks(params, H):
+        for r, by_direction in enumerate(list(groups.values())[span]):
+            for direction, members in by_direction.items():
+                if direction == "head":
+                    dots, head_norms = projected_dots_and_norms(op, E, r)
+                for lo in range(0, len(members), RANK_BLOCK):
+                    block = members[lo : lo + RANK_BLOCK]
+                    A = as_vector([provider.embed(queries[i][0][0]) for i in block], "anchor", (2,))
+                    if direction == "tail":
+                        P = apply_stack(op, A, r)
+                        scores = _cosines(P @ E.T, np.linalg.norm(P, axis=1)[:, None], norms)
+                    else:
+                        scores = _cosines(dots(A), np.linalg.norm(A, axis=1)[:, None], head_norms)
+                    ranks[block] = _filtered_ranks(scores, [queries[i] for i in block], index, order)
+                    del scores  # hold one block's scores at a time
     return [RankingResult(q[0], rank, count) for q, (rank, count) in zip(queries, ranks.tolist())]
 
 
@@ -291,10 +287,9 @@ def frobenius_variance_report(
     if not conditions:
         raise ValueError("need at least one condition")
     H = np.stack([provider.embed(c) for c in conditions])
-    stacks = generate_operators(params, H)
-    hyper_norms = np.concatenate([operator_frobenius_normalized(op) for op in stacks])
+    hyper = [n for _, op in generate_blocks(params, H) for n in operator_frobenius_normalized(op)]
     diag_norms = operator_frobenius_normalized(diagonal_operator(H))
-    return variance(hyper_norms), variance(diag_norms)
+    return variance(hyper), variance(diag_norms)
 
 
 # -- task-level evaluation helpers ---------------------------------------------
@@ -311,11 +306,12 @@ def csts_predictions(
         return [], []
     H = np.stack([provider.embed(c) for c in groups])
     phi = np.empty(len(quads))
-    for members, op in zip(groups.values(), generate_operators(params, H)):
-        a = apply_stack(op, [provider.embed(quads[i].s1) for i in members], 0)
-        b = apply_stack(op, [provider.embed(quads[i].s2) for i in members], 0)
-        dots = np.einsum("ij,ij->i", a, b)
-        phi[members] = _cosines(dots, np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
+    for span, op in generate_blocks(params, H):
+        for r, members in enumerate(list(groups.values())[span]):
+            a = apply_stack(op, [provider.embed(quads[i].s1) for i in members], r)
+            b = apply_stack(op, [provider.embed(quads[i].s2) for i in members], r)
+            dots = np.einsum("ij,ij->i", a, b)
+            phi[members] = _cosines(dots, np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
     return [similarity_to_label(p) for p in phi], [q.y for q in quads]
 
 

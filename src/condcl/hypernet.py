@@ -10,18 +10,17 @@ generator. An operator is a stack of R conditions' operators. There is one
 formula from conditions to operators, ``generate_stack``: one linear-layer
 node ``H @ U.T + bias`` (``autodiff.linear``) per generator tensor for a
 stack H of condition embeddings, over ndarrays and autodiff Tensors alike.
-Training, serving (a stream's distinct conditions, kept resident) and
-``analyze clusters`` (its k conditions) generate theirs as one stack;
-evaluation and the Frobenius report take one operator per condition from the
-validating ``generate_operators``, which holds one block of GENERATE_BLOCK
-rows, a block no caller sees, at a time. There is one way to apply a stack,
-``apply_stack``: each row of a row matrix through the operator its index
-names (one int for every row, or one index per row), in row order. Over
-ndarrays both give ndarrays; only training's Tensors build a graph.
-``projected_dots_and_norms`` gives the dot products of anchors with rows
-projected by one operator, and those rows' norms, without handing out the
-projection: evaluation's head queries score the relation-composed candidates
-with it, and a lowrank operator is worked in rank-nk space, never as N x nh.
+Training and serving generate a batch's or a stream's conditions as one
+stack; evaluation and ``analyze clusters`` generate theirs with
+``generate_blocks``, which checks a call's condition embeddings once and
+generates them GENERATE_BLOCK rows (a bound on memory) at a time. There is
+one way to apply a stack, ``apply_stack``: each row of a row matrix through
+the operator its index names (one int for every row, or one index per row),
+in row order. Over ndarrays both give ndarrays; only training's Tensors build
+a graph. ``projected_dots_and_norms`` gives the dot products of anchors with
+rows projected by operator r of a stack, and those rows' norms, without
+handing out the projection: evaluation's head queries score the
+relation-composed candidates with it, and lowrank stays in rank-nk space.
 
 Checkpoint format: 8-byte magic ``HYPERCL1``, an 8-byte little-endian
 unsigned header length, a UTF-8 JSON header {mode, nh, nk, dropout_p,
@@ -39,7 +38,7 @@ import math
 import os
 import struct
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -60,7 +59,7 @@ __all__ = [
     "generate_stack",
     "apply_stack",
     "projected_dots_and_norms",
-    "generate_operators",
+    "generate_blocks",
     "param_count",
     "operator_frobenius_normalized",
     "save_checkpoint",
@@ -232,7 +231,9 @@ def apply_stack(op: ConditionOperator, h_s, which, mask=None) -> np.ndarray | ad
     row's concat input. Returns the B projected rows: an ndarray, or a graph node
     when the operator holds Tensors. Rows enter the operators here, so they are
     checked here: finite, n wide, and each sent to an operator of the stack."""
-    rows = _checked_rows(op, h_s)
+    rows, width = np.atleast_2d(as_vector(h_s, "h_s", ndims=(1, 2))), op.shape[1]
+    if rows.shape[1] != width:
+        raise DimensionMismatchError(f"{op.mode} operator takes width {width}, got {rows.shape[1]}")
     if op.mode == "full":
         return ad.grouped_matmul(rows, op.arrays["W"], which, transpose=True)
     if op.mode == "lowrank":
@@ -245,54 +246,43 @@ def apply_stack(op: ConditionOperator, h_s, which, mask=None) -> np.ndarray | ad
     return ad.linear(x if mask is None else x * mask, op.Wcat)
 
 
-def _checked_rows(op: ConditionOperator, h_s) -> np.ndarray:
-    """h_s as a finite B x n row matrix of the width the operator takes."""
-    rows = np.atleast_2d(as_vector(h_s, "h_s", ndims=(1, 2)))
-    width = op.shape[1]
-    if rows.shape[1] != width:
-        raise DimensionMismatchError(f"{op.mode} operator takes width {width}, got {rows.shape[1]}")
-    return rows
-
-
 def projected_dots_and_norms(
-    op: ConditionOperator, rows
+    op: ConditionOperator, rows, r: int
 ) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
-    """Rows projected by operator 0 of a stack, P = ``apply_stack(op, rows, 0)``, as
+    """Rows projected by operator r of a stack, P = ``apply_stack(op, rows, r)``, as
     ``(dots, norms)``: ``dots(anchors)`` is ``anchors @ P.T`` for anchors (b x nh), and
     norms holds P's row norms. The rows side is worked once, so each block of
     anchors costs one product. A lowrank P is never formed: with Z = rows @ W2
     (N x nk), dots is ``(anchors @ W1) @ Z.T`` and ||P_i||^2 is z_i (W1^T W1) z_i^T,
-    clipped at zero against rounding (so a zero row has norm 0). Other modes
-    project the rows once with ``apply_stack``. Rows are checked as it checks them."""
+    clipped at zero against rounding (so a zero row has norm 0), and the rows'
+    finiteness is read off Z (a non-finite entry spoils its row of Z), so rows met
+    by many operators are scanned in full once, by the caller. Other modes
+    project the rows with ``apply_stack``, which checks them."""
     if op.mode != "lowrank":
-        P = apply_stack(op, rows, 0)
+        P = apply_stack(op, rows, r)
         return (lambda anchors: anchors @ P.T), np.linalg.norm(P, axis=1)
-    W1, W2 = op.arrays["W1"][0], op.arrays["W2"][0]
-    Z = _checked_rows(op, rows) @ W2
+    r = ad.check_which(r, op.shape[0], 1)
+    W1, W2 = op.arrays["W1"][r], op.arrays["W2"][r]
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != len(W2):
+        raise DimensionMismatchError(f"lowrank operator takes N x {len(W2)} rows, got {rows.shape}")
+    Z = rows @ W2
+    if not np.isfinite(Z).all():
+        raise ValueError("h_s contains non-finite entries")
     squares = np.einsum("ij,ij->i", Z @ (W1.T @ W1), Z)
     return (lambda anchors: (anchors @ W1) @ Z.T), np.sqrt(np.maximum(squares, 0.0))
 
 
-def generate_operators(params: HyperNetParams, H) -> Iterator[ConditionOperator]:
-    """The operator of each row of H (R x nh), in order, as a one-condition stack.
-
-    H is validated at the call. Rows are generated GENERATE_BLOCK at a time,
-    one ``generate_stack`` product per block, and each yielded operator is a
-    view of its block's product: the block bounds memory and stays private
-    to this module."""
+def generate_blocks(params: HyperNetParams, H) -> Iterator[tuple[slice, ConditionOperator]]:
+    """The operators of condition embeddings H (R x nh), GENERATE_BLOCK rows at a
+    time: ``(block, op)`` in order, where op is the ``generate_stack`` of H[block], so
+    row ``block.start + r`` of H is operator r of op. H is validated at the call:
+    2-D, finite and nh wide. The block bounds the memory of the operators."""
     H = as_vector(H, "H", ndims=(2,))
     if H.shape[1] != params.nh:
         raise DimensionMismatchError(f"h_c has dim {H.shape[1]}, generator expects {params.nh}")
-    blocks = (
-        generate_stack(params.mode, params.tensors, H[i : i + GENERATE_BLOCK])
-        for i in range(0, H.shape[0], GENERATE_BLOCK)
-    )
-    return (_operator_of_row(op, r) for op in blocks for r in range(op.shape[0]))
-
-
-def _operator_of_row(op: ConditionOperator, r: int) -> ConditionOperator:
-    """Operator r of a stack as a one-condition stack of views (Wcat is shared)."""
-    return replace(op, arrays={name: a[r : r + 1] for name, a in op.arrays.items()})
+    blocks = (slice(lo, lo + GENERATE_BLOCK) for lo in range(0, len(H), GENERATE_BLOCK))
+    return ((b, generate_stack(params.mode, params.tensors, H[b])) for b in blocks)
 
 
 def dropout_mask(rng: np.random.Generator, size, p: float) -> np.ndarray:

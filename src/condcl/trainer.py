@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
@@ -43,7 +44,9 @@ from .errors import CondclError, ConfigError, FormatError, TrainingDivergedError
 from .hypernet import (
     DEFAULT_DROPOUT_P,
     HyperNetParams,
+    _tensor_shapes,
     apply_stack,
+    default_nk,
     dropout_mask,
     generate_stack,
     generator_problem,
@@ -352,15 +355,24 @@ def make_loss_closure(
     return _batch_closure(cfg, batch, ids, E, past)
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def initial_arrays(cfg: TrainConfig) -> tuple[HyperNetParams, dict[str, np.ndarray]]:
-    """Seeded parameters plus the flat learnable-array dict used by training."""
+    """Seeded parameters plus the flat learnable-array dict used by training. A config
+    whose float64 params and two Adam moments exceed physical memory is refused
+    with a ConfigError before anything is allocated."""
+    shapes = _tensor_shapes(cfg.mode, cfg.nh, cfg.nk or default_nk(cfg.nh)).values()
+    need, have = 3 * 8 * sum(math.prod(shape) for shape in shapes), _physical_memory()
+    if need > have:
+        raise ConfigError(
+            f"mode={cfg.mode} nh={cfg.nh} needs {need} bytes for its params and two Adam "
+            f"moments, more than the {have} bytes of physical memory"
+        )
     params = init_params(
-        cfg.mode,
-        cfg.nh,
-        cfg.nk,
-        seed=cfg.seed,
-        dropout_p=cfg.dropout_p,
-        zero_bias=cfg.zero_bias,
+        cfg.mode, cfg.nh, cfg.nk, seed=cfg.seed, dropout_p=cfg.dropout_p, zero_bias=cfg.zero_bias
     )
     arrays = dict(params.tensors)
     if cfg.task == "kgc":

@@ -20,7 +20,7 @@ from condcl.cache import (
 )
 from condcl.encoder import HashingProvider
 from condcl.errors import DimensionMismatchError
-from condcl.hypernet import apply_stack, generate_operators, generate_stack, init_params
+from condcl.hypernet import apply_stack, generate_stack, init_params
 
 FLOAT_BYTES = 8
 COMPOSE_TOL = 1e-12  # served rows against per-request formulas, relative
@@ -402,7 +402,7 @@ class TestRunArchitecture:
         assert len(requests) <= COMPOSE_BLOCK
         conditions = list(dict.fromkeys(c for _, c in requests))
         H = np.stack([provider.embed(c) for c in conditions])
-        ops = dict(zip(conditions, generate_operators(params, H)))
+        op = generate_stack(params.mode, params.tensors, H)
         for arch in ("tri", "hyper"):
             served = []
             run_architecture(arch, requests, provider, params=params, sink=served.append)
@@ -415,7 +415,7 @@ class TestRunArchitecture:
                     continue
                 group = [j for j, (_, cj) in enumerate(requests) if cj == c]
                 stacked = np.stack([provider.embed(requests[j][0]) for j in group])
-                want = apply_stack(ops[c], stacked, 0)[group.index(i)]
+                want = apply_stack(op, stacked, conditions.index(c))[group.index(i)]
                 assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("arch, mode", [("hyper", "full"), ("hyper", "lowrank"), ("tri", None)])

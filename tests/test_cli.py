@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -286,6 +287,52 @@ def test_cluster_analysis_projects_each_point_through_its_condition(
         W2 = (t["U2"] @ h_c + t["U2_bias"]).reshape(8, 3)
         np.testing.assert_allclose(got, W1 @ (W2.T @ h_s), rtol=0, atol=1e-12)
     assert len(rows) == len(after) > 2
+
+
+@pytest.mark.parametrize("block", [1, 2, hypernet.GENERATE_BLOCK])
+def test_cluster_analysis_generates_each_block_of_conditions_once(
+    csts_run, monkeypatch, capsys, block
+):
+    tmp_path, _, config = csts_run
+    quads, store = make_synthetic_csts(8, 4, 8, seed=0)
+    save_csts_jsonl(quads, tmp_path / "data.jsonl")
+    save_embeddings(store, tmp_path / "emb.jsonl")
+    save_checkpoint(tmp_path / "full.ckpt", init_params("full", 8, seed=0))
+    config["checkpoint"] = str(tmp_path / "full.ckpt")
+    monkeypatch.setattr(hypernet, "GENERATE_BLOCK", block)
+    calls = []
+    generate_stack = hypernet.generate_stack
+
+    def counting(mode, tensors, H):
+        calls.append(len(H))
+        return generate_stack(mode, tensors, H)
+
+    monkeypatch.setattr(hypernet, "generate_stack", counting)
+    out = str(tmp_path / "clusters")
+    assert run(tmp_path, ["analyze", "clusters"], config, "--k", "3", "--out", out) == 0
+    assert json.loads(capsys.readouterr().out)["k"] == 3
+    assert len(calls) == -(-3 // block) and sum(calls) == 3  # the 3 clustered conditions
+
+
+def test_train_refuses_a_config_above_physical_memory_before_allocating(
+    csts_run, monkeypatch, capsys
+):
+    # Full mode at nh=8: params and two Adam moments are 3 x 8 x (8^3 + 8^2) bytes.
+    tmp_path, _, config = csts_run
+    need = 24 * (8**3 + 8**2)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the params were allocated")
+
+    monkeypatch.setattr(trainer, "init_params", never)
+    monkeypatch.setattr(trainer, "_physical_memory", lambda: need - 1)
+    start = time.perf_counter()
+    assert run(tmp_path, ["train"], config) == cli.EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"needs {need} bytes" in err and f"the {need - 1} bytes of physical memory" in err
+    assert cli.main(["gradcheck", "--nh", "8"]) == cli.EXIT_USAGE
+    assert f"needs {need} bytes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--k", "--per-group"])

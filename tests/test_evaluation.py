@@ -579,7 +579,7 @@ class TestBatchedEqualsReference:
             requests = [(q.s1, q.c) for q in quads]
             stats = run_architecture("hyper", requests, provider, params, served.append)
             H = np.stack([provider.embed(c) for c in conditions])
-            arrays = [a for op in hypernet.generate_operators(params, H) for a in op.arrays.values()]
+            arrays = [np.concatenate(a) for a in zip(*(op.arrays.values() for _, op in hypernet.generate_blocks(params, H)))]
             return kg, ranks, preds, variances, stats, arrays + served
 
         kg, ranks, (preds, golds), variances, stats, arrays = outputs()
@@ -658,3 +658,64 @@ class TestBatchedEqualsReference:
         params = init_params("lowrank", 8, nk=2, seed=0)
         with pytest.raises(ValueError, match="non-finite"):
             rank_entities(params, provider, ("e0", "r0"), "e1", entities + ["inf"])
+
+
+class TestGenerationPerCall:
+    """Each call generates its distinct conditions once, GENERATE_BLOCK at a time."""
+
+    @pytest.fixture
+    def generate_calls(self, monkeypatch):
+        calls = []
+        generate_stack = hypernet.generate_stack
+
+        def counting(mode, tensors, H):
+            calls.append(len(H))
+            return generate_stack(mode, tensors, H)
+
+        monkeypatch.setattr(hypernet, "generate_stack", counting)
+        return calls
+
+    @pytest.mark.parametrize("block", [1, 2, hypernet.GENERATE_BLOCK])
+    def test_one_generate_stack_call_per_block_of_distinct_conditions(
+        self, monkeypatch, generate_calls, block
+    ):
+        monkeypatch.setattr(hypernet, "GENERATE_BLOCK", block)
+        ds, store = make_synthetic_kg(40, 7, 8, seed=1)  # 5 relations in the test split
+        quads, cstore = make_synthetic_csts(20, 3, 6, seed=1)  # 3 conditions, nh=6
+        params, params6 = init_params("lowrank", 8, 3, seed=0), init_params("full", 6, seed=0)
+        conditions = list(dict.fromkeys(q.c for q in quads))
+        calls = {
+            "kgc": lambda: evaluate_kgc(
+                params, StoreProvider(store), ds.test, ds.all_triples(), ds.entities
+            ),
+            "csts": lambda: csts_predictions(params6, StoreProvider(cstore), quads),
+            "frobenius": lambda: frobenius_variance_report(
+                params6, StoreProvider(cstore), conditions
+            ),
+        }
+        distinct = {"kgc": len({t.r for t in ds.test}), "csts": 3, "frobenius": 3}
+        assert len(conditions) == 3 and distinct["kgc"] == 5
+        for name, call in calls.items():
+            generate_calls.clear()
+            call()
+            assert len(generate_calls) == -(-distinct[name] // block), name
+            assert sum(generate_calls) == distinct[name] and max(generate_calls) <= block
+
+    def test_the_candidate_matrix_is_checked_once_per_call(self, monkeypatch):
+        # Lowrank head relations compose the candidates in rank-nk space; none
+        # scans the N x nh candidate matrix again.
+        ds, store = make_synthetic_kg(40, 5, 8, seed=1)
+        params = init_params("lowrank", 8, 3, seed=0)
+        shapes = []
+        for module in (evaluation, hypernet):
+            check = module.as_vector
+
+            def recording(x, *args, check=check, **kwargs):
+                out = check(x, *args, **kwargs)
+                shapes.append(out.shape)
+                return out
+
+            monkeypatch.setattr(module, "as_vector", recording)
+        evaluate_kgc(params, StoreProvider(store), ds.test, ds.all_triples(), ds.entities)
+        assert len({t.r for t in ds.test}) > 1
+        assert shapes.count((len(ds.entities), 8)) == 1

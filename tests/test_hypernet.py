@@ -25,7 +25,7 @@ from condcl.hypernet import (
     default_nk,
     diagonal_operator,
     dropout_mask,
-    generate_operators,
+    generate_blocks,
     generate_stack,
     init_params,
     load_checkpoint,
@@ -203,12 +203,12 @@ class TestGenerate:
     def test_wrong_mode(self):
         p = HyperNetParams(mode="bogus", nh=4)
         with pytest.raises(ValueError):
-            next(generate_operators(p, np.ones((1, 4))))
+            next(generate_blocks(p, np.ones((1, 4))))
 
     def test_wrong_dim(self):
         p = init_params("full", 4, seed=0)
         with pytest.raises(DimensionMismatchError):
-            generate_operators(p, np.ones((1, 5)))
+            generate_blocks(p, np.ones((1, 5)))
 
     @pytest.mark.parametrize("mode, nk", [("full", None), ("lowrank", 8)])
     def test_a_stack_is_generated_at_the_memory_of_its_output(self, mode, nk):
@@ -249,8 +249,8 @@ class TestProject:
         op = generate_stack(mode, p.tensors, H)
         assert all(type(a) is np.ndarray for a in op.arrays.values())
         assert type(apply_stack(op, h_s, [0, 1, 1])) is np.ndarray
-        for one in generate_operators(p, H):
-            assert type(apply_stack(one, h_s, 0)) is np.ndarray
+        for _, block in generate_blocks(p, H):
+            assert type(apply_stack(block, h_s, [0, 1, 1])) is np.ndarray
 
     def test_factored_equals_densified(self):
         for seed in range(10):
@@ -258,7 +258,7 @@ class TestProject:
             p = init_params("lowrank", 12, nk=4, seed=seed)
             h_c = unit(r.normal(size=12))
             h_s = unit(r.normal(size=12))
-            (op,) = generate_operators(p, h_c[None])
+            op = generate_stack(p.mode, p.tensors, h_c[None])
             got = apply_stack(op, h_s, 0)[0]
             assert got == pytest.approx(mode_formula(p, h_c, h_s), abs=1e-10)
             assert got == pytest.approx(densify(op)[0] @ h_s, abs=1e-10)
@@ -266,7 +266,7 @@ class TestProject:
     def test_diagonal_is_hadamard(self):
         h_c = rng.normal(size=7)
         h_s = rng.normal(size=7)
-        (generated,) = generate_operators(init_params("hadamard", 7), h_c[None])
+        generated = generate_stack("hadamard", init_params("hadamard", 7).tensors, h_c[None])
         by_hand = apply_stack(diagonal_operator(h_c[None]), h_s, 0)
         assert np.array_equal(by_hand, apply_stack(generated, h_s, 0))
         assert np.array_equal(by_hand[0], h_c * h_s)
@@ -285,7 +285,7 @@ class TestProject:
         op = ConditionOperator("full", {"W": np.eye(4)[None]})
         with pytest.raises(DimensionMismatchError):
             apply_stack(op, np.ones(5), 0)
-        (concat,) = generate_operators(init_params("concat", 4, seed=0), np.ones((1, 4)))
+        concat = generate_stack("concat", init_params("concat", 4, seed=0).tensors, np.ones((1, 4)))
         with pytest.raises(DimensionMismatchError):
             apply_stack(concat, np.ones((2, 3)), 0)
 
@@ -334,30 +334,32 @@ class TestProjectedDotsAndNorms:
          ("lowrank", 8)],
     )
     def test_dots_and_norms_are_those_of_the_projected_rows(self, mode, nk):
+        # Every operator of a 3-condition stack, by its index: r > 0 included.
         nh = 8
         g = np.random.default_rng(5)
         p = init_params(mode, nh, nk, seed=5)
-        (op,) = generate_operators(p, g.normal(size=(1, nh)))
+        op = generate_stack(p.mode, p.tensors, g.normal(size=(3, nh)))
         rows, anchors = g.normal(size=(20, nh)), g.normal(size=(6, nh))
         rows[7] = 0.0
-        P = apply_stack(op, rows, 0)
-        dots, norms = hypernet.projected_dots_and_norms(op, rows)
-        np.testing.assert_allclose(dots(anchors), anchors @ P.T, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(norms, np.linalg.norm(P, axis=1), rtol=1e-12, atol=1e-12)
-        if mode != "concat":  # concat adds Wcat @ [h_c; 0] to a zero row
-            assert norms[7] == 0.0  # so a cosine against it still raises
+        for r in range(3):
+            P = apply_stack(op, rows, r)
+            dots, norms = hypernet.projected_dots_and_norms(op, rows, r)
+            np.testing.assert_allclose(dots(anchors), anchors @ P.T, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(norms, np.linalg.norm(P, axis=1), rtol=1e-12, atol=1e-12)
+            if mode != "concat":  # concat adds Wcat @ [h_c; 0] to a zero row
+                assert norms[7] == 0.0  # so a cosine against it still raises
 
     def test_lowrank_rows_are_never_projected_to_nh(self):
         # With nh=3000 and nk=2 the 200 projected rows would hold 4.8 MB. The
-        # rank-nk path holds 200 x 2 values, the anchors' dots and the rows'
-        # finiteness check (one bool per value, an eighth of that).
+        # rank-nk path holds 200 x 2 values, their finiteness check and the
+        # anchors' dots.
         nh, nk, N = 3000, 2, 200
         g = np.random.default_rng(0)
         op = ConditionOperator("lowrank", {k: g.normal(size=(1, nh, nk)) for k in ("W1", "W2")})
         rows, anchors = g.normal(size=(N, nh)), g.normal(size=(4, nh))
 
         def score():
-            dots, _ = hypernet.projected_dots_and_norms(op, rows)
+            dots, _ = hypernet.projected_dots_and_norms(op, rows, 0)
             return dots(anchors)
 
         assert traced_peak(score) < 0.25 * N * nh * 8
@@ -365,13 +367,13 @@ class TestProjectedDotsAndNorms:
     def test_rows_are_checked_as_apply_stack_checks_them(self):
         op = ConditionOperator("lowrank", {"W1": np.ones((1, 4, 2)), "W2": np.ones((1, 4, 2))})
         with pytest.raises(DimensionMismatchError):
-            hypernet.projected_dots_and_norms(op, np.ones((3, 5)))
+            hypernet.projected_dots_and_norms(op, np.ones((3, 5)), 0)
         with pytest.raises(ValueError, match="non-finite"):
-            hypernet.projected_dots_and_norms(op, np.full((3, 4), np.nan))
+            hypernet.projected_dots_and_norms(op, np.full((3, 4), np.nan), 0)
 
 
 def compose(params, h_c, h_s):
-    (op,) = generate_operators(params, np.asarray(h_c)[None])
+    op = generate_stack(params.mode, params.tensors, np.asarray(h_c)[None])
     return apply_stack(op, h_s, 0)[0]
 
 
@@ -414,11 +416,9 @@ class TestComposers:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_autodiff_leaves_give_the_inference_values(self, mode):
-        # Training's path (the shared stacked generator over autodiff leaves,
-        # three interleaved row groups in one ``apply_stack``) against
-        # inference's (one ``generate_operators`` operator per group over
-        # ndarrays). Concat merges all rows in one product there and per group
-        # here, so it rounds apart in the last bits.
+        # Training's path (the shared stacked generator over autodiff leaves)
+        # against inference's (a ``generate_blocks`` block over ndarrays), each
+        # sending three interleaved row groups through one ``apply_stack``.
         nh = 6
         p = init_params(mode, nh, 2 if mode == "lowrank" else None, seed=8)
         r = np.random.default_rng(10)
@@ -426,23 +426,19 @@ class TestComposers:
         which = np.array([1, 0, 2, 1, 2, 1])
         leaves = {k: ad.leaf(v) for k, v in p.tensors.items()}
         out = ad.value(apply_stack(generate_stack(mode, leaves, H), h_s, which))
-        for c, op in enumerate(generate_operators(p, H)):
-            inferred = apply_stack(op, h_s[which == c], 0)
-            if mode == "concat":
-                np.testing.assert_allclose(out[which == c], inferred, rtol=0, atol=1e-12)
-            else:  # hadamard has no learnable tensor: no leaf, so no graph
-                assert np.array_equal(out[which == c], inferred)
+        ((_, op),) = generate_blocks(p, H)
+        assert np.array_equal(out, apply_stack(op, h_s, which))
 
     @pytest.mark.parametrize("mode", MODES)
     def test_stacked_generator_is_the_inference_formula(self, mode):
         nh, nk = 6, 2
         p = init_params(mode, nh, nk if mode == "lowrank" else None, seed=3)
         H = np.random.default_rng(13).normal(size=(4, nh))
-        ops = list(generate_operators(p, H))
-        assert len(ops) == 4
+        ((_, op),) = generate_blocks(p, H)
+        assert op.shape[0] == 4
         t = p.tensors
-        for r, op in enumerate(ops):
-            a = {name: array[0] for name, array in op.arrays.items()}
+        for r in range(4):
+            a = {name: array[r] for name, array in op.arrays.items()}
             if mode == "full":
                 assert np.array_equal(a["W"], (H @ t["U"].T + t["U_bias"])[r].reshape(nh, nh))
             elif mode == "lowrank":
@@ -456,27 +452,28 @@ class TestComposers:
 
 class TestBatched:
     @pytest.mark.parametrize("mode", MODES)
-    def test_generate_operators_match_one_at_a_time(self, mode):
-        # One operator per row of H, across two generating blocks, each the
-        # row of a single stacked product.
+    def test_generate_blocks_match_one_stack(self, mode):
+        # Two generating blocks, in order: each is its rows of a single stacked product.
         nh = 6
         p = init_params(mode, nh, 2 if mode == "lowrank" else None, seed=5)
         H = np.random.default_rng(11).normal(size=(GENERATE_BLOCK + 3, nh))  # two blocks
-        ops = list(generate_operators(p, H))
-        assert [op.shape for op in ops] == [(1, nh)] * len(H)
+        blocks = list(generate_blocks(p, H))
+        spans = [slice(0, GENERATE_BLOCK), slice(GENERATE_BLOCK, 2 * GENERATE_BLOCK)]
+        assert [span for span, _ in blocks] == spans
+        assert [op.shape for _, op in blocks] == [(GENERATE_BLOCK, nh), (3, nh)]
         stack = generate_stack(p.mode, p.tensors, H)
-        for r, one in enumerate(ops):
-            assert one.mode == stack.mode and list(one.arrays) == list(stack.arrays)
+        for span, op in blocks:
+            assert op.mode == stack.mode and list(op.arrays) == list(stack.arrays)
             for name, array in stack.arrays.items():
-                assert np.array_equal(array[r], one.arrays[name][0])
-            assert one.Wcat is stack.Wcat
+                assert np.array_equal(array[span], op.arrays[name])
+            assert op.Wcat is stack.Wcat
 
     @pytest.mark.parametrize("mode", MODES)
     def test_project_rows_match_vectors(self, mode):
         nh = 6
         p = init_params(mode, nh, 2 if mode == "lowrank" else None, seed=6)
         r = np.random.default_rng(12)
-        (op,) = generate_operators(p, r.normal(size=(1, nh)))
+        op = generate_stack(p.mode, p.tensors, r.normal(size=(1, nh)))
         M = r.normal(size=(5, nh))
         out = apply_stack(op, M, 0)
         assert out.shape == (5, nh)
@@ -484,14 +481,14 @@ class TestBatched:
             one = apply_stack(op, h_s, 0)[0]
             np.testing.assert_allclose(row, one, rtol=0, atol=1e-12)
 
-    def test_generate_operators_validates_the_stack(self):
+    def test_generate_blocks_validates_the_stack(self):
         p = init_params("full", 4, seed=0)
         with pytest.raises(DimensionMismatchError):
-            generate_operators(p, np.ones((2, 5)))
+            generate_blocks(p, np.ones((2, 5)))
         with pytest.raises(ValueError, match="non-finite"):
-            generate_operators(p, np.full((1, 4), np.nan))
+            generate_blocks(p, np.full((1, 4), np.nan))
         with pytest.raises(ValueError, match="2-D"):
-            generate_operators(p, np.ones(4))
+            generate_blocks(p, np.ones(4))
 
 
 class TestParamCount:
@@ -533,7 +530,7 @@ class TestParamCount:
 
 class TestFrobenius:
     def test_concat_form_has_no_matrix(self):
-        (op,) = generate_operators(init_params("concat", 4, seed=0), np.ones((1, 4)))
+        op = generate_stack("concat", init_params("concat", 4, seed=0).tensors, np.ones((1, 4)))
         with pytest.raises(ValueError):
             operator_frobenius_normalized(op)
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from condcl import autodiff as ad
+from condcl import trainer
 from condcl.encoder import EmbeddingStore, HashingProvider, StoreProvider, load_embeddings
 from condcl.errors import CondclError, ConfigError, FormatError, TrainingDivergedError
 from condcl.evaluation import csts_predictions, spearman
@@ -78,6 +79,38 @@ class TestTrainConfig:
         cfg = TrainConfig(task="csts", mode="lowrank", nh=64)
         params, _ = initial_arrays(cfg)
         assert params.nk == 5  # 64 // 12
+
+    @pytest.mark.parametrize(
+        "mode, nk, need",
+        [
+            ("full", None, 24 * (768**3 + 768**2)),  # about 10.9 GB
+            ("lowrank", 64, 24 * 2 * (768 * 64 * 768 + 768 * 64)),  # the paper's rank
+            ("lowrank", None, 24 * 2 * (768 * 64 * 768 + 768 * 64)),  # default nk: 768 // 12
+            ("concat", None, 24 * 768 * 2 * 768),
+        ],
+    )
+    def test_a_config_above_physical_memory_is_refused_before_allocating(
+        self, monkeypatch, mode, nk, need
+    ):
+        # The params and two Adam moments, in float64: refused one byte short of them.
+        def never(*args, **kwargs):
+            raise AssertionError("the params were allocated")
+
+        monkeypatch.setattr(trainer, "init_params", never)
+        monkeypatch.setattr(trainer, "_physical_memory", lambda: need - 1)
+        cfg = TrainConfig(task="csts", mode=mode, nh=768, nk=nk)
+        with pytest.raises(ConfigError, match=f"needs {need} bytes .* {need - 1} bytes"):
+            initial_arrays(cfg)
+        monkeypatch.setattr(trainer, "_physical_memory", lambda: need)
+        with pytest.raises(AssertionError, match="allocated"):  # it fits: allocation begins
+            initial_arrays(cfg)
+
+    def test_hadamard_holds_no_params_and_always_fits(self, monkeypatch):
+        monkeypatch.setattr(trainer, "_physical_memory", lambda: 0)
+        assert initial_arrays(TrainConfig(task="csts", mode="hadamard", nh=768))[1] == {}
+
+    def test_physical_memory_is_read_from_the_host(self):
+        assert trainer._physical_memory() > 0
 
     def test_negative_lr_rejected(self):
         with pytest.raises(ConfigError):
