@@ -17,11 +17,11 @@ call per key space: the distinct keys' values are made at once as one stack
 each key becomes its index into it. Each distinct key counts as one miss and
 one heavy op; every later occurrence is a hit. Requests are then composed as
 training composes: ``apply_stack`` sends each sentence row through the
-operator its condition index names (tri: one ``diagonal_operator`` over the
-distinct texts), one call per COMPOSE_BLOCK requests, whose sentence rows are
-gathered only then. Nothing outlives one call, so misses equal the number of
-distinct keys, exactly. Byte accounting counts the made stacks' bytes; key
-strings are tracked separately as bookkeeping.
+operator its condition index names (tri: one hadamard ``generate_stack`` over
+the distinct texts, checked finite), one call per COMPOSE_BLOCK requests,
+whose sentence rows are gathered only then. Nothing outlives one call, so
+misses equal the number of distinct keys, exactly. Byte accounting counts the
+made stacks' bytes; key strings are tracked separately as bookkeeping.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from .hypernet import (
     ConditionOperator,
     HyperNetParams,
     apply_stack,
-    diagonal_operator,
     generate_stack,
 )
+from .linalg import as_vector
 
 __all__ = [
     "CacheStats",
@@ -148,7 +148,8 @@ def run_architecture(
         return stats
     if architecture == "tri":
         vecs, index = _cached(stats, [t for request in requests for t in request], embed)
-        return _compose(stats, diagonal_operator(vecs), index[1::2], vecs, index[::2], sink)
+        diag = generate_stack("hadamard", {}, as_vector(vecs, "H", ndims=(2,)))
+        return _compose(stats, diag, index[1::2], vecs, index[::2], sink)
 
     def generate(conditions):
         return generate_stack(params.mode, params.tensors, embed(conditions))

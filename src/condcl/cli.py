@@ -6,9 +6,10 @@ sweep-rank read a JSON config (--config) whose keys mirror TrainConfig plus
 input/output paths (any other key is refused); explicit flags win over
 config values. bench-cache, gradcheck and make-synthetic take flags only,
 with --seed defaulting to 0. Exit codes: 0 success, 1 check failure,
-2 usage/config error (a path that cannot be read or written included),
-3 runtime abort (running out of memory included). Set CONDCL_LOG=debug|info
-for progress output.
+2 usage/config error (a path that cannot be read or written, and an input
+that disagrees with the config or its own format, included), 3 runtime abort
+(running out of memory included). Set CONDCL_LOG=debug|info for progress
+output.
 """
 
 from __future__ import annotations
@@ -342,19 +343,22 @@ def cmd_sweep_rank(args) -> int:
         known, entities = _kgc_filter(cfg, eval_data, train_data)
 
     lines = ["nk\tparam_count\tmetric"]
+    ranks: dict[int, list[int]] = {}  # each distinct rank's divisors, first seen first
     for d in divisors:
         if base.nh % d != 0:
             log.warning("nh=%d not divisible by %d; rounding rank down", base.nh, d)
-        nk = max(1, base.nh // d)
+        ranks.setdefault(max(1, base.nh // d), []).append(d)
+    for nk, ds in ranks.items():
+        if len(ds) > 1:
+            log.warning("divisors %s all give nk=%d; training it once", ds, nk)
         run_cfg = dataclasses.replace(base, mode="lowrank", nk=nk)
-        run_cfg.validate()
         params, _extras, _report = trainer.fit(run_cfg, train_data, provider)
         if base.task == "csts":
             metric = eval_mod.evaluate_csts(params, provider, eval_data)["spearman"]
         else:
             metric = eval_mod.evaluate_kgc(params, provider, eval_data, known, entities)["mrr"]
         lines.append(f"{nk}\t{hypernet.param_count(params)}\t{metric:.6f}")
-        log.info("sweep divisor=%d nk=%d metric=%.4f", d, nk, metric)
+        log.info("sweep divisors=%s nk=%d metric=%.4f", ds, nk, metric)
     _emit("\n".join(lines) + "\n", cfg.get("out"))
     return EXIT_OK
 

@@ -27,8 +27,8 @@ from .errors import CondclError, DimensionMismatchError
 from .hypernet import (
     HyperNetParams,
     apply_stack,
-    diagonal_operator,
     generate_blocks,
+    generate_stack,
     operator_frobenius_normalized,
     projected_dots_and_norms,
 )
@@ -288,7 +288,7 @@ def frobenius_variance_report(
         raise ValueError("need at least one condition")
     H = np.stack([provider.embed(c) for c in conditions])
     hyper = [n for _, op in generate_blocks(params, H) for n in operator_frobenius_normalized(op)]
-    diag_norms = operator_frobenius_normalized(diagonal_operator(H))
+    diag_norms = operator_frobenius_normalized(generate_stack("hadamard", {}, H))
     return variance(hyper), variance(diag_norms)
 
 

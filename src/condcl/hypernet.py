@@ -7,9 +7,10 @@ nk that is never multiplied out, "hadamard" is diag(h_c), and "concat" is a
 merge Wcat @ [h_c; h_s]. Only this module knows the shapes
 (``_tensor_shapes``) and rules (``generator_problem``) of a mode's
 generator. An operator is a stack of R conditions' operators. There is one
-formula from conditions to operators, ``generate_stack``: one linear-layer
-node ``H @ U.T + bias`` (``autodiff.linear``) per generator tensor for a
-stack H of condition embeddings, over ndarrays and autodiff Tensors alike.
+formula from conditions to operators, ``generate_stack``, which is also the
+only constructor of a ``ConditionOperator``: one linear-layer node
+``H @ U.T + bias`` (``autodiff.linear``) per generator tensor for a stack H
+of condition embeddings, over ndarrays and autodiff Tensors alike.
 Training and serving generate a batch's or a stream's conditions as one
 stack; evaluation and ``analyze clusters`` generate theirs with
 ``generate_blocks``, which checks a call's condition embeddings once and
@@ -23,12 +24,13 @@ handing out the projection: evaluation's head queries score the
 relation-composed candidates with it, and lowrank stays in rank-nk space.
 
 Checkpoint format: 8-byte magic ``HYPERCL1``, an 8-byte little-endian
-unsigned header length, a UTF-8 JSON header {mode, nh, nk, dropout_p,
-tensors: [{name, shape, offset}]}, then little-endian float32 payloads at
-the given byte offsets, in manifest order. Tensors are written and read in
-bounded chunks of CHUNK_VALUES values, so a save holds one float32 chunk
-beyond the params and a load peaks at about the float64 tensors plus one
-chunk; the whole file is never held in memory.
+unsigned header length, a UTF-8 JSON header {mode, nh, nk, tensors: [{name,
+shape, offset}]}, then little-endian float32 payloads at the given byte
+offsets, in manifest order. A load ignores other header fields, such as the
+concat dropout rate that files written by earlier versions carry. Tensors
+are written and read in bounded chunks of CHUNK_VALUES values, so a save
+holds one float32 chunk beyond the params and a load peaks at about the
+float64 tensors plus one chunk; the whole file is never held in memory.
 """
 
 from __future__ import annotations
@@ -46,14 +48,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DimensionMismatchError, FormatError
-from .linalg import as_vector, is_finite_real, is_integer
+from .linalg import as_vector, is_integer
 
 __all__ = [
     "MODES",
     "HyperNetParams",
     "ConditionOperator",
     "default_nk",
-    "diagonal_operator",
     "generator_problem",
     "init_params",
     "generate_stack",
@@ -72,7 +73,6 @@ CHECKPOINT_MAGIC = b"HYPERCL1"
 
 INIT_WEIGHT_STD = 0.02
 DEFAULT_RANK_DIVISOR = 12
-DEFAULT_DROPOUT_P = 0.1
 GENERATE_BLOCK = 32  # conditions per generating product: bounds the output memory
 CHUNK_VALUES = 1 << 20  # float32 values per checkpoint read or write: bounds the buffer memory
 MAX_TENSOR_DIMS = 32  # array rank numpy accepts on every supported version (1.x: 32, 2.x: 64)
@@ -100,13 +100,12 @@ class HyperNetParams:
 
     ``tensors`` maps the mode's tensor names to arrays, in checkpoint
     manifest order (see ``_tensor_shapes``); hadamard has none. nk is
-    meaningful only for lowrank; dropout_p only for concat.
+    meaningful only for lowrank.
     """
 
     mode: str
     nh: int
     nk: int | None = None
-    dropout_p: float = 0.0
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
 
 
@@ -137,19 +136,14 @@ class ConditionOperator:
         return first.shape[0], first.shape[2 if self.mode == "full" else 1]
 
 
-def diagonal_operator(H) -> ConditionOperator:
-    """The stack of elementwise products with the rows of H (R x nh)."""
-    return ConditionOperator("hadamard", {"d": as_vector(H, "H", ndims=(2,))})
-
-
 def default_nk(nh: int) -> int:
     """Rank used for lowrank operators when none is given."""
     return max(1, nh // DEFAULT_RANK_DIVISOR)
 
 
-def generator_problem(mode, nh, nk, dropout_p) -> str | None:
-    """Why (mode, nh, nk, dropout_p) describes no generator, or None if it does.
-    A lowrank nk of None means ``default_nk``; only concat uses dropout_p."""
+def generator_problem(mode, nh, nk) -> str | None:
+    """Why (mode, nh, nk) describes no generator, or None if it does.
+    A lowrank nk of None means ``default_nk``."""
     if mode not in MODES:
         return f"unknown mode {mode!r}, expected one of {MODES}"
     if not is_integer(nh):
@@ -160,8 +154,6 @@ def generator_problem(mode, nh, nk, dropout_p) -> str | None:
         return f"nh must be positive, got {nh}"
     if mode == "lowrank" and nk is not None and not 1 <= nk <= nh:
         return f"lowrank requires 1 <= nk <= nh, got nk={nk}, nh={nh}"
-    if not (is_finite_real(dropout_p) and 0.0 <= dropout_p < 1.0):
-        return f"dropout_p must be a finite number in [0, 1), got {dropout_p!r}"
     return None
 
 
@@ -170,7 +162,6 @@ def init_params(
     nh: int,
     nk: int | None = None,
     seed: int = 0,
-    dropout_p: float = DEFAULT_DROPOUT_P,
     zero_bias: bool = False,
 ) -> HyperNetParams:
     """Seeded parameter initialization, one draw per tensor in manifest order.
@@ -181,7 +172,7 @@ def init_params(
     the identity for nk < nh, so its biases are small random values too.
     zero_bias=True starts every bias at zero; the biases stay learnable.
     """
-    problem = generator_problem(mode, nh, nk, dropout_p)
+    problem = generator_problem(mode, nh, nk)
     if problem is not None:
         raise ValueError(problem)
     nk = int(nk or default_nk(nh)) if mode == "lowrank" else None
@@ -196,8 +187,7 @@ def init_params(
             tensors[name] = np.eye(nh).reshape(shape)
         else:
             tensors[name] = rng.normal(0.0, INIT_WEIGHT_STD / np.sqrt(nk), size=shape)
-    dropout_p = float(dropout_p) if mode == "concat" else 0.0
-    return HyperNetParams(mode, int(nh), nk, dropout_p, tensors)
+    return HyperNetParams(mode, int(nh), nk, tensors)
 
 
 def generate_stack(mode: str, tensors, H) -> ConditionOperator:
@@ -285,14 +275,6 @@ def generate_blocks(params: HyperNetParams, H) -> Iterator[tuple[slice, Conditio
     return ((b, generate_stack(params.mode, params.tensors, H[b])) for b in blocks)
 
 
-def dropout_mask(rng: np.random.Generator, size, p: float) -> np.ndarray:
-    """Inverted-dropout scaling mask of shape ``size``: entries are 0 or 1/(1-p)."""
-    if p == 0.0:
-        return np.ones(size)
-    keep = rng.random(size) >= p
-    return keep.astype(np.float64) / (1.0 - p)
-
-
 def param_count(params: HyperNetParams) -> int:
     """Exact number of learnable scalars."""
     return sum(t.size for t in params.tensors.values())
@@ -341,7 +323,6 @@ def save_checkpoint(
         "mode": params.mode,
         "nh": params.nh,
         "nk": params.nk,
-        "dropout_p": params.dropout_p,
         "tensors": manifest,
     }
     header_bytes = json.dumps(header).encode("utf-8")
@@ -386,8 +367,7 @@ def load_checkpoint(path: str | Path) -> tuple[HyperNetParams, dict[str, np.ndar
         if not isinstance(header, dict):
             raise FormatError(f"{path}: checkpoint header is not a JSON object")
         mode, nh, nk = header.get("mode"), header.get("nh"), header.get("nk")
-        dropout_p = header.get("dropout_p") or 0.0
-        problem = generator_problem(mode, nh, nk, dropout_p)
+        problem = generator_problem(mode, nh, nk)
         if problem is not None:
             raise FormatError(f"{path}: header: {problem}")
         if mode == "lowrank" and nk is None:
@@ -435,5 +415,5 @@ def load_checkpoint(path: str | Path) -> tuple[HyperNetParams, dict[str, np.ndar
             raise FormatError(
                 f"{path}: tensor {name!r} has shape {tensors[name].shape}, header implies {shape}"
             )
-    params = HyperNetParams(mode, nh, nk, float(dropout_p), {k: tensors.pop(k) for k in shapes})
+    params = HyperNetParams(mode, nh, nk, {k: tensors.pop(k) for k in shapes})
     return params, tensors

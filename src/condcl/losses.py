@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .errors import CondclError, ConfigError
+from .errors import CondclError, ConfigError, FormatError
 from .linalg import is_finite_real, is_integer
 
 __all__ = [
@@ -134,12 +134,12 @@ def pair_twins(quads: Sequence[CstsQuadruplet]) -> list[TwinPair]:
     out: list[TwinPair] = []
     for pid, members in by_id.items():
         if len(members) != 2:
-            raise CondclError(f"pair_id {pid} has {len(members)} records, expected twins")
+            raise FormatError(f"pair_id {pid} has {len(members)} records, expected twins")
         a, b = members
         if (a.s1, a.s2) != (b.s1, b.s2):
-            raise CondclError(f"pair_id {pid}: twins disagree on the sentence pair")
+            raise FormatError(f"pair_id {pid}: twins disagree on the sentence pair")
         if a.c == b.c:
-            raise CondclError(f"pair_id {pid}: twins share the same condition {a.c!r}")
+            raise FormatError(f"pair_id {pid}: twins share the same condition {a.c!r}")
         hi, lo = (a, b) if a.y >= b.y else (b, a)
         out.append(TwinPair(high=hi, low=lo))
     return out

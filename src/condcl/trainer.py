@@ -42,12 +42,10 @@ from . import autodiff as ad
 from .encoder import EmbeddingStore, text_lines
 from .errors import CondclError, ConfigError, FormatError, TrainingDivergedError
 from .hypernet import (
-    DEFAULT_DROPOUT_P,
     HyperNetParams,
     _tensor_shapes,
     apply_stack,
     default_nk,
-    dropout_mask,
     generate_stack,
     generator_problem,
     init_params,
@@ -85,6 +83,7 @@ __all__ = [
 
 TASKS = ("csts", "kgc")
 ADAM_CHUNK = 32768  # values per Adam slice: the slices of p, m, v, g and scratch fit in L2
+DEFAULT_DROPOUT_P = 0.1  # concat's training-time dropout on [h_c; h_s]
 
 
 @dataclass
@@ -107,9 +106,11 @@ class TrainConfig:
     def validate(self) -> None:
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
-        problem = generator_problem(self.mode, self.nh, self.nk, self.dropout_p)
+        problem = generator_problem(self.mode, self.nh, self.nk)
         if problem is not None:
             raise ConfigError(problem)
+        if not (is_finite_real(self.dropout_p) and 0.0 <= self.dropout_p < 1.0):
+            raise ConfigError(f"dropout_p must be a finite number in [0, 1), got {self.dropout_p!r}")
         for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             value = getattr(self, name)
             if not (is_integer(value) and value >= least):
@@ -125,6 +126,8 @@ class TrainConfig:
             raise ConfigError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
         if self.lr < 0:
             raise ConfigError("lr must be >= 0")
+        if self.eps <= 0:
+            raise ConfigError("eps must be > 0")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be >= 0")
         if not isinstance(self.zero_bias, bool):
@@ -267,6 +270,15 @@ class Adam:
 
 # -- loss closures ------------------------------------------------------------
 
+
+def dropout_mask(rng: np.random.Generator, size, p: float) -> np.ndarray:
+    """Inverted-dropout scaling mask of shape ``size``: entries are 0 or 1/(1-p)."""
+    if p == 0.0:
+        return np.ones(size)
+    keep = rng.random(size) >= p
+    return keep.astype(np.float64) / (1.0 - p)
+
+
 LossClosure = Callable[..., tuple[float, dict[str, np.ndarray | ad.Factored]]]
 
 
@@ -371,9 +383,7 @@ def initial_arrays(cfg: TrainConfig) -> tuple[HyperNetParams, dict[str, np.ndarr
             f"mode={cfg.mode} nh={cfg.nh} needs {need} bytes for its params and two Adam "
             f"moments, more than the {have} bytes of physical memory"
         )
-    params = init_params(
-        cfg.mode, cfg.nh, cfg.nk, seed=cfg.seed, dropout_p=cfg.dropout_p, zero_bias=cfg.zero_bias
-    )
+    params = init_params(cfg.mode, cfg.nh, cfg.nk, seed=cfg.seed, zero_bias=cfg.zero_bias)
     arrays = dict(params.tensors)
     if cfg.task == "kgc":
         arrays["tau_kgc"] = np.array(cfg.loss.tau_kgc, dtype=np.float64)
@@ -423,7 +433,7 @@ def fit(
     if not data:
         raise CondclError("train: empty dataset")
     if provider.dim != cfg.nh:
-        raise CondclError(f"provider dim {provider.dim} != configured nh {cfg.nh}")
+        raise ConfigError(f"provider dim {provider.dim} != configured nh {cfg.nh}")
 
     t0 = time.perf_counter()
     params, arrays = initial_arrays(cfg)

@@ -456,6 +456,16 @@ class TestRunArchitecture:
         assert calls == [COMPOSE_BLOCK, n - COMPOSE_BLOCK]
         assert len(served) == n
 
+    def test_tri_refuses_a_non_finite_condition_vector(self):
+        # Rows are checked where they enter apply_stack; tri's condition side is
+        # the elementwise operator, so it is checked where the stack is made.
+        class NanConditions(HashingProvider):
+            def embed(self, text):
+                return np.full(self.dim, np.nan) if text.startswith("cond") else super().embed(text)
+
+        with pytest.raises(ValueError, match="H contains non-finite entries"):
+            run_architecture("tri", [("a sentence", "cond 1")], NanConditions(dim=8, seed=0))
+
 
 class TestBenchReport:
     def test_rows_and_tsv_shape(self):

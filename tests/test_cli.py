@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -181,6 +182,69 @@ def test_sweep_rank_trains_one_lowrank_run_per_divisor(csts_run):
     for row, nk in zip(rows, (8, 2), strict=True):
         count = hypernet.param_count(init_params("lowrank", 8, nk, seed=0))
         assert row.split("\t")[:2] == [str(nk), str(count)]
+
+
+def test_sweep_rank_trains_each_distinct_rank_once(csts_run, monkeypatch, caplog):
+    # At nh=8 both divisors round down to nk=1: one run, one row.
+    tmp_path, _, config = csts_run
+    config["eval_data"] = config["data"]
+    fitted = []
+    fit = trainer.fit
+
+    def counting(cfg, *args, **kwargs):
+        fitted.append(cfg.nk)
+        return fit(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "fit", counting)
+    out = tmp_path / "sweep.tsv"
+    assert run(tmp_path, ["sweep-rank"], config, "--divisors", "12,16", "--out", str(out)) == 0
+    header, *rows = out.read_text(encoding="utf-8").splitlines()
+    assert fitted == [1] and [row.split("\t")[0] for row in rows] == ["1"]
+    assert "divisors [12, 16] all give nk=1; training it once" in caplog.text
+
+
+def never_batched(monkeypatch):
+    """Make building a training batch fail the test."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("a batch was built")
+
+    monkeypatch.setattr(trainer, "_batch_closure", never)
+
+
+@pytest.mark.parametrize("eps", [0, -1e-8])
+def test_train_refuses_a_non_positive_eps_before_its_first_batch(
+    csts_run, monkeypatch, capsys, eps
+):
+    # With eps 0, a dropped-out input column's Adam moments are both 0 and the step is 0/0.
+    tmp_path, _, config = csts_run
+    never_batched(monkeypatch)
+    config.update(mode="concat", batch_size=1, dropout_p=0.5, eps=eps)
+    assert run(tmp_path, ["train"], config) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: eps must be > 0\n"
+
+
+@pytest.mark.parametrize("command", [["train"], ["sweep-rank", "--divisors", "4"]])
+def test_embeddings_of_another_dimension_than_nh_are_a_usage_error(
+    csts_run, monkeypatch, capsys, command
+):
+    tmp_path, _, config = csts_run
+    never_batched(monkeypatch)
+    config.update(nh=16, eval_data=config["data"])
+    assert run(tmp_path, command, config) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: provider dim 8 != configured nh 16\n"
+
+
+def test_train_refuses_a_pair_id_of_three_records_before_its_first_batch(
+    csts_run, monkeypatch, capsys
+):
+    tmp_path, quads, config = csts_run
+    never_batched(monkeypatch)
+    extra = dataclasses.replace(quads[0], c="a third condition")
+    save_csts_jsonl([*quads, extra], tmp_path / "data.jsonl")
+    assert run(tmp_path, ["train"], config) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: pair_id {quads[0].pair_id} has 3 records, expected twins\n"
 
 
 def test_every_mode_trains_and_evaluates(csts_run, capsys):

@@ -24,7 +24,7 @@ from condcl.evaluation import (
     spearman,
     split_seen_unseen,
 )
-from condcl.hypernet import MODES, diagonal_operator, init_params, operator_frobenius_normalized
+from condcl.hypernet import MODES, generate_stack, init_params, operator_frobenius_normalized
 from condcl.losses import CstsQuadruplet, KgTriple, similarity_to_label
 from condcl.trainer import make_synthetic_csts, make_synthetic_kg
 
@@ -376,7 +376,7 @@ class TestFrobeniusVarianceReport:
     def test_diag_value_is_norm_over_sqrt_nh(self):
         provider = HashingProvider(dim=8, seed=1)
         H = np.stack([provider.embed(text) for text in ("alpha", "beta", "gamma")])
-        got = operator_frobenius_normalized(diagonal_operator(H))
+        got = operator_frobenius_normalized(generate_stack("hadamard", {}, H))
         assert got == pytest.approx(np.linalg.norm(H, axis=1) / np.sqrt(8), rel=1e-12)
 
     def test_variances_match_manual_recompute(self):

@@ -43,3 +43,34 @@ def test_only_hypernet_reads_an_operators_arrays_by_key(path):
         and node.value.attr == "arrays"
     ]
     assert not lines, f"{path.name} subscripts an operator's .arrays at lines {lines}"
+
+
+def _calls_of(tree, name):
+    """(enclosing function name or None, line) of each call of ``name`` in tree."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    found.append((scope, child.lineno))
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_generate_stack_makes_a_condition_operator(path):
+    # One constructor: every operator the package uses comes out of generate_stack.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    calls = _calls_of(tree, "ConditionOperator")
+    owner = ("hypernet.py", "generate_stack")
+    others = [(scope, line) for scope, line in calls if (path.name, scope) != owner]
+    assert not others, f"{path.name} makes a ConditionOperator outside generate_stack: {others}"
+    if path.name == "hypernet.py":
+        assert any(scope == "generate_stack" for scope, _ in calls)

@@ -23,8 +23,6 @@ from condcl.hypernet import (
     HyperNetParams,
     apply_stack,
     default_nk,
-    diagonal_operator,
-    dropout_mask,
     generate_blocks,
     generate_stack,
     init_params,
@@ -33,7 +31,7 @@ from condcl.hypernet import (
     param_count,
     save_checkpoint,
 )
-from condcl.trainer import TrainConfig
+from condcl.trainer import TrainConfig, dropout_mask
 
 rng = np.random.default_rng(0)
 
@@ -127,16 +125,14 @@ class TestInit:
         assert list(shapes.items()) == list(hypernet._tensor_shapes(mode, nh, p.nk).items())
 
 
-# (mode, nh, nk, dropout_p) that describe no generator, and what the refusal says.
+# (mode, nh, nk) that describe no generator, and what the refusal says.
 BAD_GENERATORS = {
-    "lowrank-nk-float": (("lowrank", 8, 2.5, 0.1), "nk must be an integer, got 2.5"),
-    "lowrank-nk-bool": (("lowrank", 8, True, 0.1), "nk must be an integer, got True"),
-    "nh-float": (("full", 8.0, None, 0.1), "nh must be an integer, got 8.0"),
-    "nh-bool": (("full", True, None, 0.1), "nh must be an integer, got True"),
-    "nh-zero": (("full", 0, None, 0.1), "nh must be positive"),
-    "full-dropout-two": (("full", 8, None, 2.0), "dropout_p must be a finite number"),
-    "concat-dropout-nan": (("concat", 8, None, float("nan")), "dropout_p must be a finite number"),
-    "mode-unknown": (("bogus", 8, None, 0.1), "unknown mode 'bogus'"),
+    "lowrank-nk-float": (("lowrank", 8, 2.5), "nk must be an integer, got 2.5"),
+    "lowrank-nk-bool": (("lowrank", 8, True), "nk must be an integer, got True"),
+    "nh-float": (("full", 8.0, None), "nh must be an integer, got 8.0"),
+    "nh-bool": (("full", True, None), "nh must be an integer, got True"),
+    "nh-zero": (("full", 0, None), "nh must be positive"),
+    "mode-unknown": (("bogus", 8, None), "unknown mode 'bogus'"),
 }
 
 
@@ -145,14 +141,13 @@ class TestGeneratorRules:
 
     @pytest.mark.parametrize("shape,message", BAD_GENERATORS.values(), ids=BAD_GENERATORS.keys())
     def test_init_params_refuses(self, shape, message):
-        mode, nh, nk, dropout_p = shape
         with pytest.raises(ValueError, match=message):
-            init_params(mode, nh, nk, dropout_p=dropout_p)
+            init_params(*shape)
 
     @pytest.mark.parametrize("shape,message", BAD_GENERATORS.values(), ids=BAD_GENERATORS.keys())
     def test_train_config_refuses(self, shape, message):
-        mode, nh, nk, dropout_p = shape
-        cfg = TrainConfig(task="csts", mode=mode, nh=nh, nk=nk, dropout_p=dropout_p)
+        mode, nh, nk = shape
+        cfg = TrainConfig(task="csts", mode=mode, nh=nh, nk=nk)
         with pytest.raises(ConfigError, match=message):
             cfg.validate()
 
@@ -160,7 +155,7 @@ class TestGeneratorRules:
     def test_checkpoint_header_refuses(self, tmp_path, shape, message):
         path = _lowrank_checkpoint(tmp_path / "m.ckpt")
         header, payload = _split_checkpoint(path)
-        header.update(zip(("mode", "nh", "nk", "dropout_p"), shape))
+        header.update(zip(("mode", "nh", "nk"), shape))
         _write_checkpoint(path, header, payload)
         with pytest.raises(FormatError, match=message):
             load_checkpoint(path)
@@ -267,7 +262,7 @@ class TestProject:
         h_c = rng.normal(size=7)
         h_s = rng.normal(size=7)
         generated = generate_stack("hadamard", init_params("hadamard", 7).tensors, h_c[None])
-        by_hand = apply_stack(diagonal_operator(h_c[None]), h_s, 0)
+        by_hand = apply_stack(generate_stack("hadamard", {}, h_c[None]), h_s, 0)
         assert np.array_equal(by_hand, apply_stack(generated, h_s, 0))
         assert np.array_equal(by_hand[0], h_c * h_s)
 
@@ -393,9 +388,9 @@ class TestComposers:
         assert out == pytest.approx(p.tensors["Wcat"] @ np.concatenate([h_c, h_s]), abs=1e-12)
 
     def test_concat_dropout_zero_matches_inference(self):
-        p = init_params("concat", 4, seed=5, dropout_p=0.0)
+        p = init_params("concat", 4, seed=5)
         H, h_s = rng.normal(size=(1, 4)), rng.normal(size=(1, 4))
-        mask = dropout_mask(np.random.default_rng(0), (1, 8), p.dropout_p)
+        mask = dropout_mask(np.random.default_rng(0), (1, 8), 0.0)
         op = generate_stack("concat", p.tensors, H)
         out = apply_stack(op, h_s, 0, mask)
         assert np.array_equal(out[0], compose(p, H[0], h_s[0]))
@@ -542,7 +537,7 @@ class TestFrobenius:
 
     def test_diagonal_value(self):
         H = rng.normal(size=(2, 9))
-        assert operator_frobenius_normalized(diagonal_operator(H)) == pytest.approx(
+        assert operator_frobenius_normalized(generate_stack("hadamard", {}, H)) == pytest.approx(
             np.linalg.norm(H, axis=1) / 3
         )
 
@@ -570,6 +565,28 @@ class TestCheckpoint:
             expected = np.asarray(arr, dtype=np.float32).astype(np.float64)
             assert np.array_equal(loaded.tensors[name], expected)
         assert extras["tau_kgc"] == pytest.approx(0.05, abs=1e-9)
+
+    def test_header_holds_the_generator_and_the_manifest_only(self, tmp_path):
+        for mode in MODES:
+            path = tmp_path / f"{mode}.ckpt"
+            save_checkpoint(path, init_params(mode, 4, seed=0), {"tau_kgc": np.array(0.05)})
+            header, _ = _split_checkpoint(path)
+            assert list(header) == ["mode", "nh", "nk", "tensors"]
+
+    @pytest.mark.parametrize("dropout_p", [0.1, float("nan"), "0.1"])
+    def test_a_header_carrying_dropout_p_loads_as_without_it(self, tmp_path, dropout_p):
+        # Files written while the header held concat's dropout rate load as before;
+        # the rate is training policy, so the field is read by nothing.
+        path = _lowrank_checkpoint(tmp_path / "m.ckpt")
+        want, want_extras = load_checkpoint(path)
+        header, payload = _split_checkpoint(path)
+        _write_checkpoint(path, {**header, "dropout_p": dropout_p}, payload)
+        got, extras = load_checkpoint(path)
+        assert (got.mode, got.nh, got.nk) == (want.mode, want.nh, want.nk)
+        for name in want.tensors:
+            assert np.array_equal(got.tensors[name], want.tensors[name])
+        assert list(extras) == list(want_extras) == ["tau_kgc"]
+        assert np.array_equal(extras["tau_kgc"], want_extras["tau_kgc"])
 
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -680,9 +697,6 @@ HEADER_EDITS = {
     "nk-zero": _set("nk", 0),
     "nk-above-nh": _set("nk", 5),
     "nk-string": _set("nk", "2"),
-    "dropout-nan": _set("dropout_p", float("nan")),
-    "dropout-string": _set("dropout_p", "0.1"),
-    "dropout-one": _set("dropout_p", 1.0),
     "tensors-object": _set("tensors", {}),
     "tensors-entry-int": _set("tensors", [1]),
     "entry-no-offset": lambda h: h["tensors"][0].pop("offset"),

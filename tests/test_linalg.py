@@ -7,7 +7,7 @@ from condcl.errors import DimensionMismatchError
 from condcl.hypernet import (
     ConditionOperator,
     apply_stack,
-    diagonal_operator,
+    generate_stack,
     operator_frobenius_normalized,
 )
 from condcl.linalg import is_finite_real, variance
@@ -58,7 +58,7 @@ class TestFrobeniusNormalized:
 
     def test_identity_diagonal_convention(self):
         for n in (2, 5, 9):
-            op = diagonal_operator(np.ones((2, n)))
+            op = generate_stack("hadamard", {}, np.ones((2, n)))
             assert operator_frobenius_normalized(op) == pytest.approx([1.0, 1.0])
 
     def test_identity_dense_convention(self):
@@ -69,7 +69,7 @@ class TestFrobeniusNormalized:
     def test_diag_vector_norm(self):
         rng = np.random.default_rng(2)
         h = rng.normal(size=6)
-        got = operator_frobenius_normalized(diagonal_operator(h[None]))
+        got = operator_frobenius_normalized(generate_stack("hadamard", {}, h[None]))
         assert got == pytest.approx([np.linalg.norm(h) / np.sqrt(6)], rel=1e-12)
 
     def test_nonnegative_zero_iff_zero(self):

@@ -112,6 +112,18 @@ class TestTrainConfig:
     def test_physical_memory_is_read_from_the_host(self):
         assert trainer._physical_memory() > 0
 
+    @pytest.mark.parametrize("mode", ["full", "concat"])
+    @pytest.mark.parametrize("dropout_p", [1.0, 2.0, float("nan")])
+    def test_dropout_outside_unit_interval_rejected(self, mode, dropout_p):
+        cfg = TrainConfig(task="csts", mode=mode, nh=8, dropout_p=dropout_p)
+        with pytest.raises(ConfigError, match=r"^dropout_p must be a finite number in \[0, 1\)"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("eps", [0, 0.0, -1e-8])
+    def test_non_positive_eps_rejected(self, eps):
+        with pytest.raises(ConfigError, match="^eps must be > 0$"):
+            TrainConfig(task="csts", mode="full", nh=8, eps=eps).validate()
+
     def test_negative_lr_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(task="csts", mode="full", nh=8, lr=-1.0).validate()
