@@ -7,13 +7,14 @@ the operator-norm variance comparison between generated operators and the
 diagonal (elementwise) composition.
 
 Ranking, C-STS prediction and the norm report generate a call's distinct
-conditions with ``generate_blocks`` and send each condition's rows through
-``apply_stack`` by the condition's index in its block. A relation's queries
-of one direction are ranked RANK_BLOCK at a time as one (block x candidates)
-matrix of cosines: tail anchors go through ``apply_stack`` and meet the
-candidate matrix, checked once per call, in one product; head anchors meet
-the candidates composed by ``projected_dots_and_norms``, once per relation
-(lowrank stays in rank-nk space).
+conditions with ``generate_blocks`` and reach each condition's operator by
+its index in its block. C-STS prediction scores a condition's s1 and s2 rows
+as one matrix, checked once. A relation's queries of one direction are
+ranked RANK_BLOCK at a time as one (block x candidates) matrix of cosines:
+tail anchors go through ``apply_stack`` and meet the candidate matrix,
+checked once per call, in one product; head anchors meet the candidates
+composed once per relation. Both tasks score through
+``factored_projection``, so lowrank stays in rank-nk space.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from .errors import CondclError, DimensionMismatchError
 from .hypernet import (
     HyperNetParams,
     apply_stack,
+    factored_projection,
     generate_blocks,
     generate_stack,
     operator_frobenius_normalized,
-    projected_dots_and_norms,
 )
 from .linalg import as_vector, variance
 from .losses import CstsQuadruplet, KgTriple, similarity_to_label
@@ -143,7 +144,7 @@ def _rank_queries(params, provider, candidates, queries) -> list[RankingResult]:
         for r, by_direction in enumerate(list(groups.values())[span]):
             for direction, members in by_direction.items():
                 if direction == "head":
-                    dots, head_norms = projected_dots_and_norms(op, E, r)
+                    W1, Z, _, head_norms = factored_projection(op, E, r)
                 for lo in range(0, len(members), RANK_BLOCK):
                     block = members[lo : lo + RANK_BLOCK]
                     A = as_vector([provider.embed(queries[i][0][0]) for i in block], "anchor", (2,))
@@ -151,7 +152,8 @@ def _rank_queries(params, provider, candidates, queries) -> list[RankingResult]:
                         P = apply_stack(op, A, r)
                         scores = _cosines(P @ E.T, np.linalg.norm(P, axis=1)[:, None], norms)
                     else:
-                        scores = _cosines(dots(A), np.linalg.norm(A, axis=1)[:, None], head_norms)
+                        dots = (A if W1 is None else A @ W1) @ Z.T
+                        scores = _cosines(dots, np.linalg.norm(A, axis=1)[:, None], head_norms)
                     ranks[block] = _filtered_ranks(scores, [queries[i] for i in block], index, order)
                     del scores  # hold one block's scores at a time
     return [RankingResult(q[0], rank, count) for q, (rank, count) in zip(queries, ranks.tolist())]
@@ -298,7 +300,9 @@ def frobenius_variance_report(
 def csts_predictions(
     params: HyperNetParams, provider, quads: Sequence[CstsQuadruplet]
 ) -> tuple[list[float], list[float]]:
-    """Native-range predicted similarities and gold labels, per instance."""
+    """Native-range predicted similarities and gold labels, per instance: the cosine
+    of a record's sentences projected by its condition's operator, z1 (W1^T W1) z2^T
+    over their norms for a lowrank W1 W2^T (z = s @ W2, ``factored_projection``)."""
     groups: dict[str, list[int]] = {}
     for i, q in enumerate(quads):
         groups.setdefault(q.c, []).append(i)
@@ -308,10 +312,10 @@ def csts_predictions(
     phi = np.empty(len(quads))
     for span, op in generate_blocks(params, H):
         for r, members in enumerate(list(groups.values())[span]):
-            a = apply_stack(op, [provider.embed(quads[i].s1) for i in members], r)
-            b = apply_stack(op, [provider.embed(quads[i].s2) for i in members], r)
-            dots = np.einsum("ij,ij->i", a, b)
-            phi[members] = _cosines(dots, np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
+            rows = [provider.embed(getattr(quads[i], s)) for s in ("s1", "s2") for i in members]
+            _, Z, ZG, norms = factored_projection(op, rows, r)
+            n = len(members)
+            phi[members] = _cosines(np.einsum("ij,ij->i", ZG[:n], Z[n:]), norms[:n], norms[n:])
     return [similarity_to_label(p) for p in phi], [q.y for q in quads]
 
 

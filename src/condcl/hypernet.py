@@ -18,10 +18,10 @@ generates them GENERATE_BLOCK rows (a bound on memory) at a time. There is
 one way to apply a stack, ``apply_stack``: each row of a row matrix through
 the operator its index names (one int for every row, or one index per row),
 in row order. Over ndarrays both give ndarrays; only training's Tensors build
-a graph. ``projected_dots_and_norms`` gives the dot products of anchors with
-rows projected by operator r of a stack, and those rows' norms, without
-handing out the projection: evaluation's head queries score the
-relation-composed candidates with it, and lowrank stays in rank-nk space.
+a graph. Evaluation scores projected rows P through ``factored_projection``,
+P = Z @ W1.T. A lowrank P is never formed: Z = rows @ W2 is N x nk, and the
+Gram W1^T W1 gives P's dots and clipped norms in rank-nk space, for KGC
+head queries and C-STS records alike.
 
 Checkpoint format: 8-byte magic ``HYPERCL1``, an 8-byte little-endian
 unsigned header length, a UTF-8 JSON header {mode, nh, nk, tensors: [{name,
@@ -42,7 +42,7 @@ import struct
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -59,7 +59,7 @@ __all__ = [
     "init_params",
     "generate_stack",
     "apply_stack",
-    "projected_dots_and_norms",
+    "factored_projection",
     "generate_blocks",
     "param_count",
     "operator_frobenius_normalized",
@@ -236,31 +236,29 @@ def apply_stack(op: ConditionOperator, h_s, which, mask=None) -> np.ndarray | ad
     return ad.linear(x if mask is None else x * mask, op.Wcat)
 
 
-def projected_dots_and_norms(
-    op: ConditionOperator, rows, r: int
-) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
-    """Rows projected by operator r of a stack, P = ``apply_stack(op, rows, r)``, as
-    ``(dots, norms)``: ``dots(anchors)`` is ``anchors @ P.T`` for anchors (b x nh), and
-    norms holds P's row norms. The rows side is worked once, so each block of
-    anchors costs one product. A lowrank P is never formed: with Z = rows @ W2
-    (N x nk), dots is ``(anchors @ W1) @ Z.T`` and ||P_i||^2 is z_i (W1^T W1) z_i^T,
-    clipped at zero against rounding (so a zero row has norm 0), and the rows'
-    finiteness is read off Z (a non-finite entry spoils its row of Z), so rows met
-    by many operators are scanned in full once, by the caller. Other modes
-    project the rows with ``apply_stack``, which checks them."""
+def factored_projection(op: ConditionOperator, rows, r: int):
+    """Rows (N x n) projected by operator r of a stack, P = ``apply_stack(op, rows, r)``,
+    as ``(W1, Z, ZG, norms)`` with P = Z @ W1.T, P @ P.T = ZG @ Z.T and norms P's row
+    norms. Other modes form P: W1 is None (the identity) and Z = ZG = P. A lowrank
+    P is never formed: Z = rows @ W2 (N x nk), ZG = Z @ (W1^T W1), and ||P_i||^2 =
+    z_i (W1^T W1) z_i^T is clipped at zero against rounding (so a zero row has norm
+    0). Lowrank rows are checked as ``apply_stack`` checks them, except that their
+    finiteness is read off Z (a non-finite entry spoils its row of Z): rows met by
+    many operators are scanned in full once, by the caller."""
     if op.mode != "lowrank":
         P = apply_stack(op, rows, r)
-        return (lambda anchors: anchors @ P.T), np.linalg.norm(P, axis=1)
+        return None, P, P, np.linalg.norm(P, axis=1)
     r = ad.check_which(r, op.shape[0], 1)
     W1, W2 = op.arrays["W1"][r], op.arrays["W2"][r]
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != len(W2):
         raise DimensionMismatchError(f"lowrank operator takes N x {len(W2)} rows, got {rows.shape}")
-    Z = rows @ W2
+    with np.errstate(invalid="ignore"):  # inf entries may make NaNs here; refused below
+        Z = rows @ W2
     if not np.isfinite(Z).all():
         raise ValueError("h_s contains non-finite entries")
-    squares = np.einsum("ij,ij->i", Z @ (W1.T @ W1), Z)
-    return (lambda anchors: (anchors @ W1) @ Z.T), np.sqrt(np.maximum(squares, 0.0))
+    ZG = Z @ (W1.T @ W1)
+    return W1, Z, ZG, np.sqrt(np.maximum(np.einsum("ij,ij->i", ZG, Z), 0.0))
 
 
 def generate_blocks(params: HyperNetParams, H) -> Iterator[tuple[slice, ConditionOperator]]:

@@ -281,7 +281,10 @@ def grad_check(
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    loss_fn maps a parameter dict to (loss, gradient dict). With
+    loss_fn maps a parameter dict to (loss, gradient dict); it is called once,
+    for the gradients. The probes need the loss alone: they call
+    ``loss_fn.loss`` (a parameter dict to the loss) if it has one, as the
+    trainer's closures do, so no probe runs a backward pass. With
     n_probes=None every learnable scalar is probed; otherwise n_probes (at
     least 1) coordinates are sampled without replacement from a seeded stream.
     Relative error per coordinate is |a - n| / max(1, |a|, |n|).
@@ -292,6 +295,7 @@ def grad_check(
         raise ValueError(f"n_probes must be >= 1, got {n_probes}")
     base = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
     loss0, grads = loss_fn(base)
+    loss_of = getattr(loss_fn, "loss", lambda arrays: loss_fn(arrays)[0])
     grads = {name: np.asarray(g) for name, g in grads.items()}  # multiplied out once
     if not np.isfinite(loss0):
         raise CondclError(f"grad_check: non-finite loss {loss0}")
@@ -315,9 +319,9 @@ def grad_check(
         arr = base[name]
         orig = arr.flat[idx]
         arr.flat[idx] = orig + epsilon
-        lplus, _ = loss_fn(base)
+        lplus = loss_of(base)
         arr.flat[idx] = orig - epsilon
-        lminus, _ = loss_fn(base)
+        lminus = loss_of(base)
         arr.flat[idx] = orig
         numeric = (lplus - lminus) / (2.0 * epsilon)
         analytic = float(grads[name].flat[idx]) if name in grads else 0.0

@@ -284,7 +284,9 @@ LossClosure = Callable[..., tuple[float, dict[str, np.ndarray | ad.Factored]]]
 
 def _closure(loss_of) -> LossClosure:
     """The loss-and-gradient closure of ``loss_of(leaves) -> (loss, components)``;
-    a learnable array the loss does not read gets a zero gradient."""
+    a learnable array the loss does not read gets a zero gradient. Its ``loss``
+    attribute is the loss alone: ``loss_of`` over the plain arrays, which builds
+    no graph (see ``losses.grad_check``)."""
 
     def fn(arrays, components_out=None):
         leaves = {k: ad.leaf(v) for k, v in arrays.items()}
@@ -297,6 +299,7 @@ def _closure(loss_of) -> LossClosure:
         unused = {k: np.zeros_like(v) for k, v in arrays.items() if grads[k] is None}
         return total.item(), {**grads, **unused}
 
+    fn.loss = lambda arrays: loss_of(arrays)[0].item()
     return fn
 
 

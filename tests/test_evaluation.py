@@ -604,12 +604,34 @@ class TestBatchedEqualsReference:
         with pytest.raises(ValueError, match="zero-norm"):
             evaluate_kgc(params, provider, triples, triples, candidates, (1,))
 
-    def test_zero_norm_sentence_raises(self):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_sentence_errors_are_the_same_in_every_mode(self, mode):
         provider, _ = tiny_graph()
         provider.store.add("zero", np.zeros(8))
-        quads = [CstsQuadruplet("e0", "zero", "r0", 3.0, 0)]
-        with pytest.raises(ValueError, match="zero-norm"):
-            csts_predictions(init_params("full", 8, seed=0), provider, quads)
+        provider.store.add("zero_c", np.zeros(8))
+        provider.store.add("inf", np.r_[np.inf, np.zeros(7)])
+        base, short = provider, np.ones(6)
+
+        class Widths:  # one text of another width than the rest
+            def embed(self, text):
+                return short if text == "short" else base.embed(text)
+
+        params = mode_params(mode, 8, 0)
+
+        def predict(s1, s2, c="r0", provider=provider):
+            return csts_predictions(params, provider, [CstsQuadruplet(s1, s2, c, 3.0, 0)])
+
+        # concat adds Wcat @ [h_c; 0] to a zero sentence: its projection is zero
+        # under a zero condition only.
+        zero_condition = "zero_c" if mode == "concat" else "r0"
+        with pytest.raises(ValueError, match="cosines: zero-norm input"):
+            predict("e0", "zero", zero_condition)
+        with pytest.raises(ValueError, match="h_s contains non-finite entries"):
+            predict("e0", "inf")
+        with pytest.raises(DimensionMismatchError):
+            predict("short", "short", provider=Widths())
+        if mode == "concat":
+            assert np.isfinite(predict("e0", "zero")[0]).all()
 
     @pytest.mark.parametrize("mode", MODES)
     def test_ranking_blocks_of_any_size_give_the_same_ranks(self, monkeypatch, mode):
@@ -660,6 +682,53 @@ class TestBatchedEqualsReference:
             rank_entities(params, provider, ("e0", "r0"), "e1", entities + ["inf"])
 
 
+class TestLowrankCsts:
+    """Lowrank C-STS scores each record in rank-nk space."""
+
+    @staticmethod
+    def records(nh, n_records, n_conditions, seed):
+        g = np.random.default_rng(seed)
+        store = EmbeddingStore(nh)
+        for i in range(12):
+            store.add(f"s{i}", g.normal(size=nh))
+        for i in range(n_conditions):
+            store.add(f"c{i}", g.normal(size=nh))
+        picks = zip(*(g.integers(0, k, size=n_records) for k in (12, 12, n_conditions)))
+        quads = [CstsQuadruplet(f"s{a}", f"s{b}", f"c{c}", 3.0, i) for i, (a, b, c) in enumerate(picks)]
+        return StoreProvider(store), quads
+
+    @pytest.mark.parametrize("nk", [8, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_predictions_equal_the_per_record_formula(self, monkeypatch, nk, seed):
+        monkeypatch.setattr(hypernet, "GENERATE_BLOCK", 2)  # 5 conditions in 3 blocks
+        provider, quads = self.records(64, 40, 5, seed)
+        quads.append(CstsQuadruplet("s0", "s1", "c_alone", 3.0, 40))  # a one-record condition
+        provider.store.add("c_alone", np.random.default_rng(seed).normal(size=64))
+        params = init_params("lowrank", 64, nk, seed=seed)
+        preds, _ = csts_predictions(params, provider, quads)
+        for q, pred in zip(quads, preds):
+            h_c = provider.embed(q.c)
+            a, b = (mode_formula(params, h_c, provider.embed(s)) for s in (q.s1, q.s2))
+            assert abs(pred - similarity_to_label(cosine_similarity(a, b))) <= 1e-12
+
+    def test_no_n_x_nh_projection_is_held(self):
+        # A call over N records gathers 2N x nh rows (one condition: one group).
+        # Beyond them it holds O(N nk) floats: the rows' W2 coordinates, their
+        # Gram products, norms, cosines and the per-record lists. A 2N x nh
+        # projection would add as much again as the rows.
+        nh, nk, N = 64, 8, 4000
+        provider, quads = self.records(nh, N, 1, 0)
+        params = init_params("lowrank", nh, nk, seed=0)
+        tracemalloc.start()
+        try:
+            csts_predictions(params, provider, quads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = 2 * N * nh * 8
+        assert peak < rows + 8 * N * nk * 8
+
+
 class TestGenerationPerCall:
     """Each call generates its distinct conditions once, GENERATE_BLOCK at a time."""
 
@@ -683,17 +752,19 @@ class TestGenerationPerCall:
         ds, store = make_synthetic_kg(40, 7, 8, seed=1)  # 5 relations in the test split
         quads, cstore = make_synthetic_csts(20, 3, 6, seed=1)  # 3 conditions, nh=6
         params, params6 = init_params("lowrank", 8, 3, seed=0), init_params("full", 6, seed=0)
+        lowrank6 = init_params("lowrank", 6, 2, seed=0)
         conditions = list(dict.fromkeys(q.c for q in quads))
         calls = {
             "kgc": lambda: evaluate_kgc(
                 params, StoreProvider(store), ds.test, ds.all_triples(), ds.entities
             ),
             "csts": lambda: csts_predictions(params6, StoreProvider(cstore), quads),
+            "csts lowrank": lambda: csts_predictions(lowrank6, StoreProvider(cstore), quads),
             "frobenius": lambda: frobenius_variance_report(
                 params6, StoreProvider(cstore), conditions
             ),
         }
-        distinct = {"kgc": len({t.r for t in ds.test}), "csts": 3, "frobenius": 3}
+        distinct = {"kgc": len({t.r for t in ds.test}), "csts": 3, "csts lowrank": 3, "frobenius": 3}
         assert len(conditions) == 3 and distinct["kgc"] == 5
         for name, call in calls.items():
             generate_calls.clear()

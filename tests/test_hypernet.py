@@ -320,8 +320,15 @@ class TestProject:
             assert np.array_equal(apply_stack(op, rows, which), apply_stack(op, rows, 3))
 
 
-class TestProjectedDotsAndNorms:
-    """``projected_dots_and_norms`` against the projected rows of ``apply_stack``."""
+def factored_dots(op, rows, r, anchors):
+    """``anchors @ P.T`` and P's row norms, from ``factored_projection`` as
+    evaluation's head queries use it."""
+    W1, Z, _, norms = hypernet.factored_projection(op, rows, r)
+    return (anchors if W1 is None else anchors @ W1) @ Z.T, norms
+
+
+class TestFactoredProjection:
+    """``factored_projection`` against the projected rows of ``apply_stack``."""
 
     @pytest.mark.parametrize(
         "mode, nk",
@@ -338,9 +345,15 @@ class TestProjectedDotsAndNorms:
         rows[7] = 0.0
         for r in range(3):
             P = apply_stack(op, rows, r)
-            dots, norms = hypernet.projected_dots_and_norms(op, rows, r)
-            np.testing.assert_allclose(dots(anchors), anchors @ P.T, rtol=1e-12, atol=1e-12)
+            W1, Z, ZG, norms = hypernet.factored_projection(op, rows, r)
+            dots, _ = factored_dots(op, rows, r, anchors)
+            np.testing.assert_allclose(dots, anchors @ P.T, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(ZG @ Z.T, P @ P.T, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(norms, np.linalg.norm(P, axis=1), rtol=1e-12, atol=1e-12)
+            if mode == "lowrank":
+                assert Z.shape == (20, nk) and W1.shape == (nh, nk)
+            else:  # the projection itself
+                assert W1 is None and np.array_equal(Z, P) and np.array_equal(ZG, P)
             if mode != "concat":  # concat adds Wcat @ [h_c; 0] to a zero row
                 assert norms[7] == 0.0  # so a cosine against it still raises
 
@@ -352,19 +365,15 @@ class TestProjectedDotsAndNorms:
         g = np.random.default_rng(0)
         op = ConditionOperator("lowrank", {k: g.normal(size=(1, nh, nk)) for k in ("W1", "W2")})
         rows, anchors = g.normal(size=(N, nh)), g.normal(size=(4, nh))
-
-        def score():
-            dots, _ = hypernet.projected_dots_and_norms(op, rows, 0)
-            return dots(anchors)
-
-        assert traced_peak(score) < 0.25 * N * nh * 8
+        assert traced_peak(factored_dots, op, rows, 0, anchors) < 0.25 * N * nh * 8
 
     def test_rows_are_checked_as_apply_stack_checks_them(self):
         op = ConditionOperator("lowrank", {"W1": np.ones((1, 4, 2)), "W2": np.ones((1, 4, 2))})
         with pytest.raises(DimensionMismatchError):
-            hypernet.projected_dots_and_norms(op, np.ones((3, 5)), 0)
-        with pytest.raises(ValueError, match="non-finite"):
-            hypernet.projected_dots_and_norms(op, np.full((3, 4), np.nan), 0)
+            hypernet.factored_projection(op, np.ones((3, 5)), 0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="h_s contains non-finite entries"):
+                hypernet.factored_projection(op, np.full((3, 4), bad), 0)
 
 
 def compose(params, h_c, h_s):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condcl.encoder import HashingProvider
+from condcl.encoder import EmbeddingStore, HashingProvider, StoreProvider
 from condcl.errors import CondclError
 from condcl import autodiff as ad
 from condcl.losses import (
@@ -19,6 +19,7 @@ from condcl.losses import (
     rescale_label,
 )
 from condcl import trainer
+from condcl.hypernet import MODES
 
 rng = np.random.default_rng(0)
 LN2 = float(np.log(2.0))
@@ -610,3 +611,41 @@ class TestTrainerClosureGradients:
             report = grad_check(closure, arrays, epsilon=1e-5, n_probes=40, seed=seed)
             worst = max(worst, report.max_rel_err)
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("task", ["csts", "kgc"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_probes_evaluate_the_loss_alone(self, monkeypatch, task, mode):
+        # The gradients take one backward pass; each probe reads the closure's
+        # loss over plain arrays, which builds no graph. Dense random embeddings:
+        # hashed ones make a hadamard C-STS projection all zero.
+        nh = 8
+        g = np.random.default_rng(3)
+        store = EmbeddingStore(nh)
+        for text in ["s0a", "s0b", "s1a", "s1b", "c0", "c1", "c2", "c3", "e1", "e2", "e3", "e9", "r1", "r2"]:
+            store.add(text, g.normal(size=nh))
+        provider = StoreProvider(store)
+        cfg = trainer.TrainConfig(task=task, mode=mode, nh=nh, nk=3, seed=1, epochs=1, batch_size=4)
+        if task == "csts":
+            quads = [
+                CstsQuadruplet(f"s{i}a", f"s{i}b", f"c{2 * i + k}", 4.0 - 2 * k, i)
+                for i in range(2)
+                for k in range(2)
+            ]
+            closure = trainer.make_loss_closure(cfg, pair_twins(quads), provider)
+        else:
+            triples = [KgTriple("e1", "r1", "e2"), KgTriple("e2", "r2", "e3"), KgTriple("e3", "r1", "e1")]
+            closure = trainer.make_loss_closure(
+                cfg, triples, provider, prebatch=[[("e9", provider.embed("e9"))]]
+            )
+        _, arrays = trainer.initial_arrays(cfg)
+        calls = []
+        backward = ad.Tensor.backward
+        monkeypatch.setattr(ad.Tensor, "backward", lambda t: calls.append(1) or backward(t))
+        report = grad_check(closure, arrays, epsilon=1e-5, n_probes=12, seed=2)
+        # A hadamard C-STS loss reads no learnable array: it is a value, with no pass.
+        assert len(calls) == (0 if (task, mode) == ("csts", "hadamard") else 1)
+        calls.clear()
+        full = grad_check(lambda a: closure(a), arrays, epsilon=1e-5, n_probes=12, seed=2)
+        assert len(calls) == (0 if (task, mode) == ("csts", "hadamard") else 1 + 2 * full.n_checked)
+        assert report.max_rel_err.hex() == full.max_rel_err.hex()
+        assert report.per_param == full.per_param and report.n_checked == full.n_checked
