@@ -36,7 +36,7 @@ from .errors import (
     MissingEmbeddingError,
     TrainingDivergedError,
 )
-from .linalg import is_integer
+from .linalg import as_float_array, is_integer
 
 log = logging.getLogger("condcl")
 
@@ -281,10 +281,10 @@ def cmd_analyze_clusters(args) -> int:
     if len(sentences) < k:
         raise ConfigError(f"{len(sentences)} points cannot support k={k}")
 
-    before = np.stack([provider.embed(s) for s in sentences])
+    before = as_float_array([provider.embed(s) for s in sentences], "sentences")
     conditions = {c: i for i, c in enumerate(dict.fromkeys(labels))}
     which = np.array([conditions[c] for c in labels])
-    H = np.stack([provider.embed(c) for c in conditions])
+    H = [provider.embed(c) for c in conditions]  # checked by generate_blocks
     after = np.empty_like(before)
     for span, op in hypernet.generate_blocks(params, H):
         rows = np.flatnonzero((which >= span.start) & (which < span.stop))

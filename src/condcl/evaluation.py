@@ -8,13 +8,18 @@ diagonal (elementwise) composition.
 
 Ranking, C-STS prediction and the norm report generate a call's distinct
 conditions with ``generate_blocks`` and reach each condition's operator by
-its index in its block. C-STS prediction scores a condition's s1 and s2 rows
-as one matrix, checked once. A relation's queries of one direction are
-ranked RANK_BLOCK at a time as one (block x candidates) matrix of cosines:
-tail anchors go through ``apply_stack`` and meet the candidate matrix,
-checked once per call, in one product; head anchors meet the candidates
-composed once per relation. Both tasks score through
-``factored_projection``, so lowrank stays in rank-nk space.
+its index in its block. Params loaded from a checkpoint are frozen, so a
+condition they have generated before (one of the last GENERATE_BLOCK) is not
+generated again: evaluating a loaded checkpoint many times, a slice at a
+time, makes each condition's operator once. A call's rows (candidates,
+anchors, sentences) of unequal width raise DimensionMismatchError. C-STS
+prediction scores a condition's s1 and s2 rows as one matrix, checked once.
+A relation's queries of one direction are ranked RANK_BLOCK at a time as one
+(block x candidates) matrix of cosines: tail anchors go through
+``apply_stack`` and meet the candidate matrix, checked once per call, in one
+product; head anchors meet the candidates composed once per relation. Both
+tasks score through ``factored_projection``, so lowrank stays in rank-nk
+space.
 """
 
 from __future__ import annotations
@@ -136,9 +141,9 @@ def _rank_queries(params, provider, candidates, queries) -> list[RankingResult]:
             raise CondclError(f"gold entity {gold!r} not among candidates")
         groups.setdefault(relation, {}).setdefault(direction, []).append(i)
     order = np.argsort(sorted(range(len(names)), key=names.__getitem__))  # tie-break key
-    E = as_vector(np.stack([provider.embed(name) for name in names]), "candidates", ndims=(2,))
+    E = as_vector([provider.embed(name) for name in names], "candidates", ndims=(2,))
     norms = np.linalg.norm(E, axis=1)
-    H = np.stack([provider.embed(relation) for relation in groups])
+    H = [provider.embed(relation) for relation in groups]  # checked by generate_blocks
     ranks = np.empty((len(queries), 2), dtype=np.int64)
     for span, op in generate_blocks(params, H):
         for r, by_direction in enumerate(list(groups.values())[span]):
@@ -288,7 +293,7 @@ def frobenius_variance_report(
     """
     if not conditions:
         raise ValueError("need at least one condition")
-    H = np.stack([provider.embed(c) for c in conditions])
+    H = as_vector([provider.embed(c) for c in conditions], "H", ndims=(2,))
     hyper = [n for _, op in generate_blocks(params, H) for n in operator_frobenius_normalized(op)]
     diag_norms = operator_frobenius_normalized(generate_stack("hadamard", {}, H))
     return variance(hyper), variance(diag_norms)
@@ -308,7 +313,7 @@ def csts_predictions(
         groups.setdefault(q.c, []).append(i)
     if not groups:
         return [], []
-    H = np.stack([provider.embed(c) for c in groups])
+    H = [provider.embed(c) for c in groups]  # checked by generate_blocks
     phi = np.empty(len(quads))
     for span, op in generate_blocks(params, H):
         for r, members in enumerate(list(groups.values())[span]):

@@ -14,7 +14,10 @@ of condition embeddings, over ndarrays and autodiff Tensors alike.
 Training and serving generate a batch's or a stream's conditions as one
 stack; evaluation and ``analyze clusters`` generate theirs with
 ``generate_blocks``, which checks a call's condition embeddings once and
-generates them GENERATE_BLOCK rows (a bound on memory) at a time. There is
+generates them GENERATE_BLOCK rows (a bound on memory) at a time. A loaded
+checkpoint is frozen (its tensors are read-only), so its params keep the
+operators of the last GENERATE_BLOCK conditions they generated, and
+``generate_blocks`` makes a condition's operator once across calls. There is
 one way to apply a stack, ``apply_stack``: each row of a row matrix through
 the operator its index names (one int for every row, or one index per row),
 in row order. Over ndarrays both give ndarrays; only training's Tensors build
@@ -31,6 +34,7 @@ concat dropout rate that files written by earlier versions carry. Tensors
 are written and read in bounded chunks of CHUNK_VALUES values, so a save
 holds one float32 chunk beyond the params and a load peaks at about the
 float64 tensors plus one chunk; the whole file is never held in memory.
+A load returns read-only tensors.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import math
 import os
 import struct
 import sys
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -48,7 +53,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DimensionMismatchError, FormatError
-from .linalg import as_vector, is_integer
+from .linalg import as_float_array, as_vector, is_integer
 
 __all__ = [
     "MODES",
@@ -100,13 +105,17 @@ class HyperNetParams:
 
     ``tensors`` maps the mode's tensor names to arrays, in checkpoint
     manifest order (see ``_tensor_shapes``); hadamard has none. nk is
-    meaningful only for lowrank.
+    meaningful only for lowrank. Full or lowrank params whose tensors own
+    their data and are read-only (as ``load_checkpoint`` returns them) are
+    frozen: ``generate_blocks`` keeps the operators they generate.
     """
 
     mode: str
     nh: int
     nk: int | None = None
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
+    # (tensors the memo was made from, condition bytes -> arrays): see ``_memo_of``
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -250,7 +259,7 @@ def factored_projection(op: ConditionOperator, rows, r: int):
         return None, P, P, np.linalg.norm(P, axis=1)
     r = ad.check_which(r, op.shape[0], 1)
     W1, W2 = op.arrays["W1"][r], op.arrays["W2"][r]
-    rows = np.asarray(rows, dtype=np.float64)
+    rows = as_float_array(rows, "h_s")
     if rows.ndim != 2 or rows.shape[1] != len(W2):
         raise DimensionMismatchError(f"lowrank operator takes N x {len(W2)} rows, got {rows.shape}")
     with np.errstate(invalid="ignore"):  # inf entries may make NaNs here; refused below
@@ -265,12 +274,59 @@ def generate_blocks(params: HyperNetParams, H) -> Iterator[tuple[slice, Conditio
     """The operators of condition embeddings H (R x nh), GENERATE_BLOCK rows at a
     time: ``(block, op)`` in order, where op is the ``generate_stack`` of H[block], so
     row ``block.start + r`` of H is operator r of op. H is validated at the call:
-    2-D, finite and nh wide. The block bounds the memory of the operators."""
+    2-D, finite and nh wide. The block bounds the memory of the operators.
+
+    Frozen params (see ``HyperNetParams``) cannot change the operator of a
+    condition, so they keep the arrays of the last GENERATE_BLOCK conditions they
+    generated, keyed by the condition embedding's bytes (first in, first out): a
+    block generates only the conditions not kept, in one ``generate_stack``, and is
+    stacked from the kept arrays. Writeable params generate every block."""
     H = as_vector(H, "H", ndims=(2,))
     if H.shape[1] != params.nh:
         raise DimensionMismatchError(f"h_c has dim {H.shape[1]}, generator expects {params.nh}")
     blocks = (slice(lo, lo + GENERATE_BLOCK) for lo in range(0, len(H), GENERATE_BLOCK))
-    return ((b, generate_stack(params.mode, params.tensors, H[b])) for b in blocks)
+    memo = _memo_of(params)
+    if memo is None:
+        return ((b, generate_stack(params.mode, params.tensors, H[b])) for b in blocks)
+    return ((b, _memoised_stack(params, memo, H[b])) for b in blocks)
+
+
+def _memo_of(params: HyperNetParams) -> dict | None:
+    """The memo of frozen params, condition bytes to that condition's arrays, oldest
+    first; None for params that are not frozen. A memo made from other tensor
+    objects than params holds now is dropped."""
+    tensors = params.tensors
+    # Hadamard and concat operators hold the condition embeddings themselves: nothing to keep.
+    frozen = params.mode in ("full", "lowrank") and all(
+        isinstance(t, np.ndarray) and t.flags.owndata and not t.flags.writeable
+        for t in tensors.values()
+    )
+    if not frozen:
+        return None
+    held = params._memo  # weak references: a replaced tensor is not kept alive by the memo
+    if held is None or held[0].keys() != tensors.keys() or any(
+        held[0][name]() is not t for name, t in tensors.items()
+    ):
+        held = params._memo = ({name: weakref.ref(t) for name, t in tensors.items()}, {})
+    return held[1]
+
+
+def _memoised_stack(params: HyperNetParams, memo: dict, H: np.ndarray) -> ConditionOperator:
+    """The ``generate_stack`` of one block H of frozen params' conditions, generating
+    only those ``memo`` lacks and keeping a copy of each (see ``generate_blocks``)."""
+    keys = [h.tobytes() for h in H]
+    arrays = {key: memo[key] for key in keys if key in memo}  # held through the eviction below
+    new = list(dict.fromkeys(key for key in keys if key not in arrays))
+    if new:
+        fresh = generate_stack(params.mode, params.tensors, H[[keys.index(key) for key in new]])
+        for j, key in enumerate(new):
+            arrays[key] = memo[key] = {name: a[j].copy() for name, a in fresh.arrays.items()}
+        while len(memo) > GENERATE_BLOCK:
+            del memo[next(iter(memo))]
+        if len(new) == len(keys):  # every row new and distinct: fresh is the block
+            return fresh
+    names = arrays[keys[0]]
+    return ConditionOperator(params.mode, {n: np.stack([arrays[k][n] for k in keys]) for n in names})
 
 
 def param_count(params: HyperNetParams) -> int:
@@ -345,7 +401,9 @@ def load_checkpoint(path: str | Path) -> tuple[HyperNetParams, dict[str, np.ndar
     payload values, raises FormatError. Each tensor is read from the open
     file CHUNK_VALUES float32 values at a time into one reused buffer,
     checked and widened into its float64 array, so the peak memory is the
-    float64 tensors plus one chunk.
+    float64 tensors plus one chunk. Every returned tensor is a read-only array
+    that owns its data, so the params are frozen (see ``generate_blocks``);
+    to train from them, copy the tensors.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -404,6 +462,7 @@ def load_checkpoint(path: str | Path) -> tuple[HyperNetParams, dict[str, np.ndar
                 if not np.isfinite(part).all():
                     raise FormatError(f"{path}: tensor {name!r} holds non-finite values")
                 flat[i : i + len(part)] = part
+            out.flags.writeable = False
             tensors[name] = out
     shapes = _tensor_shapes(mode, nh, nk)
     for name, shape in shapes.items():

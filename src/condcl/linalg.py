@@ -11,7 +11,10 @@ import numbers
 
 import numpy as np
 
+from .errors import DimensionMismatchError
+
 __all__ = [
+    "as_float_array",
     "as_vector",
     "is_finite_real",
     "is_integer",
@@ -19,9 +22,25 @@ __all__ = [
 ]
 
 
+def as_float_array(x, name: str = "vector") -> np.ndarray:
+    """x as a float64 array, unchecked otherwise; rows of unequal width (a list of
+    vectors, one short) raise DimensionMismatchError naming the widths."""
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except ValueError:
+        try:
+            shapes = sorted({np.shape(row) for row in x})
+        except (TypeError, ValueError):  # not a sequence of rows
+            shapes = []
+        if len(shapes) < 2:
+            raise
+        widths = ", ".join(str(s[0]) if len(s) == 1 else str(s) for s in shapes)
+        raise DimensionMismatchError(f"{name} rows differ in width: {widths}") from None
+
+
 def as_vector(x, name: str = "vector", ndims: tuple[int, ...] = (1,)) -> np.ndarray:
     """Coerce to a finite float64 array; ``ndims`` allows 2 for a stack of rows."""
-    v = np.asarray(x, dtype=np.float64)
+    v = as_float_array(x, name)
     if v.ndim not in ndims or v.size == 0:
         allowed = " or ".join(f"{n}-D" for n in ndims)
         raise ValueError(f"{name} must be a nonempty {allowed} array, got shape {v.shape}")

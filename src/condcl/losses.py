@@ -272,6 +272,16 @@ class GradCheckReport:
     per_param: dict[str, float] = field(default_factory=dict)
 
 
+def _gradient_entry(g, idx: int) -> float:
+    """Entry ``idx`` of the flattened gradient g. A factored G.T @ x
+    (``autodiff.Factored``) is read from its factors, G[:, i] @ x[:, j], so
+    it is never multiplied out."""
+    if isinstance(g, ad.Factored):
+        i, j = divmod(idx, g.x.shape[1])
+        return float(g.G[:, i] @ g.x[:, j])
+    return float(np.asarray(g).flat[idx])
+
+
 def grad_check(
     loss_fn: LossFn,
     params: dict[str, np.ndarray],
@@ -287,7 +297,9 @@ def grad_check(
     trainer's closures do, so no probe runs a backward pass. With
     n_probes=None every learnable scalar is probed; otherwise n_probes (at
     least 1) coordinates are sampled without replacement from a seeded stream.
-    Relative error per coordinate is |a - n| / max(1, |a|, |n|).
+    Relative error per coordinate is |a - n| / max(1, |a|, |n|). The probes
+    perturb a copy of params, never the caller's arrays (which may be
+    read-only), and read a factored gradient's probed entries from its factors.
     """
     if not 1e-7 <= epsilon <= 1e-3:
         raise ValueError("epsilon must lie in [1e-7, 1e-3]")
@@ -296,7 +308,6 @@ def grad_check(
     base = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
     loss0, grads = loss_fn(base)
     loss_of = getattr(loss_fn, "loss", lambda arrays: loss_fn(arrays)[0])
-    grads = {name: np.asarray(g) for name, g in grads.items()}  # multiplied out once
     if not np.isfinite(loss0):
         raise CondclError(f"grad_check: non-finite loss {loss0}")
 
@@ -324,7 +335,7 @@ def grad_check(
         lminus = loss_of(base)
         arr.flat[idx] = orig
         numeric = (lplus - lminus) / (2.0 * epsilon)
-        analytic = float(grads[name].flat[idx]) if name in grads else 0.0
+        analytic = _gradient_entry(grads[name], idx) if name in grads else 0.0
         rel = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
         per_param[name] = max(per_param[name], rel)
         max_rel = max(max_rel, rel)

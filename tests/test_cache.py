@@ -20,7 +20,13 @@ from condcl.cache import (
 )
 from condcl.encoder import HashingProvider
 from condcl.errors import DimensionMismatchError
-from condcl.hypernet import apply_stack, generate_stack, init_params
+from condcl.hypernet import (
+    apply_stack,
+    generate_stack,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 FLOAT_BYTES = 8
 COMPOSE_TOL = 1e-12  # served rows against per-request formulas, relative
@@ -208,6 +214,26 @@ class TestHyperOperators:
         assert low.resident_bytes - nh * 8 == 2 * nh * nk * 8
         ratio = (low.resident_bytes - nh * 8) / (full.resident_bytes - nh * 8)
         assert ratio == pytest.approx(2 * nk / nh)
+
+    @pytest.mark.parametrize("mode,nk", [("full", None), ("lowrank", 2)])
+    def test_a_loaded_checkpoint_is_generated_for_every_run(self, tmp_path, mode, nk):
+        # Serving generates with generate_stack, not from generate_blocks' memo of
+        # frozen params, so its counted misses and gen_ops are the work it does.
+        nh = 6
+        save_checkpoint(tmp_path / "m.ckpt", init_params(mode, nh, nk, seed=0))
+        params, _ = load_checkpoint(tmp_path / "m.ckpt")
+        provider = HashingProvider(dim=nh, seed=3)
+        requests = [("s1", "c1"), ("s2", "c2"), ("s1", "c2"), ("s3", "c1"), ("s2", "c3")]
+        generated = []
+
+        def generating(mode, tensors, H):
+            generated.append(len(H))
+            return generate_stack(mode, tensors, H)
+
+        for _ in range(2):
+            s = hyper_stats(params, provider, requests, generate_stack=generating)
+            assert (s.gen_ops, s.misses) == (3, 3 + 3)  # 3 conditions, 3 sentences
+        assert generated == [3, 3]
 
     def test_hit_returns_identical_object(self):
         # Two compose blocks, so the one condition's operator is applied twice.

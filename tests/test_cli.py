@@ -378,6 +378,63 @@ def test_cluster_analysis_generates_each_block_of_conditions_once(
     assert len(calls) == -(-3 // block) and sum(calls) == 3  # the 3 clustered conditions
 
 
+@pytest.mark.parametrize("mode", ["full", "lowrank"])
+def test_cluster_analysis_of_memoised_operators_equals_a_writeable_copys(
+    csts_run, monkeypatch, capsys, mode
+):
+    tmp_path, _, config = csts_run
+    quads, store = make_synthetic_csts(8, 4, 8, seed=0)
+    save_csts_jsonl(quads, tmp_path / "data.jsonl")
+    save_embeddings(store, tmp_path / "emb.jsonl")
+    ckpt = tmp_path / f"{mode}.ckpt"
+    save_checkpoint(ckpt, init_params(mode, 8, 3 if mode == "lowrank" else None, seed=2))
+    config["checkpoint"] = str(ckpt)
+    frozen, _ = load_checkpoint(ckpt)
+    saved = load_embeddings(tmp_path / "emb.jsonl")  # float32 values, as the CLI reads them
+    H = np.stack([saved[c] for c in dict.fromkeys(q.c for q in quads)])
+    list(hypernet.generate_blocks(frozen, H))  # every condition memoised
+    tensors = {name: np.array(t) for name, t in frozen.tensors.items()}
+    copy = hypernet.HyperNetParams(mode, 8, frozen.nk, tensors)
+    points, reports = [], []
+    kmeans = cli.eval_mod.kmeans
+
+    def recorded(X, k, seed):
+        points.append(X)
+        return kmeans(X, k, seed)
+
+    def refused(mode, tensors, H):
+        raise AssertionError("a memoised condition was generated again")
+
+    monkeypatch.setattr(cli.eval_mod, "kmeans", recorded)
+    for params, generate in ((frozen, refused), (copy, hypernet.generate_stack)):
+        monkeypatch.setattr(hypernet, "load_checkpoint", lambda path, p=params: (p, {}))
+        monkeypatch.setattr(hypernet, "generate_stack", generate)
+        out = str(tmp_path / "clusters")
+        assert run(tmp_path, ["analyze", "clusters"], config, "--k", "3", "--out", out) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    np.testing.assert_allclose(points[1], points[3], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["full", "lowrank"])
+def test_eval_refuses_sentences_of_unequal_width_with_usage_exit(
+    csts_run, monkeypatch, capsys, mode
+):
+    tmp_path, quads, config = csts_run
+    ckpt = tmp_path / f"{mode}.ckpt"
+    save_checkpoint(ckpt, init_params(mode, 8, 3 if mode == "lowrank" else None, seed=2))
+    config["checkpoint"] = str(ckpt)
+    embed = StoreProvider.embed
+
+    def one_short(self, text):
+        return embed(self, text)[:-1] if text == quads[0].s1 else embed(self, text)
+
+    monkeypatch.setattr(StoreProvider, "embed", one_short)
+    assert run(tmp_path, ["eval"], config) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "h_s rows differ in width: 7, 8" in err and "Traceback" not in err
+
+
 def test_train_refuses_a_config_above_physical_memory_before_allocating(
     csts_run, monkeypatch, capsys
 ):

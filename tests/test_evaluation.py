@@ -630,8 +630,28 @@ class TestBatchedEqualsReference:
             predict("e0", "inf")
         with pytest.raises(DimensionMismatchError):
             predict("short", "short", provider=Widths())
+        with pytest.raises(DimensionMismatchError, match="h_s rows differ in width: 6, 8"):
+            predict("e0", "short", provider=Widths())
         if mode == "concat":
             assert np.isfinite(predict("e0", "zero")[0]).all()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rows_of_unequal_width_raise_a_dimension_mismatch(self, mode):
+        provider, entities = tiny_graph()
+        provider.store.add("a0", np.ones(8))
+
+        class Widths:  # one text of another width than the rest
+            def embed(self, text):
+                return np.ones(6) if text in ("short", "e3") else provider.embed(text)
+
+        params = mode_params(mode, 8, 0)
+        triples = [KgTriple("e0", "r0", "e1"), KgTriple("e2", "r0", "e3")]
+        with pytest.raises(DimensionMismatchError, match="candidates rows differ in width: 6, 8"):
+            evaluate_kgc(params, Widths(), triples, triples, entities)
+        # Two tail anchors of one relation, outside the candidates, in one stack.
+        queries = [(("a0", "r0"), "e1", (), "tail"), (("short", "r0"), "e1", (), "tail")]
+        with pytest.raises(DimensionMismatchError, match="anchor rows differ in width: 6, 8"):
+            evaluation._rank_queries(params, Widths(), ["e1", "e2"], queries)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_ranking_blocks_of_any_size_give_the_same_ranks(self, monkeypatch, mode):
@@ -790,3 +810,77 @@ class TestGenerationPerCall:
         evaluate_kgc(params, StoreProvider(store), ds.test, ds.all_triples(), ds.entities)
         assert len({t.r for t in ds.test}) > 1
         assert shapes.count((len(ds.entities), 8)) == 1
+
+
+class TestLoadedCheckpoint:
+    """A loaded checkpoint is frozen: evaluating it again generates nothing new."""
+
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        """The condition rows that reach generate_stack, in call order."""
+        rows = []
+        generate = hypernet.generate_stack
+
+        def counting(mode, tensors, H):
+            rows.extend(h.tobytes() for h in H)
+            return generate(mode, tensors, H)
+
+        monkeypatch.setattr(hypernet, "generate_stack", counting)
+        return rows
+
+    @staticmethod
+    def loaded(tmp_path, mode, nh):
+        """Params loaded from a checkpoint, and a writeable copy of them."""
+        path = tmp_path / f"{mode}{nh}.ckpt"
+        nk = 3 if mode == "lowrank" else None
+        hypernet.save_checkpoint(path, init_params(mode, nh, nk, seed=2))
+        params, _ = hypernet.load_checkpoint(path)
+        tensors = {name: np.array(t) for name, t in params.tensors.items()}
+        return params, hypernet.HyperNetParams(params.mode, params.nh, params.nk, tensors)
+
+    @pytest.mark.parametrize("mode", ["full", "lowrank"])
+    def test_a_second_evaluation_generates_nothing_and_scores_alike(self, tmp_path, generated, mode):
+        ds, store = make_synthetic_kg(40, 5, 8, seed=1)
+        quads, cstore = make_synthetic_csts(20, 3, 6, seed=1)
+        kg_params, kg_copy = self.loaded(tmp_path, mode, 8)
+        params, copy = self.loaded(tmp_path, mode, 6)
+        kg, csts = StoreProvider(store), StoreProvider(cstore)
+        conditions = list(dict.fromkeys(q.c for q in quads))
+        known = ds.all_triples()
+        calls = {
+            "kgc": (lambda p: evaluate_kgc(p, kg, ds.test, known, ds.entities), kg_params),
+            "csts": (lambda p: evaluation.evaluate_csts(p, csts, quads), params),
+        }
+        distinct = {"kgc": len({t.r for t in ds.test}), "csts": len(conditions)}
+        for name, (call, frozen) in calls.items():
+            generated.clear()
+            first, second = call(frozen), call(frozen)
+            assert first == second, name
+            assert len(generated) == len(set(generated)) == distinct[name], name
+        # Served from the memo alone, the operators score as a writeable copy's do.
+        queries = [
+            (kg, query, gold, ds.entities, (), direction)
+            for t in ds.test
+            for query, gold, direction in (((t.h, t.r), t.t, "tail"), ((t.t, t.r), t.h, "head"))
+        ]
+        generated.clear()
+        ranks = [rank_entities(kg_params, *args) for args in queries]
+        preds, _ = csts_predictions(params, csts, quads)
+        norms = frobenius_variance_report(params, csts, conditions)
+        assert generated == []
+        assert ranks == [rank_entities(kg_copy, *args) for args in queries]
+        np.testing.assert_allclose(preds, csts_predictions(copy, csts, quads)[0], rtol=0, atol=1e-12)
+        want = frobenius_variance_report(copy, csts, conditions)
+        np.testing.assert_allclose(norms, want, rtol=0, atol=1e-12)
+
+    def test_params_changed_in_place_are_evaluated_fresh(self):
+        quads, cstore = make_synthetic_csts(20, 3, 6, seed=1)
+        provider, params = StoreProvider(cstore), init_params("lowrank", 6, 2, seed=0)
+        before = evaluation.evaluate_csts(params, provider, quads)
+        params.tensors["U1"] *= 3.0
+        params.tensors["U2_bias"] += 0.5
+        fresh = init_params("lowrank", 6, 2, seed=0)
+        fresh.tensors["U1"] *= 3.0
+        fresh.tensors["U2_bias"] += 0.5
+        after = evaluation.evaluate_csts(params, provider, quads)
+        assert after == evaluation.evaluate_csts(fresh, provider, quads) != before

@@ -485,6 +485,14 @@ class TestBatched:
             one = apply_stack(op, h_s, 0)[0]
             np.testing.assert_allclose(row, one, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rows_of_unequal_width_raise_a_dimension_mismatch(self, mode):
+        p = init_params(mode, 6, 2 if mode == "lowrank" else None, seed=0)
+        op = generate_stack(p.mode, p.tensors, np.ones((1, 6)))
+        for project in (apply_stack, hypernet.factored_projection):
+            with pytest.raises(DimensionMismatchError, match="h_s rows differ in width: 5, 6"):
+                project(op, [np.ones(6), np.ones(5)], 0)
+
     def test_generate_blocks_validates_the_stack(self):
         p = init_params("full", 4, seed=0)
         with pytest.raises(DimensionMismatchError):
@@ -493,6 +501,106 @@ class TestBatched:
             generate_blocks(p, np.full((1, 4), np.nan))
         with pytest.raises(ValueError, match="2-D"):
             generate_blocks(p, np.ones(4))
+
+
+class TestFrozenMemo:
+    """Loaded params are frozen: generate_blocks makes a condition's operator once."""
+
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        """The condition rows that reach generate_stack, one list per call."""
+        calls = []
+        generate = hypernet.generate_stack
+
+        def counting(mode, tensors, H):
+            calls.append([h.tobytes() for h in H])
+            return generate(mode, tensors, H)
+
+        monkeypatch.setattr(hypernet, "generate_stack", counting)
+        return calls
+
+    @staticmethod
+    def loaded(tmp_path, mode, nh=6):
+        path = tmp_path / f"{mode}.ckpt"
+        save_checkpoint(path, init_params(mode, nh, 2 if mode == "lowrank" else None, seed=4))
+        return load_checkpoint(path)[0]
+
+    @staticmethod
+    def writeable(params):
+        tensors = {name: np.array(t) for name, t in params.tensors.items()}
+        return HyperNetParams(params.mode, params.nh, params.nk, tensors)
+
+    def test_loaded_tensors_are_read_only_and_own_their_data(self, tmp_path):
+        for mode in MODES:
+            for t in self.loaded(tmp_path, mode).tensors.values():
+                assert t.flags.owndata and not t.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    t.flat[0] = 1.0
+        (tau,) = load_checkpoint(_lowrank_checkpoint(tmp_path / "m.ckpt"))[1].values()
+        assert not tau.flags.writeable
+
+    @pytest.mark.parametrize("mode", ["full", "lowrank"])
+    def test_memoised_blocks_equal_a_writeable_copys(self, tmp_path, monkeypatch, mode):
+        # Hits, misses, repeated rows, and a hit that the block's own misses evict.
+        monkeypatch.setattr(hypernet, "GENERATE_BLOCK", 2)
+        params = self.loaded(tmp_path, mode)
+        copy = self.writeable(params)
+        H = np.random.default_rng(3).normal(size=(5, 6))
+        for rows in ([0, 1], [0, 2], [1, 1, 3, 0], [0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 2]):
+            got, want = list(generate_blocks(params, H[rows])), list(generate_blocks(copy, H[rows]))
+            assert [span for span, _ in got] == [span for span, _ in want]
+            for (_, op), (_, ref) in zip(got, want):
+                assert (op.mode, op.shape) == (ref.mode, ref.shape)
+                assert list(op.arrays) == list(ref.arrays)
+                for name, array in ref.arrays.items():
+                    np.testing.assert_allclose(op.arrays[name], array, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["full", "lowrank"])
+    def test_each_condition_is_generated_once_across_calls(self, tmp_path, generated, mode):
+        params = self.loaded(tmp_path, mode)
+        H = np.random.default_rng(3).normal(size=(5, 6))
+        for rows in ([0, 1], [1, 2, 0], [4, 3, 2, 1, 0], [3, 3]):
+            list(generate_blocks(params, H[rows]))
+        keys = [h.tobytes() for h in H]
+        assert generated == [[keys[0], keys[1]], [keys[2]], [keys[4], keys[3]]]
+
+    def test_the_memo_keeps_the_last_generate_block_conditions(
+        self, tmp_path, monkeypatch, generated
+    ):
+        monkeypatch.setattr(hypernet, "GENERATE_BLOCK", 1)
+        params = self.loaded(tmp_path, "lowrank")
+        H = np.random.default_rng(3).normal(size=(3, 6))
+        list(generate_blocks(params, H))
+        assert len(generated) == 3 and len(params._memo[1]) == 1
+        generated.clear()
+        list(generate_blocks(params, H[2:]))
+        assert generated == []
+        list(generate_blocks(params, H[:1]))
+        assert generated == [[H[0].tobytes()]]
+
+    def test_writeable_or_borrowed_tensors_generate_every_call(self, tmp_path, generated):
+        # A read-only view can change through its base, so it is not frozen.
+        params = self.writeable(self.loaded(tmp_path, "full"))
+        views = {name: t.view() for name, t in params.tensors.items()}
+        for t in views.values():
+            t.flags.writeable = False
+        borrowed = HyperNetParams("full", 6, None, views)
+        H = np.random.default_rng(3).normal(size=(2, 6))
+        for p in (params, params, borrowed, borrowed):
+            list(generate_blocks(p, H))
+        assert len(generated) == 4
+
+    def test_a_replaced_tensor_drops_the_memo(self, tmp_path, generated):
+        params = self.loaded(tmp_path, "lowrank")
+        H = np.random.default_rng(3).normal(size=(2, 6))
+        list(generate_blocks(params, H))
+        U1 = np.array(params.tensors["U1"]) * 2.0
+        U1.flags.writeable = False
+        params.tensors["U1"] = U1
+        [(_, op)] = generate_blocks(params, H)
+        assert len(generated) == 2
+        want = generate_stack("lowrank", params.tensors, H)
+        assert np.array_equal(op.arrays["W1"], want.arrays["W1"])
 
 
 class TestParamCount:

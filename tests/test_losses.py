@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -649,3 +651,31 @@ class TestTrainerClosureGradients:
         assert len(calls) == (0 if (task, mode) == ("csts", "hadamard") else 1 + 2 * full.n_checked)
         assert report.max_rel_err.hex() == full.max_rel_err.hex()
         assert report.per_param == full.per_param and report.n_checked == full.n_checked
+
+    def test_factored_gradients_are_read_from_their_factors(self, monkeypatch):
+        # The probes perturb one copy of the params; multiplying out each factored
+        # generator gradient would hold about as much again.
+        nh = 128
+        quads, store = trainer.make_synthetic_csts(12, 4, nh, seed=3)
+        cfg = trainer.TrainConfig(task="csts", mode="lowrank", nh=nh, nk=16, seed=5, batch_size=4)
+        closure = trainer.make_loss_closure(cfg, pair_twins(quads)[:3], StoreProvider(store))
+        _, arrays = trainer.initial_arrays(cfg)
+        want = list_based_grad_check(closure, arrays, 1e-5, 24, 0)
+        for t in arrays.values():  # probes perturb a copy, never the caller's arrays
+            t.flags.writeable = False
+
+        def refused(self, dtype=None, copy=None):
+            raise AssertionError("a factored gradient was multiplied out")
+
+        monkeypatch.setattr(ad.Factored, "__array__", refused)
+        tracemalloc.start()
+        try:
+            got = grad_check(closure, arrays, epsilon=1e-5, n_probes=24, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * sum(t.nbytes for t in arrays.values())
+        assert got.n_checked == want.n_checked == 24
+        assert abs(got.max_rel_err - want.max_rel_err) <= 1e-12
+        for name, err in want.per_param.items():
+            assert abs(got.per_param[name] - err) <= 1e-12, name

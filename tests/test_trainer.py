@@ -314,6 +314,25 @@ class TestTrainBasics:
         with pytest.raises(ValueError, match="batch is empty"):
             make_loss_closure(cfg, [], HashingProvider(dim=8, seed=0))
 
+    @pytest.mark.parametrize("task", ["csts", "kgc"])
+    @pytest.mark.parametrize("mode", ["full", "lowrank"])
+    def test_an_epoch_generates_once_per_batch(self, monkeypatch, task, mode):
+        # Training params are writeable, so nothing is memoised across batches.
+        if task == "csts":
+            data, store = tiny_csts(n_pairs=10)
+            n = len(pair_twins(data))
+        else:
+            ds, store = make_synthetic_kg(30, 4, 8, seed=0)
+            data, n = ds.train, len(ds.train)
+        calls = []
+        generate = trainer.generate_stack
+        monkeypatch.setattr(
+            trainer, "generate_stack", lambda *args: calls.append(1) or generate(*args)
+        )
+        cfg = TrainConfig(task=task, mode=mode, nh=8, epochs=1, batch_size=4, seed=0)
+        fit(cfg, data, StoreProvider(store))
+        assert len(calls) == math.ceil(n / 4)
+
     def test_same_seed_identical_report(self):
         quads, store = tiny_csts()
         provider = StoreProvider(store)
