@@ -39,7 +39,7 @@ from .hypernet import (
     apply_stack,
     generate_stack,
 )
-from .linalg import as_vector
+from .linalg import as_float_array, as_vector
 
 __all__ = [
     "CacheStats",
@@ -138,8 +138,11 @@ def run_architecture(
     if not requests:
         return stats
 
-    def embed(texts):  # each text's row, filled into one preallocated array
-        return np.fromiter(map(provider.embed, texts), (np.float64, provider.dim), len(texts))
+    def embed(texts):  # each text's row of one matrix, checked provider.dim wide
+        rows = as_float_array([provider.embed(t) for t in texts], "embeddings")
+        if rows.shape[1:] != (provider.dim,):
+            raise DimensionMismatchError(f"embeddings have shape {rows.shape}, dim {provider.dim}")
+        return rows
 
     if architecture == "bi":
         vecs, index = _cached(stats, [s + JOINT_KEY_SEP + c for s, c in requests], embed)
@@ -151,8 +154,8 @@ def run_architecture(
         diag = generate_stack("hadamard", {}, as_vector(vecs, "H", ndims=(2,)))
         return _compose(stats, diag, index[1::2], vecs, index[::2], sink)
 
-    def generate(conditions):
-        return generate_stack(params.mode, params.tensors, embed(conditions))
+    def generate(conditions):  # checked finite, as tri's are
+        return generate_stack(params.mode, params.tensors, as_vector(embed(conditions), "H", (2,)))
 
     ops, which = _cached(stats, [c for _, c in requests], generate, gen_ops=1)
     vecs, index = _cached(stats, [s for s, _ in requests], embed)

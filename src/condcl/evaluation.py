@@ -8,10 +8,10 @@ diagonal (elementwise) composition.
 
 Ranking, C-STS prediction and the norm report generate a call's distinct
 conditions with ``generate_blocks`` and reach each condition's operator by
-its index in its block. Params loaded from a checkpoint are frozen, so a
-condition they have generated before (one of the last GENERATE_BLOCK) is not
-generated again: evaluating a loaded checkpoint many times, a slice at a
-time, makes each condition's operator once. A call's rows (candidates,
+its index in its block. Params from ``load_checkpoint`` keep the operators
+of the last GENERATE_BLOCK conditions they generated and restack a block they
+hold in full: evaluating a loaded checkpoint again, or a query at a time,
+makes each condition's operator once. A call's rows (candidates,
 anchors, sentences) of unequal width raise DimensionMismatchError. C-STS
 prediction scores a condition's s1 and s2 rows as one matrix, checked once.
 A relation's queries of one direction are ranked RANK_BLOCK at a time as one

@@ -11,20 +11,19 @@ formula from conditions to operators, ``generate_stack``, which is also the
 only constructor of a ``ConditionOperator``: one linear-layer node
 ``H @ U.T + bias`` (``autodiff.linear``) per generator tensor for a stack H
 of condition embeddings, over ndarrays and autodiff Tensors alike.
-Training and serving generate a batch's or a stream's conditions as one
-stack; evaluation and ``analyze clusters`` generate theirs with
-``generate_blocks``, which checks a call's condition embeddings once and
-generates them GENERATE_BLOCK rows (a bound on memory) at a time. A loaded
-checkpoint is frozen (its tensors are read-only), so its params keep the
-operators of the last GENERATE_BLOCK conditions they generated, and
-``generate_blocks`` makes a condition's operator once across calls. There is
-one way to apply a stack, ``apply_stack``: each row of a row matrix through
-the operator its index names (one int for every row, or one index per row),
-in row order. Over ndarrays both give ndarrays; only training's Tensors build
-a graph. Evaluation scores projected rows P through ``factored_projection``,
-P = Z @ W1.T. A lowrank P is never formed: Z = rows @ W2 is N x nk, and the
-Gram W1^T W1 gives P's dots and clipped norms in rank-nk space, for KGC
-head queries and C-STS records alike.
+Training and serving generate a batch's or a stream's conditions as one stack;
+evaluation and ``analyze clusters`` generate theirs with ``generate_blocks``,
+which checks a call's condition embeddings once and generates them
+GENERATE_BLOCK rows (a bound on memory) at a time. Params from
+``load_checkpoint`` keep the operators of the last GENERATE_BLOCK conditions
+they generated, so ``generate_blocks`` makes a loaded condition's operator
+once across calls. There is one way to apply a stack, ``apply_stack``: each
+row of a row matrix through the operator its index names (one int for every
+row, or one index per row), in row order. Over ndarrays both give ndarrays;
+only training's Tensors build a graph. Evaluation scores projected rows P
+through ``factored_projection``, P = Z @ W1.T. A lowrank P is never formed:
+Z = rows @ W2 is N x nk, and the Gram W1^T W1 gives P's dots and clipped
+norms in rank-nk space, for KGC head queries and C-STS records alike.
 
 Checkpoint format: 8-byte magic ``HYPERCL1``, an 8-byte little-endian
 unsigned header length, a UTF-8 JSON header {mode, nh, nk, tensors: [{name,
@@ -105,16 +104,16 @@ class HyperNetParams:
 
     ``tensors`` maps the mode's tensor names to arrays, in checkpoint
     manifest order (see ``_tensor_shapes``); hadamard has none. nk is
-    meaningful only for lowrank. Full or lowrank params whose tensors own
-    their data and are read-only (as ``load_checkpoint`` returns them) are
-    frozen: ``generate_blocks`` keeps the operators they generate.
+    meaningful only for lowrank. Full or lowrank params from ``load_checkpoint``
+    carry a memo of the operators ``generate_blocks`` made; a call that finds a
+    tensor replaced or writeable drops it for good.
     """
 
     mode: str
     nh: int
     nk: int | None = None
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
-    # (tensors the memo was made from, condition bytes -> arrays): see ``_memo_of``
+    # (weak references to the loaded tensors, condition bytes -> arrays): see ``_memo_of``
     _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -276,11 +275,11 @@ def generate_blocks(params: HyperNetParams, H) -> Iterator[tuple[slice, Conditio
     row ``block.start + r`` of H is operator r of op. H is validated at the call:
     2-D, finite and nh wide. The block bounds the memory of the operators.
 
-    Frozen params (see ``HyperNetParams``) cannot change the operator of a
-    condition, so they keep the arrays of the last GENERATE_BLOCK conditions they
-    generated, keyed by the condition embedding's bytes (first in, first out): a
-    block generates only the conditions not kept, in one ``generate_stack``, and is
-    stacked from the kept arrays. Writeable params generate every block."""
+    Loaded params (see ``HyperNetParams``) keep the arrays of the last
+    GENERATE_BLOCK conditions they generated, keyed by the condition embedding's
+    bytes (first in, first out). A block whose rows are all kept is stacked from
+    the kept arrays; any other block is generated whole, in one ``generate_stack``,
+    and its rows are kept. Other params generate every block."""
     H = as_vector(H, "H", ndims=(2,))
     if H.shape[1] != params.nh:
         raise DimensionMismatchError(f"h_c has dim {H.shape[1]}, generator expects {params.nh}")
@@ -292,41 +291,34 @@ def generate_blocks(params: HyperNetParams, H) -> Iterator[tuple[slice, Conditio
 
 
 def _memo_of(params: HyperNetParams) -> dict | None:
-    """The memo of frozen params, condition bytes to that condition's arrays, oldest
-    first; None for params that are not frozen. A memo made from other tensor
-    objects than params holds now is dropped."""
-    tensors = params.tensors
-    # Hadamard and concat operators hold the condition embeddings themselves: nothing to keep.
-    frozen = params.mode in ("full", "lowrank") and all(
-        isinstance(t, np.ndarray) and t.flags.owndata and not t.flags.writeable
-        for t in tensors.values()
-    )
-    if not frozen:
-        return None
-    held = params._memo  # weak references: a replaced tensor is not kept alive by the memo
-    if held is None or held[0].keys() != tensors.keys() or any(
-        held[0][name]() is not t for name, t in tensors.items()
-    ):
-        held = params._memo = ({name: weakref.ref(t) for name, t in tensors.items()}, {})
-    return held[1]
+    """The memo ``load_checkpoint`` gave params, condition bytes to that condition's
+    arrays, oldest first, or None. A memo holds while params hold the tensors it
+    was made from, none writeable; otherwise it is dropped for good."""
+    if params._memo is not None:
+        refs, memo = params._memo  # weak: a replaced tensor is not kept alive by the memo
+        tensors = params.tensors
+        if refs.keys() == tensors.keys() and all(
+            refs[name]() is t and not t.flags.writeable for name, t in tensors.items()
+        ):
+            return memo
+        params._memo = None
+    return None
 
 
 def _memoised_stack(params: HyperNetParams, memo: dict, H: np.ndarray) -> ConditionOperator:
-    """The ``generate_stack`` of one block H of frozen params' conditions, generating
-    only those ``memo`` lacks and keeping a copy of each (see ``generate_blocks``)."""
+    """The ``generate_stack`` of one block H of loaded params' conditions: restacked
+    from ``memo`` if it holds every row, else generated whole and kept as the newest."""
     keys = [h.tobytes() for h in H]
-    arrays = {key: memo[key] for key in keys if key in memo}  # held through the eviction below
-    new = list(dict.fromkeys(key for key in keys if key not in arrays))
-    if new:
-        fresh = generate_stack(params.mode, params.tensors, H[[keys.index(key) for key in new]])
-        for j, key in enumerate(new):
-            arrays[key] = memo[key] = {name: a[j].copy() for name, a in fresh.arrays.items()}
-        while len(memo) > GENERATE_BLOCK:
-            del memo[next(iter(memo))]
-        if len(new) == len(keys):  # every row new and distinct: fresh is the block
-            return fresh
-    names = arrays[keys[0]]
-    return ConditionOperator(params.mode, {n: np.stack([arrays[k][n] for k in keys]) for n in names})
+    if all(key in memo for key in keys):
+        names = memo[keys[0]]
+        return ConditionOperator(params.mode, {n: np.stack([memo[k][n] for k in keys]) for n in names})
+    op = generate_stack(params.mode, params.tensors, H)
+    for j, key in enumerate(keys):
+        memo.pop(key, None)
+        memo[key] = {name: a[j].copy() for name, a in op.arrays.items()}
+    while len(memo) > GENERATE_BLOCK:
+        del memo[next(iter(memo))]
+    return op
 
 
 def param_count(params: HyperNetParams) -> int:
@@ -402,8 +394,8 @@ def load_checkpoint(path: str | Path) -> tuple[HyperNetParams, dict[str, np.ndar
     file CHUNK_VALUES float32 values at a time into one reused buffer,
     checked and widened into its float64 array, so the peak memory is the
     float64 tensors plus one chunk. Every returned tensor is a read-only array
-    that owns its data, so the params are frozen (see ``generate_blocks``);
-    to train from them, copy the tensors.
+    that owns its data; full and lowrank params carry the generation memo (see
+    ``HyperNetParams``). To train from them, copy the tensors.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -473,4 +465,6 @@ def load_checkpoint(path: str | Path) -> tuple[HyperNetParams, dict[str, np.ndar
                 f"{path}: tensor {name!r} has shape {tensors[name].shape}, header implies {shape}"
             )
     params = HyperNetParams(mode, nh, nk, {k: tensors.pop(k) for k in shapes})
+    if mode in ("full", "lowrank"):  # hadamard and concat operators hold the conditions
+        params._memo = ({name: weakref.ref(t) for name, t in params.tensors.items()}, {})
     return params, tensors

@@ -51,10 +51,12 @@ from .hypernet import (
     init_params,
     save_checkpoint,
 )
-from .linalg import is_finite_real, is_integer
+from .linalg import as_vector, is_finite_real, is_integer
 from .losses import (
     CstsQuadruplet,
     KgTriple,
+    LABEL_HIGH,
+    LABEL_LOW,
     LossConfig,
     TAU_FLOOR,
     csts_loss,
@@ -413,7 +415,7 @@ def _embedding_matrix(task: str, instances, provider, given=()):
         if text not in row_of:
             row_of[text] = len(vectors)
             vectors.append(vec)
-    return ids, np.array(vectors, dtype=np.float64), row_of
+    return ids, as_vector(vectors, "embeddings", ndims=(2,)), row_of
 
 
 def train(cfg: TrainConfig, data, provider, checkpoint_path: str | None = None) -> TrainReport:
@@ -558,10 +560,10 @@ def make_synthetic_csts(
         for k in range(n_conditions):
             a = v1[k * block : (k + 1) * block]
             b = v2[k * block : (k + 1) * block]
-            denom = np.linalg.norm(a) * np.linalg.norm(b)
-            cosines.append(float(np.clip(a @ b / denom, -1.0, 1.0)))
+            cosines.append(float(np.clip(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)), -1.0, 1.0)))
         for k in (int(np.argmax(cosines)), int(np.argmin(cosines))):  # the high twin, then the low
-            quads.append(CstsQuadruplet(s1, s2, cond_texts[k], 3.0 + 2.0 * cosines[k], pair_id=i))
+            y = (LABEL_LOW + LABEL_HIGH) / 2 + (LABEL_HIGH - LABEL_LOW) / 2 * cosines[k]
+            quads.append(CstsQuadruplet(s1, s2, cond_texts[k], y, pair_id=i))
     return quads, store
 
 

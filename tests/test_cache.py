@@ -492,6 +492,33 @@ class TestRunArchitecture:
         with pytest.raises(ValueError, match="H contains non-finite entries"):
             run_architecture("tri", [("a sentence", "cond 1")], NanConditions(dim=8, seed=0))
 
+    def test_hyper_refuses_a_non_finite_condition_vector(self):
+        # Hyper's conditions go to generate_stack, which checks nothing: they are
+        # checked where they are embedded, as tri's are, before any request is served.
+        class NanCondition(HashingProvider):
+            def embed(self, text):
+                return np.full(self.dim, np.nan) if text == "cond 2" else super().embed(text)
+
+        requests = [("a sentence", "cond 1"), ("another", "cond 2")]
+        served = []
+        with pytest.raises(ValueError, match="H contains non-finite entries"):
+            run_architecture(
+                "hyper", requests, NanCondition(dim=8, seed=0), init_params("full", 8), served.append
+            )
+        assert served == []
+
+    @pytest.mark.parametrize("arch", ["bi", "tri", "hyper"])
+    @pytest.mark.parametrize("short", ["a sentence", "cond 1"])
+    def test_a_provider_vector_of_the_wrong_width_is_a_dimension_mismatch(self, arch, short):
+        class Short(HashingProvider):
+            def embed(self, text):
+                return super().embed(text)[:-1] if short in text else super().embed(text)
+
+        params = init_params("lowrank", 8, 2, seed=0)
+        for requests in ([("a sentence", "cond 1")], [("a sentence", "cond 1"), ("s2", "c2")]):
+            with pytest.raises(DimensionMismatchError, match="7"):
+                run_architecture(arch, requests, Short(dim=8, seed=0), params)
+
 
 class TestBenchReport:
     def test_rows_and_tsv_shape(self):

@@ -45,8 +45,8 @@ def test_only_hypernet_reads_an_operators_arrays_by_key(path):
     assert not lines, f"{path.name} subscripts an operator's .arrays at lines {lines}"
 
 
-def _calls_of(tree, name):
-    """(enclosing function name or None, line) of each call of ``name`` in tree."""
+def _scoped(tree):
+    """(enclosing function name or None, node) of each node in tree."""
     found = []
 
     def visit(node, scope):
@@ -54,14 +54,21 @@ def _calls_of(tree, name):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
-                    found.append((scope, child.lineno))
+            found.append((scope, child))
             visit(child, scope)
 
     visit(tree, None)
     return found
+
+
+def _calls_of(tree, name):
+    """(enclosing function name or None, line) of each call of ``name`` in tree."""
+    return [
+        (scope, node.lineno)
+        for scope, node in _scoped(tree)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -77,3 +84,38 @@ def test_only_generate_stack_makes_a_condition_operator(path):
         assert any(scope == "generate_stack" for scope, _ in calls)
         generating = {scope for scope, _ in _calls_of(tree, "generate_stack")}
         assert "_memoised_stack" in generating
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_load_checkpoint_gives_params_a_memo(path):
+    # The generation memo stays behind hypernet: no other module reads or sets
+    # ``._memo``, and within hypernet only load_checkpoint makes one (others may drop it).
+    nodes = _scoped(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    if path.name != "hypernet.py":
+        uses = [
+            node.lineno
+            for _, node in nodes
+            if (isinstance(node, ast.Attribute) and node.attr == "_memo")
+            or (isinstance(node, ast.Constant) and node.value == "_memo")
+        ]
+        assert not uses, f"{path.name} reaches a params memo at lines {uses}"
+        return
+
+    def sets_memo(node):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return any(
+            isinstance(t, ast.Attribute) and t.attr == "_memo"
+            for target in targets
+            for t in ast.walk(target)
+        )
+
+    makers = [
+        (scope, node.lineno)
+        for scope, node in nodes
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        and sets_memo(node)
+        and not (isinstance(node.value, ast.Constant) and node.value.value is None)
+    ]
+    assert makers, "hypernet.py makes no memo"
+    others = [(scope, line) for scope, line in makers if scope != "load_checkpoint"]
+    assert not others, f"hypernet.py makes a memo outside load_checkpoint: {others}"

@@ -556,13 +556,56 @@ class TestFrozenMemo:
                     np.testing.assert_allclose(op.arrays[name], array, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["full", "lowrank"])
-    def test_each_condition_is_generated_once_across_calls(self, tmp_path, generated, mode):
+    def test_a_block_is_generated_whole_unless_every_row_is_kept(self, tmp_path, generated, mode):
+        # Generating a block reads the whole generator whatever its rows, so a
+        # partly kept block is generated whole; a wholly kept one not at all.
         params = self.loaded(tmp_path, mode)
         H = np.random.default_rng(3).normal(size=(5, 6))
         for rows in ([0, 1], [1, 2, 0], [4, 3, 2, 1, 0], [3, 3]):
             list(generate_blocks(params, H[rows]))
-        keys = [h.tobytes() for h in H]
-        assert generated == [[keys[0], keys[1]], [keys[2]], [keys[4], keys[3]]]
+        k = [h.tobytes() for h in H]
+        assert generated == [[k[0], k[1]], [k[1], k[2], k[0]], [k[4], k[3], k[2], k[1], k[0]]]
+
+    def test_a_block_generated_whole_is_kept_whole(self, tmp_path, monkeypatch, generated):
+        # Row 1 was kept before [1, 3] missed; it is kept again as the newest, so
+        # the eviction to GENERATE_BLOCK rows does not drop it.
+        monkeypatch.setattr(hypernet, "GENERATE_BLOCK", 2)
+        params = self.loaded(tmp_path, "lowrank")
+        H = np.random.default_rng(3).normal(size=(4, 6))
+        for rows in ([0, 1], [2], [1, 3], [1, 3]):
+            list(generate_blocks(params, H[rows]))
+        assert len(generated) == 3 and list(params._memo[1]) == [H[1].tobytes(), H[3].tobytes()]
+
+    def test_only_loaded_full_and_lowrank_params_hold_a_memo(self, tmp_path):
+        # Hadamard and concat operators hold the condition embeddings themselves.
+        held = {mode: self.loaded(tmp_path, mode)._memo is not None for mode in MODES}
+        assert held == {"full": True, "lowrank": True, "hadamard": False, "concat": False}
+
+    def test_read_only_params_not_loaded_generate_every_call(self, tmp_path, generated):
+        params = self.writeable(self.loaded(tmp_path, "full"))
+        for t in params.tensors.values():
+            t.flags.writeable = False
+            assert t.flags.owndata
+        H = np.random.default_rng(3).normal(size=(2, 6))
+        for _ in range(3):
+            list(generate_blocks(params, H))
+        assert len(generated) == 3 and params._memo is None
+
+    def test_a_tensor_seen_writeable_drops_the_memo_for_good(self, tmp_path, generated):
+        # Made writeable, changed in place and made read-only again: the call that
+        # saw it writeable dropped the memo, so nothing stale is served afterwards.
+        params = self.loaded(tmp_path, "lowrank")
+        H = np.random.default_rng(3).normal(size=(2, 6))
+        list(generate_blocks(params, H))
+        U1 = params.tensors["U1"]
+        U1.flags.writeable = True
+        U1 *= 2.0
+        list(generate_blocks(params, H))
+        U1.flags.writeable = False
+        [(_, op)] = generate_blocks(params, H)
+        assert len(generated) == 3 and params._memo is None
+        want = generate_stack("lowrank", params.tensors, H)
+        assert np.array_equal(op.arrays["W1"], want.arrays["W1"])
 
     def test_the_memo_keeps_the_last_generate_block_conditions(
         self, tmp_path, monkeypatch, generated

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from condcl import autodiff as ad
 from condcl import trainer
 from condcl.encoder import EmbeddingStore, HashingProvider, StoreProvider, load_embeddings
-from condcl.errors import CondclError, ConfigError, FormatError, TrainingDivergedError
+from condcl.errors import (
+    CondclError,
+    ConfigError,
+    DimensionMismatchError,
+    FormatError,
+    TrainingDivergedError,
+)
 from condcl.evaluation import csts_predictions, spearman
 from condcl.hypernet import apply_stack, load_checkpoint
 from condcl.losses import (
@@ -431,6 +437,35 @@ class TestTrainBasics:
         with pytest.raises(CondclError):
             train(cfg, quads, HashingProvider(dim=8, seed=0))
 
+    @pytest.mark.parametrize("task", ["csts", "kgc"])
+    def test_a_bad_provider_vector_is_refused_before_the_first_batch(self, monkeypatch, task):
+        # Checked where the embedding matrix is built: a vector of the wrong width is a
+        # typed error, and a non-finite one is not reported as a diverged loss.
+        if task == "csts":
+            data, store = tiny_csts()
+            text = data[0].c
+        else:
+            ds, store = make_synthetic_kg(30, 4, 8, seed=0)
+            data, text = ds.train, ds.train[0].r
+
+        class Spoiled(StoreProvider):
+            def __init__(self, spoil):
+                super().__init__(store)
+                self.spoil = spoil
+
+            def embed(self, t):
+                return self.spoil(super().embed(t)) if t == text else super().embed(t)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a batch was built")
+
+        monkeypatch.setattr(trainer, "_batch_closure", refused)
+        cfg = TrainConfig(task=task, mode="full", nh=8, epochs=1, batch_size=4, seed=0)
+        with pytest.raises(DimensionMismatchError, match="embeddings rows differ in width: 7, 8"):
+            fit(cfg, data, Spoiled(lambda v: v[:-1]))
+        with pytest.raises(ValueError, match="embeddings contains non-finite entries"):
+            fit(cfg, data, Spoiled(lambda v: v * np.nan))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostics(self):
         quads, store = tiny_csts()
@@ -453,6 +488,16 @@ class TestSyntheticCsts:
     def test_labels_in_native_range(self):
         quads, _ = make_synthetic_csts(50, 4, 16, seed=1)
         assert all(1.0 <= q.y <= 5.0 for q in quads)
+
+    def test_a_label_is_three_plus_twice_its_block_cosine_bit_for_bit(self):
+        # The files make-synthetic writes must not move: 1 + 4 * ((1 + c) / 2) rounds
+        # 1 + c first and misses by an ulp on some cosines.
+        quads, store = make_synthetic_csts(100, 4, 16, seed=3)
+        for q in quads:
+            k = int(q.c.rsplit("-", 1)[1])
+            a, b = store[q.s1][4 * k : 4 * k + 4], store[q.s2][4 * k : 4 * k + 4]
+            cosine = float(np.clip(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)), -1.0, 1.0))
+            assert q.y.hex() == (3.0 + 2.0 * cosine).hex()
 
     def test_twin_labels_ordered(self):
         quads, _ = make_synthetic_csts(80, 4, 16, seed=2)
