@@ -15,10 +15,10 @@ Three execution architectures are compared over a stream of
 call per key space: the distinct keys' values are made at once as one stack
 (an array of rows, or one ``generate_stack`` operator of R conditions), and
 each key becomes its index into it. Each distinct key counts as one miss and
-one heavy op; every later occurrence is a hit. Requests are then composed as
-training composes: ``apply_stack`` sends each sentence row through the
-operator its condition index names (tri: one hadamard ``generate_stack`` over
-the distinct texts, checked finite), one call per COMPOSE_BLOCK requests,
+one heavy op; every later occurrence is a hit, and every made row is checked
+finite. Requests are then composed as training composes: ``apply_stack`` sends
+each sentence row through the operator its condition index names (tri: one
+hadamard ``generate_stack``), one call per COMPOSE_BLOCK requests,
 whose sentence rows are gathered only then. Nothing outlives one call, so
 misses equal the number of distinct keys, exactly. Byte accounting counts the
 made stacks' bytes; key strings are tracked separately as bookkeeping.
@@ -138,11 +138,11 @@ def run_architecture(
     if not requests:
         return stats
 
-    def embed(texts):  # each text's row of one matrix, checked provider.dim wide
+    def embed(texts, name="embeddings"):  # one matrix of rows, finite and provider.dim wide
         rows = as_float_array([provider.embed(t) for t in texts], "embeddings")
         if rows.shape[1:] != (provider.dim,):
             raise DimensionMismatchError(f"embeddings have shape {rows.shape}, dim {provider.dim}")
-        return rows
+        return as_vector(rows, name, ndims=(2,))
 
     if architecture == "bi":
         vecs, index = _cached(stats, [s + JOINT_KEY_SEP + c for s, c in requests], embed)
@@ -150,12 +150,12 @@ def run_architecture(
             sink(vecs[i])
         return stats
     if architecture == "tri":
-        vecs, index = _cached(stats, [t for request in requests for t in request], embed)
-        diag = generate_stack("hadamard", {}, as_vector(vecs, "H", ndims=(2,)))
+        vecs, index = _cached(stats, [t for q in requests for t in q], lambda t: embed(t, "H"))
+        diag = generate_stack("hadamard", {}, vecs)
         return _compose(stats, diag, index[1::2], vecs, index[::2], sink)
 
-    def generate(conditions):  # checked finite, as tri's are
-        return generate_stack(params.mode, params.tensors, as_vector(embed(conditions), "H", (2,)))
+    def generate(conditions):
+        return generate_stack(params.mode, params.tensors, embed(conditions, "H"))
 
     ops, which = _cached(stats, [c for _, c in requests], generate, gen_ops=1)
     vecs, index = _cached(stats, [s for s, _ in requests], embed)

@@ -237,6 +237,7 @@ def cmd_bench_cache(args) -> int:
         raise ConfigError("empty workload")
     nh, seed = args.nh, args.seed
     provider = HashingProvider(dim=nh, seed=seed, rounds=args.heavy_rounds)
+    trainer.refuse_above_memory(["full", "lowrank"], nh, args.nk, 1, "their params")
     params_full = hypernet.init_params("full", nh, seed=seed)
     params_lowrank = hypernet.init_params("lowrank", nh, args.nk, seed=seed)
     rows = cache_mod.bench_report(

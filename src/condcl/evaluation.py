@@ -11,15 +11,15 @@ conditions with ``generate_blocks`` and reach each condition's operator by
 its index in its block. Params from ``load_checkpoint`` keep the operators
 of the last GENERATE_BLOCK conditions they generated and restack a block they
 hold in full: evaluating a loaded checkpoint again, or a query at a time,
-makes each condition's operator once. A call's rows (candidates,
-anchors, sentences) of unequal width raise DimensionMismatchError. C-STS
-prediction scores a condition's s1 and s2 rows as one matrix, checked once.
-A relation's queries of one direction are ranked RANK_BLOCK at a time as one
-(block x candidates) matrix of cosines: tail anchors go through
-``apply_stack`` and meet the candidate matrix, checked once per call, in one
-product; head anchors meet the candidates composed once per relation. Both
-tasks score through ``factored_projection``, so lowrank stays in rank-nk
-space.
+makes each condition's operator once. A call's rows (candidates, anchors,
+sentences) of unequal width raise DimensionMismatchError. C-STS prediction
+stacks a condition's s1 and s2 rows RANK_BYTES at a time, each stack checked
+once. Ranking scores each generation block's queries by direction, across its
+relations, RANK_BYTES of scores at a time: a block of tail anchors is one
+``apply_stack`` and one product against the candidate matrix, checked once per
+call; head anchors meet the candidates composed once per relation, one
+relation at a time. Both tasks score through ``factored_projection``, so
+lowrank stays in rank-nk space.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 TIE_TOL = 1e-9  # a score this close to gold's ties with it; ties rank by name
-RANK_BLOCK = 128  # queries scored at a time: bounds ranking memory to a few blocks x candidates
+RANK_BYTES = 1 << 22  # score or sentence-row bytes held at a time: bounds memory, reused per call
 DEFAULT_KS = (1, 3, 10)  # the Hits@k cutoffs reported when none are given
 
 
@@ -129,8 +129,8 @@ def _filtered_ranks(scores: np.ndarray, queries, index, order) -> np.ndarray:
 
 
 def _rank_queries(params, provider, candidates, queries) -> list[RankingResult]:
-    """Filtered ranks of (query, gold, filter_set, direction) tuples, in order, ranked
-    by relation and direction RANK_BLOCK at a time (see the module docstring)."""
+    """Filtered ranks of (query, gold, filter_set, direction) tuples, in order, ranked by
+    direction across each generation block's relations (see the module docstring)."""
     names = list(dict.fromkeys(candidates))
     index = {name: i for i, name in enumerate(names)}
     groups: dict[str, dict[str, list[int]]] = {}  # relation -> direction -> query positions
@@ -142,25 +142,31 @@ def _rank_queries(params, provider, candidates, queries) -> list[RankingResult]:
         groups.setdefault(relation, {}).setdefault(direction, []).append(i)
     order = np.argsort(sorted(range(len(names)), key=names.__getitem__))  # tie-break key
     E = as_vector([provider.embed(name) for name in names], "candidates", ndims=(2,))
-    norms = np.linalg.norm(E, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", E, E))
     H = [provider.embed(relation) for relation in groups]  # checked by generate_blocks
+    rows = max(1, RANK_BYTES // (8 * len(names)))  # queries per score block
     ranks = np.empty((len(queries), 2), dtype=np.int64)
     for span, op in generate_blocks(params, H):
-        for r, by_direction in enumerate(list(groups.values())[span]):
-            for direction, members in by_direction.items():
-                if direction == "head":
-                    W1, Z, _, head_norms = factored_projection(op, E, r)
-                for lo in range(0, len(members), RANK_BLOCK):
-                    block = members[lo : lo + RANK_BLOCK]
-                    A = as_vector([provider.embed(queries[i][0][0]) for i in block], "anchor", (2,))
-                    if direction == "tail":
-                        P = apply_stack(op, A, r)
-                        scores = _cosines(P @ E.T, np.linalg.norm(P, axis=1)[:, None], norms)
-                    else:
-                        dots = (A if W1 is None else A @ W1) @ Z.T
-                        scores = _cosines(dots, np.linalg.norm(A, axis=1)[:, None], head_norms)
-                    ranks[block] = _filtered_ranks(scores, [queries[i] for i in block], index, order)
-                    del scores  # hold one block's scores at a time
+        by_relation, composed = list(groups.values())[span], {}
+        for direction in ("tail", "head"):
+            members = [(i, r) for r, by in enumerate(by_relation) for i in by.get(direction, ())]
+            for lo in range(0, len(members), rows):
+                block, which = (np.array(x) for x in zip(*members[lo : lo + rows]))
+                A = as_vector([provider.embed(queries[i][0][0]) for i in block], "anchor", (2,))
+                if direction == "tail":
+                    P = apply_stack(op, A, which)
+                    scores = _cosines(P @ E.T, np.linalg.norm(P, axis=1)[:, None], norms)
+                else:
+                    scores, a_norms = np.empty((len(block), len(names))), np.linalg.norm(A, axis=1)
+                    for r in np.unique(which):  # in relation order: one composition held
+                        if r not in composed:
+                            composed = {r: factored_projection(op, E, r)}
+                        W1, Z, _, head_norms = composed[r]
+                        k = which == r
+                        AW1 = A[k] if W1 is None else A[k] @ W1
+                        scores[k] = _cosines(AW1 @ Z.T, a_norms[k][:, None], head_norms)
+                ranks[block] = _filtered_ranks(scores, [queries[i] for i in block], index, order)
+                del scores  # hold one block's scores at a time
     return [RankingResult(q[0], rank, count) for q, (rank, count) in zip(queries, ranks.tolist())]
 
 
@@ -314,13 +320,14 @@ def csts_predictions(
     if not groups:
         return [], []
     H = [provider.embed(c) for c in groups]  # checked by generate_blocks
-    phi = np.empty(len(quads))
+    phi, pairs = np.empty(len(quads)), max(1, RANK_BYTES // (16 * params.nh))  # records per stack
     for span, op in generate_blocks(params, H):
         for r, members in enumerate(list(groups.values())[span]):
-            rows = [provider.embed(getattr(quads[i], s)) for s in ("s1", "s2") for i in members]
-            _, Z, ZG, norms = factored_projection(op, rows, r)
-            n = len(members)
-            phi[members] = _cosines(np.einsum("ij,ij->i", ZG[:n], Z[n:]), norms[:n], norms[n:])
+            for block in (members[lo : lo + pairs] for lo in range(0, len(members), pairs)):
+                rows = [provider.embed(getattr(quads[i], s)) for s in ("s1", "s2") for i in block]
+                _, Z, ZG, norms = factored_projection(op, rows, r)
+                n = len(block)
+                phi[block] = _cosines(np.einsum("ij,ij->i", ZG[:n], Z[n:]), norms[:n], norms[n:])
     return [similarity_to_label(p) for p in phi], [q.y for q in quads]
 
 
@@ -347,15 +354,17 @@ def evaluate_kgc(
     """
     if not eval_triples:
         raise ValueError("no evaluation triples")
-    tails_of: dict[tuple[str, str], set[str]] = {}
-    heads_of: dict[tuple[str, str], set[str]] = {}
+    tails_of = {(t.h, t.r): set() for t in eval_triples}  # only the keys queried
+    heads_of = {(t.t, t.r): set() for t in eval_triples}
     for t in known_triples:
-        tails_of.setdefault((t.h, t.r), set()).add(t.t)
-        heads_of.setdefault((t.t, t.r), set()).add(t.h)
+        if (t.h, t.r) in tails_of:
+            tails_of[t.h, t.r].add(t.t)
+        if (t.t, t.r) in heads_of:
+            heads_of[t.t, t.r].add(t.h)
     queries = []
     for t in eval_triples:
-        queries.append(((t.h, t.r), t.t, tails_of.get((t.h, t.r), ()), "tail"))
-        queries.append(((t.t, t.r), t.h, heads_of.get((t.t, t.r), ()), "head"))
+        queries.append(((t.h, t.r), t.t, tails_of[t.h, t.r], "tail"))
+        queries.append(((t.t, t.r), t.h, heads_of[t.t, t.r], "head"))
     results = _rank_queries(params, provider, entities, queries)
     metrics = mrr_hits(results, ks)
     metrics["queries"] = len(results)

@@ -377,17 +377,22 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def refuse_above_memory(modes, nh: int, nk: int | None, copies: int, held: str) -> None:
+    """Raise a ConfigError, before allocating, if ``copies`` x the params of ``modes`` exceed RAM."""
+    shapes = [s for mode in modes for s in _tensor_shapes(mode, nh, nk or default_nk(nh)).values()]
+    need, have = copies * 8 * sum(math.prod(shape) for shape in shapes), _physical_memory()
+    if need > have:
+        raise ConfigError(
+            f"mode={'+'.join(modes)} nh={nh} needs {need} bytes for {held}, "
+            f"more than the {have} bytes of physical memory"
+        )
+
+
 def initial_arrays(cfg: TrainConfig) -> tuple[HyperNetParams, dict[str, np.ndarray]]:
     """Seeded parameters plus the flat learnable-array dict used by training. A config
     whose float64 params and two Adam moments exceed physical memory is refused
     with a ConfigError before anything is allocated."""
-    shapes = _tensor_shapes(cfg.mode, cfg.nh, cfg.nk or default_nk(cfg.nh)).values()
-    need, have = 3 * 8 * sum(math.prod(shape) for shape in shapes), _physical_memory()
-    if need > have:
-        raise ConfigError(
-            f"mode={cfg.mode} nh={cfg.nh} needs {need} bytes for its params and two Adam "
-            f"moments, more than the {have} bytes of physical memory"
-        )
+    refuse_above_memory([cfg.mode], cfg.nh, cfg.nk, 3, "its params and two Adam moments")
     params = init_params(cfg.mode, cfg.nh, cfg.nk, seed=cfg.seed, zero_bias=cfg.zero_bias)
     arrays = dict(params.tensors)
     if cfg.task == "kgc":

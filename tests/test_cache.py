@@ -508,6 +508,23 @@ class TestRunArchitecture:
         assert served == []
 
     @pytest.mark.parametrize("arch", ["bi", "tri", "hyper"])
+    @pytest.mark.parametrize("bad", ["sentence", "condition"])
+    def test_a_non_finite_provider_vector_is_refused_before_any_request_is_served(self, arch, bad):
+        # The bad text comes last, after more than a block of good requests.
+        class NanText(HashingProvider):
+            def embed(self, text):
+                return np.full(self.dim, np.nan) if "bad" in text else super().embed(text)
+
+        requests = [(f"s{i}", "cond 1") for i in range(COMPOSE_BLOCK + 1)]
+        requests.append(("bad s", "cond 1") if bad == "sentence" else ("s0", "bad cond"))
+        served = []
+        with pytest.raises(ValueError, match="contains non-finite entries"):
+            run_architecture(
+                arch, requests, NanText(dim=8, seed=0), init_params("lowrank", 8, 2), served.append
+            )
+        assert served == []
+
+    @pytest.mark.parametrize("arch", ["bi", "tri", "hyper"])
     @pytest.mark.parametrize("short", ["a sentence", "cond 1"])
     def test_a_provider_vector_of_the_wrong_width_is_a_dimension_mismatch(self, arch, short):
         class Short(HashingProvider):

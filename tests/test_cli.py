@@ -456,6 +456,27 @@ def test_train_refuses_a_config_above_physical_memory_before_allocating(
     assert f"needs {need} bytes" in capsys.readouterr().err
 
 
+def test_bench_cache_refuses_params_above_physical_memory_before_allocating(monkeypatch, capsys):
+    # Full and lowrank params (nk = 1024 // 12 = 85) at nh=1024, in float64.
+    nh, nk = 1024, 85
+    need = 8 * (nh**3 + nh**2) + 8 * 2 * (nh * nk * nh + nh * nk)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the params were allocated")
+
+    monkeypatch.setattr(hypernet, "init_params", never)
+    monkeypatch.setattr(trainer, "_physical_memory", lambda: need - 1)
+    argv = ["bench-cache", "--nh", str(nh), "--gen-sentences", "2", "--gen-conditions", "2"]
+    start = time.perf_counter()
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"needs {need} bytes" in err and f"the {need - 1} bytes of physical memory" in err
+    monkeypatch.setattr(trainer, "_physical_memory", lambda: need)
+    with pytest.raises(AssertionError, match="allocated"):  # it fits: allocation begins
+        cli.main(argv)
+
+
 @pytest.mark.parametrize("flag", ["--k", "--per-group"])
 def test_cluster_analysis_refuses_a_count_below_one(csts_run, capsys, flag):
     tmp_path, _, config = csts_run

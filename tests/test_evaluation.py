@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import condcl
 from condcl import evaluation, hypernet
 from condcl.cache import run_architecture
 from condcl.encoder import EmbeddingStore, HashingProvider, StoreProvider
@@ -504,6 +509,7 @@ class TestBatchedEqualsReference:
     @given(kg_cases())
     def test_ranks_and_metrics_equal_brute_force(self, case):
         params, provider, names, evaluated, known = case
+        evaluated = evaluated + evaluated[:1]  # a repeated triple is ranked again, alike
         results = []  # tail then head per triple, the order evaluate_kgc queries in
         for t in evaluated:
             for direction in ("tail", "head"):
@@ -521,6 +527,17 @@ class TestBatchedEqualsReference:
                 results.append(RankingResult(query, *expected))
         metrics = evaluate_kgc(params, provider, evaluated, known, names, ks=(1, 3))
         assert metrics == {**mrr_hits(results, (1, 3)), "queries": len(results)}
+        # Known triples whose (h, r) and (t, r) keys no query asks about filter nothing.
+        tail_keys, head_keys = {(t.h, t.r) for t in evaluated}, {(t.t, t.r) for t in evaluated}
+        unasked = [
+            KgTriple(h, r, t)
+            for h in names + ["outside"]
+            for r in ("r0", "r1", "r2", "r3")
+            for t in names + ["outside"]
+            if (h, r) not in tail_keys and (t, r) not in head_keys
+        ]
+        with_unasked = evaluate_kgc(params, provider, evaluated, unasked + known, names, ks=(1, 3))
+        assert with_unasked == metrics
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -668,22 +685,25 @@ class TestBatchedEqualsReference:
             return results
 
         whole = ranks()
-        monkeypatch.setattr(evaluation, "RANK_BLOCK", 3)  # several blocks per relation
+        # A score block of 3 queries: several blocks per relation and direction.
+        monkeypatch.setattr(evaluation, "RANK_BYTES", 3 * 8 * len(ds.entities))
         assert len(triples) > 3 * 3 * len({t.r for t in triples})
         assert ranks() == whole
 
     @pytest.mark.parametrize("mode", MODES)
     def test_ranking_holds_a_few_blocks_of_scores(self, mode):
-        # 4 x RANK_BLOCK triples of one relation make 4 x RANK_BLOCK tail and as
-        # many head queries; scoring either direction at once would hold 4 blocks
-        # of RANK_BLOCK x candidates floats per score array (13 in all).
+        # A score block is the RANK_BYTES // (8 N) queries whose scores take
+        # RANK_BYTES. 4 blocks' worth of triples of one relation make 4 blocks
+        # of tail and as many of head queries; scoring either direction at once
+        # would hold 4 blocks of scores per score array (13 in all).
         N, nh = 1000, 8
+        rows = evaluation.RANK_BYTES // (8 * N)
         g = np.random.default_rng(0)
         store = EmbeddingStore(nh)
         entities = [f"e{i}" for i in range(N)]
         for name in entities + ["r0"]:
             store.add(name, g.normal(size=nh))
-        pairs = g.integers(0, N, size=(4 * evaluation.RANK_BLOCK, 2))
+        pairs = g.integers(0, N, size=(4 * rows, 2))
         triples = [KgTriple(entities[h], "r0", entities[t]) for h, t in pairs]
         params = mode_params(mode, nh, 0)
         tracemalloc.start()
@@ -692,7 +712,7 @@ class TestBatchedEqualsReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - N * nh * 8 < 6 * evaluation.RANK_BLOCK * N * 8  # beyond E
+        assert peak - N * nh * 8 < 6 * rows * N * 8  # beyond E
 
     def test_non_finite_candidate_raises(self):
         provider, entities = tiny_graph()
@@ -700,6 +720,124 @@ class TestBatchedEqualsReference:
         params = init_params("lowrank", 8, nk=2, seed=0)
         with pytest.raises(ValueError, match="non-finite"):
             rank_entities(params, provider, ("e0", "r0"), "e1", entities + ["inf"])
+
+
+class TestBlocksAcrossRelations:
+    """A generation block's queries are ranked by direction across its relations."""
+
+    @staticmethod
+    def graph():
+        ds, store = make_synthetic_kg(40, 5, 8, seed=1)
+        triples = ds.all_triples()
+        assert len({t.r for t in triples}) == 5  # interleaved in query order
+        assert [t.r for t in triples] != sorted(t.r for t in triples)
+        return ds, StoreProvider(store), triples
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("per_block", [1, 2, 3])
+    @pytest.mark.parametrize("generate_block", [1, 2, 3])
+    def test_ranks_do_not_depend_on_blocking(self, monkeypatch, mode, per_block, generate_block):
+        ds, provider, triples = self.graph()
+        params = mode_params(mode, 8, 1)
+        results = []
+        monkeypatch.setattr(evaluation, "mrr_hits", lambda res, ks: results.extend(res) or {})
+        by_relation = {}  # query position in the whole call -> its result, a relation at a time
+        for r in dict.fromkeys(t.r for t in triples):
+            part = [k for k, t in enumerate(triples) if t.r == r]
+            results.clear()
+            evaluate_kgc(params, provider, [triples[k] for k in part], triples, ds.entities)
+            for j, k in enumerate(part):
+                by_relation[2 * k], by_relation[2 * k + 1] = results[2 * j], results[2 * j + 1]
+        one_by_one = []
+        for t in triples:
+            tails = {k.t for k in triples if (k.h, k.r) == (t.h, t.r)}
+            heads = {k.h for k in triples if (k.t, k.r) == (t.t, t.r)}
+            one_by_one.append(rank_entities(params, provider, (t.h, t.r), t.t, ds.entities, tails))
+            one_by_one.append(
+                rank_entities(params, provider, (t.t, t.r), t.h, ds.entities, heads, "head")
+            )
+        # A score block of per_block queries, a generation block of generate_block relations.
+        monkeypatch.setattr(evaluation, "RANK_BYTES", per_block * 8 * len(ds.entities))
+        monkeypatch.setattr(hypernet, "GENERATE_BLOCK", generate_block)
+        results.clear()
+        evaluate_kgc(params, provider, triples, triples, ds.entities)
+        assert results == [by_relation[k] for k in range(len(results))] == one_by_one
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("per_block", [1, 2, 3])
+    @pytest.mark.parametrize("generate_block", [1, 2, 3])
+    def test_one_tail_product_per_score_block_and_one_composition_per_head_relation(
+        self, monkeypatch, mode, per_block, generate_block
+    ):
+        ds, provider, triples = self.graph()
+        monkeypatch.setattr(evaluation, "RANK_BYTES", per_block * 8 * len(ds.entities))
+        monkeypatch.setattr(hypernet, "GENERATE_BLOCK", generate_block)
+        tails_applied, heads_composed = [], []
+        apply, compose = evaluation.apply_stack, evaluation.factored_projection
+
+        def applying(op, rows, which, mask=None):
+            tails_applied.append(len(rows))
+            return apply(op, rows, which, mask)
+
+        def composing(op, rows, r):
+            assert rows.shape == (len(ds.entities), 8)  # the candidates
+            heads_composed.append(r)
+            return compose(op, rows, r)
+
+        monkeypatch.setattr(evaluation, "apply_stack", applying)
+        monkeypatch.setattr(evaluation, "factored_projection", composing)
+        evaluate_kgc(mode_params(mode, 8, 1), provider, triples, triples, ds.entities)
+        relations = list(dict.fromkeys(t.r for t in triples))
+        starts = range(0, len(relations), generate_block)
+        blocks = [relations[lo : lo + generate_block] for lo in starts]
+        queries = [sum(t.r in block for t in triples) for block in blocks]  # per direction
+        assert tails_applied == [
+            min(per_block, n - lo) for n in queries for lo in range(0, n, per_block)
+        ]
+        assert heads_composed == [r for block in blocks for r in range(len(block))]
+
+
+def test_ranking_errors_are_raised_under_optimize():
+    # Ranking refuses bad input with raised errors, not assert statements, so the
+    # refusals hold when ``python -O`` strips asserts.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from condcl.encoder import EmbeddingStore, StoreProvider\n"
+        "from condcl.errors import CondclError, DimensionMismatchError\n"
+        "from condcl.evaluation import evaluate_kgc\n"
+        "from condcl.hypernet import init_params\n"
+        "from condcl.losses import KgTriple\n"
+        "store = EmbeddingStore(4)\n"
+        "for i, name in enumerate(['a', 'b', 'c', 'r']):\n"
+        "    store.add(name, np.arange(4.0) + i)\n"
+        "base = StoreProvider(store)\n"
+        "class Odd:\n"
+        "    def __init__(self, vector):\n"
+        "        self.vector = vector\n"
+        "    def embed(self, text):\n"
+        "        return self.vector if text == 'c' else base.embed(text)\n"
+        "params = init_params('lowrank', 4, 2, seed=0)\n"
+        "triples = [KgTriple('a', 'r', 'b')]\n"
+        "def refused(error, provider, candidates):\n"
+        "    try:\n"
+        "        evaluate_kgc(params, provider, triples, triples, candidates)\n"
+        "    except error as exc:\n"
+        "        return type(exc) is error\n"
+        "    return False\n"
+        "checks = [\n"
+        "    refused(CondclError, base, ['a', 'c']),\n"
+        "    refused(ValueError, Odd(np.full(4, np.inf)), ['a', 'b', 'c']),\n"
+        "    refused(DimensionMismatchError, Odd(np.ones(3)), ['a', 'b', 'c']),\n"
+        "]\n"
+        "print(checks)\n"
+        "sys.exit(0 if all(checks) else 1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(condcl.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout.decode() + proc.stderr.decode()
 
 
 class TestLowrankCsts:
@@ -747,6 +885,24 @@ class TestLowrankCsts:
             tracemalloc.stop()
         rows = 2 * N * nh * 8
         assert peak < rows + 8 * N * nk * 8
+
+    @pytest.mark.parametrize("mode", ["full", "lowrank"])
+    def test_stacks_of_csts_bytes_predict_as_one_stack_does(self, monkeypatch, mode):
+        # 40 records of 3 conditions, stacked 3 records (6 rows of 64) at a time.
+        provider, quads = self.records(64, 40, 3, 0)
+        params = init_params(mode, 64, 8 if mode == "lowrank" else None, seed=0)
+        whole, _ = csts_predictions(params, provider, quads)
+        heights, project = [], evaluation.factored_projection
+
+        def counting(op, rows, r):
+            heights.append(len(rows))
+            return project(op, rows, r)
+
+        monkeypatch.setattr(evaluation, "RANK_BYTES", 3 * 16 * 64)
+        monkeypatch.setattr(evaluation, "factored_projection", counting)
+        stacked, _ = csts_predictions(params, provider, quads)
+        assert max(heights) == 6 and sum(heights) == 80
+        np.testing.assert_allclose(stacked, whole, rtol=0, atol=1e-12)
 
 
 class TestGenerationPerCall:
