@@ -371,10 +371,11 @@ def _gradcheck_batches(nh: int, seed: int):
     """Small deterministic batches for both loss families, embedded as seeded
     Gaussian vectors: dense, so no mode projects a row to zero norm."""
     rng = np.random.default_rng(seed)
+    low, high = losses.LABEL_LOW, losses.LABEL_HIGH
     quads = []
     for i in range(3):
-        y_hi = float(rng.uniform(3.0, 5.0))
-        y_lo = float(rng.uniform(1.0, 3.0))
+        y_hi = float(rng.uniform((low + high) / 2, high))
+        y_lo = float(rng.uniform(low, (low + high) / 2))
         quads.append(losses.CstsQuadruplet(f"qs-{i}-a", f"qs-{i}-b", f"qc-{2 * i}", y_hi, i))
         quads.append(losses.CstsQuadruplet(f"qs-{i}-a", f"qs-{i}-b", f"qc-{2 * i + 1}", y_lo, i))
     twin_batch = losses.pair_twins(quads)

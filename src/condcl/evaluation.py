@@ -38,7 +38,7 @@ from .hypernet import (
     generate_stack,
     operator_frobenius_normalized,
 )
-from .linalg import as_vector, variance
+from .linalg import as_vector
 from .losses import CstsQuadruplet, KgTriple, similarity_to_label
 
 __all__ = [
@@ -59,6 +59,7 @@ __all__ = [
 TIE_TOL = 1e-9  # a score this close to gold's ties with it; ties rank by name
 RANK_BYTES = 1 << 22  # score or sentence-row bytes held at a time: bounds memory, reused per call
 DEFAULT_KS = (1, 3, 10)  # the Hits@k cutoffs reported when none are given
+KMEANS_ITERS = 100  # kmeans' cap on Lloyd iterations
 
 
 def _check_xy(xs, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -96,9 +97,12 @@ def spearman(xs, ys) -> float:
 
 @dataclass(frozen=True)
 class RankingResult:
+    """A query's (entity, relation) and ``gold_rank``, its gold's filtered 1-based rank:
+    one plus the number of candidates that are not known-true and rank ahead of
+    gold, ties resolved as ``rank_entities`` says."""
+
     query: tuple[str, str]
     gold_rank: int
-    candidate_count: int
 
 
 def _cosines(dots: np.ndarray, norms, other_norms) -> np.ndarray:
@@ -112,20 +116,18 @@ def _cosines(dots: np.ndarray, norms, other_norms) -> np.ndarray:
 
 
 def _filtered_ranks(scores: np.ndarray, queries, index, order) -> np.ndarray:
-    """(gold rank, candidate count) of each query against its row of scores
-    (queries x candidates). Known-true candidates other than gold are filtered
-    out; a kept candidate is ahead of gold if it scores more than TIE_TOL
-    higher, or within TIE_TOL and first by name (``order``)."""
+    """Filtered gold rank of each query against its row of scores (queries x
+    candidates). A candidate is ahead of gold if it scores more than TIE_TOL
+    higher, or within TIE_TOL and first by name (``order``); known-true
+    candidates are struck, which leaves gold's own entry (never ahead) alone."""
     rows = np.arange(len(queries))
     golds = np.array([index[gold] for _, gold, _, _ in queries])
     drop = [(k, index[e]) for k, (_, _, known, _) in enumerate(queries) for e in known if e in index]
-    kept = np.ones(scores.shape, dtype=bool)
-    kept[tuple(np.array(drop, dtype=np.intp).reshape(-1, 2).T)] = False
-    kept[rows, golds] = True
     gold = scores[rows, golds][:, None]
     tied = np.abs(scores - gold) <= TIE_TOL
     ahead = (scores > gold + TIE_TOL) | (tied & (order < order[golds][:, None]))
-    return np.stack([(ahead & kept).sum(axis=1) + 1, kept.sum(axis=1)], axis=1)
+    ahead[tuple(np.array(drop, dtype=np.intp).reshape(-1, 2).T)] = False
+    return ahead.sum(axis=1) + 1
 
 
 def _rank_queries(params, provider, candidates, queries) -> list[RankingResult]:
@@ -145,7 +147,7 @@ def _rank_queries(params, provider, candidates, queries) -> list[RankingResult]:
     norms = np.sqrt(np.einsum("ij,ij->i", E, E))
     H = [provider.embed(relation) for relation in groups]  # checked by generate_blocks
     rows = max(1, RANK_BYTES // (8 * len(names)))  # queries per score block
-    ranks = np.empty((len(queries), 2), dtype=np.int64)
+    ranks = np.empty(len(queries), dtype=np.int64)
     for span, op in generate_blocks(params, H):
         by_relation, composed = list(groups.values())[span], {}
         for direction in ("tail", "head"):
@@ -167,7 +169,7 @@ def _rank_queries(params, provider, candidates, queries) -> list[RankingResult]:
                         scores[k] = _cosines(AW1 @ Z.T, a_norms[k][:, None], head_norms)
                 ranks[block] = _filtered_ranks(scores, [queries[i] for i in block], index, order)
                 del scores  # hold one block's scores at a time
-    return [RankingResult(q[0], rank, count) for q, (rank, count) in zip(queries, ranks.tolist())]
+    return [RankingResult(q[0], rank) for q, rank in zip(queries, ranks.tolist())]
 
 
 def rank_entities(
@@ -217,11 +219,11 @@ def split_seen_unseen(
     return seen, unseen
 
 
-def kmeans(points, k: int, seed: int = 0, max_iters: int = 100) -> np.ndarray:
+def kmeans(points, k: int, seed: int = 0) -> np.ndarray:
     """Lloyd's algorithm with distance-weighted (k-means++) seeding.
 
     Deterministic for a fixed seed; stops at an assignment fixpoint or
-    after max_iters. Returns the cluster index per point.
+    after KMEANS_ITERS iterations. Returns the cluster index per point.
     """
     X = np.asarray(points, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -243,7 +245,7 @@ def kmeans(points, k: int, seed: int = 0, max_iters: int = 100) -> np.ndarray:
         d2 = np.minimum(d2, np.sum((X - centroids[i]) ** 2, axis=1))
 
     assignments = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iters):
+    for _ in range(KMEANS_ITERS):
         dists = np.linalg.norm(X[:, None, :] - centroids[None, :, :], axis=2)
         new_assign = np.argmin(dists, axis=1)
         for j in range(k):
@@ -295,14 +297,15 @@ def frobenius_variance_report(
 
     For each condition, the generated operator's Frobenius norm is
     normalized by sqrt(#stored scalars) and the diagonal construction's by
-    sqrt(nh); returns the population variance of each list.
+    sqrt(nh); returns the population variance (``np.var``, mean of squared
+    deviations) of each list.
     """
     if not conditions:
         raise ValueError("need at least one condition")
     H = as_vector([provider.embed(c) for c in conditions], "H", ndims=(2,))
     hyper = [n for _, op in generate_blocks(params, H) for n in operator_frobenius_normalized(op)]
     diag_norms = operator_frobenius_normalized(generate_stack("hadamard", {}, H))
-    return variance(hyper), variance(diag_norms)
+    return float(np.var(hyper)), float(np.var(diag_norms))
 
 
 # -- task-level evaluation helpers ---------------------------------------------

@@ -165,20 +165,13 @@ def generator_problem(mode, nh, nk) -> str | None:
     return None
 
 
-def init_params(
-    mode: str,
-    nh: int,
-    nk: int | None = None,
-    seed: int = 0,
-    zero_bias: bool = False,
-) -> HyperNetParams:
+def init_params(mode: str, nh: int, nk: int | None = None, seed: int = 0) -> HyperNetParams:
     """Seeded parameter initialization, one draw per tensor in manifest order.
 
     Weights are small Gaussians. Full mode starts at (approximately) the
     identity operator: its bias is the flattened identity, so an untrained
     model roughly preserves sentence embeddings. Lowrank cannot represent
     the identity for nk < nh, so its biases are small random values too.
-    zero_bias=True starts every bias at zero; the biases stay learnable.
     """
     problem = generator_problem(mode, nh, nk)
     if problem is not None:
@@ -189,8 +182,6 @@ def init_params(
     for name, shape in _tensor_shapes(mode, nh, nk).items():
         if not name.endswith("_bias"):
             tensors[name] = rng.normal(0.0, INIT_WEIGHT_STD, size=shape)
-        elif zero_bias:
-            tensors[name] = np.zeros(shape)
         elif mode == "full":
             tensors[name] = np.eye(nh).reshape(shape)
         else:

@@ -1,4 +1,4 @@
-"""Vector checks, variance and the config-number tests.
+"""Vector checks and the config-number tests.
 
 All values are float64 internally. Vectors are 1-D arrays and a stack of
 vectors is a 2-D array of rows; there are no sparse paths.
@@ -18,7 +18,6 @@ __all__ = [
     "as_vector",
     "is_finite_real",
     "is_integer",
-    "variance",
 ]
 
 
@@ -61,13 +60,3 @@ def is_integer(x) -> bool:
     """True for an integer (bools excluded), as count-valued config values must be."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
-
-def variance(xs) -> float:
-    """Population variance (mean of squared deviations)."""
-    arr = np.asarray(list(xs), dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("variance requires a nonempty 1-D list of reals")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("variance: non-finite entries")
-    mean = float(arr.mean())
-    return float(np.mean((arr - mean) ** 2))

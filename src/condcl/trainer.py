@@ -40,7 +40,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .encoder import EmbeddingStore, text_lines
-from .errors import CondclError, ConfigError, FormatError, TrainingDivergedError
+from .errors import (
+    CondclError,
+    ConfigError,
+    DimensionMismatchError,
+    FormatError,
+    TrainingDivergedError,
+)
 from .hypernet import (
     HyperNetParams,
     _tensor_shapes,
@@ -103,7 +109,6 @@ class TrainConfig:
     eps: float = 1e-8
     weight_decay: float = 0.0
     dropout_p: float = DEFAULT_DROPOUT_P
-    zero_bias: bool = False  # start the generator's biases at zero; they stay learnable
 
     def validate(self) -> None:
         if self.task not in TASKS:
@@ -132,8 +137,6 @@ class TrainConfig:
             raise ConfigError("eps must be > 0")
         if self.weight_decay < 0:
             raise ConfigError("weight_decay must be >= 0")
-        if not isinstance(self.zero_bias, bool):
-            raise ConfigError(f"zero_bias must be true or false, got {self.zero_bias!r}")
         self.loss.validate()
 
     @classmethod
@@ -275,8 +278,6 @@ class Adam:
 
 def dropout_mask(rng: np.random.Generator, size, p: float) -> np.ndarray:
     """Inverted-dropout scaling mask of shape ``size``: entries are 0 or 1/(1-p)."""
-    if p == 0.0:
-        return np.ones(size)
     keep = rng.random(size) >= p
     return keep.astype(np.float64) / (1.0 - p)
 
@@ -367,7 +368,7 @@ def make_loss_closure(
     if not batch:
         raise ValueError("make_loss_closure: the batch is empty")
     window = deque(prebatch or (), maxlen=cfg.loss.prebatch_size)
-    ids, E, row_of = _embedding_matrix(cfg.task, batch, provider, [p for c in window for p in c])
+    ids, E, row_of = _embedding_matrix(cfg, batch, provider, [p for c in window for p in c])
     past = [np.array([row_of[text] for text, _ in chunk], dtype=np.intp) for chunk in window]
     return _batch_closure(cfg, batch, ids, E, past)
 
@@ -393,34 +394,40 @@ def initial_arrays(cfg: TrainConfig) -> tuple[HyperNetParams, dict[str, np.ndarr
     whose float64 params and two Adam moments exceed physical memory is refused
     with a ConfigError before anything is allocated."""
     refuse_above_memory([cfg.mode], cfg.nh, cfg.nk, 3, "its params and two Adam moments")
-    params = init_params(cfg.mode, cfg.nh, cfg.nk, seed=cfg.seed, zero_bias=cfg.zero_bias)
+    params = init_params(cfg.mode, cfg.nh, cfg.nk, seed=cfg.seed)
     arrays = dict(params.tensors)
     if cfg.task == "kgc":
         arrays["tau_kgc"] = np.array(cfg.loss.tau_kgc, dtype=np.float64)
     return params, arrays
 
 
-def _embedding_matrix(task: str, instances, provider, given=()):
+def _embedding_matrix(cfg: TrainConfig, instances, provider, given=()):
     """Every text of the TwinPairs (csts) or KgTriples (kgc) embedded once.
 
     Returns (ids, E, row_of): E (T, nh) holds one row per distinct text, in
     first-seen order, then the (text, vector) pairs of ``given`` whose text is
     new; ``row_of`` maps each text to its row; ``ids`` holds each instance's
-    texts as rows: (N, 4) s1, s2, c_high, c_low, or (N, 3) h, r, t.
+    texts as rows: (N, 4) s1, s2, c_high, c_low, or (N, 3) h, r, t. Rows of
+    unequal width, or all of a width other than ``cfg.nh``, raise
+    DimensionMismatchError.
     """
+    csts = cfg.task == "csts"
 
     def texts(x):
-        return (x.high.s1, x.high.s2, x.high.c, x.low.c) if task == "csts" else (x.h, x.r, x.t)
+        return (x.high.s1, x.high.s2, x.high.c, x.low.c) if csts else (x.h, x.r, x.t)
 
     row_of: dict[str, int] = {}
     ids = [[row_of.setdefault(t, len(row_of)) for t in texts(x)] for x in instances]
-    ids = np.array(ids, dtype=np.intp).reshape(len(instances), 4 if task == "csts" else 3)
+    ids = np.array(ids, dtype=np.intp).reshape(len(instances), 4 if csts else 3)
     vectors = [provider.embed(text) for text in row_of]
     for text, vec in given:
         if text not in row_of:
             row_of[text] = len(vectors)
             vectors.append(vec)
-    return ids, as_vector(vectors, "embeddings", ndims=(2,)), row_of
+    E = as_vector(vectors, "embeddings", ndims=(2,))
+    if E.shape[1] != cfg.nh:
+        raise DimensionMismatchError(f"embeddings are {E.shape[1]} wide, not nh={cfg.nh}")
+    return ids, E, row_of
 
 
 def train(cfg: TrainConfig, data, provider, checkpoint_path: str | None = None) -> TrainReport:
@@ -458,7 +465,7 @@ def fit(
     dropout_rng = np.random.default_rng([cfg.seed, 2])
 
     instances = pair_twins(data) if cfg.task == "csts" else list(data)
-    ids, E, _ = _embedding_matrix(cfg.task, instances, provider)
+    ids, E, _ = _embedding_matrix(cfg, instances, provider)
     past: deque = deque(maxlen=cfg.loss.prebatch_size)  # the pre-batch window
 
     epoch_losses: list[float] = []

@@ -49,6 +49,7 @@ def run(tmp_path, command, config, *extra):
 
 @pytest.mark.parametrize(
     "key,value",
+    # zero_bias is no train config key, so any value of it is refused as unknown.
     [("betas", 0.9), ("betas", None), ("zero_bias", "false"), ("use_self_neg", "false")],
 )
 def test_train_rejects_a_mistyped_config_value_with_usage_exit(csts_run, capsys, key, value):

@@ -221,19 +221,28 @@ class TestRankEntities:
             assert res.gold_rank == [e for _, e in scored].index(gold) + 1
 
     def test_filtering_removes_known_true_but_never_gold(self):
+        # Filtering out k competitors ranked above gold lowers its rank by exactly k;
+        # competitors below it, and gold itself, change nothing.
         provider, entities = tiny_graph(n_entities=8, seed=5)
         params = init_params("full", 8, seed=1)
-        full = rank_entities(params, provider, ("e0", "r0"), gold="e4", candidates=entities)
-        filtered = rank_entities(
-            params,
-            provider,
-            ("e0", "r0"),
-            gold="e4",
-            candidates=entities,
-            filter_set={"e1", "e2", "e4"},
-        )
-        assert filtered.candidate_count == full.candidate_count - 2
-        assert filtered.gold_rank <= full.gold_rank
+        unfiltered = {
+            e: rank_entities(params, provider, ("e0", "r0"), gold=e, candidates=entities).gold_rank
+            for e in entities
+        }
+        assert sorted(unfiltered.values()) == list(range(1, 9))
+        gold = next(e for e in entities if unfiltered[e] == 5)
+        above = sorted((e for e in entities if unfiltered[e] < 5), key=unfiltered.get)
+        below = {e for e in entities if unfiltered[e] > 5}
+        for k in range(len(above) + 1):
+            filtered = rank_entities(
+                params,
+                provider,
+                ("e0", "r0"),
+                gold=gold,
+                candidates=entities,
+                filter_set={*above[:k], *below, gold},
+            )
+            assert filtered.gold_rank == 5 - k
 
     def test_filtering_preserves_relative_order(self):
         provider, entities = tiny_graph(n_entities=9, seed=6)
@@ -259,20 +268,20 @@ class TestRankEntities:
 
 class TestMrrHits:
     def test_all_rank_one(self):
-        results = [RankingResult(("h", "r"), 1, 10) for _ in range(5)]
+        results = [RankingResult(("h", "r"), 1) for _ in range(5)]
         m = mrr_hits(results, ks=[1, 3, 10])
         assert m["mrr"] == 1.0
         assert all(v == 1.0 for v in m["hits"].values())
 
     def test_hand_arithmetic(self):
-        results = [RankingResult(("h", "r"), k, 10) for k in (1, 2, 4)]
+        results = [RankingResult(("h", "r"), k) for k in (1, 2, 4)]
         m = mrr_hits(results, ks=[3])
         assert m["mrr"] == pytest.approx((1 + 0.5 + 0.25) / 3)
         assert m["hits"][3] == pytest.approx(2 / 3)
 
     def test_hits_nondecreasing_in_k(self):
         r = np.random.default_rng(7)
-        results = [RankingResult(("h", "r"), int(r.integers(1, 30)), 30) for _ in range(50)]
+        results = [RankingResult(("h", "r"), int(r.integers(1, 30))) for _ in range(50)]
         m = mrr_hits(results, ks=[1, 3, 10, 30])
         hits = [m["hits"][k] for k in (1, 3, 10, 30)]
         assert hits == sorted(hits)
@@ -385,8 +394,6 @@ class TestFrobeniusVarianceReport:
         assert got == pytest.approx(np.linalg.norm(H, axis=1) / np.sqrt(8), rel=1e-12)
 
     def test_variances_match_manual_recompute(self):
-        from condcl.linalg import variance
-
         provider = HashingProvider(dim=8, seed=2)
         params = init_params("lowrank", 8, nk=2, seed=3)
         conds = [f"cond {i}" for i in range(6)]
@@ -399,8 +406,8 @@ class TestFrobeniusVarianceReport:
             W2 = (t["U2"] @ h + t["U2_bias"]).reshape(8, 2)
             hs.append(np.linalg.norm(W1 @ W2.T) / np.sqrt(2 * 8 * 2))
             ds.append(np.linalg.norm(h) / np.sqrt(8))
-        assert vh == pytest.approx(variance(hs), rel=1e-12)
-        assert vd == pytest.approx(variance(ds), rel=1e-12)
+        assert vh == pytest.approx(np.var(hs), rel=1e-12)
+        assert vd == pytest.approx(np.var(ds), rel=1e-12)
 
 
 class TestNearTies:
@@ -451,8 +458,8 @@ class TestNearTies:
 
 def reference_rank(params, provider, query, gold, candidates, filter_set, direction):
     """Brute force: project and score each candidate alone, then count the kept
-    candidates ahead of gold: scoring more than TIE_TOL higher, or within
-    TIE_TOL and sorting first by name."""
+    candidates ahead of gold, plus one: scoring more than TIE_TOL higher, or
+    within TIE_TOL and sorting first by name."""
     h_c, anchor = provider.embed(query[1]), provider.embed(query[0])
     scores = {}
     for e in candidates:
@@ -465,7 +472,7 @@ def reference_rank(params, provider, query, gold, candidates, filter_set, direct
     ahead = [
         e for e in kept if scores[e] > g + TIE_TOL or (abs(scores[e] - g) <= TIE_TOL and e < gold)
     ]
-    return len(ahead) + 1, len(kept)
+    return len(ahead) + 1
 
 
 def mode_params(mode, nh, seed):
@@ -523,8 +530,8 @@ class TestBatchedEqualsReference:
                     params, provider, query, gold, names, known_true, direction
                 )
                 got = rank_entities(params, provider, query, gold, names, known_true, direction)
-                assert (got.gold_rank, got.candidate_count) == expected
-                results.append(RankingResult(query, *expected))
+                assert got.gold_rank == expected
+                results.append(RankingResult(query, expected))
         metrics = evaluate_kgc(params, provider, evaluated, known, names, ks=(1, 3))
         assert metrics == {**mrr_hits(results, (1, 3)), "queries": len(results)}
         # Known triples whose (h, r) and (t, r) keys no query asks about filter nothing.
@@ -538,6 +545,32 @@ class TestBatchedEqualsReference:
         ]
         with_unasked = evaluate_kgc(params, provider, evaluated, unasked + known, names, ks=(1, 3))
         assert with_unasked == metrics
+
+    def test_rank_one_lowrank_with_each_gold_in_its_filter_set(self):
+        # Every gold is among its own query's known-true candidates, as in evaluate_kgc,
+        # and a rank-1 operator gives all head candidates of one sign the same score in
+        # exact arithmetic: striking gold must leave its tie-broken rank alone.
+        ds, store = make_synthetic_kg(30, 3, 6, seed=2)
+        provider = StoreProvider(store)
+        params = init_params("lowrank", 6, nk=1, seed=4)
+        known = ds.all_triples()
+        results = []
+        for t in ds.test:
+            for query, gold, direction in (((t.h, t.r), t.t, "tail"), ((t.t, t.r), t.h, "head")):
+                if direction == "tail":
+                    known_true = {k.t for k in known if (k.h, k.r) == query}
+                else:
+                    known_true = {k.h for k in known if (k.t, k.r) == query}
+                assert gold in known_true
+                expected = reference_rank(
+                    params, provider, query, gold, ds.entities, known_true, direction
+                )
+                got = rank_entities(params, provider, query, gold, ds.entities, known_true, direction)
+                assert got.gold_rank == expected
+                results.append(RankingResult(query, expected))
+        assert any(r.gold_rank > 1 for r in results[1::2])
+        metrics = evaluate_kgc(params, provider, ds.test, known, ds.entities, ks=(1, 3))
+        assert metrics == {**mrr_hits(results, (1, 3)), "queries": len(results)}
 
     @settings(max_examples=40, deadline=None)
     @given(

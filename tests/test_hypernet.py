@@ -102,10 +102,6 @@ class TestInit:
         p = init_params("full", 6, seed=0)
         assert np.array_equal(p.tensors["U_bias"].reshape(6, 6), np.eye(6))
 
-    def test_zero_bias_flag(self):
-        p = init_params("full", 6, seed=0, zero_bias=True)
-        assert not p.tensors["U_bias"].any()
-
     def test_lowrank_rank_bounds(self):
         with pytest.raises(ValueError):
             init_params("lowrank", 8, nk=9)
@@ -169,7 +165,8 @@ class TestGenerate:
         assert np.array_equal(op.arrays["W"], np.broadcast_to(np.eye(5), (3, 5, 5)))
 
     def test_linearity_without_bias(self):
-        p = init_params("full", 6, seed=2, zero_bias=True)
+        p = init_params("full", 6, seed=2)
+        p.tensors["U_bias"][:] = 0.0
         h = unit(rng.normal(size=6))
         a = 2.7
         W = generate_stack(p.mode, p.tensors, np.stack([a * h, h])).arrays["W"]

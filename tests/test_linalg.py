@@ -10,7 +10,7 @@ from condcl.hypernet import (
     generate_stack,
     operator_frobenius_normalized,
 )
-from condcl.linalg import is_finite_real, variance
+from condcl.linalg import is_finite_real
 
 
 def matvec(m, v):
@@ -87,21 +87,3 @@ class TestIsFiniteReal:
         for x in (float("nan"), float("inf"), -np.inf, 10**400, True, "1.0", None, [1.0]):
             assert not is_finite_real(x)
 
-
-class TestVariance:
-    def test_constant(self):
-        assert variance([4.2, 4.2, 4.2]) == 0.0
-
-    def test_two_point(self):
-        assert variance([0.0, 2.0]) == pytest.approx(1.0)
-
-    def test_against_two_pass_oracle(self):
-        rng = np.random.default_rng(4)
-        xs = rng.normal(size=97).tolist()
-        mean = sum(xs) / len(xs)
-        expected = sum((x - mean) ** 2 for x in xs) / len(xs)
-        assert variance(xs) == pytest.approx(expected, rel=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            variance([])

@@ -19,7 +19,7 @@ from condcl.errors import (
     TrainingDivergedError,
 )
 from condcl.evaluation import csts_predictions, spearman
-from condcl.hypernet import apply_stack, load_checkpoint
+from condcl.hypernet import MODES, apply_stack, load_checkpoint
 from condcl.losses import (
     CstsQuadruplet,
     KgTriple,
@@ -159,11 +159,6 @@ class TestTrainConfig:
     def test_betas_that_are_not_a_pair_of_numbers_raise_config_error(self, betas):
         with pytest.raises(ConfigError, match="betas"):
             TrainConfig.from_dict({"task": "csts", "mode": "full", "nh": 8, "betas": betas})
-
-    @pytest.mark.parametrize("value", ["false", 0, 1, None])
-    def test_zero_bias_must_be_a_bool(self, value):
-        with pytest.raises(ConfigError, match="zero_bias"):
-            TrainConfig.from_dict({"task": "csts", "mode": "full", "nh": 8, "zero_bias": value})
 
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
     def test_use_self_neg_must_be_a_bool(self, value):
@@ -465,6 +460,36 @@ class TestTrainBasics:
             fit(cfg, data, Spoiled(lambda v: v[:-1]))
         with pytest.raises(ValueError, match="embeddings contains non-finite entries"):
             fit(cfg, data, Spoiled(lambda v: v * np.nan))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("task", ["csts", "kgc"])
+    def test_provider_rows_all_of_another_width_are_refused_before_the_first_batch(
+        self, monkeypatch, task, mode
+    ):
+        # The provider claims nh but every vector it returns is one short: without a
+        # check, matmul fails inside the first batch, or hadamard trains on the short rows.
+        if task == "csts":
+            data, store = tiny_csts()
+            batch = pair_twins(data)
+        else:
+            ds, store = make_synthetic_kg(30, 4, 8, seed=0)
+            data = batch = ds.train
+
+        class Short(StoreProvider):
+            def embed(self, t):
+                return super().embed(t)[:-1]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a batch was built")
+
+        monkeypatch.setattr(trainer, "_batch_closure", refused)
+        provider = Short(store)
+        assert provider.dim == 8
+        cfg = TrainConfig(task=task, mode=mode, nh=8, nk=2, epochs=1, batch_size=4, seed=0)
+        with pytest.raises(DimensionMismatchError, match="embeddings are 7 wide, not nh=8"):
+            fit(cfg, data, provider)
+        with pytest.raises(DimensionMismatchError, match="embeddings are 7 wide, not nh=8"):
+            make_loss_closure(cfg, batch, provider)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_diagnostics(self):
